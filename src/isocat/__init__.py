@@ -45,6 +45,7 @@ from .extcat import (
     ext1,
     euler_form,
     hom,
+    hom_ext_dims,
     is_projective,
     is_universal,
     projective_resolution,

@@ -15,9 +15,7 @@ from .exactalg import AlgebraError
 from .extcat import (
     TripleError,
     decompose,
-    ext1,
-    hom,
-    hom_space_dims,
+    hom_ext_dims,
     is_projective,
     projective_resolution,
 )
@@ -74,9 +72,7 @@ def cmd_ext(args) -> int:
         raise FormatError("ext needs exactly two --object files")
     a = load_object(objs[0], s)
     b = load_object(objs[1], s)
-    h = len(hom(a, b))
-    e = ext1(a, b).dim
-    su, sv, sf = hom_space_dims(a, b)
+    h, e, (su, sv, sf) = hom_ext_dims(a, b)
     euler_ok = (h - e == su + sv - sf)
     report = {"schema": REPORT_SCHEMA, "command": "ext", "scenario": s.name,
               "hom": h, "ext1": e, "euler": h - e,

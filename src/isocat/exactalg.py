@@ -222,20 +222,17 @@ class RatMatrix:
         return [list(r) for r in self.num]
 
     def rank(self) -> int:
-        rows = self._int_rows()
-        _, pivots = _bareiss(rows, self.cols)
+        _, _, pivots = _bareiss_signed(self._int_rows(), self.cols)
         return len(pivots)
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Basis of the right null space, as column vectors."""
-        rows = self._int_rows()
-        ech, pivots = _bareiss(rows, self.cols)
+        _, ech, pivots = _bareiss_signed(self._int_rows(), self.cols)
         return _kernel_from_echelon(ech, pivots, self.cols)
 
     def rref(self) -> tuple["RatMatrix", list[int]]:
         """Reduced row echelon form (zero rows dropped) and pivot columns."""
-        rows = self._int_rows()
-        ech, pivots = _bareiss(rows, self.cols)
+        _, ech, pivots = _bareiss_signed(self._int_rows(), self.cols)
         if not pivots:
             return RatMatrix.zeros(0, self.cols), []
         reduced = [[Fraction(x) for x in ech[i]] for i in range(len(pivots))]
@@ -276,14 +273,8 @@ class RatMatrix:
         return Fraction(sign * ech[n - 1][pivots[n - 1]], self.den ** n)
 
     def column_space_pivots(self) -> list[int]:
-        rows = self._int_rows()
-        _, pivots = _bareiss(rows, self.cols)
+        _, _, pivots = _bareiss_signed(self._int_rows(), self.cols)
         return pivots
-
-
-def _bareiss(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    ech, piv = _bareiss_signed(rows, ncols)[1:]
-    return ech, piv
 
 
 def _bareiss_signed(rows: list[list[int]], ncols: int):
@@ -351,7 +342,7 @@ def _solve(a: RatMatrix, rhs: RatMatrix) -> RatMatrix | None:
     da, db = a.den, rhs.den
     aug = [[x * db for x in ra] + [y * da for y in rb]
            for ra, rb in zip(a.num, rhs.num)]
-    ech, pivots = _bareiss(aug, m + k)
+    _, ech, pivots = _bareiss_signed(aug, m + k)
     if any(p >= m for p in pivots):
         return None
     sol = [[Fraction(0)] * k for _ in range(m)]
@@ -384,22 +375,24 @@ def quotient_space(ambient_dim: int, subspace: Sequence[Sequence]) -> tuple[int,
     for v in vecs:
         if len(v) != ambient_dim:
             raise ValueError("subspace vector does not live in the ambient dimension")
-    if not vecs:
-        return ambient_dim, RatMatrix.identity(ambient_dim)
-    span = RatMatrix.from_rows(vecs)
-    red, pivots = span.rref()
-    pivset = set(pivots)
-    free = [c for c in range(ambient_dim) if c not in pivset]
-    rows = []
-    for f in free:
-        w = [Fraction(0)] * ambient_dim
-        w[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            w[p] = -red.entry(i, f)
-        rows.append(w)
+    span = RatMatrix.from_rows(vecs) if vecs else RatMatrix.zeros(0, ambient_dim)
+    return _quotient_by_rows(span)[:2]
+
+
+def _quotient_by_rows(span: RatMatrix) -> tuple[int, RatMatrix, list[int]]:
+    """quotient_space of the row span of `span`, plus the pivot columns.
+
+    The projection row for free column f has a 1 at f, zeros at the other
+    free columns and minus the reduced echelon entries at the pivots: it is
+    the kernel vector of `span` for f, so one elimination gives both.
+    """
+    if span.rows == 0:
+        return span.cols, RatMatrix.identity(span.cols), []
+    _, ech, pivots = _bareiss_signed(span._int_rows(), span.cols)
+    rows = _kernel_from_echelon(ech, pivots, span.cols)
     if not rows:
-        return 0, RatMatrix.zeros(0, ambient_dim)
-    return len(free), RatMatrix.from_rows(rows)
+        return 0, RatMatrix.zeros(0, span.cols), pivots
+    return len(rows), RatMatrix.from_rows(rows), pivots
 
 
 # ======================================================================
@@ -972,10 +965,10 @@ def subalgebra_on_basis(alg: AlgebraSpec, basis: list[list[Fraction]]) -> Algebr
 
 def quotient_algebra(alg: AlgebraSpec, ideal_basis: list[list[Fraction]]) -> AlgebraSpec:
     """Quotient by a two-sided ideal, with canonical coordinates."""
-    qdim, proj = quotient_space(alg.dim, ideal_basis)
+    span = RatMatrix.from_rows(ideal_basis) if ideal_basis else RatMatrix.zeros(0, alg.dim)
+    qdim, proj, pivots = _quotient_by_rows(span)
     if qdim == 0:
         return AlgebraSpec([], [], _skip_validation=True)
-    red, pivots = RatMatrix.from_rows(ideal_basis).rref() if ideal_basis else (None, [])
     pivset = set(pivots)
     free = [c for c in range(alg.dim) if c not in pivset]
     constants = [[None] * qdim for _ in range(qdim)]

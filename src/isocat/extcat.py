@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -30,6 +31,7 @@ from .exactalg import (
     FactorBudgetExceeded,
     Polynomial,
     RatMatrix,
+    _quotient_by_rows,
     factor_rational,
     is_irreducible,
     min_poly,
@@ -572,104 +574,92 @@ def _v_basis_f_blocks(z: TripleObject, z2: TripleObject,
 
 
 def _psi_data(z: TripleObject, z2: TripleObject):
-    """Shared assembly for hom/ext: bases and the psi matrix columns.
+    """Bases and the one matrix of psi(u, v) = u . eta - eta' . F(v) for a pair.
 
-    Returns (ubases, vbases, fbases, psi, u_cols, v_cols) where psi maps
-    (u, v) coefficient space to Hom(F(Y), X') coordinate space.
+    Returns (ubases, vbases, fbases, offsets, psi).  psi has one column per
+    u basis element, then per v basis element (vertices in scenario order),
+    and one row per Hom(F(Y), X') basis element, the block of x-vertex x
+    starting at offsets[x]; Hom(z, z2) is its kernel and Ext^1 its cokernel.
+    At each x-vertex the images of all basis elements are coordinatised in
+    one batch: flattened entries over Q, else one solve against the stacked
+    Hom(F(Y), X') basis, which has full column rank.
     """
     s = _same_scenario(z, z2)
     ubases = _u_bases(z, z2)
     vbases = _v_bases(z, z2)
     fbases = _fhom_bases(z, z2)
-    coordizers = {}
-    offsets = {}
-    total_f = 0
-    for x in s.x_ids:
-        fb = fbases[x]
-        offsets[x] = total_f
-        total_f += len(fb)
-        alg = s.algebra(x).spec
-        if alg.dim == 1 or not fb:
-            coordizers[x] = None  # coordinates = flattened entries
-        else:
-            stacked = RatMatrix.from_cols([_flatten(m) for m in fb],
-                                          rows=z.f[x].dim * z2.x[x].dim)
-            coordizers[x] = stacked
-    u_cols: list[list[Fraction]] = []
-    v_cols: list[list[Fraction]] = []
+    images: dict[str, list] = {x: [] for x in s.x_ids}  # (column, entries, den)
+    ncols = 0
     for x in s.x_ids:
         eta = z.eta[x]
         for uk in ubases[x]:
             w = uk * eta
-            col = [Fraction(0)] * total_f
-            _write_coords(col, offsets[x], w, coordizers[x], fbases[x])
-            u_cols.append(col)
+            images[x].append((ncols, [e for r in w.num for e in r], w.den))
+            ncols += 1
     fblocks = _v_basis_f_blocks(z, z2, vbases)
-    idx = 0
     for y in s.y_ids:
         for l in range(len(vbases[y])):
-            col = [Fraction(0)] * total_f
             for x in s.x_ids:
                 hit = fblocks[x].get((y, l))
                 if hit is None:
                     continue
                 src_off, g = hit
-                w = RatMatrix.zeros(z2.x[x].dim, z.f[x].dim)
-                w = _paste_columns(w, g, src_off)
-                _write_coords(col, offsets[x], w, coordizers[x], fbases[x], negate=True)
-            v_cols.append(col)
-            idx += 1
-    return ubases, vbases, fbases, offsets, total_f, u_cols, v_cols
+                pad = [0] * (z.f[x].dim - src_off - g.cols)
+                flat: list[int] = []
+                for r in g.num:
+                    flat += [0] * src_off
+                    flat += [-e for e in r]
+                    flat += pad
+                images[x].append((ncols, flat, g.den))
+            ncols += 1
+    offsets: dict[str, int] = {}
+    blocks = []
+    total_f = 0
+    den = 1
+    for x in s.x_ids:
+        fb, imgs = fbases[x], images[x]
+        offsets[x] = total_f
+        total_f += len(fb)
+        if not fb:
+            if any(e for _, flat, _ in imgs for e in flat):
+                raise InternalConsistencyError("nonzero map in a zero hom space")
+            continue
+        if not imgs:
+            continue
+        nflat = z2.x[x].dim * z.f[x].dim
+        coords = _flat_columns([(flat, d) for _, flat, d in imgs], nflat)
+        if s.algebra(x).dim > 1:
+            coordizer = _flat_columns([([e for r in m.num for e in r], m.den) for m in fb], nflat)
+            coords = coordizer.solve(coords)
+            if coords is None:
+                raise InternalConsistencyError("map is not equivariant: no coordinates")
+        blocks.append((offsets[x], [c for c, _, _ in imgs], coords))
+        den = den * coords.den // gcd(den, coords.den)
+    num = [[0] * ncols for _ in range(total_f)]
+    for off, cols, coords in blocks:
+        k = den // coords.den
+        for i, row in enumerate(coords.num):
+            out = num[off + i]
+            for j, e in zip(cols, row):
+                out[j] = e * k
+    return ubases, vbases, fbases, offsets, RatMatrix(total_f, ncols, num, den)
 
 
-def _flatten(m: RatMatrix) -> list[Fraction]:
-    return [e for row in m.to_fractions() for e in row]
-
-
-def _paste_columns(target: RatMatrix, block: RatMatrix, col_offset: int) -> RatMatrix:
-    left = target.submatrix(range(target.rows), range(0, col_offset))
-    right = target.submatrix(range(target.rows),
-                             range(col_offset + block.cols, target.cols))
-    return left.hstack(block).hstack(right)
-
-
-def _write_coords(col: list[Fraction], offset: int, w: RatMatrix,
-                  coordizer: Optional[RatMatrix], fbasis: list[RatMatrix],
-                  negate: bool = False) -> None:
-    if not fbasis:
-        if not w.is_zero():
-            raise InternalConsistencyError("nonzero map in a zero hom space")
-        return
-    if coordizer is None:
-        flat = _flatten(w)
-        for i, e in enumerate(flat):
-            col[offset + i] = -e if negate else e
-    else:
-        sol = coordizer.solve(RatMatrix.from_rows([[e] for e in _flatten(w)]))
-        if sol is None:
-            raise InternalConsistencyError("map is not equivariant: no coordinates")
-        for i in range(sol.rows):
-            e = sol.entry(i, 0)
-            col[offset + i] = -e if negate else e
+def _flat_columns(columns: Sequence[tuple[list[int], int]], nrows: int) -> RatMatrix:
+    """The matrix with these columns, each given as (integer entries, denominator)."""
+    den = 1
+    for _, d in columns:
+        den = den * d // gcd(den, d)
+    scaled = [flat if d == den else [e * (den // d) for e in flat] for flat, d in columns]
+    return RatMatrix(nrows, len(scaled), [list(r) for r in zip(*scaled)], den)
 
 
 def hom(z: TripleObject, z2: TripleObject) -> list[TripleMorphism]:
-    """Basis of the space of morphisms z -> z2."""
-    s = _same_scenario(z, z2)
-    ubases, vbases, fbases, offsets, total_f, u_cols, v_cols = _psi_data(z, z2)
-    cols = u_cols + v_cols
-    ncols = len(cols)
-    if ncols == 0:
-        return []
-    if total_f == 0:
-        kern = [[Fraction(1) if i == k else Fraction(0) for i in range(ncols)]
-                for k in range(ncols)]
-    else:
-        mat = RatMatrix.from_cols(cols, rows=total_f)
-        kern = mat.kernel_basis()
+    """Basis of the space of morphisms z -> z2: the kernel of psi."""
+    s = z.scenario
+    ubases, vbases, _, _, psi = _psi_data(z, z2)
     out = []
-    su = len(u_cols)
-    for vec in kern:
+    for vec in psi.kernel_basis():
         u = {}
         pos = 0
         for x in s.x_ids:
@@ -700,16 +690,11 @@ class ExtResult:
 
 def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
     """Cokernel of psi(u, v) = u . eta - eta' . F(v)."""
-    s = _same_scenario(z, z2)
-    ubases, vbases, fbases, offsets, total_f, u_cols, v_cols = _psi_data(z, z2)
-    image_rows = u_cols + v_cols
-    qdim, proj = quotient_space(total_f, image_rows)
-    if image_rows:
-        _, pivots = RatMatrix.from_rows(image_rows).rref()
-    else:
-        pivots = []
+    s = z.scenario
+    _, _, fbases, offsets, psi = _psi_data(z, z2)
+    qdim, proj, pivots = _quotient_by_rows(psi.transpose())
     pivset = set(pivots)
-    free = [c for c in range(total_f) if c not in pivset]
+    free = [c for c in range(psi.rows) if c not in pivset]
     reps = []
     for c in free:
         rep = {}
@@ -724,11 +709,28 @@ def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
     return ExtResult(qdim, reps, proj)
 
 
+def hom_ext_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, tuple[int, int, int]]:
+    """(dim Hom, dim Ext^1, hom_space_dims) from one build of psi.
+
+    dim Hom is ncols - rank(psi) and dim Ext^1 is total_f - rank(psi^T),
+    two separate eliminations; su, sv and sf are read off the bases that
+    the psi build holds.
+    """
+    ubases, vbases, _, _, psi = _psi_data(z, z2)
+    su = sum(len(b) for b in ubases.values())
+    sv = sum(len(b) for b in vbases.values())
+    h = psi.cols - psi.rank()
+    e = psi.rows - psi.transpose().rank()
+    return h, e, (su, sv, psi.rows)
+
+
 def euler_form(z: TripleObject, z2: TripleObject) -> int:
-    """dim hom - dim ext1; checked against the five-term exact sequence."""
-    h = len(hom(z, z2))
-    e = ext1(z, z2).dim
-    su, sv, sf = hom_space_dims(z, z2)
+    """dim hom - dim ext1, from one psi; checked against the five-term sequence.
+
+    The kernel and cokernel dimensions come from two eliminations (psi and
+    psi^T), and h - e must equal su + sv - sf on every call.
+    """
+    h, e, (su, sv, sf) = hom_ext_dims(z, z2)
     if h - e != su + sv - sf:
         raise InternalConsistencyError(
             f"five-term sequence violated: hom={h}, ext={e}, dims=({su},{sv},{sf})")
@@ -1255,20 +1257,14 @@ def _normalized_candidate(a: TripleMorphism) -> TripleMorphism:
         return a
     den = 1
     for x in flat:
-        den = den * x.denominator // _int_gcd(den, x.denominator)
+        den = den * x.denominator // gcd(den, x.denominator)
     nums = [abs(int(x * den)) for x in flat]
     g = 0
     for nx in nums:
-        g = _int_gcd(g, nx)
+        g = gcd(g, nx)
         if g == 1:
             break
     return a.scale(Fraction(den, g if g else 1))
-
-
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _splitting_idempotent(z: TripleObject,

@@ -374,6 +374,73 @@ def test_five_term_identity_sweep():
                        random_object(s, rng, max_mult=1))
 
 
+EULER_SWEEP = ["d4_elliptic", "c3_surface", "g2_threefold", "c2", "b2_dual",
+               "a3", "two_surfaces", "product_no_coupling"]
+
+
+def ringel_form(s, a, b):
+    """<a, b> = sum_v [D_v:Q] a_v b_v - sum_(x,y) dim_Q(M_xy) a_y b_x.
+
+    Read off the component dimensions and the scenario's algebra and
+    bimodule dimensions only; it shares no code with psi.
+    """
+    def dims(z):
+        parts = {**z.x, **z.y}
+        return {v: parts[v].dim // s.algebra(v).dim for v in s.vertex_order()}
+
+    da, db = dims(a), dims(b)
+    diag = sum(s.algebra(v).dim * da[v] * db[v] for v in s.vertex_order())
+    cross = sum(bm.dim * da[y] * db[x] for (x, y), bm in s.bimodules.items())
+    return diag - cross
+
+
+def test_euler_form_matches_ringel_form():
+    gen = random.Random("ringel-scenarios")
+    sweep = [catalog_scenario(name) for name in EULER_SWEEP]
+    sweep += [random_scenario(gen) for _ in range(4)]
+    for k, s in enumerate(sweep):
+        rng = random.Random(f"ringel:{k}")
+        for _ in range(12):
+            a = random_object(s, rng, max_mult=2)
+            b = random_object(s, rng, max_mult=2)
+            assert euler_form(a, b) == ringel_form(s, a, b), (s.name, a, b)
+
+
+def test_hom_ext1_euler_agree_and_projection_kills_psi():
+    from isocat.extcat import _psi_data
+
+    gen = random.Random("one-psi")
+    sweep = [catalog_scenario("g2_threefold"), catalog_scenario("b2_dual")]
+    sweep += [random_scenario(gen) for _ in range(6)]
+    # only vertex algebras of dimension > 1 take the batched solve
+    assert sum(any(s.algebra(v).dim > 1 for v in s.vertex_order()) for s in sweep) >= 4
+    for k, s in enumerate(sweep):
+        rng = random.Random(f"one-psi:{k}")
+        for _ in range(6):
+            a = random_object(s, rng, max_mult=2)
+            b = random_object(s, rng, max_mult=2)
+            su, sv, sf = hom_space_dims(a, b)
+            homs = hom(a, b)
+            res = ext1(a, b)
+            assert euler_form(a, b) == len(homs) - res.dim == su + sv - sf
+            # Euler is su + sv - sf for any psi; a wrong psi shows in hom
+            assert (len(homs), res.dim) == reference_hom_ext_dims(a, b)
+            assert all(m.check() is None for m in homs)
+            _, _, fbases, offsets, psi = _psi_data(a, b)
+            assert (psi.rows, psi.cols) == (sf, su + sv)
+            assert (res.projection * psi).is_zero()
+            assert res.projection.rows == res.dim == sf - psi.rank()
+            # each representative is one basis vector of Hom(F(Y), X'), and
+            # the projection is the identity on those coordinates
+            free = []
+            for rep in res.basis:
+                hits = [offsets[x] + fbases[x].index(m)
+                        for x, m in rep.items() if not m.is_zero()]
+                assert len(hits) == 1
+                free.append(hits[0])
+            assert res.projection.submatrix(range(res.dim), free) == RatMatrix.identity(res.dim)
+
+
 # ----------------------------------------------------------------------
 # universal extensions, projectivity, resolutions
 # ----------------------------------------------------------------------
