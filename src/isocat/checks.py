@@ -121,7 +121,7 @@ def _resolution_ok(z: TripleObject) -> bool:
 
 
 def suite_torsion_pair(s: SpeciesScenario, rng: random.Random, samples: int) -> SuiteResult:
-    """Hom vanishing across the pair, exact canonical sequences, exact projections."""
+    """Hom vanishing across the pair; exact canonical and random short exact sequences."""
     res = SuiteResult("torsion-pair")
     for i in range(samples):
         z = random_object(s, rng)
@@ -137,27 +137,10 @@ def suite_torsion_pair(s: SpeciesScenario, rng: random.Random, samples: int) -> 
             a_inc, a_proj = random_short_exact(s, rng, max_mult=1)
             if not verify_short_exact(a_inc, a_proj):
                 raise InternalConsistencyError("random short exact sequence failed")
-            for side in ("x", "y"):
-                if not _restricted_exact(a_inc, a_proj, side):
-                    raise InternalConsistencyError(f"{side}-side projection is not exact")
             res.passed += 1
         except InternalConsistencyError as ex:
             res.failures.append({"sample": i, "error": str(ex), "object": _dump_object(z)})
     return res
-
-
-def _restricted_exact(inc, proj, side: str) -> bool:
-    s = inc.source.scenario
-    ids = s.x_ids if side == "x" else s.y_ids
-    maps_in = inc.u if side == "x" else inc.v
-    maps_out = proj.u if side == "x" else proj.v
-    parts = (inc.source.x, inc.target.x, proj.target.x) if side == "x" else \
-            (inc.source.y, inc.target.y, proj.target.y)
-    for v in ids:
-        a, b, c = parts[0][v].dim, parts[1][v].dim, parts[2][v].dim
-        if maps_in[v].rank() != a or maps_out[v].rank() != c or a + c != b:
-            return False
-    return True
 
 
 def suite_universality(s: SpeciesScenario, rng: random.Random, samples: int) -> SuiteResult:

@@ -5,6 +5,18 @@ exact rationals; there is no floating point anywhere.  Matrices are stored
 as integer arrays with a single shared positive denominator, so the hot
 elimination paths run on plain Python integers (fraction-free Bareiss
 elimination), and `Fraction` objects only appear at the API boundary.
+
+One helper per recurring construction, shared by the packages built on it:
+
+- `RatMatrix.combine`: a linear combination of matrices over one common
+  denominator (vertex and bimodule actions, left/right multiplication,
+  hom vectors, seeded samples);
+- `orbit_basis`: the greedy basis of a free module, trying standard
+  vectors in index order (bimodule right bases, vertex-space frames);
+- `commutant_basis`: the maps T with T . S_a = D_a . T for all a
+  (equivariant hom spaces, nilpotent intertwiners);
+- `structure_constants`: an algebra on a spanning set from its n^2
+  products and unit, coordinatised in one solve (End algebras, centres).
 """
 
 from __future__ import annotations
@@ -85,6 +97,35 @@ class RatMatrix:
             for x in r:
                 den = den * x.denominator // gcd(den, x.denominator)
         num = [[int(x * den) for x in r] for r in fr]
+        return cls(rows, cols, num, den)
+
+    @classmethod
+    def combine(cls, mats: Sequence["RatMatrix"], coeffs: Sequence,
+                rows: int, cols: int) -> "RatMatrix":
+        """sum_k coeffs[k] * mats[k] as a rows x cols matrix, built in one construction.
+
+        Coefficients are ints, Fractions or 'p/q' strings; the terms are put
+        over one common denominator, so only the result is gcd-normalised.
+        """
+        terms = []
+        den = 1
+        for m, c in zip(mats, coeffs):
+            if isinstance(c, int):
+                cn, cd = c, 1
+            else:
+                c = as_fraction(c)
+                cn, cd = c.numerator, c.denominator
+            if not cn:
+                continue
+            if (m.rows, m.cols) != (rows, cols):
+                raise ValueError("shape mismatch in matrix combination")
+            d = cd * m.den
+            terms.append((cn, d, m.num))
+            den = den * d // gcd(den, d)
+        num = [[0] * cols for _ in range(rows)]
+        for cn, d, grid in terms:
+            f = cn * (den // d)
+            num = [[a + f * b for a, b in zip(ra, rb)] for ra, rb in zip(num, grid)]
         return cls(rows, cols, num, den)
 
     @classmethod
@@ -356,6 +397,65 @@ def _solve(a: RatMatrix, rhs: RatMatrix) -> RatMatrix | None:
                     s -= row[j] * sol[j][col]
             sol[p][col] = s / row[p]
     return RatMatrix.from_rows(sol)
+
+
+def _flat_columns(columns: Sequence[tuple[list[int], int]], nrows: int) -> RatMatrix:
+    """The matrix with these columns, each given as (integer entries, denominator)."""
+    den = 1
+    for _, d in columns:
+        den = den * d // gcd(den, d)
+    scaled = [flat if d == den else [e * (den // d) for e in flat] for flat, d in columns]
+    return RatMatrix(nrows, len(scaled), [list(r) for r in zip(*scaled)], den)
+
+
+def orbit_basis(mats: Sequence[RatMatrix], dim: int) -> tuple[list[int], RatMatrix]:
+    """Greedy basis of Q^dim as a module over the algebra acting by `mats`.
+
+    Standard vectors e_i are tried in index order and skipped when already
+    in the span.  Returns the picked indices and the matrix whose column
+    (k, b) is mats[b] . e_{picked[k]}; the module is free over the algebra
+    iff len(picked) * len(mats) == dim.
+    """
+    picked: list[int] = []
+    cols: list[tuple[list[int], int]] = []
+    span = RatMatrix.zeros(dim, 0)
+    for cand in range(dim):
+        if len(picked) * len(mats) == dim:
+            break
+        e = RatMatrix.zeros(dim, 1)
+        e.num[cand][0] = 1
+        if picked and span.solve(e) is not None:
+            continue
+        picked.append(cand)
+        cols += [([r[cand] for r in m.num], m.den) for m in mats]
+        span = _flat_columns(cols, dim)
+    return picked, span
+
+
+def commutant_basis(src: Sequence[RatMatrix], dst: Sequence[RatMatrix]) -> list[RatMatrix]:
+    """Basis of {T : T . src[a] = dst[a] . T for every a}, T of shape dst x src.
+
+    The constraint dst[a] . T - T . src[a] = 0 gives one integer row per
+    (a, entry of T) over the row-major entries of T; the answer is the
+    kernel of the stacked rows.
+    """
+    sd, dd = src[0].rows, dst[0].rows
+    den = 1
+    for m in (*src, *dst):
+        den = den * m.den // gcd(den, m.den)
+    rows = []
+    for s_a, d_a in zip(src, dst):
+        ks, kd = den // s_a.den, den // d_a.den
+        for r in range(dd):
+            for c in range(sd):
+                row = [0] * (dd * sd)
+                for k, x in enumerate(d_a.num[r]):
+                    row[k * sd + c] = kd * x
+                for k in range(sd):
+                    row[r * sd + k] -= ks * s_a.num[k][c]
+                rows.append(row)
+    kern = RatMatrix(len(rows), dd * sd, rows, den).kernel_basis()
+    return [RatMatrix.from_rows([v[r * sd:(r + 1) * sd] for r in range(dd)]) for v in kern]
 
 
 def kernel_basis(m: RatMatrix) -> list[list[Fraction]]:
@@ -816,20 +916,10 @@ class AlgebraSpec:
         return out
 
     def left_multiplication(self, a: Sequence) -> RatMatrix:
-        a = [as_fraction(x) for x in a]
-        acc = RatMatrix.zeros(self.dim, self.dim)
-        for i, ai in enumerate(a):
-            if ai:
-                acc = acc + self.left_mats[i].scale(ai)
-        return acc
+        return RatMatrix.combine(self.left_mats, a, self.dim, self.dim)
 
     def right_multiplication(self, a: Sequence) -> RatMatrix:
-        a = [as_fraction(x) for x in a]
-        acc = RatMatrix.zeros(self.dim, self.dim)
-        for i, ai in enumerate(a):
-            if ai:
-                acc = acc + self.right_mats[i].scale(ai)
-        return acc
+        return RatMatrix.combine(self.right_mats, a, self.dim, self.dim)
 
     def is_commutative(self) -> bool:
         return all(self.left_mats[i] == self.right_mats[i] for i in range(self.dim))
@@ -889,19 +979,16 @@ def _poly_kills(op: RatMatrix, p: Polynomial, vec: RatMatrix) -> bool:
 
 def _vector_min_poly(op: RatMatrix, vec: RatMatrix) -> Polynomial:
     n = op.rows
-    cols = [vec]
+    cols = []
     cur = vec
     for _ in range(n + 1):
-        stacked = cols[0]
-        for c in cols[1:]:
-            stacked = stacked.hstack(c)
-        ker = stacked.kernel_basis()
+        cols.append(([r[0] for r in cur.num], cur.den))
+        ker = _flat_columns(cols, n).kernel_basis()
         if ker:
             dep = ker[0]
             lead = len(dep) - 1
             return Polynomial([c / dep[lead] for c in dep])
         cur = op * cur
-        cols.append(cur)
     raise RuntimeError("Krylov chase failed to terminate")  # unreachable
 
 
@@ -943,24 +1030,33 @@ def algebra_center(alg: AlgebraSpec) -> tuple[AlgebraSpec, list[list[Fraction]]]
     return sub, basis
 
 
+def structure_constants(basis_cols: RatMatrix, products: Sequence[Sequence],
+                        unit: Sequence) -> AlgebraSpec | None:
+    """The algebra on the column span of basis_cols, or None if it is not one.
+
+    products[i * n + j] is the product of basis columns i and j and `unit`
+    the unit, both in the ambient coordinates; all n^2 products and the
+    unit are coordinatised in one solve.  None means a product or the unit
+    lies outside the span.
+    """
+    n = basis_cols.cols
+    if n == 0:
+        return AlgebraSpec([], [], _skip_validation=True)
+    coords = basis_cols.solve(RatMatrix.from_cols([*products, unit], rows=basis_cols.rows))
+    if coords is None:
+        return None
+    grid = coords.to_fractions()
+    constants = [[[grid[k][i * n + j] for k in range(n)] for j in range(n)] for i in range(n)]
+    return AlgebraSpec(constants, [row[n * n] for row in grid])
+
+
 def subalgebra_on_basis(alg: AlgebraSpec, basis: list[list[Fraction]]) -> AlgebraSpec:
     """Structure constants induced on a multiplicatively closed subspace."""
-    m = len(basis)
-    if m == 0:
-        return AlgebraSpec([], [], _skip_validation=True)
-    bmat = RatMatrix.from_cols(basis, rows=alg.dim)
-    constants = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            prod = alg.multiply(basis[i], basis[j])
-            coords = bmat.solve(RatMatrix.from_rows([[x] for x in prod]))
-            if coords is None:
-                raise AlgebraError("subspace is not multiplicatively closed")
-            constants[i][j] = coords.column(0)
-    ucoords = bmat.solve(RatMatrix.from_rows([[x] for x in alg.unit]))
-    if ucoords is None:
-        raise AlgebraError("subspace does not contain the unit")
-    return AlgebraSpec(constants, ucoords.column(0))
+    sub = structure_constants(RatMatrix.from_cols(basis, rows=alg.dim),
+                              [alg.multiply(a, b) for a in basis for b in basis], alg.unit)
+    if sub is None:
+        raise AlgebraError("subspace is not multiplicatively closed or misses the unit")
+    return sub
 
 
 def quotient_algebra(alg: AlgebraSpec, ideal_basis: list[list[Fraction]]) -> AlgebraSpec:

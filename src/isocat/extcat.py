@@ -31,16 +31,20 @@ from .exactalg import (
     FactorBudgetExceeded,
     Polynomial,
     RatMatrix,
+    _flat_columns,
     _quotient_by_rows,
+    commutant_basis,
     factor_rational,
     is_irreducible,
     min_poly,
     min_poly_matrix,
+    orbit_basis,
     poly_xgcd,
     quotient_algebra,
     quotient_space,
     radical,
     squarefree_decomposition,
+    structure_constants,
 )
 from .species import DivisionAlgebraHandle, SpeciesScenario
 
@@ -76,11 +80,7 @@ class VertexSpace:
         return self._key
 
     def act(self, coords: Sequence[Fraction]) -> RatMatrix:
-        acc = RatMatrix.zeros(self.dim, self.dim)
-        for m, c in zip(self.action, coords):
-            if c:
-                acc = acc + m.scale(c)
-        return acc
+        return RatMatrix.combine(self.action, coords, self.dim, self.dim)
 
     def frame(self) -> tuple[RatMatrix, RatMatrix]:
         """(P, P^-1) for the greedy algebra-basis coordinates of this space.
@@ -89,33 +89,11 @@ class VertexSpace:
         for canonically presented spaces P is the identity.
         """
         if self._frame is None:
-            nd = len(self.action)
-            if self.dim == 0:
-                eye = RatMatrix.identity(0)
-                self._frame = (eye, eye)
-            else:
-                cols: list[RatMatrix] = []
-                span: RatMatrix | None = None
-                picked = 0
-                for cand in range(self.dim):
-                    e = RatMatrix.zeros(self.dim, 1)
-                    e.num[cand][0] = 1
-                    if span is not None and span.solve(e) is not None:
-                        continue
-                    picked += 1
-                    for b in range(nd):
-                        cols.append(self.action[b] * e)
-                    span = cols[0]
-                    for c in cols[1:]:
-                        span = span.hstack(c)
-                    if picked * nd == self.dim:
-                        break
-                if picked * nd != self.dim:
-                    raise TripleError("vertex space is not free over its algebra")
-                p = span
-                eye = RatMatrix.identity(self.dim)
-                pinv = eye if p == eye else p.inverse()
-                self._frame = (p, pinv)
+            picked, p = orbit_basis(self.action, self.dim)
+            if len(picked) * len(self.action) != self.dim:
+                raise TripleError("vertex space is not free over its algebra")
+            eye = RatMatrix.identity(self.dim)
+            self._frame = (p, eye if p == eye else p.inverse())
         return self._frame
 
 
@@ -153,41 +131,20 @@ def equivariant_hom_basis(alg: AlgebraSpec, src: VertexSpace, dst: VertexSpace) 
     key = (alg.key(), src.key(), dst.key())
     if key in _HOM_CACHE:
         return _HOM_CACHE[key]
+    basis = []
     if (src.canonical is not None and dst.canonical is not None
             and src.canonical[0] == dst.canonical[0]):
         ms, md = src.canonical[1], dst.canonical[1]
-        basis = []
         for s in range(md):
             for t in range(ms):
                 unit = RatMatrix.zeros(md, ms)
                 unit.num[s][t] = 1
                 for b in range(alg.dim):
                     basis.append(unit.kron(alg.right_mats[b]))
-        _HOM_CACHE[key] = basis
-        return basis
-    rows: list[list[Fraction]] = []
-    sd, dd = src.dim, dst.dim
-    for a in range(alg.dim):
-        lhs = dst.action[a].kron(RatMatrix.identity(sd))
-        rhs = RatMatrix.identity(dd).kron(src.action[a].transpose())
-        diff = lhs - rhs
-        rows.extend(diff.to_fractions())
-    kern = RatMatrix.from_rows(rows).kernel_basis()
-    basis = []
-    for vec in kern:
-        grid = [[vec[r * sd + c] for c in range(sd)] for r in range(dd)]
-        basis.append(RatMatrix.from_rows(grid))
+    else:
+        basis = commutant_basis(src.action, dst.action)
     _HOM_CACHE[key] = basis
     return basis
-
-
-def _combine_basis(basis: Sequence[RatMatrix], coeffs: Sequence[Fraction],
-                   rows: int, cols: int) -> RatMatrix:
-    acc = RatMatrix.zeros(rows, cols)
-    for m, c in zip(basis, coeffs):
-        if c:
-            acc = acc + m.scale(c)
-    return acc
 
 
 # ======================================================================
@@ -215,7 +172,7 @@ def _build_fspaces(scenario: SpeciesScenario,
         layout: list[tuple[str, int]] = []
         offsets: dict[str, int] = {}
         total = 0
-        blocks: list[tuple[str, int]] = []  # (y, slot rank r)
+        ranks: list[tuple[str, int]] = []  # (y, slot rank r)
         for y in scenario.y_ids:
             bm = scenario.bimodules.get((x, y))
             if bm is None:
@@ -226,45 +183,50 @@ def _build_fspaces(scenario: SpeciesScenario,
                 continue
             layout.append((y, width))
             offsets[y] = total
-            blocks.append((y, r))
+            ranks.append((y, r))
             total += width
         action = []
         for a in range(alg.dim):
-            block_mats: list[RatMatrix] = []
-            for y, r in blocks:
-                bm = scenario.bimodules[(x, y)]
+            # cell (k, i) of the r x r grid at y: the m_k part of e_a . m_i
+            cells = []
+            for y, r in ranks:
                 vs = y_parts[y]
                 p, pinv = vs.frame()
-                dco = bm.left_coords(a)
-                vdim = vs.dim
-                rows_acc = None
+                dco = scenario.bimodules[(x, y)].left_coords(a)
+                n, off = vs.dim, offsets[y]
                 for k in range(r):
-                    row_acc = None
                     for i in range(r):
-                        d = dco[i][k]
-                        if all(c == 0 for c in d):
-                            cell = RatMatrix.zeros(vdim, vdim)
-                        else:
-                            cell = pinv * vs.act(d) * p
-                        row_acc = cell if row_acc is None else row_acc.hstack(cell)
-                    rows_acc = row_acc if rows_acc is None else rows_acc.vstack(row_acc)
-                block_mats.append(rows_acc)
-            action.append(_block_diag(block_mats) if block_mats else RatMatrix.identity(0))
+                        if any(dco[i][k]):
+                            cells.append((off + k * n, off + i * n, pinv * vs.act(dco[i][k]) * p))
+            action.append(_assemble(total, total, cells))
         out[x] = FSpace(total, layout, offsets, VertexSpace(total, action))
     return out
 
 
+def _assemble(rows: int, cols: int, blocks: Sequence[tuple[int, int, RatMatrix]]) -> RatMatrix:
+    """The rows x cols matrix with each (row offset, column offset, block) written in.
+
+    Entries outside the blocks are zero; all blocks go into one integer
+    grid over their common denominator.
+    """
+    den = 1
+    for _, _, b in blocks:
+        den = den * b.den // gcd(den, b.den)
+    num = [[0] * cols for _ in range(rows)]
+    for r0, c0, b in blocks:
+        k = den // b.den
+        for i, row in enumerate(b.num):
+            num[r0 + i][c0:c0 + b.cols] = [k * e for e in row]
+    return RatMatrix(rows, cols, num, den)
+
+
 def _block_diag(blocks: list[RatMatrix]) -> RatMatrix:
-    total_c = sum(b.cols for b in blocks)
-    out = None
-    co = 0
+    placed = []
+    r = c = 0
     for b in blocks:
-        left = RatMatrix.zeros(b.rows, co)
-        right = RatMatrix.zeros(b.rows, total_c - co - b.cols)
-        row = left.hstack(b).hstack(right)
-        out = row if out is None else out.vstack(row)
-        co += b.cols
-    return out if out is not None else RatMatrix.zeros(0, 0)
+        placed.append((r, c, b))
+        r, c = r + b.rows, c + b.cols
+    return _assemble(r, c, placed)
 
 
 def _f_map(scenario: SpeciesScenario, src_y: dict[str, VertexSpace],
@@ -450,6 +412,17 @@ def zero_morphism(src: TripleObject, dst: TripleObject) -> TripleMorphism:
     return TripleMorphism(src, dst, u, v)
 
 
+def _combine_morphisms(src: TripleObject, dst: TripleObject, basis: Sequence[TripleMorphism],
+                       coeffs: Sequence) -> TripleMorphism:
+    """sum_k coeffs[k] * basis[k] for morphisms src -> dst, one matrix per vertex."""
+    s = src.scenario
+    u = {x: RatMatrix.combine([m.u[x] for m in basis], coeffs, dst.x[x].dim, src.x[x].dim)
+         for x in s.x_ids}
+    v = {y: RatMatrix.combine([m.v[y] for m in basis], coeffs, dst.y[y].dim, src.y[y].dim)
+         for y in s.y_ids}
+    return TripleMorphism(src, dst, u, v)
+
+
 def identity_morphism(z: TripleObject) -> TripleMorphism:
     s = z.scenario
     u = {x: RatMatrix.identity(z.x[x].dim) for x in s.x_ids}
@@ -549,27 +522,21 @@ def _v_basis_f_blocks(z: TripleObject, z2: TripleObject,
             continue
         ps, _ = z.y[y].frame()
         _, pdinv = z2.y[y].frame()
-        for l, vmat in enumerate(basis):
-            t = pdinv * vmat * ps
-            for x in s.x_ids:
-                bm = s.bimodules.get((x, y))
-                if bm is None or z.f[x].dim == 0:
-                    continue
-                sf, df = z.f[x], z2.f[x]
-                if y not in sf.offsets:
-                    continue
-                r = bm.rank_over_right
-                blk = RatMatrix.identity(r).kron(t)
-                src_off = sf.offsets[y]
-                # G = eta'_x restricted to the y block of F(Y'), times blk
-                dst_off = df.offsets.get(y)
-                eta2 = z2.eta[x]
-                if dst_off is None:
-                    g = RatMatrix.zeros(z2.x[x].dim, blk.cols)
-                else:
-                    cols = list(range(dst_off, dst_off + blk.rows))
-                    g = eta2.submatrix(range(eta2.rows), cols) * blk
-                out[x][(y, l)] = (src_off, g)
+        ts = [pdinv * vmat * ps for vmat in basis]
+        for x in s.x_ids:
+            bm = s.bimodules.get((x, y))
+            sf, df = z.f[x], z2.f[x]
+            if bm is None or y not in sf.offsets:
+                continue
+            # a nonzero v basis means Y_y and Y'_y are nonzero, so both F
+            # spaces hold a y block; eta'_x restricted to it is sliced once
+            r = bm.rank_over_right
+            dst_off = df.offsets[y]
+            eta2 = z2.eta[x]
+            g0 = eta2.submatrix(range(eta2.rows), range(dst_off, dst_off + r * z2.y[y].dim))
+            eye = RatMatrix.identity(r)
+            for l, t in enumerate(ts):
+                out[x][(y, l)] = (sf.offsets[y], g0 * eye.kron(t))
     return out
 
 
@@ -645,15 +612,6 @@ def _psi_data(z: TripleObject, z2: TripleObject):
     return ubases, vbases, fbases, offsets, RatMatrix(total_f, ncols, num, den)
 
 
-def _flat_columns(columns: Sequence[tuple[list[int], int]], nrows: int) -> RatMatrix:
-    """The matrix with these columns, each given as (integer entries, denominator)."""
-    den = 1
-    for _, d in columns:
-        den = den * d // gcd(den, d)
-    scaled = [flat if d == den else [e * (den // d) for e in flat] for flat, d in columns]
-    return RatMatrix(nrows, len(scaled), [list(r) for r in zip(*scaled)], den)
-
-
 def hom(z: TripleObject, z2: TripleObject) -> list[TripleMorphism]:
     """Basis of the space of morphisms z -> z2: the kernel of psi."""
     s = z.scenario
@@ -664,12 +622,12 @@ def hom(z: TripleObject, z2: TripleObject) -> list[TripleMorphism]:
         pos = 0
         for x in s.x_ids:
             nb = len(ubases[x])
-            u[x] = _combine_basis(ubases[x], vec[pos:pos + nb], z2.x[x].dim, z.x[x].dim)
+            u[x] = RatMatrix.combine(ubases[x], vec[pos:pos + nb], z2.x[x].dim, z.x[x].dim)
             pos += nb
         v = {}
         for y in s.y_ids:
             nb = len(vbases[y])
-            v[y] = _combine_basis(vbases[y], vec[pos:pos + nb], z2.y[y].dim, z.y[y].dim)
+            v[y] = RatMatrix.combine(vbases[y], vec[pos:pos + nb], z2.y[y].dim, z.y[y].dim)
             pos += nb
         out.append(TripleMorphism(z, z2, u, v))
     return out
@@ -822,11 +780,7 @@ def projective_resolution(z: TripleObject) -> Resolution:
 # ======================================================================
 
 def _stack_spaces(a: VertexSpace, b: VertexSpace) -> VertexSpace:
-    action = []
-    for ma, mb in zip(a.action, b.action):
-        top = ma.hstack(RatMatrix.zeros(a.dim, b.dim))
-        bot = RatMatrix.zeros(b.dim, a.dim).hstack(mb)
-        action.append(top.vstack(bot))
+    action = [_block_diag([ma, mb]) for ma, mb in zip(a.action, b.action)]
     canon = None
     if a.canonical is not None and b.canonical is not None and a.canonical[0] == b.canonical[0]:
         canon = (a.canonical[0], a.canonical[1] + b.canonical[1])
@@ -839,14 +793,15 @@ def direct_sum(a: TripleObject, b: TripleObject):
     x_parts = {x: _stack_spaces(a.x[x], b.x[x]) for x in s.x_ids}
     y_parts = {y: _stack_spaces(a.y[y], b.y[y]) for y in s.y_ids}
     fsp = _build_fspaces(s, y_parts)
-    ia_u = {x: RatMatrix.identity(a.x[x].dim).vstack(RatMatrix.zeros(b.x[x].dim, a.x[x].dim))
-            for x in s.x_ids}
-    ib_u = {x: RatMatrix.zeros(a.x[x].dim, b.x[x].dim).vstack(RatMatrix.identity(b.x[x].dim))
-            for x in s.x_ids}
-    ia_v = {y: RatMatrix.identity(a.y[y].dim).vstack(RatMatrix.zeros(b.y[y].dim, a.y[y].dim))
-            for y in s.y_ids}
-    ib_v = {y: RatMatrix.zeros(a.y[y].dim, b.y[y].dim).vstack(RatMatrix.identity(b.y[y].dim))
-            for y in s.y_ids}
+
+    def inclusion(m: int, n: int, second: bool) -> RatMatrix:
+        d = n if second else m
+        return _assemble(m + n, d, [(m if second else 0, 0, RatMatrix.identity(d))])
+
+    ia_u = {x: inclusion(a.x[x].dim, b.x[x].dim, False) for x in s.x_ids}
+    ib_u = {x: inclusion(a.x[x].dim, b.x[x].dim, True) for x in s.x_ids}
+    ia_v = {y: inclusion(a.y[y].dim, b.y[y].dim, False) for y in s.y_ids}
+    ib_v = {y: inclusion(a.y[y].dim, b.y[y].dim, True) for y in s.y_ids}
     eta = {}
     for x in s.x_ids:
         fa = _f_map(s, a.y, y_parts, ia_v, a.f, fsp, x)
@@ -860,16 +815,11 @@ def direct_sum(a: TripleObject, b: TripleObject):
     total = TripleObject(s, x_parts, y_parts, eta, check=False)
     inc_a = TripleMorphism(a, total, ia_u, ia_v)
     inc_b = TripleMorphism(b, total, ib_u, ib_v)
-    pa_u = {x: RatMatrix.identity(a.x[x].dim).hstack(RatMatrix.zeros(a.x[x].dim, b.x[x].dim))
-            for x in s.x_ids}
-    pb_u = {x: RatMatrix.zeros(b.x[x].dim, a.x[x].dim).hstack(RatMatrix.identity(b.x[x].dim))
-            for x in s.x_ids}
-    pa_v = {y: RatMatrix.identity(a.y[y].dim).hstack(RatMatrix.zeros(a.y[y].dim, b.y[y].dim))
-            for y in s.y_ids}
-    pb_v = {y: RatMatrix.zeros(b.y[y].dim, a.y[y].dim).hstack(RatMatrix.identity(b.y[y].dim))
-            for y in s.y_ids}
-    proj_a = TripleMorphism(total, a, pa_u, pa_v)
-    proj_b = TripleMorphism(total, b, pb_u, pb_v)
+    # the projections are the transposed inclusions
+    proj_a = TripleMorphism(total, a, {x: m.transpose() for x, m in ia_u.items()},
+                            {y: m.transpose() for y, m in ia_v.items()})
+    proj_b = TripleMorphism(total, b, {x: m.transpose() for x, m in ib_u.items()},
+                            {y: m.transpose() for y, m in ib_v.items()})
     return total, (inc_a, inc_b), (proj_a, proj_b)
 
 
@@ -1022,23 +972,12 @@ def end_algebra(z: TripleObject, basis: list[TripleMorphism] | None = None) -> A
     """Structure constants of End(z) in the computed hom basis."""
     if basis is None:
         basis = hom(z, z)
-    n = len(basis)
-    if n == 0:
-        return AlgebraSpec([], [], _skip_validation=True)
-    flat_len = len(basis[0].flatten())
-    stacked = RatMatrix.from_cols([m.flatten() for m in basis], rows=flat_len)
-    constants = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            prod = basis[i].compose(basis[j])
-            coords = stacked.solve(RatMatrix.from_rows([[e] for e in prod.flatten()]))
-            if coords is None:
-                raise InternalConsistencyError("endomorphism composition left the hom space")
-            constants[i][j] = coords.column(0)
-    unit = stacked.solve(RatMatrix.from_rows([[e] for e in identity_morphism(z).flatten()]))
-    if unit is None:
-        raise InternalConsistencyError("identity is missing from End(z)")
-    return AlgebraSpec(constants, unit.column(0))
+    unit = identity_morphism(z).flatten()
+    alg = structure_constants(RatMatrix.from_cols([m.flatten() for m in basis], rows=len(unit)),
+                              [a.compose(b).flatten() for a in basis for b in basis], unit)
+    if alg is None:
+        raise InternalConsistencyError("End(z) is not closed under composition or misses the identity")
+    return alg
 
 
 def end_y_algebra(z: TripleObject) -> tuple[AlgebraSpec, list[dict[str, RatMatrix]]]:
@@ -1051,26 +990,17 @@ def end_y_algebra(z: TripleObject) -> tuple[AlgebraSpec, list[dict[str, RatMatri
             elem = {yy: RatMatrix.zeros(z.y[yy].dim, z.y[yy].dim) for yy in s.y_ids}
             elem[y] = m
             basis.append(elem)
-    n = len(basis)
-    if n == 0:
-        return AlgebraSpec([], [], _skip_validation=True), []
 
     def flat(e):
-        out = []
-        for y in s.y_ids:
-            out.extend(x for row in e[y].to_fractions() for x in row)
-        return out
+        return [x for y in s.y_ids for row in e[y].to_fractions() for x in row]
 
-    stacked = RatMatrix.from_cols([flat(e) for e in basis], rows=len(flat(basis[0])))
-    constants = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            prod = {y: basis[i][y] * basis[j][y] for y in s.y_ids}
-            coords = stacked.solve(RatMatrix.from_rows([[e] for e in flat(prod)]))
-            constants[i][j] = coords.column(0)
-    ident = {y: RatMatrix.identity(z.y[y].dim) for y in s.y_ids}
-    unit = stacked.solve(RatMatrix.from_rows([[e] for e in flat(ident)]))
-    return AlgebraSpec(constants, unit.column(0)), basis
+    unit = flat({y: RatMatrix.identity(z.y[y].dim) for y in s.y_ids})
+    products = [flat({y: a[y] * b[y] for y in s.y_ids}) for a in basis for b in basis]
+    alg = structure_constants(RatMatrix.from_cols([flat(e) for e in basis], rows=len(unit)),
+                              products, unit)
+    if alg is None:
+        raise InternalConsistencyError("End of the y part is not closed or misses the identity")
+    return alg, basis
 
 
 @dataclass

@@ -19,17 +19,16 @@ from .extcat import (
     TripleMorphism,
     TripleObject,
     abelian_ops,
-    canonical_object,
-    canonical_space,
     decompose,
     direct_sum_many,
-    equivariant_hom_basis,
     hom,
     simple_x_object,
     simple_y_object,
     universal_extension_of,
-    _build_fspaces,
+    _combine_morphisms,
+    _total_matrix,
 )
+from .samples import random_object_with
 from .species import (
     ScenarioError,
     SpeciesScenario,
@@ -115,23 +114,6 @@ def indecomposable_vectors(s: SpeciesScenario) -> list[tuple[int, ...]]:
     return positive_roots(cartan_matrix(valued_graph(s)))
 
 
-def _random_equivariant_eta(s: SpeciesScenario, mult: dict[str, int],
-                            rng: random.Random, bound: int) -> dict[str, RatMatrix]:
-    x_parts = {x: canonical_space(s.algebra(x), mult.get(x, 0)) for x in s.x_ids}
-    y_parts = {y: canonical_space(s.algebra(y), mult.get(y, 0)) for y in s.y_ids}
-    fsp = _build_fspaces(s, y_parts)
-    eta = {}
-    for x in s.x_ids:
-        basis = equivariant_hom_basis(s.algebra(x).spec, fsp[x].space, x_parts[x])
-        acc = RatMatrix.zeros(x_parts[x].dim, fsp[x].dim)
-        for b in basis:
-            c = rng.randrange(-bound, bound + 1)
-            if c:
-                acc = acc + b.scale(c)
-        eta[x] = acc
-    return eta
-
-
 def construct_indecomposable(s: SpeciesScenario, root: tuple[int, ...],
                              seed: int, retries: int = 32) -> TripleObject:
     """Build a certified-indecomposable object with the given dimension vector.
@@ -151,8 +133,7 @@ def construct_indecomposable(s: SpeciesScenario, root: tuple[int, ...],
     attempts: list[str] = []
     for attempt in range(retries):
         bound = 3 + attempt // 8
-        eta = _random_equivariant_eta(s, mult, rng, bound)
-        z = canonical_object(s, mult, eta=eta, check=False)
+        z = random_object_with(s, mult, rng, eta_bound=bound)
         dec = decompose(z)
         if len(dec.summands) == 1 and dec.flag == CERTIFIED:
             if z.dimension_vector() != tuple(root):
@@ -204,13 +185,8 @@ def isomorphic(a: TripleObject, b: TripleObject, rng: Optional[random.Random] = 
     if not fwd:
         return a.total_dim() == 0
     rng = rng or random.Random(0)
-    from .extcat import _total_matrix  # local import: diagnostic helper
     for _ in range(attempts):
-        f = fwd[0].scale(0)
-        for m in fwd:
-            c = rng.randrange(-2, 3)
-            if c:
-                f = f + m.scale(c)
+        f = _combine_morphisms(a, b, fwd, [rng.randrange(-2, 3) for _ in fwd])
         mat = _total_matrix(f)
         if mat.rows == mat.cols and mat.rank() == mat.rows:
             return True

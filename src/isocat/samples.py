@@ -17,6 +17,7 @@ from .extcat import (
     equivariant_hom_basis,
     hom,
     _build_fspaces,
+    _combine_morphisms,
 )
 from .species import (
     SpeciesScenario,
@@ -68,27 +69,16 @@ def random_object_with(scenario: SpeciesScenario, mult: dict[str, int],
     eta = {}
     for x in scenario.x_ids:
         basis = equivariant_hom_basis(scenario.algebra(x).spec, fsp[x].space, x_parts[x])
-        acc = RatMatrix.zeros(x_parts[x].dim, fsp[x].dim)
-        for b in basis:
-            c = rng.randrange(-eta_bound, eta_bound + 1)
-            if c:
-                acc = acc + b.scale(c)
-        eta[x] = acc
+        coeffs = [rng.randrange(-eta_bound, eta_bound + 1) for _ in basis]
+        eta[x] = RatMatrix.combine(basis, coeffs, x_parts[x].dim, fsp[x].dim)
     return TripleObject(scenario, x_parts, y_parts, eta, check=False)
 
 
 def random_morphism(a: TripleObject, b: TripleObject, rng: random.Random,
                     bound: int = 2) -> TripleMorphism:
     basis = hom(a, b)
-    out = None
-    for m in basis:
-        c = rng.randrange(-bound, bound + 1)
-        if c:
-            out = m.scale(c) if out is None else out + m.scale(c)
-    if out is None:
-        from .extcat import zero_morphism
-        return zero_morphism(a, b)
-    return out
+    coeffs = [rng.randrange(-bound, bound + 1) for _ in basis]
+    return _combine_morphisms(a, b, basis, coeffs)
 
 
 def random_short_exact(scenario: SpeciesScenario, rng: random.Random,

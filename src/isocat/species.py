@@ -20,7 +20,9 @@ from .exactalg import (
     RatMatrix,
     algebra_center,
     is_irreducible,
+    orbit_basis,
     regular_algebra_from_min_poly,
+    structure_constants,
 )
 
 
@@ -115,39 +117,31 @@ class Bimodule:
                 raise ScenarioError("action matrix shape does not match the bimodule dimension")
         if self.dim % A.dim or self.dim % D.dim:
             raise ScenarioError("bimodule dimension not divisible by an acting algebra dimension")
-        if self._combine(self.left_action, A.unit) != RatMatrix.identity(self.dim):
+        if self.left_matrix(A.unit) != RatMatrix.identity(self.dim):
             raise ScenarioError("left action is not unital")
-        if self._combine(self.right_action, D.unit) != RatMatrix.identity(self.dim):
+        if self.right_matrix(D.unit) != RatMatrix.identity(self.dim):
             raise ScenarioError("right action is not unital")
         for i in range(A.dim):
             for j in range(A.dim):
                 prod = A.multiply(A.basis_vector(i), A.basis_vector(j))
-                if self.left_action[i] * self.left_action[j] != self._combine(self.left_action, prod):
+                if self.left_action[i] * self.left_action[j] != self.left_matrix(prod):
                     raise ScenarioError(f"left action not multiplicative at ({i},{j})")
         for i in range(D.dim):
             for j in range(D.dim):
                 prod = D.multiply(D.basis_vector(i), D.basis_vector(j))
                 # right multiplication reverses composition order
-                if self.right_action[j] * self.right_action[i] != self._combine(self.right_action, prod):
+                if self.right_action[j] * self.right_action[i] != self.right_matrix(prod):
                     raise ScenarioError(f"right action not anti-multiplicative at ({i},{j})")
         for i in range(A.dim):
             for j in range(D.dim):
                 if self.left_action[i] * self.right_action[j] != self.right_action[j] * self.left_action[i]:
                     raise ScenarioError(f"left/right actions fail to commute at ({i},{j})")
 
-    @staticmethod
-    def _combine(mats: Sequence[RatMatrix], coords: Sequence[Fraction]) -> RatMatrix:
-        acc = RatMatrix.zeros(mats[0].rows, mats[0].cols)
-        for m, c in zip(mats, coords):
-            if c:
-                acc = acc + m.scale(c)
-        return acc
-
     def left_matrix(self, coords: Sequence[Fraction]) -> RatMatrix:
-        return self._combine(self.left_action, coords)
+        return RatMatrix.combine(self.left_action, coords, self.dim, self.dim)
 
     def right_matrix(self, coords: Sequence[Fraction]) -> RatMatrix:
-        return self._combine(self.right_action, coords)
+        return RatMatrix.combine(self.right_action, coords, self.dim, self.dim)
 
     @property
     def rank_over_right(self) -> int:
@@ -170,27 +164,11 @@ class Bimodule:
         return self._orbit_matrix
 
     def _compute_right_basis(self) -> None:
-        nd = self.right_alg.dim
-        picked: list[int] = []
-        cols: list[RatMatrix] = []
-        span: RatMatrix | None = None
-        for cand in range(self.dim):
-            e = RatMatrix.zeros(self.dim, 1)
-            e.num[cand][0] = 1
-            if span is not None and span.solve(e) is not None:
-                continue
-            picked.append(cand)
-            for b in range(nd):
-                cols.append(self.right_action[b] * e)
-            span = cols[0]
-            for c in cols[1:]:
-                span = span.hstack(c)
-            if len(picked) * nd == self.dim:
-                break
-        if len(picked) * nd != self.dim:
+        picked, span = orbit_basis(self.right_action, self.dim)
+        if len(picked) * self.right_alg.dim != self.dim:
             raise ScenarioError("bimodule is not free over the right algebra")
         self._right_basis = picked
-        self._orbit_matrix = span if span is not None else RatMatrix.zeros(self.dim, 0)
+        self._orbit_matrix = span
 
     def left_coords(self, a_index: int) -> list[list[list[Fraction]]]:
         """D-coordinates of e_a * m_i over the right basis.
@@ -694,39 +672,16 @@ def ring_center(s: SpeciesScenario) -> RingCenter:
         return comp
 
     elements = [to_components(vec) for vec in solutions]
-    m = len(solutions)
-    if m == 0:
-        return RingCenter(AlgebraSpec([], [], _skip_validation=True), [])
-    sol_mat = RatMatrix.from_cols(solutions, rows=total)
-
-    def to_center_coords(comp: dict[str, list[Fraction]]) -> list[Fraction]:
-        vec = [Fraction(0)] * total
-        for v in vertex_ids:
-            basis = cbases[v]
-            if not basis:
-                continue
-            bmat = RatMatrix.from_cols(basis, rows=s.algebra(v).dim)
-            coords = bmat.solve(RatMatrix.from_rows([[t] for t in comp[v]]))
-            if coords is None:
-                raise ScenarioError("center product left the center")  # unreachable
-            for k in range(len(basis)):
-                vec[offsets[v] + k] = coords.entry(k, 0)
-        return vec
-
-    constants = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            comp = {v: s.algebra(v).spec.multiply(elements[i][v], elements[j][v])
-                    for v in vertex_ids}
-            coords = sol_mat.solve(RatMatrix.from_rows([[t] for t in to_center_coords(comp)]))
-            if coords is None:
-                raise ScenarioError("center is not multiplicatively closed")  # unreachable
-            constants[i][j] = coords.column(0)
-    unit_comp = {v: list(s.algebra(v).spec.unit) for v in vertex_ids}
-    unit_coords = sol_mat.solve(RatMatrix.from_rows([[t] for t in to_center_coords(unit_comp)]))
-    if unit_coords is None:
+    # products and the unit in the ring's own coordinates (all vertex
+    # components in a row), where the elements are linearly independent
+    ambient = sum(s.algebra(v).dim for v in vertex_ids)
+    products = [[t for v in vertex_ids for t in s.algebra(v).spec.multiply(a[v], b[v])]
+                for a in elements for b in elements]
+    alg = structure_constants(
+        RatMatrix.from_cols([[t for v in vertex_ids for t in e[v]] for e in elements], rows=ambient),
+        products, [t for v in vertex_ids for t in s.algebra(v).spec.unit])
+    if alg is None:
         raise ScenarioError("triangular ring unit is not in the computed center")
-    alg = AlgebraSpec(constants, unit_coords.column(0))
     if not alg.is_commutative():
         raise ScenarioError("computed center is not commutative")  # unreachable
     return RingCenter(alg, elements)

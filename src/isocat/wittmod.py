@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exactalg import RatMatrix
+from .exactalg import RatMatrix, commutant_basis
 
 
 class WittError(ValueError):
@@ -105,17 +105,9 @@ def hom_dim(p: WittPartition, q: WittPartition) -> int:
 
 def intertwiner_basis(m1: VModule, m2: VModule) -> list[RatMatrix]:
     """Basis of {T : T V1 = V2 T}."""
-    d1, d2 = m1.dim, m2.dim
-    if d1 == 0 or d2 == 0:
+    if m1.dim == 0 or m2.dim == 0:
         return []
-    lhs = RatMatrix.identity(d2).kron(m1.v_op.transpose())
-    rhs = m2.v_op.kron(RatMatrix.identity(d1))
-    kern = (rhs - lhs).kernel_basis()
-    out = []
-    for vec in kern:
-        grid = [[vec[r * d1 + c] for c in range(d1)] for r in range(d2)]
-        out.append(RatMatrix.from_rows(grid))
-    return out
+    return commutant_basis([m1.v_op], [m2.v_op])
 
 
 def find_invertible_intertwiner(m1: VModule, m2: VModule, seed: int = 0,
@@ -135,11 +127,7 @@ def find_invertible_intertwiner(m1: VModule, m2: VModule, seed: int = 0,
         return None
     rng = random.Random(seed)
     for _ in range(attempts):
-        t = RatMatrix.zeros(m2.dim, m1.dim)
-        for b in basis:
-            c = rng.randrange(-3, 4)
-            if c:
-                t = t + b.scale(c)
+        t = RatMatrix.combine(basis, [rng.randrange(-3, 4) for _ in basis], m2.dim, m1.dim)
         if t.rank() == m1.dim:
             return t
     return None

@@ -13,6 +13,8 @@ from isocat.exactalg import (
     Polynomial,
     RatMatrix,
     algebra_center,
+    as_fraction,
+    commutant_basis,
     factor_rational,
     is_irreducible,
     kernel_basis,
@@ -325,3 +327,70 @@ def _eval_on_matrix(p, m):
         if c:
             acc = acc + RatMatrix.identity(m.rows).scale(c)
     return acc
+
+
+# ----------------------------------------------------------------------
+# one combination, one commutant
+# ----------------------------------------------------------------------
+
+def _accumulate(mats, coeffs, rows, cols):
+    """The term-by-term loop that RatMatrix.combine replaces, kept as the reference."""
+    acc = RatMatrix.zeros(rows, cols)
+    for m, c in zip(mats, coeffs):
+        if as_fraction(c):
+            acc = acc + m.scale(c)
+    return acc
+
+
+def _random_grid(rng, rows, cols):
+    num = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
+    return RatMatrix(rows, cols, num, rng.randrange(1, 7))
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 3), (2, 5), (0, 4), (4, 0), (0, 0)])
+def test_combine_matches_accumulation(rows, cols):
+    rng = random.Random(100 * rows + cols)
+    draws = [lambda: rng.randrange(-3, 4),
+             lambda: F(rng.randrange(-5, 6), rng.randrange(1, 5)),
+             lambda: f"{rng.randrange(-5, 6)}/{rng.randrange(1, 5)}"]
+    for _ in range(25):
+        mats = [_random_grid(rng, rows, cols) for _ in range(rng.randrange(0, 5))]
+        coeffs = [draws[rng.randrange(3)]() for _ in mats]
+        assert RatMatrix.combine(mats, coeffs, rows, cols) == _accumulate(mats, coeffs, rows, cols)
+        for zeros in ([0] * len(mats), [F(0)] * len(mats), ["0/3"] * len(mats)):
+            assert RatMatrix.combine(mats, zeros, rows, cols) == RatMatrix.zeros(rows, cols)
+
+
+def test_combine_rejects_a_shape_mismatch():
+    with pytest.raises(ValueError):
+        RatMatrix.combine([RatMatrix.identity(2)], [1], 3, 3)
+
+
+def _commutant_reference(src, dst):
+    """The Kronecker-product construction that commutant_basis replaces."""
+    sd, dd = src[0].rows, dst[0].rows
+    rows = []
+    for s, d in zip(src, dst):
+        diff = d.kron(RatMatrix.identity(sd)) - RatMatrix.identity(dd).kron(s.transpose())
+        rows.extend(diff.to_fractions())
+    kern = RatMatrix.from_rows(rows).kernel_basis()
+    return [RatMatrix.from_rows([[v[r * sd + c] for c in range(sd)] for r in range(dd)])
+            for v in kern]
+
+
+def test_commutant_matches_kronecker_reference():
+    rng = random.Random(7)
+    alg = regular_algebra_from_min_poly(Polynomial([-2, 0, 1]))
+    for m_src, m_dst in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        src = [RatMatrix.identity(m_src).kron(l) for l in alg.left_mats]
+        dst = [RatMatrix.identity(m_dst).kron(l) for l in alg.left_mats]
+        while True:
+            g = _random_grid(rng, 2 * m_src, 2 * m_src)
+            if g.rank() == g.rows:
+                break
+        src = [g * s * g.inverse() for s in src]
+        basis = commutant_basis(src, dst)
+        assert basis == _commutant_reference(src, dst)
+        assert len(basis) == 2 * m_src * m_dst
+        for t in basis:
+            assert all(t * s == d * t for s, d in zip(src, dst))

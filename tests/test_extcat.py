@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from isocat.catalog import catalog_scenario
-from isocat.exactalg import RatMatrix
+from isocat.catalog import CATALOG_IDS, catalog_scenario
+from isocat.exactalg import RatMatrix, algebra_center
 from isocat.extcat import (
     TripleObject,
     abelian_ops,
@@ -15,6 +15,7 @@ from isocat.extcat import (
     decompose,
     direct_sum,
     end_algebra,
+    end_y_algebra,
     ext1,
     euler_form,
     hom,
@@ -34,7 +35,7 @@ from isocat.extcat import (
     zero_object,
 )
 from isocat.samples import random_morphism, random_object, random_scenario
-from isocat.species import SpeciesScenario, rationals, scalar_bimodule
+from isocat.species import SpeciesScenario, rationals, ring_center, scalar_bimodule
 
 F = Fraction
 
@@ -742,3 +743,55 @@ def test_direct_sum_eta_square():
         assert mph.check() is None
     assert (pa.compose(ia) - identity_morphism(a)).is_zero()
     assert pb.compose(ia).is_zero()
+
+
+# ----------------------------------------------------------------------
+# structure constants: one batched solve against the per-pair solves
+# ----------------------------------------------------------------------
+
+def per_pair_constants(basis_cols, product, unit):
+    """Structure constants by n^2 + 1 separate solves, the construction
+    that the batched `structure_constants` replaces."""
+    stacked = RatMatrix.from_cols(basis_cols, rows=len(unit))
+    n = len(basis_cols)
+
+    def coords(vec):
+        return stacked.solve(RatMatrix.from_rows([[e] for e in vec])).column(0)
+
+    return [[coords(product(i, j)) for j in range(n)] for i in range(n)], coords(unit)
+
+
+def assert_constants(alg, basis_cols, product, unit):
+    assert alg.dim == len(basis_cols)
+    if alg.dim:
+        assert (alg.constants, alg.unit) == per_pair_constants(basis_cols, product, unit)
+
+
+def test_structure_constants_match_per_pair_solves_on_catalog_objects():
+    for name in CATALOG_IDS:
+        s = catalog_scenario(name)
+        rng = random.Random(name)
+        center = ring_center(s)
+        els = [[t for v in s.vertex_order() for t in e[v]] for e in center.elements]
+        mult = [[t for v in s.vertex_order()
+                 for t in s.algebra(v).spec.multiply(a[v], b[v])]
+                for a in center.elements for b in center.elements]
+        unit = [t for v in s.vertex_order() for t in s.algebra(v).spec.unit]
+        assert_constants(center.algebra, els, lambda i, j: mult[i * len(els) + j], unit)
+        for _ in range(2):
+            z = random_object(s, rng)
+            basis = hom(z, z)
+            end = end_algebra(z, basis)
+            assert_constants(end, [m.flatten() for m in basis],
+                             lambda i, j: basis[i].compose(basis[j]).flatten(),
+                             identity_morphism(z).flatten())
+            cen, cbasis = algebra_center(end)
+            assert_constants(cen, cbasis, lambda i, j: end.multiply(cbasis[i], cbasis[j]), end.unit)
+            endy, ybasis = end_y_algebra(z)
+
+            def flat(e):
+                return [x for y in s.y_ids for row in e[y].to_fractions() for x in row]
+
+            assert_constants(endy, [flat(e) for e in ybasis],
+                             lambda i, j: flat({y: ybasis[i][y] * ybasis[j][y] for y in s.y_ids}),
+                             flat({y: RatMatrix.identity(z.y[y].dim) for y in s.y_ids}))

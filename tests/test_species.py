@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from isocat.catalog import CATALOG_IDS, FINITE_TYPE_IDS, catalog_scenario
-from isocat.exactalg import AlgebraSpec, Polynomial, RatMatrix
+from isocat.exactalg import AlgebraSpec, Polynomial, RatMatrix, orbit_basis
+from isocat.extcat import TripleError, TripleObject, VertexSpace, canonical_object, canonical_space
 from isocat.species import (
     Bimodule,
     ScenarioError,
@@ -309,3 +310,64 @@ def test_tensor_bimodule_labels():
     s = SpeciesScenario("t", [("u", d2)], [("a1", d2)], {("u", "a1"): bm})
     g = valued_graph(s)
     assert g.edges == [("u", "a1", 2, 2)]
+
+
+# ----------------------------------------------------------------------
+# the greedy orbit basis behind right bases and vertex-space frames
+# ----------------------------------------------------------------------
+
+def greedy_orbit_reference(mats, dim):
+    """Column-by-column greedy loop, the construction orbit_basis replaces."""
+    picked, cols, span = [], [], None
+    for cand in range(dim):
+        e = RatMatrix.zeros(dim, 1)
+        e.num[cand][0] = 1
+        if span is not None and span.solve(e) is not None:
+            continue
+        picked.append(cand)
+        cols.extend(m * e for m in mats)
+        span = cols[0]
+        for c in cols[1:]:
+            span = span.hstack(c)
+        if len(picked) * len(mats) == dim:
+            break
+    return picked, span if span is not None else RatMatrix.zeros(dim, 0)
+
+
+def test_orbit_basis_reproduces_every_catalog_right_basis():
+    for name in CATALOG_IDS:
+        for bm in catalog_scenario(name).bimodules.values():
+            picked, span = greedy_orbit_reference(bm.right_action, bm.dim)
+            assert orbit_basis(bm.right_action, bm.dim) == (picked, span)
+            assert (bm.right_basis(), bm.orbit_matrix()) == (picked, span)
+
+
+def test_frame_of_a_conjugated_vertex_space():
+    d2 = number_field(Polynomial([-2, 0, 1]))
+    base = canonical_space(d2, 2)
+    g = RatMatrix.from_rows([[0, 1, 0, 2], [1, 1, 0, 0], [0, 0, 3, 1], [1, 0, 0, 1]])
+    space = VertexSpace(4, [g * m * g.inverse() for m in base.action])
+    p, pinv = space.frame()
+    picked, span = greedy_orbit_reference(space.action, 4)
+    assert picked == [0, 1] and p == span
+    assert p != RatMatrix.identity(4) and p * pinv == RatMatrix.identity(4)
+    assert base.frame()[0] == RatMatrix.identity(4)
+
+
+def test_non_free_spaces_are_rejected():
+    d2 = number_field(Polynomial([-2, 0, 1]))
+    odd = [RatMatrix.identity(3), RatMatrix.from_rows([[0, 2, 0], [1, 0, 0], [0, 0, 1]])]
+    with pytest.raises(TripleError, match="not free"):
+        VertexSpace(3, odd).frame()
+    c2 = catalog_scenario("c2")
+    z = canonical_object(c2, {"u": 1, "a1": 1})
+    with pytest.raises(TripleError, match="not free"):
+        TripleObject(c2, z.x, {"a1": VertexSpace(3, odd)}, z.eta)
+    with pytest.raises(ScenarioError):
+        Bimodule(rationals(), d2, 3, [RatMatrix.identity(3)], odd)
+    # past the constructor's checks, the right basis itself reports non-freeness
+    bm = right_regular_bimodule(rationals(), d2)
+    bm.dim, bm.left_action, bm.right_action = 3, [RatMatrix.identity(3)], odd
+    bm._right_basis = bm._orbit_matrix = None
+    with pytest.raises(ScenarioError, match="not free"):
+        bm.right_basis()
