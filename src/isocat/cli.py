@@ -1,7 +1,8 @@
 """The `isocat` command line: batch access to every operation.
 
-Exit codes: 0 success (and finite type), 1 invariant-suite failure,
-2 input or validation error, 3 infinite representation type.
+Exit codes: 0 success (and finite type), 1 invariant-suite failure or a
+failed internal consistency check, 2 input or validation error, 3 infinite
+representation type.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 from .checks import run_all
 from .exactalg import AlgebraError
 from .extcat import (
+    InternalConsistencyError,
     TripleError,
     decompose,
     hom_ext_dims,
@@ -209,6 +211,8 @@ def cmd_witt(args) -> int:
 def cmd_check(args) -> int:
     if args.seed is None:
         raise FormatError("check requires --seed")
+    if args.samples < 1:
+        raise FormatError("check requires --samples of at least 1")
     s = load_scenario(args.scenario)
     results = run_all(s, args.seed, args.samples)
     ok = all(r.ok for r in results)
@@ -270,6 +274,9 @@ def main(argv=None) -> int:
         print(f"error: {ex}", file=sys.stderr)
         for line in ex.attempts[-4:]:
             print("  " + line, file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except InternalConsistencyError as ex:
+        print(f"error: {ex}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
 

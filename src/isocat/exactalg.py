@@ -8,9 +8,13 @@ elimination), and `Fraction` objects only appear at the API boundary.
 
 One helper per recurring construction, shared by the packages built on it:
 
+- `_back_substitute`: the one back-substitution, in integers over the
+  Bareiss echelon scaled by its last pivot; kernels (`_null_rows`,
+  `_kernel`), quotients, `RatMatrix.solve` and `RatMatrix.rref` use it;
 - `RatMatrix.combine`: a linear combination of matrices over one common
   denominator (vertex and bimodule actions, left/right multiplication,
-  hom vectors, seeded samples);
+  hom vectors, seeded samples), with `_combine` taking integer
+  coefficients over one denominator;
 - `orbit_basis`: the greedy basis of a free module, trying standard
   vectors in index order (bimodule right bases, vertex-space frames);
 - `commutant_basis`: the maps T with T . S_a = D_a . T for all a
@@ -22,7 +26,7 @@ One helper per recurring construction, shared by the packages built on it:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -35,6 +39,13 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x.strip())
     raise TypeError(f"not an exact rational: {x!r} (floats are rejected)")
+
+
+def _int_vector(vec: Iterable) -> tuple[list[int], int]:
+    """(integer entries, common denominator) of ints, Fractions or 'p/q' strings."""
+    fr = [x if isinstance(x, int) else as_fraction(x) for x in vec]
+    den = lcm(*(x.denominator for x in fr))
+    return [x.numerator * (den // x.denominator) for x in fr], den
 
 
 def _gcd_all(values: Iterable[int]) -> int:
@@ -92,10 +103,7 @@ class RatMatrix:
         rows = len(grid)
         cols = len(grid[0]) if rows else 0
         fr = [[as_fraction(x) for x in r] for r in grid]
-        den = 1
-        for r in fr:
-            for x in r:
-                den = den * x.denominator // gcd(den, x.denominator)
+        den = lcm(*(x.denominator for r in fr for x in r))
         num = [[int(x * den) for x in r] for r in fr]
         return cls(rows, cols, num, den)
 
@@ -107,26 +115,8 @@ class RatMatrix:
         Coefficients are ints, Fractions or 'p/q' strings; the terms are put
         over one common denominator, so only the result is gcd-normalised.
         """
-        terms = []
-        den = 1
-        for m, c in zip(mats, coeffs):
-            if isinstance(c, int):
-                cn, cd = c, 1
-            else:
-                c = as_fraction(c)
-                cn, cd = c.numerator, c.denominator
-            if not cn:
-                continue
-            if (m.rows, m.cols) != (rows, cols):
-                raise ValueError("shape mismatch in matrix combination")
-            d = cd * m.den
-            terms.append((cn, d, m.num))
-            den = den * d // gcd(den, d)
-        num = [[0] * cols for _ in range(rows)]
-        for cn, d, grid in terms:
-            f = cn * (den // d)
-            num = [[a + f * b for a, b in zip(ra, rb)] for ra, rb in zip(num, grid)]
-        return cls(rows, cols, num, den)
+        nums, den = _int_vector(coeffs)
+        return _combine(mats, nums, den, rows, cols)
 
     @classmethod
     def from_cols(cls, columns: Sequence[Sequence], rows: int | None = None) -> "RatMatrix":
@@ -250,9 +240,6 @@ class RatMatrix:
                             row[base + l] = a * brow[l]
         return RatMatrix(n * p, m * q, num, self.den * other.den)
 
-    def trace(self) -> Fraction:
-        return Fraction(sum(self.num[i][i] for i in range(self.rows)), self.den)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RatMatrix":
         num = [[self.num[i][j] for j in col_idx] for i in row_idx]
         return RatMatrix(len(row_idx), len(col_idx), num, self.den)
@@ -268,36 +255,44 @@ class RatMatrix:
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Basis of the right null space, as column vectors."""
-        _, ech, pivots = _bareiss_signed(self._int_rows(), self.cols)
-        return _kernel_from_echelon(ech, pivots, self.cols)
+        return _null_rows(self)[0].to_fractions()
 
     def rref(self) -> tuple["RatMatrix", list[int]]:
-        """Reduced row echelon form (zero rows dropped) and pivot columns."""
-        _, ech, pivots = _bareiss_signed(self._int_rows(), self.cols)
-        if not pivots:
-            return RatMatrix.zeros(0, self.cols), []
-        reduced = [[Fraction(x) for x in ech[i]] for i in range(len(pivots))]
-        for i in range(len(pivots)):
-            p = pivots[i]
-            inv = reduced[i][p]
-            reduced[i] = [x / inv for x in reduced[i]]
-        for i in range(len(pivots) - 1, -1, -1):
-            p = pivots[i]
-            for k in range(i):
-                f = reduced[k][p]
-                if f:
-                    reduced[k] = [a - f * b for a, b in zip(reduced[k], reduced[i])]
-        return RatMatrix.from_rows(reduced), pivots
+        """Reduced row echelon form (zero rows dropped) and pivot columns.
+
+        Row i is 1 at pivot i, 0 at the other pivots, and at each free
+        column f the negated pivot-i entry of the kernel vector for f.
+        """
+        null, free = _null_rows(self)
+        at_free = dict(zip(free, null.num))
+        pivots = [c for c in range(self.cols) if c not in at_free]
+        num = [[-at_free[c][p] if c in at_free else null.den * (c == p) for c in range(self.cols)]
+               for p in pivots]
+        return RatMatrix(len(pivots), self.cols, num, null.den), pivots
 
     def solve(self, rhs: "RatMatrix") -> "RatMatrix | None":
-        """Some X with self @ X = rhs, or None if inconsistent."""
-        return _solve(self, rhs)
+        """Some X with self @ X = rhs (free unknowns zero), or None if inconsistent."""
+        if self.rows != rhs.rows:
+            raise ValueError("shape mismatch in solve")
+        m, k = self.cols, rhs.cols
+        da, db = self.den, rhs.den
+        aug = [[x * db for x in ra] + [y * da for y in rb] for ra, rb in zip(self.num, rhs.num)]
+        _, ech, pivots = _bareiss_signed(aug, m + k)
+        if any(p >= m for p in pivots):
+            return None
+        d, zs = _back_substitute(ech, pivots, range(m, m + k))
+        num = [[0] * k for _ in range(m)]
+        for c, z in enumerate(zs):
+            for p, zi in zip(pivots, z):
+                num[p][c] = zi
+        return RatMatrix(m, k, num, d)
 
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        sol = _solve(self, RatMatrix.identity(self.rows))
-        if sol is None or self.rank() != self.rows:
+        # a square matrix with a right inverse is invertible
+        sol = self.solve(RatMatrix.identity(self.rows))
+        if sol is None:
             raise ValueError("matrix is singular")
         return sol
 
@@ -355,55 +350,92 @@ def _bareiss_signed(rows: list[list[int]], ncols: int):
     return sign, rows, pivots
 
 
-def _kernel_from_echelon(ech: list[list[int]], pivots: list[int], ncols: int) -> list[list[Fraction]]:
+def _back_substitute(ech: list[list[int]], pivots: list[int],
+                     targets: Iterable[int]) -> tuple[int, list[list[int]]]:
+    """(D, [z_t for t in targets]) with U . z_t = D . ech[:r, t], all in integers.
+
+    U is the r x r pivot block of the Bareiss echelon and D its last pivot,
+    the r x r pivot minor.  z_t / D solves the pivot system with the other
+    non-pivot columns at zero, and by Cramer's rule D times that solution
+    is integral, so every division is exact.
+    """
+    r = len(pivots)
+    d = ech[r - 1][pivots[-1]] if r else 1
+    out = []
+    for t in targets:
+        z = [0] * r
+        for i in range(r - 1, -1, -1):
+            row = ech[i]
+            s = d * row[t]
+            for j in range(i + 1, r):
+                if z[j]:
+                    s -= row[pivots[j]] * z[j]
+            q, rem = divmod(s, row[pivots[i]])
+            if rem:
+                raise ArithmeticError("inexact division in integer back-substitution")
+            z[i] = q
+        out.append(z)
+    return d, out
+
+
+def _null_rows(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
+    """(basis of the null space of m as rows, free columns).
+
+    Row k is 1 at free[k], 0 at the other free columns and back-substituted
+    at the pivots.  Read as a map it is also the canonical projection of
+    quotient_space by the row span of m.
+    """
+    _, ech, pivots = _bareiss_signed(m._int_rows(), m.cols)
     pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i in range(len(pivots) - 1, -1, -1):
-            p = pivots[i]
-            row = ech[i]
-            s = Fraction(0)
-            for j in range(p + 1, ncols):
-                if row[j] and v[j]:
-                    s += row[j] * v[j]
-            v[p] = -s / row[p]
-        basis.append(v)
-    return basis
+    free = [c for c in range(m.cols) if c not in pivset]
+    d, zs = _back_substitute(ech, pivots, free)
+    rows = []
+    for f, z in zip(free, zs):
+        row = [0] * m.cols
+        row[f] = d
+        for p, zi in zip(pivots, z):
+            row[p] = -zi
+        rows.append(row)
+    return RatMatrix(len(free), m.cols, rows, d), free
 
 
-def _solve(a: RatMatrix, rhs: RatMatrix) -> RatMatrix | None:
-    if a.rows != rhs.rows:
-        raise ValueError("shape mismatch in solve")
-    n, m, k = a.rows, a.cols, rhs.cols
-    if m == 0:
-        return RatMatrix.zeros(0, k) if rhs.is_zero() else None
-    da, db = a.den, rhs.den
-    aug = [[x * db for x in ra] + [y * da for y in rb]
-           for ra, rb in zip(a.num, rhs.num)]
-    _, ech, pivots = _bareiss_signed(aug, m + k)
-    if any(p >= m for p in pivots):
-        return None
-    sol = [[Fraction(0)] * k for _ in range(m)]
-    for col in range(k):
-        for i in range(len(pivots) - 1, -1, -1):
-            p = pivots[i]
-            row = ech[i]
-            s = Fraction(row[m + col])
-            for j in range(p + 1, m):
-                if row[j] and sol[j][col]:
-                    s -= row[j] * sol[j][col]
-            sol[p][col] = s / row[p]
-    return RatMatrix.from_rows(sol)
+def _kernel(m: RatMatrix) -> RatMatrix:
+    """The null space of m: one basis vector per free column, as columns."""
+    return _null_rows(m)[0].transpose()
+
+
+def _combine(mats: Sequence[RatMatrix], nums: Sequence[int], den: int,
+             rows: int, cols: int) -> RatMatrix:
+    """sum_k nums[k] * mats[k] / den as a rows x cols matrix, in one construction."""
+    terms = [(c, m) for m, c in zip(mats, nums) if c]
+    if any((m.rows, m.cols) != (rows, cols) for _, m in terms):
+        raise ValueError("shape mismatch in matrix combination")
+    common = lcm(*(m.den for _, m in terms))
+    num = [[0] * cols for _ in range(rows)]
+    for c, m in terms:
+        f = c * (common // m.den)
+        num = [[a + f * b for a, b in zip(ra, rb)] for ra, rb in zip(num, m.num)]
+    return RatMatrix(rows, cols, num, den * common)
+
+
+def _flat_matrices(mats: Sequence[RatMatrix]) -> tuple[list[int], int]:
+    """The row-major entries of the matrices, concatenated, over one denominator."""
+    den = lcm(*(m.den for m in mats))
+    flat: list[int] = []
+    for m in mats:
+        k = den // m.den
+        flat += [k * e for r in m.num for e in r]
+    return flat, den
+
+
+def _int_columns(m: RatMatrix) -> list[tuple[list[int], int]]:
+    """The columns of m as (integer entries, denominator), the `_flat_columns` input."""
+    return [([r[j] for r in m.num], m.den) for j in range(m.cols)]
 
 
 def _flat_columns(columns: Sequence[tuple[list[int], int]], nrows: int) -> RatMatrix:
     """The matrix with these columns, each given as (integer entries, denominator)."""
-    den = 1
-    for _, d in columns:
-        den = den * d // gcd(den, d)
+    den = lcm(*(d for _, d in columns))
     scaled = [flat if d == den else [e * (den // d) for e in flat] for flat, d in columns]
     return RatMatrix(nrows, len(scaled), [list(r) for r in zip(*scaled)], den)
 
@@ -440,9 +472,7 @@ def commutant_basis(src: Sequence[RatMatrix], dst: Sequence[RatMatrix]) -> list[
     kernel of the stacked rows.
     """
     sd, dd = src[0].rows, dst[0].rows
-    den = 1
-    for m in (*src, *dst):
-        den = den * m.den // gcd(den, m.den)
+    den = lcm(*(m.den for m in (*src, *dst)))
     rows = []
     for s_a, d_a in zip(src, dst):
         ks, kd = den // s_a.den, den // d_a.den
@@ -454,8 +484,8 @@ def commutant_basis(src: Sequence[RatMatrix], dst: Sequence[RatMatrix]) -> list[
                 for k in range(sd):
                     row[r * sd + k] -= ks * s_a.num[k][c]
                 rows.append(row)
-    kern = RatMatrix(len(rows), dd * sd, rows, den).kernel_basis()
-    return [RatMatrix.from_rows([v[r * sd:(r + 1) * sd] for r in range(dd)]) for v in kern]
+    ker, _ = _null_rows(RatMatrix(len(rows), dd * sd, rows, den))
+    return [RatMatrix(dd, sd, [v[i * sd:(i + 1) * sd] for i in range(dd)], ker.den) for v in ker.num]
 
 
 def kernel_basis(m: RatMatrix) -> list[list[Fraction]]:
@@ -476,23 +506,8 @@ def quotient_space(ambient_dim: int, subspace: Sequence[Sequence]) -> tuple[int,
         if len(v) != ambient_dim:
             raise ValueError("subspace vector does not live in the ambient dimension")
     span = RatMatrix.from_rows(vecs) if vecs else RatMatrix.zeros(0, ambient_dim)
-    return _quotient_by_rows(span)[:2]
-
-
-def _quotient_by_rows(span: RatMatrix) -> tuple[int, RatMatrix, list[int]]:
-    """quotient_space of the row span of `span`, plus the pivot columns.
-
-    The projection row for free column f has a 1 at f, zeros at the other
-    free columns and minus the reduced echelon entries at the pivots: it is
-    the kernel vector of `span` for f, so one elimination gives both.
-    """
-    if span.rows == 0:
-        return span.cols, RatMatrix.identity(span.cols), []
-    _, ech, pivots = _bareiss_signed(span._int_rows(), span.cols)
-    rows = _kernel_from_echelon(ech, pivots, span.cols)
-    if not rows:
-        return 0, RatMatrix.zeros(0, span.cols), pivots
-    return len(rows), RatMatrix.from_rows(rows), pivots
+    proj, free = _null_rows(span)
+    return len(free), proj
 
 
 # ======================================================================
@@ -983,11 +998,10 @@ def _vector_min_poly(op: RatMatrix, vec: RatMatrix) -> Polynomial:
     cur = vec
     for _ in range(n + 1):
         cols.append(([r[0] for r in cur.num], cur.den))
-        ker = _flat_columns(cols, n).kernel_basis()
-        if ker:
-            dep = ker[0]
-            lead = len(dep) - 1
-            return Polynomial([c / dep[lead] for c in dep])
+        ker, _ = _null_rows(_flat_columns(cols, n))
+        if ker.rows:
+            dep = ker.num[0]
+            return Polynomial([Fraction(c, dep[-1]) for c in dep])
         cur = op * cur
     raise RuntimeError("Krylov chase failed to terminate")  # unreachable
 
@@ -997,17 +1011,17 @@ def radical(alg: AlgebraSpec) -> list[list[Fraction]]:
 
     x lies in the radical iff trace(L_x L_y) = 0 for every basis element y.
     """
+    return _radical(alg).to_fractions()
+
+
+def _radical(alg: AlgebraSpec) -> RatMatrix:
+    """The basis of `radical` as rows: the null space of the trace form."""
     d = alg.dim
-    if d == 0:
-        return []
-    gram = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        li = alg.left_mats[i]
-        for j in range(i, d):
-            t = (li * alg.left_mats[j]).trace()
-            gram[i][j] = t
-            gram[j][i] = t
-    return RatMatrix.from_rows(gram).kernel_basis()
+    flat, den = _flat_matrices(alg.left_mats)
+    ints = [flat[i * d * d:(i + 1) * d * d] for i in range(d)]
+    # trace(L_i L_j) = sum_ab L_i[a][b] L_j[b][a]: row i of ints times column j of swapped
+    swapped = [[m[b * d + a] for m in ints] for a in range(d) for b in range(d)]
+    return _null_rows(RatMatrix(d, d * d, ints, den) * RatMatrix(d * d, d, swapped, den))[0]
 
 
 def algebra_center(alg: AlgebraSpec) -> tuple[AlgebraSpec, list[list[Fraction]]]:
@@ -1015,34 +1029,31 @@ def algebra_center(alg: AlgebraSpec) -> tuple[AlgebraSpec, list[list[Fraction]]]
 
     Returns (center algebra, basis of the center inside alg).
     """
+    basis = _center(alg)
+    return subalgebra_on_basis(alg, basis), basis.transpose().to_fractions()
+
+
+def _center(alg: AlgebraSpec) -> RatMatrix:
+    """Basis of the center as columns: the kernel of the rows of L_i - R_i."""
     d = alg.dim
-    rows: list[list[Fraction]] = []
-    for i in range(d):
-        diff = alg.left_mats[i] - alg.right_mats[i]
-        # rows of constraints: (z e_i - e_i z)_k = 0; diff columns index z coords
-        for k in range(d):
-            rows.append([diff.entry(k, j) for j in range(d)])
-    if not rows:
-        basis = [alg.basis_vector(i) for i in range(d)]
-    else:
-        basis = RatMatrix.from_rows(rows).kernel_basis()
-    sub = subalgebra_on_basis(alg, basis)
-    return sub, basis
+    flat, den = _flat_matrices([*alg.left_mats, *alg.right_mats])
+    diff = [a - b for a, b in zip(flat, flat[d ** 3:])]
+    return _kernel(RatMatrix(d * d, d, [diff[k * d:(k + 1) * d] for k in range(d * d)], den))
 
 
-def structure_constants(basis_cols: RatMatrix, products: Sequence[Sequence],
-                        unit: Sequence) -> AlgebraSpec | None:
+def structure_constants(basis_cols: RatMatrix, columns: Sequence[tuple[list[int], int]]
+                        ) -> AlgebraSpec | None:
     """The algebra on the column span of basis_cols, or None if it is not one.
 
-    products[i * n + j] is the product of basis columns i and j and `unit`
-    the unit, both in the ambient coordinates; all n^2 products and the
-    unit are coordinatised in one solve.  None means a product or the unit
-    lies outside the span.
+    columns holds the n^2 products (basis column i times basis column j at
+    position i * n + j), then the unit, each in the ambient coordinates as
+    (integer entries, denominator); all are coordinatised in one solve.
+    None means a product or the unit lies outside the span.
     """
     n = basis_cols.cols
     if n == 0:
         return AlgebraSpec([], [], _skip_validation=True)
-    coords = basis_cols.solve(RatMatrix.from_cols([*products, unit], rows=basis_cols.rows))
+    coords = basis_cols.solve(_flat_columns(columns, basis_cols.rows))
     if coords is None:
         return None
     grid = coords.to_fractions()
@@ -1050,10 +1061,17 @@ def structure_constants(basis_cols: RatMatrix, products: Sequence[Sequence],
     return AlgebraSpec(constants, [row[n * n] for row in grid])
 
 
-def subalgebra_on_basis(alg: AlgebraSpec, basis: list[list[Fraction]]) -> AlgebraSpec:
-    """Structure constants induced on a multiplicatively closed subspace."""
-    sub = structure_constants(RatMatrix.from_cols(basis, rows=alg.dim),
-                              [alg.multiply(a, b) for a in basis for b in basis], alg.unit)
+def subalgebra_on_basis(alg: AlgebraSpec, basis: RatMatrix) -> AlgebraSpec:
+    """Structure constants induced on the multiplicatively closed span of basis's columns.
+
+    The products of column k with every column are L(b_k) . basis.
+    """
+    d = alg.dim
+    products = []
+    for k in range(basis.cols):
+        lk = _combine(alg.left_mats, [r[k] for r in basis.num], basis.den, d, d)
+        products += _int_columns(lk * basis)
+    sub = structure_constants(basis, [*products, _int_vector(alg.unit)])
     if sub is None:
         raise AlgebraError("subspace is not multiplicatively closed or misses the unit")
     return sub
@@ -1062,23 +1080,27 @@ def subalgebra_on_basis(alg: AlgebraSpec, basis: list[list[Fraction]]) -> Algebr
 def quotient_algebra(alg: AlgebraSpec, ideal_basis: list[list[Fraction]]) -> AlgebraSpec:
     """Quotient by a two-sided ideal, with canonical coordinates."""
     span = RatMatrix.from_rows(ideal_basis) if ideal_basis else RatMatrix.zeros(0, alg.dim)
-    qdim, proj, pivots = _quotient_by_rows(span)
-    if qdim == 0:
+    return _quotient_algebra(alg, span)
+
+
+def _quotient_algebra(alg: AlgebraSpec, span: RatMatrix) -> AlgebraSpec:
+    """quotient_algebra by the row span of `span`, in coordinates at its free columns.
+
+    Column f_j of proj . L_{f_i} is the image of e_{f_i} e_{f_j}.
+    """
+    proj, free = _null_rows(span)
+    if not free:
         return AlgebraSpec([], [], _skip_validation=True)
-    pivset = set(pivots)
-    free = [c for c in range(alg.dim) if c not in pivset]
-    constants = [[None] * qdim for _ in range(qdim)]
-    for i in range(qdim):
-        for j in range(qdim):
-            prod = alg.multiply(alg.basis_vector(free[i]), alg.basis_vector(free[j]))
-            coords = proj * RatMatrix.from_rows([[x] for x in prod])
-            constants[i][j] = coords.column(0)
-    unit = proj * RatMatrix.from_rows([[x] for x in alg.unit])
-    return AlgebraSpec(constants, unit.column(0))
+    constants = []
+    for i in free:
+        p = proj * alg.left_mats[i]
+        constants.append([[Fraction(r[j], p.den) for r in p.num] for j in free])
+    unit = [sum((x * u for x, u in zip(r, alg.unit) if x), Fraction(0)) / proj.den for r in proj.num]
+    return AlgebraSpec(constants, unit)
 
 
 def semisimple_quotient(alg: AlgebraSpec) -> AlgebraSpec:
-    return quotient_algebra(alg, radical(alg))
+    return _quotient_algebra(alg, _radical(alg))
 
 
 def regular_algebra_from_min_poly(m: Polynomial) -> AlgebraSpec:

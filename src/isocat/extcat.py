@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -31,8 +31,14 @@ from .exactalg import (
     FactorBudgetExceeded,
     Polynomial,
     RatMatrix,
+    _combine,
     _flat_columns,
-    _quotient_by_rows,
+    _flat_matrices,
+    _gcd_all,
+    _kernel,
+    _quotient_algebra,
+    _null_rows,
+    _radical,
     commutant_basis,
     factor_rational,
     is_irreducible,
@@ -40,9 +46,6 @@ from .exactalg import (
     min_poly_matrix,
     orbit_basis,
     poly_xgcd,
-    quotient_algebra,
-    quotient_space,
-    radical,
     squarefree_decomposition,
     structure_constants,
 )
@@ -86,14 +89,14 @@ class VertexSpace:
         """(P, P^-1) for the greedy algebra-basis coordinates of this space.
 
         Column (j, b) of P is e_b . v_j for the greedy basis v_0..v_{s-1};
-        for canonically presented spaces P is the identity.
+        for canonically presented spaces P is the identity, returned as the
+        pair (P, P) so that callers can skip it by identity of the objects.
         """
         if self._frame is None:
             picked, p = orbit_basis(self.action, self.dim)
             if len(picked) * len(self.action) != self.dim:
                 raise TripleError("vertex space is not free over its algebra")
-            eye = RatMatrix.identity(self.dim)
-            self._frame = (p, eye if p == eye else p.inverse())
+            self._frame = (p, p if p == RatMatrix.identity(self.dim) else p.inverse())
         return self._frame
 
 
@@ -152,55 +155,65 @@ def equivariant_hom_basis(alg: AlgebraSpec, src: VertexSpace, dst: VertexSpace) 
 # ======================================================================
 
 class FSpace:
-    """The tensor space F(Y) at one x-vertex, with its slot layout."""
+    """The tensor space F(Y) at one x-vertex: slot layout and (not from `_f_layout`) action."""
 
     __slots__ = ("dim", "layout", "offsets", "space")
 
     def __init__(self, dim: int, layout: list[tuple[str, int]], offsets: dict[str, int],
-                 space: VertexSpace):
+                 space: Optional[VertexSpace]):
         self.dim = dim
         self.layout = layout
         self.offsets = offsets
         self.space = space
 
 
-def _build_fspaces(scenario: SpeciesScenario,
-                   y_parts: dict[str, VertexSpace]) -> dict[str, FSpace]:
+def _f_layout(scenario: SpeciesScenario, y_parts: dict[str, VertexSpace]) -> dict[str, FSpace]:
+    """The tensor spaces' dims, slot layouts and offsets, without their actions."""
     out: dict[str, FSpace] = {}
     for x in scenario.x_ids:
-        alg = scenario.algebra(x).spec
         layout: list[tuple[str, int]] = []
         offsets: dict[str, int] = {}
         total = 0
-        ranks: list[tuple[str, int]] = []  # (y, slot rank r)
         for y in scenario.y_ids:
             bm = scenario.bimodules.get((x, y))
-            if bm is None:
-                continue
-            r = bm.rank_over_right
-            width = r * y_parts[y].dim
-            if width == 0:
-                continue
-            layout.append((y, width))
-            offsets[y] = total
-            ranks.append((y, r))
-            total += width
+            width = bm.rank_over_right * y_parts[y].dim if bm is not None else 0
+            if width:
+                layout.append((y, width))
+                offsets[y] = total
+                total += width
+        out[x] = FSpace(total, layout, offsets, None)
+    return out
+
+
+def _build_fspaces(scenario: SpeciesScenario,
+                   y_parts: dict[str, VertexSpace]) -> dict[str, FSpace]:
+    """`_f_layout` with the action of the x algebra on each tensor space."""
+    out = _f_layout(scenario, y_parts)
+    for x, fsp in out.items():
         action = []
-        for a in range(alg.dim):
+        for a in range(scenario.algebra(x).dim):
             # cell (k, i) of the r x r grid at y: the m_k part of e_a . m_i
             cells = []
-            for y, r in ranks:
-                vs = y_parts[y]
-                p, pinv = vs.frame()
-                dco = scenario.bimodules[(x, y)].left_coords(a)
-                n, off = vs.dim, offsets[y]
-                for k in range(r):
-                    for i in range(r):
+            for y, off in fsp.offsets.items():
+                vs, bm = y_parts[y], scenario.bimodules[(x, y)]
+                dco = bm.left_coords(a)
+                for k in range(bm.rank_over_right):
+                    for i in range(bm.rank_over_right):
                         if any(dco[i][k]):
-                            cells.append((off + k * n, off + i * n, pinv * vs.act(dco[i][k]) * p))
-            action.append(_assemble(total, total, cells))
-        out[x] = FSpace(total, layout, offsets, VertexSpace(total, action))
+                            cells.append((off + k * vs.dim, off + i * vs.dim,
+                                          _in_frames(vs.act(dco[i][k]), vs, vs)))
+            action.append(_assemble(fsp.dim, fsp.dim, cells))
+        fsp.space = VertexSpace(fsp.dim, action)
     return out
+
+
+def _in_frames(m: RatMatrix, src: VertexSpace, dst: VertexSpace) -> RatMatrix:
+    """P_dst^-1 . m . P_src for the greedy frames, skipping identity frames."""
+    ps, psinv = src.frame()
+    pd, pdinv = dst.frame()
+    if ps is not psinv:
+        m = m * ps
+    return m if pd is pdinv else pdinv * m
 
 
 def _assemble(rows: int, cols: int, blocks: Sequence[tuple[int, int, RatMatrix]]) -> RatMatrix:
@@ -209,9 +222,7 @@ def _assemble(rows: int, cols: int, blocks: Sequence[tuple[int, int, RatMatrix]]
     Entries outside the blocks are zero; all blocks go into one integer
     grid over their common denominator.
     """
-    den = 1
-    for _, _, b in blocks:
-        den = den * b.den // gcd(den, b.den)
+    den = lcm(*(b.den for _, _, b in blocks))
     num = [[0] * cols for _ in range(rows)]
     for r0, c0, b in blocks:
         k = den // b.den
@@ -234,17 +245,11 @@ def _f_map(scenario: SpeciesScenario, src_y: dict[str, VertexSpace],
            src_f: dict[str, FSpace], dst_f: dict[str, FSpace], x: str) -> RatMatrix:
     """Matrix of F(v) at the x-vertex, in the canonical slot bases."""
     sf, df = src_f[x], dst_f[x]
-    src_layout = dict(sf.layout)
-    dst_layout = dict(df.layout)
-    ys = [y for y in scenario.y_ids if y in src_layout or y in dst_layout]
+    ys = [y for y in scenario.y_ids if y in sf.offsets or y in df.offsets]
     blocks: list[RatMatrix] = []
     for y in ys:
-        bm = scenario.bimodules[(x, y)]
-        r = bm.rank_over_right
-        ps, _ = src_y[y].frame()
-        _, pdinv = dst_y[y].frame()
-        t = pdinv * v[y] * ps
-        blocks.append(RatMatrix.identity(r).kron(t))
+        r = scenario.bimodules[(x, y)].rank_over_right
+        blocks.append(RatMatrix.identity(r).kron(_in_frames(v[y], src_y[y], dst_y[y])))
     if not blocks:
         return RatMatrix.zeros(df.dim, sf.dim)
     return _block_diag(blocks)
@@ -396,13 +401,14 @@ class TripleMorphism:
                 and all(m.is_zero() for m in self.v.values()))
 
     def flatten(self) -> list[Fraction]:
-        out: list[Fraction] = []
-        s = self.source.scenario
-        for x in s.x_ids:
-            out.extend(e for row in self.u[x].to_fractions() for e in row)
-        for y in s.y_ids:
-            out.extend(e for row in self.v[y].to_fractions() for e in row)
-        return out
+        flat, den = _flat_morphism(self)
+        return [Fraction(e, den) for e in flat]
+
+
+def _flat_morphism(m: TripleMorphism) -> tuple[list[int], int]:
+    """The entries `TripleMorphism.flatten` lists, as integers over one denominator."""
+    s = m.source.scenario
+    return _flat_matrices([m.u[x] for x in s.x_ids] + [m.v[y] for y in s.y_ids])
 
 
 def zero_morphism(src: TripleObject, dst: TripleObject) -> TripleMorphism:
@@ -445,7 +451,7 @@ def canonical_object(scenario: SpeciesScenario, mult: dict[str, int],
     """
     x_parts = {x: canonical_space(scenario.algebra(x), mult.get(x, 0)) for x in scenario.x_ids}
     y_parts = {y: canonical_space(scenario.algebra(y), mult.get(y, 0)) for y in scenario.y_ids}
-    fsp = _build_fspaces(scenario, y_parts)
+    fsp = _f_layout(scenario, y_parts)
     full_eta = {}
     for x in scenario.x_ids:
         if eta is not None and x in eta:
@@ -473,7 +479,7 @@ def x_only(z: TripleObject) -> TripleObject:
 def y_only(z: TripleObject) -> TripleObject:
     s = z.scenario
     x_parts = {x: zero_space(s.algebra(x)) for x in s.x_ids}
-    fsp = _build_fspaces(s, z.y)
+    fsp = _f_layout(s, z.y)
     eta = {x: RatMatrix.zeros(0, fsp[x].dim) for x in s.x_ids}
     return TripleObject(s, x_parts, dict(z.y), eta, check=False)
 
@@ -520,9 +526,7 @@ def _v_basis_f_blocks(z: TripleObject, z2: TripleObject,
         basis = vbases[y]
         if not basis:
             continue
-        ps, _ = z.y[y].frame()
-        _, pdinv = z2.y[y].frame()
-        ts = [pdinv * vmat * ps for vmat in basis]
+        ts = [_in_frames(vmat, z.y[y], z2.y[y]) for vmat in basis]
         for x in s.x_ids:
             bm = s.bimodules.get((x, y))
             sf, df = z.f[x], z2.f[x]
@@ -616,20 +620,18 @@ def hom(z: TripleObject, z2: TripleObject) -> list[TripleMorphism]:
     """Basis of the space of morphisms z -> z2: the kernel of psi."""
     s = z.scenario
     ubases, vbases, _, _, psi = _psi_data(z, z2)
+    ker, _ = _null_rows(psi)
     out = []
-    for vec in psi.kernel_basis():
-        u = {}
-        pos = 0
-        for x in s.x_ids:
-            nb = len(ubases[x])
-            u[x] = RatMatrix.combine(ubases[x], vec[pos:pos + nb], z2.x[x].dim, z.x[x].dim)
-            pos += nb
-        v = {}
-        for y in s.y_ids:
-            nb = len(vbases[y])
-            v[y] = RatMatrix.combine(vbases[y], vec[pos:pos + nb], z2.y[y].dim, z.y[y].dim)
-            pos += nb
-        out.append(TripleMorphism(z, z2, u, v))
+    for vec in ker.num:
+        pos, parts = 0, []
+        for ids, bases, src, dst in ((s.x_ids, ubases, z.x, z2.x), (s.y_ids, vbases, z.y, z2.y)):
+            part = {}
+            for w in ids:
+                nb = len(bases[w])
+                part[w] = _combine(bases[w], vec[pos:pos + nb], ker.den, dst[w].dim, src[w].dim)
+                pos += nb
+            parts.append(part)
+        out.append(TripleMorphism(z, z2, *parts))
     return out
 
 
@@ -650,9 +652,7 @@ def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
     """Cokernel of psi(u, v) = u . eta - eta' . F(v)."""
     s = z.scenario
     _, _, fbases, offsets, psi = _psi_data(z, z2)
-    qdim, proj, pivots = _quotient_by_rows(psi.transpose())
-    pivset = set(pivots)
-    free = [c for c in range(psi.rows) if c not in pivset]
+    proj, free = _null_rows(psi.transpose())
     reps = []
     for c in free:
         rep = {}
@@ -664,7 +664,7 @@ def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
             else:
                 rep[x] = RatMatrix.zeros(z2.x[x].dim, z.f[x].dim)
         reps.append(rep)
-    return ExtResult(qdim, reps, proj)
+    return ExtResult(len(free), reps, proj)
 
 
 def hom_ext_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, tuple[int, int, int]]:
@@ -792,7 +792,7 @@ def direct_sum(a: TripleObject, b: TripleObject):
     s = _same_scenario(a, b)
     x_parts = {x: _stack_spaces(a.x[x], b.x[x]) for x in s.x_ids}
     y_parts = {y: _stack_spaces(a.y[y], b.y[y]) for y in s.y_ids}
-    fsp = _build_fspaces(s, y_parts)
+    fsp = _f_layout(s, y_parts)
 
     def inclusion(m: int, n: int, second: bool) -> RatMatrix:
         d = n if second else m
@@ -857,7 +857,7 @@ def _subspace_object(z: TripleObject, x_cols: dict[str, RatMatrix],
                     raise InternalConsistencyError(f"subspace at {vtx!r} is not action-stable")
                 action.append(sol)
             parts[vtx] = VertexSpace(inc.cols, action)
-    fsp = _build_fspaces(s, y_parts)
+    fsp = _f_layout(s, y_parts)
     eta = {}
     for x in s.x_ids:
         fi = _f_map(s, y_parts, z.y, y_cols, fsp, z.f, x)
@@ -870,26 +870,25 @@ def _subspace_object(z: TripleObject, x_cols: dict[str, RatMatrix],
     return sub, TripleMorphism(sub, z, dict(x_cols), dict(y_cols))
 
 
-def _quotient_object(z: TripleObject, x_sub: dict[str, list[list[Fraction]]],
-                     y_sub: dict[str, list[list[Fraction]]]) -> tuple[TripleObject, TripleMorphism]:
-    """Quotient by action-stable subspaces, with its projection."""
+def _quotient_object(z: TripleObject, x_sub: dict[str, RatMatrix],
+                     y_sub: dict[str, RatMatrix]) -> tuple[TripleObject, TripleMorphism]:
+    """Quotient by the action-stable column spans, with its projection."""
     s = z.scenario
     x_parts, y_parts = {}, {}
     pro_u, pro_v = {}, {}
     for ids, parts, subs, amb, pro in ((s.x_ids, x_parts, x_sub, z.x, pro_u),
                                        (s.y_ids, y_parts, y_sub, z.y, pro_v)):
         for vtx in ids:
-            qdim, proj = quotient_space(amb[vtx].dim, subs[vtx])
-            action = []
-            for m in amb[vtx].action:
-                rhs = (proj * m).transpose()
-                sol = proj.transpose().solve(rhs)
-                if sol is None:
-                    raise InternalConsistencyError(f"subspace at {vtx!r} is not action-stable")
-                action.append(sol.transpose())
-            parts[vtx] = VertexSpace(qdim, action)
+            # proj is the identity on the free columns, so the induced action
+            # X with X . proj = proj . m is proj . m read at those columns
+            proj, free = _null_rows(subs[vtx].transpose())
+            images = [proj * m for m in amb[vtx].action]
+            action = [pm.submatrix(range(proj.rows), free) for pm in images]
+            if any(a * proj != pm for a, pm in zip(action, images)):
+                raise InternalConsistencyError(f"subspace at {vtx!r} is not action-stable")
+            parts[vtx] = VertexSpace(proj.rows, action)
             pro[vtx] = proj
-    fsp = _build_fspaces(s, y_parts)
+    fsp = _f_layout(s, y_parts)
     eta = {}
     for x in s.x_ids:
         fpi = _f_map(s, z.y, y_parts, pro_v, z.f, fsp, x)
@@ -913,24 +912,27 @@ class AbelianOps:
     cokernel_projection: TripleMorphism  # target -> cokernel
 
 
+def _image(f: TripleMorphism) -> tuple[TripleObject, TripleMorphism, TripleMorphism]:
+    """(image, inclusion, f onto the image), spanned by the pivot columns of f."""
+    ix = {x: m.submatrix(range(m.rows), m.column_space_pivots()) for x, m in f.u.items()}
+    iy = {y: m.submatrix(range(m.rows), m.column_space_pivots()) for y, m in f.v.items()}
+    image, inc = _subspace_object(f.target, ix, iy)
+    pu = {x: ix[x].solve(m) for x, m in f.u.items()}
+    pv = {y: iy[y].solve(m) for y, m in f.v.items()}
+    if None in pu.values() or None in pv.values():
+        raise InternalConsistencyError("image coordinates failed to solve")
+    return image, inc, TripleMorphism(f.source, image, pu, pv)
+
+
 def abelian_ops(f: TripleMorphism) -> AbelianOps:
     """Kernel, image and cokernel of a morphism, with their structure maps."""
     s = f.source.scenario
     z, z2 = f.source, f.target
-    kx = {x: RatMatrix.from_cols(f.u[x].kernel_basis(), rows=z.x[x].dim) for x in s.x_ids}
-    ky = {y: RatMatrix.from_cols(f.v[y].kernel_basis(), rows=z.y[y].dim) for y in s.y_ids}
+    kx = {x: _kernel(f.u[x]) for x in s.x_ids}
+    ky = {y: _kernel(f.v[y]) for y in s.y_ids}
     kernel, k_inc = _subspace_object(z, kx, ky)
-    ix = {x: f.u[x].submatrix(range(z2.x[x].dim), f.u[x].column_space_pivots()) for x in s.x_ids}
-    iy = {y: f.v[y].submatrix(range(z2.y[y].dim), f.v[y].column_space_pivots()) for y in s.y_ids}
-    image, i_inc = _subspace_object(z2, ix, iy)
-    pu = {x: ix[x].solve(f.u[x]) for x in s.x_ids}
-    pv = {y: iy[y].solve(f.v[y]) for y in s.y_ids}
-    if any(m is None for m in pu.values()) or any(m is None for m in pv.values()):
-        raise InternalConsistencyError("image coordinates failed to solve")
-    i_proj = TripleMorphism(z, image, pu, pv)
-    cok, c_proj = _quotient_object(z2,
-                                   {x: [ix[x].column(j) for j in range(ix[x].cols)] for x in s.x_ids},
-                                   {y: [iy[y].column(j) for j in range(iy[y].cols)] for y in s.y_ids})
+    image, i_inc, i_proj = _image(f)
+    cok, c_proj = _quotient_object(z2, i_inc.u, i_inc.v)
     return AbelianOps(kernel, k_inc, image, i_inc, i_proj, cok, c_proj)
 
 
@@ -972,9 +974,9 @@ def end_algebra(z: TripleObject, basis: list[TripleMorphism] | None = None) -> A
     """Structure constants of End(z) in the computed hom basis."""
     if basis is None:
         basis = hom(z, z)
-    unit = identity_morphism(z).flatten()
-    alg = structure_constants(RatMatrix.from_cols([m.flatten() for m in basis], rows=len(unit)),
-                              [a.compose(b).flatten() for a in basis for b in basis], unit)
+    unit = _flat_morphism(identity_morphism(z))
+    alg = structure_constants(_flat_columns([_flat_morphism(m) for m in basis], len(unit[0])),
+                              [*(_flat_morphism(a.compose(b)) for a in basis for b in basis), unit])
     if alg is None:
         raise InternalConsistencyError("End(z) is not closed under composition or misses the identity")
     return alg
@@ -991,13 +993,10 @@ def end_y_algebra(z: TripleObject) -> tuple[AlgebraSpec, list[dict[str, RatMatri
             elem[y] = m
             basis.append(elem)
 
-    def flat(e):
-        return [x for y in s.y_ids for row in e[y].to_fractions() for x in row]
-
-    unit = flat({y: RatMatrix.identity(z.y[y].dim) for y in s.y_ids})
-    products = [flat({y: a[y] * b[y] for y in s.y_ids}) for a in basis for b in basis]
-    alg = structure_constants(RatMatrix.from_cols([flat(e) for e in basis], rows=len(unit)),
-                              products, unit)
+    unit = _flat_matrices([RatMatrix.identity(z.y[y].dim) for y in s.y_ids])
+    products = [_flat_matrices([a[y] * b[y] for y in s.y_ids]) for a in basis for b in basis]
+    alg = structure_constants(_flat_columns([_flat_matrices([e[y] for y in s.y_ids]) for e in basis],
+                                            len(unit[0])), [*products, unit])
     if alg is None:
         raise InternalConsistencyError("End of the y part is not closed or misses the identity")
     return alg, basis
@@ -1033,16 +1032,8 @@ def is_universal(z: TripleObject) -> UniversalityReport:
     end_basis = hom(z, z)
     sv = sum(len(equivariant_hom_basis(s.algebra(y).spec, z.y[y], z.y[y])) for y in s.y_ids)
     vflat_len = sum(z.y[y].dim ** 2 for y in s.y_ids)
-    vflats = []
-    for m in end_basis:
-        row = []
-        for y in s.y_ids:
-            row.extend(e for rr in m.v[y].to_fractions() for e in rr)
-        vflats.append(row)
-    if vflats and vflat_len:
-        vrank = RatMatrix.from_rows(vflats).rank()
-    else:
-        vrank = 0
+    vflats = [_flat_matrices([m.v[y] for y in s.y_ids]) for m in end_basis]
+    vrank = _flat_columns(vflats, vflat_len).rank() if vflats else 0
     transport = (len(end_basis) == sv == vrank)
     self_ext = ext1(z, z).dim == 0
     # at one vertex all nonzero modules are isotypic, so ker(eta) is seen by
@@ -1114,18 +1105,7 @@ def _poly_on_morphism(p: Polynomial, a: TripleMorphism) -> TripleMorphism:
 
 def _image_split(z: TripleObject, e: TripleMorphism):
     """Split z along an idempotent e; returns ((obj, inc, proj), same for 1-e)."""
-    s = z.scenario
-    pieces = []
-    for idem in (e, identity_morphism(z) - e):
-        ix = {x: idem.u[x].submatrix(range(z.x[x].dim), idem.u[x].column_space_pivots())
-              for x in s.x_ids}
-        iy = {y: idem.v[y].submatrix(range(z.y[y].dim), idem.v[y].column_space_pivots())
-              for y in s.y_ids}
-        piece, inc = _subspace_object(z, ix, iy)
-        pu = {x: ix[x].solve(idem.u[x]) for x in s.x_ids}
-        pv = {y: iy[y].solve(idem.v[y]) for y in s.y_ids}
-        proj = TripleMorphism(z, piece, pu, pv)
-        pieces.append((piece, inc, proj))
+    pieces = [_image(idem) for idem in (e, identity_morphism(z) - e)]
     if pieces[0][0].total_dim() + pieces[1][0].total_dim() != z.total_dim():
         raise InternalConsistencyError("idempotent split lost dimensions")
     return pieces
@@ -1182,19 +1162,9 @@ def _coprime_parts(p: Polynomial) -> tuple[Polynomial, Polynomial] | None:
 
 def _normalized_candidate(a: TripleMorphism) -> TripleMorphism:
     """Scale a nonzero morphism so its entries are coprime integers."""
-    flat = [x for x in a.flatten() if x]
-    if not flat:
-        return a
-    den = 1
-    for x in flat:
-        den = den * x.denominator // gcd(den, x.denominator)
-    nums = [abs(int(x * den)) for x in flat]
-    g = 0
-    for nx in nums:
-        g = gcd(g, nx)
-        if g == 1:
-            break
-    return a.scale(Fraction(den, g if g else 1))
+    flat, den = _flat_morphism(a)
+    g = _gcd_all(flat)
+    return a.scale(Fraction(den, g)) if g else a
 
 
 def _splitting_idempotent(z: TripleObject,
@@ -1243,8 +1213,8 @@ def _is_field(alg: AlgebraSpec) -> bool:
 
 def _leaf_certified(z: TripleObject, end_basis: list[TripleMorphism]) -> bool:
     alg = end_algebra(z, end_basis)
-    rad = radical(alg)
-    quo = quotient_algebra(alg, rad) if rad else alg
+    rad = _radical(alg)
+    quo = _quotient_algebra(alg, rad) if rad.rows else alg
     return _is_field(quo)
 
 

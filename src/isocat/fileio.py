@@ -202,8 +202,8 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
 
     x_parts = side(scenario.x_ids, doc.get("x", {}))
     y_parts = side(scenario.y_ids, doc.get("y", {}))
-    from .extcat import _build_fspaces
-    fdims = {x: f.dim for x, f in _build_fspaces(scenario, y_parts).items()}
+    from .extcat import _f_layout
+    fdims = {x: f.dim for x, f in _f_layout(scenario, y_parts).items()}
     eta = {}
     for v in scenario.x_ids:
         grid = doc.get("eta", {}).get(v)

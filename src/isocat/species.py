@@ -18,7 +18,13 @@ from .exactalg import (
     AlgebraSpec,
     Polynomial,
     RatMatrix,
-    algebra_center,
+    _center,
+    _combine,
+    _flat_columns,
+    _flat_matrices,
+    _int_columns,
+    _int_vector,
+    _kernel,
     is_irreducible,
     orbit_basis,
     regular_algebra_from_min_poly,
@@ -178,19 +184,14 @@ class Bimodule:
         """
         if a_index not in self._left_coord_table:
             basis = self.right_basis()
-            orbit = self.orbit_matrix()
             nd = self.right_alg.dim
-            table = []
-            for i in basis:
-                e = RatMatrix.zeros(self.dim, 1)
-                e.num[i][0] = 1
-                img = self.left_action[a_index] * e
-                coords = orbit.solve(img)
-                if coords is None:
-                    raise ScenarioError("left action does not preserve the module")  # unreachable
-                col = coords.column(0)
-                table.append([[col[k * nd + b] for b in range(nd)] for k in range(len(basis))])
-            self._left_coord_table[a_index] = table
+            # the images e_a * m_i are the basis columns of the left action
+            coords = self.orbit_matrix().solve(self.left_action[a_index].submatrix(range(self.dim), basis))
+            if coords is None:
+                raise ScenarioError("left action does not preserve the module")  # unreachable
+            grid = coords.to_fractions()
+            self._left_coord_table[a_index] = [[[grid[k * nd + b][i] for b in range(nd)]
+                                                for k in range(len(basis))] for i in range(len(basis))]
         return self._left_coord_table[a_index]
 
     def key(self) -> tuple:
@@ -624,62 +625,44 @@ def ring_center(s: SpeciesScenario) -> RingCenter:
     equals the right action of its y-component on every bimodule.
     """
     vertex_ids = s.vertex_order()
-    cbases: dict[str, list[list[Fraction]]] = {}
-    offsets: dict[str, int] = {}
-    total = 0
+    cbases = {v: _center(s.algebra(v).spec) for v in vertex_ids}
+    # the column of one unknown: its left action on each bimodule at its
+    # x-vertex, minus its right action on each bimodule at its y-vertex
+    bims = sorted(s.bimodules.items())
+    columns = []
     for v in vertex_ids:
-        _, basis = algebra_center(s.algebra(v).spec)
-        cbases[v] = basis
-        offsets[v] = total
-        total += len(basis)
-    rows: list[list[Fraction]] = []
-    for (x, y), bm in sorted(s.bimodules.items()):
-        lmats = [bm.left_matrix(b) for b in cbases[x]]
-        rmats = [bm.right_matrix(b) for b in cbases[y]]
-        for i in range(bm.dim):
-            for j in range(bm.dim):
-                row = [Fraction(0)] * total
-                nonzero = False
-                for k, m in enumerate(lmats):
-                    e = m.entry(i, j)
-                    if e:
-                        row[offsets[x] + k] = e
-                        nonzero = True
-                for k, m in enumerate(rmats):
-                    e = m.entry(i, j)
-                    if e:
-                        row[offsets[y] + k] -= e
-                        nonzero = True
-                if nonzero:
-                    rows.append(row)
-    if rows:
-        solutions = RatMatrix.from_rows(rows).kernel_basis()
-    else:
-        solutions = [[Fraction(1) if i == k else Fraction(0) for i in range(total)]
-                     for k in range(total)]
-
-    def to_components(vec: Sequence[Fraction]) -> dict[str, list[Fraction]]:
-        comp = {}
-        for v in vertex_ids:
-            basis = cbases[v]
-            coords = vec[offsets[v]:offsets[v] + len(basis)]
-            acc = [Fraction(0)] * s.algebra(v).dim
-            for c, b in zip(coords, basis):
-                if c:
-                    for t in range(len(acc)):
-                        acc[t] += c * b[t]
-            comp[v] = acc
-        return comp
-
-    elements = [to_components(vec) for vec in solutions]
+        c = cbases[v]
+        for k in range(c.cols):
+            coeffs = [r[k] for r in c.num]
+            columns.append(_flat_matrices([
+                _combine(bm.left_action, coeffs, c.den, bm.dim, bm.dim) if v == x else
+                _combine(bm.right_action, [-e for e in coeffs], c.den, bm.dim, bm.dim) if v == y else
+                RatMatrix.zeros(bm.dim, bm.dim) for (x, y), bm in bims]))
+    solutions = _kernel(_flat_columns(columns, sum(bm.dim ** 2 for _, bm in bims)))
+    n = solutions.cols
+    comps, start = {}, 0
+    for v in vertex_ids:
+        nc = cbases[v].cols
+        comps[v] = cbases[v] * solutions.submatrix(range(start, start + nc), range(n))
+        start += nc
+    elements = [{v: comps[v].column(k) for v in vertex_ids} for k in range(n)]
     # products and the unit in the ring's own coordinates (all vertex
     # components in a row), where the elements are linearly independent
     ambient = sum(s.algebra(v).dim for v in vertex_ids)
-    products = [[t for v in vertex_ids for t in s.algebra(v).spec.multiply(a[v], b[v])]
-                for a in elements for b in elements]
-    alg = structure_constants(
-        RatMatrix.from_cols([[t for v in vertex_ids for t in e[v]] for e in elements], rows=ambient),
-        products, [t for v in vertex_ids for t in s.algebra(v).spec.unit])
+
+    def stacked(blocks: list[RatMatrix]) -> RatMatrix:
+        flat, d = _flat_matrices(blocks)
+        return RatMatrix(ambient, n, [flat[i * n:(i + 1) * n] for i in range(ambient)], d)
+
+    products = []
+    for k in range(n):
+        blocks = []
+        for v in vertex_ids:
+            c, dv = comps[v], s.algebra(v).dim
+            blocks.append(_combine(s.algebra(v).spec.left_mats, [r[k] for r in c.num], c.den, dv, dv) * c)
+        products += _int_columns(stacked(blocks))
+    unit = _int_vector([t for v in vertex_ids for t in s.algebra(v).spec.unit])
+    alg = structure_constants(stacked([comps[v] for v in vertex_ids]), [*products, unit])
     if alg is None:
         raise ScenarioError("triangular ring unit is not in the computed center")
     if not alg.is_commutative():

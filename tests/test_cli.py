@@ -226,3 +226,22 @@ def test_cli_check_passes(capsys):
 
 def test_cli_check_requires_seed():
     assert main(["check", "--scenario", "catalog:a2"]) == 2
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_cli_check_rejects_nonpositive_samples(samples, capsys):
+    assert main(["check", "--scenario", "catalog:a2", "--seed", "1", "--samples", samples]) == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_cli_internal_inconsistency_exits_1(monkeypatch, capsys):
+    import isocat.cli as cli
+    from isocat.extcat import InternalConsistencyError
+
+    def broken(_scenario):
+        raise InternalConsistencyError("five-term sequence violated")
+
+    monkeypatch.setattr(cli, "classify", broken)
+    assert main(["classify", "--scenario", "catalog:a2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: five-term sequence violated\n"

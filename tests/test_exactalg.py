@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isocat.exactalg import (
+    _kernel,
     AlgebraError,
     AlgebraSpec,
     Polynomial,
@@ -128,6 +129,94 @@ def test_empty_shapes():
     n = RatMatrix.zeros(3, 0)
     assert n.rank() == 0
     assert (n * z).rows == 3 and (n * z).cols == 3
+
+
+# ----------------------------------------------------------------------
+# the integer back-substitution against a Fraction Gauss-Jordan reference
+# ----------------------------------------------------------------------
+
+def _gauss_jordan(rows, ncols):
+    """Reduced row echelon form in Fractions: (nonzero rows, pivot columns)."""
+    m = [[F(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def _grid(rows, nrows, ncols):
+    return RatMatrix.from_rows(rows) if nrows and ncols else RatMatrix.zeros(nrows, ncols)
+
+
+_ENTRIES = st.one_of(st.just(F(0)), st.integers(-3, 3).map(F),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=5))
+
+
+@st.composite
+def _systems(draw):
+    """(rows, ncols, rhs rows, k): A may be rank-deficient, the rhs zero or inconsistent."""
+    nrows, ncols, k = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 2))
+    rows = [[draw(_ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+    rhs = [[draw(_ENTRIES) for _ in range(k)] for _ in range(nrows)]
+    if nrows >= 3 and draw(st.booleans()):
+        a, b = draw(_ENTRIES), draw(_ENTRIES)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        if draw(st.booleans()):  # consistent right-hand side for the dependent row
+            rhs[-1] = [a * x + b * y for x, y in zip(rhs[0], rhs[1])]
+    if draw(st.booleans()):
+        rhs = [[F(0)] * k for _ in range(nrows)]
+    return rows, ncols, rhs, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+@example(([], 3, [], 1))
+@example(([[]] * 3, 0, [[1]] * 3, 1))
+@example(([[]] * 2, 0, [[0]] * 2, 1))
+@example(([[1, 2], [2, 4]], 2, [[1], [0]], 1))
+@example(([[F(1, 2), F(2, 3), 0], [F(3, 4), 1, 0], [F(1, 4), F(1, 3), 0]], 3,
+          [[F(1, 5)], [F(2, 7)], [F(1, 10)]], 1))
+def test_back_substitution_matches_gauss_jordan(system):
+    rows, ncols, rhs, k = system
+    m = _grid(rows, len(rows), ncols)
+    red, pivots = _gauss_jordan(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    ref_kernel = []
+    for f in free:
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        ref_kernel.append(v)
+    assert m.kernel_basis() == ref_kernel
+    ker = _kernel(m)
+    assert (ker.rows, ker.cols) == (ncols, len(free))
+    assert [[ker.entry(i, j) for i in range(ncols)] for j in range(ker.cols)] == ref_kernel
+    assert m.rref() == (_grid(red, len(pivots), ncols), pivots)
+
+    aug, aug_pivots = _gauss_jordan([r + b for r, b in zip(rows, rhs)], ncols + k)
+    sol = m.solve(_grid(rhs, len(rows), k))
+    if any(p >= ncols for p in aug_pivots):
+        assert sol is None
+    else:
+        ref = [[F(0)] * k for _ in range(ncols)]
+        for i, p in enumerate(aug_pivots):
+            ref[p] = aug[i][ncols:]
+        assert sol == _grid(ref, ncols, k)
+
+    dim, proj = quotient_space(ncols, rows)
+    assert dim == len(free) and proj.rank() == dim
+    assert (proj * _grid(rows, len(rows), ncols).transpose()).is_zero()
 
 
 # ----------------------------------------------------------------------

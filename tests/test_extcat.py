@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from isocat.catalog import CATALOG_IDS, catalog_scenario
-from isocat.exactalg import RatMatrix, algebra_center
+from isocat.exactalg import Polynomial, RatMatrix, algebra_center
 from isocat.extcat import (
     TripleObject,
+    VertexSpace,
     abelian_ops,
     canonical_object,
     decompose,
@@ -34,8 +35,15 @@ from isocat.extcat import (
     y_only,
     zero_object,
 )
-from isocat.samples import random_morphism, random_object, random_scenario
-from isocat.species import SpeciesScenario, rationals, ring_center, scalar_bimodule
+from isocat.samples import random_morphism, random_object, random_object_with, random_scenario
+from isocat.species import (
+    SpeciesScenario,
+    number_field,
+    rationals,
+    ring_center,
+    scalar_bimodule,
+    tensor_bimodule,
+)
 
 F = Fraction
 
@@ -621,6 +629,44 @@ def test_abelian_ops_objects_are_valid():
             assert mph.check() is None
         assert verify_short_exact(ops.kernel_inclusion, ops.image_projection)
         assert verify_short_exact(ops.image_inclusion, ops.cokernel_projection)
+
+
+def test_conjugated_vertex_space_takes_the_framed_path():
+    """hom, ext1 and abelian_ops on z and on z with its y space conjugated by g.
+
+    The canonical space has identity frames, so the frame products are
+    skipped; the conjugated one has a non-identity frame and takes them.
+    The two objects are isomorphic, so every dimension must agree.  Over
+    two number fields a skipped non-identity frame makes Hom(z, zc) vanish.
+    """
+    rng = random.Random(3)
+    xh, yh = number_field(Polynomial([-2, 0, 1])), number_field(Polynomial([1, 0, 1]))
+    fields = SpeciesScenario("fields", [("u", xh)], [("a", yh)], {("u", "a"): tensor_bimodule(xh, yh)})
+    for s, y in ((fields, "a"), (catalog_scenario("g2_threefold"), "a1")):
+        z = random_object_with(s, {v: 1 for v in s.vertex_order()}, rng)
+        n = z.y[y].dim
+        # 2 + (a root of unity) is never zero, so 2I + (cyclic shift) is invertible
+        g = RatMatrix(n, n, [[2 * (i == j) + (j == (i + 1) % n) for j in range(n)] for i in range(n)])
+        conj = VertexSpace(n, [g * m * g.inverse() for m in z.y[y].action])
+        zc = TripleObject(s, z.x, {**z.y, y: conj}, z.eta)
+        assert z.y[y].frame()[0] == RatMatrix.identity(n)
+        assert zc.y[y].frame()[0] != RatMatrix.identity(n)
+        for a, b in ((zc, z), (z, zc), (zc, zc)):
+            assert (len(hom(a, b)), ext1(a, b).dim) == (len(hom(z, z)), ext1(z, z).dim)
+        w = random_object(s, rng, max_mult=1)
+        for a, b in ((zc, z), (z, zc), (zc, zc), (zc, w), (w, zc)):
+            homs = hom(a, b)
+            assert all(m.check() is None for m in homs)
+            assert (len(homs), ext1(a, b).dim) == reference_hom_ext_dims(a, b)
+            f = random_morphism(a, b, rng)
+            ops = abelian_ops(f)
+            for obj in (ops.kernel, ops.image, ops.cokernel):
+                assert validate(obj) is None
+            for mph in (ops.kernel_inclusion, ops.image_inclusion,
+                        ops.image_projection, ops.cokernel_projection):
+                assert mph.check() is None
+            assert verify_short_exact(ops.kernel_inclusion, ops.image_projection)
+            assert verify_short_exact(ops.image_inclusion, ops.cokernel_projection)
 
 
 def test_ext_result_projection_contract():
