@@ -5,6 +5,10 @@ exact rationals; there is no floating point anywhere.  Matrices are stored
 as integer arrays with a single shared positive denominator, so the hot
 elimination paths run on plain Python integers (fraction-free Bareiss
 elimination), and `Fraction` objects only appear at the API boundary.
+The polynomial layer behind minimal polynomials and factoring is integer
+inside too: gcds, square-free parts and the minimal-polynomial lcm run on
+primitive integer coefficient lists, and `Fraction` appears only in the
+coefficients of the `Polynomial` results they return.
 
 One helper per recurring construction, shared by the packages built on it:
 
@@ -20,12 +24,15 @@ One helper per recurring construction, shared by the packages built on it:
 - `commutant_basis`: the maps T with T . S_a = D_a . T for all a
   (equivariant hom spaces, nilpotent intertwiners);
 - `structure_constants`: an algebra on a spanning set from its n^2
-  products and unit, coordinatised in one solve (End algebras, centres).
+  products and unit, coordinatised in one solve (End algebras, centres);
+- `_int_poly_gcd`: the one polynomial gcd, a primitive remainder sequence
+  in integers (`Polynomial.gcd`, square-free parts, minimal polynomials).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -629,17 +636,9 @@ class Polynomial:
         return acc
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
-
-    @classmethod
-    def from_roots(cls, roots: Sequence) -> "Polynomial":
-        p = cls([1])
-        for r in roots:
-            p = p * cls([-as_fraction(r), 1])
-        return p
+        """The monic gcd (zero for two zero polynomials)."""
+        g = _int_poly_gcd(_to_primitive_int(self), _to_primitive_int(other))
+        return Polynomial(g).monic() if g else Polynomial([])
 
     @classmethod
     def x_power(cls, n: int) -> "Polynomial":
@@ -685,40 +684,130 @@ class FactorBudget:
             raise FactorBudgetExceeded(f"divisor enumeration on |{n}| is over budget")
 
 
-def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Monic square-free parts with their multiplicities (coprime pieces)."""
-    if p.degree < 1:
-        raise ValueError("square-free decomposition needs degree >= 1")
-    work = p.monic()
-    d = work.gcd(work.derivative())
-    w = work // d
-    out: list[tuple[Polynomial, int]] = []
-    i = 1
-    while w.degree >= 1:
-        y = w.gcd(d)
-        f = w // y
-        if f.degree >= 1:
-            out.append((f.monic(), i))
-        w = y
-        if d.degree >= 1:
-            d = d // y
-        i += 1
-        if i > p.degree + 1:
-            raise RuntimeError("square-free decomposition failed to terminate")  # unreachable
-    return out
+# -- primitive integer polynomials ------------------------------------
+# Ascending integer coefficient lists without trailing zeros; [] is zero.
+# Gcds, square-free parts and minimal-polynomial lcms are computed here;
+# `Fraction` appears only when a result is made monic.
+
+def _primitive(cs: list[int]) -> list[int]:
+    """cs over its content, with a positive leading coefficient."""
+    g = _gcd_all(cs)
+    if cs and cs[-1] < 0:
+        g = -g
+    return cs if g in (0, 1) else [c // g for c in cs]
 
 
 def _to_primitive_int(p: Polynomial) -> list[int]:
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    cs = [int(c * den) for c in p.coeffs]
-    g = _gcd_all(cs)
-    if g > 1:
-        cs = [c // g for c in cs]
-    if cs and cs[-1] < 0:
-        cs = [-c for c in cs]
+    """The primitive integer multiple of p with positive leading coefficient."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _int_poly_trim(cs: list[int]) -> list[int]:
+    while cs and not cs[-1]:
+        cs.pop()
     return cs
+
+
+def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _int_poly_derivative(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _int_poly_rem(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of a pseudo-remainder of a by a nonzero b.
+
+    Each step cancels the top term of a with a scalar multiple of b, scaling
+    a by lc(b) / gcd(lc(a), lc(b)); the result is a nonzero scalar multiple of
+    a mod b, which is all a primitive remainder sequence needs.
+    """
+    r = list(a)
+    lb, db = b[-1], len(b) - 1
+    while len(r) > db:
+        lr = r[-1]
+        g = gcd(lr, lb)
+        fr, fb = lb // g, lr // g
+        shift = len(r) - 1 - db
+        if fr != 1:
+            r = [fr * x for x in r]
+        for j, y in enumerate(b):
+            r[shift + j] -= fb * y
+        _int_poly_trim(r)
+    return _primitive(r)
+
+
+def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd with positive leading coefficient ([] iff a = b = 0).
+
+    A primitive polynomial remainder sequence (Brown 1971): the content is
+    removed at every step, so coefficients stay near the size of the inputs.
+    """
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _int_poly_rem(a, b)
+    return a
+
+
+def _int_poly_exact_div(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a nonzero b whose quotient is an integer polynomial.
+
+    By Gauss's lemma a primitive divisor of an integer polynomial leaves an
+    integral quotient, so an inexact step means a broken caller and raises
+    ArithmeticError.
+    """
+    r = list(a)
+    lb, db = b[-1], len(b) - 1
+    q = [0] * max(len(r) - db, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[i + db], lb)
+        if rem:
+            raise ArithmeticError("inexact integer polynomial division")
+        if c:
+            q[i] = c
+            for j, y in enumerate(b):
+                r[i + j] -= c * y
+    if any(r):
+        raise ArithmeticError("integer polynomial division leaves a remainder")
+    return q
+
+
+def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
+    """Monic square-free parts with their multiplicities (coprime pieces).
+
+    Yun's algorithm (1976) on the primitive integer form of p: with
+    b_1 = p / gcd(p, p') and c_1 = p' / gcd(p, p'), each round takes
+    a_i = gcd(b_i, c_i - b_i'), the product of the factors of multiplicity
+    exactly i, then b_(i+1) = b_i / a_i and c_(i+1) = (c_i - b_i') / a_i.
+    Every division is exact in integers by Gauss's lemma.
+    """
+    if p.degree < 1:
+        raise ValueError("square-free decomposition needs degree >= 1")
+    f = _to_primitive_int(p)
+    df = _int_poly_derivative(f)
+    a = _int_poly_gcd(f, df)
+    b, c = _int_poly_exact_div(f, a), _int_poly_exact_div(df, a)
+    out: list[tuple[Polynomial, int]] = []
+    for i in range(1, len(f)):  # no multiplicity exceeds the degree
+        if len(b) == 1:
+            break
+        d = _int_poly_trim([x - y for x, y in zip_longest(c, _int_poly_derivative(b), fillvalue=0)])
+        a = _int_poly_gcd(b, d)
+        if len(a) > 1:
+            out.append((Polynomial(a).monic(), i))
+        b, c = _int_poly_exact_div(b, a), _int_poly_exact_div(d, a)
+    return out
 
 
 def _int_divisors(n: int, budget: FactorBudget | None = None) -> list[int]:
@@ -933,9 +1022,6 @@ class AlgebraSpec:
     def left_multiplication(self, a: Sequence) -> RatMatrix:
         return RatMatrix.combine(self.left_mats, a, self.dim, self.dim)
 
-    def right_multiplication(self, a: Sequence) -> RatMatrix:
-        return RatMatrix.combine(self.right_mats, a, self.dim, self.dim)
-
     def is_commutative(self) -> bool:
         return all(self.left_mats[i] == self.right_mats[i] for i in range(self.dim))
 
@@ -972,24 +1058,39 @@ def min_poly_matrix(op: RatMatrix, start: Sequence | None = None) -> Polynomial:
         return Polynomial([1])
     if start is not None:
         return _vector_min_poly(op, RatMatrix.from_rows([[x] for x in start]))
-    acc = Polynomial([1])
+    # nonzero entries of each column of the integer grid N, for the Horner test
+    cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*op.num)]
+    acc = [1]  # the running lcm, primitive in integers
+    horner = [1]
     for i in range(n):
-        e = RatMatrix.zeros(n, 1)
-        e.num[i][0] = 1
-        if not _poly_kills(op, acc, e):
-            p = _vector_min_poly(op, e)
-            g = acc.gcd(p)
-            acc = (acc * p) // g
-    return acc
+        if not _horner_kills(cols, horner, i):
+            e = RatMatrix.zeros(n, 1)
+            e.num[i][0] = 1
+            p = _to_primitive_int(_vector_min_poly(op, e))
+            acc = _int_poly_exact_div(_int_poly_mul(acc, p), _int_poly_gcd(acc, p))
+            d = len(acc) - 1
+            horner = [c * op.den ** (d - k) for k, c in enumerate(acc)]
+    return Polynomial(acc).monic()
 
 
-def _poly_kills(op: RatMatrix, p: Polynomial, vec: RatMatrix) -> bool:
-    acc = RatMatrix.zeros(op.rows, 1)
-    for c in reversed(p.coeffs):
-        acc = op * acc
-        if c:
-            acc = acc + vec.scale(c)
-    return acc.is_zero()
+def _horner_kills(cols: list[list[tuple[int, int]]], horner: list[int], i: int) -> bool:
+    """Whether sum_k horner[k] N^k e_i = 0, N given by the nonzero entries of its columns.
+
+    With horner[k] = c_k den^(d - k) for the primitive coefficients c_k of
+    a degree-d polynomial q, this is den^d q(N / den) e_i, so the test runs
+    as sparse integer mat-vecs.
+    """
+    v = [0] * len(cols)
+    v[i] = horner[-1]
+    for c in reversed(horner[:-1]):
+        w = [0] * len(cols)
+        for j, x in enumerate(v):
+            if x:
+                for r, y in cols[j]:
+                    w[r] += x * y
+        w[i] += c
+        v = w
+    return not any(v)
 
 
 def _vector_min_poly(op: RatMatrix, vec: RatMatrix) -> Polynomial:

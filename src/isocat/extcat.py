@@ -371,10 +371,6 @@ class TripleMorphism:
                 return f"eta square does not commute at {xv!r}"
         return None
 
-    def f_map(self, x: str) -> RatMatrix:
-        return _f_map(self.source.scenario, self.source.y, self.target.y, self.v,
-                      self.source.f, self.target.f, x)
-
     def compose(self, other: "TripleMorphism") -> "TripleMorphism":
         """self . other (apply other first)."""
         if other.target is not self.source and other.target.data_key() != self.source.data_key():

@@ -16,6 +16,8 @@ from typing import Optional, Sequence
 
 from .exactalg import (
     AlgebraSpec,
+    FactorBudget,
+    FactorBudgetExceeded,
     Polynomial,
     RatMatrix,
     _center,
@@ -70,8 +72,17 @@ def rationals() -> DivisionAlgebraHandle:
 
 
 def number_field(minpoly: Polynomial) -> DivisionAlgebraHandle:
-    """Q[t]/(m) with basis 1, t, ..., t^(deg-1); m must be irreducible."""
-    if not is_irreducible(minpoly):
+    """Q[t]/(m) with basis 1, t, ..., t^(deg-1); m must be irreducible.
+
+    Irreducibility is decided by a budgeted factorization; a minimal
+    polynomial whose factorization runs over budget, or over the degree the
+    factorizer handles, is rejected as uncertified.
+    """
+    try:
+        irreducible = is_irreducible(minpoly, FactorBudget())
+    except (FactorBudgetExceeded, ValueError) as ex:
+        raise ScenarioError(f"irreducibility of {minpoly!r} could not be certified: {ex}") from ex
+    if not irreducible:
         raise ScenarioError(f"{minpoly!r} is reducible over Q; not a field")
     alg = regular_algebra_from_min_poly(minpoly)
     return DivisionAlgebraHandle(alg, CERTIFIED_FIELD, minpoly.monic())
@@ -152,10 +163,6 @@ class Bimodule:
     @property
     def rank_over_right(self) -> int:
         return self.dim // self.right_alg.dim
-
-    @property
-    def rank_over_left(self) -> int:
-        return self.dim // self.left_alg.dim
 
     def right_basis(self) -> list[int]:
         """Indices of a greedy right basis of M over the y-side algebra."""

@@ -101,6 +101,17 @@ def test_cli_tampered_scenario_fails_validation(tmp_path):
     assert main(["classify", "--scenario", str(path)]) == 2
 
 
+def test_cli_uncertifiable_minpoly_exits_2(tmp_path, capsys):
+    doc = scenario_to_json(catalog_scenario("c2"))
+    doc["y_vertices"][0]["algebra"]["minpoly"] = ["1000000000007", "0", "0", "0", "0", "0", "1"]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "could not be certified" in err
+    assert err.count("\n") == 1
+
+
 def test_cli_tampered_bimodule_actions(tmp_path):
     doc = scenario_to_json(catalog_scenario("c2"))
     entry = doc["bimodules"][0]

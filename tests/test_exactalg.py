@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import isocat.exactalg as exactalg
 from isocat.exactalg import (
+    _int_poly_exact_div,
     _kernel,
     AlgebraError,
     AlgebraSpec,
@@ -28,6 +30,7 @@ from isocat.exactalg import (
     radical,
     regular_algebra_from_min_poly,
     semisimple_quotient,
+    squarefree_decomposition,
 )
 
 F = Fraction
@@ -289,6 +292,82 @@ def test_factor_product_reassembles(c1, c2):
     assert acc.scale(prod.leading()) == prod
 
 
+def _fraction_gcd(a, b):
+    """Euclid over Fraction coefficients, the reference for Polynomial.gcd."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic() if not a.is_zero() else a
+
+
+def _fraction_squarefree(p):
+    """The Fraction square-free loop, the reference for squarefree_decomposition."""
+    work = p.monic()
+    d = _fraction_gcd(work, work.derivative())
+    w = work // d
+    out = []
+    i = 1
+    while w.degree >= 1:
+        y = _fraction_gcd(w, d)
+        f = w // y
+        if f.degree >= 1:
+            out.append((f.monic(), i))
+        w = y
+        if d.degree >= 1:
+            d = d // y
+        i += 1
+    return out
+
+
+_SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+# small factors (constants included) with multiplicities 1-3
+_FACTORS = st.lists(st.tuples(st.lists(_SMALL, min_size=1, max_size=3).filter(any),
+                              st.integers(1, 3)), max_size=3)
+
+
+def _product(lead, factors):
+    p = Polynomial([lead])
+    for coeffs, mult in factors:
+        for _ in range(mult):
+            p = p * Polynomial(coeffs)
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SMALL.filter(bool), _FACTORS)
+@example(F(3), [])
+@example(F(-2, 3), [([F(1, 2), F(5)], 1)])
+@example(F(7, 2), [([F(-1), F(1)], 3), ([F(1), F(0), F(1)], 2), ([F(2), F(3)], 1)])
+def test_squarefree_matches_fraction_reference(lead, factors):
+    p = _product(lead, factors)
+    if p.degree < 1:
+        with pytest.raises(ValueError):
+            squarefree_decomposition(p)
+        return
+    got = squarefree_decomposition(p)
+    assert [(f.coeffs, m) for f, m in got] == [(f.coeffs, m) for f, m in _fraction_squarefree(p)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_FACTORS, _SMALL, _FACTORS, _SMALL, _FACTORS)
+@example([], F(0), [], F(0), [])
+@example([], F(0), [], F(-3, 2), [([F(1), F(2)], 1)])
+@example([([F(1), F(1)], 2)], F(1, 3), [([F(-1), F(1)], 1)], F(5), [])
+def test_gcd_matches_fraction_reference(shared, la, fa, lb, fb):
+    common = _product(F(1), shared)
+    a, b = common * _product(la, fa), common * _product(lb, fb)
+    assert a.gcd(b).coeffs == _fraction_gcd(a, b).coeffs
+    assert b.gcd(a).coeffs == _fraction_gcd(b, a).coeffs
+
+
+def test_int_poly_exact_div_rejects_an_inexact_quotient():
+    assert _int_poly_exact_div([2, 3, 1], [1, 1]) == [2, 1]
+    assert _int_poly_exact_div([], [1, 1]) == []
+    with pytest.raises(ArithmeticError):
+        _int_poly_exact_div([1, 0, 1], [1, 1])  # t^2 + 1 = (t - 1)(t + 1) + 2
+    with pytest.raises(ArithmeticError):
+        _int_poly_exact_div([1, 2], [2])  # (1 + 2t) / 2 is not integral
+
+
 # ----------------------------------------------------------------------
 # algebras
 # ----------------------------------------------------------------------
@@ -407,6 +486,92 @@ def test_min_poly_matrix_full():
     # t^2 (t - 2)
     assert p == Polynomial([0, 0, -2, 1])
     assert _eval_on_matrix(p, m).is_zero()
+
+
+def _power_dependency(m, start):
+    """Monic polynomial from the first linear dependency among the flattened
+    start, m . start, m^2 . start, ..., found by Fraction Gauss-Jordan.
+
+    From the identity this is the minimal polynomial of m, from a column
+    vector the minimal polynomial of that vector.
+    """
+    size = start.rows * start.cols
+    powers, cur = [], start
+    while True:
+        powers.append([x for row in cur.to_fractions() for x in row])
+        k = len(powers) - 1
+        red, pivots = _gauss_jordan([[p[i] for p in powers] for i in range(size)], k + 1)
+        if k not in pivots:
+            coeffs = [F(0)] * k + [F(1)]
+            for i, p in enumerate(pivots):
+                coeffs[p] = -red[i][k]
+            return Polynomial(coeffs)
+        cur = m * cur
+
+
+def _block_diagonal(blocks):
+    n = sum(b.rows for b in blocks)
+    out, at = RatMatrix.zeros(n, n), 0
+    for b in blocks:
+        pad = RatMatrix.zeros(b.rows, at).hstack(b).hstack(RatMatrix.zeros(b.rows, n - at - b.rows))
+        out = out + RatMatrix.zeros(at, n).vstack(pad).vstack(RatMatrix.zeros(n - at - b.rows, n))
+        at += b.rows
+    return out
+
+
+def _nilpotent(rng, n):
+    """A conjugate of a sum of Jordan blocks at 0 by a random invertible matrix."""
+    cuts = sorted(rng.sample(range(1, n), rng.randrange(0, n))) if n > 1 else []
+    starts = set([0] + cuts)
+    j = RatMatrix(n, n, [[int(c == r + 1 and c not in starts) for c in range(n)] for r in range(n)])
+    while True:
+        g = _random_grid(rng, n, n)
+        if g.rank() == n:
+            return g * j * g.inverse()
+
+
+def _min_poly_cases(kind):
+    rng = random.Random(kind)
+    cases = [RatMatrix.zeros(0, 0), RatMatrix(1, 1, [[rng.randrange(-9, 10)]], rng.randrange(1, 7))]
+    for _ in range(30):
+        n = rng.randrange(1, 6)
+        if kind == "random":
+            num = [[rng.choice([0, 0, 1, -1, 2, -3, 5]) for _ in range(n)] for _ in range(n)]
+            cases.append(RatMatrix(n, n, num, rng.randrange(1, 7)))
+        elif kind == "nilpotent":
+            cases.append(_nilpotent(rng, n))
+        else:
+            # like a morphism's total matrix: u/v blocks, some repeated, some nilpotent
+            pool = [_random_grid(rng, k, k) for k in (1, 2, 2)] + [_nilpotent(rng, 3)]
+            cases.append(_block_diagonal([rng.choice(pool) for _ in range(rng.randrange(1, 4))]))
+    return cases
+
+
+@pytest.mark.parametrize("kind", ["random", "nilpotent", "block-diagonal"])
+def test_min_poly_matrix_matches_power_dependency(kind):
+    for m in _min_poly_cases(kind):
+        assert min_poly_matrix(m).coeffs == _power_dependency(m, RatMatrix.identity(m.rows)).coeffs
+
+
+@pytest.mark.parametrize("kind", ["random", "nilpotent", "block-diagonal"])
+def test_min_poly_matrix_chases_only_unkilled_vectors(kind, monkeypatch):
+    # a standard vector is chased iff the lcm of the earlier chases does not
+    # kill it; a wrong kill test either changes the answer or wastes chases
+    chased = []
+    chase = exactalg._vector_min_poly
+    monkeypatch.setattr(exactalg, "_vector_min_poly",
+                        lambda op, vec: chased.append(vec) or chase(op, vec))
+    for m in _min_poly_cases(kind):
+        chased.clear()
+        min_poly_matrix(m)
+        expect, acc = [], Polynomial([1])
+        for i in range(m.rows):
+            e = RatMatrix(m.rows, 1, [[int(r == i)] for r in range(m.rows)])
+            if not (_eval_on_matrix(acc, m) * e).is_zero():
+                expect.append(e)
+                p = _power_dependency(m, e)
+                acc = (acc * p) // _fraction_gcd(acc, p)
+        assert chased == expect
 
 
 def _eval_on_matrix(p, m):

@@ -54,6 +54,15 @@ def test_number_field_requires_irreducible():
         number_field(Polynomial([-1, 0, 1]))  # t^2 - 1 splits
 
 
+@pytest.mark.parametrize("minpoly", [
+    Polynomial([1000000000007, 0, 0, 0, 0, 0, 1]),  # constant term over the divisor budget
+    Polynomial([-2] + [0] * 12 + [1]),  # t^13 - 2: over the factorizer's degree cap
+])
+def test_number_field_rejects_uncertifiable_minpoly(minpoly):
+    with pytest.raises(ScenarioError, match="could not be certified"):
+        number_field(minpoly)
+
+
 def test_asserted_division_rejects_zero_divisors():
     qq = AlgebraSpec([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1])
     with pytest.raises(ScenarioError):
