@@ -17,8 +17,9 @@ One helper per recurring construction, shared by the packages built on it:
   `_kernel`), quotients, `RatMatrix.solve` and `RatMatrix.rref` use it;
 - `RatMatrix.combine`: a linear combination of matrices over one common
   denominator (vertex and bimodule actions, left/right multiplication,
-  hom vectors, seeded samples), with `_combine` taking integer
-  coefficients over one denominator;
+  seeded samples), with `_combine` taking integer coefficients over one
+  denominator; `_nonzero_entries` is the sparse form of a basis that many
+  products or combinations are built from (psi and the Hom basis);
 - `orbit_basis`: the greedy basis of a free module, trying standard
   vectors in index order (bimodule right bases, vertex-space frames);
 - `commutant_basis`: the maps T with T . S_a = D_a . T for all a
@@ -423,6 +424,19 @@ def _combine(mats: Sequence[RatMatrix], nums: Sequence[int], den: int,
         f = c * (common // m.den)
         num = [[a + f * b for a, b in zip(ra, rb)] for ra, rb in zip(num, m.num)]
     return RatMatrix(rows, cols, num, den * common)
+
+
+def _nonzero_entries(mats: Sequence[RatMatrix], rows: int,
+                     cols: int) -> tuple[list[list[tuple[int, int, int]]], int]:
+    """Each matrix's nonzero entries (i, j, e), as integers over one common denominator.
+
+    Like `_combine`, it rejects a matrix that is not rows x cols.
+    """
+    if any((m.rows, m.cols) != (rows, cols) for m in mats):
+        raise ValueError("shape mismatch in matrix combination")
+    den = lcm(*(m.den for m in mats))
+    return [[(i, j, e * (den // m.den)) for i, row in enumerate(m.num) if any(row)
+             for j, e in enumerate(row) if e] for m in mats], den
 
 
 def _flat_matrices(mats: Sequence[RatMatrix]) -> tuple[list[int], int]:
@@ -834,13 +848,17 @@ def _rational_roots(coeffs: list[int], budget: FactorBudget | None = None) -> li
     if a0 == 0:
         return [Fraction(0)]
     roots = []
-    p = Polynomial(coeffs)
-    for num in _int_divisors(a0, budget):
-        for den in _int_divisors(an, budget):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                if p.eval(cand) == 0:
-                    roots.append(cand)
+    nums, dens = _int_divisors(a0, budget), _int_divisors(an, budget)
+    for num in nums:
+        for den in dens:
+            for p in (num, -num):
+                # den^d f(p/den) by Horner in integers: sum a_i p^i den^(d-i)
+                acc, dpow = 0, 1
+                for c in reversed(coeffs):
+                    acc = acc * p + c * dpow
+                    dpow *= den
+                if acc == 0:
+                    roots.append(Fraction(p, den))
     return roots
 
 

@@ -7,9 +7,11 @@ u . eta = eta' . F(v) commute.  Hom and Ext^1 fall out of one linear map
 
     psi(u, v) = u . eta - eta' . F(v)
 
-as kernel and cokernel; the module also provides universal extensions,
-length-1 projective resolutions, kernels/cokernels/images, torsion pairs,
-endomorphism algebras and an exact Krull-Schmidt-style decomposition.
+as kernel and cokernel; psi and the Hom basis are built from the nonzero
+entries of the sparse equivariant bases.  The module also provides universal
+extensions, length-1 projective resolutions, kernels/cokernels/images,
+torsion pairs, endomorphism algebras and an exact Krull-Schmidt-style
+decomposition.
 
 Tensor spaces use a canonical slot basis: for the bimodule at (x, y), a
 greedy right basis m_0..m_{r-1} of M over the y algebra, a greedy y-algebra
@@ -31,12 +33,12 @@ from .exactalg import (
     FactorBudgetExceeded,
     Polynomial,
     RatMatrix,
-    _combine,
     _flat_columns,
     _flat_matrices,
     _gcd_all,
     _kernel,
     _quotient_algebra,
+    _nonzero_entries,
     _null_rows,
     _radical,
     commutant_basis,
@@ -65,7 +67,10 @@ class InternalConsistencyError(RuntimeError):
 # ======================================================================
 
 class VertexSpace:
-    """A Q-space with a unital action of one vertex algebra."""
+    """A Q-space with a unital action of one vertex algebra.
+
+    `canonical` is (algebra key, multiplicity, R_0) for a `canonical_space`.
+    """
 
     __slots__ = ("dim", "action", "_key", "_frame", "canonical")
 
@@ -89,13 +94,18 @@ class VertexSpace:
         """(P, P^-1) for the greedy algebra-basis coordinates of this space.
 
         Column (j, b) of P is e_b . v_j for the greedy basis v_0..v_{s-1};
-        for canonically presented spaces P is the identity, returned as the
-        pair (P, P) so that callers can skip it by identity of the objects.
+        an identity P is returned as the pair (P, P) so that callers can skip
+        it by identity of the objects.  On a canonical space the greedy basis
+        is e_0 of each copy (it generates a copy of a division algebra), so P
+        is I_mult (x) R_0 in closed form, R_0 = right_mats[0].
         """
         if self._frame is None:
-            picked, p = orbit_basis(self.action, self.dim)
-            if len(picked) * len(self.action) != self.dim:
-                raise TripleError("vertex space is not free over its algebra")
+            if self.canonical is not None:
+                p = RatMatrix.identity(self.canonical[1]).kron(self.canonical[2])
+            else:
+                picked, p = orbit_basis(self.action, self.dim)
+                if len(picked) * len(self.action) != self.dim:
+                    raise TripleError("vertex space is not free over its algebra")
             self._frame = (p, p if p == RatMatrix.identity(self.dim) else p.inverse())
         return self._frame
 
@@ -105,7 +115,7 @@ def canonical_space(handle: DivisionAlgebraHandle, mult: int) -> VertexSpace:
     n = handle.dim
     eye = RatMatrix.identity(mult)
     action = [eye.kron(handle.spec.left_mats[b]) for b in range(n)]
-    return VertexSpace(mult * n, action, canonical=(handle.key(), mult))
+    return VertexSpace(mult * n, action, canonical=(handle.key(), mult, handle.spec.right_mats[0]))
 
 
 def zero_space(handle: DivisionAlgebraHandle) -> VertexSpace:
@@ -265,6 +275,20 @@ class TripleObject:
     def __init__(self, scenario: SpeciesScenario, x_parts: dict[str, VertexSpace],
                  y_parts: dict[str, VertexSpace], eta: dict[str, RatMatrix],
                  check: bool = True):
+        self._setup(scenario, x_parts, y_parts, eta, None, check)
+
+    @classmethod
+    def _with_fspaces(cls, scenario: SpeciesScenario, x_parts: dict[str, VertexSpace],
+                      y_parts: dict[str, VertexSpace], eta: dict[str, RatMatrix],
+                      fspaces: dict[str, FSpace]) -> "TripleObject":
+        """The unchecked object over y_parts, with `_build_fspaces(scenario, y_parts)` built already."""
+        z = cls.__new__(cls)
+        z._setup(scenario, x_parts, y_parts, eta, fspaces, check=False)
+        return z
+
+    def _setup(self, scenario: SpeciesScenario, x_parts: dict[str, VertexSpace],
+               y_parts: dict[str, VertexSpace], eta: dict[str, RatMatrix],
+               fspaces: Optional[dict[str, FSpace]], check: bool) -> None:
         self.scenario = scenario
         self.x = dict(x_parts)
         self.y = dict(y_parts)
@@ -275,7 +299,7 @@ class TripleObject:
         for yv in scenario.y_ids:
             if yv not in self.y:
                 raise TripleError(f"missing y component at {yv!r}")
-        self.f = _build_fspaces(scenario, self.y)
+        self.f = fspaces if fspaces is not None else _build_fspaces(scenario, self.y)
         for xv in scenario.x_ids:
             m = self.eta.get(xv)
             if m is None:
@@ -475,9 +499,8 @@ def x_only(z: TripleObject) -> TripleObject:
 def y_only(z: TripleObject) -> TripleObject:
     s = z.scenario
     x_parts = {x: zero_space(s.algebra(x)) for x in s.x_ids}
-    fsp = _f_layout(s, z.y)
-    eta = {x: RatMatrix.zeros(0, fsp[x].dim) for x in s.x_ids}
-    return TripleObject(s, x_parts, dict(z.y), eta, check=False)
+    eta = {x: RatMatrix.zeros(0, z.f[x].dim) for x in s.x_ids}
+    return TripleObject._with_fspaces(s, x_parts, dict(z.y), eta, z.f)
 
 
 # ======================================================================
@@ -513,31 +536,40 @@ def hom_space_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, int]:
     return su, sv, sf
 
 
-def _v_basis_f_blocks(z: TripleObject, z2: TripleObject,
-                      vbases: dict[str, list[RatMatrix]]) -> dict[str, dict[tuple[str, int], RatMatrix]]:
-    """eta' . F(v_l) per x-vertex, for each v-space basis element."""
+def _v_basis_f_blocks(z: TripleObject, z2: TripleObject, vbases: dict[str, list[RatMatrix]],
+                      images: dict[str, list], col: int) -> int:
+    """Append -(eta' . F(v_l)) to images[x] as psi columns col, col + 1, ...; return the next.
+
+    F(v_l) is I_r (x) t on the y block, t = v_l in the frames, so column
+    block i of eta' . F(v_l) is that of eta'_x's y block times t, built from
+    t's nonzero entries straight into the flat X'_x x F(Y)_x grid.
+    """
     s = z.scenario
-    out: dict[str, dict[tuple[str, int], RatMatrix]] = {x: {} for x in s.x_ids}
     for y in s.y_ids:
         basis = vbases[y]
-        if not basis:
-            continue
-        ts = [_in_frames(vmat, z.y[y], z2.y[y]) for vmat in basis]
+        n1, n2 = z.y[y].dim, z2.y[y].dim
+        terms, tden = _nonzero_entries([_in_frames(vmat, z.y[y], z2.y[y]) for vmat in basis], n2, n1)
         for x in s.x_ids:
             bm = s.bimodules.get((x, y))
-            sf, df = z.f[x], z2.f[x]
-            if bm is None or y not in sf.offsets:
-                continue
             # a nonzero v basis means Y_y and Y'_y are nonzero, so both F
-            # spaces hold a y block; eta'_x restricted to it is sliced once
-            r = bm.rank_over_right
-            dst_off = df.offsets[y]
+            # spaces hold a y block
+            if not basis or bm is None or y not in z.f[x].offsets:
+                continue
+            r, width = bm.rank_over_right, z.f[x].dim
+            src_off, dst_off = z.f[x].offsets[y], z2.f[x].offsets[y]
             eta2 = z2.eta[x]
-            g0 = eta2.submatrix(range(eta2.rows), range(dst_off, dst_off + r * z2.y[y].dim))
-            eye = RatMatrix.identity(r)
-            for l, t in enumerate(ts):
-                out[x][(y, l)] = (sf.offsets[y], g0 * eye.kron(t))
-    return out
+            blocks = [(a * width + src_off + i * n1, row, dst_off + i * n2)
+                      for a, row in enumerate(eta2.num) for i in range(r)]
+            for l, ents in enumerate(terms):
+                flat = [0] * (eta2.rows * width)
+                for base, row, g0 in blocks:
+                    for k, j, e in ents:
+                        g = row[g0 + k]
+                        if g:
+                            flat[base + j] -= g * e
+                images[x].append((col + l, flat, eta2.den * tden))
+        col += len(basis)
+    return col
 
 
 def _psi_data(z: TripleObject, z2: TripleObject):
@@ -559,26 +591,14 @@ def _psi_data(z: TripleObject, z2: TripleObject):
     ncols = 0
     for x in s.x_ids:
         eta = z.eta[x]
-        for uk in ubases[x]:
-            w = uk * eta
-            images[x].append((ncols, [e for r in w.num for e in r], w.den))
+        terms, uden = _nonzero_entries(ubases[x], z2.x[x].dim, z.x[x].dim)
+        for ents in terms:  # row i of uk . eta is the sum of e * (row j of eta) over uk's entries
+            rows = [[0] * eta.cols for _ in range(z2.x[x].dim)]
+            for i, j, e in ents:
+                rows[i] = [f + e * g for f, g in zip(rows[i], eta.num[j])]
+            images[x].append((ncols, [v for r in rows for v in r], uden * eta.den))
             ncols += 1
-    fblocks = _v_basis_f_blocks(z, z2, vbases)
-    for y in s.y_ids:
-        for l in range(len(vbases[y])):
-            for x in s.x_ids:
-                hit = fblocks[x].get((y, l))
-                if hit is None:
-                    continue
-                src_off, g = hit
-                pad = [0] * (z.f[x].dim - src_off - g.cols)
-                flat: list[int] = []
-                for r in g.num:
-                    flat += [0] * src_off
-                    flat += [-e for e in r]
-                    flat += pad
-                images[x].append((ncols, flat, g.den))
-            ncols += 1
+    ncols = _v_basis_f_blocks(z, z2, vbases, images, ncols)
     offsets: dict[str, int] = {}
     blocks = []
     total_f = 0
@@ -613,20 +633,27 @@ def _psi_data(z: TripleObject, z2: TripleObject):
 
 
 def hom(z: TripleObject, z2: TripleObject) -> list[TripleMorphism]:
-    """Basis of the space of morphisms z -> z2: the kernel of psi."""
+    """Basis of the space of morphisms z -> z2: the kernel of psi.
+
+    Each vertex's basis is kept as its nonzero entries over one denominator,
+    and every kernel vector accumulates into one integer grid per vertex.
+    """
     s = z.scenario
     ubases, vbases, _, _, psi = _psi_data(z, z2)
     ker, _ = _null_rows(psi)
+    sides = ((0, s.x_ids, ubases, z.x, z2.x), (1, s.y_ids, vbases, z.y, z2.y))
+    sparse = [(side, w, *_nonzero_entries(bases[w], dst[w].dim, src[w].dim), dst[w].dim, src[w].dim)
+              for side, ids, bases, src, dst in sides for w in ids]
     out = []
     for vec in ker.num:
-        pos, parts = 0, []
-        for ids, bases, src, dst in ((s.x_ids, ubases, z.x, z2.x), (s.y_ids, vbases, z.y, z2.y)):
-            part = {}
-            for w in ids:
-                nb = len(bases[w])
-                part[w] = _combine(bases[w], vec[pos:pos + nb], ker.den, dst[w].dim, src[w].dim)
-                pos += nb
-            parts.append(part)
+        coeffs, parts = iter(vec), ({}, {})
+        for side, w, terms, den, rows, cols in sparse:
+            num = [[0] * cols for _ in range(rows)]
+            for ents, c in zip(terms, coeffs):  # takes the next len(terms) coefficients
+                if c:
+                    for i, j, e in ents:
+                        num[i][j] += c * e
+            parts[side][w] = RatMatrix(rows, cols, num, ker.den * den)
         out.append(TripleMorphism(z, z2, *parts))
     return out
 
@@ -701,7 +728,7 @@ def universal_extension(scenario: SpeciesScenario,
     fsp = _build_fspaces(scenario, y_parts)
     x_parts = {x: fsp[x].space for x in scenario.x_ids}
     eta = {x: RatMatrix.identity(fsp[x].dim) for x in scenario.x_ids}
-    return TripleObject(scenario, x_parts, dict(y_parts), eta, check=False)
+    return TripleObject._with_fspaces(scenario, x_parts, dict(y_parts), eta, fsp)
 
 
 def universal_extension_of(z: TripleObject) -> TripleObject:
@@ -775,19 +802,17 @@ def projective_resolution(z: TripleObject) -> Resolution:
 # Direct sums
 # ======================================================================
 
-def _stack_spaces(a: VertexSpace, b: VertexSpace) -> VertexSpace:
-    action = [_block_diag([ma, mb]) for ma, mb in zip(a.action, b.action)]
-    canon = None
+def _stack_spaces(handle: DivisionAlgebraHandle, a: VertexSpace, b: VertexSpace) -> VertexSpace:
     if a.canonical is not None and b.canonical is not None and a.canonical[0] == b.canonical[0]:
-        canon = (a.canonical[0], a.canonical[1] + b.canonical[1])
-    return VertexSpace(a.dim + b.dim, action, canonical=canon)
+        return canonical_space(handle, a.canonical[1] + b.canonical[1])
+    return VertexSpace(a.dim + b.dim, [_block_diag([ma, mb]) for ma, mb in zip(a.action, b.action)])
 
 
 def direct_sum(a: TripleObject, b: TripleObject):
     """(a (+) b, inclusions, projections)."""
     s = _same_scenario(a, b)
-    x_parts = {x: _stack_spaces(a.x[x], b.x[x]) for x in s.x_ids}
-    y_parts = {y: _stack_spaces(a.y[y], b.y[y]) for y in s.y_ids}
+    x_parts = {x: _stack_spaces(s.algebra(x), a.x[x], b.x[x]) for x in s.x_ids}
+    y_parts = {y: _stack_spaces(s.algebra(y), a.y[y], b.y[y]) for y in s.y_ids}
     fsp = _f_layout(s, y_parts)
 
     def inclusion(m: int, n: int, second: bool) -> RatMatrix:

@@ -31,6 +31,11 @@ MATRIX_SCHEMA = "isocat/matrix-v1"
 REPORT_SCHEMA = "isocat/report-v1"
 
 
+# Largest vertex or bimodule dim a document may declare: the loaders build dense
+# matrices of that size (an identity where actions are implied), so it is checked first.
+MAX_DIM = 1024
+
+
 class FormatError(ValueError):
     pass
 
@@ -138,8 +143,8 @@ def scenario_from_json(doc) -> SpeciesScenario:
             raise FormatError(f"bad bimodule entry: {ex}")
         if x not in xmap or y not in ymap:
             raise FormatError(f"bimodule ({x!r}, {y!r}) references unknown vertices")
-        if not isinstance(dim, int) or dim < 0:
-            raise FormatError(f"bimodule ({x!r}, {y!r}) has a bad dimension")
+        if not isinstance(dim, int) or not 0 <= dim <= MAX_DIM:
+            raise FormatError(f"bimodule ({x!r}, {y!r}) has a bad dimension (an int from 0 to {MAX_DIM})")
         if "left_action" in entry or "right_action" in entry:
             left = [matrix_from_json(m, dim, dim) for m in entry["left_action"]]
             right = [matrix_from_json(m, dim, dim) for m in entry["right_action"]]
@@ -186,8 +191,8 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
                 raise FormatError(f"missing component at vertex {v!r}")
             entry = section[v]
             dim = entry.get("dim")
-            if not isinstance(dim, int) or dim < 0:
-                raise FormatError(f"bad dimension at vertex {v!r}")
+            if not isinstance(dim, int) or not 0 <= dim <= MAX_DIM:
+                raise FormatError(f"bad dimension at vertex {v!r} (an int from 0 to {MAX_DIM})")
             action = [matrix_from_json(m, dim, dim) for m in entry.get("action", [])]
             n = scenario.algebra(v).dim
             if len(action) != n:

@@ -71,7 +71,7 @@ def random_object_with(scenario: SpeciesScenario, mult: dict[str, int],
         basis = equivariant_hom_basis(scenario.algebra(x).spec, fsp[x].space, x_parts[x])
         coeffs = [rng.randrange(-eta_bound, eta_bound + 1) for _ in basis]
         eta[x] = RatMatrix.combine(basis, coeffs, x_parts[x].dim, fsp[x].dim)
-    return TripleObject(scenario, x_parts, y_parts, eta, check=False)
+    return TripleObject._with_fspaces(scenario, x_parts, y_parts, eta, fsp)
 
 
 def random_morphism(a: TripleObject, b: TripleObject, rng: random.Random,

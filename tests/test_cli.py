@@ -9,6 +9,7 @@ from isocat.catalog import CATALOG_IDS, catalog_scenario
 from isocat.cli import main
 from isocat.extcat import simple_x_object, simple_y_object, universal_extension_of
 from isocat.fileio import (
+    MAX_DIM,
     FormatError,
     load_scenario,
     object_from_json,
@@ -120,6 +121,32 @@ def test_cli_tampered_bimodule_actions(tmp_path):
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(doc))
     assert main(["classify", "--scenario", str(path)]) == 2
+
+
+def test_cli_rejects_an_over_cap_bimodule_dim(tmp_path, capsys):
+    # scalar actions are implied over Q, so an uncapped dim would allocate a
+    # 10**9 x 10**9 identity before any other check
+    doc = scenario_to_json(catalog_scenario("a2"))
+    doc["bimodules"][0]["dim"] = 10 ** 9
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"from 0 to {MAX_DIM}" in err
+
+
+def test_cli_rejects_an_over_cap_object_dim(tmp_path, capsys):
+    # a Q vertex without actions gets an identity of its dim
+    doc = object_to_json(simple_y_object(catalog_scenario("a2"), "a1"))
+    doc["y"]["a1"] = {"dim": 10 ** 9}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["decompose", "--scenario", "catalog:a2", "--object", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"from 0 to {MAX_DIM}" in err
+    doc["y"]["a1"] = {"dim": MAX_DIM}
+    with pytest.raises(FormatError, match="eta"):  # the cap itself is accepted
+        object_from_json({**doc, "eta": {}}, catalog_scenario("a2"))
 
 
 def _write_object(tmp_path, name, z):

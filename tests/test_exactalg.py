@@ -11,6 +11,7 @@ import isocat.exactalg as exactalg
 from isocat.exactalg import (
     _int_poly_exact_div,
     _kernel,
+    _rational_roots,
     AlgebraError,
     AlgebraSpec,
     Polynomial,
@@ -290,6 +291,37 @@ def test_factor_product_reassembles(c1, c2):
         for _ in range(m):
             acc = acc * f
     assert acc.scale(prod.leading()) == prod
+
+
+def _fraction_rational_roots(coeffs):
+    """The rational-root search in Fraction arithmetic, the reference for `_rational_roots`.
+
+    Every p/q and -p/q with p | a0 and q | an, both ascending, is tested by
+    evaluating the polynomial at it.
+    """
+    if not coeffs:
+        return []
+    if coeffs[0] == 0:
+        return [F(0)]
+    divisors = lambda n: [d for d in range(1, abs(n) + 1) if n % d == 0]  # noqa: E731
+    p = Polynomial(coeffs)
+    return [c for num in divisors(coeffs[0]) for den in divisors(coeffs[-1])
+            for c in (F(num, den), F(-num, den)) if p.eval(c) == 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4)), max_size=3),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+@example([(1, 1), (2, 2)], [3])  # 1/1 and 2/2 are the same root, listed twice
+@example([(-3, 2), (0, 1)], [1, 0, 1])
+@example([], [0, 0, 5])
+def test_rational_roots_match_fraction_reference(linear, extra):
+    # (q t - p) factors plant the roots p/q; the extra factor adds noise
+    poly = Polynomial(extra)
+    for num, den in linear:
+        poly = poly * Polynomial([-num, den])
+    coeffs = [int(c) for c in poly.coeffs]
+    assert _rational_roots(coeffs) == _fraction_rational_roots(coeffs)
 
 
 def _fraction_gcd(a, b):

@@ -7,16 +7,20 @@ from fractions import Fraction
 import pytest
 
 from isocat.catalog import CATALOG_IDS, catalog_scenario
-from isocat.exactalg import Polynomial, RatMatrix, algebra_center
+from isocat.exactalg import Polynomial, RatMatrix, _combine, _null_rows, algebra_center
 from isocat.extcat import (
+    TripleError,
     TripleObject,
     VertexSpace,
+    _f_map,
+    _psi_data,
     abelian_ops,
     canonical_object,
     decompose,
     direct_sum,
     end_algebra,
     end_y_algebra,
+    equivariant_hom_basis,
     ext1,
     euler_form,
     hom,
@@ -88,6 +92,18 @@ def test_validate_highest_root_object():
     from isocat.reptype import highest_root_d4
     z = highest_root_d4(catalog_scenario("d4_elliptic"))
     assert validate(z) is None
+
+
+def test_objects_built_with_their_tensor_spaces_keep_the_eta_shape_check():
+    # random_object_with, universal_extension and y_only hand their built F
+    # spaces to the object; the spaces must be the ones TripleObject builds
+    s = catalog_scenario("b2_dual")
+    z = random_object_with(s, {"u": 1, "a1": 2}, random.Random(4))
+    for obj in (z, universal_extension_of(z), y_only(z)):
+        again = TripleObject(s, obj.x, obj.y, obj.eta)
+        assert [obj.f[x].space.key() for x in s.x_ids] == [again.f[x].space.key() for x in s.x_ids]
+    with pytest.raises(TripleError, match="has shape"):
+        TripleObject._with_fspaces(s, z.x, z.y, {"u": RatMatrix.zeros(2, 3)}, z.f)
 
 
 # ----------------------------------------------------------------------
@@ -448,6 +464,100 @@ def test_hom_ext1_euler_agree_and_projection_kills_psi():
                 assert len(hits) == 1
                 free.append(hits[0])
             assert res.projection.submatrix(range(res.dim), free) == RatMatrix.identity(res.dim)
+
+
+def dense_psi_and_hom(a, b):
+    """(psi, hom basis as (u, v) dicts) by dense products and `_combine`.
+
+    Each psi column is the image u_k . eta or -(eta' . F(v_l)) as a full
+    matrix product, with F(v_l) from `_f_map` (I_r (x) v_l in the frames),
+    coordinatised by a solve against the stacked Hom(F(Y), X') basis; each
+    kernel vector of psi becomes one matrix per vertex through `_combine`.
+    """
+    s = a.scenario
+    ub = {x: equivariant_hom_basis(s.algebra(x).spec, a.x[x], b.x[x]) for x in s.x_ids}
+    vb = {y: equivariant_hom_basis(s.algebra(y).spec, a.y[y], b.y[y]) for y in s.y_ids}
+    fb = {x: equivariant_hom_basis(s.algebra(x).spec, a.f[x].space, b.x[x]) for x in s.x_ids}
+    images = [{x: uk * a.eta[x]} for x in s.x_ids for uk in ub[x]]
+    for y in s.y_ids:
+        for vl in vb[y]:
+            v = {w: vl if w == y else RatMatrix.zeros(b.y[w].dim, a.y[w].dim) for w in s.y_ids}
+            images.append({x: -(b.eta[x] * _f_map(s, a.y, b.y, v, a.f, b.f, x)) for x in s.x_ids})
+    flat = lambda m: [e for row in m.to_fractions() for e in row]  # noqa: E731
+    rows = []
+    for x in s.x_ids:
+        if not fb[x]:
+            continue
+        stacked = RatMatrix.from_cols([flat(m) for m in fb[x]])
+        zero = RatMatrix.zeros(b.x[x].dim, a.f[x].dim)
+        rhs = RatMatrix.from_cols([flat(img.get(x, zero)) for img in images], stacked.rows)
+        coords = stacked.solve(rhs)
+        assert coords is not None
+        rows += coords.to_fractions()
+    psi = (RatMatrix.from_rows(rows) if rows and images
+           else RatMatrix.zeros(sum(map(len, fb.values())), len(images)))
+    ker, _ = _null_rows(psi)
+    homs = []
+    for vec in ker.num:
+        pos, parts = 0, []
+        for ids, bases, src, dst in ((s.x_ids, ub, a.x, b.x), (s.y_ids, vb, a.y, b.y)):
+            part = {}
+            for w in ids:
+                nb = len(bases[w])
+                part[w] = _combine(bases[w], vec[pos:pos + nb], ker.den, dst[w].dim, src[w].dim)
+                pos += nb
+            parts.append(part)
+        homs.append(tuple(parts))
+    return psi, homs
+
+
+def conjugated(z, y):
+    """z with its y component conjugated by 2I + (cyclic shift), so it takes the framed path."""
+    n = z.y[y].dim
+    g = RatMatrix(n, n, [[2 * (i == j) + (j == (i + 1) % n) for j in range(n)] for i in range(n)])
+    conj = VertexSpace(n, [g * m * g.inverse() for m in z.y[y].action])
+    return TripleObject(z.scenario, z.x, {**z.y, y: conj}, z.eta)
+
+
+def assert_hom_matches_dense(a, b):
+    psi, ref = dense_psi_and_hom(a, b)
+    assert _psi_data(a, b)[4] == psi
+    assert [(m.u, m.v) for m in hom(a, b)] == ref
+
+
+def test_sparse_hom_matches_dense_reference_on_catalog_and_number_fields():
+    gen = random.Random("sparse-hom")
+    sweep = [catalog_scenario(name) for name in CATALOG_IDS]
+    sweep += [random_scenario(gen) for _ in range(4)]
+    assert any(s.algebra(v).dim > 1 for s in sweep[len(CATALOG_IDS):] for v in s.vertex_order())
+    for k, s in enumerate(sweep):
+        rng = random.Random(f"sparse-hom:{k}")
+        objs = [random_object(s, rng, max_mult=2) for _ in range(2)]
+        objs.append(universal_extension_of(objs[0]))
+        big = random_object_with(s, {v: 3 for v in s.vertex_order()}, rng)
+        for a in objs:
+            for b in objs:
+                assert_hom_matches_dense(a, b)
+        assert_hom_matches_dense(big, big)
+        assert_hom_matches_dense(objs[1], big)
+
+
+def test_sparse_hom_matches_dense_reference_on_conjugated_spaces():
+    # conjugated y spaces take the framed path, and their commutant bases
+    # carry denominators above 1, mixed within one basis
+    rng = random.Random(3)
+    xh, yh = number_field(Polynomial([-2, 0, 1])), number_field(Polynomial([1, 0, 1]))
+    fields = SpeciesScenario("fields", [("u", xh)], [("a", yh)], {("u", "a"): tensor_bimodule(xh, yh)})
+    dens = set()
+    for s, y in ((fields, "a"), (catalog_scenario("g2_threefold"), "a1"), (catalog_scenario("c2"), "a1")):
+        for mult in (1, 2):
+            z = random_object_with(s, {v: mult for v in s.vertex_order()}, rng)
+            zc = conjugated(z, y)
+            w = random_object(s, rng, max_mult=2)
+            for a, b in ((z, zc), (zc, z), (zc, zc), (zc, w), (w, zc)):
+                dens.update(m.den for m in equivariant_hom_basis(s.algebra(y).spec, a.y[y], b.y[y]))
+                assert_hom_matches_dense(a, b)
+    assert max(dens) > 1 and 1 in dens
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,14 @@ import pytest
 
 from isocat.catalog import CATALOG_IDS, FINITE_TYPE_IDS, catalog_scenario
 from isocat.exactalg import AlgebraSpec, Polynomial, RatMatrix, orbit_basis
-from isocat.extcat import TripleError, TripleObject, VertexSpace, canonical_object, canonical_space
+from isocat.extcat import (
+    TripleError,
+    TripleObject,
+    VertexSpace,
+    canonical_object,
+    canonical_space,
+    direct_sum,
+)
 from isocat.species import (
     Bimodule,
     ScenarioError,
@@ -361,6 +368,52 @@ def test_frame_of_a_conjugated_vertex_space():
     assert picked == [0, 1] and p == span
     assert p != RatMatrix.identity(4) and p * pinv == RatMatrix.identity(4)
     assert base.frame()[0] == RatMatrix.identity(4)
+
+
+def quaternions_from_i():
+    """H = (-1, -1 / Q) in the basis (i, j, k, 1), so e_0 = i is not the unit."""
+    signs = {(1, 1): (-1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0), (1, 2): (1, 3), (2, 1): (-1, 3),
+             (2, 3): (1, 1), (3, 2): (-1, 1), (3, 1): (1, 2), (1, 3): (-1, 2)}
+    order = [1, 2, 3, 0]  # standard indices 1, i, j, k = 0..3
+    consts = []
+    for a in order:
+        row = []
+        for b in order:
+            sign, c = (1, a + b) if 0 in (a, b) else signs[(a, b)]  # one factor is 1
+            row.append([sign if order[k] == c else 0 for k in range(4)])
+        consts.append(row)
+    return asserted_division_algebra(AlgebraSpec(consts, [0, 0, 0, 1]))
+
+
+def test_canonical_frames_are_the_closed_form_of_orbit_basis(monkeypatch):
+    handles = {}
+    for name in CATALOG_IDS:
+        s = catalog_scenario(name)
+        handles.update((s.algebra(v).key(), s.algebra(v)) for v in s.vertex_order())
+    # Q(sqrt 2) in the basis (2 + sqrt 2, 1): R_0 has determinant 2
+    odd = [asserted_division_algebra(AlgebraSpec([[[4, -2], [1, 0]], [[1, 0], [0, 1]]], [0, 1])),
+           quaternions_from_i()]
+    for h in [*handles.values(), *odd]:
+        for mult in range(4):
+            space = canonical_space(h, mult)
+            p, pinv = space.frame()
+            picked, span = orbit_basis(space.action, space.dim)
+            assert picked == [k * h.dim for k in range(mult)]
+            assert p == span and p * pinv == RatMatrix.identity(space.dim)
+            assert (p is pinv) == (span == RatMatrix.identity(space.dim))
+    assert all(canonical_space(h, 1).frame()[0] != RatMatrix.identity(h.dim) for h in odd)
+    # neither a canonical space nor a direct sum of canonical objects runs orbit_basis
+    import isocat.extcat as extcat
+
+    def no_orbit_basis(*args):
+        raise AssertionError("orbit_basis ran on a canonical space")
+
+    monkeypatch.setattr(extcat, "orbit_basis", no_orbit_basis)
+    s = catalog_scenario("g2_threefold")
+    a = canonical_object(s, {"u": 1, "a1": 2})
+    total, _, _ = direct_sum(a, canonical_object(s, {"a1": 1}))
+    assert total.y["a1"].frame()[0] == RatMatrix.identity(9)
+    assert canonical_space(odd[1], 2).frame()[0] != RatMatrix.identity(8)
 
 
 def test_non_free_spaces_are_rejected():
