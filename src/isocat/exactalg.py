@@ -98,12 +98,19 @@ class RatMatrix:
     # -- construction ---------------------------------------------------
 
     @classmethod
+    def _of(cls, rows: int, cols: int, num: list[list[int]], den: int = 1) -> "RatMatrix":
+        """Trusted construction from a fresh rows x cols grid already in lowest terms over den > 0."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.num, m.den = rows, cols, num, den
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+        return cls._of(rows, cols, [[0] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_rows(cls, grid: Sequence[Sequence]) -> "RatMatrix":
@@ -182,7 +189,7 @@ class RatMatrix:
         return self + (-other)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, [[-x for x in r] for r in self.num], self.den)
+        return RatMatrix._of(self.rows, self.cols, [[-x for x in r] for r in self.num], self.den)
 
     def scale(self, c) -> "RatMatrix":
         c = as_fraction(c)
@@ -209,9 +216,8 @@ class RatMatrix:
         return RatMatrix(n, p, out, self.den * other.den)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows,
-                         [[self.num[i][j] for i in range(self.rows)] for j in range(self.cols)],
-                         self.den)
+        return RatMatrix._of(self.cols, self.rows,
+                             [[r[j] for r in self.num] for j in range(self.cols)], self.den)
 
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.rows != other.rows:
@@ -490,7 +496,9 @@ def commutant_basis(src: Sequence[RatMatrix], dst: Sequence[RatMatrix]) -> list[
 
     The constraint dst[a] . T - T . src[a] = 0 gives one integer row per
     (a, entry of T) over the row-major entries of T; the answer is the
-    kernel of the stacked rows.
+    kernel of the stacked rows, in the `_null_rows` reduced form that
+    `_commutant_coords` reads: element k is exactly 1 at its last nonzero
+    entry in row-major order, and every other element is 0 there.
     """
     sd, dd = src[0].rows, dst[0].rows
     den = lcm(*(m.den for m in (*src, *dst)))
@@ -507,6 +515,26 @@ def commutant_basis(src: Sequence[RatMatrix], dst: Sequence[RatMatrix]) -> list[
                 rows.append(row)
     ker, _ = _null_rows(RatMatrix(len(rows), dd * sd, rows, den))
     return [RatMatrix(dd, sd, [v[i * sd:(i + 1) * sd] for i in range(dd)], ker.den) for v in ker.num]
+
+
+def _commutant_coords(basis: Sequence[RatMatrix], flat: RatMatrix) -> RatMatrix | None:
+    """`RatMatrix.solve` of (stacked flattened basis) . X = flat, without an elimination.
+
+    basis comes from `commutant_basis`; each column of flat is a map of its
+    shape, flattened row-major.  Coordinate k is the map's entry at the last
+    nonzero entry of basis[k], and sum_k X[k] . basis[k] = flat is checked in
+    integers, so None comes exactly when a column is off the span.
+    """
+    cols = basis[0].cols
+    terms, bden = _nonzero_entries(basis, basis[0].rows, cols)
+    coords = [flat.num[i * cols + j] for i, j, _ in (ents[-1] for ents in terms)]
+    resid = [[bden * e for e in row] for row in flat.num]
+    for ents, c in zip(terms, coords):
+        for i, j, e in ents:
+            resid[i * cols + j] = [r - e * x for r, x in zip(resid[i * cols + j], c)]
+    if any(any(r) for r in resid):
+        return None
+    return RatMatrix(len(basis), flat.cols, coords, flat.den)
 
 
 def kernel_basis(m: RatMatrix) -> list[list[Fraction]]:

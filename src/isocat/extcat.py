@@ -33,6 +33,7 @@ from .exactalg import (
     FactorBudgetExceeded,
     Polynomial,
     RatMatrix,
+    _commutant_coords,
     _flat_columns,
     _flat_matrices,
     _gcd_all,
@@ -141,12 +142,14 @@ def equivariant_hom_basis(alg: AlgebraSpec, src: VertexSpace, dst: VertexSpace) 
                 m.num[k][l] = 1
                 out.append(m)
         return out
-    key = (alg.key(), src.key(), dst.key())
+    closed = (src.canonical is not None and dst.canonical is not None
+              and src.canonical[0] == dst.canonical[0])
+    # a framed space can have a canonical space's action, but not its basis
+    key = (closed, alg.key(), src.key(), dst.key())
     if key in _HOM_CACHE:
         return _HOM_CACHE[key]
     basis = []
-    if (src.canonical is not None and dst.canonical is not None
-            and src.canonical[0] == dst.canonical[0]):
+    if closed:
         ms, md = src.canonical[1], dst.canonical[1]
         for s in range(md):
             for t in range(ms):
@@ -580,8 +583,10 @@ def _psi_data(z: TripleObject, z2: TripleObject):
     and one row per Hom(F(Y), X') basis element, the block of x-vertex x
     starting at offsets[x]; Hom(z, z2) is its kernel and Ext^1 its cokernel.
     At each x-vertex the images of all basis elements are coordinatised in
-    one batch: flattened entries over Q, else one solve against the stacked
-    Hom(F(Y), X') basis, which has full column rank.
+    one batch: flattened entries over Q, else read off the Hom(F(Y), X')
+    basis, which comes from `commutant_basis` (an F space is never
+    canonical), by `_commutant_coords`, whose exact recombination check
+    also proves every image equivariant.
     """
     s = _same_scenario(z, z2)
     ubases = _u_bases(z, z2)
@@ -616,8 +621,7 @@ def _psi_data(z: TripleObject, z2: TripleObject):
         nflat = z2.x[x].dim * z.f[x].dim
         coords = _flat_columns([(flat, d) for _, flat, d in imgs], nflat)
         if s.algebra(x).dim > 1:
-            coordizer = _flat_columns([([e for r in m.num for e in r], m.den) for m in fb], nflat)
-            coords = coordizer.solve(coords)
+            coords = _commutant_coords(fb, coords)
             if coords is None:
                 raise InternalConsistencyError("map is not equivariant: no coordinates")
         blocks.append((offsets[x], [c for c, _, _ in imgs], coords))

@@ -184,12 +184,18 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
         raise FormatError(f"object belongs to scenario {doc.get('scenario')!r}, "
                           f"not {scenario.name!r}")
 
+    for name in ("x", "y", "eta"):
+        if not isinstance(doc.get(name, {}), dict):
+            raise FormatError(f"{name!r} must be an object keyed by vertex id")
+
     def side(ids, section):
         out = {}
         for v in ids:
             if v not in section:
                 raise FormatError(f"missing component at vertex {v!r}")
             entry = section[v]
+            if not isinstance(entry, dict) or not isinstance(entry.get("action", []), list):
+                raise FormatError(f"component at vertex {v!r} must be an object with an action list")
             dim = entry.get("dim")
             if not isinstance(dim, int) or not 0 <= dim <= MAX_DIM:
                 raise FormatError(f"bad dimension at vertex {v!r} (an int from 0 to {MAX_DIM})")

@@ -149,6 +149,16 @@ def test_cli_rejects_an_over_cap_object_dim(tmp_path, capsys):
         object_from_json({**doc, "eta": {}}, catalog_scenario("a2"))
 
 
+@pytest.mark.parametrize("patch", [{"x": {"u": 5}}, {"eta": [1]}],
+                         ids=["vertex-entry-not-an-object", "eta-not-an-object"])
+def test_cli_rejects_a_malformed_object_file(tmp_path, capsys, patch):
+    doc = {**object_to_json(simple_y_object(catalog_scenario("a2"), "a1")), **patch}
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["decompose", "--scenario", "catalog:a2", "--object", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def _write_object(tmp_path, name, z):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(object_to_json(z)))

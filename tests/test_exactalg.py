@@ -680,3 +680,66 @@ def test_commutant_matches_kronecker_reference():
         assert len(basis) == 2 * m_src * m_dst
         for t in basis:
             assert all(t * s == d * t for s, d in zip(src, dst))
+
+
+_FIELD_POLYS = [[-2, 0, 1], [1, 0, 1], [-2, 0, 0, 1], [1, 1, 1]]
+
+
+@st.composite
+def _framed_actions(draw):
+    """(src, dst): copies of a number field acting on itself, each conjugated by L . U.
+
+    L and U are unit triangular with small entries, so every frame is
+    invertible, and the commutant bases can carry denominators above 1.
+    """
+    alg = regular_algebra_from_min_poly(Polynomial(draw(st.sampled_from(_FIELD_POLYS))))
+    out = []
+    for _ in range(2):
+        m = draw(st.integers(1, 2))
+        n = m * alg.dim
+        ent = st.integers(-2, 2)
+        low = [[1 if i == j else draw(ent) if j < i else 0 for j in range(n)] for i in range(n)]
+        up = [[1 if i == j else draw(ent) if j > i else 0 for j in range(n)] for i in range(n)]
+        g = RatMatrix(n, n, low) * RatMatrix(n, n, up)
+        ginv = g.inverse()
+        out.append([g * RatMatrix.identity(m).kron(l) * ginv for l in alg.left_mats])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_framed_actions())
+def test_commutant_basis_is_in_reduced_form(actions):
+    src, dst = actions
+    basis = commutant_basis(src, dst)
+    flats = [[F(e, t.den) for r in t.num for e in r] for t in basis]
+    for k, flat in enumerate(flats):
+        last = max(p for p, e in enumerate(flat) if e)
+        assert flat[last] == 1
+        assert all(other[last] == 0 for o, other in enumerate(flats) if o != k)
+
+
+def test_commutant_coords_match_solve():
+    rng = random.Random(17)
+    alg = regular_algebra_from_min_poly(Polynomial([-2, 0, 0, 1]))
+    off_span = 0
+    for m_src, m_dst in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        while True:
+            g = _random_grid(rng, 3 * m_src, 3 * m_src)
+            if g.rank() == g.rows:
+                break
+        src = [g * RatMatrix.identity(m_src).kron(l) * g.inverse() for l in alg.left_mats]
+        dst = [RatMatrix.identity(m_dst).kron(l) for l in alg.left_mats]
+        basis = commutant_basis(src, dst)
+        rows, cols = basis[0].rows, basis[0].cols
+        stacked = RatMatrix.from_cols([[F(e, t.den) for r in t.num for e in r] for t in basis])
+        for _ in range(10):
+            maps = [RatMatrix.combine(basis, [F(rng.randrange(-5, 6), rng.randrange(1, 4))
+                                              for _ in basis], rows, cols)
+                    for _ in range(rng.randrange(1, 4))]
+            if rng.random() < 0.5:
+                maps.insert(rng.randrange(len(maps) + 1), _random_grid(rng, rows, cols))
+            flat = RatMatrix.from_cols([[F(e, t.den) for r in t.num for e in r] for t in maps])
+            expected = stacked.solve(flat)
+            off_span += expected is None
+            assert exactalg._commutant_coords(basis, flat) == expected
+    assert off_span >= 5

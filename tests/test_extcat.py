@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import isocat.exactalg as exactalg
+import isocat.extcat as extcat
 from isocat.catalog import CATALOG_IDS, catalog_scenario
 from isocat.exactalg import Polynomial, RatMatrix, _combine, _null_rows, algebra_center
 from isocat.extcat import (
@@ -558,6 +560,56 @@ def test_sparse_hom_matches_dense_reference_on_conjugated_spaces():
                 dens.update(m.den for m in equivariant_hom_basis(s.algebra(y).spec, a.y[y], b.y[y]))
                 assert_hom_matches_dense(a, b)
     assert max(dens) > 1 and 1 in dens
+
+
+def test_hom_and_ext1_bases_do_not_depend_on_call_history(monkeypatch):
+    # F(Q^1) on b2_dual has the action of the canonical x space, so the two
+    # pairs (canonical, canonical) and (F space, canonical) share their
+    # action keys while one takes the closed form and the other the commutant
+    s = catalog_scenario("b2_dual")
+    z = random_object_with(s, {"u": 1, "a1": 0}, random.Random(7))
+    w = simple_y_object(s, "a1")
+    assert w.f["u"].space.key() == z.x["u"].key()
+
+    def answers(warm_up):
+        monkeypatch.setattr(extcat, "_HOM_CACHE", {})
+        warm_up()
+        res = ext1(w, z)
+        return [(m.u, m.v) for m in hom(z, z)], res.basis, res.projection
+
+    cold = answers(lambda: None)
+    assert answers(lambda: ext1(w, z)) == cold
+    assert answers(lambda: hom(z, z)) == cold
+    monkeypatch.setattr(extcat, "_HOM_CACHE", {})
+    assert [(m.u, m.v) for m in hom(z, z)] == cold[0]
+
+
+def test_psi_with_cached_bases_runs_no_elimination(monkeypatch):
+    # over a field larger than Q the Hom(F(Y), X') coordinates are read off
+    # the commutant basis, so once the bases and frames are built, psi
+    # needs no elimination
+    gen = random.Random("psi-read")
+    fields = [s for s in (random_scenario(gen) for _ in range(12))
+              if any(s.algebra(x).dim > 1 for x in s.x_ids)]
+    calls, read = [], 0
+    real = exactalg._bareiss_signed
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    for s in [catalog_scenario("b2_dual")] + fields[:2]:
+        rng = random.Random(s.name)
+        objs = [random_object_with(s, {v: 2 for v in s.vertex_order()}, rng)]
+        objs += [random_object(s, rng, max_mult=2), universal_extension_of(objs[0])]
+        pairs = [(a, b) for a in objs for b in objs]
+        for a, b in pairs:
+            _psi_data(a, b)
+        monkeypatch.setattr(exactalg, "_bareiss_signed", counted)
+        for a, b in pairs:
+            read += _psi_data(a, b)[4].rows > 0
+        monkeypatch.setattr(exactalg, "_bareiss_signed", real)
+    assert len(fields) >= 2 and read >= 15 and not calls
 
 
 # ----------------------------------------------------------------------
