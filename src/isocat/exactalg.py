@@ -3,7 +3,7 @@
 Everything in this module (and in the packages built on it) computes over
 exact rationals; there is no floating point anywhere.  Matrices are stored
 as integer arrays with a single shared positive denominator, so the hot
-elimination paths run on plain Python integers (fraction-free Bareiss
+elimination paths run on plain Python integers (sparse fraction-free
 elimination), and `Fraction` objects only appear at the API boundary.
 The polynomial layer behind minimal polynomials and factoring is integer
 inside too: gcds, square-free parts and the minimal-polynomial lcm run on
@@ -12,9 +12,9 @@ coefficients of the `Polynomial` results they return.
 
 One helper per recurring construction, shared by the packages built on it:
 
-- `_back_substitute`: the one back-substitution, in integers over the
-  Bareiss echelon scaled by its last pivot; kernels (`_null_rows`,
-  `_kernel`), quotients, `RatMatrix.solve` and `RatMatrix.rref` use it;
+- `_echelon` and `_back_solve`: the one elimination kernel and the one
+  integer back-substitution over it; rank, kernels, quotients, commutant
+  bases, solve, inverse, rref, det and column_space_pivots all use them;
 - `RatMatrix.combine`: a linear combination of matrices over one common
   denominator (vertex and bimodule actions, left/right multiplication,
   seeded samples), with `_combine` taking integer coefficients over one
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 
@@ -260,12 +260,8 @@ class RatMatrix:
 
     # -- elimination -----------------------------------------------------
 
-    def _int_rows(self) -> list[list[int]]:
-        return [list(r) for r in self.num]
-
     def rank(self) -> int:
-        _, _, pivots = _bareiss_signed(self._int_rows(), self.cols)
-        return len(pivots)
+        return len(_echelon(_sparse_rows(self.num))[0])
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Basis of the right null space, as column vectors."""
@@ -275,7 +271,7 @@ class RatMatrix:
         """Reduced row echelon form (zero rows dropped) and pivot columns.
 
         Row i is 1 at pivot i, 0 at the other pivots, and at each free
-        column f the negated pivot-i entry of the kernel vector for f.
+        column f the negated pivot-i entry of the `_null_rows` vector for f.
         """
         null, free = _null_rows(self)
         at_free = dict(zip(free, null.num))
@@ -291,14 +287,13 @@ class RatMatrix:
         m, k = self.cols, rhs.cols
         da, db = self.den, rhs.den
         aug = [[x * db for x in ra] + [y * da for y in rb] for ra, rb in zip(self.num, rhs.num)]
-        _, ech, pivots = _bareiss_signed(aug, m + k)
-        if any(p >= m for p in pivots):
+        pivots, ech, _, _ = _echelon(_sparse_rows(aug))
+        if pivots and pivots[-1] >= m:
             return None
-        d, zs = _back_substitute(ech, pivots, range(m, m + k))
+        d, zs = _back_solve(pivots, ech, range(m, m + k))
         num = [[0] * k for _ in range(m)]
-        for c, z in enumerate(zs):
-            for p, zi in zip(pivots, z):
-                num[p][c] = zi
+        for p, row in zip(pivots, zip(*zs)):
+            num[p] = list(row)
         return RatMatrix(m, k, num, d)
 
     def inverse(self) -> "RatMatrix":
@@ -311,105 +306,117 @@ class RatMatrix:
         return sol
 
     def det(self) -> Fraction:
+        """The sign of the echelon rows' input order, times the pivots, times gained / lost."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return Fraction(1)
-        rows = self._int_rows()
-        sign, ech, pivots = _bareiss_signed(rows, n)
-        if len(pivots) < n:
+        rows = _sparse_rows(self.num)
+        pivots, ech, gained, lost = _echelon(rows)
+        if len(pivots) < self.rows:
             return Fraction(0)
-        return Fraction(sign * ech[n - 1][pivots[n - 1]], self.den ** n)
+        order = [next(i for i, r0 in enumerate(rows) if r0 is r) for r in ech]
+        sign = (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+        value = sign * gained * prod(r[p] for r, p in zip(ech, pivots))
+        return Fraction(value, lost * self.den ** self.rows)
 
     def column_space_pivots(self) -> list[int]:
-        _, _, pivots = _bareiss_signed(self._int_rows(), self.cols)
-        return pivots
+        return _echelon(_sparse_rows(self.num))[0]
 
 
-def _bareiss_signed(rows: list[list[int]], ncols: int):
-    """Fraction-free row echelon; returns (swap sign, echelon rows, pivot cols)."""
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    prev = 1
-    sign = 1
-    for c in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
-        p = rows[r][c]
-        for i in range(r + 1, nrows):
-            ri = rows[i]
-            rr = rows[r]
-            f = ri[c]
-            if f:
-                for j in range(c, ncols):
-                    ri[j] = (p * ri[j] - f * rr[j]) // prev
-            elif prev != 1 or p != 1:
-                for j in range(c, ncols):
-                    ri[j] = p * ri[j] // prev
-        prev = p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return sign, rows, pivots
+def _sparse_rows(num: Sequence[Sequence[int]]) -> list[dict[int, int]]:
+    """Each row as {column: entry} of its nonzero entries, the `_echelon` input."""
+    return [{j: x for j, x in enumerate(r) if x} for r in num]
 
 
-def _back_substitute(ech: list[list[int]], pivots: list[int],
-                     targets: Iterable[int]) -> tuple[int, list[list[int]]]:
-    """(D, [z_t for t in targets]) with U . z_t = D . ech[:r, t], all in integers.
+def _echelon(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, int]], int, int]:
+    """(pivots, echelon rows, gained, lost) of rows of nonzero entries, keys increasing.
 
-    U is the r x r pivot block of the Bareiss echelon and D its last pivot,
-    the r x r pivot minor.  z_t / D solves the pivot system with the other
-    non-pivot columns at zero, and by Cramer's rule D times that solution
-    is integral, so every division is exact.
+    At each column c, left to right, only the rows whose first nonzero is at c
+    are updated, in place, to (p/g) r - (f/g) pivot with g = gcd(p, f), then
+    over their content, the pivot being the sparsest of them: a reduced row is the
+    Bareiss minor vector over its content (one line holds both).  The pivots
+    are the greedy column basis whatever the pick; det is scaled by lost / gained.
     """
-    r = len(pivots)
-    d = ech[r - 1][pivots[-1]] if r else 1
-    out = []
+    buckets: dict[int, list[dict[int, int]]] = {}  # rows by their first nonzero column
+    for r in filter(None, rows):
+        buckets.setdefault(next(iter(r)), []).append(r)
+    pivots, ech, gained, lost = [], [], 1, 1
+    while buckets:
+        c = min(buckets)
+        cand = buckets.pop(c)
+        piv = min(cand, key=len) if len(cand) > 1 else cand[0]
+        pivots.append(c)
+        ech.append(piv)
+        p = piv[c]
+        for r in cand:
+            if r is piv:
+                continue
+            g = gcd(p, r[c]) if p > 0 else -gcd(p, r[c])
+            a, b = p // g, r[c] // g
+            if a != 1:
+                lost *= a
+                for j in r:
+                    r[j] *= a
+            for j, y in piv.items():  # cancels column c as well
+                v = r.get(j, 0) - b * y
+                if v:
+                    r[j] = v
+                else:
+                    del r[j]
+            if r:
+                g = gcd(*r.values())
+                if g != 1:
+                    gained *= g
+                    for j in r:
+                        r[j] //= g
+                buckets.setdefault(min(r), []).append(r)
+    return pivots, ech, gained, lost
+
+
+def _back_solve(pivots: list[int], ech: list[dict[int, int]],
+                targets: Sequence[int]) -> tuple[int, list[list[int]]]:
+    """(D, [z_t for t in targets]) with U . z_t = D . column t of ech, in integers.
+
+    U is the triangular pivot block of the `_echelon` rows.  Each target runs
+    bottom-up from denominator 1, raised only by the factor a pivot forces.
+    """
+    if not targets:
+        return 1, []
+    at = {p: k for k, p in enumerate(pivots)}
+    steps = [(k, row[p], row, [(at[j], x) for j, x in row.items() if j in at and j != p])
+             for k, (p, row) in enumerate(zip(pivots, ech))][::-1]
+    sols = []
     for t in targets:
-        z = [0] * r
-        for i in range(r - 1, -1, -1):
-            row = ech[i]
-            s = d * row[t]
-            for j in range(i + 1, r):
+        d, z = 1, [0] * len(pivots)
+        for k, p, row, later in steps:
+            s = d * row.get(t, 0)
+            for j, x in later:
                 if z[j]:
-                    s -= row[pivots[j]] * z[j]
-            q, rem = divmod(s, row[pivots[i]])
+                    s -= x * z[j]
+            q, rem = divmod(s, p)
             if rem:
-                raise ArithmeticError("inexact division in integer back-substitution")
-            z[i] = q
-        out.append(z)
-    return d, out
+                f = abs(p) // gcd(s, p)
+                d, q, z = d * f, s * f // p, [f * v for v in z]
+            z[k] = q
+        sols.append((d, z))
+    den = lcm(*(d for d, _ in sols))
+    return den, [z if d == den else [(den // d) * v for v in z] for d, z in sols]
 
 
 def _null_rows(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     """(basis of the null space of m as rows, free columns).
 
-    Row k is 1 at free[k], 0 at the other free columns and back-substituted
-    at the pivots.  Read as a map it is also the canonical projection of
-    quotient_space by the row span of m.
+    Row k is 1 at free[k], 0 at the other free columns and minus the
+    `_back_solve` solution at the pivots.  Read as a map it is also the
+    canonical projection of quotient_space by the row span of m.
     """
-    _, ech, pivots = _bareiss_signed(m._int_rows(), m.cols)
-    pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    d, zs = _back_substitute(ech, pivots, free)
-    rows = []
-    for f, z in zip(free, zs):
-        row = [0] * m.cols
+    pivots, ech, _, _ = _echelon(_sparse_rows(m.num))
+    free = sorted(set(range(m.cols)).difference(pivots))
+    d, zs = _back_solve(pivots, ech, free)
+    rows = [[0] * m.cols for _ in free]
+    for row, f, z in zip(rows, free, zs):
         row[f] = d
         for p, zi in zip(pivots, z):
             row[p] = -zi
-        rows.append(row)
     return RatMatrix(len(free), m.cols, rows, d), free
 
 

@@ -31,9 +31,11 @@ MATRIX_SCHEMA = "isocat/matrix-v1"
 REPORT_SCHEMA = "isocat/report-v1"
 
 
-# Largest vertex or bimodule dim a document may declare: the loaders build dense
-# matrices of that size (an identity where actions are implied), so it is checked first.
+# Largest vertex or bimodule dim a document may declare, and largest scenario vertex
+# count: the loaders build dense matrices of that dim (an identity where actions are
+# implied) and classification costs a power of the count, so both are checked first.
 MAX_DIM = 1024
+MAX_VERTICES = 64
 
 
 class FormatError(ValueError):
@@ -130,8 +132,11 @@ def scenario_from_json(doc) -> SpeciesScenario:
     if not isinstance(doc, dict) or doc.get("schema") != SCENARIO_SCHEMA:
         raise FormatError(f"expected a {SCENARIO_SCHEMA} document")
     try:
-        xs = [(v["id"], _algebra_from_json(v["algebra"])) for v in doc["x_vertices"]]
-        ys = [(v["id"], _algebra_from_json(v["algebra"])) for v in doc["y_vertices"]]
+        xv, yv = doc["x_vertices"], doc["y_vertices"]
+        if len(xv) + len(yv) > MAX_VERTICES:  # before any vertex algebra is certified
+            raise FormatError(f"scenario has {len(xv) + len(yv)} vertices (at most {MAX_VERTICES})")
+        xs = [(v["id"], _algebra_from_json(v["algebra"])) for v in xv]
+        ys = [(v["id"], _algebra_from_json(v["algebra"])) for v in yv]
     except (KeyError, TypeError) as ex:
         raise FormatError(f"bad vertex entry: {ex}")
     xmap, ymap = dict(xs), dict(ys)

@@ -476,7 +476,7 @@ def positive_roots(r: RootDatum) -> list[tuple[int, ...]]:
                 work.append(w)
         steps += 1
         if steps > _ROOT_ENUM_CAP:
-            raise RuntimeError("positive root enumeration failed to terminate")
+            raise ScenarioError(f"positive root enumeration exceeded {_ROOT_ENUM_CAP} steps")
     return sorted(seen, key=lambda v: (sum(v), v))
 
 

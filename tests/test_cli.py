@@ -10,6 +10,7 @@ from isocat.cli import main
 from isocat.extcat import simple_x_object, simple_y_object, universal_extension_of
 from isocat.fileio import (
     MAX_DIM,
+    MAX_VERTICES,
     FormatError,
     load_scenario,
     object_from_json,
@@ -212,6 +213,43 @@ def test_cli_roots_counts(capsys):
     assert main(["roots", "--scenario", "catalog:g2_threefold", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["count"] == 6
+
+
+def test_cli_root_enumeration_cap_exits_2(monkeypatch, capsys):
+    import isocat.species as species
+    monkeypatch.setattr(species, "_ROOT_ENUM_CAP", 3)
+    assert main(["roots", "--scenario", "catalog:d4_elliptic"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _chain_doc(n):
+    """An A_n chain over Q, alternating x- and y-vertices."""
+    ids = [f"x{i // 2}" if i % 2 == 0 else f"y{i // 2}" for i in range(n)]
+    edges = [sorted(pair) for pair in zip(ids, ids[1:])]  # "x.." sorts before "y.."
+    return {"schema": "isocat/scenario-v1", "name": f"a{n}",
+            "x_vertices": [{"id": v, "algebra": {"kind": "Q"}} for v in ids if v[0] == "x"],
+            "y_vertices": [{"id": v, "algebra": {"kind": "Q"}} for v in ids if v[0] == "y"],
+            "bimodules": [{"x": x, "y": y, "dim": 1} for x, y in edges]}
+
+
+def test_cli_rejects_a_scenario_over_the_vertex_cap(tmp_path, monkeypatch, capsys):
+    import isocat.reptype as reptype
+    import isocat.species as species
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(_chain_doc(MAX_VERTICES)))
+    assert main(["classify", "--scenario", str(path)]) == 0  # the cap itself is accepted
+    capsys.readouterr()
+
+    def refused(_root_datum):
+        raise AssertionError("an over-cap scenario reached classification")
+
+    for module in (species, reptype):
+        monkeypatch.setattr(module, "is_finite_type", refused)
+    path.write_text(json.dumps(_chain_doc(MAX_VERTICES + 1)))
+    assert main(["roots", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"at most {MAX_VERTICES}" in err
 
 
 def test_cli_indec_requires_seed(capsys):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -136,7 +137,8 @@ def test_empty_shapes():
 
 
 # ----------------------------------------------------------------------
-# the integer back-substitution against a Fraction Gauss-Jordan reference
+# the sparse elimination kernel and its integer back-substitution against
+# a Fraction Gauss-Jordan reference
 # ----------------------------------------------------------------------
 
 def _gauss_jordan(rows, ncols):
@@ -182,8 +184,37 @@ def _systems(draw):
     return rows, ncols, rhs, k
 
 
-@settings(max_examples=300, deadline=None)
-@given(_systems())
+@st.composite
+def _psi_shaped(draw):
+    """(rows, ncols, rhs rows, k) shaped like psi: copies of one integer block
+    down the diagonal beside dense columns, maybe transposed, with a row of
+    content > 1, a row that cancels to zero and the rows shuffled."""
+    br, bc, copies, dense = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                             draw(st.integers(1, 3)), draw(st.integers(0, 2)))
+    block = [[draw(st.integers(-3, 3)) for _ in range(bc)] for _ in range(br)]
+    ncols = copies * bc + dense
+    rows = []
+    for q in range(copies):
+        for b in block:
+            rows.append([0] * (q * bc) + b + [0] * ((copies - q - 1) * bc)
+                        + [draw(st.integers(-3, 3)) for _ in range(dense)])
+    if draw(st.booleans()):
+        rows = [list(r) for r in zip(*rows)]
+        ncols = len(rows[0])
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = [draw(st.sampled_from([2, -3, 6])) * x for x in rows[i]]
+    if len(rows) >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    k = draw(st.integers(0, 2))
+    rhs = [[F(draw(st.integers(-3, 3))) for _ in range(k)] for _ in rows]
+    return [[F(x) for x in r] for r in rows], ncols, rhs, k
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_systems(), _psi_shaped()))
 @example(([], 3, [], 1))
 @example(([[]] * 3, 0, [[1]] * 3, 1))
 @example(([[]] * 2, 0, [[0]] * 2, 1))
@@ -221,6 +252,99 @@ def test_back_substitution_matches_gauss_jordan(system):
     dim, proj = quotient_space(ncols, rows)
     assert dim == len(free) and proj.rank() == dim
     assert (proj * _grid(rows, len(rows), ncols).transpose()).is_zero()
+
+
+def _fraction_det(rows):
+    """Determinant by Fraction elimination with row swaps."""
+    m = [[F(x) for x in r] for r in rows]
+    det = F(1)
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if piv is None:
+            return F(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+_SQUARE = st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SQUARE, st.data())
+@example([], None)
+@example([[2, 1, 1], [1, 0, 0], [0, 1, 0]], None)  # the sparse pivot row is not the first
+@example([[2, 3], [3, 5]], None)  # a non-unit pivot and a content division
+@example([[0, 1], [1, 0]], None)
+@example([[1, 2, 3], [2, 4, 6], [0, 1, -1]], None)
+def test_det_matches_fraction_reference(rows, data):
+    n = len(rows)
+    ref = _fraction_det(rows)
+    assert _grid(rows, n, n).det() == ref
+    if n >= 2:  # swapping two rows flips the sign
+        i, j = (0, 1) if data is None else data.draw(st.permutations(range(n)))[:2]
+        swapped = list(rows)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        assert _grid(swapped, n, n).det() == -ref
+
+
+_INT_ROWS = st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda shape: st.lists(st.lists(st.integers(-9, 9), min_size=shape[1], max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0]).map(lambda rows: (rows, shape[1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_INT_ROWS, _psi_shaped().map(lambda s: ([[int(x) for x in r] for r in s[0]], s[1]))))
+def test_echelon_rows_are_primitive_and_within_the_hadamard_bound(grid):
+    # a reduced row is the Bareiss minor vector over its content, and each
+    # minor is at most the product of the norms of the nonzero input rows
+    rows, ncols = grid
+    pivots, ech, _, _ = exactalg._echelon(exactalg._sparse_rows(rows))
+    assert pivots == _gauss_jordan(rows, ncols)[1]
+    inputs = exactalg._sparse_rows(rows)
+    bound = prod(sum(x * x for x in r) for r in rows if any(r))  # the squared Hadamard bound
+    for k, (p, row) in enumerate(zip(pivots, ech)):
+        assert min(row) == p and not any(q in row for q in pivots[:k])
+        assert all(x * x <= bound for x in row.values())
+        assert row in inputs or gcd(*row.values()) == 1  # every reduced row is primitive
+
+
+def test_echelon_pivots_on_the_sparsest_candidate():
+    # column 0: [2, 0, 0] has fewer nonzeros than [1, 1, 1]; column 1: [0, 1, 0]
+    # beats the reduced row (2 [1, 1, 1] - [2, 0, 0]) / 2 = [0, 1, 1]
+    rows = [[1, 1, 1], [2, 0, 0], [0, 1, 0]]
+    pivots, ech, gained, lost = exactalg._echelon(exactalg._sparse_rows(rows))
+    assert pivots == [0, 1, 2]
+    assert ech == [{0: 2}, {1: 1}, {2: 1}]
+    assert (gained, lost) == (2, 2)
+    assert RatMatrix.from_rows(rows).det() == _fraction_det(rows) == 2
+
+
+def test_each_elimination_runs_the_kernel_once(monkeypatch):
+    calls = []
+    real = exactalg._echelon
+
+    def counted(rows):
+        calls.append(1)
+        return real(rows)
+
+    monkeypatch.setattr(exactalg, "_echelon", counted)
+    m = RatMatrix.from_rows([[2, 1, 0], [1, 1, 1], [3, 2, 1]])
+    sq = RatMatrix.from_rows([[2, 1], [1, 1]])
+    rhs = RatMatrix.from_rows([[1], [0], [1]])
+    runs = {"rank": m.rank, "_null_rows": lambda: exactalg._null_rows(m),
+            "solve": lambda: m.solve(rhs), "inverse": sq.inverse, "det": sq.det,
+            "column_space_pivots": m.column_space_pivots}
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert len(calls) == 1, name
 
 
 # ----------------------------------------------------------------------

@@ -592,7 +592,7 @@ def test_psi_with_cached_bases_runs_no_elimination(monkeypatch):
     fields = [s for s in (random_scenario(gen) for _ in range(12))
               if any(s.algebra(x).dim > 1 for x in s.x_ids)]
     calls, read = [], 0
-    real = exactalg._bareiss_signed
+    real = exactalg._echelon
 
     def counted(*args):
         calls.append(1)
@@ -605,10 +605,10 @@ def test_psi_with_cached_bases_runs_no_elimination(monkeypatch):
         pairs = [(a, b) for a in objs for b in objs]
         for a, b in pairs:
             _psi_data(a, b)
-        monkeypatch.setattr(exactalg, "_bareiss_signed", counted)
+        monkeypatch.setattr(exactalg, "_echelon", counted)
         for a, b in pairs:
             read += _psi_data(a, b)[4].rows > 0
-        monkeypatch.setattr(exactalg, "_bareiss_signed", real)
+        monkeypatch.setattr(exactalg, "_echelon", real)
     assert len(fields) >= 2 and read >= 15 and not calls
 
 
