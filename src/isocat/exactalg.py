@@ -20,6 +20,8 @@ One helper per recurring construction, shared by the packages built on it:
   seeded samples), with `_combine` taking integer coefficients over one
   denominator; `_nonzero_entries` is the sparse form of a basis that many
   products or combinations are built from (psi and the Hom basis);
+- `_block_copies`: I_m (x) c written into one grid in closed form
+  (canonical vertex spaces and their frames);
 - `orbit_basis`: the greedy basis of a free module, trying standard
   vectors in index order (bimodule right bases, vertex-space frames);
 - `commutant_basis`: the maps T with T . S_a = D_a . T for all a
@@ -56,15 +58,6 @@ def _int_vector(vec: Iterable) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in fr], den
 
 
-def _gcd_all(values: Iterable[int]) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g
-
-
 # ======================================================================
 # Matrices
 # ======================================================================
@@ -73,6 +66,9 @@ class RatMatrix:
     """An exact rational matrix: integer entries over one shared denominator.
 
     Instances are treated as immutable; all operations return new matrices.
+    (num, den) is in lowest terms with den > 0, so it is unique.  `__init__`
+    checks and copies the grid; internal producers hand a grid they have
+    just built to `_fresh`, which only puts it in lowest terms.
     """
 
     __slots__ = ("rows", "cols", "num", "den")
@@ -82,20 +78,30 @@ class RatMatrix:
             raise ZeroDivisionError("matrix denominator is zero")
         if len(num) != rows or any(len(r) != cols for r in num):
             raise ValueError(f"entry grid is not {rows}x{cols}")
+        self._normalise(rows, cols, [list(r) for r in num], den)
+
+    def _normalise(self, rows: int, cols: int, num: list[list[int]], den: int) -> None:
         if den < 0:
             num = [[-x for x in r] for r in num]
             den = -den
-        num = [list(r) for r in num]
-        g = _gcd_all([den] + [x for r in num for x in r])
+        g = den
+        for r in num:
+            if g == 1:
+                break
+            g = gcd(g, *r)
         if g > 1:
             den //= g
             num = [[x // g for x in r] for r in num]
-        self.rows = rows
-        self.cols = cols
-        self.num = num
-        self.den = den
+        self.rows, self.cols, self.num, self.den = rows, cols, num, den
 
     # -- construction ---------------------------------------------------
+
+    @classmethod
+    def _fresh(cls, rows: int, cols: int, num: list[list[int]], den: int) -> "RatMatrix":
+        """num / den from a rows x cols grid just built by the caller (den != 0), taken over as is."""
+        m = object.__new__(cls)
+        m._normalise(rows, cols, num, den)
+        return m
 
     @classmethod
     def _of(cls, rows: int, cols: int, num: list[list[int]], den: int = 1) -> "RatMatrix":
@@ -183,7 +189,7 @@ class RatMatrix:
         ma, mb = db // g, da // g
         num = [[x * ma + y * mb for x, y in zip(ra, rb)]
                for ra, rb in zip(self.num, other.num)]
-        return RatMatrix(self.rows, self.cols, num, da * ma)
+        return RatMatrix._fresh(self.rows, self.cols, num, da * ma)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + (-other)
@@ -194,7 +200,7 @@ class RatMatrix:
     def scale(self, c) -> "RatMatrix":
         c = as_fraction(c)
         num = [[x * c.numerator for x in r] for r in self.num]
-        return RatMatrix(self.rows, self.cols, num, self.den * c.denominator)
+        return RatMatrix._fresh(self.rows, self.cols, num, self.den * c.denominator)
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -213,7 +219,7 @@ class RatMatrix:
                         bkj = bk[j]
                         if bkj:
                             oi[j] += aik * bkj
-        return RatMatrix(n, p, out, self.den * other.den)
+        return RatMatrix._fresh(n, p, out, self.den * other.den)
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix._of(self.cols, self.rows,
@@ -227,7 +233,7 @@ class RatMatrix:
         ma, mb = db // g, da // g
         num = [[x * ma for x in ra] + [y * mb for y in rb]
                for ra, rb in zip(self.num, other.num)]
-        return RatMatrix(self.rows, self.cols + other.cols, num, da * ma)
+        return RatMatrix._fresh(self.rows, self.cols + other.cols, num, da * ma)
 
     def vstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.cols:
@@ -236,7 +242,7 @@ class RatMatrix:
         g = gcd(da, db)
         ma, mb = db // g, da // g
         num = [[x * ma for x in r] for r in self.num] + [[y * mb for y in r] for r in other.num]
-        return RatMatrix(self.rows + other.rows, self.cols, num, da * ma)
+        return RatMatrix._fresh(self.rows + other.rows, self.cols, num, da * ma)
 
     def kron(self, other: "RatMatrix") -> "RatMatrix":
         n, m = self.rows, self.cols
@@ -252,11 +258,11 @@ class RatMatrix:
                         base = j * q
                         for l in range(q):
                             row[base + l] = a * brow[l]
-        return RatMatrix(n * p, m * q, num, self.den * other.den)
+        return RatMatrix._fresh(n * p, m * q, num, self.den * other.den)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RatMatrix":
         num = [[self.num[i][j] for j in col_idx] for i in row_idx]
-        return RatMatrix(len(row_idx), len(col_idx), num, self.den)
+        return RatMatrix._fresh(len(row_idx), len(col_idx), num, self.den)
 
     # -- elimination -----------------------------------------------------
 
@@ -278,7 +284,7 @@ class RatMatrix:
         pivots = [c for c in range(self.cols) if c not in at_free]
         num = [[-at_free[c][p] if c in at_free else null.den * (c == p) for c in range(self.cols)]
                for p in pivots]
-        return RatMatrix(len(pivots), self.cols, num, null.den), pivots
+        return RatMatrix._fresh(len(pivots), self.cols, num, null.den), pivots
 
     def solve(self, rhs: "RatMatrix") -> "RatMatrix | None":
         """Some X with self @ X = rhs (free unknowns zero), or None if inconsistent."""
@@ -294,7 +300,7 @@ class RatMatrix:
         num = [[0] * k for _ in range(m)]
         for p, row in zip(pivots, zip(*zs)):
             num[p] = list(row)
-        return RatMatrix(m, k, num, d)
+        return RatMatrix._fresh(m, k, num, d)
 
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:
@@ -417,7 +423,7 @@ def _null_rows(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
         row[f] = d
         for p, zi in zip(pivots, z):
             row[p] = -zi
-    return RatMatrix(len(free), m.cols, rows, d), free
+    return RatMatrix._fresh(len(free), m.cols, rows, d), free
 
 
 def _kernel(m: RatMatrix) -> RatMatrix:
@@ -436,7 +442,14 @@ def _combine(mats: Sequence[RatMatrix], nums: Sequence[int], den: int,
     for c, m in terms:
         f = c * (common // m.den)
         num = [[a + f * b for a, b in zip(ra, rb)] for ra, rb in zip(num, m.num)]
-    return RatMatrix(rows, cols, num, den * common)
+    return RatMatrix._fresh(rows, cols, num, den * common)
+
+
+def _block_copies(m: int, cell: RatMatrix) -> RatMatrix:
+    """I_m (x) cell: m copies of cell down the diagonal, in lowest terms as cell is."""
+    q = cell.cols
+    num = [[0] * (k * q) + row + [0] * ((m - 1 - k) * q) for k in range(m) for row in cell.num]
+    return RatMatrix._of(m * cell.rows, m * q, num, cell.den if m else 1)
 
 
 def _nonzero_entries(mats: Sequence[RatMatrix], rows: int,
@@ -471,7 +484,7 @@ def _flat_columns(columns: Sequence[tuple[list[int], int]], nrows: int) -> RatMa
     """The matrix with these columns, each given as (integer entries, denominator)."""
     den = lcm(*(d for _, d in columns))
     scaled = [flat if d == den else [e * (den // d) for e in flat] for flat, d in columns]
-    return RatMatrix(nrows, len(scaled), [list(r) for r in zip(*scaled)], den)
+    return RatMatrix._fresh(nrows, len(scaled), [list(r) for r in zip(*scaled)], den)
 
 
 def orbit_basis(mats: Sequence[RatMatrix], dim: int) -> tuple[list[int], RatMatrix]:
@@ -740,7 +753,7 @@ class FactorBudget:
 
 def _primitive(cs: list[int]) -> list[int]:
     """cs over its content, with a positive leading coefficient."""
-    g = _gcd_all(cs)
+    g = gcd(*cs)
     if cs and cs[-1] < 0:
         g = -g
     return cs if g in (0, 1) else [c // g for c in cs]
@@ -1011,7 +1024,7 @@ class AlgebraSpec:
     invalid data is rejected, never normalized.
     """
 
-    __slots__ = ("dim", "labels", "constants", "unit", "left_mats", "right_mats")
+    __slots__ = ("dim", "labels", "constants", "unit", "left_mats", "right_mats", "_key")
 
     def __init__(self, constants: Sequence, unit: Sequence, labels: Sequence[str] | None = None,
                  _skip_validation: bool = False):
@@ -1033,6 +1046,7 @@ class AlgebraSpec:
                           for i in range(dim)]
         self.right_mats = [RatMatrix.from_rows([[c[j][i][k] for j in range(dim)] for k in range(dim)])
                            for i in range(dim)]
+        self._key = None
         if not _skip_validation:
             self._validate()
 
@@ -1082,7 +1096,9 @@ class AlgebraSpec:
         return self.left_multiplication(a).rank() == self.dim
 
     def key(self) -> tuple:
-        return tuple(m.key() for m in self.left_mats) + (tuple(self.unit),)
+        if self._key is None:
+            self._key = tuple(m.key() for m in self.left_mats) + (tuple(self.unit),)
+        return self._key
 
 
 def min_poly(a: Sequence, alg: AlgebraSpec) -> Polynomial:

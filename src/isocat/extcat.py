@@ -33,10 +33,10 @@ from .exactalg import (
     FactorBudgetExceeded,
     Polynomial,
     RatMatrix,
+    _block_copies,
     _commutant_coords,
     _flat_columns,
     _flat_matrices,
-    _gcd_all,
     _kernel,
     _quotient_algebra,
     _nonzero_entries,
@@ -102,7 +102,7 @@ class VertexSpace:
         """
         if self._frame is None:
             if self.canonical is not None:
-                p = RatMatrix.identity(self.canonical[1]).kron(self.canonical[2])
+                p = _block_copies(self.canonical[1], self.canonical[2])
             else:
                 picked, p = orbit_basis(self.action, self.dim)
                 if len(picked) * len(self.action) != self.dim:
@@ -112,11 +112,9 @@ class VertexSpace:
 
 
 def canonical_space(handle: DivisionAlgebraHandle, mult: int) -> VertexSpace:
-    """mult copies of the algebra acting on itself from the left."""
-    n = handle.dim
-    eye = RatMatrix.identity(mult)
-    action = [eye.kron(handle.spec.left_mats[b]) for b in range(n)]
-    return VertexSpace(mult * n, action, canonical=(handle.key(), mult, handle.spec.right_mats[0]))
+    """mult copies of the algebra acting on itself from the left: e_b acts by I_mult (x) L_b."""
+    action = [_block_copies(mult, lm) for lm in handle.spec.left_mats]
+    return VertexSpace(mult * handle.dim, action, canonical=(handle.key(), mult, handle.spec.right_mats[0]))
 
 
 def zero_space(handle: DivisionAlgebraHandle) -> VertexSpace:
@@ -200,21 +198,28 @@ def _f_layout(scenario: SpeciesScenario, y_parts: dict[str, VertexSpace]) -> dic
 
 def _build_fspaces(scenario: SpeciesScenario,
                    y_parts: dict[str, VertexSpace]) -> dict[str, FSpace]:
-    """`_f_layout` with the action of the x algebra on each tensor space."""
+    """`_f_layout` with the action of the x algebra on each tensor space.
+
+    Cell (k, i) of the r x r grid at y, for e_a, is the m_k part of e_a . m_i: the
+    action of d = left_coords(a)[i][k] on Y_y in its frame.  On a canonical Y_y
+    that is I_m (x) L(d), written in as m copies of the bimodule's `left_cells`.
+    """
     out = _f_layout(scenario, y_parts)
     for x, fsp in out.items():
         action = []
         for a in range(scenario.algebra(x).dim):
-            # cell (k, i) of the r x r grid at y: the m_k part of e_a . m_i
             cells = []
             for y, off in fsp.offsets.items():
                 vs, bm = y_parts[y], scenario.bimodules[(x, y)]
-                dco = bm.left_coords(a)
-                for k in range(bm.rank_over_right):
-                    for i in range(bm.rank_over_right):
-                        if any(dco[i][k]):
-                            cells.append((off + k * vs.dim, off + i * vs.dim,
-                                          _in_frames(vs.act(dco[i][k]), vs, vs)))
+                d = vs.dim
+                if vs.canonical is not None and vs.canonical[0] == bm.right_alg.key():
+                    cells += [(off + k * d + j, off + i * d + j, c)
+                              for i, row in enumerate(bm.left_cells(a)) for k, c in enumerate(row)
+                              if c is not None for j in range(0, d, bm.right_alg.dim)]
+                    continue
+                for i, row in enumerate(bm.left_coords(a)):
+                    cells += [(off + k * d, off + i * d, _in_frames(vs.act(c), vs, vs))
+                              for k, c in enumerate(row) if any(c)]
             action.append(_assemble(fsp.dim, fsp.dim, cells))
         fsp.space = VertexSpace(fsp.dim, action)
     return out
@@ -240,8 +245,8 @@ def _assemble(rows: int, cols: int, blocks: Sequence[tuple[int, int, RatMatrix]]
     for r0, c0, b in blocks:
         k = den // b.den
         for i, row in enumerate(b.num):
-            num[r0 + i][c0:c0 + b.cols] = [k * e for e in row]
-    return RatMatrix(rows, cols, num, den)
+            num[r0 + i][c0:c0 + b.cols] = [k * e for e in row] if k != 1 else row
+    return RatMatrix._fresh(rows, cols, num, den)
 
 
 def _block_diag(blocks: list[RatMatrix]) -> RatMatrix:
@@ -260,9 +265,8 @@ def _f_map(scenario: SpeciesScenario, src_y: dict[str, VertexSpace],
     sf, df = src_f[x], dst_f[x]
     ys = [y for y in scenario.y_ids if y in sf.offsets or y in df.offsets]
     blocks: list[RatMatrix] = []
-    for y in ys:
-        r = scenario.bimodules[(x, y)].rank_over_right
-        blocks.append(RatMatrix.identity(r).kron(_in_frames(v[y], src_y[y], dst_y[y])))
+    for y in ys:  # I_r (x) v_y in the frames
+        blocks += [_in_frames(v[y], src_y[y], dst_y[y])] * scenario.bimodules[(x, y)].rank_over_right
     if not blocks:
         return RatMatrix.zeros(df.dim, sf.dim)
     return _block_diag(blocks)
@@ -339,27 +343,30 @@ class TripleObject:
         return f"TripleObject({self.scenario.name}, dims={self.dimension_vector()})"
 
 
+def _space_error(alg: AlgebraSpec, vs: VertexSpace) -> Optional[str]:
+    """None if vs is a unital representation of alg, else the first violation."""
+    if len(vs.action) != alg.dim:
+        return "one action matrix per algebra basis element required"
+    if any((m.rows, m.cols) != (vs.dim, vs.dim) for m in vs.action):
+        return "action matrix shape mismatch"
+    if vs.dim and vs.act(alg.unit) != RatMatrix.identity(vs.dim):
+        return "action is not unital"
+    for i in range(alg.dim if vs.dim else 0):
+        for j in range(alg.dim):
+            prod = alg.multiply(alg.basis_vector(i), alg.basis_vector(j))
+            if vs.action[i] * vs.action[j] != vs.act(prod):
+                return f"action not multiplicative at ({i},{j})"
+    return None
+
+
 def validate(z: TripleObject) -> Optional[str]:
     """None if every invariant holds, else the first violation."""
     s = z.scenario
     for ids, parts, side in ((s.x_ids, z.x, "x"), (s.y_ids, z.y, "y")):
         for v in ids:
-            alg = s.algebra(v).spec
-            vs = parts[v]
-            if len(vs.action) != alg.dim:
-                return f"{side}-component at {v!r}: one action matrix per algebra basis element required"
-            for m in vs.action:
-                if (m.rows, m.cols) != (vs.dim, vs.dim):
-                    return f"{side}-component at {v!r}: action matrix shape mismatch"
-            if vs.dim == 0:
-                continue
-            if vs.act(alg.unit) != RatMatrix.identity(vs.dim):
-                return f"{side}-component at {v!r}: action is not unital"
-            for i in range(alg.dim):
-                for j in range(alg.dim):
-                    prod = alg.multiply(alg.basis_vector(i), alg.basis_vector(j))
-                    if vs.action[i] * vs.action[j] != vs.act(prod):
-                        return f"{side}-component at {v!r}: action not multiplicative at ({i},{j})"
+            err = _space_error(s.algebra(v).spec, parts[v])
+            if err is not None:
+                return f"{side}-component at {v!r}: {err}"
     for xv in s.x_ids:
         alg = s.algebra(xv).spec
         eta = z.eta[xv]
@@ -633,7 +640,7 @@ def _psi_data(z: TripleObject, z2: TripleObject):
             out = num[off + i]
             for j, e in zip(cols, row):
                 out[j] = e * k
-    return ubases, vbases, fbases, offsets, RatMatrix(total_f, ncols, num, den)
+    return ubases, vbases, fbases, offsets, RatMatrix._fresh(total_f, ncols, num, den)
 
 
 def hom(z: TripleObject, z2: TripleObject) -> list[TripleMorphism]:
@@ -657,7 +664,7 @@ def hom(z: TripleObject, z2: TripleObject) -> list[TripleMorphism]:
                 if c:
                     for i, j, e in ents:
                         num[i][j] += c * e
-            parts[side][w] = RatMatrix(rows, cols, num, ker.den * den)
+            parts[side][w] = RatMatrix._fresh(rows, cols, num, ker.den * den)
         out.append(TripleMorphism(z, z2, *parts))
     return out
 
@@ -1188,7 +1195,7 @@ def _coprime_parts(p: Polynomial) -> tuple[Polynomial, Polynomial] | None:
 def _normalized_candidate(a: TripleMorphism) -> TripleMorphism:
     """Scale a nonzero morphism so its entries are coprime integers."""
     flat, den = _flat_morphism(a)
-    g = _gcd_all(flat)
+    g = gcd(*flat)
     return a.scale(Fraction(den, g)) if g else a
 
 

@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 from .catalog import catalog_scenario
 from .exactalg import Polynomial, RatMatrix
-from .extcat import TripleObject, VertexSpace
+from .extcat import TripleObject, VertexSpace, _space_error
 from .species import (
     Bimodule,
     DivisionAlgebraHandle,
@@ -95,13 +95,21 @@ def _algebra_to_json(h: DivisionAlgebraHandle) -> dict:
             "minpoly": [rational_to_str(c) for c in h.minpoly.coeffs]}
 
 
+def _json_list(doc: dict, key: str, default=None) -> list:
+    """doc[key], which must be a list; default if the key is absent."""
+    value = doc.get(key, default)
+    if not isinstance(value, list):
+        raise FormatError(f"{key!r} must be a list")
+    return value
+
+
 def _algebra_from_json(doc) -> DivisionAlgebraHandle:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError("algebra must be an object with a 'kind'")
     if doc["kind"] == "Q":
         return rationals()
     if doc["kind"] == "number_field":
-        coeffs = [rational_from_json(c) for c in doc.get("minpoly", [])]
+        coeffs = [rational_from_json(c) for c in _json_list(doc, "minpoly", [])]
         if len(coeffs) < 2:
             raise FormatError("number_field needs a minpoly of degree >= 1")
         return number_field(Polynomial(coeffs))
@@ -131,28 +139,26 @@ def scenario_to_json(s: SpeciesScenario) -> dict:
 def scenario_from_json(doc) -> SpeciesScenario:
     if not isinstance(doc, dict) or doc.get("schema") != SCENARIO_SCHEMA:
         raise FormatError(f"expected a {SCENARIO_SCHEMA} document")
-    try:
-        xv, yv = doc["x_vertices"], doc["y_vertices"]
-        if len(xv) + len(yv) > MAX_VERTICES:  # before any vertex algebra is certified
-            raise FormatError(f"scenario has {len(xv) + len(yv)} vertices (at most {MAX_VERTICES})")
-        xs = [(v["id"], _algebra_from_json(v["algebra"])) for v in xv]
-        ys = [(v["id"], _algebra_from_json(v["algebra"])) for v in yv]
-    except (KeyError, TypeError) as ex:
-        raise FormatError(f"bad vertex entry: {ex}")
+    xv, yv = _json_list(doc, "x_vertices"), _json_list(doc, "y_vertices")
+    if len(xv) + len(yv) > MAX_VERTICES:  # before any vertex algebra is certified
+        raise FormatError(f"scenario has {len(xv) + len(yv)} vertices (at most {MAX_VERTICES})")
+    for v in xv + yv:
+        if not isinstance(v, dict) or not isinstance(v.get("id"), str):
+            raise FormatError(f"bad vertex entry {v!r}: an object with a string 'id'")
+    xs, ys = ([(v["id"], _algebra_from_json(v.get("algebra"))) for v in side] for side in (xv, yv))
     xmap, ymap = dict(xs), dict(ys)
     bims = {}
-    for entry in doc.get("bimodules", []):
-        try:
-            x, y, dim = entry["x"], entry["y"], entry["dim"]
-        except (KeyError, TypeError) as ex:
-            raise FormatError(f"bad bimodule entry: {ex}")
-        if x not in xmap or y not in ymap:
+    for entry in _json_list(doc, "bimodules", []):
+        if not isinstance(entry, dict):
+            raise FormatError(f"bad bimodule entry {entry!r}: not an object")
+        x, y, dim = entry.get("x"), entry.get("y"), entry.get("dim")
+        if not (isinstance(x, str) and isinstance(y, str) and x in xmap and y in ymap):
             raise FormatError(f"bimodule ({x!r}, {y!r}) references unknown vertices")
         if not isinstance(dim, int) or not 0 <= dim <= MAX_DIM:
             raise FormatError(f"bimodule ({x!r}, {y!r}) has a bad dimension (an int from 0 to {MAX_DIM})")
         if "left_action" in entry or "right_action" in entry:
-            left = [matrix_from_json(m, dim, dim) for m in entry["left_action"]]
-            right = [matrix_from_json(m, dim, dim) for m in entry["right_action"]]
+            left = [matrix_from_json(m, dim, dim) for m in _json_list(entry, "left_action")]
+            right = [matrix_from_json(m, dim, dim) for m in _json_list(entry, "right_action")]
         else:
             if xmap[x].dim != 1 or ymap[y].dim != 1:
                 raise FormatError(
@@ -214,6 +220,9 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
                 else:
                     raise FormatError(f"vertex {v!r} needs {n} action matrices")
             out[v] = VertexSpace(dim, action)
+            err = _space_error(scenario.algebra(v).spec, out[v])  # before F(Y) needs its frame
+            if err is not None:
+                raise FormatError(f"component at vertex {v!r}: {err}")
         return out
 
     x_parts = side(scenario.x_ids, doc.get("x", {}))

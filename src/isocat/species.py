@@ -124,6 +124,7 @@ class Bimodule:
         self._right_basis: list[int] | None = None
         self._orbit_matrix: RatMatrix | None = None
         self._left_coord_table: dict[int, list[list[list[Fraction]]]] = {}
+        self._left_cells: dict[int, list[list[RatMatrix | None]]] = {}
 
     def _validate(self) -> None:
         A, D = self.left_alg.spec, self.right_alg.spec
@@ -201,6 +202,18 @@ class Bimodule:
                                                 for k in range(len(basis))] for i in range(len(basis))]
         return self._left_coord_table[a_index]
 
+    def left_cells(self, a_index: int) -> list[list[RatMatrix | None]]:
+        """Cell [i][k] is L(d), the y algebra's left multiplication by d = left_coords(a_index)[i][k].
+
+        None where d = 0.  L(d) commutes with the greedy frame R_0 = right_mats[0]
+        of one copy of the algebra, so it is also d's action in that frame.
+        """
+        if a_index not in self._left_cells:
+            D = self.right_alg.spec
+            self._left_cells[a_index] = [[RatMatrix.combine(D.left_mats, d, D.dim, D.dim) if any(d) else None
+                                          for d in row] for row in self.left_coords(a_index)]
+        return self._left_cells[a_index]
+
     def key(self) -> tuple:
         return (self.dim, tuple(m.key() for m in self.left_action),
                 tuple(m.key() for m in self.right_action))
@@ -262,11 +275,13 @@ class SpeciesScenario:
         self.x_vertices = list(x_vertices)
         self.y_vertices = list(y_vertices)
         self.bimodules = dict(bimodules)
+        self.x_ids = [v for v, _ in self.x_vertices]
+        self.y_ids = [v for v, _ in self.y_vertices]
+        self._handles = dict(self.x_vertices + self.y_vertices)
         self._validate()
 
     def _validate(self) -> None:
-        ids = [v for v, _ in self.x_vertices] + [v for v, _ in self.y_vertices]
-        if len(set(ids)) != len(ids):
+        if len(self._handles) != len(self.x_ids) + len(self.y_ids):
             raise ScenarioError("vertex ids must be unique")
         xmap, ymap = dict(self.x_vertices), dict(self.y_vertices)
         for (x, y), bm in self.bimodules.items():
@@ -275,19 +290,8 @@ class SpeciesScenario:
             if bm.left_alg.key() != xmap[x].key() or bm.right_alg.key() != ymap[y].key():
                 raise ScenarioError(f"bimodule ({x}, {y}) algebras do not match its endpoints")
 
-    @property
-    def x_ids(self) -> list[str]:
-        return [v for v, _ in self.x_vertices]
-
-    @property
-    def y_ids(self) -> list[str]:
-        return [v for v, _ in self.y_vertices]
-
     def algebra(self, vertex: str) -> DivisionAlgebraHandle:
-        for v, h in self.x_vertices + self.y_vertices:
-            if v == vertex:
-                return h
-        raise KeyError(vertex)
+        return self._handles[vertex]
 
     def vertex_order(self) -> list[str]:
         return self.x_ids + self.y_ids

@@ -1,17 +1,23 @@
 """Round-trip and exit-code tests for the file formats and the CLI."""
 
+import copy
 import json
 import random
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from isocat.catalog import CATALOG_IDS, catalog_scenario
-from isocat.cli import main
+from isocat.cli import _INPUT_ERRORS, main
 from isocat.extcat import simple_x_object, simple_y_object, universal_extension_of
 from isocat.fileio import (
     MAX_DIM,
     MAX_VERTICES,
+    MATRIX_SCHEMA,
     FormatError,
+    load_matrix,
     load_scenario,
     object_from_json,
     object_to_json,
@@ -158,6 +164,93 @@ def test_cli_rejects_a_malformed_object_file(tmp_path, capsys, patch):
     path.write_text(json.dumps(doc))
     assert main(["decompose", "--scenario", "catalog:a2", "--object", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _hostile_c2(edit):
+    doc = scenario_to_json(catalog_scenario("c2"))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(bimodules=5),
+    lambda doc: doc["bimodules"][0].pop("left_action"),
+    lambda doc: doc["bimodules"][0].update(left_action=5),
+    lambda doc: doc["x_vertices"][0].update(id=["u"]),
+    lambda doc: doc["bimodules"][0].update(x=["u"]),
+], ids=["bimodules-not-a-list", "right-action-only", "left-action-not-a-list",
+        "vertex-id-a-list", "bimodule-x-a-list"])
+def test_cli_rejects_a_hostile_scenario_file(tmp_path, capsys, edit):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(_hostile_c2(edit)))
+    assert main(["roots", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# one field of a valid document replaced by a value of another JSON type;
+# ints stay small, so a drawn dim or size stays at most 8
+_HOSTILE = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 8),
+    st.sampled_from(["", "u", "a1", "Q", "number_field", "1/0", "-1/2", "x"]),
+    st.lists(st.integers(-2, 8), max_size=3),
+    st.lists(st.lists(st.sampled_from(["0", "1", 1]), max_size=2), max_size=2),
+    st.dictionaries(st.sampled_from(["kind", "id", "dim", "u", "a1"]), st.integers(0, 3), max_size=2),
+)
+
+
+def _paths(node, path=()):
+    """Every path into a JSON document, through the first and last item of each list."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = [(i, node[i]) for i in sorted({0, len(node) - 1}) if node]
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _replaced(data, doc):
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    value = data.draw(_HOSTILE)
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _load_matrix_doc(doc):
+    with tempfile.NamedTemporaryFile("w", suffix=".json") as fh:
+        json.dump(doc, fh)
+        fh.flush()
+        return load_matrix(fh.name)
+
+
+_FUZZ_SCENARIOS = [catalog_scenario(name) for name in ("a2", "c2", "b2_dual")]
+_FUZZ_DOCS = (
+    [(scenario_from_json, scenario_to_json(s)) for s in _FUZZ_SCENARIOS]
+    + [(lambda doc, s=s: object_from_json(doc, s), object_to_json(z))
+       for s in _FUZZ_SCENARIOS
+       for z in (random_object(s, random.Random(4), max_mult=1),
+                 universal_extension_of(simple_y_object(s, s.y_ids[0])))]
+    + [(_load_matrix_doc, {"schema": MATRIX_SCHEMA, "matrix": [["0", "1"], ["0", "0"]]})]
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_json_loaders_raise_only_input_errors(data):
+    loader, doc = data.draw(st.sampled_from(_FUZZ_DOCS))
+    try:
+        loader(_replaced(data, doc))
+    except _INPUT_ERRORS:
+        pass
 
 
 def _write_object(tmp_path, name, z):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import isocat.exactalg as exactalg
 from isocat.exactalg import (
+    _block_copies,
     _int_poly_exact_div,
     _kernel,
     _rational_roots,
@@ -134,6 +135,41 @@ def test_empty_shapes():
     n = RatMatrix.zeros(3, 0)
     assert n.rank() == 0
     assert (n * z).rows == 3 and (n * z).cols == 3
+
+
+@st.composite
+def _fresh_grids(draw):
+    """(rows, cols, grid, den): den of either sign, maybe a factor common to all entries."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    grid = [[draw(st.sampled_from([0, 0, 1, -1, 2, -3, 5, 12])) for _ in range(cols)] for _ in range(rows)]
+    den = draw(st.sampled_from([1, -1, 2, -4, 6, 9]))
+    k = draw(st.sampled_from([1, 1, 2, -3, 6]))
+    return rows, cols, [[k * x for x in r] for r in grid], k * den
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fresh_grids())
+@example((0, 3, [], -6))
+@example((3, 0, [[], [], []], 4))
+@example((2, 2, [[0, 0], [0, 0]], -9))
+@example((2, 3, [[2, 4, -6], [0, 8, 2]], -4))
+@example((1, 2, [[3, 5]], 1))
+def test_fresh_grid_normalises_as_the_checking_constructor(case):
+    rows, cols, grid, den = case
+    ref = RatMatrix(rows, cols, grid, den)
+    m = RatMatrix._fresh(rows, cols, [list(r) for r in grid], den)
+    assert (m.rows, m.cols, m.num, m.den) == (ref.rows, ref.cols, ref.num, ref.den)
+    assert ref.den > 0 and gcd(ref.den, *(x for r in ref.num for x in r)) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fresh_grids(), st.integers(0, 3))
+def test_block_copies_is_the_kronecker_product_with_an_identity(case, m):
+    rows, cols, grid, den = case
+    cell = RatMatrix(rows, cols, grid, den)
+    copies = _block_copies(m, cell)
+    ref = RatMatrix.identity(m).kron(cell)
+    assert (copies.rows, copies.cols, copies.num, copies.den) == (ref.rows, ref.cols, ref.num, ref.den)
 
 
 # ----------------------------------------------------------------------

@@ -9,15 +9,17 @@ import pytest
 import isocat.exactalg as exactalg
 import isocat.extcat as extcat
 from isocat.catalog import CATALOG_IDS, catalog_scenario
-from isocat.exactalg import Polynomial, RatMatrix, _combine, _null_rows, algebra_center
+from isocat.exactalg import AlgebraSpec, Polynomial, RatMatrix, _combine, _null_rows, algebra_center
 from isocat.extcat import (
     TripleError,
     TripleObject,
     VertexSpace,
+    _build_fspaces,
     _f_map,
     _psi_data,
     abelian_ops,
     canonical_object,
+    canonical_space,
     decompose,
     direct_sum,
     end_algebra,
@@ -44,6 +46,7 @@ from isocat.extcat import (
 from isocat.samples import random_morphism, random_object, random_object_with, random_scenario
 from isocat.species import (
     SpeciesScenario,
+    asserted_division_algebra,
     number_field,
     rationals,
     ring_center,
@@ -560,6 +563,37 @@ def test_sparse_hom_matches_dense_reference_on_conjugated_spaces():
                 dens.update(m.den for m in equivariant_hom_basis(s.algebra(y).spec, a.y[y], b.y[y]))
                 assert_hom_matches_dense(a, b)
     assert max(dens) > 1 and 1 in dens
+
+
+def test_canonical_spaces_and_their_f_spaces_match_the_generic_path():
+    # Q(sqrt 2) in the basis (2 + sqrt 2, 1): basis element 0 is not the unit, so the
+    # generic path conjugates by a frame R_0 = right_mats[0] != I with a denominator in R_0^-1
+    odd = asserted_division_algebra(AlgebraSpec([[[4, -2], [1, 0]], [[1, 0], [0, 1]]], [0, 1]))
+    sq, q = number_field(Polynomial([-2, 0, 1])), rationals()
+    assert canonical_space(odd, 1).frame()[1].den > 1
+    sweep = [catalog_scenario(name) for name in CATALOG_IDS]
+    sweep.append(SpeciesScenario("odd_frame", [("u", q), ("w", sq)], [("a", odd), ("b", sq)],
+                                 {("u", "a"): tensor_bimodule(q, odd), ("w", "a"): tensor_bimodule(sq, odd),
+                                  ("w", "b"): tensor_bimodule(sq, sq, copies=2)}))
+
+    def untagged(space):
+        return VertexSpace(space.dim, space.action)
+
+    for s in sweep:
+        for m in range(4):
+            for v in s.vertex_order():
+                h = s.algebra(v)
+                space = canonical_space(h, m)
+                assert space.action == [RatMatrix.identity(m).kron(lm) for lm in h.spec.left_mats]
+                p, pinv = space.frame()
+                p2, pinv2 = untagged(space).frame()
+                assert (p, pinv, p is pinv) == (p2, pinv2, p2 is pinv2)
+            for mults in ([m] * len(s.y_ids), [(m + k) % 4 for k in range(len(s.y_ids))]):
+                y_parts = {y: canonical_space(s.algebra(y), n) for y, n in zip(s.y_ids, mults)}
+                closed = _build_fspaces(s, y_parts)
+                generic = _build_fspaces(s, {y: untagged(vs) for y, vs in y_parts.items()})
+                for x in s.x_ids:
+                    assert closed[x].space.action == generic[x].space.action
 
 
 def test_hom_and_ext1_bases_do_not_depend_on_call_history(monkeypatch):
