@@ -18,8 +18,9 @@ One helper per recurring construction, shared by the packages built on it:
 - `RatMatrix.combine`: a linear combination of matrices over one common
   denominator (vertex and bimodule actions, left/right multiplication,
   seeded samples), with `_combine` taking integer coefficients over one
-  denominator; `_nonzero_entries` is the sparse form of a basis that many
-  products or combinations are built from (psi and the Hom basis);
+  denominator; `_nonzero_entries` is the sparse form of a basis that psi,
+  Hom and seeded objects are built from (`_combine_terms`), read once per
+  cached commutant basis and per algebra's right multiplications;
 - `_block_copies`: I_m (x) c written into one grid in closed form
   (canonical vertex spaces and their frames);
 - `orbit_basis`: the greedy basis of a free module, trying standard
@@ -267,6 +268,8 @@ class RatMatrix:
     # -- elimination -----------------------------------------------------
 
     def rank(self) -> int:
+        if not self.rows or not self.cols:
+            return 0
         return len(_echelon(_sparse_rows(self.num))[0])
 
     def kernel_basis(self) -> list[list[Fraction]]:
@@ -434,15 +437,19 @@ def _kernel(m: RatMatrix) -> RatMatrix:
 def _combine(mats: Sequence[RatMatrix], nums: Sequence[int], den: int,
              rows: int, cols: int) -> RatMatrix:
     """sum_k nums[k] * mats[k] / den as a rows x cols matrix, in one construction."""
-    terms = [(c, m) for m, c in zip(mats, nums) if c]
-    if any((m.rows, m.cols) != (rows, cols) for _, m in terms):
-        raise ValueError("shape mismatch in matrix combination")
-    common = lcm(*(m.den for _, m in terms))
+    terms, common = _nonzero_entries(mats, rows, cols)
+    return _combine_terms(terms, nums, den * common, rows, cols)
+
+
+def _combine_terms(terms: Iterable[Sequence[tuple[int, int, int]]], nums: Iterable[int], den: int,
+                   rows: int, cols: int) -> RatMatrix:
+    """sum_k nums[k] * T_k / den, T_k the entries terms[k]; nums may be an iterator, one per T_k."""
     num = [[0] * cols for _ in range(rows)]
-    for c, m in terms:
-        f = c * (common // m.den)
-        num = [[a + f * b for a, b in zip(ra, rb)] for ra, rb in zip(num, m.num)]
-    return RatMatrix._fresh(rows, cols, num, den * common)
+    for ents, c in zip(terms, nums):
+        if c:
+            for i, j, e in ents:
+                num[i][j] += c * e
+    return RatMatrix._fresh(rows, cols, num, den)
 
 
 def _block_copies(m: int, cell: RatMatrix) -> RatMatrix:
@@ -456,7 +463,7 @@ def _nonzero_entries(mats: Sequence[RatMatrix], rows: int,
                      cols: int) -> tuple[list[list[tuple[int, int, int]]], int]:
     """Each matrix's nonzero entries (i, j, e), as integers over one common denominator.
 
-    Like `_combine`, it rejects a matrix that is not rows x cols.
+    It rejects a matrix that is not rows x cols.
     """
     if any((m.rows, m.cols) != (rows, cols) for m in mats):
         raise ValueError("shape mismatch in matrix combination")
@@ -537,16 +544,16 @@ def commutant_basis(src: Sequence[RatMatrix], dst: Sequence[RatMatrix]) -> list[
     return [RatMatrix(dd, sd, [v[i * sd:(i + 1) * sd] for i in range(dd)], ker.den) for v in ker.num]
 
 
-def _commutant_coords(basis: Sequence[RatMatrix], flat: RatMatrix) -> RatMatrix | None:
+def _commutant_coords(terms: Sequence[Sequence[tuple[int, int, int]]], bden: int, cols: int,
+                      flat: RatMatrix) -> RatMatrix | None:
     """`RatMatrix.solve` of (stacked flattened basis) . X = flat, without an elimination.
 
-    basis comes from `commutant_basis`; each column of flat is a map of its
-    shape, flattened row-major.  Coordinate k is the map's entry at the last
-    nonzero entry of basis[k], and sum_k X[k] . basis[k] = flat is checked in
-    integers, so None comes exactly when a column is off the span.
+    (terms, bden) is the `_nonzero_entries` form of a `commutant_basis` answer
+    of maps with cols columns; each column of flat is such a map, flattened
+    row-major.  Coordinate k is the map's entry at the last nonzero entry of
+    basis element k, and sum_k X[k] . basis[k] = flat is checked in integers,
+    so None comes exactly when a column is off the span.
     """
-    cols = basis[0].cols
-    terms, bden = _nonzero_entries(basis, basis[0].rows, cols)
     coords = [flat.num[i * cols + j] for i, j, _ in (ents[-1] for ents in terms)]
     resid = [[bden * e for e in row] for row in flat.num]
     for ents, c in zip(terms, coords):
@@ -554,7 +561,7 @@ def _commutant_coords(basis: Sequence[RatMatrix], flat: RatMatrix) -> RatMatrix 
             resid[i * cols + j] = [r - e * x for r, x in zip(resid[i * cols + j], c)]
     if any(any(r) for r in resid):
         return None
-    return RatMatrix(len(basis), flat.cols, coords, flat.den)
+    return RatMatrix(len(terms), flat.cols, coords, flat.den)
 
 
 def kernel_basis(m: RatMatrix) -> list[list[Fraction]]:
@@ -1024,7 +1031,7 @@ class AlgebraSpec:
     invalid data is rejected, never normalized.
     """
 
-    __slots__ = ("dim", "labels", "constants", "unit", "left_mats", "right_mats", "_key")
+    __slots__ = ("dim", "labels", "constants", "unit", "left_mats", "right_mats", "_key", "_right_terms")
 
     def __init__(self, constants: Sequence, unit: Sequence, labels: Sequence[str] | None = None,
                  _skip_validation: bool = False):
@@ -1047,6 +1054,7 @@ class AlgebraSpec:
         self.right_mats = [RatMatrix.from_rows([[c[j][i][k] for j in range(dim)] for k in range(dim)])
                            for i in range(dim)]
         self._key = None
+        self._right_terms: dict[bool, tuple[list[list[tuple[int, int, int]]], int]] = {}
         if not _skip_validation:
             self._validate()
 
@@ -1099,6 +1107,16 @@ class AlgebraSpec:
         if self._key is None:
             self._key = tuple(m.key() for m in self.left_mats) + (tuple(self.unit),)
         return self._key
+
+    def right_terms(self, framed: bool = False) -> tuple[list[list[tuple[int, int, int]]], int]:
+        """`_nonzero_entries` of right_mats, or (framed) of R_0^-1 . R_b . R_0: canonical-pair hom cells."""
+        if framed not in self._right_terms:
+            mats = self.right_mats
+            if framed:
+                r0inv = mats[0].inverse()
+                mats = [r0inv * rb * mats[0] for rb in mats]
+            self._right_terms[framed] = _nonzero_entries(mats, self.dim, self.dim)
+        return self._right_terms[framed]
 
 
 def min_poly(a: Sequence, alg: AlgebraSpec) -> Polynomial:

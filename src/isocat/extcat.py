@@ -34,6 +34,7 @@ from .exactalg import (
     Polynomial,
     RatMatrix,
     _block_copies,
+    _combine_terms,
     _commutant_coords,
     _flat_columns,
     _flat_matrices,
@@ -125,40 +126,42 @@ def zero_space(handle: DivisionAlgebraHandle) -> VertexSpace:
 # Equivariant hom spaces (with cache)
 # ======================================================================
 
-_HOM_CACHE: dict[tuple, list[RatMatrix]] = {}
+Terms = tuple[list[list[tuple[int, int, int]]], int]  # a basis as `_nonzero_entries` gives it
+
+_HOM_CACHE: dict[tuple, tuple[list[RatMatrix], Terms]] = {}  # commutant bases and their terms
+
+
+def _hom_terms(alg: AlgebraSpec, src: VertexSpace, dst: VertexSpace, framed: bool = False) -> Terms:
+    """Basis of the algebra-equivariant maps src -> dst, as `_nonzero_entries` (terms, den).
+
+    Over zero spaces, over Q and between canonical spaces (unit(s, t) (x) R_b in
+    the order (s, t, b)) it is written in closed form; other pairs read their
+    commutant basis through `_HOM_CACHE`.  framed takes the maps in the greedy
+    frames (`_in_frames`), so R_b becomes R_0^-1 . R_b . R_0 on a canonical pair.
+    """
+    if src.dim == 0 or dst.dim == 0:
+        return [], 1
+    if alg.dim == 1:  # a Q action is scalar, so every map is equivariant and frames cancel
+        return [[(k, l, 1)] for k in range(dst.dim) for l in range(src.dim)], 1
+    if src.canonical is not None and dst.canonical is not None and src.canonical[0] == dst.canonical[0]:
+        n = alg.dim
+        cells, den = alg.right_terms(framed)
+        return [[(s * n + i, t * n + j, e) for i, j, e in cell]
+                for s in range(dst.canonical[1]) for t in range(src.canonical[1]) for cell in cells], den
+    key = (alg.key(), src.key(), dst.key())
+    if key not in _HOM_CACHE:
+        basis = commutant_basis(src.action, dst.action)
+        _HOM_CACHE[key] = basis, _nonzero_entries(basis, dst.dim, src.dim)
+    basis, terms = _HOM_CACHE[key]
+    if framed:
+        return _nonzero_entries([_in_frames(m, src, dst) for m in basis], dst.dim, src.dim)
+    return terms
 
 
 def equivariant_hom_basis(alg: AlgebraSpec, src: VertexSpace, dst: VertexSpace) -> list[RatMatrix]:
-    """Basis of the algebra-equivariant maps src -> dst."""
-    if src.dim == 0 or dst.dim == 0:
-        return []
-    if alg.dim == 1:
-        out = []
-        for k in range(dst.dim):
-            for l in range(src.dim):
-                m = RatMatrix.zeros(dst.dim, src.dim)
-                m.num[k][l] = 1
-                out.append(m)
-        return out
-    closed = (src.canonical is not None and dst.canonical is not None
-              and src.canonical[0] == dst.canonical[0])
-    # a framed space can have a canonical space's action, but not its basis
-    key = (closed, alg.key(), src.key(), dst.key())
-    if key in _HOM_CACHE:
-        return _HOM_CACHE[key]
-    basis = []
-    if closed:
-        ms, md = src.canonical[1], dst.canonical[1]
-        for s in range(md):
-            for t in range(ms):
-                unit = RatMatrix.zeros(md, ms)
-                unit.num[s][t] = 1
-                for b in range(alg.dim):
-                    basis.append(unit.kron(alg.right_mats[b]))
-    else:
-        basis = commutant_basis(src.action, dst.action)
-    _HOM_CACHE[key] = basis
-    return basis
+    """Basis of the algebra-equivariant maps src -> dst, as matrices built from `_hom_terms`."""
+    terms, den = _hom_terms(alg, src, dst)
+    return [_combine_terms([ents], [1], den, dst.dim, src.dim) for ents in terms]
 
 
 # ======================================================================
@@ -523,47 +526,37 @@ def _same_scenario(z: TripleObject, z2: TripleObject) -> SpeciesScenario:
     return z.scenario
 
 
-def _u_bases(z: TripleObject, z2: TripleObject) -> dict[str, list[RatMatrix]]:
+def _bases(z: TripleObject, z2: TripleObject) -> tuple[dict[str, Terms], dict[str, Terms], dict[str, Terms]]:
+    """The u, v and Hom(F(Y), X') bases of a pair, as `_hom_terms`."""
     s = z.scenario
-    return {x: equivariant_hom_basis(s.algebra(x).spec, z.x[x], z2.x[x]) for x in s.x_ids}
-
-
-def _v_bases(z: TripleObject, z2: TripleObject) -> dict[str, list[RatMatrix]]:
-    s = z.scenario
-    return {y: equivariant_hom_basis(s.algebra(y).spec, z.y[y], z2.y[y]) for y in s.y_ids}
-
-
-def _fhom_bases(z: TripleObject, z2: TripleObject) -> dict[str, list[RatMatrix]]:
-    s = z.scenario
-    return {x: equivariant_hom_basis(s.algebra(x).spec, z.f[x].space, z2.x[x]) for x in s.x_ids}
+    return ({x: _hom_terms(s.algebra(x).spec, z.x[x], z2.x[x]) for x in s.x_ids},
+            {y: _hom_terms(s.algebra(y).spec, z.y[y], z2.y[y]) for y in s.y_ids},
+            {x: _hom_terms(s.algebra(x).spec, z.f[x].space, z2.x[x]) for x in s.x_ids})
 
 
 def hom_space_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, int]:
     """(dim Hom on x parts, dim Hom on y parts, dim Hom(F(Y), X'))."""
-    su = sum(len(b) for b in _u_bases(z, z2).values())
-    sv = sum(len(b) for b in _v_bases(z, z2).values())
-    sf = sum(len(b) for b in _fhom_bases(z, z2).values())
+    su, sv, sf = (sum(len(t) for t, _ in b.values()) for b in _bases(z, z2))
     return su, sv, sf
 
 
-def _v_basis_f_blocks(z: TripleObject, z2: TripleObject, vbases: dict[str, list[RatMatrix]],
-                      images: dict[str, list], col: int) -> int:
+def _v_basis_f_blocks(z: TripleObject, z2: TripleObject, images: dict[str, list], col: int) -> int:
     """Append -(eta' . F(v_l)) to images[x] as psi columns col, col + 1, ...; return the next.
 
     F(v_l) is I_r (x) t on the y block, t = v_l in the frames, so column
     block i of eta' . F(v_l) is that of eta'_x's y block times t, built from
-    t's nonzero entries straight into the flat X'_x x F(Y)_x grid.
+    t's nonzero entries (`_hom_terms` with framed) straight into the flat
+    X'_x x F(Y)_x grid.
     """
     s = z.scenario
     for y in s.y_ids:
-        basis = vbases[y]
         n1, n2 = z.y[y].dim, z2.y[y].dim
-        terms, tden = _nonzero_entries([_in_frames(vmat, z.y[y], z2.y[y]) for vmat in basis], n2, n1)
+        terms, tden = _hom_terms(s.algebra(y).spec, z.y[y], z2.y[y], framed=True)
         for x in s.x_ids:
             bm = s.bimodules.get((x, y))
             # a nonzero v basis means Y_y and Y'_y are nonzero, so both F
             # spaces hold a y block
-            if not basis or bm is None or y not in z.f[x].offsets:
+            if not terms or bm is None or y not in z.f[x].offsets:
                 continue
             r, width = bm.rank_over_right, z.f[x].dim
             src_off, dst_off = z.f[x].offsets[y], z2.f[x].offsets[y]
@@ -578,48 +571,46 @@ def _v_basis_f_blocks(z: TripleObject, z2: TripleObject, vbases: dict[str, list[
                         if g:
                             flat[base + j] -= g * e
                 images[x].append((col + l, flat, eta2.den * tden))
-        col += len(basis)
+        col += len(terms)
     return col
 
 
 def _psi_data(z: TripleObject, z2: TripleObject):
     """Bases and the one matrix of psi(u, v) = u . eta - eta' . F(v) for a pair.
 
-    Returns (ubases, vbases, fbases, offsets, psi).  psi has one column per
-    u basis element, then per v basis element (vertices in scenario order),
-    and one row per Hom(F(Y), X') basis element, the block of x-vertex x
-    starting at offsets[x]; Hom(z, z2) is its kernel and Ext^1 its cokernel.
-    At each x-vertex the images of all basis elements are coordinatised in
-    one batch: flattened entries over Q, else read off the Hom(F(Y), X')
-    basis, which comes from `commutant_basis` (an F space is never
-    canonical), by `_commutant_coords`, whose exact recombination check
-    also proves every image equivariant.
+    Returns (ubases, vbases, fbases, offsets, psi), the bases as `_hom_terms`.
+    psi has one column per u basis element, then per v basis element
+    (vertices in scenario order), and one row per Hom(F(Y), X') basis
+    element, the block of x-vertex x starting at offsets[x]; Hom(z, z2) is
+    its kernel and Ext^1 its cokernel.  At each x-vertex the images of all
+    basis elements are coordinatised in one batch: flattened entries over Q,
+    else read off the Hom(F(Y), X') basis, which comes from `commutant_basis`
+    (an F space is never canonical), by `_commutant_coords`, whose exact
+    recombination check also proves every image equivariant.
     """
     s = _same_scenario(z, z2)
-    ubases = _u_bases(z, z2)
-    vbases = _v_bases(z, z2)
-    fbases = _fhom_bases(z, z2)
+    ubases, vbases, fbases = _bases(z, z2)
     images: dict[str, list] = {x: [] for x in s.x_ids}  # (column, entries, den)
     ncols = 0
     for x in s.x_ids:
         eta = z.eta[x]
-        terms, uden = _nonzero_entries(ubases[x], z2.x[x].dim, z.x[x].dim)
+        terms, uden = ubases[x]
         for ents in terms:  # row i of uk . eta is the sum of e * (row j of eta) over uk's entries
             rows = [[0] * eta.cols for _ in range(z2.x[x].dim)]
             for i, j, e in ents:
                 rows[i] = [f + e * g for f, g in zip(rows[i], eta.num[j])]
             images[x].append((ncols, [v for r in rows for v in r], uden * eta.den))
             ncols += 1
-    ncols = _v_basis_f_blocks(z, z2, vbases, images, ncols)
+    ncols = _v_basis_f_blocks(z, z2, images, ncols)
     offsets: dict[str, int] = {}
     blocks = []
     total_f = 0
     den = 1
     for x in s.x_ids:
-        fb, imgs = fbases[x], images[x]
+        (fterms, fden), imgs = fbases[x], images[x]
         offsets[x] = total_f
-        total_f += len(fb)
-        if not fb:
+        total_f += len(fterms)
+        if not fterms:
             if any(e for _, flat, _ in imgs for e in flat):
                 raise InternalConsistencyError("nonzero map in a zero hom space")
             continue
@@ -628,7 +619,7 @@ def _psi_data(z: TripleObject, z2: TripleObject):
         nflat = z2.x[x].dim * z.f[x].dim
         coords = _flat_columns([(flat, d) for _, flat, d in imgs], nflat)
         if s.algebra(x).dim > 1:
-            coords = _commutant_coords(fb, coords)
+            coords = _commutant_coords(fterms, fden, z.f[x].dim, coords)
             if coords is None:
                 raise InternalConsistencyError("map is not equivariant: no coordinates")
         blocks.append((offsets[x], [c for c, _, _ in imgs], coords))
@@ -646,25 +637,20 @@ def _psi_data(z: TripleObject, z2: TripleObject):
 def hom(z: TripleObject, z2: TripleObject) -> list[TripleMorphism]:
     """Basis of the space of morphisms z -> z2: the kernel of psi.
 
-    Each vertex's basis is kept as its nonzero entries over one denominator,
-    and every kernel vector accumulates into one integer grid per vertex.
+    Each kernel vector accumulates into one integer grid per vertex from the
+    nonzero entries of that vertex's basis.
     """
     s = z.scenario
     ubases, vbases, _, _, psi = _psi_data(z, z2)
     ker, _ = _null_rows(psi)
     sides = ((0, s.x_ids, ubases, z.x, z2.x), (1, s.y_ids, vbases, z.y, z2.y))
-    sparse = [(side, w, *_nonzero_entries(bases[w], dst[w].dim, src[w].dim), dst[w].dim, src[w].dim)
+    sparse = [(side, w, *bases[w], dst[w].dim, src[w].dim)
               for side, ids, bases, src, dst in sides for w in ids]
     out = []
     for vec in ker.num:
         coeffs, parts = iter(vec), ({}, {})
-        for side, w, terms, den, rows, cols in sparse:
-            num = [[0] * cols for _ in range(rows)]
-            for ents, c in zip(terms, coeffs):  # takes the next len(terms) coefficients
-                if c:
-                    for i, j, e in ents:
-                        num[i][j] += c * e
-            parts[side][w] = RatMatrix._fresh(rows, cols, num, ker.den * den)
+        for side, w, terms, den, rows, cols in sparse:  # each takes the next len(terms) coefficients
+            parts[side][w] = _combine_terms(terms, coeffs, ker.den * den, rows, cols)
         out.append(TripleMorphism(z, z2, *parts))
     return out
 
@@ -687,32 +673,25 @@ def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
     s = z.scenario
     _, _, fbases, offsets, psi = _psi_data(z, z2)
     proj, free = _null_rows(psi.transpose())
-    reps = []
-    for c in free:
-        rep = {}
-        for x in s.x_ids:
-            fb = fbases[x]
-            off = offsets[x]
-            if off <= c < off + len(fb):
-                rep[x] = fb[c - off]
-            else:
-                rep[x] = RatMatrix.zeros(z2.x[x].dim, z.f[x].dim)
-        reps.append(rep)
-    return ExtResult(len(free), reps, proj)
+
+    def rep(x: str, k: int) -> RatMatrix:  # Hom(F(Y)_x, X'_x) basis element k; zero off its range
+        terms, den = fbases[x]
+        return _combine_terms(terms[k:k + 1] if k >= 0 else [], [1], den, z2.x[x].dim, z.f[x].dim)
+
+    return ExtResult(len(free), [{x: rep(x, c - offsets[x]) for x in s.x_ids} for c in free], proj)
 
 
 def hom_ext_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, tuple[int, int, int]]:
     """(dim Hom, dim Ext^1, hom_space_dims) from one build of psi.
 
     dim Hom is ncols - rank(psi) and dim Ext^1 is total_f - rank(psi^T),
-    two separate eliminations; su, sv and sf are read off the bases that
-    the psi build holds.
+    two separate eliminations (none when psi has no entries); su, sv and sf
+    are read off the bases that the psi build holds.
     """
     ubases, vbases, _, _, psi = _psi_data(z, z2)
-    su = sum(len(b) for b in ubases.values())
-    sv = sum(len(b) for b in vbases.values())
+    su, sv = (sum(len(t) for t, _ in b.values()) for b in (ubases, vbases))
     h = psi.cols - psi.rank()
-    e = psi.rows - psi.transpose().rank()
+    e = psi.rows - (psi.transpose().rank() if psi.rows and psi.cols else 0)
     return h, e, (su, sv, psi.rows)
 
 
@@ -1062,7 +1041,7 @@ def is_universal(z: TripleObject) -> UniversalityReport:
                 for x in s.x_ids)
 
     end_basis = hom(z, z)
-    sv = sum(len(equivariant_hom_basis(s.algebra(y).spec, z.y[y], z.y[y])) for y in s.y_ids)
+    sv = sum(len(_hom_terms(s.algebra(y).spec, z.y[y], z.y[y])[0]) for y in s.y_ids)
     vflat_len = sum(z.y[y].dim ** 2 for y in s.y_ids)
     vflats = [_flat_matrices([m.v[y] for y in s.y_ids]) for m in end_basis]
     vrank = _flat_columns(vflats, vflat_len).rank() if vflats else 0

@@ -8,16 +8,16 @@ from __future__ import annotations
 
 import random
 
-from .exactalg import Polynomial, RatMatrix
+from .exactalg import Polynomial, _combine_terms
 from .extcat import (
     TripleMorphism,
     TripleObject,
     abelian_ops,
     canonical_space,
-    equivariant_hom_basis,
     hom,
     _build_fspaces,
     _combine_morphisms,
+    _hom_terms,
 )
 from .species import (
     SpeciesScenario,
@@ -68,9 +68,9 @@ def random_object_with(scenario: SpeciesScenario, mult: dict[str, int],
     fsp = _build_fspaces(scenario, y_parts)
     eta = {}
     for x in scenario.x_ids:
-        basis = equivariant_hom_basis(scenario.algebra(x).spec, fsp[x].space, x_parts[x])
-        coeffs = [rng.randrange(-eta_bound, eta_bound + 1) for _ in basis]
-        eta[x] = RatMatrix.combine(basis, coeffs, x_parts[x].dim, fsp[x].dim)
+        terms, den = _hom_terms(scenario.algebra(x).spec, fsp[x].space, x_parts[x])
+        coeffs = [rng.randrange(-eta_bound, eta_bound + 1) for _ in terms]
+        eta[x] = _combine_terms(terms, coeffs, den, x_parts[x].dim, fsp[x].dim)
     return TripleObject._with_fspaces(scenario, x_parts, y_parts, eta, fsp)
 
 

@@ -34,6 +34,7 @@ from isocat.exactalg import (
     regular_algebra_from_min_poly,
     semisimple_quotient,
     squarefree_decomposition,
+    subalgebra_on_basis,
 )
 
 F = Fraction
@@ -901,5 +902,41 @@ def test_commutant_coords_match_solve():
             flat = RatMatrix.from_cols([[F(e, t.den) for r in t.num for e in r] for t in maps])
             expected = stacked.solve(flat)
             off_span += expected is None
-            assert exactalg._commutant_coords(basis, flat) == expected
+            terms, bden = exactalg._nonzero_entries(basis, rows, cols)
+            assert exactalg._commutant_coords(terms, bden, cols, flat) == expected
     assert off_span >= 5
+
+
+def test_rank_of_empty_and_zero_matrices(monkeypatch):
+    def eliminated_rank(m):
+        return len(exactalg._echelon(exactalg._sparse_rows(m.num))[0])
+
+    empty = [RatMatrix.zeros(0, n) for n in range(4)] + [RatMatrix.zeros(n, 0) for n in range(4)]
+    zero = [RatMatrix.zeros(r, c) for r, c in ((1, 1), (2, 3), (3, 2))]
+    for m in empty + zero:
+        assert m.rank() == eliminated_rank(m) == 0
+    assert RatMatrix.from_rows([[0, 0], [0, 3]]).rank() == 1
+
+    def no_elimination(*args):
+        raise AssertionError("an empty matrix was eliminated")
+
+    monkeypatch.setattr(exactalg, "_sparse_rows", no_elimination)
+    assert all(m.rank() == 0 for m in empty)
+
+
+def test_right_terms_are_the_right_multiplications_plain_and_framed():
+    # M_2(Q) in the basis (swap, E_11, E_12, E_22): e_0 is invertible but not
+    # the unit, and the algebra is not commutative, so framing moves the cells
+    swap = subalgebra_on_basis(matrix_algebra(2), RatMatrix.from_rows(
+        [[0, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]]))
+    sq2 = regular_algebra_from_min_poly(Polynomial([-2, 0, 1]))
+    odd = AlgebraSpec([[[4, -2], [1, 0]], [[1, 0], [0, 1]]], [0, 1])  # Q(sqrt 2), e_0 = 2 + sqrt 2
+    for alg in (swap, sq2, odd):
+        n, r0 = alg.dim, alg.right_mats[0]
+        plain = alg.right_terms()
+        framed = alg.right_terms(framed=True)
+        assert plain == exactalg._nonzero_entries(alg.right_mats, n, n)
+        assert framed == exactalg._nonzero_entries([r0.inverse() * rb * r0 for rb in alg.right_mats], n, n)
+        assert alg.right_terms() is plain and alg.right_terms(framed=True) is framed
+        assert (plain != framed) == (alg is swap)
+    assert odd.right_mats[0] != RatMatrix.identity(2)

@@ -9,13 +9,26 @@ import pytest
 import isocat.exactalg as exactalg
 import isocat.extcat as extcat
 from isocat.catalog import CATALOG_IDS, catalog_scenario
-from isocat.exactalg import AlgebraSpec, Polynomial, RatMatrix, _combine, _null_rows, algebra_center
+from isocat.exactalg import (
+    AlgebraSpec,
+    Polynomial,
+    RatMatrix,
+    _combine,
+    _echelon,
+    _nonzero_entries,
+    _null_rows,
+    _sparse_rows,
+    algebra_center,
+    commutant_basis,
+)
 from isocat.extcat import (
     TripleError,
     TripleObject,
     VertexSpace,
     _build_fspaces,
     _f_map,
+    _hom_terms,
+    _in_frames,
     _psi_data,
     abelian_ops,
     canonical_object,
@@ -28,6 +41,7 @@ from isocat.extcat import (
     ext1,
     euler_form,
     hom,
+    hom_ext_dims,
     hom_space_dims,
     identity_morphism,
     is_projective,
@@ -53,6 +67,8 @@ from isocat.species import (
     scalar_bimodule,
     tensor_bimodule,
 )
+
+from test_species import quaternions_from_i
 
 F = Fraction
 
@@ -456,7 +472,8 @@ def test_hom_ext1_euler_agree_and_projection_kills_psi():
             # Euler is su + sv - sf for any psi; a wrong psi shows in hom
             assert (len(homs), res.dim) == reference_hom_ext_dims(a, b)
             assert all(m.check() is None for m in homs)
-            _, _, fbases, offsets, psi = _psi_data(a, b)
+            _, _, _, offsets, psi = _psi_data(a, b)
+            fbases = {x: equivariant_hom_basis(s.algebra(x).spec, a.f[x].space, b.x[x]) for x in s.x_ids}
             assert (psi.rows, psi.cols) == (sf, su + sv)
             assert (res.projection * psi).is_zero()
             assert res.projection.rows == res.dim == sf - psi.rank()
@@ -516,12 +533,16 @@ def dense_psi_and_hom(a, b):
     return psi, homs
 
 
-def conjugated(z, y):
-    """z with its y component conjugated by 2I + (cyclic shift), so it takes the framed path."""
-    n = z.y[y].dim
+def conjugated_space(vs):
+    """vs conjugated by 2I + (cyclic shift): not canonical, so it takes the framed path."""
+    n = vs.dim
     g = RatMatrix(n, n, [[2 * (i == j) + (j == (i + 1) % n) for j in range(n)] for i in range(n)])
-    conj = VertexSpace(n, [g * m * g.inverse() for m in z.y[y].action])
-    return TripleObject(z.scenario, z.x, {**z.y, y: conj}, z.eta)
+    return VertexSpace(n, [g * m * g.inverse() for m in vs.action])
+
+
+def conjugated(z, y):
+    """z with its y component conjugated by `conjugated_space`."""
+    return TripleObject(z.scenario, z.x, {**z.y, y: conjugated_space(z.y[y])}, z.eta)
 
 
 def assert_hom_matches_dense(a, b):
@@ -594,6 +615,146 @@ def test_canonical_spaces_and_their_f_spaces_match_the_generic_path():
                 generic = _build_fspaces(s, {y: untagged(vs) for y, vs in y_parts.items()})
                 for x in s.x_ids:
                     assert closed[x].space.action == generic[x].space.action
+
+
+def matrix_hom_basis(alg, src, dst):
+    """The matrix construction that `_hom_terms` replaced, kept as its reference.
+
+    Elementary matrices over Q, unit(s, t) (x) R_b on a canonical pair in the
+    order (s, t, b), else the commutant basis.
+    """
+    if src.dim == 0 or dst.dim == 0:
+        return []
+    if alg.dim == 1:
+        out = []
+        for k in range(dst.dim):
+            for l in range(src.dim):
+                m = RatMatrix.zeros(dst.dim, src.dim)
+                m.num[k][l] = 1
+                out.append(m)
+        return out
+    if src.canonical is None or dst.canonical is None or src.canonical[0] != dst.canonical[0]:
+        return commutant_basis(src.action, dst.action)
+    basis = []
+    ms, md = src.canonical[1], dst.canonical[1]
+    for s in range(md):
+        for t in range(ms):
+            unit = RatMatrix.zeros(md, ms)
+            unit.num[s][t] = 1
+            basis += [unit.kron(rb) for rb in alg.right_mats]
+    return basis
+
+
+def assert_terms_match_matrices(alg, src, dst):
+    mats = matrix_hom_basis(alg, src, dst)
+    plain = _hom_terms(alg, src, dst)
+    framed = _hom_terms(alg, src, dst, framed=True)
+    assert plain == _nonzero_entries(mats, dst.dim, src.dim)
+    assert framed == _nonzero_entries([_in_frames(m, src, dst) for m in mats], dst.dim, src.dim)
+    assert equivariant_hom_basis(alg, src, dst) == mats
+    return plain != framed
+
+
+def test_hom_terms_are_the_sparse_form_of_the_matrix_construction():
+    # Q(sqrt 2) in the basis (2 + sqrt 2, 1) and H in the basis (i, j, k, 1):
+    # e_0 is not the unit, so R_0 != I; the framed terms R_0^-1 . R_b . R_0
+    # differ from the plain ones over H, which is not commutative
+    quat = quaternions_from_i()
+    odd = [asserted_division_algebra(AlgebraSpec([[[4, -2], [1, 0]], [[1, 0], [0, 1]]], [0, 1])),
+           quat]
+    handles = {}
+    for name in CATALOG_IDS:
+        s = catalog_scenario(name)
+        handles.update((s.algebra(v).key(), s.algebra(v)) for v in s.vertex_order())
+    for h in [*handles.values(), *odd]:
+        alg = h.spec
+        for ms in range(4):
+            for md in range(4):
+                src, dst = canonical_space(h, ms), canonical_space(h, md)
+                reframed = assert_terms_match_matrices(alg, src, dst)
+                assert reframed == (h is quat and ms * md > 0)
+                if 0 < ms < 3 and md < 3:  # a conjugated source takes the commutant basis
+                    assert_terms_match_matrices(alg, conjugated_space(src), dst)
+                    assert_terms_match_matrices(alg, dst, conjugated_space(src))
+    # F spaces are never canonical: Hom(F(Y), X') and Hom(X, F(Y')) are commutant bases
+    rng = random.Random("hom-terms")
+    for name in CATALOG_IDS:
+        s = catalog_scenario(name)
+        objs = [random_object_with(s, {v: m for v in s.vertex_order()}, rng) for m in (1, 2)]
+        for a in objs:
+            for b in objs:
+                for x in s.x_ids:
+                    alg = s.algebra(x).spec
+                    assert_terms_match_matrices(alg, a.f[x].space, b.x[x])
+                    assert_terms_match_matrices(alg, a.x[x], b.f[x].space)
+
+
+def test_psi_over_quaternions_with_a_non_unit_e0_matches_dense_reference():
+    # over H in the basis (i, j, k, 1) the v images in psi need the framed
+    # cells R_0^-1 . R_b . R_0, which differ from R_b
+    q, quat = rationals(), quaternions_from_i()
+    s = SpeciesScenario("quat", [("u", q)], [("a", quat)], {("u", "a"): tensor_bimodule(q, quat)})
+    objs = [random_object_with(s, {"u": 2, "a": m}, random.Random(m)) for m in (1, 2)]
+    for a in objs:
+        for b in objs:
+            assert_hom_matches_dense(a, b)
+
+
+def test_psi_reads_bases_as_terms_without_building_matrices(monkeypatch):
+    # closed-form bases are written as terms, and a commutant basis is read
+    # into terms once, when it is cached: hom, ext1 and euler_form on
+    # canonical objects build no basis matrix
+    reads = []
+    real = extcat._nonzero_entries
+
+    def counted(*args):
+        reads.append(1)
+        return real(*args)
+
+    def no_matrices(*args):
+        raise AssertionError("a basis was built as matrices")
+
+    monkeypatch.setattr(extcat, "_HOM_CACHE", {})
+    monkeypatch.setattr(extcat, "_nonzero_entries", counted)
+    monkeypatch.setattr(extcat, "equivariant_hom_basis", no_matrices)
+    gen = random.Random("terms-only")
+    sweep = [catalog_scenario(name) for name in ("b2_dual", "g2_threefold", "c3_surface", "two_surfaces")]
+    sweep += [random_scenario(gen) for _ in range(4)]
+    pairs = 0
+    for s in sweep:
+        rng = random.Random(s.name)
+        objs = [random_object(s, rng, max_mult=2) for _ in range(3)]
+        for a in objs:
+            for b in objs:
+                hom(a, b)
+                ext1(a, b)
+                euler_form(a, b)
+                pairs += 1
+    assert pairs == 72 and len(reads) == len(extcat._HOM_CACHE) > 0
+
+
+def test_hom_ext_dims_skip_no_elimination_they_need():
+    # rank is 0 without an elimination on a 0-row or 0-column psi, and psi^T
+    # is not eliminated then; the answers are those of the two eliminations
+    def eliminated_rank(m):
+        return len(_echelon(_sparse_rows(m.num))[0])
+
+    seen = set()
+    for name in ("a3", "g2_threefold", "b2_dual"):
+        s = catalog_scenario(name)
+        rng = random.Random(name)
+        full = {v: 1 for v in s.vertex_order()}
+        objs = [zero_object(s), simple_x_object(s, s.x_ids[0]), simple_y_object(s, s.y_ids[0]),
+                canonical_object(s, full), random_object_with(s, full, rng), random_object(s, rng)]
+        objs += [x_only(objs[4]), y_only(objs[4])]
+        for a in objs:
+            for b in objs:
+                psi = _psi_data(a, b)[4]
+                h, e, _ = hom_ext_dims(a, b)
+                assert h == psi.cols - eliminated_rank(psi)
+                assert e == psi.rows - eliminated_rank(psi.transpose())
+                seen.add("empty" if not (psi.rows and psi.cols) else "zero" if psi.is_zero() else "nonzero")
+    assert seen == {"empty", "zero", "nonzero"}
 
 
 def test_hom_and_ext1_bases_do_not_depend_on_call_history(monkeypatch):

@@ -160,3 +160,26 @@ def test_krull_schmidt_roundtrip_small():
         assert dec.flag == "certified"
         got = sorted(sm.object.dimension_vector() for sm in dec.summands)
         assert got == sorted(p.dimension_vector() for p in picks)
+
+
+def test_root_table_entries_are_real_roots_of_the_tits_form():
+    # q(a) = sum_v f_v a_v^2 - sum_(x,y) dim_Q(M_xy) a_x a_y with f_v = [D_v:Q],
+    # read off the scenario's algebra and bimodule dimensions only
+    checked = 0
+    for name in FINITE_TYPE_IDS:
+        s = catalog_scenario(name)
+        order = s.vertex_order()
+        f = {v: s.algebra(v).dim for v in order}
+
+        def ringel(a, b):
+            da, db = dict(zip(order, a)), dict(zip(order, b))
+            return (sum(f[v] * da[v] * db[v] for v in order)
+                    - sum(bm.dim * da[y] * db[x] for (x, y), bm in s.bimodules.items()))
+
+        for entry in build_root_table(s, 2026).entries:
+            z, q = entry.object, ringel(entry.root, entry.root)
+            assert euler_form(z, z) == len(hom(z, z)) == q, (name, entry.root)
+            assert ext1(z, z).dim == 0, (name, entry.root)
+            assert q in f.values(), (name, entry.root)  # a real root
+            checked += 1
+    assert checked == 44  # A2, A3, B2, C2, C3, D4, G2: 3 + 6 + 4 + 4 + 9 + 12 + 6 roots
