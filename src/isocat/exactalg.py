@@ -22,9 +22,10 @@ One helper per recurring construction, shared by the packages built on it:
   Hom and seeded objects are built from (`_combine_terms`), read once per
   cached commutant basis and per algebra's right multiplications;
 - `_block_copies`: I_m (x) c written into one grid in closed form
-  (canonical vertex spaces and their frames);
+  (canonical vertex spaces);
 - `orbit_basis`: the greedy basis of a free module, trying standard
-  vectors in index order (bimodule right bases, vertex-space frames);
+  vectors in index order (bimodule right bases, which fix the tensor
+  slots m_i (x) f_c);
 - `commutant_basis`: the maps T with T . S_a = D_a . T for all a
   (equivariant hom spaces, nilpotent intertwiners);
 - `structure_constants`: an algebra on a spanning set from its n^2
@@ -1054,7 +1055,7 @@ class AlgebraSpec:
         self.right_mats = [RatMatrix.from_rows([[c[j][i][k] for j in range(dim)] for k in range(dim)])
                            for i in range(dim)]
         self._key = None
-        self._right_terms: dict[bool, tuple[list[list[tuple[int, int, int]]], int]] = {}
+        self._right_terms: tuple[list[list[tuple[int, int, int]]], int] | None = None
         if not _skip_validation:
             self._validate()
 
@@ -1108,15 +1109,11 @@ class AlgebraSpec:
             self._key = tuple(m.key() for m in self.left_mats) + (tuple(self.unit),)
         return self._key
 
-    def right_terms(self, framed: bool = False) -> tuple[list[list[tuple[int, int, int]]], int]:
-        """`_nonzero_entries` of right_mats, or (framed) of R_0^-1 . R_b . R_0: canonical-pair hom cells."""
-        if framed not in self._right_terms:
-            mats = self.right_mats
-            if framed:
-                r0inv = mats[0].inverse()
-                mats = [r0inv * rb * mats[0] for rb in mats]
-            self._right_terms[framed] = _nonzero_entries(mats, self.dim, self.dim)
-        return self._right_terms[framed]
+    def right_terms(self) -> tuple[list[list[tuple[int, int, int]]], int]:
+        """`_nonzero_entries` of right_mats: the cells of canonical-pair hom bases."""
+        if self._right_terms is None:
+            self._right_terms = _nonzero_entries(self.right_mats, self.dim, self.dim)
+        return self._right_terms
 
 
 def min_poly(a: Sequence, alg: AlgebraSpec) -> Polynomial:

@@ -13,11 +13,12 @@ extensions, length-1 projective resolutions, kernels/cokernels/images,
 torsion pairs, endomorphism algebras and an exact Krull-Schmidt-style
 decomposition.
 
-Tensor spaces use a canonical slot basis: for the bimodule at (x, y), a
-greedy right basis m_0..m_{r-1} of M over the y algebra, a greedy y-algebra
-basis v_0..v_{s-1} of the y component over its standard basis, and slots
-m_i (x) (e_b . v_j) ordered (i, j, b).  The slot layout is part of every
-object's identity, so serialized objects round-trip exactly.
+Tensor spaces use the slot basis m_i (x) f_c ordered (i, c): for the
+bimodule at (x, y), m_0..m_{r-1} is the greedy right basis of M over the y
+algebra and f_c is the basis the y component already has.  So F(v) is
+I_r (x) v, and block (k, i) of e_a's action on F(Y) is the action of
+d = left_coords(a)[i][k] on Y.  The slot layout is part of every object's
+identity, so serialized objects round-trip exactly.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .exactalg import (
     is_irreducible,
     min_poly,
     min_poly_matrix,
-    orbit_basis,
     poly_xgcd,
     squarefree_decomposition,
     structure_constants,
@@ -71,10 +71,10 @@ class InternalConsistencyError(RuntimeError):
 class VertexSpace:
     """A Q-space with a unital action of one vertex algebra.
 
-    `canonical` is (algebra key, multiplicity, R_0) for a `canonical_space`.
+    `canonical` is (algebra key, multiplicity) for a `canonical_space`.
     """
 
-    __slots__ = ("dim", "action", "_key", "_frame", "canonical")
+    __slots__ = ("dim", "action", "_key", "canonical")
 
     def __init__(self, dim: int, action: Sequence[RatMatrix],
                  canonical: Optional[tuple] = None):
@@ -82,7 +82,6 @@ class VertexSpace:
         self.action = list(action)
         self.canonical = canonical
         self._key = None
-        self._frame = None
 
     def key(self) -> tuple:
         if self._key is None:
@@ -92,30 +91,11 @@ class VertexSpace:
     def act(self, coords: Sequence[Fraction]) -> RatMatrix:
         return RatMatrix.combine(self.action, coords, self.dim, self.dim)
 
-    def frame(self) -> tuple[RatMatrix, RatMatrix]:
-        """(P, P^-1) for the greedy algebra-basis coordinates of this space.
-
-        Column (j, b) of P is e_b . v_j for the greedy basis v_0..v_{s-1};
-        an identity P is returned as the pair (P, P) so that callers can skip
-        it by identity of the objects.  On a canonical space the greedy basis
-        is e_0 of each copy (it generates a copy of a division algebra), so P
-        is I_mult (x) R_0 in closed form, R_0 = right_mats[0].
-        """
-        if self._frame is None:
-            if self.canonical is not None:
-                p = _block_copies(self.canonical[1], self.canonical[2])
-            else:
-                picked, p = orbit_basis(self.action, self.dim)
-                if len(picked) * len(self.action) != self.dim:
-                    raise TripleError("vertex space is not free over its algebra")
-            self._frame = (p, p if p == RatMatrix.identity(self.dim) else p.inverse())
-        return self._frame
-
 
 def canonical_space(handle: DivisionAlgebraHandle, mult: int) -> VertexSpace:
     """mult copies of the algebra acting on itself from the left: e_b acts by I_mult (x) L_b."""
     action = [_block_copies(mult, lm) for lm in handle.spec.left_mats]
-    return VertexSpace(mult * handle.dim, action, canonical=(handle.key(), mult, handle.spec.right_mats[0]))
+    return VertexSpace(mult * handle.dim, action, canonical=(handle.key(), mult))
 
 
 def zero_space(handle: DivisionAlgebraHandle) -> VertexSpace:
@@ -131,31 +111,27 @@ Terms = tuple[list[list[tuple[int, int, int]]], int]  # a basis as `_nonzero_ent
 _HOM_CACHE: dict[tuple, tuple[list[RatMatrix], Terms]] = {}  # commutant bases and their terms
 
 
-def _hom_terms(alg: AlgebraSpec, src: VertexSpace, dst: VertexSpace, framed: bool = False) -> Terms:
+def _hom_terms(alg: AlgebraSpec, src: VertexSpace, dst: VertexSpace) -> Terms:
     """Basis of the algebra-equivariant maps src -> dst, as `_nonzero_entries` (terms, den).
 
     Over zero spaces, over Q and between canonical spaces (unit(s, t) (x) R_b in
     the order (s, t, b)) it is written in closed form; other pairs read their
-    commutant basis through `_HOM_CACHE`.  framed takes the maps in the greedy
-    frames (`_in_frames`), so R_b becomes R_0^-1 . R_b . R_0 on a canonical pair.
+    commutant basis through `_HOM_CACHE`.
     """
     if src.dim == 0 or dst.dim == 0:
         return [], 1
-    if alg.dim == 1:  # a Q action is scalar, so every map is equivariant and frames cancel
+    if alg.dim == 1:  # a Q action is scalar, so every map is equivariant
         return [[(k, l, 1)] for k in range(dst.dim) for l in range(src.dim)], 1
     if src.canonical is not None and dst.canonical is not None and src.canonical[0] == dst.canonical[0]:
         n = alg.dim
-        cells, den = alg.right_terms(framed)
+        cells, den = alg.right_terms()
         return [[(s * n + i, t * n + j, e) for i, j, e in cell]
                 for s in range(dst.canonical[1]) for t in range(src.canonical[1]) for cell in cells], den
     key = (alg.key(), src.key(), dst.key())
     if key not in _HOM_CACHE:
         basis = commutant_basis(src.action, dst.action)
         _HOM_CACHE[key] = basis, _nonzero_entries(basis, dst.dim, src.dim)
-    basis, terms = _HOM_CACHE[key]
-    if framed:
-        return _nonzero_entries([_in_frames(m, src, dst) for m in basis], dst.dim, src.dim)
-    return terms
+    return _HOM_CACHE[key][1]
 
 
 def equivariant_hom_basis(alg: AlgebraSpec, src: VertexSpace, dst: VertexSpace) -> list[RatMatrix]:
@@ -169,33 +145,29 @@ def equivariant_hom_basis(alg: AlgebraSpec, src: VertexSpace, dst: VertexSpace) 
 # ======================================================================
 
 class FSpace:
-    """The tensor space F(Y) at one x-vertex: slot layout and (not from `_f_layout`) action."""
+    """The tensor space F(Y) at one x-vertex: y block offsets and (not from `_f_layout`) action."""
 
-    __slots__ = ("dim", "layout", "offsets", "space")
+    __slots__ = ("dim", "offsets", "space")
 
-    def __init__(self, dim: int, layout: list[tuple[str, int]], offsets: dict[str, int],
-                 space: Optional[VertexSpace]):
+    def __init__(self, dim: int, offsets: dict[str, int], space: Optional[VertexSpace]):
         self.dim = dim
-        self.layout = layout
         self.offsets = offsets
         self.space = space
 
 
 def _f_layout(scenario: SpeciesScenario, y_parts: dict[str, VertexSpace]) -> dict[str, FSpace]:
-    """The tensor spaces' dims, slot layouts and offsets, without their actions."""
+    """The tensor spaces' dims and y block offsets, without their actions."""
     out: dict[str, FSpace] = {}
     for x in scenario.x_ids:
-        layout: list[tuple[str, int]] = []
         offsets: dict[str, int] = {}
         total = 0
         for y in scenario.y_ids:
             bm = scenario.bimodules.get((x, y))
             width = bm.rank_over_right * y_parts[y].dim if bm is not None else 0
             if width:
-                layout.append((y, width))
                 offsets[y] = total
                 total += width
-        out[x] = FSpace(total, layout, offsets, None)
+        out[x] = FSpace(total, offsets, None)
     return out
 
 
@@ -204,8 +176,8 @@ def _build_fspaces(scenario: SpeciesScenario,
     """`_f_layout` with the action of the x algebra on each tensor space.
 
     Cell (k, i) of the r x r grid at y, for e_a, is the m_k part of e_a . m_i: the
-    action of d = left_coords(a)[i][k] on Y_y in its frame.  On a canonical Y_y
-    that is I_m (x) L(d), written in as m copies of the bimodule's `left_cells`.
+    action of d = left_coords(a)[i][k] on Y_y.  On a canonical Y_y that is
+    I_m (x) L(d), written in as m copies of the bimodule's `left_cells`.
     """
     out = _f_layout(scenario, y_parts)
     for x, fsp in out.items():
@@ -221,20 +193,10 @@ def _build_fspaces(scenario: SpeciesScenario,
                               if c is not None for j in range(0, d, bm.right_alg.dim)]
                     continue
                 for i, row in enumerate(bm.left_coords(a)):
-                    cells += [(off + k * d, off + i * d, _in_frames(vs.act(c), vs, vs))
-                              for k, c in enumerate(row) if any(c)]
+                    cells += [(off + k * d, off + i * d, vs.act(c)) for k, c in enumerate(row) if any(c)]
             action.append(_assemble(fsp.dim, fsp.dim, cells))
         fsp.space = VertexSpace(fsp.dim, action)
     return out
-
-
-def _in_frames(m: RatMatrix, src: VertexSpace, dst: VertexSpace) -> RatMatrix:
-    """P_dst^-1 . m . P_src for the greedy frames, skipping identity frames."""
-    ps, psinv = src.frame()
-    pd, pdinv = dst.frame()
-    if ps is not psinv:
-        m = m * ps
-    return m if pd is pdinv else pdinv * m
 
 
 def _assemble(rows: int, cols: int, blocks: Sequence[tuple[int, int, RatMatrix]]) -> RatMatrix:
@@ -261,15 +223,14 @@ def _block_diag(blocks: list[RatMatrix]) -> RatMatrix:
     return _assemble(r, c, placed)
 
 
-def _f_map(scenario: SpeciesScenario, src_y: dict[str, VertexSpace],
-           dst_y: dict[str, VertexSpace], v: dict[str, RatMatrix],
+def _f_map(scenario: SpeciesScenario, v: dict[str, RatMatrix],
            src_f: dict[str, FSpace], dst_f: dict[str, FSpace], x: str) -> RatMatrix:
-    """Matrix of F(v) at the x-vertex, in the canonical slot bases."""
+    """Matrix of F(v) at the x-vertex: I_r (x) v_y on the block of each y."""
     sf, df = src_f[x], dst_f[x]
     ys = [y for y in scenario.y_ids if y in sf.offsets or y in df.offsets]
     blocks: list[RatMatrix] = []
-    for y in ys:  # I_r (x) v_y in the frames
-        blocks += [_in_frames(v[y], src_y[y], dst_y[y])] * scenario.bimodules[(x, y)].rank_over_right
+    for y in ys:
+        blocks += [v[y]] * scenario.bimodules[(x, y)].rank_over_right
     if not blocks:
         return RatMatrix.zeros(df.dim, sf.dim)
     return _block_diag(blocks)
@@ -309,6 +270,9 @@ class TripleObject:
         for yv in scenario.y_ids:
             if yv not in self.y:
                 raise TripleError(f"missing y component at {yv!r}")
+        err = _components_error(scenario, self.x, self.y) if check else None
+        if err is not None:
+            raise TripleError(err)
         self.f = fspaces if fspaces is not None else _build_fspaces(scenario, self.y)
         for xv in scenario.x_ids:
             m = self.eta.get(xv)
@@ -317,10 +281,9 @@ class TripleObject:
             if (m.rows, m.cols) != (self.x[xv].dim, self.f[xv].dim):
                 raise TripleError(f"eta at {xv!r} has shape {m.rows}x{m.cols}, "
                                   f"expected {self.x[xv].dim}x{self.f[xv].dim}")
-        if check:
-            err = validate(self)
-            if err is not None:
-                raise TripleError(err)
+        err = _eta_error(self) if check else None
+        if err is not None:
+            raise TripleError(err)
 
     def total_dim(self) -> int:
         return (sum(v.dim for v in self.x.values())
@@ -352,6 +315,8 @@ def _space_error(alg: AlgebraSpec, vs: VertexSpace) -> Optional[str]:
         return "one action matrix per algebra basis element required"
     if any((m.rows, m.cols) != (vs.dim, vs.dim) for m in vs.action):
         return "action matrix shape mismatch"
+    if vs.dim % alg.dim:
+        return "vertex space is not free over its algebra"
     if vs.dim and vs.act(alg.unit) != RatMatrix.identity(vs.dim):
         return "action is not unital"
     for i in range(alg.dim if vs.dim else 0):
@@ -362,14 +327,20 @@ def _space_error(alg: AlgebraSpec, vs: VertexSpace) -> Optional[str]:
     return None
 
 
-def validate(z: TripleObject) -> Optional[str]:
-    """None if every invariant holds, else the first violation."""
-    s = z.scenario
-    for ids, parts, side in ((s.x_ids, z.x, "x"), (s.y_ids, z.y, "y")):
+def _components_error(s: SpeciesScenario, x_parts: dict[str, VertexSpace],
+                      y_parts: dict[str, VertexSpace]) -> Optional[str]:
+    """None if every component is a unital representation, else the first violation."""
+    for ids, parts, side in ((s.x_ids, x_parts, "x"), (s.y_ids, y_parts, "y")):
         for v in ids:
             err = _space_error(s.algebra(v).spec, parts[v])
             if err is not None:
                 return f"{side}-component at {v!r}: {err}"
+    return None
+
+
+def _eta_error(z: TripleObject) -> Optional[str]:
+    """None if every eta is equivariant, else the first violation."""
+    s = z.scenario
     for xv in s.x_ids:
         alg = s.algebra(xv).spec
         eta = z.eta[xv]
@@ -378,6 +349,11 @@ def validate(z: TripleObject) -> Optional[str]:
             if eta * fsp.space.action[a] != z.x[xv].action[a] * eta:
                 return f"eta at {xv!r} is not equivariant for algebra basis element {a}"
     return None
+
+
+def validate(z: TripleObject) -> Optional[str]:
+    """None if every invariant holds, else the first violation."""
+    return _components_error(z.scenario, z.x, z.y) or _eta_error(z)
 
 
 @dataclass
@@ -402,8 +378,7 @@ class TripleMorphism:
                 if self.v[yv] * self.source.y[yv].action[a] != self.target.y[yv].action[a] * self.v[yv]:
                     return f"v at {yv!r} not equivariant"
         for xv in s.x_ids:
-            fv = _f_map(s, self.source.y, self.target.y, self.v,
-                        self.source.f, self.target.f, xv)
+            fv = _f_map(s, self.v, self.source.f, self.target.f, xv)
             if self.u[xv] * self.source.eta[xv] != self.target.eta[xv] * fv:
                 return f"eta square does not commute at {xv!r}"
         return None
@@ -540,18 +515,18 @@ def hom_space_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, int]:
     return su, sv, sf
 
 
-def _v_basis_f_blocks(z: TripleObject, z2: TripleObject, images: dict[str, list], col: int) -> int:
+def _v_basis_f_blocks(z: TripleObject, z2: TripleObject, vbases: dict[str, Terms],
+                      images: dict[str, list], col: int) -> int:
     """Append -(eta' . F(v_l)) to images[x] as psi columns col, col + 1, ...; return the next.
 
-    F(v_l) is I_r (x) t on the y block, t = v_l in the frames, so column
-    block i of eta' . F(v_l) is that of eta'_x's y block times t, built from
-    t's nonzero entries (`_hom_terms` with framed) straight into the flat
-    X'_x x F(Y)_x grid.
+    F(v_l) is I_r (x) v_l on the y block, so column block i of eta' . F(v_l)
+    is that of eta'_x's y block times v_l, built from v_l's nonzero entries
+    in vbases straight into the flat X'_x x F(Y)_x grid.
     """
     s = z.scenario
     for y in s.y_ids:
         n1, n2 = z.y[y].dim, z2.y[y].dim
-        terms, tden = _hom_terms(s.algebra(y).spec, z.y[y], z2.y[y], framed=True)
+        terms, tden = vbases[y]
         for x in s.x_ids:
             bm = s.bimodules.get((x, y))
             # a nonzero v basis means Y_y and Y'_y are nonzero, so both F
@@ -601,7 +576,7 @@ def _psi_data(z: TripleObject, z2: TripleObject):
                 rows[i] = [f + e * g for f, g in zip(rows[i], eta.num[j])]
             images[x].append((ncols, [v for r in rows for v in r], uden * eta.den))
             ncols += 1
-    ncols = _v_basis_f_blocks(z, z2, images, ncols)
+    ncols = _v_basis_f_blocks(z, z2, vbases, images, ncols)
     offsets: dict[str, int] = {}
     blocks = []
     total_f = 0
@@ -743,22 +718,10 @@ class Resolution:
     def verify(self) -> None:
         if not is_projective(self.p1) or not is_projective(self.p0):
             raise InternalConsistencyError("resolution terms are not projective")
-        comp = self.d0.compose(self.d1)
-        if not comp.is_zero():
+        if not self.d0.compose(self.d1).is_zero():
             raise InternalConsistencyError("resolution differentials do not compose to zero")
-        for side, src, mid, dst in (("u", self.p1.x, self.p0.x, self.z.x),
-                                    ("v", self.p1.y, self.p0.y, self.z.y)):
-            for vtx in src:
-                m1 = self.d1.u[vtx] if side == "u" else self.d1.v[vtx]
-                m0 = self.d0.u[vtx] if side == "u" else self.d0.v[vtx]
-                r1 = m1.rank()
-                r0 = m0.rank()
-                if r1 != src[vtx].dim:
-                    raise InternalConsistencyError("first differential is not injective")
-                if r0 != dst[vtx].dim:
-                    raise InternalConsistencyError("augmentation is not surjective")
-                if r1 + r0 != mid[vtx].dim:
-                    raise InternalConsistencyError("resolution is not exact in the middle")
+        if not verify_short_exact(self.d1, self.d0):
+            raise InternalConsistencyError("resolution is not a short exact sequence")
 
 
 def projective_resolution(z: TripleObject) -> Resolution:
@@ -815,14 +778,11 @@ def direct_sum(a: TripleObject, b: TripleObject):
     ib_v = {y: inclusion(a.y[y].dim, b.y[y].dim, True) for y in s.y_ids}
     eta = {}
     for x in s.x_ids:
-        fa = _f_map(s, a.y, y_parts, ia_v, a.f, fsp, x)
-        fb = _f_map(s, b.y, y_parts, ib_v, b.f, fsp, x)
-        change = fa.hstack(fb)
+        fa = _f_map(s, ia_v, a.f, fsp, x)
+        fb = _f_map(s, ib_v, b.f, fsp, x)
+        # F of the inclusions is a slot permutation, so its inverse is its transpose
         lhs = (ia_u[x] * a.eta[x]).hstack(ib_u[x] * b.eta[x])
-        if change.cols == 0:
-            eta[x] = RatMatrix.zeros(x_parts[x].dim, fsp[x].dim)
-        else:
-            eta[x] = lhs * change.inverse()
+        eta[x] = lhs * fa.hstack(fb).transpose()
     total = TripleObject(s, x_parts, y_parts, eta, check=False)
     inc_a = TripleMorphism(a, total, ia_u, ia_v)
     inc_b = TripleMorphism(b, total, ib_u, ib_v)
@@ -871,7 +831,7 @@ def _subspace_object(z: TripleObject, x_cols: dict[str, RatMatrix],
     fsp = _f_layout(s, y_parts)
     eta = {}
     for x in s.x_ids:
-        fi = _f_map(s, y_parts, z.y, y_cols, fsp, z.f, x)
+        fi = _f_map(s, y_cols, fsp, z.f, x)
         target = z.eta[x] * fi
         sol = x_cols[x].solve(target)
         if sol is None:
@@ -902,7 +862,7 @@ def _quotient_object(z: TripleObject, x_sub: dict[str, RatMatrix],
     fsp = _f_layout(s, y_parts)
     eta = {}
     for x in s.x_ids:
-        fpi = _f_map(s, z.y, y_parts, pro_v, z.f, fsp, x)
+        fpi = _f_map(s, pro_v, z.f, fsp, x)
         rhs = (pro_u[x] * z.eta[x]).transpose()
         sol = fpi.transpose().solve(rhs)
         if sol is None:

@@ -2,12 +2,16 @@
 
 All rationals travel as strings ("p/q" or "p"); floats are rejected.
 Matrices are row-major grids.  Action lists carry one matrix per algebra
-basis element.  The column order of every eta matrix is the canonical slot
-order of the tensor space: y-vertices in scenario declaration order, and
-per bimodule the slots (m_i, v_j, e_b) with i outermost (right basis of the
-bimodule), then j (greedy algebra basis of the y component), then b (the
-algebra's own basis); this is the order the library computes with, so
-serialized objects round-trip bit-exactly.
+basis element.  The column order of every eta matrix is the slot order of
+the tensor space: y-vertices in scenario declaration order, and per
+bimodule the slots m_i (x) f_c with i outermost (greedy right basis of the
+bimodule), then c (the basis the y component is written in).  This is the
+order the library computes with, so serialized objects round-trip
+bit-exactly.  Files written before this order was adopted used slots
+m_i (x) (e_b . v_j), ordered (i, j, b), over a greedy algebra basis v_j of
+the y component.  Such a file reads with the same results when its y
+components are canonical, unless a y algebra is non-commutative and its
+e_0 is not the unit.
 """
 
 from __future__ import annotations
@@ -220,7 +224,7 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
                 else:
                     raise FormatError(f"vertex {v!r} needs {n} action matrices")
             out[v] = VertexSpace(dim, action)
-            err = _space_error(scenario.algebra(v).spec, out[v])  # before F(Y) needs its frame
+            err = _space_error(scenario.algebra(v).spec, out[v])  # before F(Y) is built
             if err is not None:
                 raise FormatError(f"component at vertex {v!r}: {err}")
         return out

@@ -205,8 +205,8 @@ class Bimodule:
     def left_cells(self, a_index: int) -> list[list[RatMatrix | None]]:
         """Cell [i][k] is L(d), the y algebra's left multiplication by d = left_coords(a_index)[i][k].
 
-        None where d = 0.  L(d) commutes with the greedy frame R_0 = right_mats[0]
-        of one copy of the algebra, so it is also d's action in that frame.
+        None where d = 0.  In the tensor slots m_i (x) f_c over a canonical y component,
+        block (k, i) of e_a's action is one copy of this cell per copy of the algebra.
         """
         if a_index not in self._left_cells:
             D = self.right_alg.spec
@@ -563,6 +563,8 @@ def _pattern_certificate(edges: list[tuple[str, str, int, int]], n: int) -> tupl
 
 
 def _component_name(comp: list[str], g: ValuedGraph) -> Optional[str]:
+    if sum(a in comp for a, _, _, _ in g.edges) != len(comp) - 1:
+        return None  # a connected graph with a cycle is no tree, so no Dynkin diagram
     cert = _tree_certificate(comp, g.adjacency())
     matches = [name for name, edges in _named_diagrams(len(comp))
                if _pattern_certificate(edges, len(comp)) == cert]

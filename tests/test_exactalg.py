@@ -847,10 +847,10 @@ _FIELD_POLYS = [[-2, 0, 1], [1, 0, 1], [-2, 0, 0, 1], [1, 1, 1]]
 
 
 @st.composite
-def _framed_actions(draw):
+def _conjugated_actions(draw):
     """(src, dst): copies of a number field acting on itself, each conjugated by L . U.
 
-    L and U are unit triangular with small entries, so every frame is
+    L and U are unit triangular with small entries, so every conjugator is
     invertible, and the commutant bases can carry denominators above 1.
     """
     alg = regular_algebra_from_min_poly(Polynomial(draw(st.sampled_from(_FIELD_POLYS))))
@@ -868,7 +868,7 @@ def _framed_actions(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_framed_actions())
+@given(_conjugated_actions())
 def test_commutant_basis_is_in_reduced_form(actions):
     src, dst = actions
     basis = commutant_basis(src, dst)
@@ -924,19 +924,16 @@ def test_rank_of_empty_and_zero_matrices(monkeypatch):
     assert all(m.rank() == 0 for m in empty)
 
 
-def test_right_terms_are_the_right_multiplications_plain_and_framed():
-    # M_2(Q) in the basis (swap, E_11, E_12, E_22): e_0 is invertible but not
-    # the unit, and the algebra is not commutative, so framing moves the cells
+def test_right_terms_are_the_right_multiplications():
+    # M_2(Q) in the basis (swap, E_11, E_12, E_22) and Q(sqrt 2) in the basis
+    # (2 + sqrt 2, 1): e_0 is not the unit, and the first is not commutative
     swap = subalgebra_on_basis(matrix_algebra(2), RatMatrix.from_rows(
         [[0, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]]))
     sq2 = regular_algebra_from_min_poly(Polynomial([-2, 0, 1]))
-    odd = AlgebraSpec([[[4, -2], [1, 0]], [[1, 0], [0, 1]]], [0, 1])  # Q(sqrt 2), e_0 = 2 + sqrt 2
+    odd = AlgebraSpec([[[4, -2], [1, 0]], [[1, 0], [0, 1]]], [0, 1])
     for alg in (swap, sq2, odd):
-        n, r0 = alg.dim, alg.right_mats[0]
+        n = alg.dim
         plain = alg.right_terms()
-        framed = alg.right_terms(framed=True)
         assert plain == exactalg._nonzero_entries(alg.right_mats, n, n)
-        assert framed == exactalg._nonzero_entries([r0.inverse() * rb * r0 for rb in alg.right_mats], n, n)
-        assert alg.right_terms() is plain and alg.right_terms(framed=True) is framed
-        assert (plain != framed) == (alg is swap)
+        assert alg.right_terms() is plain
     assert odd.right_mats[0] != RatMatrix.identity(2)

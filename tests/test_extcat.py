@@ -23,12 +23,12 @@ from isocat.exactalg import (
 )
 from isocat.extcat import (
     TripleError,
+    TripleMorphism,
     TripleObject,
     VertexSpace,
     _build_fspaces,
     _f_map,
     _hom_terms,
-    _in_frames,
     _psi_data,
     abelian_ops,
     canonical_object,
@@ -59,6 +59,7 @@ from isocat.extcat import (
 )
 from isocat.samples import random_morphism, random_object, random_object_with, random_scenario
 from isocat.species import (
+    Bimodule,
     SpeciesScenario,
     asserted_division_algebra,
     number_field,
@@ -260,8 +261,8 @@ def reference_hom_ext_dims(a, b):
     """Slow reference for (dim hom, dim ext1) straight from the definitions.
 
     Every matrix entry of (u, v) is an unknown; equivariance enters as
-    explicit constraint rows and the square constraint uses the frame
-    formula for F(v) directly.  No equivariant bases, no psi assembly, so
+    explicit constraint rows and the square constraint reads F(v) = I_r (x) v
+    entry by entry.  No equivariant bases, no psi assembly, so
     this path shares nothing with the production implementation beyond the
     kernel routine.
     """
@@ -325,10 +326,6 @@ def reference_hom_ext_dims(a, b):
                     if bm is None or y not in a.f[x].offsets:
                         continue
                     rr = bm.rank_over_right
-                    pa, _ = a.y[y].frame()
-                    _, pbinv = b.y[y].frame()
-                    pa = pa.to_fractions()
-                    pbinv = pbinv.to_fractions()
                     da, db = a.y[y].dim, b.y[y].dim
                     src_off = a.f[x].offsets[y]
                     if y not in b.f[x].offsets:
@@ -336,18 +333,13 @@ def reference_hom_ext_dims(a, b):
                     dst_off = b.f[x].offsets[y]
                     if not (src_off <= c < src_off + rr * da):
                         continue
-                    i = (c - src_off) // da
-                    cc = (c - src_off) % da
+                    # column (i, cc) of F(v) is column cc of v in slot block i
+                    i, cc = divmod(c - src_off, da)
                     vr, vc = v_dims[y]
                     for p in range(vr):
-                        for q in range(vc):
-                            coeff = F(0)
-                            for t in range(db):
-                                e2 = eta2[r][dst_off + i * db + t]
-                                if e2 and pbinv[t][p] and pa[q][cc]:
-                                    coeff += e2 * pbinv[t][p] * pa[q][cc]
-                            if coeff:
-                                row[entry_index(v_off[y], vr, vc, p, q)] -= coeff
+                        e2 = eta2[r][dst_off + i * db + p]
+                        if e2:
+                            row[entry_index(v_off[y], vr, vc, p, cc)] -= e2
                 if any(row):
                     rows.append(row)
 
@@ -492,7 +484,7 @@ def dense_psi_and_hom(a, b):
     """(psi, hom basis as (u, v) dicts) by dense products and `_combine`.
 
     Each psi column is the image u_k . eta or -(eta' . F(v_l)) as a full
-    matrix product, with F(v_l) from `_f_map` (I_r (x) v_l in the frames),
+    matrix product, with F(v_l) = I_r (x) v_l from `_f_map`,
     coordinatised by a solve against the stacked Hom(F(Y), X') basis; each
     kernel vector of psi becomes one matrix per vertex through `_combine`.
     """
@@ -504,7 +496,7 @@ def dense_psi_and_hom(a, b):
     for y in s.y_ids:
         for vl in vb[y]:
             v = {w: vl if w == y else RatMatrix.zeros(b.y[w].dim, a.y[w].dim) for w in s.y_ids}
-            images.append({x: -(b.eta[x] * _f_map(s, a.y, b.y, v, a.f, b.f, x)) for x in s.x_ids})
+            images.append({x: -(b.eta[x] * _f_map(s, v, a.f, b.f, x)) for x in s.x_ids})
     flat = lambda m: [e for row in m.to_fractions() for e in row]  # noqa: E731
     rows = []
     for x in s.x_ids:
@@ -533,16 +525,27 @@ def dense_psi_and_hom(a, b):
     return psi, homs
 
 
+def conjugator(n):
+    """2I + (cyclic shift); 2 + (a root of unity) is never zero, so it is invertible."""
+    return RatMatrix(n, n, [[2 * (i == j) + (j == (i + 1) % n) for j in range(n)] for i in range(n)])
+
+
 def conjugated_space(vs):
-    """vs conjugated by 2I + (cyclic shift): not canonical, so it takes the framed path."""
-    n = vs.dim
-    g = RatMatrix(n, n, [[2 * (i == j) + (j == (i + 1) % n) for j in range(n)] for i in range(n)])
-    return VertexSpace(n, [g * m * g.inverse() for m in vs.action])
+    """vs conjugated by `conjugator`: not canonical, so its hom spaces are commutant bases."""
+    g = conjugator(vs.dim)
+    return VertexSpace(vs.dim, [g * m * g.inverse() for m in vs.action])
 
 
 def conjugated(z, y):
-    """z with its y component conjugated by `conjugated_space`."""
-    return TripleObject(z.scenario, z.x, {**z.y, y: conjugated_space(z.y[y])}, z.eta)
+    """z with its y component conjugated by g = `conjugator` and eta carried through F(g^-1).
+
+    (1, g) is then an isomorphism z -> conjugated(z, y).
+    """
+    s = z.scenario
+    yc = {**z.y, y: conjugated_space(z.y[y])}
+    v = {w: conjugator(z.y[w].dim).inverse() if w == y else RatMatrix.identity(z.y[w].dim) for w in s.y_ids}
+    fc = _build_fspaces(s, yc)
+    return TripleObject(s, z.x, yc, {x: z.eta[x] * _f_map(s, v, fc, z.f, x) for x in s.x_ids})
 
 
 def assert_hom_matches_dense(a, b):
@@ -569,7 +572,7 @@ def test_sparse_hom_matches_dense_reference_on_catalog_and_number_fields():
 
 
 def test_sparse_hom_matches_dense_reference_on_conjugated_spaces():
-    # conjugated y spaces take the framed path, and their commutant bases
+    # conjugated y spaces are not canonical, and their commutant bases
     # carry denominators above 1, mixed within one basis
     rng = random.Random(3)
     xh, yh = number_field(Polynomial([-2, 0, 1])), number_field(Polynomial([1, 0, 1]))
@@ -587,13 +590,11 @@ def test_sparse_hom_matches_dense_reference_on_conjugated_spaces():
 
 
 def test_canonical_spaces_and_their_f_spaces_match_the_generic_path():
-    # Q(sqrt 2) in the basis (2 + sqrt 2, 1): basis element 0 is not the unit, so the
-    # generic path conjugates by a frame R_0 = right_mats[0] != I with a denominator in R_0^-1
+    # Q(sqrt 2) in the basis (2 + sqrt 2, 1): basis element 0 is not the unit
     odd = asserted_division_algebra(AlgebraSpec([[[4, -2], [1, 0]], [[1, 0], [0, 1]]], [0, 1]))
     sq, q = number_field(Polynomial([-2, 0, 1])), rationals()
-    assert canonical_space(odd, 1).frame()[1].den > 1
     sweep = [catalog_scenario(name) for name in CATALOG_IDS]
-    sweep.append(SpeciesScenario("odd_frame", [("u", q), ("w", sq)], [("a", odd), ("b", sq)],
+    sweep.append(SpeciesScenario("odd_basis", [("u", q), ("w", sq)], [("a", odd), ("b", sq)],
                                  {("u", "a"): tensor_bimodule(q, odd), ("w", "a"): tensor_bimodule(sq, odd),
                                   ("w", "b"): tensor_bimodule(sq, sq, copies=2)}))
 
@@ -606,9 +607,6 @@ def test_canonical_spaces_and_their_f_spaces_match_the_generic_path():
                 h = s.algebra(v)
                 space = canonical_space(h, m)
                 assert space.action == [RatMatrix.identity(m).kron(lm) for lm in h.spec.left_mats]
-                p, pinv = space.frame()
-                p2, pinv2 = untagged(space).frame()
-                assert (p, pinv, p is pinv) == (p2, pinv2, p2 is pinv2)
             for mults in ([m] * len(s.y_ids), [(m + k) % 4 for k in range(len(s.y_ids))]):
                 y_parts = {y: canonical_space(s.algebra(y), n) for y, n in zip(s.y_ids, mults)}
                 closed = _build_fspaces(s, y_parts)
@@ -647,18 +645,13 @@ def matrix_hom_basis(alg, src, dst):
 
 def assert_terms_match_matrices(alg, src, dst):
     mats = matrix_hom_basis(alg, src, dst)
-    plain = _hom_terms(alg, src, dst)
-    framed = _hom_terms(alg, src, dst, framed=True)
-    assert plain == _nonzero_entries(mats, dst.dim, src.dim)
-    assert framed == _nonzero_entries([_in_frames(m, src, dst) for m in mats], dst.dim, src.dim)
+    assert _hom_terms(alg, src, dst) == _nonzero_entries(mats, dst.dim, src.dim)
     assert equivariant_hom_basis(alg, src, dst) == mats
-    return plain != framed
 
 
 def test_hom_terms_are_the_sparse_form_of_the_matrix_construction():
     # Q(sqrt 2) in the basis (2 + sqrt 2, 1) and H in the basis (i, j, k, 1):
-    # e_0 is not the unit, so R_0 != I; the framed terms R_0^-1 . R_b . R_0
-    # differ from the plain ones over H, which is not commutative
+    # e_0 is not the unit, and H is not commutative
     quat = quaternions_from_i()
     odd = [asserted_division_algebra(AlgebraSpec([[[4, -2], [1, 0]], [[1, 0], [0, 1]]], [0, 1])),
            quat]
@@ -671,8 +664,7 @@ def test_hom_terms_are_the_sparse_form_of_the_matrix_construction():
         for ms in range(4):
             for md in range(4):
                 src, dst = canonical_space(h, ms), canonical_space(h, md)
-                reframed = assert_terms_match_matrices(alg, src, dst)
-                assert reframed == (h is quat and ms * md > 0)
+                assert_terms_match_matrices(alg, src, dst)
                 if 0 < ms < 3 and md < 3:  # a conjugated source takes the commutant basis
                     assert_terms_match_matrices(alg, conjugated_space(src), dst)
                     assert_terms_match_matrices(alg, dst, conjugated_space(src))
@@ -690,8 +682,9 @@ def test_hom_terms_are_the_sparse_form_of_the_matrix_construction():
 
 
 def test_psi_over_quaternions_with_a_non_unit_e0_matches_dense_reference():
-    # over H in the basis (i, j, k, 1) the v images in psi need the framed
-    # cells R_0^-1 . R_b . R_0, which differ from R_b
+    # over H in the basis (i, j, k, 1), e_0 is not the unit and the right
+    # multiplications R_b do not commute with one another; the v images in
+    # psi are I_r (x) v_l with v_l built from them
     q, quat = rationals(), quaternions_from_i()
     s = SpeciesScenario("quat", [("u", q)], [("a", quat)], {("u", "a"): tensor_bimodule(q, quat)})
     objs = [random_object_with(s, {"u": 2, "a": m}, random.Random(m)) for m in (1, 2)]
@@ -781,7 +774,7 @@ def test_hom_and_ext1_bases_do_not_depend_on_call_history(monkeypatch):
 
 def test_psi_with_cached_bases_runs_no_elimination(monkeypatch):
     # over a field larger than Q the Hom(F(Y), X') coordinates are read off
-    # the commutant basis, so once the bases and frames are built, psi
+    # the commutant basis, so once the bases are built, psi
     # needs no elimination
     gen = random.Random("psi-read")
     fields = [s for s in (random_scenario(gen) for _ in range(12))
@@ -988,42 +981,81 @@ def test_abelian_ops_objects_are_valid():
         assert verify_short_exact(ops.image_inclusion, ops.cokernel_projection)
 
 
-def test_conjugated_vertex_space_takes_the_framed_path():
-    """hom, ext1 and abelian_ops on z and on z with its y space conjugated by g.
+def test_conjugated_vertex_space_gives_an_isomorphic_object():
+    """hom, ext1 and abelian_ops on z and on zc = `conjugated`(z, y).
 
-    The canonical space has identity frames, so the frame products are
-    skipped; the conjugated one has a non-identity frame and takes them.
-    The two objects are isomorphic, so every dimension must agree.  Over
-    two number fields a skipped non-identity frame makes Hom(z, zc) vanish.
+    zc carries eta through F(g^-1), so (1, g) is an isomorphism z -> zc and
+    every dimension must agree.
     """
     rng = random.Random(3)
     xh, yh = number_field(Polynomial([-2, 0, 1])), number_field(Polynomial([1, 0, 1]))
     fields = SpeciesScenario("fields", [("u", xh)], [("a", yh)], {("u", "a"): tensor_bimodule(xh, yh)})
     for s, y in ((fields, "a"), (catalog_scenario("g2_threefold"), "a1")):
         z = random_object_with(s, {v: 1 for v in s.vertex_order()}, rng)
-        n = z.y[y].dim
-        # 2 + (a root of unity) is never zero, so 2I + (cyclic shift) is invertible
-        g = RatMatrix(n, n, [[2 * (i == j) + (j == (i + 1) % n) for j in range(n)] for i in range(n)])
-        conj = VertexSpace(n, [g * m * g.inverse() for m in z.y[y].action])
-        zc = TripleObject(s, z.x, {**z.y, y: conj}, z.eta)
-        assert z.y[y].frame()[0] == RatMatrix.identity(n)
-        assert zc.y[y].frame()[0] != RatMatrix.identity(n)
+        zc = conjugated(z, y)
+        assert z.y[y].canonical is not None and zc.y[y].canonical is None
+        iso = TripleMorphism(z, zc, {x: RatMatrix.identity(z.x[x].dim) for x in s.x_ids},
+                             {w: conjugator(z.y[w].dim) if w == y else RatMatrix.identity(z.y[w].dim)
+                              for w in s.y_ids})
+        assert iso.check() is None
         for a, b in ((zc, z), (z, zc), (zc, zc)):
             assert (len(hom(a, b)), ext1(a, b).dim) == (len(hom(z, z)), ext1(z, z).dim)
         w = random_object(s, rng, max_mult=1)
         for a, b in ((zc, z), (z, zc), (zc, zc), (zc, w), (w, zc)):
-            homs = hom(a, b)
-            assert all(m.check() is None for m in homs)
-            assert (len(homs), ext1(a, b).dim) == reference_hom_ext_dims(a, b)
-            f = random_morphism(a, b, rng)
-            ops = abelian_ops(f)
-            for obj in (ops.kernel, ops.image, ops.cokernel):
-                assert validate(obj) is None
-            for mph in (ops.kernel_inclusion, ops.image_inclusion,
-                        ops.image_projection, ops.cokernel_projection):
-                assert mph.check() is None
-            assert verify_short_exact(ops.kernel_inclusion, ops.image_projection)
-            assert verify_short_exact(ops.image_inclusion, ops.cokernel_projection)
+            assert_abelian_pieces_are_objects(a, b, rng)
+
+
+def assert_abelian_pieces_are_objects(a, b, rng):
+    """Hom and ext1 of (a, b) match the reference, and a random morphism's pieces are objects."""
+    homs = hom(a, b)
+    assert all(m.check() is None for m in homs)
+    assert (len(homs), ext1(a, b).dim) == reference_hom_ext_dims(a, b)
+    ops = abelian_ops(random_morphism(a, b, rng))
+    for obj in (ops.kernel, ops.image, ops.cokernel):
+        assert validate(obj) is None
+    for mph in (ops.kernel_inclusion, ops.image_inclusion,
+                ops.image_projection, ops.cokernel_projection):
+        assert mph.check() is None
+    assert verify_short_exact(ops.kernel_inclusion, ops.image_projection)
+    assert verify_short_exact(ops.image_inclusion, ops.cokernel_projection)
+    return ops
+
+
+def sqrt2_scenario():
+    """K = Q(sqrt 2) acting by multiplication on both sides of M = K, next to a tensor edge.
+
+    For a = sqrt 2, e_a . m_0 = m_0 . sqrt 2: the left coordinates d are not
+    scalars, the one case where the slot order m_i (x) f_c shows in eta.
+    """
+    k, qi, q = number_field(Polynomial([-2, 0, 1])), number_field(Polynomial([1, 0, 1])), rationals()
+    mult = Bimodule(k, k, 2, k.spec.left_mats, k.spec.right_mats)
+    return SpeciesScenario("sqrt2_mult", [("u", k), ("w", q)], [("a", k), ("b", qi)],
+                           {("u", "a"): mult, ("u", "b"): tensor_bimodule(k, qi),
+                            ("w", "a"): tensor_bimodule(q, k)})
+
+
+def test_left_coordinates_that_are_not_scalars():
+    s = sqrt2_scenario()
+    bm, unit = s.bimodules[("u", "a")], s.algebra("a").spec.unit
+    assert bm.left_coords(1) == [[[0, 1]]] and unit == [1, 0]
+    rng = random.Random("sqrt2")
+    objs = [random_object_with(s, {v: m for v in s.vertex_order()}, rng) for m in (1, 2)]
+    # F(Y)_u sees the conjugation of Y_a, so eta must be carried through F(g^-1)
+    assert not objs[0].eta["u"].is_zero()
+    with pytest.raises(TripleError, match="not equivariant"):
+        TripleObject(s, objs[0].x, conjugated(objs[0], "a").y, objs[0].eta)
+    objs += [random_object(s, rng, max_mult=2), universal_extension_of(objs[0])]
+    objs += [conjugated(objs[0], "a"), conjugated(objs[1], "b")]
+    for a in objs:
+        for b in objs:
+            assert_hom_matches_dense(a, b)
+    for a, b in ((objs[1], objs[4]), (objs[4], objs[1]), (objs[4], objs[5]), (objs[3], objs[4])):
+        ops = assert_abelian_pieces_are_objects(a, b, rng)
+        pieces = [ops.kernel, ops.image, ops.cokernel]
+        for p in pieces:
+            for t in (a, b, *pieces):
+                assert_hom_matches_dense(p, t)
+                assert (len(hom(p, t)), ext1(p, t).dim) == reference_hom_ext_dims(p, t)
 
 
 def test_ext_result_projection_contract():

@@ -10,9 +10,11 @@ from isocat.extcat import (
     TripleError,
     TripleObject,
     VertexSpace,
+    _space_error,
     canonical_object,
-    canonical_space,
     direct_sum,
+    hom,
+    universal_extension_of,
 )
 from isocat.species import (
     Bimodule,
@@ -274,6 +276,17 @@ def test_dynkin_name_e_series():
     assert dynkin_name(b4) == "B4"
 
 
+def test_dynkin_name_of_a_cycle_is_not_dynkin():
+    # a component with a cycle has no leaf to peel; it is refused before the peeling
+    tri = ValuedGraph(["a", "b", "c"], [("a", "b", 1, 1), ("b", "c", 1, 1), ("c", "a", 1, 1)])
+    square = ValuedGraph(["a", "b", "c", "d"],
+                         [("a", "b", 1, 1), ("b", "c", 1, 2), ("c", "d", 1, 1), ("d", "a", 1, 1)])
+    assert dynkin_name(tri) == dynkin_name(square) == "not-dynkin"
+    extra = ValuedGraph(["a", "b", "c", "p", "q"], tri.edges + [("p", "q", 1, 3)])
+    assert dynkin_name(extra) == "not-dynkin"
+    assert dynkin_name(ValuedGraph(["a", "b", "c", "p", "q"], tri.edges[:2] + [("p", "q", 1, 3)])) == "A3+G2"
+
+
 def test_catalog_finite_vs_infinite():
     for name in FINITE_TYPE_IDS:
         rd = cartan_matrix(valued_graph(catalog_scenario(name)))
@@ -329,7 +342,7 @@ def test_tensor_bimodule_labels():
 
 
 # ----------------------------------------------------------------------
-# the greedy orbit basis behind right bases and vertex-space frames
+# the greedy orbit basis behind bimodule right bases
 # ----------------------------------------------------------------------
 
 def greedy_orbit_reference(mats, dim):
@@ -358,18 +371,6 @@ def test_orbit_basis_reproduces_every_catalog_right_basis():
             assert (bm.right_basis(), bm.orbit_matrix()) == (picked, span)
 
 
-def test_frame_of_a_conjugated_vertex_space():
-    d2 = number_field(Polynomial([-2, 0, 1]))
-    base = canonical_space(d2, 2)
-    g = RatMatrix.from_rows([[0, 1, 0, 2], [1, 1, 0, 0], [0, 0, 3, 1], [1, 0, 0, 1]])
-    space = VertexSpace(4, [g * m * g.inverse() for m in base.action])
-    p, pinv = space.frame()
-    picked, span = greedy_orbit_reference(space.action, 4)
-    assert picked == [0, 1] and p == span
-    assert p != RatMatrix.identity(4) and p * pinv == RatMatrix.identity(4)
-    assert base.frame()[0] == RatMatrix.identity(4)
-
-
 def quaternions_from_i():
     """H = (-1, -1 / Q) in the basis (i, j, k, 1), so e_0 = i is not the unit."""
     signs = {(1, 1): (-1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0), (1, 2): (1, 3), (2, 1): (-1, 3),
@@ -385,42 +386,39 @@ def quaternions_from_i():
     return asserted_division_algebra(AlgebraSpec(consts, [0, 0, 0, 1]))
 
 
-def test_canonical_frames_are_the_closed_form_of_orbit_basis(monkeypatch):
-    handles = {}
-    for name in CATALOG_IDS:
-        s = catalog_scenario(name)
-        handles.update((s.algebra(v).key(), s.algebra(v)) for v in s.vertex_order())
-    # Q(sqrt 2) in the basis (2 + sqrt 2, 1): R_0 has determinant 2
-    odd = [asserted_division_algebra(AlgebraSpec([[[4, -2], [1, 0]], [[1, 0], [0, 1]]], [0, 1])),
-           quaternions_from_i()]
-    for h in [*handles.values(), *odd]:
-        for mult in range(4):
-            space = canonical_space(h, mult)
-            p, pinv = space.frame()
-            picked, span = orbit_basis(space.action, space.dim)
-            assert picked == [k * h.dim for k in range(mult)]
-            assert p == span and p * pinv == RatMatrix.identity(space.dim)
-            assert (p is pinv) == (span == RatMatrix.identity(space.dim))
-    assert all(canonical_space(h, 1).frame()[0] != RatMatrix.identity(h.dim) for h in odd)
-    # neither a canonical space nor a direct sum of canonical objects runs orbit_basis
-    import isocat.extcat as extcat
+def test_canonical_spaces_never_run_orbit_basis(monkeypatch):
+    # the bimodules' right bases fix the tensor slots; past them, canonical
+    # spaces, direct sums of canonical objects, their F spaces and hom run no
+    # orbit_basis, even over algebras whose e_0 is not the unit
+    import isocat.exactalg as exactalg
+    import isocat.species as species
 
     def no_orbit_basis(*args):
-        raise AssertionError("orbit_basis ran on a canonical space")
+        raise AssertionError("orbit_basis ran past the bimodule right bases")
 
-    monkeypatch.setattr(extcat, "orbit_basis", no_orbit_basis)
-    s = catalog_scenario("g2_threefold")
-    a = canonical_object(s, {"u": 1, "a1": 2})
-    total, _, _ = direct_sum(a, canonical_object(s, {"a1": 1}))
-    assert total.y["a1"].frame()[0] == RatMatrix.identity(9)
-    assert canonical_space(odd[1], 2).frame()[0] != RatMatrix.identity(8)
+    odd = asserted_division_algebra(AlgebraSpec([[[4, -2], [1, 0]], [[1, 0], [0, 1]]], [0, 1]))
+    quat, q = quaternions_from_i(), rationals()
+    quat_s = SpeciesScenario("quat", [("u", q), ("w", odd)], [("a", quat), ("b", odd)],
+                             {("u", "a"): tensor_bimodule(q, quat), ("w", "b"): tensor_bimodule(odd, odd)})
+    sweep = (catalog_scenario("g2_threefold"), quat_s)
+    for s in sweep:
+        for bm in s.bimodules.values():
+            bm.right_basis()
+    monkeypatch.setattr(exactalg, "orbit_basis", no_orbit_basis)
+    monkeypatch.setattr(species, "orbit_basis", no_orbit_basis)
+    for s in sweep:
+        a = canonical_object(s, {v: 1 + (v in s.y_ids) for v in s.vertex_order()})
+        total, _, _ = direct_sum(a, canonical_object(s, {y: 1 for y in s.y_ids}))
+        for y in s.y_ids:
+            assert total.y[y].canonical == (s.algebra(y).key(), 3)
+        ey = universal_extension_of(total)
+        assert len(hom(ey, ey)) > 0 and len(hom(total, ey)) > 0
 
 
 def test_non_free_spaces_are_rejected():
     d2 = number_field(Polynomial([-2, 0, 1]))
     odd = [RatMatrix.identity(3), RatMatrix.from_rows([[0, 2, 0], [1, 0, 0], [0, 0, 1]])]
-    with pytest.raises(TripleError, match="not free"):
-        VertexSpace(3, odd).frame()
+    assert _space_error(d2.spec, VertexSpace(3, odd)) == "vertex space is not free over its algebra"
     c2 = catalog_scenario("c2")
     z = canonical_object(c2, {"u": 1, "a1": 1})
     with pytest.raises(TripleError, match="not free"):
