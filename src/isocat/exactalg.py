@@ -168,7 +168,7 @@ class RatMatrix:
         return (self.rows, self.cols, self.den, tuple(tuple(r) for r in self.num))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.num for x in r)
+        return not any(map(any, self.num))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatMatrix) and self.rows == other.rows
@@ -295,6 +295,8 @@ class RatMatrix:
         if self.rows != rhs.rows:
             raise ValueError("shape mismatch in solve")
         m, k = self.cols, rhs.cols
+        if self.is_zero():  # no rows, no columns or no nonzero entry
+            return RatMatrix.zeros(m, k) if rhs.is_zero() else None
         da, db = self.den, rhs.den
         aug = [[x * db for x in ra] + [y * da for y in rb] for ra, rb in zip(self.num, rhs.num)]
         pivots, ech, _, _ = _echelon(_sparse_rows(aug))
@@ -329,7 +331,7 @@ class RatMatrix:
         return Fraction(value, lost * self.den ** self.rows)
 
     def column_space_pivots(self) -> list[int]:
-        return _echelon(_sparse_rows(self.num))[0]
+        return [] if self.is_zero() else _echelon(_sparse_rows(self.num))[0]
 
 
 def _sparse_rows(num: Sequence[Sequence[int]]) -> list[dict[int, int]]:
@@ -419,6 +421,8 @@ def _null_rows(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     `_back_solve` solution at the pivots.  Read as a map it is also the
     canonical projection of quotient_space by the row span of m.
     """
+    if m.is_zero():  # no rows, no columns or no nonzero entry: every column is free
+        return RatMatrix.identity(m.cols), list(range(m.cols))
     pivots, ech, _, _ = _echelon(_sparse_rows(m.num))
     free = sorted(set(range(m.cols)).difference(pivots))
     d, zs = _back_solve(pivots, ech, free)
@@ -895,17 +899,46 @@ def _int_divisors(n: int, budget: FactorBudget | None = None) -> list[int]:
     return small + large[::-1]
 
 
+# no root modulo one of these primes proves there is no rational root
+_NO_ROOT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def _has_root_mod(coeffs: list[int], ell: int) -> bool:
+    """Whether the integer polynomial has a root modulo the prime ell."""
+    cs = [c % ell for c in reversed(coeffs)]
+    for r in range(ell):
+        acc = 0
+        for c in cs:
+            acc = (acc * r + c) % ell
+        if not acc:
+            return True
+    return False
+
+
 def _rational_roots(coeffs: list[int], budget: FactorBudget | None = None) -> list[Fraction]:
-    # rational-root theorem on a primitive integer polynomial
+    """The rational roots p/q of an integer polynomial, with p | a0 and q | an.
+
+    By the rational-root theorem every root is some +-p/q with p | a0 and
+    q | an; each is tested by integer Horner on q^d f(p/q), in the order
+    (p, q, sign) with p and q ascending.  The budget caps |a0| and |an|
+    first.  Before the divisors are listed, a prime ell not dividing an at
+    which f has no root mod ell proves there is none: q | an makes q
+    invertible mod ell, so a root p/q would give the root p/q mod ell.
+    """
     if not coeffs:
         return []
     a0 = coeffs[0]
     an = coeffs[-1]
     if a0 == 0:
         return [Fraction(0)]
+    if budget is not None:
+        budget.check_value(abs(a0))
+        budget.check_value(abs(an))
+    if any(an % ell and not _has_root_mod(coeffs, ell) for ell in _NO_ROOT_PRIMES):
+        return []
     roots = []
-    nums, dens = _int_divisors(a0, budget), _int_divisors(an, budget)
-    for num in nums:
+    dens = _int_divisors(an)
+    for num in _int_divisors(a0):
         for den in dens:
             for p in (num, -num):
                 # den^d f(p/den) by Horner in integers: sum a_i p^i den^(d-i)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exactalg import (
     AlgebraSpec,
@@ -720,7 +720,7 @@ class Resolution:
             raise InternalConsistencyError("resolution terms are not projective")
         if not self.d0.compose(self.d1).is_zero():
             raise InternalConsistencyError("resolution differentials do not compose to zero")
-        if not verify_short_exact(self.d1, self.d0):
+        if not _exact_by_ranks(self.d1, self.d0):
             raise InternalConsistencyError("resolution is not a short exact sequence")
 
 
@@ -909,8 +909,11 @@ def abelian_ops(f: TripleMorphism) -> AbelianOps:
 
 def verify_short_exact(inc: TripleMorphism, proj: TripleMorphism) -> bool:
     """0 -> A -> B -> C -> 0 exactness, checked componentwise by ranks."""
-    if not proj.compose(inc).is_zero():
-        return False
+    return proj.compose(inc).is_zero() and _exact_by_ranks(inc, proj)
+
+
+def _exact_by_ranks(inc: TripleMorphism, proj: TripleMorphism) -> bool:
+    """Given proj . inc = 0: inc injective, proj surjective and dim B = dim A + dim C everywhere."""
     s = inc.source.scenario
     for vtx in s.x_ids:
         a, b, c = inc.source.x[vtx].dim, inc.target.x[vtx].dim, proj.target.x[vtx].dim
@@ -1082,8 +1085,8 @@ def _image_split(z: TripleObject, e: TripleMorphism):
     return pieces
 
 
-def _split_candidates(end_basis: list[TripleMorphism]):
-    yield from end_basis
+def _combinations(end_basis: list[TripleMorphism]):
+    """The pairwise sums, then the pairwise products, of the basis candidates."""
     n = len(end_basis)
     for i in range(n):
         for j in range(i + 1, n):
@@ -1139,8 +1142,9 @@ def _normalized_candidate(a: TripleMorphism) -> TripleMorphism:
 
 
 def _splitting_idempotent(z: TripleObject,
-                          end_basis: list[TripleMorphism]) -> TripleMorphism | None:
-    for raw in _split_candidates(end_basis):
+                          candidates: Iterable[TripleMorphism]) -> TripleMorphism | None:
+    """The idempotent of the first candidate whose minimal polynomial splits, or None."""
+    for raw in candidates:
         if raw.is_zero():
             continue
         a = _normalized_candidate(raw)
@@ -1189,21 +1193,46 @@ def _leaf_certified(z: TripleObject, end_basis: list[TripleMorphism]) -> bool:
     return _is_field(quo)
 
 
+def _is_scalar_identity(a: TripleMorphism) -> bool:
+    """Whether a is c . id for a nonzero rational c."""
+    flat, _ = _flat_morphism(a)
+    unit, _ = _flat_morphism(identity_morphism(a.source))
+    c = flat[unit.index(1)]
+    return c != 0 and all(x == c * u for x, u in zip(flat, unit))
+
+
+def _split_or_leaf(z: TripleObject,
+                   end_basis: list[TripleMorphism]) -> tuple[TripleMorphism | None, str]:
+    """(a splitting idempotent, _) or (None, the flag of z as a leaf)."""
+    if len(end_basis) == 1:  # End(z) = Q, a field
+        if not _is_scalar_identity(end_basis[0]):
+            raise InternalConsistencyError("End(z) is not closed under composition or misses the identity")
+        return None, CERTIFIED
+    e = _splitting_idempotent(z, end_basis)
+    if e is not None:
+        return e, CERTIFIED
+    if _leaf_certified(z, end_basis):
+        return None, CERTIFIED  # End(z) is local: no sum or product splits either
+    return _splitting_idempotent(z, _combinations(end_basis)), NO_FURTHER
+
+
 def decompose(z: TripleObject) -> Decomposition:
     """Split z into indecomposable summands with explicit idempotents.
 
-    The flag is "certified" when every leaf has End/rad a commutative field
-    (checked by a primitive element with irreducible minimal polynomial),
-    else "no-further-splitting-found".
+    z is indecomposable exactly when End(z) is local, and then no element
+    gives a splitting idempotent (Fitting), so a proved-local End ends the
+    search.  At each node: End = Q . id is a certified leaf at once; else
+    the hom basis elements are tried, then the End/rad field certificate
+    (a commutative End/rad with a primitive element of irreducible minimal
+    polynomial), then the pairwise sums and products.  The first candidate
+    whose minimal polynomial has coprime parts splits z.  The flag is
+    "certified" when every leaf is certified, else "no-further-splitting-found".
     """
     if z.total_dim() == 0:
         return Decomposition([], CERTIFIED)
-    end_basis = hom(z, z)
-    e = _splitting_idempotent(z, end_basis)
+    e, flag = _split_or_leaf(z, hom(z, z))
     if e is None:
-        flag = CERTIFIED if _leaf_certified(z, end_basis) else NO_FURTHER
-        ident = identity_morphism(z)
-        return Decomposition([Summand(z, ident, identity_morphism(z))], flag)
+        return Decomposition([Summand(z, identity_morphism(z), identity_morphism(z))], flag)
     summands: list[Summand] = []
     flag = CERTIFIED
     for piece, inc, proj in _image_split(z, e):

@@ -20,7 +20,7 @@ import json
 from fractions import Fraction
 from .catalog import catalog_scenario
 from .exactalg import Polynomial, RatMatrix
-from .extcat import TripleObject, VertexSpace, _space_error
+from .extcat import TripleError, TripleObject, VertexSpace, _eta_error, _space_error
 from .species import (
     Bimodule,
     DivisionAlgebraHandle,
@@ -242,7 +242,11 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
         # tensor dimension the scenario dictates
         eta[v] = matrix_from_json(grid, rows=x_parts[v].dim,
                                   cols=fdims[v] if not grid else None)
-    return TripleObject(scenario, x_parts, y_parts, eta, check=True)
+    z = TripleObject(scenario, x_parts, y_parts, eta, check=False)  # components checked in side()
+    err = _eta_error(z)
+    if err is not None:
+        raise TripleError(err)
+    return z
 
 
 # ----------------------------------------------------------------------

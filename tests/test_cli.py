@@ -166,6 +166,38 @@ def test_cli_rejects_a_malformed_object_file(tmp_path, capsys, patch):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_object_loader_checks_each_component_once(tmp_path, capsys, monkeypatch):
+    # the loader checks every component itself, then builds the object without
+    # repeating those checks; eta equivariance is still checked, and exits 2
+    import isocat.extcat as extcat
+    import isocat.fileio as fileio
+
+    s = catalog_scenario("b2_dual")
+    doc = object_to_json(random_object(s, random.Random(7), max_mult=2))
+    checked = []
+    real = fileio._space_error
+
+    def counted(alg, vs):
+        checked.append(1)
+        return real(alg, vs)
+
+    def no_second_check(*args):
+        raise AssertionError("the components were checked twice")
+
+    monkeypatch.setattr(fileio, "_space_error", counted)
+    monkeypatch.setattr(extcat, "_components_error", no_second_check)
+    object_from_json(doc, s)
+    assert len(checked) == len(s.x_ids) + len(s.y_ids)
+    # over Q(sqrt 2), eta = diag(1, 2) is not a right multiplication
+    bad = {**doc, "x": {"u": {"dim": 2, "action": [[["1", "0"], ["0", "1"]], [["0", "2"], ["1", "0"]]]}},
+           "y": {"a1": {"dim": 1}}, "eta": {"u": [["1", "0"], ["0", "2"]]}}
+    path = tmp_path / "not-equivariant.json"
+    path.write_text(json.dumps(bad))
+    assert main(["decompose", "--scenario", "catalog:b2_dual", "--object", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not equivariant" in err
+
+
 def _hostile_c2(edit):
     doc = scenario_to_json(catalog_scenario("c2"))
     edit(doc)

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +16,8 @@ from isocat.exactalg import (
     _rational_roots,
     AlgebraError,
     AlgebraSpec,
+    FactorBudget,
+    FactorBudgetExceeded,
     Polynomial,
     RatMatrix,
     algebra_center,
@@ -458,15 +460,26 @@ def _fraction_rational_roots(coeffs):
     """The rational-root search in Fraction arithmetic, the reference for `_rational_roots`.
 
     Every p/q and -p/q with p | a0 and q | an, both ascending, is tested by
-    evaluating the polynomial at it.
+    evaluating the polynomial at it, unless it lies outside Cauchy's bounds
+    on the absolute value of a root: at most 1 + max |a_i / an|, and (from
+    the reversed polynomial) at least 1 / (1 + max |a_i / a0|).
     """
     if not coeffs:
         return []
     if coeffs[0] == 0:
         return [F(0)]
-    divisors = lambda n: [d for d in range(1, abs(n) + 1) if n % d == 0]  # noqa: E731
+
+    def divisors(n):
+        n = abs(n)
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return small + [n // d for d in reversed(small) if d * d != n]
+
     p = Polynomial(coeffs)
-    return [c for num in divisors(coeffs[0]) for den in divisors(coeffs[-1])
+    a0, an, top = abs(coeffs[0]), abs(coeffs[-1]), max(map(abs, coeffs))
+    # low <= num / den <= high, with high = (an + top) / an and low = a0 / (a0 + top)
+    dens = divisors(an)
+    return [c for num in divisors(a0) for den in dens
+            if a0 * den <= num * (a0 + top) and num * an <= (an + top) * den
             for c in (F(num, den), F(-num, den)) if p.eval(c) == 0]
 
 
@@ -482,6 +495,39 @@ def test_rational_roots_match_fraction_reference(linear, extra):
     for num, den in linear:
         poly = poly * Polynomial([-num, den])
     coeffs = [int(c) for c in poly.coeffs]
+    assert _rational_roots(coeffs) == _fraction_rational_roots(coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 30)), max_size=2), st.data())
+@example([(7, 3)], None)  # 7/3 is a root mod every prime but 3, which divides an
+def test_rational_roots_match_fraction_reference_at_large_coefficients(linear, data):
+    # the planted roots p/q scale the extra factor's bound down, so that a0
+    # and an stay within 10^9
+    bound = 10 ** 9 // prod(max(abs(num), den) for num, den in linear)
+    extra = ([1000003, 0, 999999937] if data is None else
+             data.draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=3)))
+    poly = Polynomial(extra)
+    for num, den in linear:
+        poly = poly * Polynomial([-num, den])
+    coeffs = [int(c) for c in poly.coeffs]
+    assert _rational_roots(coeffs) == _fraction_rational_roots(coeffs)
+    assert _rational_roots(coeffs, FactorBudget()) == _fraction_rational_roots(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [[101, 1, 1], [1, 1, 101], [-101, 0, 0, 1], [0, 101]],
+                         ids=["a0", "an", "a0-root-mod-every-prime", "a0-zero"])
+def test_rational_roots_budget_checks_a0_and_an_first(coeffs):
+    # t^2 + t + 101 and 101 t^2 + t + 1 have no root mod 2, yet their a0 or an
+    # is over the cap; a zero a0 gives the root 0 before any budget check
+    budget = FactorBudget(max_abs_value=100)
+    if coeffs[0] == 0:
+        assert _rational_roots(coeffs, budget) == [F(0)]
+        return
+    with pytest.raises(FactorBudgetExceeded):
+        _rational_roots(coeffs, budget)
+    with pytest.raises(FactorBudgetExceeded):
+        factor_rational(Polynomial(coeffs), budget)
     assert _rational_roots(coeffs) == _fraction_rational_roots(coeffs)
 
 
@@ -922,6 +968,58 @@ def test_rank_of_empty_and_zero_matrices(monkeypatch):
 
     monkeypatch.setattr(exactalg, "_sparse_rows", no_elimination)
     assert all(m.rank() == 0 for m in empty)
+
+
+def _eliminated_null_rows(m):
+    """`_null_rows` by elimination and back-substitution, whatever the input."""
+    pivots, ech, _, _ = exactalg._echelon(exactalg._sparse_rows(m.num))
+    free = sorted(set(range(m.cols)).difference(pivots))
+    d, zs = exactalg._back_solve(pivots, ech, free)
+    rows = [[0] * m.cols for _ in free]
+    for row, f, z in zip(rows, free, zs):
+        row[f] = d
+        for p, zi in zip(pivots, z):
+            row[p] = -zi
+    return RatMatrix(len(free), m.cols, rows, d), free
+
+
+def _eliminated_solve(a, rhs):
+    """`RatMatrix.solve` by eliminating [a | rhs], whatever the input."""
+    m, k = a.cols, rhs.cols
+    aug = [[x * rhs.den for x in ra] + [y * a.den for y in rb] for ra, rb in zip(a.num, rhs.num)]
+    pivots, ech, _, _ = exactalg._echelon(exactalg._sparse_rows(aug))
+    if pivots and pivots[-1] >= m:
+        return None
+    d, zs = exactalg._back_solve(pivots, ech, range(m, m + k))
+    num = [[0] * k for _ in range(m)]
+    for p, row in zip(pivots, zip(*zs)):
+        num[p] = list(row)
+    return RatMatrix(m, k, num, d)
+
+
+def test_empty_and_zero_eliminations_match_the_general_path(monkeypatch):
+    shapes = [(0, n) for n in range(4)] + [(n, 0) for n in range(1, 4)] + [(1, 1), (2, 3), (3, 2)]
+    cases = []
+    for r, c in shapes:
+        m = RatMatrix.zeros(r, c)
+        rhs = [RatMatrix.zeros(r, k) for k in range(3)]
+        if r:
+            rhs.append(RatMatrix.from_rows([[F(1, 2)] + [0] * (r - 1)]).transpose())
+        cases.append((m, rhs))
+    expected = [(_eliminated_null_rows(m), [_eliminated_solve(m, b) for b in rhs],
+                 exactalg._echelon(exactalg._sparse_rows(m.num))[0])
+                for m, rhs in cases]
+
+    def no_elimination(*args):
+        raise AssertionError("a matrix with nothing to eliminate was eliminated")
+
+    monkeypatch.setattr(exactalg, "_sparse_rows", no_elimination)
+    for (m, rhs), (null, sols, pivots) in zip(cases, expected):
+        assert exactalg._null_rows(m) == null
+        assert null[1] == list(range(m.cols))
+        assert [m.solve(b) for b in rhs] == sols
+        assert m.column_space_pivots() == pivots
+    assert any(sol is None for _, sols, _ in expected for sol in sols)
 
 
 def test_right_terms_are_the_right_multiplications():

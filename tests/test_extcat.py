@@ -1,6 +1,7 @@
 """Tests for the triple category: hom/ext, universal extensions, resolutions,
 abelian structure and decomposition."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 
 import isocat.exactalg as exactalg
 import isocat.extcat as extcat
-from isocat.catalog import CATALOG_IDS, catalog_scenario
+from isocat.catalog import CATALOG_IDS, FINITE_TYPE_IDS, catalog_scenario
 from isocat.exactalg import (
     AlgebraSpec,
     Polynomial,
@@ -55,6 +56,7 @@ from isocat.extcat import (
     verify_short_exact,
     x_only,
     y_only,
+    zero_morphism,
     zero_object,
 )
 from isocat.samples import random_morphism, random_object, random_object_with, random_scenario
@@ -889,6 +891,28 @@ def test_resolution_of_y_object_has_fy_in_degree_one():
     assert res.d0.check() is None and res.d1.check() is None
 
 
+def test_resolution_verify_composes_once_and_names_each_failure(monkeypatch):
+    s = catalog_scenario("a2")
+    z = universal_extension_of(simple_y_object(s, "a1"))
+    res = projective_resolution(z)
+    composed = []
+    real = TripleMorphism.compose
+
+    def counted(self, other):
+        composed.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(TripleMorphism, "compose", counted)
+    res.verify()
+    assert len(composed) == 1
+    # x - eta w becomes x + eta w, which does not kill d1's image (eta w, w)
+    plus = TripleMorphism(res.p0, z, {"u": RatMatrix.identity(1).hstack(z.eta["u"])}, res.d0.v)
+    with pytest.raises(extcat.InternalConsistencyError, match="do not compose to zero"):
+        extcat.Resolution(z, res.p1, res.p0, res.d1, plus).verify()
+    with pytest.raises(extcat.InternalConsistencyError, match="not a short exact sequence"):
+        extcat.Resolution(z, res.p1, res.p0, zero_morphism(res.p1, res.p0), res.d0).verify()
+
+
 def test_resolution_of_x_object_is_trivial():
     s = catalog_scenario("d4_elliptic")
     z = simple_x_object(s, "u")
@@ -958,7 +982,6 @@ def test_abelian_ops_identity_and_zero():
     assert ops.kernel.total_dim() == 0
     assert ops.image.total_dim() == z.total_dim()
     assert ops.cokernel.total_dim() == 0
-    from isocat.extcat import zero_morphism
     ops0 = abelian_ops(zero_morphism(z, z))
     assert ops0.kernel.total_dim() == z.total_dim()
     assert ops0.image.total_dim() == 0
@@ -1165,6 +1188,133 @@ def test_decompose_idempotent_identities():
         assert (acc - identity_morphism(z)).is_zero()
     else:
         assert z.total_dim() == 0
+
+
+# ----------------------------------------------------------------------
+# decompose against the full candidate sweep
+# ----------------------------------------------------------------------
+
+def _all_candidates(end_basis):
+    """Every basis element, then the pairwise sums, then the pairwise products."""
+    n = len(end_basis)
+    yield from end_basis
+    yield from (end_basis[i] + end_basis[j] for i in range(n) for j in range(i + 1, n))
+    yield from (end_basis[i].compose(end_basis[j]) for i in range(n) for j in range(n) if i != j)
+
+
+def _sweep_idempotent(z, end_basis):
+    for raw in _all_candidates(end_basis):
+        if raw.is_zero():
+            continue
+        a = extcat._normalized_candidate(raw)
+        split = extcat._coprime_parts(exactalg.min_poly_matrix(extcat._total_matrix(a)))
+        if split is None:
+            continue
+        part, rest = split
+        _, _, tpoly = exactalg.poly_xgcd(part, rest)
+        e = extcat._poly_on_morphism(tpoly * rest, a)
+        if not e.is_zero() and not (e - identity_morphism(z)).is_zero():
+            return e
+    return None
+
+
+def reference_decompose(z):
+    """decompose with the full candidate sweep at every node, and the End/rad
+    field certificate run only on a leaf, after every candidate failed."""
+    if z.total_dim() == 0:
+        return extcat.Decomposition([], extcat.CERTIFIED)
+    end_basis = hom(z, z)
+    e = _sweep_idempotent(z, end_basis)
+    if e is None:
+        flag = extcat.CERTIFIED if extcat._leaf_certified(z, end_basis) else extcat.NO_FURTHER
+        return extcat.Decomposition([extcat.Summand(z, identity_morphism(z), identity_morphism(z))], flag)
+    summands, flag = [], extcat.CERTIFIED
+    for piece, inc, proj in extcat._image_split(z, e):
+        sub = reference_decompose(piece)
+        if sub.flag != extcat.CERTIFIED:
+            flag = extcat.NO_FURTHER
+        summands += [extcat.Summand(sm.object, inc.compose(sm.inclusion), sm.projection.compose(proj))
+                     for sm in sub.summands]
+    return extcat.Decomposition(summands, flag)
+
+
+def decomposition_key(dec):
+    return dec.flag, [(sm.object.data_key(), sm.inclusion.flatten(), sm.projection.flatten())
+                      for sm in dec.summands]
+
+
+def quaternion_simple():
+    quat, q = quaternions_from_i(), rationals()
+    return simple_x_object(SpeciesScenario("quat", [("u", quat)], [("a", q)],
+                                           {("u", "a"): tensor_bimodule(quat, q)}), "u")
+
+
+def sweep_objects(s, top):
+    """One object per multiplicity vector with entries up to top, per eta seed 0 and 1."""
+    order = s.vertex_order()
+    return [random_object_with(s, dict(zip(order, mult)), random.Random(f"{s.name}:{mult}:{seed}"))
+            for mult in itertools.product(range(top + 1), repeat=len(order)) for seed in (0, 1)]
+
+
+def test_decompose_matches_the_full_candidate_sweep():
+    # stopping at a proved-local End changes no answer: the same flag,
+    # summands, inclusions and projections as trying every candidate first
+    objs = [z for name in FINITE_TYPE_IDS
+            for z in sweep_objects(catalog_scenario(name), 2 if name == "d4_elliptic" else 3)]
+    assert len(objs) == 546
+    objs += sweep_objects(sqrt2_scenario(), 2) + [quaternion_simple()]
+    flags = []
+    for z in objs:
+        want = decomposition_key(reference_decompose(z))
+        assert decomposition_key(decompose(z)) == want
+        flags.append(want[0])
+    # the sweep reaches uncertified leaves, where the sums and products run;
+    # the quaternion simple is one of them
+    assert flags.count(extcat.NO_FURTHER) >= 9 and flags[-1] == extcat.NO_FURTHER
+
+
+def test_decompose_stops_searching_at_a_proved_local_end(monkeypatch):
+    # End = Q needs no candidate and no End algebra; a certified leaf with
+    # dim End = n tries at most its n basis elements before the certificate
+    counts = {"min_poly_matrix": 0, "end_algebra": 0}
+
+    def counted(name):
+        real = getattr(extcat, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(extcat, name, counted(name))
+    seen = set()
+    for name in ("c2", "c3_surface", "g2_threefold"):
+        for z in sweep_objects(catalog_scenario(name), 2):
+            n = len(hom(z, z))
+            for key in counts:
+                counts[key] = 0
+            dec = decompose(z)
+            if len(dec.summands) != 1 or dec.flag != extcat.CERTIFIED:
+                continue
+            if n == 1:
+                assert counts == {"min_poly_matrix": 0, "end_algebra": 0}
+            else:
+                assert counts["min_poly_matrix"] <= n and counts["end_algebra"] == 1
+            seen.add(n == 1)
+    assert seen == {True, False}
+
+
+def test_decompose_checks_a_one_dimensional_end_is_the_scalars(monkeypatch):
+    z = simple_y_object(catalog_scenario("a2"), "a1")
+    assert decompose(z).flag == extcat.CERTIFIED
+    twice = hom(z, z)[0].scale(2)
+    monkeypatch.setattr(extcat, "hom", lambda a, b: [twice])
+    assert decompose(z).flag == extcat.CERTIFIED
+    monkeypatch.setattr(extcat, "hom", lambda a, b: [zero_morphism(a, b)])
+    with pytest.raises(extcat.InternalConsistencyError, match="misses the identity"):
+        decompose(z)
 
 
 def test_direct_sum_eta_square():
