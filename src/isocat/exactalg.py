@@ -915,31 +915,35 @@ def _has_root_mod(coeffs: list[int], ell: int) -> bool:
     return False
 
 
-def _rational_roots(coeffs: list[int], budget: FactorBudget | None = None) -> list[Fraction]:
-    """The rational roots p/q of an integer polynomial, with p | a0 and q | an.
+def _first_rational_root(coeffs: list[int], budget: FactorBudget | None = None) -> Fraction | None:
+    """The first rational root of an integer polynomial in the order (p, q, sign), or None.
 
     By the rational-root theorem every root is some +-p/q with p | a0 and
-    q | an; each is tested by integer Horner on q^d f(p/q), in the order
-    (p, q, sign) with p and q ascending.  The budget caps |a0| and |an|
-    first.  Before the divisors are listed, a prime ell not dividing an at
-    which f has no root mod ell proves there is none: q | an makes q
-    invertible mod ell, so a root p/q would give the root p/q mod ell.
+    q | an; candidates are tested by integer Horner on q^d f(p/q), with p and
+    q ascending.  Only coprime pairs are tried, since (p, q) with gcd g > 1 is
+    the number (p/g, q/g), which comes earlier; and only those within
+    Cauchy's bounds a0 / (a0 + top) <= |p/q| <= (an + top) / an, top the
+    largest |a_i|.  The budget caps |a0| and |an| first.  Before the divisors
+    are listed, a prime ell not dividing an at which f has no root mod ell
+    proves there is none: q | an makes q invertible mod ell, so a root p/q
+    would give the root p/q mod ell.
     """
     if not coeffs:
-        return []
-    a0 = coeffs[0]
-    an = coeffs[-1]
+        return None
+    a0, an = abs(coeffs[0]), abs(coeffs[-1])
     if a0 == 0:
-        return [Fraction(0)]
+        return Fraction(0)
     if budget is not None:
-        budget.check_value(abs(a0))
-        budget.check_value(abs(an))
+        budget.check_value(a0)
+        budget.check_value(an)
     if any(an % ell and not _has_root_mod(coeffs, ell) for ell in _NO_ROOT_PRIMES):
-        return []
-    roots = []
+        return None
+    top = max(map(abs, coeffs))
     dens = _int_divisors(an)
     for num in _int_divisors(a0):
         for den in dens:
+            if gcd(num, den) != 1 or a0 * den > num * (a0 + top) or num * an > (an + top) * den:
+                continue
             for p in (num, -num):
                 # den^d f(p/den) by Horner in integers: sum a_i p^i den^(d-i)
                 acc, dpow = 0, 1
@@ -947,8 +951,8 @@ def _rational_roots(coeffs: list[int], budget: FactorBudget | None = None) -> li
                     acc = acc * p + c * dpow
                     dpow *= den
                 if acc == 0:
-                    roots.append(Fraction(p, den))
-    return roots
+                    return Fraction(p, den)
+    return None
 
 
 def _kronecker_factor(coeffs: list[int],
@@ -963,7 +967,8 @@ def _kronecker_factor(coeffs: list[int],
     deg = p.degree
     if deg <= 1:
         return None
-    for r in _rational_roots(coeffs, budget):
+    r = _first_rational_root(coeffs, budget)
+    if r is not None:
         lin = Polynomial([-r, 1])
         return lin, p // lin
     points = [0]
@@ -1065,7 +1070,8 @@ class AlgebraSpec:
     invalid data is rejected, never normalized.
     """
 
-    __slots__ = ("dim", "labels", "constants", "unit", "left_mats", "right_mats", "_key", "_right_terms")
+    __slots__ = ("dim", "labels", "constants", "unit", "left_mats", "right_mats", "_key", "_right_terms",
+                 "_canonical_spaces", "__weakref__")
 
     def __init__(self, constants: Sequence, unit: Sequence, labels: Sequence[str] | None = None,
                  _skip_validation: bool = False):
@@ -1089,6 +1095,7 @@ class AlgebraSpec:
                            for i in range(dim)]
         self._key = None
         self._right_terms: tuple[list[list[tuple[int, int, int]]], int] | None = None
+        self._canonical_spaces: dict = {}  # extcat's shared canonical spaces, by multiplicity
         if not _skip_validation:
             self._validate()
 

@@ -19,6 +19,12 @@ algebra and f_c is the basis the y component already has.  So F(v) is
 I_r (x) v, and block (k, i) of e_a's action on F(Y) is the action of
 d = left_coords(a)[i][k] on Y.  The slot layout is part of every object's
 identity, so serialized objects round-trip exactly.
+
+Canonical components are shared values: `canonical_space` returns one
+space per (algebra instance, multiplicity), held by the algebra, and the F
+spaces of a Y whose parts are all those shared spaces are one value per
+(scenario instance, y multiplicities), held by the scenario.  They live as
+long as their algebra or scenario, and nothing writes into them.
 """
 
 from __future__ import annotations
@@ -93,9 +99,19 @@ class VertexSpace:
 
 
 def canonical_space(handle: DivisionAlgebraHandle, mult: int) -> VertexSpace:
-    """mult copies of the algebra acting on itself from the left: e_b acts by I_mult (x) L_b."""
-    action = [_block_copies(mult, lm) for lm in handle.spec.left_mats]
-    return VertexSpace(mult * handle.dim, action, canonical=(handle.key(), mult))
+    """mult copies of the algebra acting on itself from the left: e_b acts by I_mult (x) L_b.
+
+    One shared value per (algebra instance, mult), held by the algebra for
+    its lifetime; nothing may write to it.
+    """
+    if type(mult) is not int or mult < 0:
+        raise TripleError(f"multiplicity must be a non-negative int, not {mult!r}")
+    spec = handle.spec
+    space = spec._canonical_spaces.get(mult)
+    if space is None:
+        action = [_block_copies(mult, lm) for lm in spec.left_mats]
+        space = spec._canonical_spaces[mult] = VertexSpace(mult * spec.dim, action, canonical=(spec.key(), mult))
+    return space
 
 
 def zero_space(handle: DivisionAlgebraHandle) -> VertexSpace:
@@ -174,6 +190,27 @@ def _f_layout(scenario: SpeciesScenario, y_parts: dict[str, VertexSpace]) -> dic
 def _build_fspaces(scenario: SpeciesScenario,
                    y_parts: dict[str, VertexSpace]) -> dict[str, FSpace]:
     """`_f_layout` with the action of the x algebra on each tensor space.
+
+    When every y part is the shared `canonical_space` of its own vertex's
+    algebra, the result is one shared value per (scenario instance, y
+    multiplicities), held by the scenario for its lifetime; nothing may
+    write to it.  Every other input is built afresh.
+    """
+    mults = []
+    for y in scenario.y_ids:
+        c = y_parts[y].canonical
+        if c is None or scenario.algebra(y).spec._canonical_spaces.get(c[1]) is not y_parts[y]:
+            return _fspaces(scenario, y_parts)
+        mults.append(c[1])
+    key = tuple(mults)
+    shared = scenario._canonical_fspaces.get(key)
+    if shared is None:
+        shared = scenario._canonical_fspaces[key] = _fspaces(scenario, y_parts)
+    return shared
+
+
+def _fspaces(scenario: SpeciesScenario, y_parts: dict[str, VertexSpace]) -> dict[str, FSpace]:
+    """The tensor spaces with their actions, built afresh.
 
     Cell (k, i) of the r x r grid at y, for e_a, is the m_k part of e_a . m_i: the
     action of d = left_coords(a)[i][k] on Y_y.  On a canonical Y_y that is
@@ -446,10 +483,6 @@ def identity_morphism(z: TripleObject) -> TripleMorphism:
 
 # -- convenient constructors -------------------------------------------
 
-def zero_object(scenario: SpeciesScenario) -> TripleObject:
-    return canonical_object(scenario, {})
-
-
 def canonical_object(scenario: SpeciesScenario, mult: dict[str, int],
                      eta: dict[str, RatMatrix] | None = None,
                      check: bool = True) -> TripleObject:
@@ -459,7 +492,7 @@ def canonical_object(scenario: SpeciesScenario, mult: dict[str, int],
     """
     x_parts = {x: canonical_space(scenario.algebra(x), mult.get(x, 0)) for x in scenario.x_ids}
     y_parts = {y: canonical_space(scenario.algebra(y), mult.get(y, 0)) for y in scenario.y_ids}
-    fsp = _f_layout(scenario, y_parts)
+    fsp = _build_fspaces(scenario, y_parts)
     full_eta = {}
     for x in scenario.x_ids:
         if eta is not None and x in eta:
@@ -766,7 +799,7 @@ def direct_sum(a: TripleObject, b: TripleObject):
     s = _same_scenario(a, b)
     x_parts = {x: _stack_spaces(s.algebra(x), a.x[x], b.x[x]) for x in s.x_ids}
     y_parts = {y: _stack_spaces(s.algebra(y), a.y[y], b.y[y]) for y in s.y_ids}
-    fsp = _f_layout(s, y_parts)
+    fsp = _build_fspaces(s, y_parts)
 
     def inclusion(m: int, n: int, second: bool) -> RatMatrix:
         d = n if second else m
@@ -783,7 +816,7 @@ def direct_sum(a: TripleObject, b: TripleObject):
         # F of the inclusions is a slot permutation, so its inverse is its transpose
         lhs = (ia_u[x] * a.eta[x]).hstack(ib_u[x] * b.eta[x])
         eta[x] = lhs * fa.hstack(fb).transpose()
-    total = TripleObject(s, x_parts, y_parts, eta, check=False)
+    total = TripleObject._with_fspaces(s, x_parts, y_parts, eta, fsp)
     inc_a = TripleMorphism(a, total, ia_u, ia_v)
     inc_b = TripleMorphism(b, total, ib_u, ib_v)
     # the projections are the transposed inclusions

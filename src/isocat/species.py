@@ -278,6 +278,7 @@ class SpeciesScenario:
         self.x_ids = [v for v, _ in self.x_vertices]
         self.y_ids = [v for v, _ in self.y_vertices]
         self._handles = dict(self.x_vertices + self.y_vertices)
+        self._canonical_fspaces: dict = {}  # extcat's shared F spaces of canonical Y, by y multiplicities
         self._validate()
 
     def _validate(self) -> None:

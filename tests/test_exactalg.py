@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 import isocat.exactalg as exactalg
 from isocat.exactalg import (
     _block_copies,
+    _first_rational_root,
     _int_poly_exact_div,
     _kernel,
-    _rational_roots,
     AlgebraError,
     AlgebraSpec,
     FactorBudget,
@@ -457,7 +457,8 @@ def test_factor_product_reassembles(c1, c2):
 
 
 def _fraction_rational_roots(coeffs):
-    """The rational-root search in Fraction arithmetic, the reference for `_rational_roots`.
+    """The rational-root search in Fraction arithmetic; its first root is the reference for
+    `_first_rational_root`.
 
     Every p/q and -p/q with p | a0 and q | an, both ascending, is tested by
     evaluating the polynomial at it, unless it lies outside Cauchy's bounds
@@ -483,6 +484,10 @@ def _fraction_rational_roots(coeffs):
             for c in (F(num, den), F(-num, den)) if p.eval(c) == 0]
 
 
+def first_root(coeffs):
+    return next(iter(_fraction_rational_roots(coeffs)), None)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4)), max_size=3),
        st.lists(st.integers(-9, 9), min_size=1, max_size=4))
@@ -495,7 +500,17 @@ def test_rational_roots_match_fraction_reference(linear, extra):
     for num, den in linear:
         poly = poly * Polynomial([-num, den])
     coeffs = [int(c) for c in poly.coeffs]
-    assert _rational_roots(coeffs) == _fraction_rational_roots(coeffs)
+    assert _first_rational_root(coeffs) == first_root(coeffs)
+
+
+def test_first_rational_root_is_the_first_of_the_full_pair_list():
+    # (t - 1)(2t - 3)(t - 2): every pair lists 1, 2, 1 (as 2/2) and 3/2
+    poly = Polynomial([-1, 1]) * Polynomial([-3, 2]) * Polynomial([-2, 1])
+    coeffs = [int(c) for c in poly.coeffs]
+    assert _fraction_rational_roots(coeffs) == [1, 2, 1, F(3, 2)]
+    assert _first_rational_root(coeffs) == 1
+    assert _first_rational_root([int(c) for c in (Polynomial([-3, 2]) * Polynomial([1, 0, 1])).coeffs]) == F(3, 2)
+    assert _first_rational_root([2, 0, 1]) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -511,8 +526,8 @@ def test_rational_roots_match_fraction_reference_at_large_coefficients(linear, d
     for num, den in linear:
         poly = poly * Polynomial([-num, den])
     coeffs = [int(c) for c in poly.coeffs]
-    assert _rational_roots(coeffs) == _fraction_rational_roots(coeffs)
-    assert _rational_roots(coeffs, FactorBudget()) == _fraction_rational_roots(coeffs)
+    assert _first_rational_root(coeffs) == first_root(coeffs)
+    assert _first_rational_root(coeffs, FactorBudget()) == first_root(coeffs)
 
 
 @pytest.mark.parametrize("coeffs", [[101, 1, 1], [1, 1, 101], [-101, 0, 0, 1], [0, 101]],
@@ -522,13 +537,13 @@ def test_rational_roots_budget_checks_a0_and_an_first(coeffs):
     # is over the cap; a zero a0 gives the root 0 before any budget check
     budget = FactorBudget(max_abs_value=100)
     if coeffs[0] == 0:
-        assert _rational_roots(coeffs, budget) == [F(0)]
+        assert _first_rational_root(coeffs, budget) == F(0)
         return
     with pytest.raises(FactorBudgetExceeded):
-        _rational_roots(coeffs, budget)
+        _first_rational_root(coeffs, budget)
     with pytest.raises(FactorBudgetExceeded):
         factor_rational(Polynomial(coeffs), budget)
-    assert _rational_roots(coeffs) == _fraction_rational_roots(coeffs)
+    assert _first_rational_root(coeffs) == first_root(coeffs)
 
 
 def _fraction_gcd(a, b):

@@ -15,6 +15,7 @@ from isocat.exactalg import (
     Polynomial,
     RatMatrix,
     _combine,
+    _combine_terms,
     _echelon,
     _nonzero_entries,
     _null_rows,
@@ -57,7 +58,6 @@ from isocat.extcat import (
     x_only,
     y_only,
     zero_morphism,
-    zero_object,
 )
 from isocat.samples import random_morphism, random_object, random_object_with, random_scenario
 from isocat.species import (
@@ -87,7 +87,7 @@ def pair_scenario(mdim=2):
 # ----------------------------------------------------------------------
 
 def test_validate_zero_object():
-    z = zero_object(catalog_scenario("d4_elliptic"))
+    z = canonical_object(catalog_scenario("d4_elliptic"), {})
     assert validate(z) is None
 
 
@@ -617,6 +617,155 @@ def test_canonical_spaces_and_their_f_spaces_match_the_generic_path():
                     assert closed[x].space.action == generic[x].space.action
 
 
+# ----------------------------------------------------------------------
+# shared canonical values
+# ----------------------------------------------------------------------
+
+def fresh_canonical(h, m):
+    """An unshared canonical space, built from Kronecker products."""
+    return VertexSpace(m * h.dim, [RatMatrix.identity(m).kron(lm) for lm in h.spec.left_mats],
+                       canonical=(h.key(), m))
+
+
+def random_object_over_fresh_spaces(s, mult, rng, eta_bound=2):
+    """`random_object_with` over unshared canonical components and F spaces built afresh."""
+    x_parts = {x: fresh_canonical(s.algebra(x), mult.get(x, 0)) for x in s.x_ids}
+    y_parts = {y: fresh_canonical(s.algebra(y), mult.get(y, 0)) for y in s.y_ids}
+    fsp = extcat._fspaces(s, y_parts)
+    eta = {}
+    for x in s.x_ids:
+        terms, den = _hom_terms(s.algebra(x).spec, fsp[x].space, x_parts[x])
+        coeffs = [rng.randrange(-eta_bound, eta_bound + 1) for _ in terms]
+        eta[x] = _combine_terms(terms, coeffs, den, x_parts[x].dim, fsp[x].dim)
+    z = TripleObject(s, x_parts, y_parts, eta)
+    assert all(z.f[x] is not fsp[x] for x in s.x_ids)  # the object built its own F spaces
+    return z
+
+
+@pytest.mark.parametrize("mult", [-1, -3, 1.0, True, "1"])
+def test_bad_multiplicities_are_rejected_before_anything_is_memoised(mult):
+    s = catalog_scenario("g2_threefold")
+    spec = s.algebra("u").spec
+    with pytest.raises(TripleError, match="non-negative int"):
+        canonical_object(s, {"u": mult})
+    with pytest.raises(TripleError, match="non-negative int"):
+        canonical_space(s.algebra("u"), mult)
+    assert spec._canonical_spaces == {} and s._canonical_fspaces == {}
+    assert canonical_object(s, {"u": 1}).dimension_vector() == (1, 0)
+
+
+def test_objects_with_equal_multiplicities_share_their_spaces():
+    for name in CATALOG_IDS:
+        s = catalog_scenario(name)
+        rng = random.Random(name)
+        mult = {v: 1 + k % 2 for k, v in enumerate(s.vertex_order())}
+        a, b = (random_object_with(s, mult, rng) for _ in range(2))
+        assert all(a.x[v] is b.x[v] for v in s.x_ids) and all(a.y[v] is b.y[v] for v in s.y_ids)
+        assert all(a.f[x] is b.f[x] for x in s.x_ids)
+        c = canonical_object(s, mult)
+        assert all(c.x[v] is a.x[v] for v in s.x_ids) and all(c.f[x] is a.f[x] for x in s.x_ids)
+        total, _, _ = direct_sum(a, b)
+        double = random_object_with(s, {v: 2 * m for v, m in mult.items()}, rng)
+        assert all(total.y[y] is double.y[y] for y in s.y_ids)
+        assert all(total.f[x] is double.f[x] for x in s.x_ids)
+        assert universal_extension_of(a).f is a.f
+
+
+def test_memoised_spaces_match_fresh_rebuilds_after_the_check_suites():
+    # a writer to a shared action matrix or F space would show as a
+    # difference from a fresh rebuild; keys are read both cached and afresh
+    from isocat import checks
+    for name in ("c3_surface", "g2_threefold", "d4_elliptic"):
+        s = catalog_scenario(name)
+        assert all(r.ok for r in checks.run_all(s, 1, 8))
+        specs = {id(s.algebra(v).spec): s.algebra(v) for v in s.vertex_order()}
+        seen = 0
+        for h in specs.values():
+            for m, space in h.spec._canonical_spaces.items():
+                fresh = fresh_canonical(h, m)
+                assert space.key() == VertexSpace(space.dim, space.action).key() == fresh.key()
+                assert space.canonical == fresh.canonical
+                seen += 1
+        assert s._canonical_fspaces
+        for mults, fsp in s._canonical_fspaces.items():
+            fresh = extcat._fspaces(s, {y: fresh_canonical(s.algebra(y), m) for y, m in zip(s.y_ids, mults)})
+            for x in s.x_ids:
+                assert (fsp[x].dim, fsp[x].offsets) == (fresh[x].dim, fresh[x].offsets)
+                space = fsp[x].space
+                assert space.key() == VertexSpace(space.dim, space.action).key() == fresh[x].space.key()
+                seen += 1
+        assert seen > 2 * len(specs)
+
+
+def test_hom_ext1_and_eta_over_shared_spaces_match_fresh_spaces():
+    for name in CATALOG_IDS:
+        s = catalog_scenario(name)
+        shared, fresh = [], []
+        for k, mult in enumerate(({v: 1 for v in s.vertex_order()},
+                                  {v: (k + 2) % 3 for k, v in enumerate(s.vertex_order())})):
+            a = random_object_with(s, mult, random.Random(f"{name}:{k}"))
+            b = random_object_over_fresh_spaces(s, mult, random.Random(f"{name}:{k}"))
+            assert a.eta == b.eta and a.data_key() == b.data_key()
+            fy = {y: fresh_canonical(s.algebra(y), mult.get(y, 0)) for y in s.y_ids}
+            shared += [a, universal_extension_of(a)]
+            fresh += [b, extcat.universal_extension(s, fy)]
+        for (a, fa), (b, fb) in itertools.product(zip(shared, fresh), repeat=2):
+            assert [(m.u, m.v) for m in hom(a, b)] == [(m.u, m.v) for m in hom(fa, fb)]
+            e, fe = ext1(a, b), ext1(fa, fb)
+            assert (e.dim, e.basis, e.projection) == (fe.dim, fe.basis, fe.projection)
+
+
+def test_block_copies_runs_at_most_once_per_algebra_and_multiplicity(monkeypatch):
+    from isocat import checks
+    calls = []
+    real = extcat._block_copies
+
+    def counted(m, cell):
+        calls.append((m, id(cell)))
+        return real(m, cell)
+
+    monkeypatch.setattr(extcat, "_block_copies", counted)
+    s = catalog_scenario("g2_threefold")
+    cells = {id(lm) for v in s.vertex_order() for lm in s.algebra(v).spec.left_mats}
+    rng = random.Random("block-copies")
+    objs = [random_object_with(s, {"u": m % 3, "a1": m % 2}, rng) for m in range(6)]
+    objs.append(canonical_object(s, {"u": 2, "a1": 1}))
+    for a in objs:
+        projective_resolution(a).verify()
+        direct_sum(a, universal_extension_of(a))
+    assert all(r.ok for r in checks.run_all(s, 2, 4))
+    assert calls and len(calls) == len(set(calls)) and {c for _, c in calls} <= cells
+
+
+def test_deleting_a_scenario_frees_what_its_algebras_memoised():
+    import gc
+    import weakref
+    s = catalog_scenario("g2_threefold")
+    objs = [random_object_with(s, {"u": 1, "a1": m}, random.Random(m)) for m in range(3)]
+    hom(objs[1], objs[2])
+    decompose(direct_sum(objs[1], objs[2])[0])
+    assert s.algebra("a1").spec._canonical_spaces and s._canonical_fspaces
+    refs = [weakref.ref(o) for o in (s, s.algebra("u"), s.algebra("a1"), s.algebra("a1").spec)]
+    del s, objs
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_two_instances_of_a_scenario_share_no_values():
+    s1, s2 = catalog_scenario("c3_surface"), catalog_scenario("c3_surface")
+    mult = {"u": 1, "a1": 2, "a2": 1}
+    a, b = (random_object_with(s, mult, random.Random(5)) for s in (s1, s2))
+    assert a.data_key() == b.data_key()
+    assert a.f["u"] is not b.f["u"] and a.y["a2"] is not b.y["a2"]
+    # q at u and e at a1 are equal algebras but not the same instance: a
+    # canonical space of u's algebra at a1 is not a1's own, so its F spaces
+    # are built afresh and never memoised
+    y_parts = {"a1": canonical_space(s1.algebra("u"), 1), "a2": canonical_space(s1.algebra("a2"), 1)}
+    before = dict(s1._canonical_fspaces)
+    assert _build_fspaces(s1, y_parts) is not _build_fspaces(s1, y_parts)
+    assert s1._canonical_fspaces == before
+
+
 def matrix_hom_basis(alg, src, dst):
     """The matrix construction that `_hom_terms` replaced, kept as its reference.
 
@@ -739,7 +888,7 @@ def test_hom_ext_dims_skip_no_elimination_they_need():
         s = catalog_scenario(name)
         rng = random.Random(name)
         full = {v: 1 for v in s.vertex_order()}
-        objs = [zero_object(s), simple_x_object(s, s.x_ids[0]), simple_y_object(s, s.y_ids[0]),
+        objs = [canonical_object(s, {}), simple_x_object(s, s.x_ids[0]), simple_y_object(s, s.y_ids[0]),
                 canonical_object(s, full), random_object_with(s, full, rng), random_object(s, rng)]
         objs += [x_only(objs[4]), y_only(objs[4])]
         for a in objs:
