@@ -141,15 +141,6 @@ class RatMatrix:
         nums, den = _int_vector(coeffs)
         return _combine(mats, nums, den, rows, cols)
 
-    @classmethod
-    def from_cols(cls, columns: Sequence[Sequence], rows: int | None = None) -> "RatMatrix":
-        if not columns:
-            if rows is None:
-                raise ValueError("rows required for an empty column list")
-            return cls.zeros(rows, 0)
-        grid = [[col[i] for col in columns] for i in range(len(columns[0]))]
-        return cls.from_rows(grid)
-
     # -- accessors -------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Fraction:
@@ -415,23 +406,32 @@ def _back_solve(pivots: list[int], ech: list[dict[int, int]],
 
 
 def _null_rows(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
-    """(basis of the null space of m as rows, free columns).
+    """`_null_space` of m's rows.
+
+    Read as a map it is also the canonical projection of quotient_space by
+    the row span of m.
+    """
+    return _null_space([] if m.is_zero() else _sparse_rows(m.num), m.cols)
+
+
+def _null_space(rows: list[dict[int, int]], ncols: int) -> tuple[RatMatrix, list[int]]:
+    """(basis of the null space as rows, free columns) of `_echelon` input rows, which it consumes.
 
     Row k is 1 at free[k], 0 at the other free columns and minus the
-    `_back_solve` solution at the pivots.  Read as a map it is also the
-    canonical projection of quotient_space by the row span of m.
+    `_back_solve` solution at the pivots.  With no nonzero entry every
+    column is free, with no elimination.
     """
-    if m.is_zero():  # no rows, no columns or no nonzero entry: every column is free
-        return RatMatrix.identity(m.cols), list(range(m.cols))
-    pivots, ech, _, _ = _echelon(_sparse_rows(m.num))
-    free = sorted(set(range(m.cols)).difference(pivots))
+    if not any(rows):
+        return RatMatrix.identity(ncols), list(range(ncols))
+    pivots, ech, _, _ = _echelon(rows)
+    free = sorted(set(range(ncols)).difference(pivots))
     d, zs = _back_solve(pivots, ech, free)
-    rows = [[0] * m.cols for _ in free]
-    for row, f, z in zip(rows, free, zs):
+    out = [[0] * ncols for _ in free]
+    for row, f, z in zip(out, free, zs):
         row[f] = d
         for p, zi in zip(pivots, z):
             row[p] = -zi
-    return RatMatrix._fresh(len(free), m.cols, rows, d), free
+    return RatMatrix._fresh(len(free), ncols, out, d), free
 
 
 def _kernel(m: RatMatrix) -> RatMatrix:
@@ -550,23 +550,30 @@ def commutant_basis(src: Sequence[RatMatrix], dst: Sequence[RatMatrix]) -> list[
 
 
 def _commutant_coords(terms: Sequence[Sequence[tuple[int, int, int]]], bden: int, cols: int,
-                      flat: RatMatrix) -> RatMatrix | None:
-    """`RatMatrix.solve` of (stacked flattened basis) . X = flat, without an elimination.
+                      images: Sequence[dict[int, int]]) -> list[list[tuple[int, int]]] | None:
+    """Coordinates of maps in a basis from `commutant_basis`, read off without an elimination.
 
-    (terms, bden) is the `_nonzero_entries` form of a `commutant_basis` answer
-    of maps with cols columns; each column of flat is such a map, flattened
-    row-major.  Coordinate k is the map's entry at the last nonzero entry of
-    basis element k, and sum_k X[k] . basis[k] = flat is checked in integers,
-    so None comes exactly when a column is off the span.
+    (terms, bden) is the `_nonzero_entries` form of the basis, of maps with
+    cols columns; each image is a map's entries {row-major index: integer}
+    over a denominator of its own.  Coordinate k is the image's entry at the
+    last nonzero entry of basis element k, over the same denominator; each
+    image gets its nonzero (k, coordinate), k increasing.  sum_k c_k . basis[k]
+    = image is checked in integers, so None comes exactly when an image is
+    off the span.
     """
-    coords = [flat.num[i * cols + j] for i, j, _ in (ents[-1] for ents in terms)]
-    resid = [[bden * e for e in row] for row in flat.num]
-    for ents, c in zip(terms, coords):
-        for i, j, e in ents:
-            resid[i * cols + j] = [r - e * x for r, x in zip(resid[i * cols + j], c)]
-    if any(any(r) for r in resid):
-        return None
-    return RatMatrix(len(terms), flat.cols, coords, flat.den)
+    flat = [[(i * cols + j, e) for i, j, e in ents] for ents in terms]
+    lasts = list(enumerate(f[-1][0] for f in flat))
+    out = []
+    for img in images:
+        coords = [(k, c) for k, p in lasts if (c := img.get(p))]
+        resid = {p: bden * e for p, e in img.items()} if bden != 1 else dict(img)
+        for k, c in coords:
+            for p, e in flat[k]:
+                resid[p] = resid.get(p, 0) - e * c
+        if any(resid.values()):
+            return None
+        out.append(coords)
+    return out
 
 
 def kernel_basis(m: RatMatrix) -> list[list[Fraction]]:
@@ -698,9 +705,6 @@ class Polynomial:
 
     def divides(self, other: "Polynomial") -> bool:
         return other.divmod(self)[1].is_zero()
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def eval(self, x) -> Fraction:
         x = as_fraction(x)
@@ -1324,10 +1328,6 @@ def _quotient_algebra(alg: AlgebraSpec, span: RatMatrix) -> AlgebraSpec:
     return AlgebraSpec(constants, unit)
 
 
-def semisimple_quotient(alg: AlgebraSpec) -> AlgebraSpec:
-    return _quotient_algebra(alg, _radical(alg))
-
-
 def regular_algebra_from_min_poly(m: Polynomial) -> AlgebraSpec:
     """Q[t]/(m) with basis 1, t, ..., t^(deg-1)."""
     if m.degree < 1:
@@ -1342,20 +1342,4 @@ def regular_algebra_from_min_poly(m: Polynomial) -> AlgebraSpec:
             row.append([rem.coeffs[k] if k < len(rem.coeffs) else Fraction(0) for k in range(d)])
         constants.append(row)
     unit = [Fraction(1)] + [Fraction(0)] * (d - 1)
-    return AlgebraSpec(constants, unit)
-
-
-def matrix_algebra(n: int) -> AlgebraSpec:
-    """Full n x n matrix algebra over Q, basis E_ij in row-major order."""
-    d = n * n
-    constants = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        constants[i * n + j][k * n + l][i * n + l] = Fraction(1)
-    unit = [Fraction(0)] * d
-    for i in range(n):
-        unit[i * n + i] = Fraction(1)
     return AlgebraSpec(constants, unit)

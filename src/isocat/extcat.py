@@ -2,16 +2,12 @@
 
 An object assigns a module to every vertex and, per x-vertex, a structure
 map eta from the induced tensor space F(Y) into the x-component.  Morphisms
-are pairs of equivariant block maps (u, v) making the square
-u . eta = eta' . F(v) commute.  Hom and Ext^1 fall out of one linear map
-
-    psi(u, v) = u . eta - eta' . F(v)
-
-as kernel and cokernel; psi and the Hom basis are built from the nonzero
-entries of the sparse equivariant bases.  The module also provides universal
-extensions, length-1 projective resolutions, kernels/cokernels/images,
-torsion pairs, endomorphism algebras and an exact Krull-Schmidt-style
-decomposition.
+are pairs of equivariant block maps (u, v) with u . eta = eta' . F(v).  Hom
+and Ext^1 are the kernel and cokernel of psi(u, v) = u . eta - eta' . F(v),
+built once per call as sparse integer columns from the nonzero entries of
+the equivariant bases.  Also here: universal extensions, length-1
+projective resolutions, kernels/cokernels/images, torsion pairs,
+endomorphism algebras and an exact Krull-Schmidt-style decomposition.
 
 Tensor spaces use the slot basis m_i (x) f_c ordered (i, c): for the
 bimodule at (x, y), m_0..m_{r-1} is the greedy right basis of M over the y
@@ -24,7 +20,7 @@ Canonical components are shared values: `canonical_space` returns one
 space per (algebra instance, multiplicity), held by the algebra, and the F
 spaces of a Y whose parts are all those shared spaces are one value per
 (scenario instance, y multiplicities), held by the scenario.  They live as
-long as their algebra or scenario, and nothing writes into them.
+long as their algebra or scenario; only their hom-term memo is written.
 """
 
 from __future__ import annotations
@@ -43,12 +39,14 @@ from .exactalg import (
     _block_copies,
     _combine_terms,
     _commutant_coords,
+    _echelon,
     _flat_columns,
     _flat_matrices,
     _kernel,
     _quotient_algebra,
     _nonzero_entries,
     _null_rows,
+    _null_space,
     _radical,
     commutant_basis,
     factor_rational,
@@ -77,17 +75,20 @@ class InternalConsistencyError(RuntimeError):
 class VertexSpace:
     """A Q-space with a unital action of one vertex algebra.
 
-    `canonical` is (algebra key, multiplicity) for a `canonical_space`.
+    `canonical` is (algebra key, multiplicity) for a `canonical_space`.  A
+    shared value has `_memo`, its `_hom_terms` by target; `_proved` marks a
+    shared canonical space whose laws a checked object proved.
     """
 
-    __slots__ = ("dim", "action", "_key", "canonical")
+    __slots__ = ("dim", "action", "_key", "canonical", "_memo", "_proved")
 
     def __init__(self, dim: int, action: Sequence[RatMatrix],
                  canonical: Optional[tuple] = None):
         self.dim = dim
         self.action = list(action)
         self.canonical = canonical
-        self._key = None
+        self._key = self._memo = None
+        self._proved = False
 
     def key(self) -> tuple:
         if self._key is None:
@@ -111,11 +112,13 @@ def canonical_space(handle: DivisionAlgebraHandle, mult: int) -> VertexSpace:
     if space is None:
         action = [_block_copies(mult, lm) for lm in spec.left_mats]
         space = spec._canonical_spaces[mult] = VertexSpace(mult * spec.dim, action, canonical=(spec.key(), mult))
+        space._memo = {}
     return space
 
 
-def zero_space(handle: DivisionAlgebraHandle) -> VertexSpace:
-    return canonical_space(handle, 0)
+def _shared(alg: AlgebraSpec, vs: VertexSpace) -> bool:
+    """Whether vs is the shared `canonical_space` of this algebra instance."""
+    return vs.canonical is not None and alg._canonical_spaces.get(vs.canonical[1]) is vs
 
 
 # ======================================================================
@@ -124,7 +127,7 @@ def zero_space(handle: DivisionAlgebraHandle) -> VertexSpace:
 
 Terms = tuple[list[list[tuple[int, int, int]]], int]  # a basis as `_nonzero_entries` gives it
 
-_HOM_CACHE: dict[tuple, tuple[list[RatMatrix], Terms]] = {}  # commutant bases and their terms
+_HOM_CACHE: dict[tuple, Terms] = {}  # commutant bases, as their terms
 
 
 def _hom_terms(alg: AlgebraSpec, src: VertexSpace, dst: VertexSpace) -> Terms:
@@ -132,22 +135,30 @@ def _hom_terms(alg: AlgebraSpec, src: VertexSpace, dst: VertexSpace) -> Terms:
 
     Over zero spaces, over Q and between canonical spaces (unit(s, t) (x) R_b in
     the order (s, t, b)) it is written in closed form; other pairs read their
-    commutant basis through `_HOM_CACHE`.
+    commutant basis through `_HOM_CACHE`.  Beyond Q (cheap to rebuild), terms
+    between shared values (dst alg's shared space, src too or a shared F
+    space) are kept in src's `_memo`.
     """
     if src.dim == 0 or dst.dim == 0:
         return [], 1
     if alg.dim == 1:  # a Q action is scalar, so every map is equivariant
         return [[(k, l, 1)] for k in range(dst.dim) for l in range(src.dim)], 1
+    memo = src._memo if _shared(alg, dst) and (src.canonical is None or _shared(alg, src)) else None
+    if memo is not None and dst in memo:
+        return memo[dst]
     if src.canonical is not None and dst.canonical is not None and src.canonical[0] == dst.canonical[0]:
         n = alg.dim
         cells, den = alg.right_terms()
-        return [[(s * n + i, t * n + j, e) for i, j, e in cell]
-                for s in range(dst.canonical[1]) for t in range(src.canonical[1]) for cell in cells], den
-    key = (alg.key(), src.key(), dst.key())
-    if key not in _HOM_CACHE:
-        basis = commutant_basis(src.action, dst.action)
-        _HOM_CACHE[key] = basis, _nonzero_entries(basis, dst.dim, src.dim)
-    return _HOM_CACHE[key][1]
+        terms = [[(s * n + i, t * n + j, e) for i, j, e in cell]
+                 for s in range(dst.canonical[1]) for t in range(src.canonical[1]) for cell in cells], den
+    else:
+        key = (alg.key(), src.key(), dst.key())
+        if key not in _HOM_CACHE:
+            _HOM_CACHE[key] = _nonzero_entries(commutant_basis(src.action, dst.action), dst.dim, src.dim)
+        terms = _HOM_CACHE[key]
+    if memo is not None:
+        memo[dst] = terms
+    return terms
 
 
 def equivariant_hom_basis(alg: AlgebraSpec, src: VertexSpace, dst: VertexSpace) -> list[RatMatrix]:
@@ -198,14 +209,15 @@ def _build_fspaces(scenario: SpeciesScenario,
     """
     mults = []
     for y in scenario.y_ids:
-        c = y_parts[y].canonical
-        if c is None or scenario.algebra(y).spec._canonical_spaces.get(c[1]) is not y_parts[y]:
+        if not _shared(scenario.algebra(y).spec, y_parts[y]):
             return _fspaces(scenario, y_parts)
-        mults.append(c[1])
+        mults.append(y_parts[y].canonical[1])
     key = tuple(mults)
     shared = scenario._canonical_fspaces.get(key)
     if shared is None:
         shared = scenario._canonical_fspaces[key] = _fspaces(scenario, y_parts)
+        for fsp in shared.values():
+            fsp.space._memo = {}
     return shared
 
 
@@ -366,12 +378,20 @@ def _space_error(alg: AlgebraSpec, vs: VertexSpace) -> Optional[str]:
 
 def _components_error(s: SpeciesScenario, x_parts: dict[str, VertexSpace],
                       y_parts: dict[str, VertexSpace]) -> Optional[str]:
-    """None if every component is a unital representation, else the first violation."""
+    """None if every component is a unital representation, else the first violation.
+
+    A shared canonical space is proved once, by the first checked object
+    that has it at a vertex of its own algebra.
+    """
     for ids, parts, side in ((s.x_ids, x_parts, "x"), (s.y_ids, y_parts, "y")):
         for v in ids:
-            err = _space_error(s.algebra(v).spec, parts[v])
+            spec, vs = s.algebra(v).spec, parts[v]
+            if vs._proved and _shared(spec, vs):
+                continue
+            err = _space_error(spec, vs)
             if err is not None:
                 return f"{side}-component at {v!r}: {err}"
+            vs._proved |= _shared(spec, vs)
     return None
 
 
@@ -404,16 +424,11 @@ class TripleMorphism:
 
     def check(self) -> Optional[str]:
         s = self.source.scenario
-        for xv in s.x_ids:
-            alg = s.algebra(xv).spec
-            for a in range(alg.dim):
-                if self.u[xv] * self.source.x[xv].action[a] != self.target.x[xv].action[a] * self.u[xv]:
-                    return f"u at {xv!r} not equivariant"
-        for yv in s.y_ids:
-            alg = s.algebra(yv).spec
-            for a in range(alg.dim):
-                if self.v[yv] * self.source.y[yv].action[a] != self.target.y[yv].action[a] * self.v[yv]:
-                    return f"v at {yv!r} not equivariant"
+        for ids, maps, src, dst, name in ((s.x_ids, self.u, self.source.x, self.target.x, "u"),
+                                          (s.y_ids, self.v, self.source.y, self.target.y, "v")):
+            for w in ids:
+                if any(maps[w] * m != n * maps[w] for m, n in zip(src[w].action, dst[w].action)):
+                    return f"{name} at {w!r} not equivariant"
         for xv in s.x_ids:
             fv = _f_map(s, self.v, self.source.f, self.target.f, xv)
             if self.u[xv] * self.source.eta[xv] != self.target.eta[xv] * fv:
@@ -488,17 +503,18 @@ def canonical_object(scenario: SpeciesScenario, mult: dict[str, int],
                      check: bool = True) -> TripleObject:
     """Object with canonically presented components of given multiplicities.
 
-    With eta omitted, every structure map is zero.
+    With eta omitted, every structure map is zero.  A mult key that is not a
+    vertex, or an eta key that is not an x-vertex, is an error.
     """
+    eta = eta or {}
+    for keys, ids, kind in ((mult, scenario.vertex_order(), "a vertex"), (eta, scenario.x_ids, "an x-vertex")):
+        bad = [k for k in keys if k not in ids]
+        if bad:
+            raise TripleError(f"{bad[0]!r} is not {kind} of {scenario.name!r}")
     x_parts = {x: canonical_space(scenario.algebra(x), mult.get(x, 0)) for x in scenario.x_ids}
     y_parts = {y: canonical_space(scenario.algebra(y), mult.get(y, 0)) for y in scenario.y_ids}
     fsp = _build_fspaces(scenario, y_parts)
-    full_eta = {}
-    for x in scenario.x_ids:
-        if eta is not None and x in eta:
-            full_eta[x] = eta[x]
-        else:
-            full_eta[x] = RatMatrix.zeros(x_parts[x].dim, fsp[x].dim)
+    full_eta = {x: eta[x] if x in eta else RatMatrix.zeros(x_parts[x].dim, fsp[x].dim) for x in scenario.x_ids}
     return TripleObject(scenario, x_parts, y_parts, full_eta, check=check)
 
 
@@ -512,14 +528,14 @@ def simple_y_object(scenario: SpeciesScenario, y: str) -> TripleObject:
 
 def x_only(z: TripleObject) -> TripleObject:
     s = z.scenario
-    y_parts = {y: zero_space(s.algebra(y)) for y in s.y_ids}
+    y_parts = {y: canonical_space(s.algebra(y), 0) for y in s.y_ids}
     eta = {x: RatMatrix.zeros(z.x[x].dim, 0) for x in s.x_ids}
     return TripleObject(s, dict(z.x), y_parts, eta, check=False)
 
 
 def y_only(z: TripleObject) -> TripleObject:
     s = z.scenario
-    x_parts = {x: zero_space(s.algebra(x)) for x in s.x_ids}
+    x_parts = {x: canonical_space(s.algebra(x), 0) for x in s.x_ids}
     eta = {x: RatMatrix.zeros(0, z.f[x].dim) for x in s.x_ids}
     return TripleObject._with_fspaces(s, x_parts, dict(z.y), eta, z.f)
 
@@ -544,113 +560,104 @@ def _bases(z: TripleObject, z2: TripleObject) -> tuple[dict[str, Terms], dict[st
 
 def hom_space_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, int]:
     """(dim Hom on x parts, dim Hom on y parts, dim Hom(F(Y), X'))."""
-    su, sv, sf = (sum(len(t) for t, _ in b.values()) for b in _bases(z, z2))
-    return su, sv, sf
-
-
-def _v_basis_f_blocks(z: TripleObject, z2: TripleObject, vbases: dict[str, Terms],
-                      images: dict[str, list], col: int) -> int:
-    """Append -(eta' . F(v_l)) to images[x] as psi columns col, col + 1, ...; return the next.
-
-    F(v_l) is I_r (x) v_l on the y block, so column block i of eta' . F(v_l)
-    is that of eta'_x's y block times v_l, built from v_l's nonzero entries
-    in vbases straight into the flat X'_x x F(Y)_x grid.
-    """
-    s = z.scenario
-    for y in s.y_ids:
-        n1, n2 = z.y[y].dim, z2.y[y].dim
-        terms, tden = vbases[y]
-        for x in s.x_ids:
-            bm = s.bimodules.get((x, y))
-            # a nonzero v basis means Y_y and Y'_y are nonzero, so both F
-            # spaces hold a y block
-            if not terms or bm is None or y not in z.f[x].offsets:
-                continue
-            r, width = bm.rank_over_right, z.f[x].dim
-            src_off, dst_off = z.f[x].offsets[y], z2.f[x].offsets[y]
-            eta2 = z2.eta[x]
-            blocks = [(a * width + src_off + i * n1, row, dst_off + i * n2)
-                      for a, row in enumerate(eta2.num) for i in range(r)]
-            for l, ents in enumerate(terms):
-                flat = [0] * (eta2.rows * width)
-                for base, row, g0 in blocks:
-                    for k, j, e in ents:
-                        g = row[g0 + k]
-                        if g:
-                            flat[base + j] -= g * e
-                images[x].append((col + l, flat, eta2.den * tden))
-        col += len(terms)
-    return col
+    return tuple(sum(len(t) for t, _ in b.values()) for b in _bases(z, z2))
 
 
 def _psi_data(z: TripleObject, z2: TripleObject):
-    """Bases and the one matrix of psi(u, v) = u . eta - eta' . F(v) for a pair.
+    """Bases and the sparse integer columns of psi(u, v) = u . eta - eta' . F(v) for a pair.
 
-    Returns (ubases, vbases, fbases, offsets, psi), the bases as `_hom_terms`.
-    psi has one column per u basis element, then per v basis element
-    (vertices in scenario order), and one row per Hom(F(Y), X') basis
-    element, the block of x-vertex x starting at offsets[x]; Hom(z, z2) is
-    its kernel and Ext^1 its cokernel.  At each x-vertex the images of all
-    basis elements are coordinatised in one batch: flattened entries over Q,
-    else read off the Hom(F(Y), X') basis, which comes from `commutant_basis`
-    (an F space is never canonical), by `_commutant_coords`, whose exact
-    recombination check also proves every image equivariant.
+    Returns (ubases, vbases, fbases, offsets, (nrows, columns)), bases as
+    `_hom_terms`.  Column c (u basis elements, then v basis elements, in
+    vertex order) is columns[c] = (its nonzero (row, integer) entries, rows
+    increasing, den); the rows are the Hom(F(Y), X') basis, x's block from
+    offsets[x].  Each image u_k . eta or -(eta' . F(v_l)) is written as its
+    nonzero {row-major index: integer} at each x-vertex.  Over Q the index is
+    the coordinate; else `_commutant_coords` reads it off the Hom(F(Y), X')
+    commutant basis (F is never canonical) and its exact recombination
+    check proves the image equivariant.  A u column is over uden * eta.den;
+    a v column's x blocks are scaled to vden times the lcm of the eta'
+    denominators.
     """
     s = _same_scenario(z, z2)
     ubases, vbases, fbases = _bases(z, z2)
-    images: dict[str, list] = {x: [] for x in s.x_ids}  # (column, entries, den)
-    ncols = 0
+    images = {x: [] for x in s.x_ids}  # (column, entries)
+    dens = []
     for x in s.x_ids:
-        eta = z.eta[x]
+        eta, width = z.eta[x], z.f[x].dim
+        rows = [[(l, g) for l, g in enumerate(row) if g] for row in eta.num]
         terms, uden = ubases[x]
-        for ents in terms:  # row i of uk . eta is the sum of e * (row j of eta) over uk's entries
-            rows = [[0] * eta.cols for _ in range(z2.x[x].dim)]
+        for ents in terms:  # row i of u_k . eta is the sum of e * (row j of eta) over u_k's entries
+            img = {}
             for i, j, e in ents:
-                rows[i] = [f + e * g for f, g in zip(rows[i], eta.num[j])]
-            images[x].append((ncols, [v for r in rows for v in r], uden * eta.den))
-            ncols += 1
-    ncols = _v_basis_f_blocks(z, z2, vbases, images, ncols)
+                for l, g in rows[j]:
+                    p = i * width + l
+                    img[p] = img.get(p, 0) + e * g
+            images[x].append((len(dens), img))
+            dens.append(uden * eta.den)
+    big = lcm(*(z2.eta[x].den for x in s.x_ids))
+    for y in s.y_ids:
+        terms, vden = vbases[y]
+        n1, n2 = z.y[y].dim, z2.y[y].dim
+        for x in s.x_ids:
+            # nonzero v terms mean both F spaces hold a y block
+            if not terms or y not in z.f[x].offsets:
+                continue
+            eta2, width = z2.eta[x], z.f[x].dim
+            src, dst, scale = z.f[x].offsets[y], z2.f[x].offsets[y], -big // eta2.den
+            # F(v_l) is I_r (x) v_l on the y block: entry (k, j) of v_l meets
+            # eta' column dst + i * n2 + k and lands at column src + i * n1 + j
+            at = [[] for _ in range(n2)]
+            for i in range(s.bimodules[(x, y)].rank_over_right):
+                for a, row in enumerate(eta2.num):
+                    for k, g in enumerate(row[dst + i * n2:dst + (i + 1) * n2]):
+                        if g:
+                            at[k].append((a * width + src + i * n1, scale * g))
+            for l, ents in enumerate(terms, len(dens)):
+                img = {}
+                for k, j, e in ents:
+                    for base, g in at[k]:
+                        img[base + j] = img.get(base + j, 0) + g * e
+                images[x].append((l, img))
+        dens += [big * vden] * len(terms)
     offsets: dict[str, int] = {}
-    blocks = []
-    total_f = 0
-    den = 1
+    columns = [[] for _ in dens]
+    nrows = 0
     for x in s.x_ids:
         (fterms, fden), imgs = fbases[x], images[x]
-        offsets[x] = total_f
-        total_f += len(fterms)
-        if not fterms:
-            if any(e for _, flat, _ in imgs for e in flat):
-                raise InternalConsistencyError("nonzero map in a zero hom space")
-            continue
-        if not imgs:
-            continue
-        nflat = z2.x[x].dim * z.f[x].dim
-        coords = _flat_columns([(flat, d) for _, flat, d in imgs], nflat)
-        if s.algebra(x).dim > 1:
-            coords = _commutant_coords(fterms, fden, z.f[x].dim, coords)
+        offsets[x] = nrows
+        if s.algebra(x).dim == 1:
+            for c, img in imgs:
+                columns[c] += sorted((nrows + p, e) for p, e in img.items() if e)
+        elif imgs:
+            coords = _commutant_coords(fterms, fden, z.f[x].dim, [img for _, img in imgs])
             if coords is None:
                 raise InternalConsistencyError("map is not equivariant: no coordinates")
-        blocks.append((offsets[x], [c for c, _, _ in imgs], coords))
-        den = den * coords.den // gcd(den, coords.den)
-    num = [[0] * ncols for _ in range(total_f)]
-    for off, cols, coords in blocks:
-        k = den // coords.den
-        for i, row in enumerate(coords.num):
-            out = num[off + i]
-            for j, e in zip(cols, row):
-                out[j] = e * k
-    return ubases, vbases, fbases, offsets, RatMatrix._fresh(total_f, ncols, num, den)
+            for (c, _), ents in zip(imgs, coords):
+                columns[c] += [(nrows + k, e) for k, e in ents]
+        nrows += len(fterms)
+    return ubases, vbases, fbases, offsets, (nrows, list(zip(columns, dens)))
+
+
+def _psi_rows(nrows: int, columns: list) -> list[dict[int, int]]:
+    """psi's rows as `_echelon` input, over the lcm of the columns' denominators."""
+    den = lcm(*(d for _, d in columns))
+    rows = [{} for _ in range(nrows)]
+    for c, (ents, d) in enumerate(columns):
+        k = den // d
+        for r, e in ents:
+            rows[r][c] = e * k
+    return rows
 
 
 def hom(z: TripleObject, z2: TripleObject) -> list[TripleMorphism]:
-    """Basis of the space of morphisms z -> z2: the kernel of psi.
+    """Basis of the space of morphisms z -> z2: the kernel of psi, from its rows.
 
     Each kernel vector accumulates into one integer grid per vertex from the
     nonzero entries of that vertex's basis.
     """
     s = z.scenario
-    ubases, vbases, _, _, psi = _psi_data(z, z2)
-    ker, _ = _null_rows(psi)
+    ubases, vbases, _, _, (nrows, columns) = _psi_data(z, z2)
+    ker, _ = _null_space(_psi_rows(nrows, columns), len(columns))
     sides = ((0, s.x_ids, ubases, z.x, z2.x), (1, s.y_ids, vbases, z.y, z2.y))
     sparse = [(side, w, *bases[w], dst[w].dim, src[w].dim)
               for side, ids, bases, src, dst in sides for w in ids]
@@ -677,10 +684,10 @@ class ExtResult:
 
 
 def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
-    """Cokernel of psi(u, v) = u . eta - eta' . F(v)."""
+    """Cokernel of psi(u, v) = u . eta - eta' . F(v), from psi's columns read as rows."""
     s = z.scenario
-    _, _, fbases, offsets, psi = _psi_data(z, z2)
-    proj, free = _null_rows(psi.transpose())
+    _, _, fbases, offsets, (nrows, columns) = _psi_data(z, z2)
+    proj, free = _null_space([dict(ents) for ents, _ in columns], nrows)
 
     def rep(x: str, k: int) -> RatMatrix:  # Hom(F(Y)_x, X'_x) basis element k; zero off its range
         terms, den = fbases[x]
@@ -692,22 +699,24 @@ def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
 def hom_ext_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, tuple[int, int, int]]:
     """(dim Hom, dim Ext^1, hom_space_dims) from one build of psi.
 
-    dim Hom is ncols - rank(psi) and dim Ext^1 is total_f - rank(psi^T),
-    two separate eliminations (none when psi has no entries); su, sv and sf
-    are read off the bases that the psi build holds.
+    dim Hom is ncols - rank(psi) by eliminating psi's rows, and dim Ext^1 is
+    nrows - rank(psi) by eliminating its columns: two eliminations of two
+    separately built row sets (none when psi has no rows or no columns).
     """
-    ubases, vbases, _, _, psi = _psi_data(z, z2)
+    ubases, vbases, _, _, (nrows, columns) = _psi_data(z, z2)
     su, sv = (sum(len(t) for t, _ in b.values()) for b in (ubases, vbases))
-    h = psi.cols - psi.rank()
-    e = psi.rows - (psi.transpose().rank() if psi.rows and psi.cols else 0)
-    return h, e, (su, sv, psi.rows)
+    h, e = len(columns), nrows
+    if nrows and columns:
+        h -= len(_echelon(_psi_rows(nrows, columns))[0])
+        e -= len(_echelon([dict(ents) for ents, _ in columns])[0])
+    return h, e, (su, sv, nrows)
 
 
 def euler_form(z: TripleObject, z2: TripleObject) -> int:
     """dim hom - dim ext1, from one psi; checked against the five-term sequence.
 
-    The kernel and cokernel dimensions come from two eliminations (psi and
-    psi^T), and h - e must equal su + sv - sf on every call.
+    h and e come from `hom_ext_dims`' two eliminations, of psi's rows and of
+    its columns, and h - e must equal su + sv - sf on every call.
     """
     h, e, (su, sv, sf) = hom_ext_dims(z, z2)
     if h - e != su + sv - sf:
@@ -763,22 +772,16 @@ def projective_resolution(z: TripleObject) -> Resolution:
     p1 = TripleObject(
         s,
         {x: z.f[x].space for x in s.x_ids},
-        {y: zero_space(s.algebra(y)) for y in s.y_ids},
+        {y: canonical_space(s.algebra(y), 0) for y in s.y_ids},
         {x: RatMatrix.zeros(z.f[x].dim, 0) for x in s.x_ids},
         check=False)
     ey = universal_extension_of(z)
     p0, (i_x, i_e), _ = direct_sum(x_only(z), ey)
     # d1 = (eta, iota): w |-> (eta w, w)
-    u1 = {}
-    for x in s.x_ids:
-        u1[x] = i_x.u[x] * z.eta[x] + i_e.u[x]
-    v1 = {y: RatMatrix.zeros(p0.y[y].dim, 0) for y in s.y_ids}
-    d1 = TripleMorphism(p1, p0, u1, v1)
+    u1 = {x: i_x.u[x] * z.eta[x] + i_e.u[x] for x in s.x_ids}
+    d1 = TripleMorphism(p1, p0, u1, {y: RatMatrix.zeros(p0.y[y].dim, 0) for y in s.y_ids})
     # d0 = f - mu: (x, w, y) |-> x - eta w on the x side, -y on the y side
-    u0 = {}
-    for x in s.x_ids:
-        nx, nf = z.x[x].dim, z.f[x].dim
-        u0[x] = RatMatrix.identity(nx).hstack(z.eta[x].scale(-1))
+    u0 = {x: RatMatrix.identity(z.x[x].dim).hstack(z.eta[x].scale(-1)) for x in s.x_ids}
     v0 = {y: RatMatrix.identity(z.y[y].dim).scale(-1) for y in s.y_ids}
     d0 = TripleMorphism(p0, z, u0, v0)
     return Resolution(z, p1, p0, d1, d0)
@@ -948,14 +951,12 @@ def verify_short_exact(inc: TripleMorphism, proj: TripleMorphism) -> bool:
 def _exact_by_ranks(inc: TripleMorphism, proj: TripleMorphism) -> bool:
     """Given proj . inc = 0: inc injective, proj surjective and dim B = dim A + dim C everywhere."""
     s = inc.source.scenario
-    for vtx in s.x_ids:
-        a, b, c = inc.source.x[vtx].dim, inc.target.x[vtx].dim, proj.target.x[vtx].dim
-        if inc.u[vtx].rank() != a or proj.u[vtx].rank() != c or a + c != b:
-            return False
-    for vtx in s.y_ids:
-        a, b, c = inc.source.y[vtx].dim, inc.target.y[vtx].dim, proj.target.y[vtx].dim
-        if inc.v[vtx].rank() != a or proj.v[vtx].rank() != c or a + c != b:
-            return False
+    for ids, f, g, sa, sb, sc in ((s.x_ids, inc.u, proj.u, inc.source.x, inc.target.x, proj.target.x),
+                                  (s.y_ids, inc.v, proj.v, inc.source.y, inc.target.y, proj.target.y)):
+        for vtx in ids:
+            a, b, c = sa[vtx].dim, sb[vtx].dim, sc[vtx].dim
+            if f[vtx].rank() != a or g[vtx].rank() != c or a + c != b:
+                return False
     return True
 
 
@@ -987,26 +988,6 @@ def end_algebra(z: TripleObject, basis: list[TripleMorphism] | None = None) -> A
     if alg is None:
         raise InternalConsistencyError("End(z) is not closed under composition or misses the identity")
     return alg
-
-
-def end_y_algebra(z: TripleObject) -> tuple[AlgebraSpec, list[dict[str, RatMatrix]]]:
-    """End of the y part alone, as an algebra plus its matrix basis."""
-    s = z.scenario
-    vb = {y: equivariant_hom_basis(s.algebra(y).spec, z.y[y], z.y[y]) for y in s.y_ids}
-    basis: list[dict[str, RatMatrix]] = []
-    for y in s.y_ids:
-        for m in vb[y]:
-            elem = {yy: RatMatrix.zeros(z.y[yy].dim, z.y[yy].dim) for yy in s.y_ids}
-            elem[y] = m
-            basis.append(elem)
-
-    unit = _flat_matrices([RatMatrix.identity(z.y[y].dim) for y in s.y_ids])
-    products = [_flat_matrices([a[y] * b[y] for y in s.y_ids]) for a in basis for b in basis]
-    alg = structure_constants(_flat_columns([_flat_matrices([e[y] for y in s.y_ids]) for e in basis],
-                                            len(unit[0])), [*products, unit])
-    if alg is None:
-        raise InternalConsistencyError("End of the y part is not closed or misses the identity")
-    return alg, basis
 
 
 @dataclass

@@ -13,7 +13,6 @@ from isocat.extcat import (
     decompose,
     direct_sum_many,
     end_algebra,
-    end_y_algebra,
     ext1,
     euler_form,
     hom,
@@ -37,6 +36,8 @@ from isocat.wittmod import (
     realize_partition,
     witt_partition,
 )
+
+from test_extcat import end_y_algebra
 
 SWEEP_SCENARIOS = ["d4_elliptic", "c3_surface", "g2_threefold", "c2", "b2_dual",
                    "a3", "two_surfaces", "product_no_coupling"]

@@ -26,7 +26,6 @@ from isocat.exactalg import (
     factor_rational,
     is_irreducible,
     kernel_basis,
-    matrix_algebra,
     min_poly,
     min_poly_matrix,
     poly_xgcd,
@@ -34,12 +33,41 @@ from isocat.exactalg import (
     quotient_space,
     radical,
     regular_algebra_from_min_poly,
-    semisimple_quotient,
     squarefree_decomposition,
     subalgebra_on_basis,
 )
 
 F = Fraction
+
+
+# constructions only the tests use
+
+def from_cols(columns, rows=None):
+    """The matrix with these columns (ints, Fractions or 'p/q' strings); rows is needed for none."""
+    if not columns:
+        assert rows is not None
+        return RatMatrix.zeros(rows, 0)
+    return RatMatrix.from_rows([[col[i] for col in columns] for i in range(len(columns[0]))])
+
+
+def derivative(p):
+    return Polynomial([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def semisimple_quotient(alg):
+    return exactalg._quotient_algebra(alg, exactalg._radical(alg))
+
+
+def matrix_algebra(n):
+    """Full n x n matrix algebra over Q, basis E_ij in row-major order."""
+    d = n * n
+    constants = [[[F(0)] * d for _ in range(d)] for _ in range(d)]
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                constants[i * n + j][j * n + l][i * n + l] = F(1)
+    unit = [F(int(i == j)) for i in range(n) for j in range(n)]
+    return AlgebraSpec(constants, unit)
 
 
 # ----------------------------------------------------------------------
@@ -556,7 +584,7 @@ def _fraction_gcd(a, b):
 def _fraction_squarefree(p):
     """The Fraction square-free loop, the reference for squarefree_decomposition."""
     work = p.monic()
-    d = _fraction_gcd(work, work.derivative())
+    d = _fraction_gcd(work, derivative(work))
     w = work // d
     out = []
     i = 1
@@ -953,18 +981,25 @@ def test_commutant_coords_match_solve():
         dst = [RatMatrix.identity(m_dst).kron(l) for l in alg.left_mats]
         basis = commutant_basis(src, dst)
         rows, cols = basis[0].rows, basis[0].cols
-        stacked = RatMatrix.from_cols([[F(e, t.den) for r in t.num for e in r] for t in basis])
+        stacked = from_cols([[F(e, t.den) for r in t.num for e in r] for t in basis])
         for _ in range(10):
             maps = [RatMatrix.combine(basis, [F(rng.randrange(-5, 6), rng.randrange(1, 4))
                                               for _ in basis], rows, cols)
                     for _ in range(rng.randrange(1, 4))]
             if rng.random() < 0.5:
                 maps.insert(rng.randrange(len(maps) + 1), _random_grid(rng, rows, cols))
-            flat = RatMatrix.from_cols([[F(e, t.den) for r in t.num for e in r] for t in maps])
+            flat = from_cols([[F(e, t.den) for r in t.num for e in r] for t in maps])
             expected = stacked.solve(flat)
             off_span += expected is None
             terms, bden = exactalg._nonzero_entries(basis, rows, cols)
-            assert exactalg._commutant_coords(terms, bden, cols, flat) == expected
+            images = [{p: e for p, e in enumerate(r) if e} for r in zip(*flat.num)]
+            coords = exactalg._commutant_coords(terms, bden, cols, images)
+            if expected is None:
+                assert coords is None
+            else:
+                grid = [[dict(c).get(k, 0) for c in coords] for k in range(len(terms))]
+                assert all(e for c in coords for _, e in c)
+                assert RatMatrix(len(terms), flat.cols, grid, flat.den) == expected
     assert off_span >= 5
 
 

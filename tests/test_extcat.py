@@ -2,6 +2,7 @@
 abelian structure and decomposition."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -38,7 +39,6 @@ from isocat.extcat import (
     decompose,
     direct_sum,
     end_algebra,
-    end_y_algebra,
     equivariant_hom_basis,
     ext1,
     euler_form,
@@ -71,9 +71,25 @@ from isocat.species import (
     tensor_bimodule,
 )
 
+from test_exactalg import from_cols
 from test_species import quaternions_from_i
 
 F = Fraction
+
+
+def end_y_algebra(z):
+    """End of the y part alone, as an algebra plus its matrix basis: a reference built from the v bases."""
+    s = z.scenario
+    basis = []
+    for y in s.y_ids:
+        for m in equivariant_hom_basis(s.algebra(y).spec, z.y[y], z.y[y]):
+            basis.append({w: m if w == y else RatMatrix.zeros(z.y[w].dim, z.y[w].dim) for w in s.y_ids})
+    unit = exactalg._flat_matrices([RatMatrix.identity(z.y[y].dim) for y in s.y_ids])
+    products = [exactalg._flat_matrices([a[y] * b[y] for y in s.y_ids]) for a in basis for b in basis]
+    flats = [exactalg._flat_matrices([e[y] for y in s.y_ids]) for e in basis]
+    alg = exactalg.structure_constants(exactalg._flat_columns(flats, len(unit[0])), [*products, unit])
+    assert alg is not None, "End of the y part is not closed or misses the identity"
+    return alg, basis
 
 
 def pair_scenario(mdim=2):
@@ -143,7 +159,7 @@ def test_hom_contains_identity():
     basis = hom(z, z)
     assert len(basis) >= 1
     flat_len = len(identity_morphism(z).flatten())
-    stacked = RatMatrix.from_cols([m.flatten() for m in basis], rows=flat_len)
+    stacked = from_cols([m.flatten() for m in basis], rows=flat_len)
     assert stacked.solve(RatMatrix.from_rows([[e] for e in identity_morphism(z).flatten()])) is not None
 
 
@@ -446,9 +462,22 @@ def test_euler_form_matches_ringel_form():
             assert euler_form(a, b) == ringel_form(s, a, b), (s.name, a, b)
 
 
-def test_hom_ext1_euler_agree_and_projection_kills_psi():
-    from isocat.extcat import _psi_data
+def psi_matrix(a, b):
+    """(psi, offsets) of a pair, psi as one `RatMatrix` built from the sparse columns of `_psi_data`.
 
+    It also checks the column contract: nonzero entries, rows increasing.
+    """
+    _, _, _, offsets, (nrows, columns) = _psi_data(a, b)
+    den = math.lcm(*(d for _, d in columns))
+    num = [[0] * len(columns) for _ in range(nrows)]
+    for c, (ents, d) in enumerate(columns):
+        assert all(e for _, e in ents) and [r for r, _ in ents] == sorted({r for r, _ in ents})
+        for r, e in ents:
+            num[r][c] = e * (den // d)
+    return RatMatrix(nrows, len(columns), num, den), offsets
+
+
+def test_hom_ext1_euler_agree_and_projection_kills_psi():
     gen = random.Random("one-psi")
     sweep = [catalog_scenario("g2_threefold"), catalog_scenario("b2_dual")]
     sweep += [random_scenario(gen) for _ in range(6)]
@@ -466,7 +495,7 @@ def test_hom_ext1_euler_agree_and_projection_kills_psi():
             # Euler is su + sv - sf for any psi; a wrong psi shows in hom
             assert (len(homs), res.dim) == reference_hom_ext_dims(a, b)
             assert all(m.check() is None for m in homs)
-            _, _, _, offsets, psi = _psi_data(a, b)
+            psi, offsets = psi_matrix(a, b)
             fbases = {x: equivariant_hom_basis(s.algebra(x).spec, a.f[x].space, b.x[x]) for x in s.x_ids}
             assert (psi.rows, psi.cols) == (sf, su + sv)
             assert (res.projection * psi).is_zero()
@@ -504,9 +533,9 @@ def dense_psi_and_hom(a, b):
     for x in s.x_ids:
         if not fb[x]:
             continue
-        stacked = RatMatrix.from_cols([flat(m) for m in fb[x]])
+        stacked = from_cols([flat(m) for m in fb[x]])
         zero = RatMatrix.zeros(b.x[x].dim, a.f[x].dim)
-        rhs = RatMatrix.from_cols([flat(img.get(x, zero)) for img in images], stacked.rows)
+        rhs = from_cols([flat(img.get(x, zero)) for img in images], stacked.rows)
         coords = stacked.solve(rhs)
         assert coords is not None
         rows += coords.to_fractions()
@@ -552,7 +581,7 @@ def conjugated(z, y):
 
 def assert_hom_matches_dense(a, b):
     psi, ref = dense_psi_and_hom(a, b)
-    assert _psi_data(a, b)[4] == psi
+    assert psi_matrix(a, b)[0] == psi
     assert [(m.u, m.v) for m in hom(a, b)] == ref
 
 
@@ -766,6 +795,204 @@ def test_two_instances_of_a_scenario_share_no_values():
     assert s1._canonical_fspaces == before
 
 
+def shared_spaces(s):
+    """(algebra, space) for every shared canonical space and shared F space of s."""
+    out = [(s.algebra(v).spec, space) for v in s.vertex_order()
+           for space in s.algebra(v).spec._canonical_spaces.values()]
+    return out + [(s.algebra(x).spec, fsp.space) for fsps in s._canonical_fspaces.values()
+                  for x, fsp in fsps.items()]
+
+
+def assert_memos_hold_only_shared_pairs(s):
+    """Every memo entry pairs shared values of one algebra instance and equals a fresh build."""
+    seen = 0
+    for alg, src in shared_spaces(s):
+        for dst, terms in src._memo.items():
+            assert extcat._shared(alg, dst) and (src.canonical is None or extcat._shared(alg, src))
+            copies = [VertexSpace(v.dim, v.action, v.canonical) for v in (src, dst)]
+            assert extcat._hom_terms(alg, *copies) == terms
+            seen += 1
+    return seen
+
+
+def assert_hom_ext_match_references(a, b):
+    assert_hom_matches_dense(a, b)
+    res = ext1(a, b)
+    assert (len(hom(a, b)), res.dim) == reference_hom_ext_dims(a, b)
+    assert euler_form(a, b) == len(hom(a, b)) - res.dim
+
+
+def test_hom_terms_between_shared_values_are_memoised_on_the_source():
+    # b2_dual and sqrt2_mult have an x algebra larger than Q, so their
+    # (shared F space, shared canonical X') terms are memoised too
+    for s in [catalog_scenario(name) for name in ("b2_dual", "c3_surface", "g2_threefold")] + [sqrt2_scenario()]:
+        rng = random.Random(f"memo:{s.name}")
+        objs = [random_object_with(s, {v: m for v in s.vertex_order()}, rng) for m in (1, 2)]
+        objs.append(universal_extension_of(objs[0]))
+        for a in objs:
+            for b in objs:
+                assert_hom_ext_match_references(a, b)
+        assert assert_memos_hold_only_shared_pairs(s) > 0
+        for x in s.x_ids:
+            alg, fsp, xp = s.algebra(x).spec, objs[1].f[x].space, objs[1].x[x]
+            if alg.dim == 1:  # Q terms are rebuilt, never kept
+                assert xp not in fsp._memo and not xp._memo
+                continue
+            assert xp in fsp._memo and xp in xp._memo
+            # a memoised call reaches neither the closed form nor _HOM_CACHE
+            before = len(extcat._HOM_CACHE)
+            assert extcat._hom_terms(alg, fsp, xp) is fsp._memo[xp] and len(extcat._HOM_CACHE) == before
+
+
+def test_fresh_spaces_get_no_memo_entries():
+    from isocat.fileio import object_from_json, object_to_json
+    for name in ("c3_surface", "g2_threefold", "c2"):
+        s = catalog_scenario(name)
+        rng = random.Random(f"fresh-memo:{name}")
+        shared = [random_object_with(s, {v: 1 + k % 2 for k, v in enumerate(s.vertex_order())}, rng)
+                  for _ in range(2)]
+        ops = abelian_ops(random_morphism(shared[0], shared[1], rng))
+        fresh = [ops.kernel, ops.image, ops.cokernel, conjugated(shared[0], s.y_ids[0]),
+                 object_from_json(object_to_json(shared[1]), s)]
+        for a in shared + fresh:
+            for b in shared + fresh:
+                assert_hom_ext_match_references(a, b)
+        assert_memos_hold_only_shared_pairs(s)
+        ids = {id(vs) for _, vs in shared_spaces(s)}
+        for z in fresh:
+            parts = [*z.x.values(), *z.y.values(), *(f.space for f in z.f.values())]
+            assert all(vs._memo is None for vs in parts if id(vs) not in ids)
+        # the file object rebuilt its spaces; conjugation keeps the shared x parts
+        assert not ids & {id(vs) for vs in fresh[-1].x.values()}
+
+
+def test_equal_algebra_instances_do_not_share_memo_entries():
+    # u and a1 of c3_surface are both Q, and twin's u and a are both
+    # Q(sqrt 2): equal but distinct instances.  A shared space of one
+    # placed at the other's vertex is not that vertex's own value
+    k1, k2 = (number_field(Polynomial([-2, 0, 1])) for _ in range(2))
+    twin = SpeciesScenario("twin", [("u", k1)], [("a", k2)], {("u", "a"): tensor_bimodule(k1, k2)})
+    c3 = catalog_scenario("c3_surface")
+    for s, (x, y) in ((c3, ("u", "a1")), (twin, ("u", "a"))):
+        hx, hy = s.algebra(x), s.algebra(y)
+        assert hx.key() == hy.key() and hx.spec is not hy.spec
+        rest = {w: canonical_space(s.algebra(w), 1) for w in s.y_ids if w != y}
+        objs = []
+        for m in (1, 2):
+            x_parts, y_parts = {x: canonical_space(hy, m)}, {y: canonical_space(hx, m), **rest}
+            fsp = _build_fspaces(s, y_parts)
+            objs.append(TripleObject(s, x_parts, y_parts, {x: RatMatrix.zeros(x_parts[x].dim, fsp[x].dim)}))
+        objs += [random_object_with(s, {v: m for v in s.vertex_order()}, random.Random(m)) for m in (1, 2)]
+        for a in objs:
+            for b in objs:
+                assert_hom_ext_match_references(a, b)
+        assert_memos_hold_only_shared_pairs(s)
+        for h in (hx, hy):
+            for space in h.spec._canonical_spaces.values():
+                assert all(h.spec._canonical_spaces.get(k.canonical[1]) is k for k in space._memo)
+        memos = [space._memo for h in (hx, hy) for space in h.spec._canonical_spaces.values()]
+        assert any(memos) == (hx.dim > 1)  # Q terms are never kept
+
+
+def test_the_hom_term_memo_dies_with_its_scenario():
+    import gc
+    import weakref
+
+    class Marker:
+        pass
+
+    s = catalog_scenario("b2_dual")
+    objs = [random_object_with(s, {"u": m, "a1": 1}, random.Random(m)) for m in (1, 2)]
+    for a in objs:
+        for b in objs:
+            euler_form(a, b)
+            ext1(a, b)
+    spaces = [vs for _, vs in shared_spaces(s) if vs._memo]
+    assert any(vs.canonical is None for vs in spaces) and any(vs.canonical is not None for vs in spaces)
+    markers = [Marker() for _ in spaces]
+    for vs, mark in zip(spaces, markers):
+        vs._memo[mark] = mark
+    refs = [weakref.ref(o) for o in (s, s.algebra("u").spec, s.algebra("a1").spec, *markers)]
+    del s, objs, a, b, spaces, vs, mark, markers
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_canonical_object_rejects_keys_that_are_not_vertices():
+    s = catalog_scenario("g2_threefold")
+    with pytest.raises(TripleError, match="'uu' is not a vertex"):
+        canonical_object(s, {"uu": 3})
+    zero = RatMatrix.zeros(1, 0)
+    with pytest.raises(TripleError, match="'a1' is not an x-vertex"):
+        canonical_object(s, {"u": 1}, eta={"a1": zero})
+    with pytest.raises(TripleError, match="'w' is not an x-vertex"):
+        canonical_object(s, {"u": 1}, eta={"u": zero, "w": zero})
+    assert canonical_object(s, {"u": 1}, eta={"u": zero}).dimension_vector() == (1, 0)
+
+
+def test_shared_canonical_spaces_are_proved_once(monkeypatch):
+    calls = []
+    real = extcat._space_error
+
+    def counted(alg, vs):
+        calls.append(vs)
+        return real(alg, vs)
+
+    monkeypatch.setattr(extcat, "_space_error", counted)
+    s = catalog_scenario("c3_surface")
+    z = random_object_with(s, {"u": 1, "a1": 1, "a2": 1}, random.Random(3))
+    for _ in range(3):
+        is_universal(z)
+        is_universal(universal_extension_of(z))
+        canonical_object(s, {"u": 2, "a1": 1})
+    shared = {id(vs) for _, vs in shared_spaces(s)}
+    assert calls and all(id(vs) in shared for vs in calls)
+    assert len(calls) == len({id(vs) for vs in calls})  # each proved once, the first time
+    assert all(vs._proved for vs in calls)
+    # a fresh space is checked every time, and a shared space at a vertex
+    # of another algebra instance is checked there and not marked
+    del calls[:]
+    fresh = VertexSpace(1, [RatMatrix.identity(1)])
+    foreign = canonical_space(s.algebra("a1"), 3)
+    for _ in range(2):
+        TripleObject(s, {"u": foreign}, {"a1": fresh, "a2": canonical_space(s.algebra("a2"), 0)},
+                     {"u": RatMatrix.zeros(3, 1)})
+    assert sum(vs is fresh for vs in calls) == 2
+    assert sum(vs is foreign for vs in calls) == 2 and not foreign._proved
+    with pytest.raises(TripleError, match="not unital"):
+        TripleObject(s, {"u": foreign}, {"a1": VertexSpace(1, [RatMatrix.zeros(1, 1)]),
+                                         "a2": canonical_space(s.algebra("a2"), 0)},
+                     {"u": RatMatrix.zeros(3, 1)})
+
+
+def test_five_term_check_sees_a_wrong_column_rank(monkeypatch):
+    # euler_form compares two eliminations; corrupting only the one of
+    # psi's columns must make it fail
+    s = catalog_scenario("g2_threefold")
+    rng = random.Random("five-term")
+    a = random_object_with(s, {"u": 2, "a1": 1}, rng)
+    b = random_object_with(s, {"u": 1, "a1": 2}, rng)
+    _, _, _, _, (nrows, columns) = _psi_data(a, b)
+    col_rows = [dict(ents) for ents, _ in columns]
+    assert nrows != len(columns) and any(col_rows)
+    expected = euler_form(a, b)
+    real = extcat._echelon
+    sides = []
+
+    def corrupt_columns(rows):
+        is_col = rows == col_rows
+        sides.append(is_col)
+        pivots, *rest = real(rows)
+        return (pivots[:-1] if is_col else pivots, *rest)
+
+    monkeypatch.setattr(extcat, "_echelon", corrupt_columns)
+    with pytest.raises(extcat.InternalConsistencyError, match="five-term sequence violated"):
+        euler_form(a, b)
+    assert sorted(sides) == [False, True]
+    monkeypatch.setattr(extcat, "_echelon", real)
+    assert euler_form(a, b) == expected
+
+
 def matrix_hom_basis(alg, src, dst):
     """The matrix construction that `_hom_terms` replaced, kept as its reference.
 
@@ -893,7 +1120,7 @@ def test_hom_ext_dims_skip_no_elimination_they_need():
         objs += [x_only(objs[4]), y_only(objs[4])]
         for a in objs:
             for b in objs:
-                psi = _psi_data(a, b)[4]
+                psi = psi_matrix(a, b)[0]
                 h, e, _ = hom_ext_dims(a, b)
                 assert h == psi.cols - eliminated_rank(psi)
                 assert e == psi.rows - eliminated_rank(psi.transpose())
@@ -946,7 +1173,7 @@ def test_psi_with_cached_bases_runs_no_elimination(monkeypatch):
             _psi_data(a, b)
         monkeypatch.setattr(exactalg, "_echelon", counted)
         for a, b in pairs:
-            read += _psi_data(a, b)[4].rows > 0
+            read += _psi_data(a, b)[4][0] > 0
         monkeypatch.setattr(exactalg, "_echelon", real)
     assert len(fields) >= 2 and read >= 15 and not calls
 
@@ -996,7 +1223,6 @@ def test_ext_from_universal_extension_vanishes_on_x():
 
 
 def test_end_of_universal_extension_matches_end_y():
-    from isocat.extcat import end_y_algebra
     for name in ("c2", "g2_threefold", "d4_elliptic"):
         s = catalog_scenario(name)
         rng = random.Random(1)
@@ -1080,7 +1306,7 @@ def test_resolution_of_projective_splits():
     basis = hom(res.p0, res.p1)
     ident = identity_morphism(res.p1)
     cols = [m.compose(res.d1).flatten() for m in basis]
-    stacked = RatMatrix.from_cols(cols, rows=len(ident.flatten()))
+    stacked = from_cols(cols, rows=len(ident.flatten()))
     target = RatMatrix.from_rows([[e] for e in ident.flatten()])
     assert stacked.solve(target) is not None
 
@@ -1100,7 +1326,7 @@ def test_ext_agrees_with_derived_functor_route():
             cols = [f.compose(res.d1).flatten() for f in hom_p0]
             flat_len = len(hom_p1[0].flatten()) if hom_p1 else 0
             if cols and flat_len:
-                rank = RatMatrix.from_cols(cols, rows=flat_len).rank()
+                rank = from_cols(cols, rows=flat_len).rank()
             else:
                 rank = 0
             assert len(hom(z, w)) == len(hom_p0) - rank
@@ -1486,7 +1712,7 @@ def test_direct_sum_eta_square():
 def per_pair_constants(basis_cols, product, unit):
     """Structure constants by n^2 + 1 separate solves, the construction
     that the batched `structure_constants` replaces."""
-    stacked = RatMatrix.from_cols(basis_cols, rows=len(unit))
+    stacked = from_cols(basis_cols, rows=len(unit))
     n = len(basis_cols)
 
     def coords(vec):
