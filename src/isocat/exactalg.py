@@ -30,6 +30,11 @@ One helper per recurring construction, shared by the packages built on it:
   (equivariant hom spaces, nilpotent intertwiners);
 - `structure_constants`: an algebra on a spanning set from its n^2
   products and unit, coordinatised in one solve (End algebras, centres);
+  an algebra is held as its left and right multiplication matrices, built
+  from the integer product columns, with no cube of structure constants;
+- `action_error`: the one representation-law check (count, shape,
+  freeness, unit, (anti-)multiplicativity) behind algebras, bimodules and
+  vertex spaces;
 - `_int_poly_gcd`: the one polynomial gcd, a primitive remainder sequence
   in integers (`Polynomial.gcd`, square-free parts, minimal polynomials).
 """
@@ -1068,54 +1073,49 @@ class AlgebraError(ValueError):
 class AlgebraSpec:
     """A finite-dimensional associative unital Q-algebra.
 
-    Defined by structure constants c[i][j][k] with
-    e_i * e_j = sum_k c[i][j][k] e_k, plus the coordinates of the unit.
-    Associativity and the unit laws are verified eagerly at construction;
-    invalid data is rejected, never normalized.
+    Given by structure constants c[i][j][k] with e_i * e_j = sum_k c[i][j][k] e_k,
+    plus the coordinates of the unit, and held as its left and right
+    multiplication matrices: column j of L_i and column i of R_j are e_i * e_j.
+    The laws are verified eagerly at construction (`action_error` on L with
+    R(unit) = I); invalid data is rejected, never normalized.
     """
 
-    __slots__ = ("dim", "labels", "constants", "unit", "left_mats", "right_mats", "_key", "_right_terms",
+    __slots__ = ("dim", "unit", "left_mats", "right_mats", "_key", "_right_terms",
                  "_canonical_spaces", "__weakref__")
 
-    def __init__(self, constants: Sequence, unit: Sequence, labels: Sequence[str] | None = None,
-                 _skip_validation: bool = False):
+    def __init__(self, constants: Sequence, unit: Sequence):
         dim = len(constants)
-        c = [[[as_fraction(x) for x in constants[i][j]] for j in range(dim)] for i in range(dim)]
-        for i in range(dim):
-            if len(c[i]) != dim or any(len(c[i][j]) != dim for j in range(dim)):
-                raise AlgebraError("structure constant grid is not dim^3")
-        u = [as_fraction(x) for x in unit]
-        if len(u) != dim:
+        if any(len(row) != dim or any(len(c) != dim for c in row) for row in constants):
+            raise AlgebraError("structure constant grid is not dim^3")
+        if len(unit) != dim:
             raise AlgebraError("unit vector has wrong length")
-        self.dim = dim
-        self.constants = c
-        self.unit = u
-        self.labels = list(labels) if labels is not None else [f"e{i}" for i in range(dim)]
-        if len(self.labels) != dim:
-            raise AlgebraError("label count does not match dimension")
-        self.left_mats = [RatMatrix.from_rows([[c[i][j][k] for j in range(dim)] for k in range(dim)])
-                          for i in range(dim)]
-        self.right_mats = [RatMatrix.from_rows([[c[j][i][k] for j in range(dim)] for k in range(dim)])
-                           for i in range(dim)]
+        self._setup([_int_vector(c) for row in constants for c in row], _int_vector(unit))
+
+    @classmethod
+    def _of_products(cls, products: Sequence[tuple[list[int], int]], unit: tuple[list[int], int]) -> "AlgebraSpec":
+        """The algebra with e_i * e_j = products[i * dim + j] and this unit, each as (integers, denominator)."""
+        alg = object.__new__(cls)
+        alg._setup(products, unit)
+        return alg
+
+    def _setup(self, products: Sequence[tuple[list[int], int]], unit: tuple[list[int], int]) -> None:
+        d = self.dim = len(unit[0])
+        self.left_mats = [_flat_columns(products[i * d:(i + 1) * d], d) for i in range(d)]
+        self.right_mats = [_flat_columns(products[j::d], d) for j in range(d)]
+        self.unit = [Fraction(x, unit[1]) for x in unit[0]]
         self._key = None
         self._right_terms: tuple[list[list[tuple[int, int, int]]], int] | None = None
         self._canonical_spaces: dict = {}  # extcat's shared canonical spaces, by multiplicity
-        if not _skip_validation:
-            self._validate()
+        err = action_error(self, self.left_mats, d)
+        if err is not None:
+            raise AlgebraError(f"left multiplication {err}")
+        if RatMatrix.combine(self.right_mats, self.unit, d, d) != RatMatrix.identity(d):
+            raise AlgebraError("right multiplication is not unital")
 
-    def _validate(self) -> None:
-        d = self.dim
-        for i in range(d):
-            for j in range(d):
-                lhs = self.left_mats[i] * self.left_mats[j]
-                prod = self.multiply(self.basis_vector(i), self.basis_vector(j))
-                rhs = self.left_multiplication(prod)
-                if lhs != rhs:
-                    raise AlgebraError(f"associativity fails at basis pair ({i}, {j})")
-        for i in range(d):
-            e = self.basis_vector(i)
-            if self.multiply(self.unit, e) != e or self.multiply(e, self.unit) != e:
-                raise AlgebraError(f"unit law fails at basis element {i}")
+    @property
+    def constants(self) -> list[list[list[Fraction]]]:
+        """c[i][j][k], read off column j of L_i."""
+        return [[[Fraction(r[j], m.den) for r in m.num] for j in range(self.dim)] for m in self.left_mats]
 
     # -- elements are coordinate vectors (lists of Fractions) -------------
 
@@ -1123,21 +1123,9 @@ class AlgebraSpec:
         return [Fraction(1) if j == i else Fraction(0) for j in range(self.dim)]
 
     def multiply(self, a: Sequence, b: Sequence) -> list[Fraction]:
-        a = [as_fraction(x) for x in a]
-        b = [as_fraction(x) for x in b]
-        out = [Fraction(0)] * self.dim
-        c = self.constants
-        for i, ai in enumerate(a):
-            if ai:
-                ci = c[i]
-                for j, bj in enumerate(b):
-                    if bj:
-                        f = ai * bj
-                        cij = ci[j]
-                        for k in range(self.dim):
-                            if cij[k]:
-                                out[k] += f * cij[k]
-        return out
+        nums, den = _int_vector(b)
+        la = self.left_multiplication(a)
+        return [Fraction(sum(x * y for x, y in zip(r, nums)), la.den * den) for r in la.num]
 
     def left_multiplication(self, a: Sequence) -> RatMatrix:
         return RatMatrix.combine(self.left_mats, a, self.dim, self.dim)
@@ -1158,6 +1146,34 @@ class AlgebraSpec:
         if self._right_terms is None:
             self._right_terms = _nonzero_entries(self.right_mats, self.dim, self.dim)
         return self._right_terms
+
+
+def action_error(alg: AlgebraSpec, mats: Sequence[RatMatrix], dim: int, opposite: bool = False) -> str | None:
+    """None if e_i acting by mats[i] is a free unital representation of alg on Q^dim, else the first violation.
+
+    The violation is a predicate for the caller to put its subject before.
+    The law is mats[i] . mats[j] = the combination of mats by e_i * e_j,
+    column j of L_i; with opposite, mats are right multiplications and the
+    product is mats[j] . mats[i].
+    """
+    if len(mats) != alg.dim:
+        return "needs one action matrix per algebra basis element"
+    if any((m.rows, m.cols) != (dim, dim) for m in mats):
+        return "has an action matrix of the wrong shape"
+    if not dim:
+        return None
+    if dim % alg.dim:
+        return "is not free over its algebra"
+    terms, den = _nonzero_entries(mats, dim, dim)
+    nums, uden = _int_vector(alg.unit)
+    if _combine_terms(terms, nums, den * uden, dim, dim) != RatMatrix.identity(dim):
+        return "is not unital"
+    for i, li in enumerate(alg.left_mats):
+        for j in range(alg.dim):
+            prod = mats[j] * mats[i] if opposite else mats[i] * mats[j]
+            if prod != _combine_terms(terms, (r[j] for r in li.num), den * li.den, dim, dim):
+                return f"is not {'anti-' if opposite else ''}multiplicative at ({i},{j})"
+    return None
 
 
 def min_poly(a: Sequence, alg: AlgebraSpec) -> Polynomial:
@@ -1281,13 +1297,12 @@ def structure_constants(basis_cols: RatMatrix, columns: Sequence[tuple[list[int]
     """
     n = basis_cols.cols
     if n == 0:
-        return AlgebraSpec([], [], _skip_validation=True)
+        return AlgebraSpec([], [])
     coords = basis_cols.solve(_flat_columns(columns, basis_cols.rows))
     if coords is None:
         return None
-    grid = coords.to_fractions()
-    constants = [[[grid[k][i * n + j] for k in range(n)] for j in range(n)] for i in range(n)]
-    return AlgebraSpec(constants, [row[n * n] for row in grid])
+    cols = _int_columns(coords)
+    return AlgebraSpec._of_products(cols[:n * n], cols[n * n])
 
 
 def subalgebra_on_basis(alg: AlgebraSpec, basis: RatMatrix) -> AlgebraSpec:
@@ -1319,13 +1334,14 @@ def _quotient_algebra(alg: AlgebraSpec, span: RatMatrix) -> AlgebraSpec:
     """
     proj, free = _null_rows(span)
     if not free:
-        return AlgebraSpec([], [], _skip_validation=True)
-    constants = []
+        return AlgebraSpec([], [])
+    products = []
     for i in free:
         p = proj * alg.left_mats[i]
-        constants.append([[Fraction(r[j], p.den) for r in p.num] for j in free])
-    unit = [sum((x * u for x, u in zip(r, alg.unit) if x), Fraction(0)) / proj.den for r in proj.num]
-    return AlgebraSpec(constants, unit)
+        products += [([r[j] for r in p.num], p.den) for j in free]
+    nums, den = _int_vector(alg.unit)
+    return AlgebraSpec._of_products(products, ([sum(x * u for x, u in zip(r, nums)) for r in proj.num],
+                                               proj.den * den))
 
 
 def regular_algebra_from_min_poly(m: Polynomial) -> AlgebraSpec:

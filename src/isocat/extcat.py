@@ -48,6 +48,7 @@ from .exactalg import (
     _null_rows,
     _null_space,
     _radical,
+    action_error,
     commutant_basis,
     factor_rational,
     is_irreducible,
@@ -225,8 +226,7 @@ def _fspaces(scenario: SpeciesScenario, y_parts: dict[str, VertexSpace]) -> dict
     """The tensor spaces with their actions, built afresh.
 
     Cell (k, i) of the r x r grid at y, for e_a, is the m_k part of e_a . m_i: the
-    action of d = left_coords(a)[i][k] on Y_y.  On a canonical Y_y that is
-    I_m (x) L(d), written in as m copies of the bimodule's `left_cells`.
+    action of d = left_coords(a)[i][k] on Y_y.
     """
     out = _f_layout(scenario, y_parts)
     for x, fsp in out.items():
@@ -234,14 +234,8 @@ def _fspaces(scenario: SpeciesScenario, y_parts: dict[str, VertexSpace]) -> dict
         for a in range(scenario.algebra(x).dim):
             cells = []
             for y, off in fsp.offsets.items():
-                vs, bm = y_parts[y], scenario.bimodules[(x, y)]
-                d = vs.dim
-                if vs.canonical is not None and vs.canonical[0] == bm.right_alg.key():
-                    cells += [(off + k * d + j, off + i * d + j, c)
-                              for i, row in enumerate(bm.left_cells(a)) for k, c in enumerate(row)
-                              if c is not None for j in range(0, d, bm.right_alg.dim)]
-                    continue
-                for i, row in enumerate(bm.left_coords(a)):
+                vs, d = y_parts[y], y_parts[y].dim
+                for i, row in enumerate(scenario.bimodules[(x, y)].left_coords(a)):
                     cells += [(off + k * d, off + i * d, vs.act(c)) for k, c in enumerate(row) if any(c)]
             action.append(_assemble(fsp.dim, fsp.dim, cells))
         fsp.space = VertexSpace(fsp.dim, action)
@@ -359,21 +353,9 @@ class TripleObject:
 
 
 def _space_error(alg: AlgebraSpec, vs: VertexSpace) -> Optional[str]:
-    """None if vs is a unital representation of alg, else the first violation."""
-    if len(vs.action) != alg.dim:
-        return "one action matrix per algebra basis element required"
-    if any((m.rows, m.cols) != (vs.dim, vs.dim) for m in vs.action):
-        return "action matrix shape mismatch"
-    if vs.dim % alg.dim:
-        return "vertex space is not free over its algebra"
-    if vs.dim and vs.act(alg.unit) != RatMatrix.identity(vs.dim):
-        return "action is not unital"
-    for i in range(alg.dim if vs.dim else 0):
-        for j in range(alg.dim):
-            prod = alg.multiply(alg.basis_vector(i), alg.basis_vector(j))
-            if vs.action[i] * vs.action[j] != vs.act(prod):
-                return f"action not multiplicative at ({i},{j})"
-    return None
+    """None if vs is a free unital representation of alg, else the first violation."""
+    err = action_error(alg, vs.action, vs.dim)
+    return None if err is None else f"vertex space {err}"
 
 
 def _components_error(s: SpeciesScenario, x_parts: dict[str, VertexSpace],

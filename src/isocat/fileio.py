@@ -253,6 +253,17 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
 # loading
 # ----------------------------------------------------------------------
 
+def _read_json(path: str):
+    """The JSON document in a file; an unreadable file or invalid JSON is a FormatError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as ex:
+        raise FormatError(f"cannot read {path}: {ex}")
+    except json.JSONDecodeError as ex:
+        raise FormatError(f"{path}: not valid JSON: {ex}")
+
+
 def load_scenario(ref: str) -> SpeciesScenario:
     """Load from "catalog:ID" or from a JSON file path."""
     if ref.startswith("catalog:"):
@@ -261,35 +272,15 @@ def load_scenario(ref: str) -> SpeciesScenario:
             return catalog_scenario(name)
         except KeyError as ex:
             raise FormatError(str(ex))
-    try:
-        with open(ref) as fh:
-            doc = json.load(fh)
-    except OSError as ex:
-        raise FormatError(f"cannot read {ref}: {ex}")
-    except json.JSONDecodeError as ex:
-        raise FormatError(f"{ref}: not valid JSON: {ex}")
-    return scenario_from_json(doc)
+    return scenario_from_json(_read_json(ref))
 
 
 def load_object(path: str, scenario: SpeciesScenario) -> TripleObject:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as ex:
-        raise FormatError(f"cannot read {path}: {ex}")
-    except json.JSONDecodeError as ex:
-        raise FormatError(f"{path}: not valid JSON: {ex}")
-    return object_from_json(doc, scenario)
+    return object_from_json(_read_json(path), scenario)
 
 
 def load_matrix(path: str) -> RatMatrix:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as ex:
-        raise FormatError(f"cannot read {path}: {ex}")
-    except json.JSONDecodeError as ex:
-        raise FormatError(f"{path}: not valid JSON: {ex}")
+    doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("schema") != MATRIX_SCHEMA:
         raise FormatError(f"expected a {MATRIX_SCHEMA} document")
     m = matrix_from_json(doc.get("matrix", []))

@@ -10,6 +10,7 @@ import random
 
 from .exactalg import Polynomial, _combine_terms
 from .extcat import (
+    TripleError,
     TripleMorphism,
     TripleObject,
     abelian_ops,
@@ -63,6 +64,13 @@ def random_object(scenario: SpeciesScenario, rng: random.Random,
 
 def random_object_with(scenario: SpeciesScenario, mult: dict[str, int],
                        rng: random.Random, eta_bound: int = 2) -> TripleObject:
+    """Canonical components of multiplicities mult and random equivariant eta.
+
+    A key of mult that is not a vertex is an error.
+    """
+    if not mult.keys() <= scenario._handles.keys():
+        bad = next(k for k in mult if k not in scenario._handles)
+        raise TripleError(f"{bad!r} is not a vertex of {scenario.name!r}")
     x_parts = {x: canonical_space(scenario.algebra(x), mult.get(x, 0)) for x in scenario.x_ids}
     y_parts = {y: canonical_space(scenario.algebra(y), mult.get(y, 0)) for y in scenario.y_ids}
     fsp = _build_fspaces(scenario, y_parts)

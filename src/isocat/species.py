@@ -27,6 +27,7 @@ from .exactalg import (
     _int_columns,
     _int_vector,
     _kernel,
+    action_error,
     is_irreducible,
     orbit_basis,
     regular_algebra_from_min_poly,
@@ -124,32 +125,13 @@ class Bimodule:
         self._right_basis: list[int] | None = None
         self._orbit_matrix: RatMatrix | None = None
         self._left_coord_table: dict[int, list[list[list[Fraction]]]] = {}
-        self._left_cells: dict[int, list[list[RatMatrix | None]]] = {}
 
     def _validate(self) -> None:
         A, D = self.left_alg.spec, self.right_alg.spec
-        if len(self.left_action) != A.dim or len(self.right_action) != D.dim:
-            raise ScenarioError("one action matrix required per algebra basis element")
-        for m in self.left_action + self.right_action:
-            if (m.rows, m.cols) != (self.dim, self.dim):
-                raise ScenarioError("action matrix shape does not match the bimodule dimension")
-        if self.dim % A.dim or self.dim % D.dim:
-            raise ScenarioError("bimodule dimension not divisible by an acting algebra dimension")
-        if self.left_matrix(A.unit) != RatMatrix.identity(self.dim):
-            raise ScenarioError("left action is not unital")
-        if self.right_matrix(D.unit) != RatMatrix.identity(self.dim):
-            raise ScenarioError("right action is not unital")
-        for i in range(A.dim):
-            for j in range(A.dim):
-                prod = A.multiply(A.basis_vector(i), A.basis_vector(j))
-                if self.left_action[i] * self.left_action[j] != self.left_matrix(prod):
-                    raise ScenarioError(f"left action not multiplicative at ({i},{j})")
-        for i in range(D.dim):
-            for j in range(D.dim):
-                prod = D.multiply(D.basis_vector(i), D.basis_vector(j))
-                # right multiplication reverses composition order
-                if self.right_action[j] * self.right_action[i] != self.right_matrix(prod):
-                    raise ScenarioError(f"right action not anti-multiplicative at ({i},{j})")
+        for side, alg, mats in (("left", A, self.left_action), ("right", D, self.right_action)):
+            err = action_error(alg, mats, self.dim, opposite=side == "right")
+            if err is not None:
+                raise ScenarioError(f"{side} action {err}")
         for i in range(A.dim):
             for j in range(D.dim):
                 if self.left_action[i] * self.right_action[j] != self.right_action[j] * self.left_action[i]:
@@ -201,18 +183,6 @@ class Bimodule:
             self._left_coord_table[a_index] = [[[grid[k * nd + b][i] for b in range(nd)]
                                                 for k in range(len(basis))] for i in range(len(basis))]
         return self._left_coord_table[a_index]
-
-    def left_cells(self, a_index: int) -> list[list[RatMatrix | None]]:
-        """Cell [i][k] is L(d), the y algebra's left multiplication by d = left_coords(a_index)[i][k].
-
-        None where d = 0.  In the tensor slots m_i (x) f_c over a canonical y component,
-        block (k, i) of e_a's action is one copy of this cell per copy of the algebra.
-        """
-        if a_index not in self._left_cells:
-            D = self.right_alg.spec
-            self._left_cells[a_index] = [[RatMatrix.combine(D.left_mats, d, D.dim, D.dim) if any(d) else None
-                                          for d in row] for row in self.left_coords(a_index)]
-        return self._left_cells[a_index]
 
     def key(self) -> tuple:
         return (self.dim, tuple(m.key() for m in self.left_action),
@@ -354,11 +324,10 @@ class ValuedGraph:
 
 @dataclass
 class RootDatum:
-    """Cartan matrix with symmetrizer and (optionally) enumerated roots."""
+    """Cartan matrix with its symmetrizer."""
 
     cartan: list[list[int]]
     symmetrizer: list[Fraction]
-    roots: list[tuple[int, ...]]
     vertices: list[str]
 
     def __post_init__(self):
@@ -369,12 +338,11 @@ class RootDatum:
             for j in range(n):
                 if i != j and self.cartan[i][j] > 0:
                     raise ScenarioError("Cartan off-diagonal entries must be <= 0")
-        if any(f <= 0 for f in self.symmetrizer):
+        f, c = _int_vector(self.symmetrizer)[0], self.cartan
+        if any(x <= 0 for x in f):
             raise ScenarioError("symmetrizer entries must be positive")
-        for i in range(n):
-            for j in range(n):
-                if self.symmetrizer[i] * self.cartan[i][j] != self.symmetrizer[j] * self.cartan[j][i]:
-                    raise ScenarioError("symmetrizer does not symmetrize the Cartan matrix")
+        if any(f[i] * c[i][j] != f[j] * c[j][i] for i in range(n) for j in range(i) if c[i][j] or c[j][i]):
+            raise ScenarioError("symmetrizer does not symmetrize the Cartan matrix")
 
     @property
     def rank(self) -> int:
@@ -412,47 +380,42 @@ def cartan_matrix(g: ValuedGraph) -> RootDatum:
         i, j = order[a], order[b]
         c[i][j] = -dab
         c[j][i] = -dba
-    for comp in g.components():
-        idx = [order[v] for v in comp]
-        edge_count = sum(1 for a, b, _, _ in g.edges if a in comp)
-        if edge_count != len(comp) - 1:
-            raise ScenarioError("valued graph contains a cycle; Cartan data needs a forest")
-    sym = [Fraction(0)] * n
+    sym: list = [None] * n
     adj = g.adjacency()
     for comp in g.components():
+        if sum(a in comp for a, _, _, _ in g.edges) != len(comp) - 1:
+            raise ScenarioError("valued graph contains a cycle; Cartan data needs a forest")
         root = comp[0]
         sym[order[root]] = Fraction(1)
         stack = [root]
         while stack:
             u = stack.pop()
             for w, duw, dwu in adj[u]:
-                if sym[order[w]] == 0:
+                if sym[order[w]] is None:
                     # f_u * c_uw = f_w * c_wu
-                    sym[order[w]] = sym[order[u]] * Fraction(duw, dwu)
+                    sym[order[w]] = sym[order[u]] * duw / dwu
                     stack.append(w)
-    for i in range(n):
-        for j in range(n):
-            if sym[i] * c[i][j] != sym[j] * c[j][i]:
-                raise ScenarioError("valued graph is not symmetrizable")
-    return RootDatum(c, sym, [], list(g.vertices))
+    return RootDatum(c, sym, list(g.vertices))
 
 
 def is_finite_type(r: RootDatum) -> bool:
-    """Exact positive-definiteness of the symmetrized Cartan matrix."""
+    """Exact positive-definiteness of the symmetrized Cartan matrix.
+
+    The symmetrizer is scaled to integers; the pivots of a no-swap
+    fraction-free elimination are then the leading principal minors, so the
+    form is positive definite iff every pivot is positive (Sylvester).
+    """
     n = r.rank
-    if n == 0:
-        return True
-    sym = [[r.symmetrizer[i] * r.cartan[i][j] for j in range(n)] for i in range(n)]
-    # no-swap elimination on a symmetric matrix: PD iff all pivots positive
+    sym = [[f * x for x in row] for f, row in zip(_int_vector(r.symmetrizer)[0], r.cartan)]
+    prev = 1
     for k in range(n):
         piv = sym[k][k]
         if piv <= 0:
             return False
         for i in range(k + 1, n):
-            f = sym[i][k] / piv
-            if f:
-                for j in range(k, n):
-                    sym[i][j] -= f * sym[k][j]
+            for j in range(k + 1, n):
+                sym[i][j] = (piv * sym[i][j] - sym[i][k] * sym[k][j]) // prev
+        prev = piv
     return True
 
 
@@ -487,101 +450,53 @@ def positive_roots(r: RootDatum) -> list[tuple[int, ...]]:
 
 # -- Dynkin diagram naming ---------------------------------------------
 
-def _tree_certificate(comp: list[str], adj: dict[str, list[tuple[str, int, int]]]) -> tuple:
-    if len(comp) == 1:
-        return ("pt",)
-    compset = set(comp)
-
-    def encode(v: str, parent: Optional[str]) -> tuple:
-        children = []
-        for w, dvw, dwv in adj[v]:
-            if w != parent and w in compset:
-                children.append((dvw, dwv, encode(w, v)))
-        return tuple(sorted(children))
-
-    # tree center(s) by leaf peeling
-    degree = {v: sum(1 for w, _, _ in adj[v] if w in compset) for v in comp}
-    alive = set(comp)
-    layer = [v for v in comp if degree[v] <= 1]
-    while len(alive) > 2:
-        nxt = []
-        for v in layer:
-            alive.discard(v)
-            for w, _, _ in adj[v]:
-                if w in alive:
-                    degree[w] -= 1
-                    if degree[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    centers = sorted(alive)
-    if len(centers) == 1:
-        return ("c1", encode(centers[0], None))
-    c1, c2 = centers
-    d12 = d21 = None
-    for w, dvw, dwv in adj[c1]:
-        if w == c2:
-            d12, d21 = dvw, dwv
-    halves = [
-        (d12, d21, encode(c1, c2), encode(c2, c1)),
-        (d21, d12, encode(c2, c1), encode(c1, c2)),
-    ]
-    return ("c2",) + min(halves)
-
-
-def _path_pattern(values: list[tuple[int, int]]) -> list[tuple[str, str, int, int]]:
-    return [(str(i), str(i + 1), a, b) for i, (a, b) in enumerate(values)]
-
-
-def _named_diagrams(n: int) -> list[tuple[str, list[tuple[str, str, int, int]]]]:
-    out = []
-    if n == 1:
-        out.append(("A1", []))
-    if n >= 2:
-        out.append((f"A{n}", _path_pattern([(1, 1)] * (n - 1))))
-        out.append((f"B{n}", _path_pattern([(1, 1)] * (n - 2) + [(1, 2)])))
-        out.append((f"C{n}", _path_pattern([(1, 1)] * (n - 2) + [(2, 1)])))
-    if n >= 4:
-        edges = _path_pattern([(1, 1)] * (n - 3))
-        edges.append((str(n - 3), "fork1", 1, 1))
-        edges.append((str(n - 3), "fork2", 1, 1))
-        out.append((f"D{n}", edges))
-    if n in (6, 7, 8):
-        edges = _path_pattern([(1, 1)] * (n - 2))
-        edges.append(("2", "branch", 1, 1))
-        out.append((f"E{n}", edges))
-    if n == 4:
-        out.append(("F4", _path_pattern([(1, 1), (1, 2), (1, 1)])))
-    if n == 2:
-        out.append(("G2", _path_pattern([(1, 3)])))
-    return out
-
-
-def _pattern_certificate(edges: list[tuple[str, str, int, int]], n: int) -> tuple:
-    verts = sorted({v for e in edges for v in e[:2]} | ({"0"} if n == 1 else set()))
-    g = ValuedGraph(verts, edges)
-    comps = g.components()
-    return _tree_certificate(comps[0], g.adjacency())
-
-
 def _component_name(comp: list[str], g: ValuedGraph) -> Optional[str]:
-    if sum(a in comp for a, _, _, _ in g.edges) != len(comp) - 1:
+    """The Dynkin name of a connected component from the shape of its tree, or None.
+
+    A path with no multiple edge (value product above 1) is A_n.  With one,
+    product 3 is G2 on two vertices; product 2 is F4 as the middle edge of
+    four vertices, else it must end the path, which is B_n when the end
+    vertex's value is 2 and C_n when it is 1.  A hub with three arms of
+    simple edges is D_n for arm lengths (1, 1, k) and E_n for (1, 2, k <= 4).
+    """
+    edges = [e for e in g.edges if e[0] in comp]
+    if len(edges) != len(comp) - 1:
         return None  # a connected graph with a cycle is no tree, so no Dynkin diagram
-    cert = _tree_certificate(comp, g.adjacency())
-    matches = [name for name, edges in _named_diagrams(len(comp))
-               if _pattern_certificate(edges, len(comp)) == cert]
-    if not matches:
+    n, adj = len(comp), g.adjacency()
+    multiple = [e for e in edges if e[2] * e[3] > 1]
+    hubs = [v for v in comp if len(adj[v]) > 2]
+    if hubs:
+        hub = hubs[0]
+        if len(hubs) > 1 or len(adj[hub]) > 3 or multiple:
+            return None
+        arms = []
+        for w, _, _ in adj[hub]:
+            prev, length = hub, 1
+            while len(adj[w]) == 2:
+                prev, w, length = w, next(u for u, _, _ in adj[w] if u != prev), length + 1
+            arms.append(length)
+        arms.sort()
+        if arms[:2] == [1, 1]:
+            return f"D{n}"
+        return f"E{n}" if arms[:2] == [1, 2] and arms[2] <= 4 else None
+    if not multiple:
+        return f"A{n}"
+    if len(multiple) > 1:
         return None
-    if set(matches) == {"B2", "C2"}:
-        # the two rank-2 diagrams are isomorphic as valued graphs; the side
-        # tagging (x vertex = the central vertex of the diagram list)
-        # distinguishes the stated orientation when available
-        if len(comp) == 2 and g.side.get(comp[0]) is not None:
-            a, b, dab, dba = next(e for e in g.edges if e[0] in comp)
-            xfirst = g.side.get(a) == "x"
-            d_from_x = dab if xfirst else dba
-            return "C2" if d_from_x == 2 else "B2"
-        return "C2"
-    return matches[0]
+    a, b, dab, dba = multiple[0]
+    if dab * dba == 3:
+        return "G2" if n == 2 else None
+    if dab * dba != 2:
+        return None
+    if n == 2:
+        # B2 and C2 are one valued graph; the side tags (x vertex = the
+        # central vertex of the diagram list) give the stated orientation
+        if g.side.get(comp[0]) is None:
+            return "C2"
+        return "C2" if (dab if g.side.get(a) == "x" else dba) == 2 else "B2"
+    if len(adj[a]) == len(adj[b]) == 2:
+        return "F4" if n == 4 else None
+    return f"B{n}" if (dba if len(adj[b]) == 1 else dab) == 2 else f"C{n}"
 
 
 def dynkin_name(g: ValuedGraph | RootDatum) -> str:

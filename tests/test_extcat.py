@@ -930,6 +930,16 @@ def test_canonical_object_rejects_keys_that_are_not_vertices():
     assert canonical_object(s, {"u": 1}, eta={"u": zero}).dimension_vector() == (1, 0)
 
 
+def test_random_object_with_rejects_keys_that_are_not_vertices():
+    s = catalog_scenario("g2_threefold")
+    rng = random.Random(1)
+    with pytest.raises(TripleError, match="'uu' is not a vertex of 'g2_threefold'"):
+        random_object_with(s, {"uu": 3}, rng)
+    with pytest.raises(TripleError, match="'b' is not a vertex"):
+        random_object_with(s, {"u": 1, "b": 1, "a1": 2}, rng)
+    assert random_object_with(s, {"a1": 2}, rng).dimension_vector() == (0, 2)
+
+
 def test_shared_canonical_spaces_are_proved_once(monkeypatch):
     calls = []
     real = extcat._space_error

@@ -1,5 +1,7 @@
 """Tests for scenarios, valued graphs, Cartan data and the ring center."""
 
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -90,6 +92,99 @@ def test_bimodule_validation_catches_noncommuting_actions():
     right = [RatMatrix.identity(2), RatMatrix.from_rows([[0, 2], [1, 0]])]
     with pytest.raises(ScenarioError):
         Bimodule(d2, d2, 2, left, right)
+
+
+def law_defects(alg):
+    """(defect, the predicate the law check reports, dim, action matrices) over alg = Q(t), t^2 = 2."""
+    eye, lt = alg.left_mats
+    return [
+        ("count", "needs one action matrix", 2, [eye]),
+        ("shape", "wrong shape", 2, [eye, RatMatrix.identity(3)]),
+        ("free", "not free", 3, [RatMatrix.identity(3)] * 2),
+        ("unital", "not unital", 2, [eye.scale(2), lt]),
+        ("multiplicative", "multiplicative at (1,1)", 2, [eye, lt + eye]),  # (t + 1)^2 != 2
+    ]
+
+
+def nonassociative_table():
+    """e_0 the unit, e_1 e_1 = e_2, e_1 e_2 = e_1, other products 0: (e_1 e_1) e_1 = 0 != e_1 (e_1 e_1)."""
+    basis = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    zero = [0, 0, 0]
+    return [basis, [basis[1], basis[2], basis[1]], [basis[2], zero, zero]]
+
+
+def test_every_law_defect_is_rejected_by_algebras_bimodules_and_vertex_spaces():
+    from isocat.exactalg import AlgebraError, action_error
+    from isocat.fileio import FormatError, matrix_to_json, object_from_json, object_to_json
+
+    c2, q = catalog_scenario("c2"), rationals()
+    d2 = c2.algebra("a1")
+    z = canonical_object(c2, {"u": 1, "a1": 1})
+    for defect, predicate, dim, mats in law_defects(d2.spec):
+        assert predicate in action_error(d2.spec, mats, dim), defect
+        assert predicate in _space_error(d2.spec, VertexSpace(dim, mats)), defect
+        with pytest.raises(TripleError, match=re.escape(predicate)):
+            TripleObject(c2, z.x, {"a1": VertexSpace(dim, mats)}, z.eta)
+        doc = object_to_json(z)
+        doc["y"]["a1"] = {"dim": dim, "action": [matrix_to_json(m) for m in mats]}
+        with pytest.raises(FormatError):  # the loader's own count and shape checks come first
+            object_from_json(doc, c2)
+        with pytest.raises(ScenarioError, match=f"left action .*{re.escape(predicate)}"):
+            Bimodule(d2, q, dim, mats, [RatMatrix.identity(dim)])
+        right = "anti-multiplicative" if defect == "multiplicative" else predicate
+        with pytest.raises(ScenarioError, match=f"right action .*{re.escape(right)}"):
+            Bimodule(q, d2, dim, [RatMatrix.identity(dim)], mats)
+    # a structure table is its own left multiplication, free over itself; the
+    # other defects are a grid of the wrong count or shape, a unit that is no
+    # left unit and a table that is not associative (no right unit: below)
+    sqrt2 = d2.spec.constants
+    bad_tables = [
+        ("grid is not dim^3", sqrt2[:1] + [sqrt2[1][:1]], [1, 0]),
+        ("grid is not dim^3", [[sqrt2[0][0] + [0], sqrt2[0][1]], sqrt2[1]], [1, 0]),
+        ("unit vector has wrong length", sqrt2, [1]),
+        ("left multiplication is not unital", sqrt2, [2, 0]),
+        ("left multiplication is not multiplicative at (1,1)", nonassociative_table(), [1, 0, 0]),
+    ]
+    for message, table, unit in bad_tables:
+        with pytest.raises(AlgebraError, match=re.escape(message)):
+            AlgebraSpec(table, unit)
+
+
+def test_a_left_unit_that_is_no_right_unit_is_rejected():
+    # e_i e_j = e_j is associative, and every u with u_0 + u_1 = 1 is a left
+    # unit; e_0 u = u != e_0 for u = e_1
+    from isocat.exactalg import AlgebraError
+
+    table = [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]
+    for unit in ([1, 0], [0, 1], [2, -1]):
+        with pytest.raises(AlgebraError, match="right multiplication is not unital"):
+            AlgebraSpec(table, unit)
+
+
+def power_basis_table(minpoly):
+    """c[i][j] = the coordinates of t^(i+j) mod minpoly in the basis 1, t, ..., t^(d-1)."""
+    m = minpoly.monic().coeffs
+    d = len(m) - 1
+    powers = [[F(int(k == i)) for k in range(d)] for i in range(d)]
+    while len(powers) < 2 * d - 1:  # times t, with t^d = -sum_k m_k t^k
+        prev = powers[-1]
+        powers.append([(prev[k - 1] if k else 0) - prev[-1] * m[k] for k in range(d)])
+    return [[powers[i + j] for j in range(d)] for i in range(d)]
+
+
+def test_constants_round_trip_on_every_catalog_algebra():
+    tables = [quaternion_table()]
+    for name in CATALOG_IDS:
+        s = catalog_scenario(name)
+        for v in s.vertex_order():
+            h = s.algebra(v)
+            table = power_basis_table(h.minpoly)
+            assert h.spec.constants == table
+            tables.append((table, h.spec.unit))
+    for table, unit in tables:
+        alg = AlgebraSpec(table, unit)
+        assert alg.constants == table
+        assert all(type(x) is Fraction for m in alg.constants for row in m for x in row)
 
 
 def test_bimodule_axiom_holds_on_catalog():
@@ -265,8 +360,20 @@ def test_dynkin_name_e_series():
 
     e6 = ValuedGraph([str(i) for i in range(5)] + ["b"], path(5) + [("2", "b", 1, 1)])
     assert dynkin_name(e6) == "E6"
+    e7 = ValuedGraph([str(i) for i in range(6)] + ["b"], path(6) + [("2", "b", 1, 1)])
+    assert dynkin_name(e7) == "E7"
     e8 = ValuedGraph([str(i) for i in range(7)] + ["b"], path(7) + [("2", "b", 1, 1)])
     assert dynkin_name(e8) == "E8"
+    for n in (5, 6, 9):  # a fork at one end of a path
+        dn = ValuedGraph([str(i) for i in range(n - 1)] + ["b"], path(n - 1) + [("1", "b", 1, 1)])
+        assert dynkin_name(dn) == f"D{n}"
+        assert len(positive_roots(cartan_matrix(dn))) == n * (n - 1) == root_count_oracle(f"D{n}")
+    assert len(positive_roots(cartan_matrix(e7))) == 63 == root_count_oracle("E7")
+    # a hub with arms (2, 2, 2) is the Euclidean E6~, and a second fork makes D~n
+    assert dynkin_name(ValuedGraph([str(i) for i in range(5)] + ["b", "c"],
+                                   path(5) + [("2", "b", 1, 1), ("b", "c", 1, 1)])) == "not-dynkin"
+    assert dynkin_name(ValuedGraph([str(i) for i in range(5)] + ["b", "c"],
+                                   path(5) + [("1", "b", 1, 1), ("3", "c", 1, 1)])) == "not-dynkin"
     f4 = ValuedGraph(["0", "1", "2", "3"],
                      [("0", "1", 1, 1), ("1", "2", 1, 2), ("2", "3", 1, 1)])
     assert dynkin_name(f4) == "F4"
@@ -274,6 +381,45 @@ def test_dynkin_name_e_series():
     b4 = ValuedGraph(["0", "1", "2", "3"],
                      [("0", "1", 1, 1), ("1", "2", 1, 1), ("2", "3", 1, 2)])
     assert dynkin_name(b4) == "B4"
+
+
+def labelled_trees(n):
+    """The n^(n-2) labelled trees on vertices 0..n-1, as edge lists, from their Pruefer sequences."""
+    if n < 3:
+        yield [(0, 1)][:n - 1]
+        return
+    for seq in itertools.product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for v in seq:
+            degree[v] += 1
+        edges = []
+        for v in seq:
+            leaf = degree.index(1)
+            edges.append((leaf, v))
+            degree[leaf] -= 1
+            degree[v] -= 1
+        edges.append(tuple(i for i in range(n) if degree[i] == 1))
+        yield edges
+
+
+def test_dynkin_name_agrees_with_positive_definiteness_on_every_small_tree():
+    # the namer reads shapes, never the Cartan form; is_finite_type reads
+    # only the form, and the root count of a name comes from its Lie algebra
+    values = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]
+    named = 0
+    for n in range(1, 6):
+        trees = list(labelled_trees(n))
+        assert len(trees) == max(1, n ** (n - 2))
+        verts = [str(i) for i in range(n)]
+        for tree in trees:
+            for vals in itertools.product(values, repeat=n - 1):
+                g = ValuedGraph(verts, [(str(a), str(b), p, q) for (a, b), (p, q) in zip(tree, vals)])
+                name, rd = dynkin_name(g), cartan_matrix(g)
+                assert (name != "not-dynkin") == is_finite_type(rd), g
+                if name != "not-dynkin":
+                    named += 1
+                    assert len(positive_roots(rd)) == root_count_oracle(name), g
+    assert named == 469
 
 
 def test_dynkin_name_of_a_cycle_is_not_dynkin():
@@ -371,8 +517,8 @@ def test_orbit_basis_reproduces_every_catalog_right_basis():
             assert (bm.right_basis(), bm.orbit_matrix()) == (picked, span)
 
 
-def quaternions_from_i():
-    """H = (-1, -1 / Q) in the basis (i, j, k, 1), so e_0 = i is not the unit."""
+def quaternion_table():
+    """The structure constants and unit of H = (-1, -1 / Q) in the basis (i, j, k, 1)."""
     signs = {(1, 1): (-1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0), (1, 2): (1, 3), (2, 1): (-1, 3),
              (2, 3): (1, 1), (3, 2): (-1, 1), (3, 1): (1, 2), (1, 3): (-1, 2)}
     order = [1, 2, 3, 0]  # standard indices 1, i, j, k = 0..3
@@ -383,7 +529,12 @@ def quaternions_from_i():
             sign, c = (1, a + b) if 0 in (a, b) else signs[(a, b)]  # one factor is 1
             row.append([sign if order[k] == c else 0 for k in range(4)])
         consts.append(row)
-    return asserted_division_algebra(AlgebraSpec(consts, [0, 0, 0, 1]))
+    return consts, [0, 0, 0, 1]
+
+
+def quaternions_from_i():
+    """H in the basis (i, j, k, 1), so e_0 = i is not the unit."""
+    return asserted_division_algebra(AlgebraSpec(*quaternion_table()))
 
 
 def test_canonical_spaces_never_run_orbit_basis(monkeypatch):
