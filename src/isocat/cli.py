@@ -23,6 +23,7 @@ from .extcat import (
 )
 from .fileio import (
     FormatError,
+    MAX_DIM,
     REPORT_SCHEMA,
     load_matrix,
     load_object,
@@ -186,6 +187,8 @@ def cmd_witt(args) -> int:
             parts = tuple(int(p) for p in args.partition.replace(",", " ").split())
         except ValueError:
             raise FormatError(f"bad partition literal {args.partition!r}")
+        if sum(parts) > MAX_DIM:
+            raise FormatError(f"partition of {sum(parts)} is over the size cap {MAX_DIM}")
         p = WittPartition(parts)
         m = realize_partition(p)
         back = witt_partition(m)

@@ -5,10 +5,10 @@ exact rationals; there is no floating point anywhere.  Matrices are stored
 as integer arrays with a single shared positive denominator, so the hot
 elimination paths run on plain Python integers (sparse fraction-free
 elimination), and `Fraction` objects only appear at the API boundary.
-The polynomial layer behind minimal polynomials and factoring is integer
-inside too: gcds, square-free parts and the minimal-polynomial lcm run on
-primitive integer coefficient lists, and `Fraction` appears only in the
-coefficients of the `Polynomial` results they return.
+The polynomial layer is integer inside too: minimal polynomials, gcds,
+square-free parts, factoring and Q[t]/(m) run on primitive integer
+coefficient lists.  `Polynomial` is a value with no arithmetic, and
+`Fraction` appears only in the monic results of the public functions.
 
 One helper per recurring construction, shared by the packages built on it:
 
@@ -35,8 +35,10 @@ One helper per recurring construction, shared by the packages built on it:
 - `action_error`: the one representation-law check (count, shape,
   freeness, unit, (anti-)multiplicativity) behind algebras, bimodules and
   vertex spaces;
-- `_int_poly_gcd`: the one polynomial gcd, a primitive remainder sequence
-  in integers (`Polynomial.gcd`, square-free parts, minimal polynomials).
+- `_int_poly_divmod`: the one pseudo-division k a = q b + r, behind the
+  one gcd `_int_poly_gcd` (a primitive remainder sequence), the Bezout
+  inverse `_int_poly_bezout` (Fitting idempotents) and Kronecker factoring;
+- `_int_poly_value`: q^d f(p/q) by integer Horner (rational roots, Kronecker).
 """
 
 from __future__ import annotations
@@ -608,7 +610,7 @@ def quotient_space(ambient_dim: int, subspace: Sequence[Sequence]) -> tuple[int,
 # ======================================================================
 
 class Polynomial:
-    """Dense univariate polynomial with exact rational coefficients.
+    """A polynomial with exact rational coefficients, as a value with no arithmetic.
 
     Coefficients are stored in ascending order; the leading coefficient of
     a nonzero polynomial is nonzero.
@@ -660,89 +662,6 @@ class Polynomial:
                 terms.append(f"{c}*t^{i}" if c != 1 else f"t^{i}")
         return "Polynomial(" + " + ".join(terms) + ")"
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [Fraction(0)] * (n - len(self.coeffs))
-        b = other.coeffs + [Fraction(0)] * (n - len(other.coeffs))
-        return Polynomial([x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "Polynomial":
-        c = as_fraction(c)
-        return Polynomial([x * c for x in self.coeffs])
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return Polynomial(out)
-
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Polynomial([]), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.leading()
-        for i in range(dq, -1, -1):
-            top = rem[i + other.degree]
-            if top:
-                f = top / lead
-                quot[i] = f
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= f * b
-        return Polynomial(quot), Polynomial(rem)
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[0]
-
-    def divides(self, other: "Polynomial") -> bool:
-        return other.divmod(self)[1].is_zero()
-
-    def eval(self, x) -> Fraction:
-        x = as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        """The monic gcd (zero for two zero polynomials)."""
-        g = _int_poly_gcd(_to_primitive_int(self), _to_primitive_int(other))
-        return Polynomial(g).monic() if g else Polynomial([])
-
-    @classmethod
-    def x_power(cls, n: int) -> "Polynomial":
-        return cls([0] * n + [1])
-
-
-def poly_xgcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """g, s, t with s*a + t*b = g = gcd(a, b) (g monic when nonzero)."""
-    r0, r1 = a, b
-    s0, s1 = Polynomial([1]), Polynomial([])
-    t0, t1 = Polynomial([]), Polynomial([1])
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lc = r0.leading()
-    return r0.monic(), s0.scale(1 / lc), t0.scale(1 / lc)
-
 
 # -- factorization over Q ----------------------------------------------
 
@@ -769,8 +688,8 @@ class FactorBudget:
 
 # -- primitive integer polynomials ------------------------------------
 # Ascending integer coefficient lists without trailing zeros; [] is zero.
-# Gcds, square-free parts and minimal-polynomial lcms are computed here;
-# `Fraction` appears only when a result is made monic.
+# Every polynomial computation runs here; `Fraction` appears only when a
+# public function makes its result monic, and in the factor sort key.
 
 def _primitive(cs: list[int]) -> list[int]:
     """cs over its content, with a positive leading coefficient."""
@@ -807,26 +726,36 @@ def _int_poly_derivative(a: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(a)][1:]
 
 
-def _int_poly_rem(a: list[int], b: list[int]) -> list[int]:
-    """The primitive part of a pseudo-remainder of a by a nonzero b.
+def _int_poly_value(a: list[int], p: int, q: int = 1) -> int:
+    """q^d a(p/q) for d = deg a, by Horner in integers: sum a_i p^i q^(d-i)."""
+    acc, qpow = 0, 1
+    for c in reversed(a):
+        acc = acc * p + c * qpow
+        qpow *= q
+    return acc
 
-    Each step cancels the top term of a with a scalar multiple of b, scaling
-    a by lc(b) / gcd(lc(a), lc(b)); the result is a nonzero scalar multiple of
-    a mod b, which is all a primitive remainder sequence needs.
+
+def _int_poly_divmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
+    """(k, q, r) with k a = q b + r, k > 0 and deg r < deg b, for a nonzero b.
+
+    A pseudo-division: each step cancels the top term of r with a multiple
+    of b, scaling r (and q, k) by |lc(b)| / gcd(lc(r), lc(b)) only.
     """
     r = list(a)
     lb, db = b[-1], len(b) - 1
+    k, q = 1, [0] * max(len(r) - db, 0)
     while len(r) > db:
         lr = r[-1]
-        g = gcd(lr, lb)
+        g = gcd(lr, lb) if lb > 0 else -gcd(lr, lb)
         fr, fb = lb // g, lr // g
         shift = len(r) - 1 - db
         if fr != 1:
-            r = [fr * x for x in r]
+            k, q, r = k * fr, [fr * x for x in q], [fr * x for x in r]
+        q[shift] += fb
         for j, y in enumerate(b):
             r[shift + j] -= fb * y
         _int_poly_trim(r)
-    return _primitive(r)
+    return k, q, r
 
 
 def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
@@ -839,8 +768,26 @@ def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, _int_poly_rem(a, b)
+        a, b = b, _primitive(_int_poly_divmod(a, b)[2])
     return a
+
+
+def _int_poly_bezout(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(t, g) with t b = g (mod a), g a gcd of a and b and deg t < deg a, for a nonconstant a.
+
+    The extended primitive remainder sequence: from (a, 0) and (b, 1), each
+    pseudo-division k r_(i-1) = q r_i + r_(i+1) gives t_(i+1) = k t_(i-1) -
+    q t_i, so r_i = t_i b (mod a) throughout; each pair (r, t) is divided by
+    its joint content, with the sign that makes g's leading coefficient
+    positive.  For coprime a and b, g = [den] and t / den is b's inverse mod a.
+    """
+    (r0, t0), (r1, t1) = (a, []), (b, [1])
+    while r1:
+        k, q, r = _int_poly_divmod(r0, r1)
+        t = _int_poly_trim([k * x - y for x, y in zip_longest(t0, _int_poly_mul(q, t1), fillvalue=0)])
+        g = gcd(*r, *t) or 1
+        (r0, t0), (r1, t1) = (r1, t1), ([x // g for x in r], [x // g for x in t])
+    return (t0, r0) if r0[-1] > 0 else ([-x for x in t0], [-x for x in r0])
 
 
 def _int_poly_exact_div(a: list[int], b: list[int]) -> list[int]:
@@ -867,28 +814,31 @@ def _int_poly_exact_div(a: list[int], b: list[int]) -> list[int]:
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Monic square-free parts with their multiplicities (coprime pieces).
-
-    Yun's algorithm (1976) on the primitive integer form of p: with
-    b_1 = p / gcd(p, p') and c_1 = p' / gcd(p, p'), each round takes
-    a_i = gcd(b_i, c_i - b_i'), the product of the factors of multiplicity
-    exactly i, then b_(i+1) = b_i / a_i and c_(i+1) = (c_i - b_i') / a_i.
-    Every division is exact in integers by Gauss's lemma.
-    """
+    """Monic square-free parts with their multiplicities (coprime pieces)."""
     if p.degree < 1:
         raise ValueError("square-free decomposition needs degree >= 1")
-    f = _to_primitive_int(p)
+    return [(Polynomial(a).monic(), i) for a, i in _int_squarefree(_to_primitive_int(p))]
+
+
+def _int_squarefree(f: list[int]) -> list[tuple[list[int], int]]:
+    """The primitive square-free parts of a primitive f of degree >= 1, with multiplicities.
+
+    Yun's algorithm (1976): with b_1 = f / gcd(f, f') and c_1 = f' / gcd(f, f'),
+    each round takes a_i = gcd(b_i, c_i - b_i'), the product of the factors
+    of multiplicity exactly i, then b_(i+1) = b_i / a_i and c_(i+1) =
+    (c_i - b_i') / a_i.  Every division is exact in integers by Gauss's lemma.
+    """
     df = _int_poly_derivative(f)
     a = _int_poly_gcd(f, df)
     b, c = _int_poly_exact_div(f, a), _int_poly_exact_div(df, a)
-    out: list[tuple[Polynomial, int]] = []
+    out: list[tuple[list[int], int]] = []
     for i in range(1, len(f)):  # no multiplicity exceeds the degree
         if len(b) == 1:
             break
         d = _int_poly_trim([x - y for x, y in zip_longest(c, _int_poly_derivative(b), fillvalue=0)])
         a = _int_poly_gcd(b, d)
         if len(a) > 1:
-            out.append((Polynomial(a).monic(), i))
+            out.append((a, i))
         b, c = _int_poly_exact_div(b, a), _int_poly_exact_div(d, a)
     return out
 
@@ -924,12 +874,12 @@ def _has_root_mod(coeffs: list[int], ell: int) -> bool:
     return False
 
 
-def _first_rational_root(coeffs: list[int], budget: FactorBudget | None = None) -> Fraction | None:
-    """The first rational root of an integer polynomial in the order (p, q, sign), or None.
+def _first_rational_root(coeffs: list[int], budget: FactorBudget | None = None) -> tuple[int, int] | None:
+    """The first rational root p/q of an integer polynomial in the order (p, q, sign), or None.
 
     By the rational-root theorem every root is some +-p/q with p | a0 and
-    q | an; candidates are tested by integer Horner on q^d f(p/q), with p and
-    q ascending.  Only coprime pairs are tried, since (p, q) with gcd g > 1 is
+    q | an; candidates are tested by `_int_poly_value`, with p and q
+    ascending.  Only coprime pairs are tried, since (p, q) with gcd g > 1 is
     the number (p/g, q/g), which comes earlier; and only those within
     Cauchy's bounds a0 / (a0 + top) <= |p/q| <= (an + top) / an, top the
     largest |a_i|.  The budget caps |a0| and |an| first.  Before the divisors
@@ -941,7 +891,7 @@ def _first_rational_root(coeffs: list[int], budget: FactorBudget | None = None) 
         return None
     a0, an = abs(coeffs[0]), abs(coeffs[-1])
     if a0 == 0:
-        return Fraction(0)
+        return 0, 1
     if budget is not None:
         budget.check_value(a0)
         budget.check_value(an)
@@ -954,32 +904,26 @@ def _first_rational_root(coeffs: list[int], budget: FactorBudget | None = None) 
             if gcd(num, den) != 1 or a0 * den > num * (a0 + top) or num * an > (an + top) * den:
                 continue
             for p in (num, -num):
-                # den^d f(p/den) by Horner in integers: sum a_i p^i den^(d-i)
-                acc, dpow = 0, 1
-                for c in reversed(coeffs):
-                    acc = acc * p + c * dpow
-                    dpow *= den
-                if acc == 0:
-                    return Fraction(p, den)
+                if _int_poly_value(coeffs, p, den) == 0:
+                    return p, den
     return None
 
 
 def _kronecker_factor(coeffs: list[int],
-                      budget: FactorBudget | None = None) -> tuple[Polynomial, Polynomial] | None:
-    """Split a primitive square-free integer polynomial, or None if irreducible.
+                      budget: FactorBudget | None = None) -> tuple[list[int], list[int]] | None:
+    """Two primitive factors of a primitive square-free integer polynomial, or None if irreducible.
 
     Classic Kronecker interpolation: a degree-d factor is pinned by its
     values at d+1 integer points, and those values divide the values of the
     input.  Degrees here stay small (<= 12 by construction of the callers).
     """
-    p = Polynomial(coeffs)
-    deg = p.degree
+    deg = len(coeffs) - 1
     if deg <= 1:
         return None
-    r = _first_rational_root(coeffs, budget)
-    if r is not None:
-        lin = Polynomial([-r, 1])
-        return lin, p // lin
+    root = _first_rational_root(coeffs, budget)
+    if root is not None:
+        lin = [-root[0], root[1]]
+        return lin, _int_poly_exact_div(coeffs, lin)
     points = [0]
     k = 1
     while len(points) <= deg // 2:
@@ -987,14 +931,11 @@ def _kronecker_factor(coeffs: list[int],
         k += 1
     for d in range(2, deg // 2 + 1):
         pts = points[:d + 1]
-        vals = [p.eval(x) for x in pts]
+        vals = [_int_poly_value(coeffs, x) for x in pts]
         if any(v == 0 for v in vals):
             continue  # roots were already stripped; defensive
-        choices: list[list[int]] = []
-        for i, v in enumerate(vals):
-            divs = _int_divisors(int(v), budget)
-            opts = divs if i == 0 else [x for t in divs for x in (t, -t)]
-            choices.append(opts)
+        choices = [_int_divisors(v, budget) for v in vals]
+        choices[1:] = [[x for t in divs for x in (t, -t)] for divs in choices[1:]]
         stack = [(0, [])]
         while stack:
             i, picked = stack.pop()
@@ -1002,29 +943,34 @@ def _kronecker_factor(coeffs: list[int],
                 if budget is not None:
                     budget.spend_combo()
                 f = _interpolate(pts, picked)
-                if f is not None and f.degree == d and f.divides(p):
-                    return f, p // f
+                if f is not None and len(f) == d + 1:
+                    _, q, r = _int_poly_divmod(coeffs, f)
+                    if not r:
+                        return _primitive(f), _primitive(q)
                 continue
             for val in choices[i]:
                 stack.append((i + 1, picked + [val]))
     return None
 
 
-def _interpolate(xs: list[int], ys: list[int]) -> Polynomial | None:
-    # Lagrange interpolation; returns None unless all coefficients are integers
-    n = len(xs)
-    acc = Polynomial([])
-    for i in range(n):
-        li = Polynomial([1])
-        denom = Fraction(1)
-        for j in range(n):
+def _interpolate(xs: list[int], ys: list[int]) -> list[int] | None:
+    """The polynomial through the points (xs[i], ys[i]) if it has integer coefficients, else None.
+
+    Lagrange interpolation over one common denominator: term i is
+    ys[i] prod_(j != i) (t - xs[j]) over d_i = prod_(j != i) (xs[i] - xs[j]).
+    """
+    terms = []
+    for i, xi in enumerate(xs):
+        li, di = [ys[i]], 1
+        for j, xj in enumerate(xs):
             if j != i:
-                li = li * Polynomial([-xs[j], 1])
-                denom *= xs[i] - xs[j]
-        acc = acc + li.scale(Fraction(ys[i]) / denom)
-    if any(c.denominator != 1 for c in acc.coeffs):
+                li, di = _int_poly_mul(li, [-xj, 1]), di * (xi - xj)
+        terms.append((li, di))
+    den = lcm(*(d for _, d in terms))
+    num = [sum(li[k] * (den // di) for li, di in terms) for k in range(len(xs))]
+    if any(x % den for x in num):
         return None
-    return acc
+    return _int_poly_trim([x // den for x in num])
 
 
 def factor_rational(p: Polynomial,
@@ -1032,33 +978,40 @@ def factor_rational(p: Polynomial,
     """Irreducible monic factors of p over Q, with multiplicities.
 
     The product of the factors equals p up to its leading coefficient.
-    Square-free decomposition first, then Kronecker interpolation on each
-    square-free part.  With a budget, hostile inputs raise
-    FactorBudgetExceeded instead of grinding through huge divisor lists.
+    With a budget, hostile inputs raise FactorBudgetExceeded instead of
+    grinding through huge divisor lists.
     """
-    if p.degree < 1:
+    return [(Polynomial(f).monic(), m) for f, m in _int_factor(_to_primitive_int(p), budget)]
+
+
+def _int_factor(f: list[int], budget: FactorBudget | None = None) -> list[tuple[list[int], int]]:
+    """The primitive irreducible factors of a primitive f, with multiplicities.
+
+    Square-free decomposition first, then Kronecker interpolation on each
+    square-free part.  The factors are sorted by degree, then by their monic
+    coefficients.
+    """
+    if len(f) < 2:
         raise ValueError("factorization needs degree >= 1")
-    if p.degree > 12:
+    if len(f) > 13:
         raise ValueError("factorization implemented for degree <= 12")
-    result: list[tuple[Polynomial, int]] = []
-    for part, mult in squarefree_decomposition(p):
-        todo = [_to_primitive_int(part)]
+    result: list[tuple[list[int], int]] = []
+    for part, mult in _int_squarefree(f):
+        todo = [part]
         while todo:
             cur = todo.pop()
             split = _kronecker_factor(cur, budget)
             if split is None:
-                result.append((Polynomial(cur).monic(), mult))
+                result.append((cur, mult))
             else:
-                f, g = split
-                todo.append(_to_primitive_int(f))
-                todo.append(_to_primitive_int(g))
-    return sorted(result, key=lambda fg: (fg[0].degree, tuple(fg[0].coeffs)))
+                todo.extend(split)
+    return sorted(result, key=lambda fm: (len(fm[0]), [Fraction(c, fm[0][-1]) for c in fm[0]]))
 
 
 def is_irreducible(p: Polynomial, budget: FactorBudget | None = None) -> bool:
     if p.degree < 1:
         return False
-    facs = factor_rational(p, budget)
+    facs = _int_factor(_to_primitive_int(p), budget)
     return len(facs) == 1 and facs[0][1] == 1
 
 
@@ -1121,11 +1074,6 @@ class AlgebraSpec:
 
     def basis_vector(self, i: int) -> list[Fraction]:
         return [Fraction(1) if j == i else Fraction(0) for j in range(self.dim)]
-
-    def multiply(self, a: Sequence, b: Sequence) -> list[Fraction]:
-        nums, den = _int_vector(b)
-        la = self.left_multiplication(a)
-        return [Fraction(sum(x * y for x, y in zip(r, nums)), la.den * den) for r in la.num]
 
     def left_multiplication(self, a: Sequence) -> RatMatrix:
         return RatMatrix.combine(self.left_mats, a, self.dim, self.dim)
@@ -1192,16 +1140,22 @@ def min_poly_matrix(op: RatMatrix, start: Sequence | None = None) -> Polynomial:
     the result is the minimal polynomial of the pair (op, start) -- the
     caller must know this is enough (for a left-multiplication operator
     started at the unit it is the element's true minimal polynomial).
-    Without `start`, vector minimal polynomials are lcm-ed over the full
-    standard basis, which yields the matrix minimal polynomial.
+    Without `start`, it is `_int_min_poly_matrix`.
+    """
+    if op.cols != op.rows:
+        raise ValueError("minimal polynomial of a non-square matrix")
+    if start is None or not op.rows:
+        return Polynomial(_int_min_poly_matrix(op)).monic()
+    return Polynomial(_vector_min_poly(op, RatMatrix.from_rows([[x] for x in start]))).monic()
+
+
+def _int_min_poly_matrix(op: RatMatrix) -> list[int]:
+    """The minimal polynomial of a square matrix, primitive in integers.
+
+    Vector minimal polynomials are lcm-ed over the standard basis, skipping
+    a vector that the running lcm already kills.
     """
     n = op.rows
-    if op.cols != n:
-        raise ValueError("minimal polynomial of a non-square matrix")
-    if n == 0:
-        return Polynomial([1])
-    if start is not None:
-        return _vector_min_poly(op, RatMatrix.from_rows([[x] for x in start]))
     # nonzero entries of each column of the integer grid N, for the Horner test
     cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*op.num)]
     acc = [1]  # the running lcm, primitive in integers
@@ -1210,11 +1164,11 @@ def min_poly_matrix(op: RatMatrix, start: Sequence | None = None) -> Polynomial:
         if not _horner_kills(cols, horner, i):
             e = RatMatrix.zeros(n, 1)
             e.num[i][0] = 1
-            p = _to_primitive_int(_vector_min_poly(op, e))
+            p = _vector_min_poly(op, e)
             acc = _int_poly_exact_div(_int_poly_mul(acc, p), _int_poly_gcd(acc, p))
             d = len(acc) - 1
             horner = [c * op.den ** (d - k) for k, c in enumerate(acc)]
-    return Polynomial(acc).monic()
+    return acc
 
 
 def _horner_kills(cols: list[list[tuple[int, int]]], horner: list[int], i: int) -> bool:
@@ -1237,7 +1191,8 @@ def _horner_kills(cols: list[list[tuple[int, int]]], horner: list[int], i: int) 
     return not any(v)
 
 
-def _vector_min_poly(op: RatMatrix, vec: RatMatrix) -> Polynomial:
+def _vector_min_poly(op: RatMatrix, vec: RatMatrix) -> list[int]:
+    """The minimal polynomial of the column vec under op: its first power dependency, primitive."""
     n = op.rows
     cols = []
     cur = vec
@@ -1245,8 +1200,7 @@ def _vector_min_poly(op: RatMatrix, vec: RatMatrix) -> Polynomial:
         cols.append(([r[0] for r in cur.num], cur.den))
         ker, _ = _null_rows(_flat_columns(cols, n))
         if ker.rows:
-            dep = ker.num[0]
-            return Polynomial([Fraction(c, dep[-1]) for c in dep])
+            return _primitive(ker.num[0])
         cur = op * cur
     raise RuntimeError("Krylov chase failed to terminate")  # unreachable
 
@@ -1345,17 +1299,19 @@ def _quotient_algebra(alg: AlgebraSpec, span: RatMatrix) -> AlgebraSpec:
 
 
 def regular_algebra_from_min_poly(m: Polynomial) -> AlgebraSpec:
-    """Q[t]/(m) with basis 1, t, ..., t^(deg-1)."""
+    """Q[t]/(m) with basis 1, t, ..., t^(deg-1).
+
+    The companion matrix C of m sends t^j to t^(j+1) mod m, so e_i * e_j =
+    t^(i+j) mod m is column j of C^i.
+    """
     if m.degree < 1:
         raise AlgebraError("modulus must have degree >= 1")
-    m = m.monic()
-    d = m.degree
-    constants = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            rem = Polynomial.x_power(i + j) % m
-            row.append([rem.coeffs[k] if k < len(rem.coeffs) else Fraction(0) for k in range(d)])
-        constants.append(row)
-    unit = [Fraction(1)] + [Fraction(0)] * (d - 1)
-    return AlgebraSpec(constants, unit)
+    f = _to_primitive_int(m)
+    d = len(f) - 1
+    comp = RatMatrix._fresh(d, d, [[f[-1] * (i == j + 1) for j in range(d - 1)] + [-f[i]]
+                                   for i in range(d)], f[-1])
+    power, products = RatMatrix.identity(d), []
+    for _ in range(d):
+        products += _int_columns(power)
+        power = power * comp
+    return AlgebraSpec._of_products(products, ([1] + [0] * (d - 1), 1))

@@ -34,7 +34,6 @@ from .exactalg import (
     AlgebraSpec,
     FactorBudget,
     FactorBudgetExceeded,
-    Polynomial,
     RatMatrix,
     _block_copies,
     _combine_terms,
@@ -42,6 +41,12 @@ from .exactalg import (
     _echelon,
     _flat_columns,
     _flat_matrices,
+    _int_factor,
+    _int_min_poly_matrix,
+    _int_poly_bezout,
+    _int_poly_exact_div,
+    _int_poly_mul,
+    _int_squarefree,
     _kernel,
     _quotient_algebra,
     _nonzero_entries,
@@ -50,12 +55,8 @@ from .exactalg import (
     _radical,
     action_error,
     commutant_basis,
-    factor_rational,
     is_irreducible,
     min_poly,
-    min_poly_matrix,
-    poly_xgcd,
-    squarefree_decomposition,
     structure_constants,
 )
 from .species import DivisionAlgebraHandle, SpeciesScenario
@@ -1062,15 +1063,16 @@ def _total_matrix(m: TripleMorphism) -> RatMatrix:
     return _block_diag(blocks)
 
 
-def _poly_on_morphism(p: Polynomial, a: TripleMorphism) -> TripleMorphism:
+def _poly_on_morphism(f: list[int], den: int, a: TripleMorphism) -> TripleMorphism:
+    """f(a) / den for integer coefficients f, ascending, by Horner."""
     z = a.source
     acc = zero_morphism(z, z)
     ident = identity_morphism(z)
-    for c in reversed(p.coeffs):
+    for c in reversed(f):
         acc = acc.compose(a) if not acc.is_zero() else zero_morphism(z, z)
         if c:
             acc = acc + ident.scale(c)
-    return acc
+    return acc.scale(Fraction(1, den))
 
 
 def _image_split(z: TripleObject, e: TripleMorphism):
@@ -1093,8 +1095,8 @@ def _combinations(end_basis: list[TripleMorphism]):
                 yield end_basis[i].compose(end_basis[j])
 
 
-def _coprime_parts(p: Polynomial) -> tuple[Polynomial, Polynomial] | None:
-    """Split a monic polynomial into two nontrivial coprime monic parts.
+def _coprime_parts(f: list[int]) -> tuple[list[int], list[int]] | None:
+    """Split a primitive integer polynomial into two nontrivial coprime primitive parts.
 
     Cheap routes first: a pure t-power factor (the Fitting split of a
     non-nilpotent non-invertible element), then the square-free multiplicity
@@ -1103,31 +1105,26 @@ def _coprime_parts(p: Polynomial) -> tuple[Polynomial, Polynomial] | None:
     found via this element", never a wrong answer.
     """
     v = 0
-    while v < len(p.coeffs) and p.coeffs[v] == 0:
+    while v < len(f) and f[v] == 0:
         v += 1
-    if 0 < v <= p.degree - 1:
-        return Polynomial.x_power(v), Polynomial(p.coeffs[v:])
-    groups = squarefree_decomposition(p)
-    if len(groups) >= 2:
-        part = Polynomial([1])
-        g0, m0 = groups[0]
-        for _ in range(m0):
-            part = part * g0
-        rest = p // part
-        return part, rest
+    if 0 < v < len(f) - 1:
+        return [0] * v + [1], f[v:]
+    groups = _int_squarefree(f)
     g0, m0 = groups[0]
-    if g0.degree >= 2:
+    if len(groups) < 2:
+        if len(g0) < 3:
+            return None
         try:
-            facs = factor_rational(g0, budget=FactorBudget())
+            facs = _int_factor(g0, budget=FactorBudget())
         except FactorBudgetExceeded:
             return None
-        if len(facs) >= 2:
-            f0 = facs[0][0]
-            part = Polynomial([1])
-            for _ in range(m0):
-                part = part * f0
-            return part, p // part
-    return None
+        if len(facs) < 2:
+            return None
+        g0 = facs[0][0]
+    part = [1]
+    for _ in range(m0):
+        part = _int_poly_mul(part, g0)
+    return part, _int_poly_exact_div(f, part)
 
 
 def _normalized_candidate(a: TripleMorphism) -> TripleMorphism:
@@ -1144,15 +1141,14 @@ def _splitting_idempotent(z: TripleObject,
         if raw.is_zero():
             continue
         a = _normalized_candidate(raw)
-        p = min_poly_matrix(_total_matrix(a))
-        split = _coprime_parts(p)
+        split = _coprime_parts(_int_min_poly_matrix(_total_matrix(a)))
         if split is None:
             continue
         part, rest = split
-        g, spoly, tpoly = poly_xgcd(part, rest)
-        if g.degree != 0:
+        t, g = _int_poly_bezout(part, rest)
+        if len(g) != 1:
             raise InternalConsistencyError("coprime minimal polynomial parts share a factor")
-        e = _poly_on_morphism(tpoly * rest, a)
+        e = _poly_on_morphism(_int_poly_mul(t, rest), g[0], a)
         if e.is_zero() or (e - identity_morphism(z)).is_zero():
             continue
         if not (e.compose(e) - e).is_zero():

@@ -283,7 +283,10 @@ def load_matrix(path: str) -> RatMatrix:
     doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("schema") != MATRIX_SCHEMA:
         raise FormatError(f"expected a {MATRIX_SCHEMA} document")
-    m = matrix_from_json(doc.get("matrix", []))
+    grid = doc.get("matrix", [])
+    if isinstance(grid, list) and len(grid) > MAX_DIM:
+        raise FormatError(f"operator matrix has {len(grid)} rows, more than {MAX_DIM}")
+    m = matrix_from_json(grid)
     if m.rows != m.cols:
         raise FormatError("operator matrix must be square")
     return m

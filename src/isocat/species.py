@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -136,12 +137,6 @@ class Bimodule:
             for j in range(D.dim):
                 if self.left_action[i] * self.right_action[j] != self.right_action[j] * self.left_action[i]:
                     raise ScenarioError(f"left/right actions fail to commute at ({i},{j})")
-
-    def left_matrix(self, coords: Sequence[Fraction]) -> RatMatrix:
-        return RatMatrix.combine(self.left_action, coords, self.dim, self.dim)
-
-    def right_matrix(self, coords: Sequence[Fraction]) -> RatMatrix:
-        return RatMatrix.combine(self.right_action, coords, self.dim, self.dim)
 
     @property
     def rank_over_right(self) -> int:
@@ -324,10 +319,10 @@ class ValuedGraph:
 
 @dataclass
 class RootDatum:
-    """Cartan matrix with its symmetrizer."""
+    """Cartan matrix with its symmetrizer, positive integers f with f_i c_ij = f_j c_ji."""
 
     cartan: list[list[int]]
-    symmetrizer: list[Fraction]
+    symmetrizer: list[int]
     vertices: list[str]
 
     def __post_init__(self):
@@ -338,7 +333,7 @@ class RootDatum:
             for j in range(n):
                 if i != j and self.cartan[i][j] > 0:
                     raise ScenarioError("Cartan off-diagonal entries must be <= 0")
-        f, c = _int_vector(self.symmetrizer)[0], self.cartan
+        f, c = self.symmetrizer, self.cartan
         if any(x <= 0 for x in f):
             raise ScenarioError("symmetrizer entries must be positive")
         if any(f[i] * c[i][j] != f[j] * c[j][i] for i in range(n) for j in range(i) if c[i][j] or c[j][i]):
@@ -369,9 +364,11 @@ def valued_graph(s: SpeciesScenario) -> ValuedGraph:
 
 
 def cartan_matrix(g: ValuedGraph) -> RootDatum:
-    """Cartan matrix of a valued forest, with its tree-propagated symmetrizer.
+    """Cartan matrix of a valued forest, with its tree-propagated integer symmetrizer.
 
-    For an edge (a, b, d_ab, d_ba): c_ab = -d_ab and c_ba = -d_ba.
+    For an edge (a, b, d_ab, d_ba): c_ab = -d_ab and c_ba = -d_ba.  Each
+    component's root gets f = 1, and a step f_w = f_u d_uw / d_wu that is
+    not integral first scales the component's vertices reached so far.
     """
     order = {v: i for i, v in enumerate(g.vertices)}
     n = len(g.vertices)
@@ -380,20 +377,26 @@ def cartan_matrix(g: ValuedGraph) -> RootDatum:
         i, j = order[a], order[b]
         c[i][j] = -dab
         c[j][i] = -dba
-    sym: list = [None] * n
+    sym = [0] * n
     adj = g.adjacency()
     for comp in g.components():
         if sum(a in comp for a, _, _, _ in g.edges) != len(comp) - 1:
             raise ScenarioError("valued graph contains a cycle; Cartan data needs a forest")
-        root = comp[0]
-        sym[order[root]] = Fraction(1)
-        stack = [root]
+        stack, reached = [comp[0]], [order[comp[0]]]
+        sym[reached[0]] = 1
         while stack:
             u = stack.pop()
             for w, duw, dwu in adj[u]:
-                if sym[order[w]] is None:
+                if not sym[order[w]]:
                     # f_u * c_uw = f_w * c_wu
-                    sym[order[w]] = sym[order[u]] * duw / dwu
+                    num = sym[order[u]] * duw
+                    if num % dwu:
+                        k = dwu // gcd(num, dwu)
+                        for i in reached:
+                            sym[i] *= k
+                        num *= k
+                    sym[order[w]] = num // dwu
+                    reached.append(order[w])
                     stack.append(w)
     return RootDatum(c, sym, list(g.vertices))
 
@@ -401,12 +404,12 @@ def cartan_matrix(g: ValuedGraph) -> RootDatum:
 def is_finite_type(r: RootDatum) -> bool:
     """Exact positive-definiteness of the symmetrized Cartan matrix.
 
-    The symmetrizer is scaled to integers; the pivots of a no-swap
-    fraction-free elimination are then the leading principal minors, so the
-    form is positive definite iff every pivot is positive (Sylvester).
+    The pivots of a no-swap fraction-free elimination of the integer
+    symmetrized matrix are the leading principal minors, so the form is
+    positive definite iff every pivot is positive (Sylvester).
     """
     n = r.rank
-    sym = [[f * x for x in row] for f, row in zip(_int_vector(r.symmetrizer)[0], r.cartan)]
+    sym = [[f * x for x in row] for f, row in zip(r.symmetrizer, r.cartan)]
     prev = 1
     for k in range(n):
         piv = sym[k][k]

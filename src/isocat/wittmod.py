@@ -132,16 +132,3 @@ def find_invertible_intertwiner(m1: VModule, m2: VModule, seed: int = 0,
             return t
     return None
 
-
-def conjugated_realization(p: WittPartition, seed: int) -> VModule:
-    """A random change of basis applied to the block realization."""
-    base = realize_partition(p)
-    n = p.size
-    if n == 0:
-        return base
-    rng = random.Random(seed)
-    while True:
-        g = RatMatrix.from_rows([[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)])
-        if g.rank() == n:
-            break
-    return VModule(n, g * base.v_op * g.inverse())

@@ -31,13 +31,13 @@ from isocat.samples import random_object, random_scenario, random_short_exact
 from isocat.species import ValuedGraph, cartan_matrix, positive_roots, ring_center, valued_graph
 from isocat.wittmod import (
     WittPartition,
-    conjugated_realization,
     find_invertible_intertwiner,
     realize_partition,
     witt_partition,
 )
 
 from test_extcat import end_y_algebra
+from test_wittmod import conjugated_realization
 
 SWEEP_SCENARIOS = ["d4_elliptic", "c3_surface", "g2_threefold", "c2", "b2_dual",
                    "a3", "two_surfaces", "product_no_coupling"]

@@ -428,6 +428,28 @@ def test_cli_witt_rejects_non_nilpotent(tmp_path):
     assert main(["witt", "--op", str(op)]) == 2
 
 
+def test_cli_witt_caps_the_partition_size(capsys):
+    # a partition of 100000 would ask for a grid of 10^10 entries
+    assert main(["witt", "--partition", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(MAX_DIM) in captured.err
+    assert main(["witt", "--partition", f"{MAX_DIM},1"]) == 2
+    assert "partition of 1025" in capsys.readouterr().err
+
+
+def test_cli_witt_caps_the_operator_rows_before_parsing_entries(tmp_path, capsys):
+    # the entries are not rationals: the row count is refused before any is read
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"schema": "isocat/matrix-v1",
+                              "matrix": [["x"] for _ in range(MAX_DIM + 1)]}))
+    assert main(["witt", "--op", str(op)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{MAX_DIM + 1} rows" in err
+
+
 def test_cli_check_passes(capsys):
     assert main(["check", "--scenario", "catalog:c3_surface", "--seed", "1",
                  "--samples", "8", "--format", "json"]) == 0

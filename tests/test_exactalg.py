@@ -2,17 +2,21 @@
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import isocat.exactalg as exactalg
 from isocat.exactalg import (
     _block_copies,
     _first_rational_root,
+    _int_poly_bezout,
+    _int_poly_divmod,
     _int_poly_exact_div,
+    _int_poly_gcd,
+    _interpolate,
     _kernel,
     AlgebraError,
     AlgebraSpec,
@@ -28,7 +32,6 @@ from isocat.exactalg import (
     kernel_basis,
     min_poly,
     min_poly_matrix,
-    poly_xgcd,
     quotient_algebra,
     quotient_space,
     radical,
@@ -50,8 +53,83 @@ def from_cols(columns, rows=None):
     return RatMatrix.from_rows([[col[i] for col in columns] for i in range(len(columns[0]))])
 
 
-def derivative(p):
-    return Polynomial([i * c for i, c in enumerate(p.coeffs)][1:])
+class FPoly:
+    """A polynomial with Fraction coefficients, ascending: the references' arithmetic.
+
+    It shares no code with the engine, whose `Polynomial` is a value with no
+    arithmetic.
+    """
+
+    def __init__(self, coeffs):
+        cs = [F(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs = cs
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return FPoly([sum(p.coeffs[i] for p in (self, other) if i < len(p.coeffs)) for i in range(n)])
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __mul__(self, other):
+        out = [F(0)] * max(len(self.coeffs) + len(other.coeffs) - 1, 0)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FPoly(out)
+
+    def scale(self, c):
+        return FPoly([x * c for x in self.coeffs])
+
+    def monic(self):
+        return self.scale(1 / self.coeffs[-1])
+
+    def divmod(self, other):
+        rem, db = list(self.coeffs), other.degree
+        quot = [F(0)] * max(len(rem) - db, 0)
+        for i in range(len(quot) - 1, -1, -1):
+            quot[i] = f = rem[i + db] / other.coeffs[-1]
+            for j, b in enumerate(other.coeffs):
+                rem[i + j] -= f * b
+        return FPoly(quot), FPoly(rem)
+
+    def __floordiv__(self, other):
+        return self.divmod(other)[0]
+
+    def __mod__(self, other):
+        return self.divmod(other)[1]
+
+    def eval(self, x):
+        acc = F(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def derivative(self):
+        return FPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+
+def ints(p):
+    """The integer multiple of an FPoly over its coefficients' common denominator."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return [int(c * den) for c in p.coeffs]
+
+
+def multiply(alg, a, b):
+    """a * b in alg: L(a) applied to b."""
+    return (alg.left_multiplication(a) * RatMatrix.from_rows([[x] for x in b])).column(0)
 
 
 def semisimple_quotient(alg):
@@ -418,11 +496,17 @@ def test_each_elimination_runs_the_kernel_once(monkeypatch):
 # polynomials
 # ----------------------------------------------------------------------
 
-def test_poly_divmod_roundtrip():
-    p = Polynomial([1, 0, "3/2", 2])
-    q = Polynomial([-1, 1])
-    quo, rem = p.divmod(q)
-    assert quo * q + rem == p
+_INTS = st.lists(st.integers(-9, 9), max_size=6).map(lambda cs: cs[:max((i + 1 for i, c in enumerate(cs) if c), default=0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_INTS, _INTS.filter(bool))
+@example([2, 0, 3, 4], [-1, 2])
+@example([1, 2], [0, 0, -3])
+def test_pseudo_division_gives_k_a_equal_q_b_plus_r(a, b):
+    k, q, r = _int_poly_divmod(a, b)
+    assert k > 0 and len(r) < len(b)
+    assert FPoly(a).scale(k) == FPoly(q) * FPoly(b) + FPoly(r)
 
 
 def test_factor_difference_of_squares():
@@ -440,48 +524,96 @@ def test_factor_cubic_no_rational_root():
     # t^3 - t - 1 has no rational root (candidates are only +-1, neither
     # vanishes), and an irreducible factorization of a cubic without a
     # linear factor is forced to be trivial.
-    p = Polynomial([-1, -1, 0, 1])
+    p = FPoly([-1, -1, 0, 1])
     assert p.eval(1) != 0 and p.eval(-1) != 0
-    assert is_irreducible(p)
+    assert is_irreducible(Polynomial(p.coeffs))
 
 
 def test_factor_multiplicities_and_product():
     # (t-1)^2 (t^2+1) * 3
-    p = Polynomial([1, -2, 1]) * Polynomial([1, 0, 1])
-    p = p.scale(3)
-    facs = factor_rational(p)
-    prod = Polynomial([1])
+    p = (FPoly([1, -2, 1]) * FPoly([1, 0, 1])).scale(3)
+    facs = factor_rational(Polynomial(p.coeffs))
+    prod = FPoly([1])
     for f, m in facs:
         for _ in range(m):
-            prod = prod * f
+            prod = prod * FPoly(f.coeffs)
     assert prod == p.monic()
     assert sorted(m for _, m in facs) == [1, 2]
 
 
-def test_poly_xgcd():
-    a = Polynomial([-1, 0, 1])
-    b = Polynomial([1, 1])
-    g, s, t = poly_xgcd(a, b)
-    assert s * a + t * b == g
-    assert g == Polynomial([1, 1])
+def test_factors_are_sorted_by_their_monic_coefficients():
+    # t + 1/2 comes before t + 1 as monic, though t + 1 sorts first as primitive
+    facs = factor_rational(Polynomial([1, 3, 2]))  # (t + 1)(2t + 1)
+    assert [f.coeffs for f, _ in facs] == [[F(1, 2), 1], [1, 1]]
+
+
+def _fraction_inverse(b, a):
+    """b's inverse modulo a for coprime a and b, by Euclid over Fraction coefficients."""
+    r0, r1, t0, t1 = a, b, FPoly([]), FPoly([1])
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1, t0, t1 = r1, r, t1, t0 - q * t1
+    return t0.scale(1 / r0.coeffs[0]) % a
+
+
+@settings(max_examples=200, deadline=None)
+@given(_INTS.filter(lambda a: len(a) > 1), _INTS.filter(bool))
+@example([-1, 0, 1], [1, 2])
+@example([0, 0, 1], [3])
+@example([1, 1], [0, 0, 0, 2])
+def test_bezout_inverse_matches_fraction_reference(a, b):
+    assume(_fraction_gcd(FPoly(a), FPoly(b)).degree == 0)
+    t, g = _int_poly_bezout(a, b)
+    assert len(g) == 1 and g[0] > 0 and len(t) < len(a)
+    assert (FPoly(t) * FPoly(b) - FPoly(g)) % FPoly(a) == FPoly([])
+    assert FPoly(t).scale(F(1, g[0])) == _fraction_inverse(FPoly(b), FPoly(a))
+
+
+def test_bezout_of_a_shared_factor_is_the_gcd():
+    t, g = _int_poly_bezout([-1, 0, 1], [1, 1])  # t^2 - 1 and t + 1
+    assert FPoly(g).monic() == FPoly([1, 1])
+    assert (FPoly(t) * FPoly([1, 1]) - FPoly(g)) % FPoly([-1, 0, 1]) == FPoly([])
+
+
+def _fraction_lagrange(xs, ys):
+    acc = FPoly([])
+    for i, xi in enumerate(xs):
+        li = FPoly([1])
+        for j, xj in enumerate(xs):
+            if j != i:
+                li = li * FPoly([F(-xj, xi - xj), F(1, xi - xj)])
+        acc = acc + li.scale(ys[i])
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=5, unique=True), st.data())
+@example([0, 1, -1], None)
+def test_interpolate_matches_fraction_lagrange(xs, data):
+    ys = ([4, 6, 2] if data is None else
+          data.draw(st.lists(st.integers(-30, 30), min_size=len(xs), max_size=len(xs))))
+    want = _fraction_lagrange(xs, ys)
+    got = _interpolate(xs, ys)
+    if all(c.denominator == 1 for c in want.coeffs):
+        assert got == [int(c) for c in want.coeffs]
+    else:
+        assert got is None
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(-3, 3), min_size=2, max_size=5),
        st.lists(st.integers(-3, 3), min_size=2, max_size=4))
 def test_factor_product_reassembles(c1, c2):
-    p = Polynomial(c1)
-    q = Polynomial(c2)
-    prod = p * q
+    prod = FPoly(c1) * FPoly(c2)
     if prod.degree < 1:
         return
-    facs = factor_rational(prod)
-    acc = Polynomial([1])
+    facs = factor_rational(Polynomial(prod.coeffs))
+    acc = FPoly([1])
     for f, m in facs:
         assert is_irreducible(f)
         for _ in range(m):
-            acc = acc * f
-    assert acc.scale(prod.leading()) == prod
+            acc = acc * FPoly(f.coeffs)
+    assert acc.scale(prod.coeffs[-1]) == prod
 
 
 def _fraction_rational_roots(coeffs):
@@ -503,7 +635,7 @@ def _fraction_rational_roots(coeffs):
         small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
         return small + [n // d for d in reversed(small) if d * d != n]
 
-    p = Polynomial(coeffs)
+    p = FPoly(coeffs)
     a0, an, top = abs(coeffs[0]), abs(coeffs[-1]), max(map(abs, coeffs))
     # low <= num / den <= high, with high = (an + top) / an and low = a0 / (a0 + top)
     dens = divisors(an)
@@ -516,6 +648,12 @@ def first_root(coeffs):
     return next(iter(_fraction_rational_roots(coeffs)), None)
 
 
+def found_root(coeffs, budget=None):
+    """`_first_rational_root`'s (p, q) as a Fraction."""
+    root = _first_rational_root(coeffs, budget)
+    return None if root is None else F(*root)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4)), max_size=3),
        st.lists(st.integers(-9, 9), min_size=1, max_size=4))
@@ -524,20 +662,20 @@ def first_root(coeffs):
 @example([], [0, 0, 5])
 def test_rational_roots_match_fraction_reference(linear, extra):
     # (q t - p) factors plant the roots p/q; the extra factor adds noise
-    poly = Polynomial(extra)
+    poly = FPoly(extra)
     for num, den in linear:
-        poly = poly * Polynomial([-num, den])
+        poly = poly * FPoly([-num, den])
     coeffs = [int(c) for c in poly.coeffs]
-    assert _first_rational_root(coeffs) == first_root(coeffs)
+    assert found_root(coeffs) == first_root(coeffs)
 
 
 def test_first_rational_root_is_the_first_of_the_full_pair_list():
     # (t - 1)(2t - 3)(t - 2): every pair lists 1, 2, 1 (as 2/2) and 3/2
-    poly = Polynomial([-1, 1]) * Polynomial([-3, 2]) * Polynomial([-2, 1])
+    poly = FPoly([-1, 1]) * FPoly([-3, 2]) * FPoly([-2, 1])
     coeffs = [int(c) for c in poly.coeffs]
     assert _fraction_rational_roots(coeffs) == [1, 2, 1, F(3, 2)]
-    assert _first_rational_root(coeffs) == 1
-    assert _first_rational_root([int(c) for c in (Polynomial([-3, 2]) * Polynomial([1, 0, 1])).coeffs]) == F(3, 2)
+    assert _first_rational_root(coeffs) == (1, 1)
+    assert _first_rational_root([int(c) for c in (FPoly([-3, 2]) * FPoly([1, 0, 1])).coeffs]) == (3, 2)
     assert _first_rational_root([2, 0, 1]) is None
 
 
@@ -550,12 +688,12 @@ def test_rational_roots_match_fraction_reference_at_large_coefficients(linear, d
     bound = 10 ** 9 // prod(max(abs(num), den) for num, den in linear)
     extra = ([1000003, 0, 999999937] if data is None else
              data.draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=3)))
-    poly = Polynomial(extra)
+    poly = FPoly(extra)
     for num, den in linear:
-        poly = poly * Polynomial([-num, den])
+        poly = poly * FPoly([-num, den])
     coeffs = [int(c) for c in poly.coeffs]
-    assert _first_rational_root(coeffs) == first_root(coeffs)
-    assert _first_rational_root(coeffs, FactorBudget()) == first_root(coeffs)
+    assert found_root(coeffs) == first_root(coeffs)
+    assert found_root(coeffs, FactorBudget()) == first_root(coeffs)
 
 
 @pytest.mark.parametrize("coeffs", [[101, 1, 1], [1, 1, 101], [-101, 0, 0, 1], [0, 101]],
@@ -565,17 +703,17 @@ def test_rational_roots_budget_checks_a0_and_an_first(coeffs):
     # is over the cap; a zero a0 gives the root 0 before any budget check
     budget = FactorBudget(max_abs_value=100)
     if coeffs[0] == 0:
-        assert _first_rational_root(coeffs, budget) == F(0)
+        assert found_root(coeffs, budget) == F(0)
         return
     with pytest.raises(FactorBudgetExceeded):
         _first_rational_root(coeffs, budget)
     with pytest.raises(FactorBudgetExceeded):
         factor_rational(Polynomial(coeffs), budget)
-    assert _first_rational_root(coeffs) == first_root(coeffs)
+    assert found_root(coeffs) == first_root(coeffs)
 
 
 def _fraction_gcd(a, b):
-    """Euclid over Fraction coefficients, the reference for Polynomial.gcd."""
+    """Euclid over Fraction coefficients, the reference for `_int_poly_gcd`."""
     while not b.is_zero():
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a
@@ -584,7 +722,7 @@ def _fraction_gcd(a, b):
 def _fraction_squarefree(p):
     """The Fraction square-free loop, the reference for squarefree_decomposition."""
     work = p.monic()
-    d = _fraction_gcd(work, derivative(work))
+    d = _fraction_gcd(work, work.derivative())
     w = work // d
     out = []
     i = 1
@@ -607,10 +745,10 @@ _FACTORS = st.lists(st.tuples(st.lists(_SMALL, min_size=1, max_size=3).filter(an
 
 
 def _product(lead, factors):
-    p = Polynomial([lead])
+    p = FPoly([lead])
     for coeffs, mult in factors:
         for _ in range(mult):
-            p = p * Polynomial(coeffs)
+            p = p * FPoly(coeffs)
     return p
 
 
@@ -623,9 +761,9 @@ def test_squarefree_matches_fraction_reference(lead, factors):
     p = _product(lead, factors)
     if p.degree < 1:
         with pytest.raises(ValueError):
-            squarefree_decomposition(p)
+            squarefree_decomposition(Polynomial(p.coeffs))
         return
-    got = squarefree_decomposition(p)
+    got = squarefree_decomposition(Polynomial(p.coeffs))
     assert [(f.coeffs, m) for f, m in got] == [(f.coeffs, m) for f, m in _fraction_squarefree(p)]
 
 
@@ -637,8 +775,10 @@ def test_squarefree_matches_fraction_reference(lead, factors):
 def test_gcd_matches_fraction_reference(shared, la, fa, lb, fb):
     common = _product(F(1), shared)
     a, b = common * _product(la, fa), common * _product(lb, fb)
-    assert a.gcd(b).coeffs == _fraction_gcd(a, b).coeffs
-    assert b.gcd(a).coeffs == _fraction_gcd(b, a).coeffs
+    for x, y in ((a, b), (b, a)):
+        g = _int_poly_gcd(ints(x), ints(y))
+        assert (FPoly(g).monic() if g else FPoly([])) == _fraction_gcd(x, y)
+        assert not g or g[-1] > 0 and gcd(*g) == 1
 
 
 def test_int_poly_exact_div_rejects_an_inexact_quotient():
@@ -715,8 +855,8 @@ def test_radical_upper_triangular():
     assert len(rad) == 1
     # oracle 1: every radical element is nilpotent (here: squares to zero at dim 3)
     v = rad[0]
-    prod = alg.multiply(v, v)
-    prod = alg.multiply(prod, v)
+    prod = multiply(alg, v, v)
+    prod = multiply(alg, prod, v)
     assert all(x == 0 for x in prod)
     # oracle 2: the quotient is semisimple (its own radical vanishes)
     assert radical(quotient_algebra(alg, rad)) == []
@@ -729,7 +869,7 @@ def test_radical_nilpotency_property():
         for v in rad:
             acc = v
             for _ in range(alg.dim - 1):
-                acc = alg.multiply(acc, v)
+                acc = multiply(alg, acc, v)
             assert all(x == 0 for x in acc)
 
 
@@ -753,7 +893,7 @@ def test_center_upper_triangular():
     assert center.dim == 1
     for b in basis:
         for i in range(alg.dim):
-            assert alg.multiply(b, alg.basis_vector(i)) == alg.multiply(alg.basis_vector(i), b)
+            assert multiply(alg, b, alg.basis_vector(i)) == multiply(alg, alg.basis_vector(i), b)
 
 
 def test_semisimple_quotient_of_dual_numbers():
@@ -787,7 +927,7 @@ def _power_dependency(m, start):
             coeffs = [F(0)] * k + [F(1)]
             for i, p in enumerate(pivots):
                 coeffs[p] = -red[i][k]
-            return Polynomial(coeffs)
+            return FPoly(coeffs)
         cur = m * cur
 
 
@@ -846,7 +986,7 @@ def test_min_poly_matrix_chases_only_unkilled_vectors(kind, monkeypatch):
     for m in _min_poly_cases(kind):
         chased.clear()
         min_poly_matrix(m)
-        expect, acc = [], Polynomial([1])
+        expect, acc = [], FPoly([1])
         for i in range(m.rows):
             e = RatMatrix(m.rows, 1, [[int(r == i)] for r in range(m.rows)])
             if not (_eval_on_matrix(acc, m) * e).is_zero():
@@ -933,6 +1073,19 @@ def test_commutant_matches_kronecker_reference():
 
 
 _FIELD_POLYS = [[-2, 0, 1], [1, 0, 1], [-2, 0, 0, 1], [1, 1, 1]]
+
+
+@pytest.mark.parametrize("coeffs", _FIELD_POLYS + [[3, 0, 0, 0, 2], ["1/2", 0, 1]])
+def test_regular_algebra_constants_are_powers_mod_m(coeffs):
+    # e_i e_j = t^(i+j) mod m, by Fraction division
+    m = FPoly(coeffs).monic()
+    alg = regular_algebra_from_min_poly(Polynomial(coeffs))
+    constants = alg.constants
+    for i in range(m.degree):
+        for j in range(m.degree):
+            rem = (FPoly([0] * (i + j) + [1]) % m).coeffs
+            assert constants[i][j] == rem + [F(0)] * (m.degree - len(rem))
+    assert alg.unit == [1] + [0] * (m.degree - 1)
 
 
 @st.composite

@@ -1,12 +1,13 @@
 """Tests for classification and construction of indecomposables."""
 
+import itertools
 import random
 
 import pytest
 
 from isocat.catalog import FINITE_TYPE_IDS, catalog_scenario
 from isocat.exactalg import AlgebraSpec, radical
-from isocat.extcat import decompose, direct_sum_many, end_algebra, ext1, euler_form, hom
+from isocat.extcat import decompose, direct_sum_many, end_algebra, ext1, euler_form, hom, hom_ext_dims
 from isocat.reptype import (
     build_root_table,
     classify,
@@ -162,24 +163,42 @@ def test_krull_schmidt_roundtrip_small():
         assert got == sorted(p.dimension_vector() for p in picks)
 
 
+def ringel_form(s, a, b):
+    """<a, b> = sum_v f_v a_v b_v - sum_(x,y) dim_Q(M_xy) a_y b_x with f_v = [D_v:Q],
+    read off the scenario's algebra and bimodule dimensions only."""
+    order = s.vertex_order()
+    da, db = dict(zip(order, a)), dict(zip(order, b))
+    return (sum(s.algebra(v).dim * da[v] * db[v] for v in order)
+            - sum(bm.dim * da[y] * db[x] for (x, y), bm in s.bimodules.items()))
+
+
 def test_root_table_entries_are_real_roots_of_the_tits_form():
-    # q(a) = sum_v f_v a_v^2 - sum_(x,y) dim_Q(M_xy) a_x a_y with f_v = [D_v:Q],
-    # read off the scenario's algebra and bimodule dimensions only
+    # q(a) = <a, a> is the Tits form
     checked = 0
     for name in FINITE_TYPE_IDS:
         s = catalog_scenario(name)
-        order = s.vertex_order()
-        f = {v: s.algebra(v).dim for v in order}
-
-        def ringel(a, b):
-            da, db = dict(zip(order, a)), dict(zip(order, b))
-            return (sum(f[v] * da[v] * db[v] for v in order)
-                    - sum(bm.dim * da[y] * db[x] for (x, y), bm in s.bimodules.items()))
-
+        f = {v: s.algebra(v).dim for v in s.vertex_order()}
         for entry in build_root_table(s, 2026).entries:
-            z, q = entry.object, ringel(entry.root, entry.root)
+            z, q = entry.object, ringel_form(s, entry.root, entry.root)
             assert euler_form(z, z) == len(hom(z, z)) == q, (name, entry.root)
             assert ext1(z, z).dim == 0, (name, entry.root)
             assert q in f.values(), (name, entry.root)  # a real root
             checked += 1
     assert checked == 44  # A2, A3, B2, C2, C3, D4, G2: 3 + 6 + 4 + 4 + 9 + 12 + 6 roots
+
+
+def test_hom_and_ext_between_root_table_entries_follow_directedness():
+    # every indecomposable of a Dynkin species is directing (Ringel, LNM 1099,
+    # 2.4), so at most one of Hom(A, B) and Ext^1(A, B) is nonzero and both
+    # dims come from q = <dim A, dim B>: max(q, 0) and max(-q, 0); dim A is
+    # read off the components' Q-dimensions
+    pairs = 0
+    for name in FINITE_TYPE_IDS:
+        s = catalog_scenario(name)
+        objs = [e.object for e in build_root_table(s, 2026).entries]
+        dims = [tuple({**z.x, **z.y}[v].dim // s.algebra(v).dim for v in s.vertex_order()) for z in objs]
+        for (a, da), (b, db) in itertools.product(zip(objs, dims), repeat=2):
+            q = ringel_form(s, da, db)
+            assert hom_ext_dims(a, b)[:2] == (max(q, 0), max(-q, 0)), (name, da, db)
+            pairs += 1
+    assert pairs == 338  # 3^2 + 6^2 + 4^2 + 4^2 + 9^2 + 12^2 + 6^2

@@ -11,13 +11,26 @@ from isocat.wittmod import (
     VModule,
     WittError,
     WittPartition,
-    conjugated_realization,
     find_invertible_intertwiner,
     hom_dim,
     intertwiner_basis,
     realize_partition,
     witt_partition,
 )
+
+
+def conjugated_realization(p, seed):
+    """A random change of basis applied to the block realization."""
+    base = realize_partition(p)
+    n = p.size
+    if n == 0:
+        return base
+    rng = random.Random(seed)
+    while True:
+        g = RatMatrix.from_rows([[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)])
+        if g.rank() == n:
+            break
+    return VModule(n, g * base.v_op * g.inverse())
 
 
 def partitions_of(n):
