@@ -1,8 +1,8 @@
 """The `isocat` command line: batch access to every operation.
 
-Exit codes: 0 success (and finite type), 1 invariant-suite failure or a
-failed internal consistency check, 2 input or validation error, 3 infinite
-representation type.
+Exit codes: 0 success (and finite type), 1 invariant-suite failure, a
+failed internal consistency check or any other internal error, 2 input or
+validation error, 3 infinite representation type.
 """
 
 from __future__ import annotations
@@ -280,6 +280,9 @@ def main(argv=None) -> int:
         return EXIT_CHECK_FAILED
     except InternalConsistencyError as ex:
         print(f"error: {ex}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except Exception as ex:  # a fault of the program: one line, no traceback
+        print(f"error: internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
 

@@ -4,10 +4,11 @@ An object assigns a module to every vertex and, per x-vertex, a structure
 map eta from the induced tensor space F(Y) into the x-component.  Morphisms
 are pairs of equivariant block maps (u, v) with u . eta = eta' . F(v).  Hom
 and Ext^1 are the kernel and cokernel of psi(u, v) = u . eta - eta' . F(v),
-built once per call as sparse integer columns from the nonzero entries of
-the equivariant bases.  Also here: universal extensions, length-1
-projective resolutions, kernels/cokernels/images, torsion pairs,
-endomorphism algebras and an exact Krull-Schmidt-style decomposition.
+built as sparse integer columns from the nonzero entries of the equivariant
+bases; hom and ext1 of one pair share one build of psi.  Also here:
+universal extensions, length-1 projective resolutions,
+kernels/cokernels/images, torsion pairs, endomorphism algebras and an exact
+Krull-Schmidt-style decomposition.
 
 Tensor spaces use the slot basis m_i (x) f_c ordered (i, c): for the
 bimodule at (x, y), m_0..m_{r-1} is the greedy right basis of M over the y
@@ -25,6 +26,7 @@ long as their algebra or scenario; only their hom-term memo is written.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -53,10 +55,9 @@ from .exactalg import (
     _null_rows,
     _null_space,
     _radical,
+    _vector_min_poly,
     action_error,
     commutant_basis,
-    is_irreducible,
-    min_poly,
     structure_constants,
 )
 from .species import DivisionAlgebraHandle, SpeciesScenario
@@ -632,15 +633,42 @@ def _psi_rows(nrows: int, columns: list) -> list[dict[int, int]]:
     return rows
 
 
+# The last pair hom or ext1 asked for: (weak z, weak z2, `_psi_data(z, z2)`,
+# whether hom proved psi onto).  The references are weak so that the slot
+# keeps no object, and through it no scenario, alive; a dead one never
+# matches.  The data is read-only: its readers build their own rows.
+_LAST_PSI: tuple | None = None
+
+
+def _remember(z: TripleObject, z2: TripleObject, data: tuple, onto: bool) -> None:
+    global _LAST_PSI
+    _LAST_PSI = (weakref.ref(z), weakref.ref(z2), data, onto)
+
+
+def _pair_psi(z: TripleObject, z2: TripleObject) -> tuple[tuple, bool]:
+    """(`_psi_data(z, z2)`, whether psi is proved onto), from `_LAST_PSI` when it holds this pair."""
+    slot = _LAST_PSI
+    if slot is not None and slot[0]() is z and slot[1]() is z2:
+        return slot[2], slot[3]
+    data = _psi_data(z, z2)
+    _remember(z, z2, data, False)
+    return data, False
+
+
 def hom(z: TripleObject, z2: TripleObject) -> list[TripleMorphism]:
     """Basis of the space of morphisms z -> z2: the kernel of psi, from its rows.
 
     Each kernel vector accumulates into one integer grid per vertex from the
-    nonzero entries of that vertex's basis.
+    nonzero entries of that vertex's basis.  When the elimination finds a
+    pivot in every row, psi is onto, and `_LAST_PSI` records it for `ext1`
+    of the same pair.
     """
     s = z.scenario
-    ubases, vbases, _, _, (nrows, columns) = _psi_data(z, z2)
+    data, _ = _pair_psi(z, z2)
+    ubases, vbases, _, _, (nrows, columns) = data
     ker, _ = _null_space(_psi_rows(nrows, columns), len(columns))
+    if len(columns) - ker.rows == nrows:  # rank psi = rows: psi is onto
+        _remember(z, z2, data, True)
     sides = ((0, s.x_ids, ubases, z.x, z2.x), (1, s.y_ids, vbases, z.y, z2.y))
     sparse = [(side, w, *bases[w], dst[w].dim, src[w].dim)
               for side, ids, bases, src, dst in sides for w in ids]
@@ -667,9 +695,16 @@ class ExtResult:
 
 
 def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
-    """Cokernel of psi(u, v) = u . eta - eta' . F(v), from psi's columns read as rows."""
+    """Cokernel of psi(u, v) = u . eta - eta' . F(v), from psi's columns read as rows.
+
+    Right after `hom` of the same pair proved psi onto, the cokernel is 0 and
+    nothing is eliminated: the answer is the one `_null_space` gives with no
+    free column.
+    """
     s = z.scenario
-    _, _, fbases, offsets, (nrows, columns) = _psi_data(z, z2)
+    (_, _, fbases, offsets, (nrows, columns)), onto = _pair_psi(z, z2)
+    if onto:
+        return ExtResult(0, [], RatMatrix.zeros(0, nrows))
     proj, free = _null_space([dict(ents) for ents, _ in columns], nrows)
 
     def rep(x: str, k: int) -> RatMatrix:  # Hom(F(Y)_x, X'_x) basis element k; zero off its range
@@ -1162,19 +1197,22 @@ def _is_field(alg: AlgebraSpec) -> bool:
         return False
     if alg.dim == 1:
         return True
-    # primitive element: some small combination with full-degree minimal polynomial
+    # primitive element: some small combination with full-degree minimal
+    # polynomial, the primitive integer one of L_a started at the unit
     candidates = [alg.basis_vector(i) for i in range(alg.dim)]
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
             candidates.append([a + b for a, b in zip(alg.basis_vector(i), alg.basis_vector(j))])
             candidates.append([a + 2 * b for a, b in zip(alg.basis_vector(i), alg.basis_vector(j))])
+    unit = RatMatrix.from_rows([[c] for c in alg.unit])
     for cand in candidates:
-        p = min_poly(cand, alg)
-        if p.degree == alg.dim:
+        f = _vector_min_poly(alg.left_multiplication(cand), unit)
+        if len(f) - 1 == alg.dim:
             try:
-                return is_irreducible(p, budget=FactorBudget())
+                facs = _int_factor(f, FactorBudget())
             except FactorBudgetExceeded:
                 return False  # certification declined, never guessed
+            return len(facs) == 1 and facs[0][1] == 1
     return False
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exactalg import RatMatrix, commutant_basis
+from .exactalg import RatMatrix, _echelon, commutant_basis
 
 
 class WittError(ValueError):
@@ -50,18 +50,30 @@ class VModule:
 
 
 def _rank_sequence(v: RatMatrix) -> list[int]:
-    """[rank(V^0), rank(V^1), ..., rank(V^dim)]."""
+    """[rank(V^0), rank(V^1), ..., rank(V^dim)].
+
+    The row space of V^(k+1) is the row space of V^k times V, so an echelon
+    basis of it, as sparse integer rows, is multiplied by V's nonzero entries
+    and eliminated again.  That space only shrinks, so once a rank repeats it
+    is fixed and the rest of the sequence is that rank.
+    """
     n = v.rows
+    v_rows = [[(j, x) for j, x in enumerate(r) if x] for r in v.num]
     seq = [n]
-    power = RatMatrix.identity(n)
-    for _ in range(n):
-        power = power * v
-        r = power.rank()
-        seq.append(r)
-        if r == 0:
-            seq.extend([0] * (n - len(seq) + 1))
+    basis = [{i: 1} for i in range(n)]
+    while len(seq) <= n:
+        rows = []
+        for b in basis:
+            img: dict[int, int] = {}
+            for i, x in b.items():
+                for j, y in v_rows[i]:
+                    img[j] = img.get(j, 0) + x * y
+            rows.append({j: img[j] for j in sorted(img) if img[j]})
+        pivots, basis, _, _ = _echelon(rows)
+        seq.append(len(pivots))
+        if seq[-1] == seq[-2]:
             break
-    return seq
+    return seq + [seq[-1]] * (n + 1 - len(seq))
 
 
 def witt_partition(m: VModule) -> WittPartition:
@@ -95,7 +107,7 @@ def realize_partition(p: WittPartition) -> VModule:
         for i in range(part - 1):
             grid[offset + i][offset + i + 1] = 1
         offset += part
-    return VModule(n, RatMatrix.from_rows(grid) if n else RatMatrix.zeros(0, 0))
+    return VModule(n, RatMatrix(n, n, grid))
 
 
 def hom_dim(p: WittPartition, q: WittPartition) -> int:

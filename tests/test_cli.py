@@ -421,6 +421,26 @@ def test_cli_witt_partition_and_operator(tmp_path, capsys):
     assert doc2["partition"] == [3, 2, 1]
 
 
+def test_cli_maps_an_internal_error_to_exit_1_without_a_traceback(monkeypatch, capsys):
+    import isocat.cli as cli
+
+    def broken(args):
+        return 1 // 0
+
+    monkeypatch.setattr(cli, "cmd_center", broken)
+    assert main(["center", "--scenario", "catalog:a2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: ZeroDivisionError: integer division or modulo by zero\n"
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_center", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["center", "--scenario", "catalog:a2"])
+
+
 def test_cli_witt_rejects_non_nilpotent(tmp_path):
     op = tmp_path / "op.json"
     op.write_text(json.dumps({"schema": "isocat/matrix-v1",

@@ -1188,6 +1188,86 @@ def test_psi_with_cached_bases_runs_no_elimination(monkeypatch):
     assert len(fields) >= 2 and read >= 15 and not calls
 
 
+def shared_psi_pairs():
+    """(pair, another pair) cases for the psi slot.
+
+    A d4_elliptic m = 4 pair whose psi has rank 47 of 48 rows (Ext^1 = 1), an
+    onto one, pairs over b2_dual and Q(sqrt 2) at x, and a y-object pair
+    whose psi has no rows.
+    """
+    d4 = catalog_scenario("d4_elliptic")
+    rng = random.Random("hom-wide:1:1:4:d4_elliptic:4")
+    m4 = {v: 4 for v in d4.vertex_order()}
+    wide = [random_object_with(d4, m4, rng) for _ in range(2)]
+    small = [random_object_with(d4, {v: 2 for v in d4.vertex_order()}, random.Random(k)) for k in range(2)]
+    b2, k2 = catalog_scenario("b2_dual"), sqrt2_scenario()
+    b2_objs = [random_object_with(b2, {"u": 2, "a1": 2}, random.Random(k)) for k in range(2)]
+    k2_objs = [random_object_with(k2, {v: 1 for v in k2.vertex_order()}, random.Random(k)) for k in range(2)]
+    y1 = simple_y_object(b2, "a1")
+    return [(tuple(wide), tuple(small)), (tuple(small), tuple(wide)), (tuple(b2_objs), (b2_objs[1], b2_objs[0])),
+            ((b2_objs[0], b2_objs[0]), (y1, y1)), ((y1, y1), tuple(b2_objs)), (tuple(k2_objs), (k2_objs[1], k2_objs[1]))]
+
+
+def test_ext1_and_hom_answers_do_not_depend_on_the_psi_slot(monkeypatch):
+    # ext1 right after hom of its pair reads psi, or Ext^1 = 0, off hom's
+    # work; after another pair, or cold, it builds and eliminates its own
+    cases, dims = shared_psi_pairs(), []
+    for (a, b), (c, d) in cases:
+        def answers(warm_up):
+            monkeypatch.setattr(extcat, "_LAST_PSI", None)
+            warm_up()
+            res = ext1(a, b)
+            return res.dim, res.basis, res.projection, [(m.u, m.v) for m in hom(a, b)]
+
+        cold = answers(lambda: None)
+        assert answers(lambda: hom(a, b)) == cold
+        assert answers(lambda: hom(c, d)) == cold
+        monkeypatch.setattr(extcat, "_LAST_PSI", None)
+        assert [(m.u, m.v) for m in hom(a, b)] == cold[3]
+        dims.append(cold[0])
+    assert dims[0] == 1 == hom_ext_dims(*cases[0][0])[1] and 0 in dims
+
+
+def test_ext1_after_hom_of_an_onto_pair_builds_and_eliminates_nothing(monkeypatch):
+    counts = {"psi": 0, "elim": 0}
+    real_psi, real_echelon = extcat._psi_data, exactalg._echelon
+
+    def counted_psi(*args):
+        counts["psi"] += 1
+        return real_psi(*args)
+
+    def counted_echelon(rows):
+        counts["elim"] += 1
+        return real_echelon(rows)
+
+    monkeypatch.setattr(extcat, "_psi_data", counted_psi)
+    monkeypatch.setattr(exactalg, "_echelon", counted_echelon)
+    monkeypatch.setattr(extcat, "_echelon", counted_echelon)
+    wide, small, b2, b2_diag, _, _ = (p for p, _ in shared_psi_pairs())
+    for pair, ext_dim in ((small, 0), (b2, 0), (wide, 1)):
+        hom(*pair)
+        counts.update(psi=0, elim=0)
+        assert ext1(*pair).dim == ext_dim
+        # onto: nothing; else the shared psi's columns are eliminated once
+        assert counts == {"psi": 0, "elim": ext_dim}
+    counts.update(psi=0, elim=0)
+    ext1(*b2_diag)
+    assert counts["psi"] == 1
+
+
+def test_the_psi_slot_keeps_no_object_alive():
+    import gc
+    import weakref
+    s = catalog_scenario("g2_threefold")
+    a, b = (random_object_with(s, {"u": 2, "a1": 1}, random.Random(k)) for k in range(2))
+    hom(a, b)
+    assert extcat._LAST_PSI[0]() is a and extcat._LAST_PSI[1]() is b
+    refs = [weakref.ref(a), weakref.ref(b)]
+    del a, b
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
 # ----------------------------------------------------------------------
 # universal extensions, projectivity, resolutions
 # ----------------------------------------------------------------------
@@ -1573,6 +1653,34 @@ def test_decompose_idempotent_identities():
         assert (acc - identity_morphism(z)).is_zero()
     else:
         assert z.total_dim() == 0
+
+
+def reference_is_field(alg):
+    """The leaf certificate through the public monic `min_poly` and `is_irreducible`."""
+    if alg.dim == 0 or not alg.is_commutative():
+        return False
+    if alg.dim == 1:
+        return True
+    e = [alg.basis_vector(i) for i in range(alg.dim)]
+    candidates = e + [[a + c * b for a, b in zip(e[i], e[j])]
+                      for i in range(alg.dim) for j in range(i + 1, alg.dim) for c in (1, 2)]
+    for cand in candidates:
+        p = exactalg.min_poly(cand, alg)
+        if p.degree == alg.dim:
+            return exactalg.is_irreducible(p, exactalg.FactorBudget())
+    return False
+
+
+def test_is_field_matches_the_public_polynomial_path():
+    q3 = AlgebraSpec([[[int(i == j == k) for k in range(3)] for j in range(3)] for i in range(3)], [1, 1, 1])
+    algs = [exactalg.regular_algebra_from_min_poly(Polynomial(c))
+            for c in ([-2, 0, 1], [1, 0, 1], [-1, 0, 1], [0, 0, 1], [-2, 0, 0, 1], [2, -2, -1, 1],
+                      [1, 1, 1, 1, 1], [-4, 0, 0, 0, 1])]
+    algs += [q3, quaternions_from_i().spec, rationals().spec,
+             AlgebraSpec([[[4, -2], [1, 0]], [[1, 0], [0, 1]]], [0, 1])]
+    verdicts = [extcat._is_field(alg) for alg in algs]
+    assert verdicts == [reference_is_field(alg) for alg in algs]
+    assert verdicts == [True, True, False, False, True, False, True, False, False, False, True, True]
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from isocat.wittmod import (
     VModule,
     WittError,
     WittPartition,
+    _rank_sequence,
     find_invertible_intertwiner,
     hom_dim,
     intertwiner_basis,
@@ -68,6 +69,39 @@ def test_rank_sequence_two_two():
 def test_non_nilpotent_rejected():
     with pytest.raises(WittError):
         VModule(2, RatMatrix.identity(2))
+
+
+def dense_rank_sequence(v):
+    """[rank(V^0), ..., rank(V^n)] from the dense powers: the reference for `_rank_sequence`."""
+    seq, power = [v.rows], RatMatrix.identity(v.rows)
+    for _ in range(v.rows):
+        power = power * v
+        seq.append(power.rank())
+    return seq
+
+
+def test_rank_sequence_matches_dense_powers():
+    rng = random.Random("rank-sequence")
+    ops = [conjugated_realization(WittPartition(parts), k).v_op
+           for k, parts in enumerate([(3, 2, 2, 1), (4, 4), (5, 1, 1), (2, 1)])]
+    for n in range(1, 7):  # strictly upper triangular, so nilpotent
+        ops.append(RatMatrix.from_rows([[rng.randrange(-4, 5) if j > i else 0 for j in range(n)]
+                                        for i in range(n)]))
+    ops += [RatMatrix.identity(3), RatMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 2]]),
+            RatMatrix.from_rows([[rng.randrange(-3, 4) for _ in range(5)] for _ in range(5)])]
+    for v in ops:
+        assert _rank_sequence(v) == dense_rank_sequence(v)
+    # a non-nilpotent operator: the sequence settles at a nonzero rank
+    assert _rank_sequence(ops[-2]) == [3, 2, 1, 1]
+    with pytest.raises(WittError, match="not nilpotent"):
+        VModule(3, ops[-2])
+
+
+def test_rank_sequence_of_a_large_partition():
+    m = realize_partition(WittPartition((200, 100, 20)))
+    seq = _rank_sequence(m.v_op)
+    assert len(seq) == 321 and seq[:3] == [320, 317, 314] and seq[200:] == [0] * 121
+    assert witt_partition(m).parts == (200, 100, 20)
 
 
 def test_roundtrip_all_partitions_up_to_12():
