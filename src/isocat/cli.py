@@ -24,6 +24,7 @@ from .extcat import (
 from .fileio import (
     FormatError,
     MAX_DIM,
+    MAX_SAMPLES,
     REPORT_SCHEMA,
     load_matrix,
     load_object,
@@ -214,8 +215,8 @@ def cmd_witt(args) -> int:
 def cmd_check(args) -> int:
     if args.seed is None:
         raise FormatError("check requires --seed")
-    if args.samples < 1:
-        raise FormatError("check requires --samples of at least 1")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise FormatError(f"check requires --samples from 1 to {MAX_SAMPLES}")
     s = load_scenario(args.scenario)
     results = run_all(s, args.seed, args.samples)
     ok = all(r.ok for r in results)

@@ -1129,8 +1129,7 @@ def min_poly(a: Sequence, alg: AlgebraSpec) -> Polynomial:
     a = [as_fraction(x) for x in a]
     if len(a) != alg.dim:
         raise AlgebraError("element coordinate length does not match the algebra")
-    la = alg.left_multiplication(a)
-    return min_poly_matrix(la, alg.unit)
+    return min_poly_matrix(alg.left_multiplication(a), alg.unit)
 
 
 def min_poly_matrix(op: RatMatrix, start: Sequence | None = None) -> Polynomial:
@@ -1152,56 +1151,56 @@ def min_poly_matrix(op: RatMatrix, start: Sequence | None = None) -> Polynomial:
 def _int_min_poly_matrix(op: RatMatrix) -> list[int]:
     """The minimal polynomial of a square matrix, primitive in integers.
 
-    Vector minimal polynomials are lcm-ed over the standard basis, skipping
-    a vector that the running lcm already kills.
+    The e_i's minimal polynomials are lcm-ed, skipping an e_i the running
+    lcm q kills: den^d q(op) e_i = 0 by Horner.
     """
     n = op.rows
-    # nonzero entries of each column of the integer grid N, for the Horner test
-    cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*op.num)]
-    acc = [1]  # the running lcm, primitive in integers
-    horner = [1]
+    cols = _sparse_rows(zip(*op.num))  # N = den op
+    acc = horner = [1]  # the running lcm, primitive; its c_k den^(d - k)
     for i in range(n):
-        if not _horner_kills(cols, horner, i):
-            e = RatMatrix.zeros(n, 1)
-            e.num[i][0] = 1
-            p = _vector_min_poly(op, e)
+        v = [horner[-1] * (r == i) for r in range(n)]
+        for c in reversed(horner[:-1]):
+            v = _int_mat_vec(cols, v)
+            v[i] += c
+        if any(v):
+            p = _vector_min_poly(op, RatMatrix._of(n, 1, [[int(r == i)] for r in range(n)]))
             acc = _int_poly_exact_div(_int_poly_mul(acc, p), _int_poly_gcd(acc, p))
-            d = len(acc) - 1
-            horner = [c * op.den ** (d - k) for k, c in enumerate(acc)]
+            horner = [c * op.den ** (len(acc) - 1 - k) for k, c in enumerate(acc)]
     return acc
 
 
-def _horner_kills(cols: list[list[tuple[int, int]]], horner: list[int], i: int) -> bool:
-    """Whether sum_k horner[k] N^k e_i = 0, N given by the nonzero entries of its columns.
-
-    With horner[k] = c_k den^(d - k) for the primitive coefficients c_k of
-    a degree-d polynomial q, this is den^d q(N / den) e_i, so the test runs
-    as sparse integer mat-vecs.
-    """
-    v = [0] * len(cols)
-    v[i] = horner[-1]
-    for c in reversed(horner[:-1]):
-        w = [0] * len(cols)
-        for j, x in enumerate(v):
-            if x:
-                for r, y in cols[j]:
-                    w[r] += x * y
-        w[i] += c
-        v = w
-    return not any(v)
+def _int_mat_vec(cols: list, v: list[int]) -> list[int]:
+    """N v, N given by its columns' nonzero entries."""
+    w = [0] * len(cols)
+    for x, col in zip(v, cols):
+        if x:
+            for r, y in col.items():
+                w[r] += x * y
+    return w
 
 
 def _vector_min_poly(op: RatMatrix, vec: RatMatrix) -> list[int]:
-    """The minimal polynomial of the column vec under op: its first power dependency, primitive."""
-    n = op.rows
-    cols = []
-    cur = vec
-    for _ in range(n + 1):
-        cols.append(([r[0] for r in cur.num], cur.den))
-        ker, _ = _null_rows(_flat_columns(cols, n))
-        if ker.rows:
-            return _primitive(ker.num[0])
-        cur = op * cur
+    """The minimal polynomial of the column vec under op: its first power dependency, primitive.
+
+    A fraction-free Krylov chase: u_k = N^k vec (N = den op) is reduced by the
+    echelon rows so far, tagged by their sums of u_i; the first zero gives
+    sum t_i u_i = 0, so op^i vec has coefficient t_i den^i.
+    """
+    cols = _sparse_rows(zip(*op.num))
+    ech = []  # (pivot, row, tag)
+    cur = [r[0] for r in vec.num]
+    for k in range(op.rows + 1):
+        row, tag = cur, [0] * k + [1]
+        for p, erow, etag in ech:
+            x, y = row[p], erow[p]
+            if x:
+                row = [y * a - x * b for a, b in zip(row, erow)]
+                tag = [y * a - x * b for a, b in zip_longest(tag, etag, fillvalue=0)]
+        if not any(row):
+            return _primitive([t * op.den ** i for i, t in enumerate(tag)])
+        g = gcd(*row, *tag)
+        ech.append((next(i for i, x in enumerate(row) if x), [a // g for a in row], [a // g for a in tag]))
+        cur = _int_mat_vec(cols, cur)
     raise RuntimeError("Krylov chase failed to terminate")  # unreachable
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -867,63 +868,59 @@ def direct_sum_many(objs: Sequence[TripleObject]):
 # Kernels, cokernels, images, torsion pair
 # ======================================================================
 
-def _subspace_object(z: TripleObject, x_cols: dict[str, RatMatrix],
-                     y_cols: dict[str, RatMatrix]) -> tuple[TripleObject, TripleMorphism]:
-    """Subobject spanned by action-stable columns, with its inclusion."""
+def _subspace_object(z: TripleObject, x_cols: dict[str, RatMatrix], y_cols: dict[str, RatMatrix],
+                     f: TripleMorphism | None = None):
+    """(subobject on action-stable columns, inclusion, f onto it or None).
+
+    One solve per vertex: inc X = m . inc per action matrix m, eta . F(inc), f's block.
+    A vertex over Q acts by c . I, so it is the shared `canonical_space`.
+    """
     s = z.scenario
-    x_parts, y_parts = {}, {}
-    for ids, parts, cols, amb in ((s.x_ids, x_parts, x_cols, z.x), (s.y_ids, y_parts, y_cols, z.y)):
-        for vtx in ids:
-            inc = cols[vtx]
-            action = []
-            for m in amb[vtx].action:
-                sol = inc.solve(m * inc)
-                if sol is None:
-                    raise InternalConsistencyError(f"subspace at {vtx!r} is not action-stable")
-                action.append(sol)
-            parts[vtx] = VertexSpace(inc.cols, action)
-    fsp = _f_layout(s, y_parts)
-    eta = {}
-    for x in s.x_ids:
-        fi = _f_map(s, y_cols, fsp, z.f, x)
-        target = z.eta[x] * fi
-        sol = x_cols[x].solve(target)
+    cols, amb, maps = {**x_cols, **y_cols}, {**z.x, **z.y}, {**f.u, **f.v} if f else {}
+    parts, sols = {}, {}
+    for v in s.y_ids + s.x_ids:  # F's layout needs y dims
+        h, inc = s.algebra(v), cols[v]
+        rhs = [m * inc for m in amb[v].action] if h.spec.dim > 1 else []
+        k = len(rhs)
+        if v in z.eta:
+            rhs.append(z.eta[v] * _f_map(s, y_cols, _f_layout(s, parts), z.f, v))
+        rhs += [maps[v]] if f else []
+        at = [0, *accumulate(m.cols for m in rhs)]
+        sol = inc.solve(_assemble(inc.rows, at[-1], [(0, c, m) for c, m in zip(at, rhs)])) if rhs else inc
         if sol is None:
-            raise InternalConsistencyError(f"eta does not restrict to the subobject at {x!r}")
-        eta[x] = sol
-    sub = TripleObject(s, x_parts, y_parts, eta, check=False)
-    return sub, TripleMorphism(sub, z, dict(x_cols), dict(y_cols))
+            raise InternalConsistencyError(f"subspace at {v!r} is not action-stable or misses eta or f")
+        sols[v] = [sol.submatrix(range(sol.rows), range(c, c + m.cols)) for c, m in zip(at, rhs)]
+        parts[v] = VertexSpace(inc.cols, sols[v][:k]) if k else canonical_space(h, inc.cols)
+    sub = TripleObject(s, {x: parts[x] for x in s.x_ids}, {y: parts[y] for y in s.y_ids},
+                       {x: sols[x][-1 - bool(f)] for x in s.x_ids}, check=False)
+    onto = f and TripleMorphism(f.source, sub, {x: sols[x][-1] for x in s.x_ids}, {y: sols[y][-1] for y in s.y_ids})
+    return sub, TripleMorphism(sub, z, dict(x_cols), dict(y_cols)), onto
 
 
 def _quotient_object(z: TripleObject, x_sub: dict[str, RatMatrix],
                      y_sub: dict[str, RatMatrix]) -> tuple[TripleObject, TripleMorphism]:
     """Quotient by the action-stable column spans, with its projection."""
     s = z.scenario
-    x_parts, y_parts = {}, {}
-    pro_u, pro_v = {}, {}
-    for ids, parts, subs, amb, pro in ((s.x_ids, x_parts, x_sub, z.x, pro_u),
-                                       (s.y_ids, y_parts, y_sub, z.y, pro_v)):
-        for vtx in ids:
-            # proj is the identity on the free columns, so the induced action
-            # X with X . proj = proj . m is proj . m read at those columns
-            proj, free = _null_rows(subs[vtx].transpose())
-            images = [proj * m for m in amb[vtx].action]
-            action = [pm.submatrix(range(proj.rows), free) for pm in images]
-            if any(a * proj != pm for a, pm in zip(action, images)):
-                raise InternalConsistencyError(f"subspace at {vtx!r} is not action-stable")
-            parts[vtx] = VertexSpace(proj.rows, action)
-            pro[vtx] = proj
-    fsp = _f_layout(s, y_parts)
-    eta = {}
+    subs, amb, parts, pro, eta = {**x_sub, **y_sub}, {**z.x, **z.y}, {}, {}, {}
+    for v in s.vertex_order():
+        # proj is the identity on the free columns, so X with X . proj = proj . m
+        # is proj . m read at those columns (over Q: shared)
+        proj, free = _null_rows(subs[v].transpose())
+        h, pro[v] = s.algebra(v), proj
+        images = [proj * m for m in amb[v].action] if h.spec.dim > 1 else []
+        action = [pm.submatrix(range(proj.rows), free) for pm in images]
+        if any(a * proj != pm for a, pm in zip(action, images)):
+            raise InternalConsistencyError(f"subspace at {v!r} is not action-stable")
+        parts[v] = VertexSpace(proj.rows, action) if action else canonical_space(h, proj.rows)
+    y_parts = {y: parts[y] for y in s.y_ids}
     for x in s.x_ids:
-        fpi = _f_map(s, pro_v, z.f, fsp, x)
-        rhs = (pro_u[x] * z.eta[x]).transpose()
-        sol = fpi.transpose().solve(rhs)
+        fpi = _f_map(s, pro, z.f, _f_layout(s, y_parts), x)
+        sol = fpi.transpose().solve((pro[x] * z.eta[x]).transpose())
         if sol is None:
             raise InternalConsistencyError(f"eta does not descend to the quotient at {x!r}")
         eta[x] = sol.transpose()
-    quo = TripleObject(s, x_parts, y_parts, eta, check=False)
-    return quo, TripleMorphism(z, quo, pro_u, pro_v)
+    quo = TripleObject(s, {x: parts[x] for x in s.x_ids}, y_parts, eta, check=False)
+    return quo, TripleMorphism(z, quo, {x: pro[x] for x in s.x_ids}, {y: pro[y] for y in s.y_ids})
 
 
 @dataclass
@@ -939,14 +936,8 @@ class AbelianOps:
 
 def _image(f: TripleMorphism) -> tuple[TripleObject, TripleMorphism, TripleMorphism]:
     """(image, inclusion, f onto the image), spanned by the pivot columns of f."""
-    ix = {x: m.submatrix(range(m.rows), m.column_space_pivots()) for x, m in f.u.items()}
-    iy = {y: m.submatrix(range(m.rows), m.column_space_pivots()) for y, m in f.v.items()}
-    image, inc = _subspace_object(f.target, ix, iy)
-    pu = {x: ix[x].solve(m) for x, m in f.u.items()}
-    pv = {y: iy[y].solve(m) for y, m in f.v.items()}
-    if None in pu.values() or None in pv.values():
-        raise InternalConsistencyError("image coordinates failed to solve")
-    return image, inc, TripleMorphism(f.source, image, pu, pv)
+    ix, iy = ({w: m.submatrix(range(m.rows), m.column_space_pivots()) for w, m in d.items()} for d in (f.u, f.v))
+    return _subspace_object(f.target, ix, iy, f)
 
 
 def abelian_ops(f: TripleMorphism) -> AbelianOps:
@@ -955,7 +946,7 @@ def abelian_ops(f: TripleMorphism) -> AbelianOps:
     z, z2 = f.source, f.target
     kx = {x: _kernel(f.u[x]) for x in s.x_ids}
     ky = {y: _kernel(f.v[y]) for y in s.y_ids}
-    kernel, k_inc = _subspace_object(z, kx, ky)
+    kernel, k_inc, _ = _subspace_object(z, kx, ky)
     image, i_inc, i_proj = _image(f)
     cok, c_proj = _quotient_object(z2, i_inc.u, i_inc.v)
     return AbelianOps(kernel, k_inc, image, i_inc, i_proj, cok, c_proj)
@@ -1091,29 +1082,13 @@ class Decomposition:
 
 def _total_matrix(m: TripleMorphism) -> RatMatrix:
     s = m.source.scenario
-    blocks = [m.u[x] for x in s.x_ids] + [m.v[y] for y in s.y_ids]
-    blocks = [b for b in blocks if b.rows or b.cols]
-    if not blocks:
-        return RatMatrix.identity(0)
-    return _block_diag(blocks)
-
-
-def _poly_on_morphism(f: list[int], den: int, a: TripleMorphism) -> TripleMorphism:
-    """f(a) / den for integer coefficients f, ascending, by Horner."""
-    z = a.source
-    acc = zero_morphism(z, z)
-    ident = identity_morphism(z)
-    for c in reversed(f):
-        acc = acc.compose(a) if not acc.is_zero() else zero_morphism(z, z)
-        if c:
-            acc = acc + ident.scale(c)
-    return acc.scale(Fraction(1, den))
+    return _block_diag([m.u[x] for x in s.x_ids] + [m.v[y] for y in s.y_ids])
 
 
 def _image_split(z: TripleObject, e: TripleMorphism):
     """Split z along an idempotent e; returns ((obj, inc, proj), same for 1-e)."""
     pieces = [_image(idem) for idem in (e, identity_morphism(z) - e)]
-    if pieces[0][0].total_dim() + pieces[1][0].total_dim() != z.total_dim():
+    if sum(p[0].total_dim() for p in pieces) != z.total_dim():
         raise InternalConsistencyError("idempotent split lost dimensions")
     return pieces
 
@@ -1121,13 +1096,8 @@ def _image_split(z: TripleObject, e: TripleMorphism):
 def _combinations(end_basis: list[TripleMorphism]):
     """The pairwise sums, then the pairwise products, of the basis candidates."""
     n = len(end_basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield end_basis[i] + end_basis[j]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                yield end_basis[i].compose(end_basis[j])
+    yield from (end_basis[i] + end_basis[j] for i in range(n) for j in range(i + 1, n))
+    yield from (end_basis[i].compose(end_basis[j]) for i in range(n) for j in range(n) if i != j)
 
 
 def _coprime_parts(f: list[int]) -> tuple[list[int], list[int]] | None:
@@ -1139,9 +1109,7 @@ def _coprime_parts(f: list[int]) -> tuple[list[int], list[int]] | None:
     budgeted Kronecker factorization, and a budget overrun means "no split
     found via this element", never a wrong answer.
     """
-    v = 0
-    while v < len(f) and f[v] == 0:
-        v += 1
+    v = next(i for i, c in enumerate(f) if c)
     if 0 < v < len(f) - 1:
         return [0] * v + [1], f[v:]
     groups = _int_squarefree(f)
@@ -1162,33 +1130,39 @@ def _coprime_parts(f: list[int]) -> tuple[list[int], list[int]] | None:
     return part, _int_poly_exact_div(f, part)
 
 
-def _normalized_candidate(a: TripleMorphism) -> TripleMorphism:
-    """Scale a nonzero morphism so its entries are coprime integers."""
-    flat, den = _flat_morphism(a)
-    g = gcd(*flat)
-    return a.scale(Fraction(den, g)) if g else a
-
-
 def _splitting_idempotent(z: TripleObject,
                           candidates: Iterable[TripleMorphism]) -> TripleMorphism | None:
-    """The idempotent of the first candidate whose minimal polynomial splits, or None."""
+    """The idempotent of the first candidate whose minimal polynomial splits, or None.
+
+    Its blocks B, over one denominator and content, are integers: e = f(B) / d by Horner,
+    with the zero, identity and e^2 = e (acc^2 = d acc) tests on each block.
+    """
     for raw in candidates:
-        if raw.is_zero():
+        flat, den = _flat_morphism(raw)
+        k = gcd(*flat)
+        if not k:
             continue
-        a = _normalized_candidate(raw)
-        split = _coprime_parts(_int_min_poly_matrix(_total_matrix(a)))
+        blocks = [m.scale(Fraction(den, k)) for m in (*raw.u.values(), *raw.v.values())]
+        split = _coprime_parts(_int_min_poly_matrix(_block_diag(blocks)))
         if split is None:
             continue
-        part, rest = split
-        t, g = _int_poly_bezout(part, rest)
+        t, g = _int_poly_bezout(*split)
         if len(g) != 1:
             raise InternalConsistencyError("coprime minimal polynomial parts share a factor")
-        e = _poly_on_morphism(_int_poly_mul(t, rest), g[0], a)
-        if e.is_zero() or (e - identity_morphism(z)).is_zero():
+        d, f, accs = g[0], _int_poly_mul(t, split[1]), []
+        for b in blocks:
+            acc = RatMatrix.zeros(b.rows, b.rows)
+            for c in reversed(f):
+                acc = acc * b  # a fresh grid
+                for i, r in enumerate(acc.num):
+                    r[i] += c
+            accs.append(acc)
+        if all(a.is_zero() for a in accs) or all(a == RatMatrix.identity(a.rows).scale(d) for a in accs):
             continue
-        if not (e.compose(e) - e).is_zero():
+        if any(a * a != a.scale(d) for a in accs):
             raise InternalConsistencyError("constructed projector is not idempotent")
-        return e
+        es = (RatMatrix._fresh(a.rows, a.rows, a.num, d) for a in accs)  # u, then v
+        return TripleMorphism(z, z, dict(zip(raw.u, es)), dict(zip(raw.v, es)))
     return None
 
 
@@ -1199,11 +1173,9 @@ def _is_field(alg: AlgebraSpec) -> bool:
         return True
     # primitive element: some small combination with full-degree minimal
     # polynomial, the primitive integer one of L_a started at the unit
-    candidates = [alg.basis_vector(i) for i in range(alg.dim)]
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            candidates.append([a + b for a, b in zip(alg.basis_vector(i), alg.basis_vector(j))])
-            candidates.append([a + 2 * b for a, b in zip(alg.basis_vector(i), alg.basis_vector(j))])
+    e = [alg.basis_vector(i) for i in range(alg.dim)]
+    candidates = e + [[a + k * b for a, b in zip(e[i], e[j])]
+                      for i in range(alg.dim) for j in range(i + 1, alg.dim) for k in (1, 2)]
     unit = RatMatrix.from_rows([[c] for c in alg.unit])
     for cand in candidates:
         f = _vector_min_poly(alg.left_multiplication(cand), unit)
@@ -1271,8 +1243,6 @@ def decompose(z: TripleObject) -> Decomposition:
         subdec = decompose(piece)
         if subdec.flag != CERTIFIED:
             flag = NO_FURTHER
-        for sm in subdec.summands:
-            summands.append(Summand(sm.object,
-                                    inc.compose(sm.inclusion),
-                                    sm.projection.compose(proj)))
+        summands += [Summand(sm.object, inc.compose(sm.inclusion), sm.projection.compose(proj))
+                     for sm in subdec.summands]
     return Decomposition(summands, flag)

@@ -40,6 +40,7 @@ REPORT_SCHEMA = "isocat/report-v1"
 # implied) and classification costs a power of the count, so both are checked first.
 MAX_DIM = 1024
 MAX_VERTICES = 64
+MAX_SAMPLES = 10_000
 
 
 class FormatError(ValueError):

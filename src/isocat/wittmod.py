@@ -11,7 +11,7 @@ field.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exactalg import RatMatrix, _echelon, commutant_basis
 
@@ -37,15 +37,17 @@ class WittPartition:
         return iter(self.parts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VModule:
     dim: int
     v_op: RatMatrix
+    ranks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.v_op.rows, self.v_op.cols) != (self.dim, self.dim):
             raise WittError("operator shape does not match the dimension")
-        if self.dim and _rank_sequence(self.v_op)[-1] != 0:
+        object.__setattr__(self, "ranks", tuple(_rank_sequence(self.v_op)))
+        if self.ranks[-1] != 0:
             raise WittError("operator is not nilpotent")
 
 
@@ -82,17 +84,8 @@ def witt_partition(m: VModule) -> WittPartition:
     The number of blocks of size >= k is rank(V^(k-1)) - rank(V^k), so the
     partition is unique.
     """
-    if m.dim == 0:
-        return WittPartition(())
-    seq = _rank_sequence(m.v_op)
-    if seq[-1] != 0:
-        raise WittError("operator is not nilpotent")
-    at_least = [seq[k - 1] - seq[k] for k in range(1, m.dim + 1)]
-    parts = []
-    for k in range(1, m.dim + 1):
-        count_k = at_least[k - 1] - (at_least[k] if k < m.dim else 0)
-        parts.extend([k] * count_k)
-    p = WittPartition(tuple(parts))
+    at_least = [m.ranks[k - 1] - m.ranks[k] for k in range(1, m.dim + 1)] + [0]
+    p = WittPartition(tuple(k for k in range(1, m.dim + 1) for _ in range(at_least[k - 1] - at_least[k])))
     if p.size != m.dim:
         raise WittError("rank sequence is inconsistent")  # unreachable
     return p

@@ -14,6 +14,7 @@ from isocat.cli import _INPUT_ERRORS, main
 from isocat.extcat import simple_x_object, simple_y_object, universal_extension_of
 from isocat.fileio import (
     MAX_DIM,
+    MAX_SAMPLES,
     MAX_VERTICES,
     MATRIX_SCHEMA,
     FormatError,
@@ -485,6 +486,12 @@ def test_cli_check_requires_seed():
 def test_cli_check_rejects_nonpositive_samples(samples, capsys):
     assert main(["check", "--scenario", "catalog:a2", "--seed", "1", "--samples", samples]) == 2
     assert "--samples" in capsys.readouterr().err
+
+
+def test_cli_check_rejects_samples_over_the_cap(capsys):
+    assert main(["check", "--scenario", "catalog:a2", "--seed", "1", "--samples", str(MAX_SAMPLES + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--samples" in err and str(MAX_SAMPLES) in err
 
 
 def test_cli_internal_inconsistency_exits_1(monkeypatch, capsys):

@@ -996,6 +996,44 @@ def test_min_poly_matrix_chases_only_unkilled_vectors(kind, monkeypatch):
         assert chased == expect
 
 
+def reference_vector_min_poly(op, vec):
+    """The first power dependency of vec under op, primitive: at each power
+    the Krylov columns so far are eliminated again from scratch."""
+    n = op.rows
+    cols, cur = [], vec
+    for _ in range(n + 1):
+        cols.append(([r[0] for r in cur.num], cur.den))
+        ker, _ = exactalg._null_rows(exactalg._flat_columns(cols, n))
+        if ker.rows:
+            return exactalg._primitive(ker.num[0])
+        cur = op * cur
+    raise AssertionError("no dependency among n + 1 Krylov vectors")
+
+
+def _scalar_cases(rng):
+    """1 x 1 matrices, zero among them, and scalar matrices c . I over a denominator."""
+    ones = [RatMatrix(1, 1, [[c]], d) for c in (0, 1, -1, 7) for d in (1, 3)]
+    return ones + [RatMatrix(n, n, [[c * (i == j) for j in range(n)] for i in range(n)], rng.randrange(1, 5))
+                   for n in range(1, 5) for c in (0, 2, -3)]
+
+
+@pytest.mark.parametrize("kind", ["random", "nilpotent", "block-diagonal", "scalar"])
+def test_vector_min_poly_matches_the_re_eliminating_chase(kind):
+    # from the zero vector, every standard vector and random vectors over a
+    # denominator: the same primitive polynomial as eliminating every power again
+    rng = random.Random(f"chase:{kind}")
+    cases = _scalar_cases(rng) if kind == "scalar" else _min_poly_cases(kind)
+    for m in cases:
+        n = m.rows
+        starts = [RatMatrix.zeros(n, 1)] + [RatMatrix(n, 1, [[int(r == i)] for r in range(n)]) for i in range(n)]
+        starts += [RatMatrix(n, 1, [[rng.randrange(-4, 5)] for _ in range(n)], rng.randrange(1, 6))
+                   for _ in range(3)]
+        for v in starts:
+            assert exactalg._vector_min_poly(m, v) == reference_vector_min_poly(m, v)
+        if n:
+            assert exactalg._vector_min_poly(m, starts[0]) == [1]
+
+
 def _eval_on_matrix(p, m):
     acc = RatMatrix.zeros(m.rows, m.rows)
     for c in reversed(p.coeffs):

@@ -1695,17 +1695,36 @@ def _all_candidates(end_basis):
     yield from (end_basis[i].compose(end_basis[j]) for i in range(n) for j in range(n) if i != j)
 
 
+def _normalized_candidate(a):
+    """Scale a nonzero morphism so its entries are coprime integers."""
+    flat, den = extcat._flat_morphism(a)
+    g = math.gcd(*flat)
+    return a.scale(Fraction(den, g)) if g else a
+
+
+def _poly_on_morphism(f, den, a):
+    """f(a) / den for integer coefficients f, ascending, by Horner over morphisms."""
+    z = a.source
+    acc = zero_morphism(z, z)
+    ident = identity_morphism(z)
+    for c in reversed(f):
+        acc = acc.compose(a) if not acc.is_zero() else zero_morphism(z, z)
+        if c:
+            acc = acc + ident.scale(c)
+    return acc.scale(Fraction(1, den))
+
+
 def _sweep_idempotent(z, end_basis):
     for raw in _all_candidates(end_basis):
         if raw.is_zero():
             continue
-        a = extcat._normalized_candidate(raw)
+        a = _normalized_candidate(raw)
         split = extcat._coprime_parts(exactalg._int_min_poly_matrix(extcat._total_matrix(a)))
         if split is None:
             continue
         part, rest = split
         t, g = exactalg._int_poly_bezout(part, rest)
-        e = extcat._poly_on_morphism(exactalg._int_poly_mul(t, rest), g[0], a)
+        e = _poly_on_morphism(exactalg._int_poly_mul(t, rest), g[0], a)
         if not e.is_zero() and not (e - identity_morphism(z)).is_zero():
             return e
     return None
@@ -1808,6 +1827,42 @@ def test_decompose_checks_a_one_dimensional_end_is_the_scalars(monkeypatch):
     monkeypatch.setattr(extcat, "hom", lambda a, b: [zero_morphism(a, b)])
     with pytest.raises(extcat.InternalConsistencyError, match="misses the identity"):
         decompose(z)
+
+
+def test_decompose_rejects_a_projector_that_is_not_idempotent(monkeypatch):
+    # twice the Bezout multiplier gives 2e: not zero, not the identity, and 4e != 2e
+    s = catalog_scenario("c3_surface")
+    z, _, _ = direct_sum(simple_x_object(s, "u"), simple_y_object(s, "a2"))
+    assert len(decompose(z).summands) == 2
+    bezout = extcat._int_poly_bezout
+    monkeypatch.setattr(extcat, "_int_poly_bezout",
+                        lambda a, b: ([2 * c for c in bezout(a, b)[0]], bezout(a, b)[1]))
+    with pytest.raises(extcat.InternalConsistencyError, match="constructed projector is not idempotent"):
+        decompose(z)
+
+
+def test_subspace_object_rejects_columns_that_are_not_action_stable():
+    # e_0 of Q(sqrt d) at a1 is not stable under multiplication by sqrt d
+    s = catalog_scenario("c2")
+    assert s.algebra("a1").spec.dim == 2
+    z = canonical_object(s, {"a1": 1})
+    with pytest.raises(extcat.InternalConsistencyError, match="is not action-stable"):
+        extcat._subspace_object(z, {"u": RatMatrix.zeros(0, 0)}, {"a1": RatMatrix(2, 1, [[1], [0]])})
+
+
+def test_pieces_over_q_vertices_are_the_shared_canonical_spaces():
+    # a piece, kernel or cokernel component over Q is the shared canonical
+    # space; over Q(sqrt d) it is a subspace of its own
+    s = catalog_scenario("c3_surface")
+    z = random_object_with(s, {"u": 2, "a1": 1, "a2": 2}, random.Random(8))
+    dec = decompose(z)
+    assert len(dec.summands) > 1
+    e = dec.idempotents()[0]
+    ops = abelian_ops(e)
+    for obj in [sm.object for sm in dec.summands] + [ops.kernel, ops.image, ops.cokernel]:
+        for v in s.vertex_order():
+            part = obj.x.get(v) or obj.y.get(v)
+            assert extcat._shared(s.algebra(v).spec, part) == (v != "a2")
 
 
 def test_direct_sum_eta_square():

@@ -104,6 +104,21 @@ def test_rank_sequence_of_a_large_partition():
     assert witt_partition(m).parts == (200, 100, 20)
 
 
+def test_the_rank_sequence_is_computed_once_per_module(monkeypatch):
+    import isocat.wittmod as wittmod
+
+    calls = []
+    monkeypatch.setattr(wittmod, "_rank_sequence", lambda v: calls.append(v) or _rank_sequence(v))
+    p = WittPartition((4, 2, 1))
+    assert witt_partition(realize_partition(p)) == p
+    assert len(calls) == 1
+    v = realize_partition(p).v_op
+    calls.clear()
+    m = VModule(7, v)
+    assert witt_partition(m) == p and len(calls) == 1
+    assert m.ranks == (7, 4, 2, 1, 0, 0, 0, 0) and m == realize_partition(p)
+
+
 def test_roundtrip_all_partitions_up_to_12():
     for n in range(0, 13):
         for parts in partitions_of(n):
