@@ -1148,24 +1148,34 @@ def min_poly_matrix(op: RatMatrix, start: Sequence | None = None) -> Polynomial:
     return Polynomial(_vector_min_poly(op, RatMatrix.from_rows([[x] for x in start]))).monic()
 
 
+# (op, the sparse columns of den op) while `_int_min_poly_matrix` runs on
+# op, so that its Krylov chases reuse the columns of its kill tests.
+_CHASED: tuple | None = None
+
+
 def _int_min_poly_matrix(op: RatMatrix) -> list[int]:
     """The minimal polynomial of a square matrix, primitive in integers.
 
     The e_i's minimal polynomials are lcm-ed, skipping an e_i the running
     lcm q kills: den^d q(op) e_i = 0 by Horner.
     """
+    global _CHASED
     n = op.rows
     cols = _sparse_rows(zip(*op.num))  # N = den op
     acc = horner = [1]  # the running lcm, primitive; its c_k den^(d - k)
-    for i in range(n):
-        v = [horner[-1] * (r == i) for r in range(n)]
-        for c in reversed(horner[:-1]):
-            v = _int_mat_vec(cols, v)
-            v[i] += c
-        if any(v):
-            p = _vector_min_poly(op, RatMatrix._of(n, 1, [[int(r == i)] for r in range(n)]))
-            acc = _int_poly_exact_div(_int_poly_mul(acc, p), _int_poly_gcd(acc, p))
-            horner = [c * op.den ** (len(acc) - 1 - k) for k, c in enumerate(acc)]
+    _CHASED = (op, cols)
+    try:
+        for i in range(n):
+            v = [horner[-1] * (r == i) for r in range(n)]
+            for c in reversed(horner[:-1]):
+                v = _int_mat_vec(cols, v)
+                v[i] += c
+            if any(v):
+                p = _vector_min_poly(op, RatMatrix._of(n, 1, [[int(r == i)] for r in range(n)]))
+                acc = _int_poly_exact_div(_int_poly_mul(acc, p), _int_poly_gcd(acc, p))
+                horner = [c * op.den ** (len(acc) - 1 - k) for k, c in enumerate(acc)]
+    finally:
+        _CHASED = None
     return acc
 
 
@@ -1186,7 +1196,8 @@ def _vector_min_poly(op: RatMatrix, vec: RatMatrix) -> list[int]:
     echelon rows so far, tagged by their sums of u_i; the first zero gives
     sum t_i u_i = 0, so op^i vec has coefficient t_i den^i.
     """
-    cols = _sparse_rows(zip(*op.num))
+    slot = _CHASED
+    cols = slot[1] if slot is not None and slot[0] is op else _sparse_rows(zip(*op.num))
     ech = []  # (pivot, row, tag)
     cur = [r[0] for r in vec.num]
     for k in range(op.rows + 1):

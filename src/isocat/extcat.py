@@ -721,12 +721,16 @@ def hom_ext_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, tuple[int
     dim Hom is ncols - rank(psi) by eliminating psi's rows, and dim Ext^1 is
     nrows - rank(psi) by eliminating its columns: two eliminations of two
     separately built row sets (none when psi has no rows or no columns).
+    The row elimination takes psi's columns right to left: a rank does not
+    depend on the order, and at each x-vertex the u block of psi is
+    I (x) eta^T, whose elimination first would leave Schur-complement rows
+    built from minors of eta; the v columns first avoid that growth.
     """
     ubases, vbases, _, _, (nrows, columns) = _psi_data(z, z2)
     su, sv = (sum(len(t) for t, _ in b.values()) for b in (ubases, vbases))
     h, e = len(columns), nrows
     if nrows and columns:
-        h -= len(_echelon(_psi_rows(nrows, columns))[0])
+        h -= len(_echelon(_psi_rows(nrows, columns[::-1]))[0])
         e -= len(_echelon([dict(ents) for ents, _ in columns])[0])
     return h, e, (su, sv, nrows)
 
@@ -1229,12 +1233,22 @@ def decompose(z: TripleObject) -> Decomposition:
     polynomial), then the pairwise sums and products.  The first candidate
     whose minimal polynomial has coprime parts splits z.  The flag is
     "certified" when every leaf is certified, else "no-further-splitting-found".
+
+    The answer depends only on z's data and its scenario, so the scenario
+    remembers the flag of every leaf decided, by `data_key()`: an object
+    whose data is a known leaf is (z, id, id) with that flag, without hom.
+    Split nodes and errors are not remembered; only keys and flags are, so
+    no object is kept alive.
     """
     if z.total_dim() == 0:
         return Decomposition([], CERTIFIED)
-    e, flag = _split_or_leaf(z, hom(z, z))
+    leaves, key, e = z.scenario._leaves, z.data_key(), None
+    if key not in leaves:
+        e, flag = _split_or_leaf(z, hom(z, z))
+        if e is None:
+            leaves[key] = flag
     if e is None:
-        return Decomposition([Summand(z, identity_morphism(z), identity_morphism(z))], flag)
+        return Decomposition([Summand(z, identity_morphism(z), identity_morphism(z))], leaves[key])
     summands: list[Summand] = []
     flag = CERTIFIED
     for piece, inc, proj in _image_split(z, e):

@@ -996,6 +996,21 @@ def test_min_poly_matrix_chases_only_unkilled_vectors(kind, monkeypatch):
         assert chased == expect
 
 
+def test_min_poly_matrix_builds_the_columns_once(monkeypatch):
+    # the kill tests and every Krylov chase of one matrix share one build of
+    # its sparse columns, and a chase outside it builds its own
+    built = []
+    sparse = exactalg._sparse_rows
+    monkeypatch.setattr(exactalg, "_sparse_rows", lambda num: built.append(1) or sparse(num))
+    for m in _min_poly_cases("block-diagonal"):
+        built.clear()
+        exactalg._int_min_poly_matrix(m)
+        assert len(built) == 1 and exactalg._CHASED is None
+        if m.rows:
+            exactalg._vector_min_poly(m, RatMatrix(m.rows, 1, [[1]] * m.rows))
+            assert len(built) == 2
+
+
 def reference_vector_min_poly(op, vec):
     """The first power dependency of vec under op, primitive: at each power
     the Krylov columns so far are eliminated again from scratch."""

@@ -1,9 +1,11 @@
 """Tests for the triple category: hom/ext, universal extensions, resolutions,
 abelian structure and decomposition."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -1807,6 +1809,7 @@ def test_decompose_stops_searching_at_a_proved_local_end(monkeypatch):
             n = len(hom(z, z))
             for key in counts:
                 counts[key] = 0
+            z.scenario._leaves.clear()  # observe a fresh decomposition, not the leaf memo
             dec = decompose(z)
             if len(dec.summands) != 1 or dec.flag != extcat.CERTIFIED:
                 continue
@@ -1819,14 +1822,71 @@ def test_decompose_stops_searching_at_a_proved_local_end(monkeypatch):
 
 
 def test_decompose_checks_a_one_dimensional_end_is_the_scalars(monkeypatch):
+    # each decompose starts from an empty leaf memo, so that it reads hom
     z = simple_y_object(catalog_scenario("a2"), "a1")
     assert decompose(z).flag == extcat.CERTIFIED
     twice = hom(z, z)[0].scale(2)
     monkeypatch.setattr(extcat, "hom", lambda a, b: [twice])
+    z.scenario._leaves.clear()
     assert decompose(z).flag == extcat.CERTIFIED
     monkeypatch.setattr(extcat, "hom", lambda a, b: [zero_morphism(a, b)])
+    z.scenario._leaves.clear()
     with pytest.raises(extcat.InternalConsistencyError, match="misses the identity"):
         decompose(z)
+
+
+def count_hom_calls(monkeypatch):
+    calls = []
+    real = extcat.hom
+    monkeypatch.setattr(extcat, "hom", lambda a, b: calls.append(a) or real(a, b))
+    return calls
+
+
+def copy_over(s, z):
+    """A fresh TripleObject over s with z's parts."""
+    return TripleObject(s, z.x, z.y, z.eta)
+
+
+def test_decompose_remembers_leaves_not_split_nodes(monkeypatch):
+    # a split node adds nothing to its scenario's memo and each distinct leaf
+    # adds its flag; a fresh object with a leaf's parts is answered without hom
+    s = catalog_scenario("c3_surface")
+    z = random_object_with(s, {"u": 2, "a1": 1, "a2": 2}, random.Random(8))
+    dec = decompose(z)
+    assert len(dec.summands) > 1 and z.data_key() not in s._leaves
+    assert s._leaves == {sm.object.data_key(): dec.flag for sm in dec.summands}
+    calls = count_hom_calls(monkeypatch)
+    for sm in dec.summands:
+        again = copy_over(s, sm.object)
+        want = decomposition_key(extcat.Decomposition(
+            [extcat.Summand(again, identity_morphism(again), identity_morphism(again))], dec.flag))
+        assert decomposition_key(decompose(again)) == want
+    assert calls == []
+    # the same data over a second instance of the scenario is decomposed afresh
+    s2 = catalog_scenario("c3_surface")
+    assert s2._leaves == {}
+    fresh = decompose(copy_over(s2, z))
+    assert calls and decomposition_key(fresh) == decomposition_key(dec)
+    assert s2._leaves == s._leaves
+
+
+def test_decompose_remembers_an_uncertified_leaf_with_its_flag(monkeypatch):
+    z = quaternion_simple()
+    assert decompose(z).flag == extcat.NO_FURTHER
+    assert z.scenario._leaves == {z.data_key(): extcat.NO_FURTHER}
+    calls = count_hom_calls(monkeypatch)
+    assert decompose(copy_over(z.scenario, z)).flag == extcat.NO_FURTHER and calls == []
+
+
+def test_decompose_leaf_memo_keeps_no_object_alive():
+    s = catalog_scenario("g2_threefold")
+    z = random_object_with(s, {"u": 1, "a1": 1}, random.Random(3))
+    dec = decompose(z)
+    assert s._leaves
+    ref = weakref.ref(z)
+    del z, dec
+    gc.collect()
+    assert ref() is None
 
 
 def test_decompose_rejects_a_projector_that_is_not_idempotent(monkeypatch):
