@@ -105,6 +105,7 @@ FINITE_TYPE_IDS = ["a2", "a3", "b2_dual", "c2", "c3_surface", "d4_elliptic", "g2
 
 def catalog_scenario(name: str) -> SpeciesScenario:
     try:
-        return _BUILDERS[name]()
+        build = _BUILDERS[name]
     except KeyError:
-        raise KeyError(f"unknown catalog scenario {name!r}; known: {', '.join(CATALOG_IDS)}")
+        raise KeyError(f"unknown catalog scenario {name!r}; known: {', '.join(CATALOG_IDS)}") from None
+    return build()

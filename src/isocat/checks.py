@@ -3,6 +3,8 @@
 Each suite runs seeded random sweeps of one family of statements the
 machinery is supposed to satisfy, and reports pass counts plus dumps of
 any counterexamples (shrunk by summand substitution where possible).
+`_sweep` runs the loop of every suite; a suite gives its draw, its test
+and its failure dump, and its test reads engine names as module globals.
 These back the `check` command and the acceptance tests.
 """
 
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .extcat import (
     InternalConsistencyError,
+    TripleMorphism,
     TripleObject,
     decompose,
     direct_sum,
@@ -22,6 +25,7 @@ from .extcat import (
     hom,
     hom_space_dims,
     identity_morphism,
+    is_projective,
     is_universal,
     projective_resolution,
     torsion_pair,
@@ -74,42 +78,47 @@ def _shrink(z: TripleObject, still_fails) -> TripleObject:
     return z
 
 
-def suite_five_term(s: SpeciesScenario, rng: random.Random, samples: int) -> SuiteResult:
-    """Exactness of the Hom/Ext sequence, as the Euler-form identity."""
-    res = SuiteResult("five-term-euler")
+def _sweep(name: str, samples: int, draw, test, dump) -> SuiteResult:
+    """The loop of every suite: draw a sample's objects, run the test on them,
+    and count a pass or record the failure with dump's entries."""
+    res = SuiteResult(name)
     for i in range(samples):
-        a = random_object(s, rng)
-        b = random_object(s, rng)
+        objs = draw()
         try:
-            euler_form(a, b)
+            test(*objs)
             res.passed += 1
         except InternalConsistencyError as ex:
-            res.failures.append({"sample": i, "error": str(ex),
-                                 "left": _dump_object(a), "right": _dump_object(b)})
+            res.failures.append({"sample": i, "error": str(ex), **dump(*objs)})
     return res
+
+
+def _dump_one(z: TripleObject) -> dict:
+    return {"object": _dump_object(z)}
+
+
+def suite_five_term(s: SpeciesScenario, rng: random.Random, samples: int) -> SuiteResult:
+    """Exactness of the Hom/Ext sequence, as the Euler-form identity."""
+    return _sweep("five-term-euler", samples, lambda: (random_object(s, rng), random_object(s, rng)),
+                  lambda a, b: euler_form(a, b),
+                  lambda a, b: {"left": _dump_object(a), "right": _dump_object(b)})
 
 
 def suite_heredity(s: SpeciesScenario, rng: random.Random, samples: int,
                    probes_per_projective: int = 2) -> SuiteResult:
     """Length-1 resolutions with projective terms, and ext vanishing off them."""
-    res = SuiteResult("heredity-resolution")
-    for i in range(samples):
-        z = random_object(s, rng)
-        try:
-            r = projective_resolution(z)
-            r.verify()
-            for p in (r.p1, r.p0):
-                if not all(p.eta[x].rank() == p.eta[x].cols for x in s.x_ids):
-                    raise InternalConsistencyError("projective term fails the mono criterion")
-                for _ in range(probes_per_projective):
-                    probe = random_object(s, rng, max_mult=1)
-                    if ext1(p, probe).dim != 0:
-                        raise InternalConsistencyError("ext out of a projective is nonzero")
-            res.passed += 1
-        except InternalConsistencyError as ex:
-            bad = _shrink(z, lambda w: not _resolution_ok(w))
-            res.failures.append({"sample": i, "error": str(ex), "object": _dump_object(bad)})
-    return res
+    def test(z):
+        r = projective_resolution(z)
+        r.verify()
+        for p in (r.p1, r.p0):
+            if not is_projective(p):
+                raise InternalConsistencyError("projective term fails the mono criterion")
+            for _ in range(probes_per_projective):
+                probe = random_object(s, rng, max_mult=1)
+                if ext1(p, probe).dim != 0:
+                    raise InternalConsistencyError("ext out of a projective is nonzero")
+
+    return _sweep("heredity-resolution", samples, lambda: (random_object(s, rng),), test,
+                  lambda z: _dump_one(_shrink(z, lambda w: not _resolution_ok(w))))
 
 
 def _resolution_ok(z: TripleObject) -> bool:
@@ -122,144 +131,111 @@ def _resolution_ok(z: TripleObject) -> bool:
 
 def suite_torsion_pair(s: SpeciesScenario, rng: random.Random, samples: int) -> SuiteResult:
     """Hom vanishing across the pair; exact canonical and random short exact sequences."""
-    res = SuiteResult("torsion-pair")
-    for i in range(samples):
-        z = random_object(s, rng)
-        try:
-            tx, ty = x_only(z), y_only(z)
-            if hom(tx, ty):
-                raise InternalConsistencyError("hom from the x side to the y side is nonzero")
-            if ext1(tx, ty).dim != 0:
-                raise InternalConsistencyError("ext from the x side to the y side is nonzero")
-            inc, proj = torsion_pair(z)
-            if not verify_short_exact(inc, proj):
-                raise InternalConsistencyError("canonical torsion sequence is not exact")
-            a_inc, a_proj = random_short_exact(s, rng, max_mult=1)
-            if not verify_short_exact(a_inc, a_proj):
-                raise InternalConsistencyError("random short exact sequence failed")
-            res.passed += 1
-        except InternalConsistencyError as ex:
-            res.failures.append({"sample": i, "error": str(ex), "object": _dump_object(z)})
-    return res
+    def test(z):
+        tx, ty = x_only(z), y_only(z)
+        if hom(tx, ty):
+            raise InternalConsistencyError("hom from the x side to the y side is nonzero")
+        if ext1(tx, ty).dim != 0:
+            raise InternalConsistencyError("ext from the x side to the y side is nonzero")
+        inc, proj = torsion_pair(z)
+        if not verify_short_exact(inc, proj):
+            raise InternalConsistencyError("canonical torsion sequence is not exact")
+        a_inc, a_proj = random_short_exact(s, rng, max_mult=1)
+        if not verify_short_exact(a_inc, a_proj):
+            raise InternalConsistencyError("random short exact sequence failed")
+
+    return _sweep("torsion-pair", samples, lambda: (random_object(s, rng),), test, _dump_one)
 
 
 def suite_universality(s: SpeciesScenario, rng: random.Random, samples: int) -> SuiteResult:
     """The three characterizations never disagree; true on universal objects."""
-    res = SuiteResult("universality")
-    for i in range(samples):
-        z = random_object(s, rng, max_mult=1)
-        try:
-            is_universal(z)
-            ey = universal_extension_of(z)
-            if not is_universal(ey).verdict:
-                raise InternalConsistencyError("universal extension not recognized")
-            res.passed += 1
-        except InternalConsistencyError as ex:
-            res.failures.append({"sample": i, "error": str(ex), "object": _dump_object(z)})
-    return res
+    def test(z):
+        is_universal(z)
+        ey = universal_extension_of(z)
+        if not is_universal(ey).verdict:
+            raise InternalConsistencyError("universal extension not recognized")
+
+    return _sweep("universality", samples, lambda: (random_object(s, rng, max_mult=1),), test, _dump_one)
 
 
 def suite_adjunction(s: SpeciesScenario, rng: random.Random, samples: int) -> SuiteResult:
     """dim hom(E(Y), z) equals dim of the equivariant maps on the y parts."""
-    res = SuiteResult("adjunction")
-    for i in range(samples):
-        src = random_object(s, rng, max_mult=1)
-        z = random_object(s, rng, max_mult=1)
-        try:
-            ey = universal_extension_of(src)
-            lhs = len(hom(ey, z))
-            _, sv, _ = hom_space_dims(src, z)
-            if lhs != sv:
-                raise InternalConsistencyError(f"adjunction broken: {lhs} != {sv}")
-            res.passed += 1
-        except InternalConsistencyError as ex:
-            res.failures.append({"sample": i, "error": str(ex),
-                                 "y-source": _dump_object(src), "target": _dump_object(z)})
-    return res
+    def test(src, z):
+        ey = universal_extension_of(src)
+        lhs = len(hom(ey, z))
+        _, sv, _ = hom_space_dims(src, z)
+        if lhs != sv:
+            raise InternalConsistencyError(f"adjunction broken: {lhs} != {sv}")
+
+    return _sweep("adjunction", samples,
+                  lambda: (random_object(s, rng, max_mult=1), random_object(s, rng, max_mult=1)), test,
+                  lambda src, z: {"y-source": _dump_object(src), "target": _dump_object(z)})
 
 
 def suite_additivity(s: SpeciesScenario, rng: random.Random, samples: int) -> SuiteResult:
     """hom and ext1 are additive on direct sums in each argument."""
-    res = SuiteResult("additivity")
-    for i in range(samples):
-        a = random_object(s, rng, max_mult=1)
-        b = random_object(s, rng, max_mult=1)
-        c = random_object(s, rng, max_mult=1)
-        try:
-            total, _, _ = direct_sum(a, b)
-            if len(hom(total, c)) != len(hom(a, c)) + len(hom(b, c)):
-                raise InternalConsistencyError("hom not additive in the first argument")
-            if ext1(total, c).dim != ext1(a, c).dim + ext1(b, c).dim:
-                raise InternalConsistencyError("ext1 not additive in the first argument")
-            if ext1(c, total).dim != ext1(c, a).dim + ext1(c, b).dim:
-                raise InternalConsistencyError("ext1 not additive in the second argument")
-            res.passed += 1
-        except InternalConsistencyError as ex:
-            res.failures.append({"sample": i, "error": str(ex),
-                                 "summands": [_dump_object(a), _dump_object(b)],
-                                 "probe": _dump_object(c)})
-    return res
+    def test(a, b, c):
+        total, _, _ = direct_sum(a, b)
+        if len(hom(total, c)) != len(hom(a, c)) + len(hom(b, c)):
+            raise InternalConsistencyError("hom not additive in the first argument")
+        if ext1(total, c).dim != ext1(a, c).dim + ext1(b, c).dim:
+            raise InternalConsistencyError("ext1 not additive in the first argument")
+        if ext1(c, total).dim != ext1(c, a).dim + ext1(c, b).dim:
+            raise InternalConsistencyError("ext1 not additive in the second argument")
+
+    return _sweep("additivity", samples, lambda: tuple(random_object(s, rng, max_mult=1) for _ in range(3)), test,
+                  lambda a, b, c: {"summands": [_dump_object(a), _dump_object(b)], "probe": _dump_object(c)})
 
 
 def suite_decompose(s: SpeciesScenario, rng: random.Random, samples: int) -> SuiteResult:
     """Split idempotents recompose to the identity and dimensions add up."""
-    res = SuiteResult("decompose-recompose")
-    for i in range(samples):
-        z = random_object(s, rng, max_mult=1)
-        try:
-            dec = decompose(z)
-            total = sum(sm.object.total_dim() for sm in dec.summands)
-            if total != z.total_dim():
-                raise InternalConsistencyError("summand dimensions do not add up")
-            acc = zero_morphism(z, z)
-            for sm in dec.summands:
-                e = sm.inclusion.compose(sm.projection)
-                if not (e.compose(e) - e).is_zero():
-                    raise InternalConsistencyError("split idempotent is not idempotent")
-                if not (sm.projection.compose(sm.inclusion)
-                        - identity_morphism(sm.object)).is_zero():
-                    raise InternalConsistencyError("projection does not retract the inclusion")
-                acc = acc + e
-            if not (acc - identity_morphism(z)).is_zero():
-                raise InternalConsistencyError("idempotents do not sum to the identity")
-            if dec.summands:
-                rebuilt, _, projs = direct_sum_many([sm.object for sm in dec.summands])
-                glue = None
-                for sm, pr in zip(dec.summands, projs):
-                    part = sm.inclusion.compose(pr)
-                    glue = part if glue is None else glue + part
-                mat = _total_matrix(glue)
-                if mat.rank() != z.total_dim():
-                    raise InternalConsistencyError("summands do not reassemble to the object")
-            res.passed += 1
-        except InternalConsistencyError as ex:
-            res.failures.append({"sample": i, "error": str(ex), "object": _dump_object(z)})
-    return res
+    def test(z):
+        dec = decompose(z)
+        total = sum(sm.object.total_dim() for sm in dec.summands)
+        if total != z.total_dim():
+            raise InternalConsistencyError("summand dimensions do not add up")
+        acc = zero_morphism(z, z)
+        for sm in dec.summands:
+            e = sm.inclusion.compose(sm.projection)
+            if not (e.compose(e) - e).is_zero():
+                raise InternalConsistencyError("split idempotent is not idempotent")
+            if not (sm.projection.compose(sm.inclusion)
+                    - identity_morphism(sm.object)).is_zero():
+                raise InternalConsistencyError("projection does not retract the inclusion")
+            acc = acc + e
+        if not (acc - identity_morphism(z)).is_zero():
+            raise InternalConsistencyError("idempotents do not sum to the identity")
+        if dec.summands:
+            rebuilt, _, projs = direct_sum_many([sm.object for sm in dec.summands])
+            glue = None
+            for sm, pr in zip(dec.summands, projs):
+                part = sm.inclusion.compose(pr)
+                glue = part if glue is None else glue + part
+            mat = _total_matrix(glue)
+            if mat.rank() != z.total_dim():
+                raise InternalConsistencyError("summands do not reassemble to the object")
+
+    return _sweep("decompose-recompose", samples, lambda: (random_object(s, rng, max_mult=1),), test, _dump_one)
 
 
 def suite_center_action(s: SpeciesScenario, rng: random.Random, samples: int) -> SuiteResult:
     """Ring-center elements act as central endomorphisms on every object."""
-    res = SuiteResult("center-action")
     center = ring_center(s)
-    for i in range(samples):
-        z = random_object(s, rng, max_mult=1)
-        try:
-            endos = hom(z, z)
-            for el in center.elements:
-                u = {x: z.x[x].act(el[x]) for x in s.x_ids}
-                v = {y: z.y[y].act(el[y]) for y in s.y_ids}
-                from .extcat import TripleMorphism
-                zf = TripleMorphism(z, z, u, v)
-                err = zf.check()
-                if err is not None:
-                    raise InternalConsistencyError(f"center element is not an endomorphism: {err}")
-                for f in endos:
-                    if not (zf.compose(f) - f.compose(zf)).is_zero():
-                        raise InternalConsistencyError("center element fails to commute")
-            res.passed += 1
-        except InternalConsistencyError as ex:
-            res.failures.append({"sample": i, "error": str(ex), "object": _dump_object(z)})
-    return res
+
+    def test(z):
+        endos = hom(z, z)
+        for el in center.elements:
+            u = {x: z.x[x].act(el[x]) for x in s.x_ids}
+            v = {y: z.y[y].act(el[y]) for y in s.y_ids}
+            zf = TripleMorphism(z, z, u, v)
+            err = zf.check()
+            if err is not None:
+                raise InternalConsistencyError(f"center element is not an endomorphism: {err}")
+            for f in endos:
+                if not (zf.compose(f) - f.compose(zf)).is_zero():
+                    raise InternalConsistencyError("center element fails to commute")
+
+    return _sweep("center-action", samples, lambda: (random_object(s, rng, max_mult=1),), test, _dump_one)
 
 
 SUITES = [

@@ -1148,34 +1148,25 @@ def min_poly_matrix(op: RatMatrix, start: Sequence | None = None) -> Polynomial:
     return Polynomial(_vector_min_poly(op, RatMatrix.from_rows([[x] for x in start]))).monic()
 
 
-# (op, the sparse columns of den op) while `_int_min_poly_matrix` runs on
-# op, so that its Krylov chases reuse the columns of its kill tests.
-_CHASED: tuple | None = None
-
-
 def _int_min_poly_matrix(op: RatMatrix) -> list[int]:
     """The minimal polynomial of a square matrix, primitive in integers.
 
     The e_i's minimal polynomials are lcm-ed, skipping an e_i the running
-    lcm q kills: den^d q(op) e_i = 0 by Horner.
+    lcm q kills: den^d q(op) e_i = 0 by Horner.  The kill tests and the
+    Krylov chases share one build of op's sparse columns.
     """
-    global _CHASED
     n = op.rows
     cols = _sparse_rows(zip(*op.num))  # N = den op
     acc = horner = [1]  # the running lcm, primitive; its c_k den^(d - k)
-    _CHASED = (op, cols)
-    try:
-        for i in range(n):
-            v = [horner[-1] * (r == i) for r in range(n)]
-            for c in reversed(horner[:-1]):
-                v = _int_mat_vec(cols, v)
-                v[i] += c
-            if any(v):
-                p = _vector_min_poly(op, RatMatrix._of(n, 1, [[int(r == i)] for r in range(n)]))
-                acc = _int_poly_exact_div(_int_poly_mul(acc, p), _int_poly_gcd(acc, p))
-                horner = [c * op.den ** (len(acc) - 1 - k) for k, c in enumerate(acc)]
-    finally:
-        _CHASED = None
+    for i in range(n):
+        v = [horner[-1] * (r == i) for r in range(n)]
+        for c in reversed(horner[:-1]):
+            v = _int_mat_vec(cols, v)
+            v[i] += c
+        if any(v):
+            p = _vector_min_poly(op, RatMatrix._of(n, 1, [[int(r == i)] for r in range(n)]), cols)
+            acc = _int_poly_exact_div(_int_poly_mul(acc, p), _int_poly_gcd(acc, p))
+            horner = [c * op.den ** (len(acc) - 1 - k) for k, c in enumerate(acc)]
     return acc
 
 
@@ -1189,15 +1180,15 @@ def _int_mat_vec(cols: list, v: list[int]) -> list[int]:
     return w
 
 
-def _vector_min_poly(op: RatMatrix, vec: RatMatrix) -> list[int]:
+def _vector_min_poly(op: RatMatrix, vec: RatMatrix, cols: list | None = None) -> list[int]:
     """The minimal polynomial of the column vec under op: its first power dependency, primitive.
 
-    A fraction-free Krylov chase: u_k = N^k vec (N = den op) is reduced by the
-    echelon rows so far, tagged by their sums of u_i; the first zero gives
+    A fraction-free Krylov chase: u_k = N^k vec (N = den op, as its sparse
+    columns cols, built here when not given) is reduced by the echelon rows
+    so far, tagged by their sums of u_i; the first zero gives
     sum t_i u_i = 0, so op^i vec has coefficient t_i den^i.
     """
-    slot = _CHASED
-    cols = slot[1] if slot is not None and slot[0] is op else _sparse_rows(zip(*op.num))
+    cols = _sparse_rows(zip(*op.num)) if cols is None else cols
     ech = []  # (pivot, row, tag)
     cur = [r[0] for r in vec.num]
     for k in range(op.rows + 1):

@@ -814,57 +814,57 @@ def projective_resolution(z: TripleObject) -> Resolution:
 # Direct sums
 # ======================================================================
 
-def _stack_spaces(handle: DivisionAlgebraHandle, a: VertexSpace, b: VertexSpace) -> VertexSpace:
-    if a.canonical is not None and b.canonical is not None and a.canonical[0] == b.canonical[0]:
-        return canonical_space(handle, a.canonical[1] + b.canonical[1])
-    return VertexSpace(a.dim + b.dim, [_block_diag([ma, mb]) for ma, mb in zip(a.action, b.action)])
+def _stack_spaces(handle: DivisionAlgebraHandle, parts: list[VertexSpace]) -> VertexSpace:
+    if all(p.canonical is not None and p.canonical[0] == parts[0].canonical[0] for p in parts):
+        return canonical_space(handle, sum(p.canonical[1] for p in parts))
+    return VertexSpace(sum(p.dim for p in parts), [_block_diag(list(ms)) for ms in zip(*(p.action for p in parts))])
 
 
 def direct_sum(a: TripleObject, b: TripleObject):
-    """(a (+) b, inclusions, projections)."""
-    s = _same_scenario(a, b)
-    x_parts = {x: _stack_spaces(s.algebra(x), a.x[x], b.x[x]) for x in s.x_ids}
-    y_parts = {y: _stack_spaces(s.algebra(y), a.y[y], b.y[y]) for y in s.y_ids}
-    fsp = _build_fspaces(s, y_parts)
-
-    def inclusion(m: int, n: int, second: bool) -> RatMatrix:
-        d = n if second else m
-        return _assemble(m + n, d, [(m if second else 0, 0, RatMatrix.identity(d))])
-
-    ia_u = {x: inclusion(a.x[x].dim, b.x[x].dim, False) for x in s.x_ids}
-    ib_u = {x: inclusion(a.x[x].dim, b.x[x].dim, True) for x in s.x_ids}
-    ia_v = {y: inclusion(a.y[y].dim, b.y[y].dim, False) for y in s.y_ids}
-    ib_v = {y: inclusion(a.y[y].dim, b.y[y].dim, True) for y in s.y_ids}
-    eta = {}
-    for x in s.x_ids:
-        fa = _f_map(s, ia_v, a.f, fsp, x)
-        fb = _f_map(s, ib_v, b.f, fsp, x)
-        # F of the inclusions is a slot permutation, so its inverse is its transpose
-        lhs = (ia_u[x] * a.eta[x]).hstack(ib_u[x] * b.eta[x])
-        eta[x] = lhs * fa.hstack(fb).transpose()
-    total = TripleObject._with_fspaces(s, x_parts, y_parts, eta, fsp)
-    inc_a = TripleMorphism(a, total, ia_u, ia_v)
-    inc_b = TripleMorphism(b, total, ib_u, ib_v)
-    # the projections are the transposed inclusions
-    proj_a = TripleMorphism(total, a, {x: m.transpose() for x, m in ia_u.items()},
-                            {y: m.transpose() for y, m in ia_v.items()})
-    proj_b = TripleMorphism(total, b, {x: m.transpose() for x, m in ib_u.items()},
-                            {y: m.transpose() for y, m in ib_v.items()})
-    return total, (inc_a, inc_b), (proj_a, proj_b)
+    """(a (+) b, inclusions, projections), each a pair."""
+    total, incs, projs = direct_sum_many([a, b])
+    return total, tuple(incs), tuple(projs)
 
 
 def direct_sum_many(objs: Sequence[TripleObject]):
-    """Iterated direct sum; returns (total, inclusions, projections)."""
+    """(total, inclusions, projections) of a nonempty family, built in one pass.
+
+    The parts at each vertex stack in order.  Summand k's eta fills k's rows;
+    its F column for slot m_i and basis vector j of Y_y goes to column
+    fsp.offsets[y] + i . dim Y_y + (k's offset in Y_y) + j.  Inclusions are
+    identity blocks, projections their transposes.
+    """
     if not objs:
         raise TripleError("direct sum of an empty family is the zero object; build it directly")
-    total = objs[0]
-    incs = [identity_morphism(total)]
-    projs = [identity_morphism(total)]
-    for nxt in objs[1:]:
-        total2, (ia, ib), (pa, pb) = direct_sum(total, nxt)
-        incs = [ia.compose(m) for m in incs] + [ib]
-        projs = [m.compose(pa) for m in projs] + [pb]
-        total = total2
+    if len(objs) == 1:
+        return objs[0], [identity_morphism(objs[0])], [identity_morphism(objs[0])]
+    for z in objs:
+        s = _same_scenario(objs[0], z)
+    comps = [{**z.x, **z.y} for z in objs]
+    parts = {v: _stack_spaces(s.algebra(v), [c[v] for c in comps]) for v in s.vertex_order()}
+    at = {v: list(accumulate((c[v].dim for c in comps), initial=0)) for v in parts}
+    y_parts = {y: parts[y] for y in s.y_ids}
+    fsp = _build_fspaces(s, y_parts)
+    eta = {}
+    for x in s.x_ids:
+        den = lcm(*(z.eta[x].den for z in objs))
+        num = [[0] * fsp[x].dim for _ in range(parts[x].dim)]
+        for k, z in enumerate(objs):
+            cols = [fsp[x].offsets[y] + i * parts[y].dim + at[y][k] + j for y in z.f[x].offsets
+                    for i in range(s.bimodules[(x, y)].rank_over_right) for j in range(z.y[y].dim)]
+            c = den // z.eta[x].den
+            for row, out in zip(z.eta[x].num, num[at[x][k]:]):
+                for col, e in zip(cols, row):
+                    out[col] = c * e
+        eta[x] = RatMatrix._fresh(parts[x].dim, fsp[x].dim, num, den)
+    total = TripleObject._with_fspaces(s, {x: parts[x] for x in s.x_ids}, y_parts, eta, fsp)
+    incs, projs = [], []
+    for k, (z, comp) in enumerate(zip(objs, comps)):
+        inc = {v: _assemble(parts[v].dim, comp[v].dim, [(at[v][k], 0, RatMatrix.identity(comp[v].dim))])
+               for v in parts}
+        incs.append(TripleMorphism(z, total, {x: inc[x] for x in s.x_ids}, {y: inc[y] for y in s.y_ids}))
+        projs.append(TripleMorphism(total, z, {x: inc[x].transpose() for x in s.x_ids},
+                                    {y: inc[y].transpose() for y in s.y_ids}))
     return total, incs, projs
 
 

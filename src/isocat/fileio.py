@@ -272,7 +272,7 @@ def load_scenario(ref: str) -> SpeciesScenario:
         try:
             return catalog_scenario(name)
         except KeyError as ex:
-            raise FormatError(str(ex))
+            raise FormatError(ex.args[0])
     return scenario_from_json(_read_json(ref))
 
 

@@ -78,6 +78,24 @@ def test_load_scenario_catalog_and_unknown():
         load_scenario("catalog:nope")
 
 
+def test_cli_unknown_catalog_id_prints_one_clean_line(capsys):
+    assert main(["roots", "--scenario", "catalog:nope"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unknown catalog scenario 'nope'; known: {', '.join(CATALOG_IDS)}\n"
+
+
+def test_a_key_error_inside_a_builder_is_not_an_unknown_id(monkeypatch):
+    import isocat.catalog as catalog
+
+    def broken():
+        raise KeyError("missing bimodule")
+
+    monkeypatch.setitem(catalog._BUILDERS, "a2", broken)
+    with pytest.raises(KeyError, match="missing bimodule") as info:
+        catalog_scenario("a2")
+    assert "unknown catalog scenario" not in str(info.value)
+
+
 # ----------------------------------------------------------------------
 # CLI exit codes and reports
 # ----------------------------------------------------------------------

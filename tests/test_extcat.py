@@ -40,6 +40,7 @@ from isocat.extcat import (
     canonical_space,
     decompose,
     direct_sum,
+    direct_sum_many,
     end_algebra,
     equivariant_hom_basis,
     ext1,
@@ -1936,6 +1937,102 @@ def test_direct_sum_eta_square():
         assert mph.check() is None
     assert (pa.compose(ia) - identity_morphism(a)).is_zero()
     assert pb.compose(ia).is_zero()
+
+
+def reference_direct_sum(a, b):
+    """The binary direct sum with eta carried through F of the inclusions,
+    a slot permutation whose inverse is its transpose."""
+    s = extcat._same_scenario(a, b)
+
+    def stack(handle, p, q):
+        if p.canonical is not None and q.canonical is not None and p.canonical[0] == q.canonical[0]:
+            return canonical_space(handle, p.canonical[1] + q.canonical[1])
+        return VertexSpace(p.dim + q.dim, [extcat._block_diag([mp, mq]) for mp, mq in zip(p.action, q.action)])
+
+    x_parts = {x: stack(s.algebra(x), a.x[x], b.x[x]) for x in s.x_ids}
+    y_parts = {y: stack(s.algebra(y), a.y[y], b.y[y]) for y in s.y_ids}
+    fsp = _build_fspaces(s, y_parts)
+
+    def inclusion(m, n, second):
+        d = n if second else m
+        return extcat._assemble(m + n, d, [(m if second else 0, 0, RatMatrix.identity(d))])
+
+    ia_u = {x: inclusion(a.x[x].dim, b.x[x].dim, False) for x in s.x_ids}
+    ib_u = {x: inclusion(a.x[x].dim, b.x[x].dim, True) for x in s.x_ids}
+    ia_v = {y: inclusion(a.y[y].dim, b.y[y].dim, False) for y in s.y_ids}
+    ib_v = {y: inclusion(a.y[y].dim, b.y[y].dim, True) for y in s.y_ids}
+    eta = {}
+    for x in s.x_ids:
+        fa = _f_map(s, ia_v, a.f, fsp, x)
+        fb = _f_map(s, ib_v, b.f, fsp, x)
+        lhs = (ia_u[x] * a.eta[x]).hstack(ib_u[x] * b.eta[x])
+        eta[x] = lhs * fa.hstack(fb).transpose()
+    total = TripleObject._with_fspaces(s, x_parts, y_parts, eta, fsp)
+    incs = (TripleMorphism(a, total, ia_u, ia_v), TripleMorphism(b, total, ib_u, ib_v))
+    projs = tuple(TripleMorphism(total, m.source, {x: u.transpose() for x, u in m.u.items()},
+                                 {y: v.transpose() for y, v in m.v.items()}) for m in incs)
+    return total, incs, projs
+
+
+def reference_direct_sum_many(objs):
+    """The n-ary direct sum as a fold of binary sums, composing the maps
+    through every intermediate total."""
+    total = objs[0]
+    incs = [identity_morphism(total)]
+    projs = [identity_morphism(total)]
+    for nxt in objs[1:]:
+        total2, (ia, ib), (pa, pb) = reference_direct_sum(total, nxt)
+        incs = [ia.compose(m) for m in incs] + [ib]
+        projs = [m.compose(pa) for m in projs] + [pb]
+        total = total2
+    return total, incs, projs
+
+
+def morphism_key(m):
+    s = m.source.scenario
+    return (m.source.data_key(), m.target.data_key(),
+            tuple(m.u[x].key() for x in s.x_ids), tuple(m.v[y].key() for y in s.y_ids))
+
+
+def direct_sum_key(total, incs, projs):
+    return total.data_key(), [morphism_key(m) for m in incs], [morphism_key(m) for m in projs]
+
+
+def direct_sum_pool(s, rng):
+    """Objects with canonical parts, and (over sqrt2_mult and c3_surface, whose
+    a2 is over Q(sqrt d)) kernels, images, cokernels, decompose pieces and
+    conjugates, whose parts over the larger fields are not canonical."""
+    pool = [random_object(s, rng, max_mult=2) for _ in range(3)] + [canonical_object(s, {})]
+    if s.name in ("sqrt2_mult", "c3_surface"):
+        a, b = random_object(s, rng, max_mult=2), random_object(s, rng, max_mult=2)
+        ops = abelian_ops(random_morphism(a, b, rng))
+        pool += [ops.kernel, ops.image, ops.cokernel, conjugated(a, s.y_ids[0])]
+        pool += [sm.object for sm in decompose(random_object(s, rng, max_mult=2)).summands]
+    return pool
+
+
+def test_direct_sum_many_matches_the_binary_fold():
+    scenarios = [catalog_scenario(name) for name in CATALOG_IDS] + [sqrt2_scenario()]
+    mixed = 0
+    for s in scenarios:
+        rng = random.Random(f"direct-sum:{s.name}")
+        pool = direct_sum_pool(s, rng)
+        for n in (1, 2, 3, 4):
+            for _ in range(4 if n > 1 else 2):
+                objs = [rng.choice(pool) for _ in range(n)]
+                got = direct_sum_many(objs)
+                assert direct_sum_key(*got) == direct_sum_key(*reference_direct_sum_many(objs))
+                canon = [[z.x.get(v) or z.y.get(v) for z in objs] for v in s.vertex_order()]
+                mixed += any(len({p.canonical is None for p in parts}) == 2 for parts in canon)
+                if n == 1:
+                    assert got[0] is objs[0]
+                if n == 2:
+                    total, incs, projs = direct_sum(*objs)
+                    assert (type(incs), type(projs)) == (tuple, tuple)
+                    assert direct_sum_key(total, incs, projs) == direct_sum_key(*reference_direct_sum(*objs))
+                    assert validate(total) is None
+    # some families put a canonical part next to a non-canonical one
+    assert mixed >= 5
 
 
 # ----------------------------------------------------------------------
