@@ -104,8 +104,4 @@ FINITE_TYPE_IDS = ["a2", "a3", "b2_dual", "c2", "c3_surface", "d4_elliptic", "g2
 
 
 def catalog_scenario(name: str) -> SpeciesScenario:
-    try:
-        build = _BUILDERS[name]
-    except KeyError:
-        raise KeyError(f"unknown catalog scenario {name!r}; known: {', '.join(CATALOG_IDS)}") from None
-    return build()
+    return _BUILDERS[name]()

@@ -80,11 +80,10 @@ class VertexSpace:
     """A Q-space with a unital action of one vertex algebra.
 
     `canonical` is (algebra key, multiplicity) for a `canonical_space`.  A
-    shared value has `_memo`, its `_hom_terms` by target; `_proved` marks a
-    shared canonical space whose laws a checked object proved.
+    shared value has `_memo`, its `_hom_terms` by target.
     """
 
-    __slots__ = ("dim", "action", "_key", "canonical", "_memo", "_proved")
+    __slots__ = ("dim", "action", "_key", "canonical", "_memo")
 
     def __init__(self, dim: int, action: Sequence[RatMatrix],
                  canonical: Optional[tuple] = None):
@@ -92,7 +91,6 @@ class VertexSpace:
         self.action = list(action)
         self.canonical = canonical
         self._key = self._memo = None
-        self._proved = False
 
     def key(self) -> tuple:
         if self._key is None:
@@ -365,18 +363,17 @@ def _components_error(s: SpeciesScenario, x_parts: dict[str, VertexSpace],
                       y_parts: dict[str, VertexSpace]) -> Optional[str]:
     """None if every component is a unital representation, else the first violation.
 
-    A shared canonical space is proved once, by the first checked object
-    that has it at a vertex of its own algebra.
+    A shared canonical space at a vertex of its own algebra instance is
+    skipped: it acts by I_m (x) L_b, and `AlgebraSpec` checked L's laws.
     """
     for ids, parts, side in ((s.x_ids, x_parts, "x"), (s.y_ids, y_parts, "y")):
         for v in ids:
             spec, vs = s.algebra(v).spec, parts[v]
-            if vs._proved and _shared(spec, vs):
+            if _shared(spec, vs):
                 continue
             err = _space_error(spec, vs)
             if err is not None:
                 return f"{side}-component at {v!r}: {err}"
-            vs._proved |= _shared(spec, vs)
     return None
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from .catalog import catalog_scenario
+from .catalog import CATALOG_IDS, catalog_scenario
 from .exactalg import Polynomial, RatMatrix
 from .extcat import TripleError, TripleObject, VertexSpace, _eta_error, _space_error
 from .species import (
@@ -269,10 +269,9 @@ def load_scenario(ref: str) -> SpeciesScenario:
     """Load from "catalog:ID" or from a JSON file path."""
     if ref.startswith("catalog:"):
         name = ref.split(":", 1)[1]
-        try:
-            return catalog_scenario(name)
-        except KeyError as ex:
-            raise FormatError(ex.args[0])
+        if name not in CATALOG_IDS:
+            raise FormatError(f"unknown catalog scenario {name!r}; known: {', '.join(CATALOG_IDS)}")
+        return catalog_scenario(name)
     return scenario_from_json(_read_json(ref))
 
 

@@ -3,8 +3,8 @@
 A scenario is the finite datum of a triangular matrix ring: division
 algebras on an x-side and a y-side, plus bimodules across the sides.  The
 valued graph of a scenario drives the finite-representation-type test
-(positive definiteness of the symmetrized Cartan matrix) and the positive
-root enumeration used to index indecomposables.
+(read off the Cartan matrix: every leading principal minor positive) and the
+positive root enumeration used to index indecomposables.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -275,6 +274,11 @@ class ValuedGraph:
     An edge (a, b, d_ab, d_ba) is undirected; the pair records the two
     labels relative to its endpoints.  `side` tags are carried along when
     the graph comes from a scenario (x side / y side) and may be None.
+
+    The graph must be symmetrizable (Dlab-Ringel): some positive f has
+    d_ab f_a = d_ba f_b on every edge.  f_v = [D_v : Q] symmetrizes a
+    scenario's graph and every tree is symmetrizable; nothing checks a
+    cycle built by hand.
     """
 
     vertices: list[str]
@@ -320,25 +324,21 @@ class ValuedGraph:
 
 @dataclass
 class RootDatum:
-    """Cartan matrix with its symmetrizer, positive integers f with f_i c_ij = f_j c_ji."""
+    """Cartan matrix: c_ii = 2, c_ij <= 0 otherwise, and c_ij = 0 exactly when c_ji = 0."""
 
     cartan: list[list[int]]
-    symmetrizer: list[int]
     vertices: list[str]
 
     def __post_init__(self):
-        n = len(self.cartan)
+        n, c = len(self.cartan), self.cartan
         for i in range(n):
-            if self.cartan[i][i] != 2:
+            if c[i][i] != 2:
                 raise ScenarioError("Cartan diagonal must be 2")
             for j in range(n):
-                if i != j and self.cartan[i][j] > 0:
+                if i != j and c[i][j] > 0:
                     raise ScenarioError("Cartan off-diagonal entries must be <= 0")
-        f, c = self.symmetrizer, self.cartan
-        if any(x <= 0 for x in f):
-            raise ScenarioError("symmetrizer entries must be positive")
-        if any(f[i] * c[i][j] != f[j] * c[j][i] for i in range(n) for j in range(i) if c[i][j] or c[j][i]):
-            raise ScenarioError("symmetrizer does not symmetrize the Cartan matrix")
+                if (c[i][j] == 0) != (c[j][i] == 0):
+                    raise ScenarioError("Cartan entries c_ij and c_ji must vanish together")
 
     @property
     def rank(self) -> int:
@@ -365,12 +365,7 @@ def valued_graph(s: SpeciesScenario) -> ValuedGraph:
 
 
 def cartan_matrix(g: ValuedGraph) -> RootDatum:
-    """Cartan matrix of a valued forest, with its tree-propagated integer symmetrizer.
-
-    For an edge (a, b, d_ab, d_ba): c_ab = -d_ab and c_ba = -d_ba.  Each
-    component's root gets f = 1, and a step f_w = f_u d_uw / d_wu that is
-    not integral first scales the component's vertices reached so far.
-    """
+    """Cartan matrix of a valued graph: c_ab = -d_ab and c_ba = -d_ba for an edge (a, b, d_ab, d_ba)."""
     order = {v: i for i, v in enumerate(g.vertices)}
     n = len(g.vertices)
     c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -378,47 +373,29 @@ def cartan_matrix(g: ValuedGraph) -> RootDatum:
         i, j = order[a], order[b]
         c[i][j] = -dab
         c[j][i] = -dba
-    sym = [0] * n
-    adj = g.adjacency()
-    for comp in g.components():
-        if sum(a in comp for a, _, _, _ in g.edges) != len(comp) - 1:
-            raise ScenarioError("valued graph contains a cycle; Cartan data needs a forest")
-        stack, reached = [comp[0]], [order[comp[0]]]
-        sym[reached[0]] = 1
-        while stack:
-            u = stack.pop()
-            for w, duw, dwu in adj[u]:
-                if not sym[order[w]]:
-                    # f_u * c_uw = f_w * c_wu
-                    num = sym[order[u]] * duw
-                    if num % dwu:
-                        k = dwu // gcd(num, dwu)
-                        for i in reached:
-                            sym[i] *= k
-                        num *= k
-                    sym[order[w]] = num // dwu
-                    reached.append(order[w])
-                    stack.append(w)
-    return RootDatum(c, sym, list(g.vertices))
+    return RootDatum(c, list(g.vertices))
 
 
 def is_finite_type(r: RootDatum) -> bool:
-    """Exact positive-definiteness of the symmetrized Cartan matrix.
+    """Finite type, read off the Cartan matrix: every leading principal minor is positive.
 
-    The pivots of a no-swap fraction-free elimination of the integer
-    symmetrized matrix are the leading principal minors, so the form is
-    positive definite iff every pivot is positive (Sylvester).
+    C = F^-1 S with S symmetric and F = diag(f) positive, f_v = [D_v : Q]
+    for a species (d_xy f_x = dim_Q M_xy = d_yx f_y).  Each leading principal
+    minor of C is S's divided by a positive product, so Sylvester's
+    criterion for S reads the same on C.  A no-swap fraction-free (Bareiss)
+    elimination divides exactly on any integer matrix, and its pivots are
+    those minors.
     """
     n = r.rank
-    sym = [[f * x for x in row] for f, row in zip(r.symmetrizer, r.cartan)]
+    a = [list(row) for row in r.cartan]
     prev = 1
     for k in range(n):
-        piv = sym[k][k]
+        piv = a[k][k]
         if piv <= 0:
             return False
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                sym[i][j] = (piv * sym[i][j] - sym[i][k] * sym[k][j]) // prev
+                a[i][j] = (piv * a[i][j] - a[i][k] * a[k][j]) // prev
         prev = piv
     return True
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from isocat.catalog import CATALOG_IDS, catalog_scenario
 from isocat.cli import _INPUT_ERRORS, main
+from isocat.exactalg import Polynomial
 from isocat.extcat import simple_x_object, simple_y_object, universal_extension_of
 from isocat.fileio import (
     MAX_DIM,
@@ -26,6 +27,7 @@ from isocat.fileio import (
     scenario_to_json,
 )
 from isocat.samples import random_object
+from isocat.species import SpeciesScenario, number_field, rationals, scalar_bimodule, tensor_bimodule
 
 
 # ----------------------------------------------------------------------
@@ -94,6 +96,40 @@ def test_a_key_error_inside_a_builder_is_not_an_unknown_id(monkeypatch):
     with pytest.raises(KeyError, match="missing bimodule") as info:
         catalog_scenario("a2")
     assert "unknown catalog scenario" not in str(info.value)
+
+
+def test_cli_reports_a_key_error_inside_a_builder_as_internal(monkeypatch, capsys):
+    import isocat.catalog as catalog
+
+    def broken():
+        raise KeyError("missing bimodule")
+
+    monkeypatch.setitem(catalog._BUILDERS, "a2", broken)
+    assert main(["roots", "--scenario", "catalog:a2"]) == 1
+    assert capsys.readouterr().err == "error: internal error: KeyError: 'missing bimodule'\n"
+
+
+def _cyclic_scenarios():
+    """Euclidean A~3 over Q, and a 4-cycle whose vertex u is Q(sqrt 2), so f = (2, 1, 1, 1)."""
+    q, k = rationals(), number_field(Polynomial([-2, 0, 1]))
+    a3 = SpeciesScenario("a3_tilde", [("u", q), ("w", q)], [("a", q), ("b", q)],
+                         {(x, y): scalar_bimodule(q, q, 1) for x in "uw" for y in "ab"})
+    mixed = SpeciesScenario("sqrt2_square", [("u", k), ("w", q)], [("a", q), ("b", q)],
+                            {("u", "a"): tensor_bimodule(k, q), ("u", "b"): tensor_bimodule(k, q),
+                             ("w", "a"): scalar_bimodule(q, q, 1), ("w", "b"): scalar_bimodule(q, q, 1)})
+    return a3, mixed
+
+
+def test_cli_classifies_cyclic_scenarios_as_infinite(tmp_path, capsys):
+    for s in _cyclic_scenarios():
+        path = tmp_path / f"{s.name}.json"
+        path.write_text(json.dumps(scenario_to_json(s)))
+        assert main(["classify", "--scenario", str(path), "--format", "json"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "infinite" and doc["diagram"] == "not-dynkin"
+        assert main(["roots", "--scenario", str(path)]) == 3
+        assert main(["indec", "--scenario", str(path), "--seed", "1"]) == 3
+        assert capsys.readouterr().err == ""
 
 
 # ----------------------------------------------------------------------

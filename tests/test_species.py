@@ -1,6 +1,8 @@
 """Tests for scenarios, valued graphs, Cartan data and the ring center."""
 
 import itertools
+import math
+import random
 import re
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from isocat.extcat import (
 )
 from isocat.species import (
     Bimodule,
+    RootDatum,
     ScenarioError,
     SpeciesScenario,
     ValuedGraph,
@@ -270,11 +273,71 @@ def test_cartan_orientation_pins_b3_c3():
     assert dynkin_name(c3) == "C3"
 
 
-def test_cartan_rejects_cycles():
-    g = ValuedGraph(["a", "b", "c"],
-                    [("a", "b", 1, 1), ("b", "c", 1, 1), ("a", "c", 1, 1)])
-    with pytest.raises(ScenarioError):
-        cartan_matrix(g)
+def test_cartan_of_cycles_is_infinite_type():
+    tri = ValuedGraph(["a", "b", "c"],
+                      [("a", "b", 1, 1), ("b", "c", 1, 1), ("a", "c", 1, 1)])
+    rd = cartan_matrix(tri)
+    assert rd.cartan == [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    assert not is_finite_type(rd)
+    # f = (1, 2, 2, 1) symmetrizes this 4-cycle: d_ab f_a = d_ba f_b on each edge
+    square = ValuedGraph(["a", "b", "c", "d"],
+                         [("a", "b", 2, 1), ("b", "c", 1, 1), ("c", "d", 1, 2), ("d", "a", 1, 1)])
+    rd = cartan_matrix(square)
+    assert rd.cartan == [[2, -2, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -2, 2]]
+    assert not is_finite_type(rd)
+
+
+def _sylvester_positive_definite(s):
+    """Every leading principal minor of the symmetric s is positive, by Fraction elimination."""
+    a = [[Fraction(x) for x in row] for row in s]
+    n = len(a)
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            q = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= q * a[k][j]
+    return True
+
+
+def _species_shaped_graph(rng, n):
+    """A connected random graph with degrees f and edge Q-dimensions divisible by lcm(f_a, f_b)."""
+    f = [rng.choice((1, 2, 3, 4, 6)) for _ in range(n)]
+    tree = [(i, rng.randrange(i)) for i in range(1, n)]
+    chords = [(i, j) for i in range(n) for j in range(i) if (i, j) not in tree and rng.random() < 0.2]
+    edges = []
+    for a, b in tree + chords:
+        dim = math.lcm(f[a], f[b]) * rng.choice((1, 1, 1, 2))
+        edges.append((str(a), str(b), dim // f[a], dim // f[b]))
+    return f, ValuedGraph([str(i) for i in range(n)], edges)
+
+
+def test_finite_type_matches_sylvester_on_the_symmetrized_form():
+    # the reference builds S = diag(f) C itself and shares no engine code
+    rng = random.Random(1612)
+    cyclic = finite = 0
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        f, g = _species_shaped_graph(rng, n)
+        s = [[2 * f[i] if i == j else 0 for j in range(n)] for i in range(n)]  # diag(f) C from the edges
+        for a, b, dab, dba in g.edges:
+            s[int(a)][int(b)], s[int(b)][int(a)] = -f[int(a)] * dab, -f[int(b)] * dba
+        assert all(s[i][j] == s[j][i] for i in range(n) for j in range(n))
+        expected = _sylvester_positive_definite(s)
+        assert is_finite_type(cartan_matrix(g)) == expected == (dynkin_name(g) != "not-dynkin"), g
+        cyclic += len(g.edges) >= n
+        finite += expected
+    assert cyclic > 300 and finite > 300
+
+
+def test_root_datum_rejects_a_one_sided_zero():
+    with pytest.raises(ScenarioError, match="vanish together"):
+        RootDatum([[2, -1], [0, 2]], ["a", "b"])
+    with pytest.raises(ScenarioError, match="diagonal"):
+        RootDatum([[2, -1], [-1, 1]], ["a", "b"])
+    with pytest.raises(ScenarioError, match="<= 0"):
+        RootDatum([[2, 1], [1, 2]], ["a", "b"])
 
 
 def test_finite_type_d4_star():
