@@ -50,7 +50,6 @@ from .exactalg import (
     _int_poly_exact_div,
     _int_poly_mul,
     _int_squarefree,
-    _kernel,
     _quotient_algebra,
     _nonzero_entries,
     _null_rows,
@@ -408,7 +407,7 @@ class TripleMorphism:
         s = self.source.scenario
         for ids, maps, src, dst, name in ((s.x_ids, self.u, self.source.x, self.target.x, "u"),
                                           (s.y_ids, self.v, self.source.y, self.target.y, "v")):
-            for w in ids:
+            for w in (w for w in ids if s.algebra(w).dim > 1):  # a Q action is scalar: all maps commute
                 if any(maps[w] * m != n * maps[w] for m, n in zip(src[w].action, dst[w].action)):
                     return f"{name} at {w!r} not equivariant"
         for xv in s.x_ids:
@@ -453,11 +452,15 @@ def _flat_morphism(m: TripleMorphism) -> tuple[list[int], int]:
     return _flat_matrices([m.u[x] for x in s.x_ids] + [m.v[y] for y in s.y_ids])
 
 
-def zero_morphism(src: TripleObject, dst: TripleObject) -> TripleMorphism:
+def _morphism(src: TripleObject, dst: TripleObject, maps: dict[str, RatMatrix]) -> TripleMorphism:
+    """The morphism src -> dst with maps[w] at every vertex w."""
     s = src.scenario
-    u = {x: RatMatrix.zeros(dst.x[x].dim, src.x[x].dim) for x in s.x_ids}
-    v = {y: RatMatrix.zeros(dst.y[y].dim, src.y[y].dim) for y in s.y_ids}
-    return TripleMorphism(src, dst, u, v)
+    return TripleMorphism(src, dst, {x: maps[x] for x in s.x_ids}, {y: maps[y] for y in s.y_ids})
+
+
+def zero_morphism(src: TripleObject, dst: TripleObject) -> TripleMorphism:
+    at = {**dst.x, **dst.y}
+    return _morphism(src, dst, {w: RatMatrix.zeros(at[w].dim, vs.dim) for w, vs in {**src.x, **src.y}.items()})
 
 
 def _combine_morphisms(src: TripleObject, dst: TripleObject, basis: Sequence[TripleMorphism],
@@ -472,10 +475,7 @@ def _combine_morphisms(src: TripleObject, dst: TripleObject, basis: Sequence[Tri
 
 
 def identity_morphism(z: TripleObject) -> TripleMorphism:
-    s = z.scenario
-    u = {x: RatMatrix.identity(z.x[x].dim) for x in s.x_ids}
-    v = {y: RatMatrix.identity(z.y[y].dim) for y in s.y_ids}
-    return TripleMorphism(z, z, u, v)
+    return _morphism(z, z, {w: RatMatrix.identity(vs.dim) for w, vs in {**z.x, **z.y}.items()})
 
 
 # -- convenient constructors -------------------------------------------
@@ -789,13 +789,8 @@ class Resolution:
 def projective_resolution(z: TripleObject) -> Resolution:
     """The canonical length-1 resolution through X x E(Y)."""
     s = z.scenario
-    p1 = TripleObject(
-        s,
-        {x: z.f[x].space for x in s.x_ids},
-        {y: canonical_space(s.algebra(y), 0) for y in s.y_ids},
-        {x: RatMatrix.zeros(z.f[x].dim, 0) for x in s.x_ids},
-        check=False)
     ey = universal_extension_of(z)
+    p1 = x_only(ey)  # (F(Y), 0, 0)
     p0, (i_x, i_e), _ = direct_sum(x_only(z), ey)
     # d1 = (eta, iota): w |-> (eta w, w)
     u1 = {x: i_x.u[x] * z.eta[x] + i_e.u[x] for x in s.x_ids}
@@ -859,69 +854,55 @@ def direct_sum_many(objs: Sequence[TripleObject]):
     for k, (z, comp) in enumerate(zip(objs, comps)):
         inc = {v: _assemble(parts[v].dim, comp[v].dim, [(at[v][k], 0, RatMatrix.identity(comp[v].dim))])
                for v in parts}
-        incs.append(TripleMorphism(z, total, {x: inc[x] for x in s.x_ids}, {y: inc[y] for y in s.y_ids}))
-        projs.append(TripleMorphism(total, z, {x: inc[x].transpose() for x in s.x_ids},
-                                    {y: inc[y].transpose() for y in s.y_ids}))
+        incs.append(_morphism(z, total, inc))
+        projs.append(_morphism(total, z, {v: m.transpose() for v, m in inc.items()}))
     return total, incs, projs
 
 
 # ======================================================================
 # Kernels, cokernels, images, torsion pair
+#
+# Each sub- or quotient object is a `_retract` along p, i with p . i = 1,
+# read off reduced coordinates; one `TripleMorphism.check` of the
+# inclusion or projection proves it, and nothing is solved.
 # ======================================================================
 
-def _subspace_object(z: TripleObject, x_cols: dict[str, RatMatrix], y_cols: dict[str, RatMatrix],
-                     f: TripleMorphism | None = None):
-    """(subobject on action-stable columns, inclusion, f onto it or None).
+def _retract(z: TripleObject, p: dict[str, RatMatrix], i: dict[str, RatMatrix]) -> TripleObject:
+    """The object w on vertex maps p: z -> w and i: w -> z with p . i = id at every vertex.
 
-    One solve per vertex: inc X = m . inc per action matrix m, eta . F(inc), f's block.
-    A vertex over Q acts by c . I, so it is the shared `canonical_space`.
+    w acts by p . m . i and has eta p_x . eta_x . F(i).  That is z's own
+    structure exactly when i is a morphism w -> z (a subobject) or p is one
+    z -> w (a quotient), so a caller checks one inclusion or projection.  A
+    vertex over Q acts by c . I, so it is the shared `canonical_space`.
     """
     s = z.scenario
-    cols, amb, maps = {**x_cols, **y_cols}, {**z.x, **z.y}, {**f.u, **f.v} if f else {}
-    parts, sols = {}, {}
-    for v in s.y_ids + s.x_ids:  # F's layout needs y dims
-        h, inc = s.algebra(v), cols[v]
-        rhs = [m * inc for m in amb[v].action] if h.spec.dim > 1 else []
-        k = len(rhs)
-        if v in z.eta:
-            rhs.append(z.eta[v] * _f_map(s, y_cols, _f_layout(s, parts), z.f, v))
-        rhs += [maps[v]] if f else []
-        at = [0, *accumulate(m.cols for m in rhs)]
-        sol = inc.solve(_assemble(inc.rows, at[-1], [(0, c, m) for c, m in zip(at, rhs)])) if rhs else inc
-        if sol is None:
-            raise InternalConsistencyError(f"subspace at {v!r} is not action-stable or misses eta or f")
-        sols[v] = [sol.submatrix(range(sol.rows), range(c, c + m.cols)) for c, m in zip(at, rhs)]
-        parts[v] = VertexSpace(inc.cols, sols[v][:k]) if k else canonical_space(h, inc.cols)
-    sub = TripleObject(s, {x: parts[x] for x in s.x_ids}, {y: parts[y] for y in s.y_ids},
-                       {x: sols[x][-1 - bool(f)] for x in s.x_ids}, check=False)
-    onto = f and TripleMorphism(f.source, sub, {x: sols[x][-1] for x in s.x_ids}, {y: sols[y][-1] for y in s.y_ids})
-    return sub, TripleMorphism(sub, z, dict(x_cols), dict(y_cols)), onto
-
-
-def _quotient_object(z: TripleObject, x_sub: dict[str, RatMatrix],
-                     y_sub: dict[str, RatMatrix]) -> tuple[TripleObject, TripleMorphism]:
-    """Quotient by the action-stable column spans, with its projection."""
-    s = z.scenario
-    subs, amb, parts, pro, eta = {**x_sub, **y_sub}, {**z.x, **z.y}, {}, {}, {}
+    amb, parts = {**z.x, **z.y}, {}
     for v in s.vertex_order():
-        # proj is the identity on the free columns, so X with X . proj = proj . m
-        # is proj . m read at those columns (over Q: shared)
-        proj, free = _null_rows(subs[v].transpose())
-        h, pro[v] = s.algebra(v), proj
-        images = [proj * m for m in amb[v].action] if h.spec.dim > 1 else []
-        action = [pm.submatrix(range(proj.rows), free) for pm in images]
-        if any(a * proj != pm for a, pm in zip(action, images)):
-            raise InternalConsistencyError(f"subspace at {v!r} is not action-stable")
-        parts[v] = VertexSpace(proj.rows, action) if action else canonical_space(h, proj.rows)
+        h = s.algebra(v)
+        action = [p[v] * m * i[v] for m in amb[v].action] if h.spec.dim > 1 else []
+        parts[v] = VertexSpace(p[v].rows, action) if action else canonical_space(h, p[v].rows)
     y_parts = {y: parts[y] for y in s.y_ids}
-    for x in s.x_ids:
-        fpi = _f_map(s, pro, z.f, _f_layout(s, y_parts), x)
-        sol = fpi.transpose().solve((pro[x] * z.eta[x]).transpose())
-        if sol is None:
-            raise InternalConsistencyError(f"eta does not descend to the quotient at {x!r}")
-        eta[x] = sol.transpose()
-    quo = TripleObject(s, {x: parts[x] for x in s.x_ids}, y_parts, eta, check=False)
-    return quo, TripleMorphism(z, quo, {x: pro[x] for x in s.x_ids}, {y: pro[y] for y in s.y_ids})
+    fsp = _build_fspaces(s, y_parts)
+    eta = {x: p[x] * z.eta[x] * _f_map(s, i, fsp, z.f, x) for x in s.x_ids}
+    return TripleObject._with_fspaces(s, {x: parts[x] for x in s.x_ids}, y_parts, eta, fsp)
+
+
+def _checked(m: TripleMorphism) -> TripleMorphism:
+    err = m.check()
+    if err is not None:
+        raise InternalConsistencyError(f"retract map is not a morphism: {err}")
+    return m
+
+
+def _unit_columns(n: int, cols: Sequence[int]) -> RatMatrix:
+    """The columns cols of the n x n identity."""
+    return RatMatrix._of(n, len(cols), [[int(r == c) for c in cols] for r in range(n)])
+
+
+def _null_pair(m: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
+    """(N, S) with N = `_null_rows(m)` and S the identity's columns at N's free columns, so N . S = I."""
+    null, free = _null_rows(m)
+    return null, _unit_columns(m.cols, free)
 
 
 @dataclass
@@ -936,21 +917,40 @@ class AbelianOps:
 
 
 def _image(f: TripleMorphism) -> tuple[TripleObject, TripleMorphism, TripleMorphism]:
-    """(image, inclusion, f onto the image), spanned by the pivot columns of f."""
-    ix, iy = ({w: m.submatrix(range(m.rows), m.column_space_pivots()) for w, m in d.items()} for d in (f.u, f.v))
-    return _subspace_object(f.target, ix, iy, f)
+    """(image, inclusion C, f onto the image R) with f = C . R at each vertex.
+
+    R = rref(f) is the identity at f's pivot columns P and C = f[:, P], so
+    the image is f's source retracted along p = R and i = the identity's
+    columns P; C is the one map checked.  One elimination per block.
+    """
+    r, i, c = {}, {}, {}
+    for v, m in {**f.u, **f.v}.items():
+        r[v], piv = m.rref()
+        i[v], c[v] = _unit_columns(m.cols, piv), m.submatrix(range(m.rows), piv)
+    image = _retract(f.source, r, i)
+    return image, _checked(_morphism(image, f.target, c)), _morphism(f.source, image, r)
 
 
 def abelian_ops(f: TripleMorphism) -> AbelianOps:
-    """Kernel, image and cokernel of a morphism, with their structure maps."""
-    s = f.source.scenario
+    """Kernel, image and cokernel of a morphism, each a `_retract` with its one map checked.
+
+    With (N, S) = `_null_pair`: the kernel is f's source on p = S^T, i = K =
+    N^T for N of f (K is the identity at N's free columns, and is checked);
+    the cokernel is f's target on p = pi = N, i = S for N of the image
+    inclusion's transpose (pi is checked).
+    """
     z, z2 = f.source, f.target
-    kx = {x: _kernel(f.u[x]) for x in s.x_ids}
-    ky = {y: _kernel(f.v[y]) for y in s.y_ids}
-    kernel, k_inc, _ = _subspace_object(z, kx, ky)
+    ker, cok = ({}, {}), ({}, {})  # (p, i) by vertex
+    for v, m in {**f.u, **f.v}.items():
+        null, unit = _null_pair(m)
+        ker[0][v], ker[1][v] = unit.transpose(), null.transpose()
+    kernel = _retract(z, *ker)
     image, i_inc, i_proj = _image(f)
-    cok, c_proj = _quotient_object(z2, i_inc.u, i_inc.v)
-    return AbelianOps(kernel, k_inc, image, i_inc, i_proj, cok, c_proj)
+    for v, c in {**i_inc.u, **i_inc.v}.items():
+        cok[0][v], cok[1][v] = _null_pair(c.transpose())
+    cokernel = _retract(z2, *cok)
+    return AbelianOps(kernel, _checked(_morphism(kernel, z, ker[1])), image, i_inc, i_proj,
+                      cokernel, _checked(_morphism(z2, cokernel, cok[0])))
 
 
 def verify_short_exact(inc: TripleMorphism, proj: TripleMorphism) -> bool:
@@ -972,15 +972,9 @@ def _exact_by_ranks(inc: TripleMorphism, proj: TripleMorphism) -> bool:
 
 def torsion_pair(z: TripleObject) -> tuple[TripleMorphism, TripleMorphism]:
     """The canonical sequence 0 -> (X,0,0) -> z -> (0,Y,0) -> 0."""
-    s = z.scenario
-    sub = x_only(z)
-    quo = y_only(z)
-    inc = TripleMorphism(sub, z,
-                         {x: RatMatrix.identity(z.x[x].dim) for x in s.x_ids},
-                         {y: RatMatrix.zeros(z.y[y].dim, 0) for y in s.y_ids})
-    proj = TripleMorphism(z, quo,
-                          {x: RatMatrix.zeros(0, z.x[x].dim) for x in s.x_ids},
-                          {y: RatMatrix.identity(z.y[y].dim) for y in s.y_ids})
+    s, unit = z.scenario, identity_morphism(z)
+    inc = TripleMorphism(x_only(z), z, unit.u, {y: RatMatrix.zeros(z.y[y].dim, 0) for y in s.y_ids})
+    proj = TripleMorphism(z, y_only(z), {x: RatMatrix.zeros(0, z.x[x].dim) for x in s.x_ids}, unit.v)
     return inc, proj
 
 

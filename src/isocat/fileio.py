@@ -161,6 +161,8 @@ def scenario_from_json(doc) -> SpeciesScenario:
             raise FormatError(f"bimodule ({x!r}, {y!r}) references unknown vertices")
         if not isinstance(dim, int) or not 0 <= dim <= MAX_DIM:
             raise FormatError(f"bimodule ({x!r}, {y!r}) has a bad dimension (an int from 0 to {MAX_DIM})")
+        if (x, y) in bims:
+            raise FormatError(f"bimodule ({x!r}, {y!r}) is listed twice")
         if "left_action" in entry or "right_action" in entry:
             left = [matrix_from_json(m, dim, dim) for m in _json_list(entry, "left_action")]
             right = [matrix_from_json(m, dim, dim) for m in _json_list(entry, "right_action")]

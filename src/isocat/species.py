@@ -227,8 +227,8 @@ class SpeciesScenario:
     """The full datum behind a triangular matrix ring.
 
     x-vertices and y-vertices carry division algebra handles; bimodules are
-    keyed by (x id, y id) and absent keys mean the zero bimodule.  Edges
-    only ever connect the two sides.
+    keyed by (x id, y id) and absent keys mean the zero bimodule, so a zero
+    bimodule given is not stored.  Edges only ever connect the two sides.
     """
 
     def __init__(self, name: str,
@@ -238,7 +238,7 @@ class SpeciesScenario:
         self.name = name
         self.x_vertices = list(x_vertices)
         self.y_vertices = list(y_vertices)
-        self.bimodules = dict(bimodules)
+        self.bimodules = {key: bm for key, bm in bimodules.items() if bm.dim}
         self.x_ids = [v for v, _ in self.x_vertices]
         self.y_ids = [v for v, _ in self.y_vertices]
         self._handles = dict(self.x_vertices + self.y_vertices)

@@ -132,6 +132,34 @@ def test_cli_classifies_cyclic_scenarios_as_infinite(tmp_path, capsys):
         assert capsys.readouterr().err == ""
 
 
+def _q_doc(name, ys, bimodules):
+    """A scenario over Q with one x-vertex u and the given (y, dim) bimodule entries."""
+    return {"schema": "isocat/scenario-v1", "name": name,
+            "x_vertices": [{"id": "u", "algebra": {"kind": "Q"}}],
+            "y_vertices": [{"id": y, "algebra": {"kind": "Q"}} for y in ys],
+            "bimodules": [{"x": "u", "y": y, "dim": d} for y, d in bimodules]}
+
+
+def test_cli_rejects_a_bimodule_listed_twice(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(_q_doc("twice", "a", [("a", 1), ("a", 3)])))
+    assert main(["classify", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == "error: bimodule ('u', 'a') is listed twice\n"
+
+
+def test_cli_reads_a_zero_bimodule_as_no_edge(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(_q_doc("zero", "ab", [("a", 0), ("b", 1)])))
+    assert scenario_from_json(json.loads(path.read_text())).bimodules.keys() == {("u", "b")}
+    assert main(["classify", "--scenario", str(path), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "finite" and doc["diagram"] == "A1+A2"
+    assert main(["roots", "--scenario", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 4
+    assert main(["indec", "--scenario", str(path), "--seed", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # ----------------------------------------------------------------------
 # CLI exit codes and reports
 # ----------------------------------------------------------------------

@@ -74,7 +74,7 @@ from isocat.species import (
     tensor_bimodule,
 )
 
-from test_exactalg import from_cols, multiply
+from test_exactalg import _gauss_jordan, from_cols, multiply
 from test_species import quaternions_from_i
 
 F = Fraction
@@ -1900,13 +1900,148 @@ def test_decompose_rejects_a_projector_that_is_not_idempotent(monkeypatch):
         decompose(z)
 
 
-def test_subspace_object_rejects_columns_that_are_not_action_stable():
-    # e_0 of Q(sqrt d) at a1 is not stable under multiplication by sqrt d
+def test_abelian_ops_rejects_a_map_that_is_not_a_morphism():
+    # e_0 of Q(sqrt d) at a1 spans no subspace stable under sqrt d; and (0, 1)
+    # on an object with nonzero eta leaves the eta square of its image open
     s = catalog_scenario("c2")
     assert s.algebra("a1").spec.dim == 2
     z = canonical_object(s, {"a1": 1})
-    with pytest.raises(extcat.InternalConsistencyError, match="is not action-stable"):
-        extcat._subspace_object(z, {"u": RatMatrix.zeros(0, 0)}, {"a1": RatMatrix(2, 1, [[1], [0]])})
+    f = TripleMorphism(z, z, {"u": RatMatrix.zeros(0, 0)}, {"a1": RatMatrix(2, 2, [[1, 0], [0, 0]])})
+    with pytest.raises(extcat.InternalConsistencyError, match="not a morphism: v at 'a1' not equivariant"):
+        abelian_ops(f)
+    a2 = catalog_scenario("a2")
+    z = random_object_with(a2, {v: 1 for v in a2.vertex_order()}, random.Random(1))
+    assert not z.eta["u"].is_zero()
+    f = TripleMorphism(z, z, {"u": RatMatrix.zeros(1, 1)}, {y: RatMatrix.identity(1) for y in a2.y_ids})
+    with pytest.raises(extcat.InternalConsistencyError, match="not a morphism: eta square does not commute"):
+        abelian_ops(f)
+
+
+# ----------------------------------------------------------------------
+# sub- and quotient objects against a Fraction reference that shares no
+# engine code: pivot columns, null spaces and every structure map solved
+# from its defining equation
+# ----------------------------------------------------------------------
+
+def _fr(m):
+    """A RatMatrix as (rows, cols, Fraction grid)."""
+    return m.rows, m.cols, m.to_fractions()
+
+
+def _fr_mul(a, b):
+    (n, k, x), (k2, p, y) = a, b
+    assert k == k2
+    return n, p, [[sum((x[i][l] * y[l][j] for l in range(k)), F(0)) for j in range(p)] for i in range(n)]
+
+
+def _fr_t(a):
+    n, p, x = a
+    return p, n, [[x[i][j] for i in range(n)] for j in range(p)]
+
+
+def _fr_solve(a, b):
+    """The X with a . X = b, asserted to exist and to be unique."""
+    (n, k, x), (n2, p, y) = a, b
+    assert n == n2
+    rows, pivots = _gauss_jordan([xr + yr for xr, yr in zip(x, y)], k + p)
+    assert pivots == list(range(k))
+    return k, p, [r[k:] for r in rows]
+
+
+def _fr_null(a):
+    """The null space of a as rows, each 1 at its own free column and 0 at the others."""
+    _, k, x = a
+    rows, pivots = _gauss_jordan(x, k)
+    out = []
+    for f in (c for c in range(k) if c not in pivots):
+        vec = [F(int(c == f)) for c in range(k)]
+        for r, p in zip(rows, pivots):
+            vec[p] = -r[f]
+        out.append(vec)
+    return len(out), k, out
+
+
+def _fr_tensor(s, x, maps):
+    """F(v) at x: r copies of maps[y] down the diagonal, y in order, r = rank of M_xy over D_y."""
+    blocks = [maps[y] for y in s.y_ids if (x, y) in s.bimodules for _ in range(s.bimodules[(x, y)].rank_over_right)]
+    n, p = sum(b[0] for b in blocks), sum(b[1] for b in blocks)
+    out = [[F(0)] * p for _ in range(n)]
+    r = c = 0
+    for bn, bp, grid in blocks:
+        for i, row in enumerate(grid):
+            out[r + i][c:c + bp] = row
+        r, c = r + bn, c + bp
+    return n, p, out
+
+
+def _fr_object(z):
+    return ({v: [_fr(m) for m in vs.action] for v, vs in {**z.x, **z.y}.items()},
+            {x: _fr(m) for x, m in z.eta.items()})
+
+
+def reference_abelian_ops(f):
+    """(kernel, image, cokernel) as (actions, eta) and the maps (K, C, R, pi), by vertex.
+
+    C is f's pivot columns and R the X with C . X = f; K and pi are the null
+    spaces of f and of C^T.  A sub on columns I gets A and E from I . A = m . I
+    and I_x . E = eta_x . F(I); the quotient by pi from A . pi = pi . m and
+    E . F(pi) = pi_x . eta'_x.
+    """
+    s = f.source.scenario
+    (act, eta), (act2, eta2) = _fr_object(f.source), _fr_object(f.target)
+    maps = {v: _fr(m) for v, m in {**f.u, **f.v}.items()}
+    kin, cin, proj, pi = {}, {}, {}, {}
+    for v, m in maps.items():
+        n, k, grid = m
+        kin[v] = _fr_t(_fr_null(m))
+        pivots = _gauss_jordan(grid, k)[1]
+        cin[v] = (n, len(pivots), [[row[c] for c in pivots] for row in grid])
+        proj[v] = _fr_solve(cin[v], m)
+        pi[v] = _fr_null(_fr_t(cin[v]))
+
+    def sub(inc, act, eta):
+        return ({v: [_fr_solve(inc[v], _fr_mul(m, inc[v])) for m in ms] for v, ms in act.items()},
+                {x: _fr_solve(inc[x], _fr_mul(e, _fr_tensor(s, x, inc))) for x, e in eta.items()})
+
+    quo_act = {v: [_fr_t(_fr_solve(_fr_t(pi[v]), _fr_t(_fr_mul(pi[v], m)))) for m in ms] for v, ms in act2.items()}
+    quo_eta = {x: _fr_t(_fr_solve(_fr_t(_fr_tensor(s, x, pi)), _fr_t(_fr_mul(pi[x], e)))) for x, e in eta2.items()}
+    return (sub(kin, act, eta), sub(cin, act2, eta2), (quo_act, quo_eta)), (kin, cin, proj, pi)
+
+
+def test_abelian_ops_match_the_fraction_reference_on_every_catalog_scenario():
+    checked = 0
+    for name in CATALOG_IDS:
+        s = catalog_scenario(name)
+        rng = random.Random(sum(map(ord, name)))
+        for _ in range(4):
+            f = random_morphism(random_object(s, rng), random_object(s, rng), rng)
+            ops = abelian_ops(f)
+            objects, maps = reference_abelian_ops(f)
+            assert tuple(_fr_object(o) for o in (ops.kernel, ops.image, ops.cokernel)) == objects, name
+            got = (ops.kernel_inclusion, ops.image_inclusion, ops.image_projection, ops.cokernel_projection)
+            assert tuple({v: _fr(m) for v, m in {**g.u, **g.v}.items()} for g in got) == maps, name
+            checked += bool(ops.kernel.total_dim() and ops.cokernel.total_dim())
+    assert checked >= 10  # morphisms with both a kernel and a cokernel
+
+
+def test_abelian_ops_and_image_split_solve_nothing(monkeypatch):
+    calls = []
+    solve = RatMatrix.solve
+    monkeypatch.setattr(RatMatrix, "solve", lambda m, rhs: calls.append(1) or solve(m, rhs))
+    rng = random.Random(5)
+    splits = 0
+    for name in ("c3_surface", "g2_threefold", "d4_elliptic", "c2"):
+        s = catalog_scenario(name)
+        for _ in range(5):
+            a, b = random_object(s, rng), random_object(s, rng)
+            f, dec = random_morphism(a, b, rng), decompose(a)
+            calls.clear()
+            abelian_ops(f)
+            for e in dec.idempotents()[:-1]:
+                extcat._image_split(a, e)
+                splits += 1
+            assert calls == [], name
+    assert splits >= 5
 
 
 def test_pieces_over_q_vertices_are_the_shared_canonical_spaces():

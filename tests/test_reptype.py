@@ -7,7 +7,7 @@ import pytest
 
 from isocat.catalog import FINITE_TYPE_IDS, catalog_scenario
 from isocat.exactalg import AlgebraSpec, radical
-from isocat.extcat import decompose, direct_sum_many, end_algebra, ext1, euler_form, hom, hom_ext_dims
+from isocat.extcat import CERTIFIED, decompose, direct_sum_many, end_algebra, ext1, euler_form, hom, hom_ext_dims
 from isocat.reptype import (
     build_root_table,
     classify,
@@ -24,6 +24,9 @@ from isocat.species import (
     rationals,
     right_regular_bimodule,
 )
+from isocat.samples import random_object
+
+from test_exactalg import _gauss_jordan
 
 
 def test_classify_catalog_cases():
@@ -202,3 +205,59 @@ def test_hom_and_ext_between_root_table_entries_follow_directedness():
             assert hom_ext_dims(a, b)[:2] == (max(q, 0), max(-q, 0)), (name, da, db)
             pairs += 1
     assert pairs == 338  # 3^2 + 6^2 + 4^2 + 4^2 + 9^2 + 12^2 + 6^2
+
+
+def ext_orthogonal_splits(s, roots, target):
+    """Every multiset of roots summing to target whose members are pairwise
+    Ext-orthogonal, reading dim Ext^1(T_a, T_b) as max(-<a, b>, 0)."""
+    def orthogonal(a, b):
+        return ringel_form(s, a, b) >= 0 and ringel_form(s, b, a) >= 0
+
+    found = []
+
+    def walk(start, rest, picked):
+        if not any(rest):
+            found.append(picked)
+        for k in range(start, len(roots)):
+            r = roots[k]
+            if all(a <= b for a, b in zip(r, rest)) and all(orthogonal(r, p) for p in picked):
+                walk(k, [b - a for a, b in zip(r, rest)], picked + [r])
+
+    walk(0, list(target), [])
+    return found
+
+
+def auslander_multiplicities(s, roots, h):
+    """H^-1 . h with H[i][j] = max(<r_i, r_j>, 0) = dim Hom(T_i, T_j), in Fractions."""
+    n = len(roots)
+    rows, pivots = _gauss_jordan([[max(ringel_form(s, a, b), 0) for b in roots] + [h_a]
+                                  for a, h_a in zip(roots, h)], n + 1)
+    assert pivots == list(range(n))  # H is invertible
+    return [r[n] for r in rows]
+
+
+def test_certified_decompositions_match_the_form_only_oracles():
+    # a rigid object is fixed by its dimension vector: its summands are the
+    # one Ext-orthogonal multiset of roots summing to it (Kac 1982); and the
+    # multiplicities of any z are H^-1 . h(z), h(z)_i = dim Hom(T_i, z)
+    # (Auslander 1982).  Only the Ringel form and len(hom(T_i, z)) enter.
+    rigid = compared = 0
+    for name in FINITE_TYPE_IDS:
+        s = catalog_scenario(name)
+        table = build_root_table(s, 2026)
+        roots = [e.root for e in table.entries]
+        rng = random.Random(sum(map(ord, name)))
+        for _ in range(20):
+            z = random_object(s, rng, max_mult=2)
+            mult = auslander_multiplicities(s, roots, [len(hom(e.object, z)) for e in table.entries])
+            assert all(m.denominator == 1 and m >= 0 for m in mult), (name, z.dimension_vector(), mult)
+            predicted = sorted(r for r, m in zip(roots, mult) for _ in range(int(m)))
+            if ext1(z, z).dim == 0:
+                splits = ext_orthogonal_splits(s, roots, z.dimension_vector())
+                assert [sorted(p) for p in splits] == [predicted], (name, z.dimension_vector())
+                rigid += 1
+            dec = decompose(z)
+            if dec.flag == CERTIFIED:
+                assert sorted(sm.object.dimension_vector() for sm in dec.summands) == predicted, name
+                compared += 1
+    assert rigid == 130 and compared >= 138  # of 140 objects
