@@ -656,6 +656,29 @@ def _pair_psi(z: TripleObject, z2: TripleObject) -> tuple[tuple, bool]:
 def hom(z: TripleObject, z2: TripleObject) -> list[TripleMorphism]:
     """Basis of the space of morphisms z -> z2: the kernel of psi, from its rows.
 
+    psi's columns are taken right to left, the v (Y-side) columns first, as
+    in `hom_ext_dims`: at each x-vertex the u block of psi is I (x) eta^T,
+    and eliminating it first would build Schur-complement rows from minors
+    of eta.  The basis is the identity on the free columns of that order,
+    one element per free column, in column order.  `decompose` reads End(z)
+    through `_end_basis` instead.
+    """
+    return _psi_kernel(z, z2, True)
+
+
+def _end_basis(z: TripleObject) -> list[TripleMorphism]:
+    """decompose's basis of End(z): the identity on psi's left-to-right free columns.
+
+    `decompose` tries candidates in basis order, so its answers depend on the
+    basis, and this is the basis they are pinned to.  It goes once they no
+    longer depend on it.
+    """
+    return _psi_kernel(z, z, False)
+
+
+def _psi_kernel(z: TripleObject, z2: TripleObject, right_to_left: bool) -> list[TripleMorphism]:
+    """The kernel of psi, eliminating its rows with the columns in the given order.
+
     Each kernel vector accumulates into one integer grid per vertex from the
     nonzero entries of that vertex's basis.  When the elimination finds a
     pivot in every row, psi is onto, and `_LAST_PSI` records it for `ext1`
@@ -664,14 +687,14 @@ def hom(z: TripleObject, z2: TripleObject) -> list[TripleMorphism]:
     s = z.scenario
     data, _ = _pair_psi(z, z2)
     ubases, vbases, _, _, (nrows, columns) = data
-    ker, _ = _null_space(_psi_rows(nrows, columns), len(columns))
+    ker, _ = _null_space(_psi_rows(nrows, columns[::-1] if right_to_left else columns), len(columns))
     if len(columns) - ker.rows == nrows:  # rank psi = rows: psi is onto
         _remember(z, z2, data, True)
     sides = ((0, s.x_ids, ubases, z.x, z2.x), (1, s.y_ids, vbases, z.y, z2.y))
     sparse = [(side, w, *bases[w], dst[w].dim, src[w].dim)
               for side, ids, bases, src, dst in sides for w in ids]
     out = []
-    for vec in ker.num:
+    for vec in ([vec[::-1] for vec in reversed(ker.num)] if right_to_left else ker.num):
         coeffs, parts = iter(vec), ({}, {})
         for side, w, terms, den, rows, cols in sparse:  # each takes the next len(terms) coefficients
             parts[side][w] = _combine_terms(terms, coeffs, ker.den * den, rows, cols)
@@ -721,7 +744,8 @@ def hom_ext_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, tuple[int
     The row elimination takes psi's columns right to left: a rank does not
     depend on the order, and at each x-vertex the u block of psi is
     I (x) eta^T, whose elimination first would leave Schur-complement rows
-    built from minors of eta; the v columns first avoid that growth.
+    built from minors of eta; the v columns first avoid that growth.  `hom`
+    eliminates psi's rows in this same order.
     """
     ubases, vbases, _, _, (nrows, columns) = _psi_data(z, z2)
     su, sv = (sum(len(t) for t, _ in b.values()) for b in (ubases, vbases))
@@ -983,7 +1007,12 @@ def torsion_pair(z: TripleObject) -> tuple[TripleMorphism, TripleMorphism]:
 # ======================================================================
 
 def end_algebra(z: TripleObject, basis: list[TripleMorphism] | None = None) -> AlgebraSpec:
-    """Structure constants of End(z) in the computed hom basis."""
+    """Structure constants of End(z) in the given basis, by default `hom(z, z)`'s.
+
+    That is the identity on psi's free columns taken right to left.
+    `decompose` passes its left-to-right `_end_basis`, since its answers
+    depend on the basis order, until they no longer do.
+    """
     if basis is None:
         basis = hom(z, z)
     unit = _flat_morphism(identity_morphism(z))
@@ -1219,7 +1248,7 @@ def decompose(z: TripleObject) -> Decomposition:
     z is indecomposable exactly when End(z) is local, and then no element
     gives a splitting idempotent (Fitting), so a proved-local End ends the
     search.  At each node: End = Q . id is a certified leaf at once; else
-    the hom basis elements are tried, then the End/rad field certificate
+    the `_end_basis` elements are tried, then the End/rad field certificate
     (a commutative End/rad with a primitive element of irreducible minimal
     polynomial), then the pairwise sums and products.  The first candidate
     whose minimal polynomial has coprime parts splits z.  The flag is
@@ -1227,7 +1256,7 @@ def decompose(z: TripleObject) -> Decomposition:
 
     The answer depends only on z's data and its scenario, so the scenario
     remembers the flag of every leaf decided, by `data_key()`: an object
-    whose data is a known leaf is (z, id, id) with that flag, without hom.
+    whose data is a known leaf is (z, id, id) with that flag, without psi.
     Split nodes and errors are not remembered; only keys and flags are, so
     no object is kept alive.
     """
@@ -1235,7 +1264,7 @@ def decompose(z: TripleObject) -> Decomposition:
         return Decomposition([], CERTIFIED)
     leaves, key, e = z.scenario._leaves, z.data_key(), None
     if key not in leaves:
-        e, flag = _split_or_leaf(z, hom(z, z))
+        e, flag = _split_or_leaf(z, _end_basis(z))
         if e is None:
             leaves[key] = flag
     if e is None:

@@ -185,6 +185,19 @@ def test_hom_morphisms_satisfy_the_square():
             assert m.check() is None
 
 
+def test_hom_basis_entries_stay_small_at_multiplicity_eight():
+    # psi's columns right to left keep the Schur complement of its u block
+    # from forming: on g2 at m = 8 every entry of the End(z) basis stays
+    # near 50 bits, where the left-to-right basis reaches over 200
+    s = catalog_scenario("g2_threefold")
+    z = random_object_with(s, {v: 8 for v in s.vertex_order()}, random.Random(1))
+    basis = hom(z, z)
+    assert len(basis) == 64
+    bits = max(max(abs(e.numerator).bit_length(), e.denominator.bit_length())
+               for m in basis for e in m.flatten())
+    assert bits < 100
+
+
 # ----------------------------------------------------------------------
 # ext1 and the Euler form
 # ----------------------------------------------------------------------
@@ -583,9 +596,23 @@ def conjugated(z, y):
 
 
 def assert_hom_matches_dense(a, b):
+    """hom(a, b) spans the dense kernel of psi; for a is b, decompose's End basis is it exactly.
+
+    hom eliminates psi's columns right to left, so only its span is the
+    reference's: as many independent morphisms, each passing `check`, with
+    every reference vector in their span.  `_end_basis` keeps the dense
+    left-to-right basis, element for element.
+    """
     psi, ref = dense_psi_and_hom(a, b)
     assert psi_matrix(a, b)[0] == psi
-    assert [(m.u, m.v) for m in hom(a, b)] == ref
+    basis = hom(a, b)
+    assert len(basis) == len(ref) and all(m.check() is None for m in basis)
+    if basis:
+        ours = [m.flatten() for m in basis]
+        stacked = ours + [TripleMorphism(a, b, u, v).flatten() for u, v in ref]
+        assert RatMatrix.from_rows(ours).rank() == len(ours) == RatMatrix.from_rows(stacked).rank()
+    if a is b:
+        assert [(m.u, m.v) for m in extcat._end_basis(a)] == ref
 
 
 def test_sparse_hom_matches_dense_reference_on_catalog_and_number_fields():
@@ -1736,7 +1763,7 @@ def reference_decompose(z):
     field certificate run only on a leaf, after every candidate failed."""
     if z.total_dim() == 0:
         return extcat.Decomposition([], extcat.CERTIFIED)
-    end_basis = hom(z, z)
+    end_basis = extcat._end_basis(z)
     e = _sweep_idempotent(z, end_basis)
     if e is None:
         flag = extcat.CERTIFIED if extcat._leaf_certified(z, end_basis) else extcat.NO_FURTHER
@@ -1821,23 +1848,23 @@ def test_decompose_stops_searching_at_a_proved_local_end(monkeypatch):
 
 
 def test_decompose_checks_a_one_dimensional_end_is_the_scalars(monkeypatch):
-    # each decompose starts from an empty leaf memo, so that it reads hom
+    # each decompose starts from an empty leaf memo, so that it reads its End basis
     z = simple_y_object(catalog_scenario("a2"), "a1")
     assert decompose(z).flag == extcat.CERTIFIED
     twice = hom(z, z)[0].scale(2)
-    monkeypatch.setattr(extcat, "hom", lambda a, b: [twice])
+    monkeypatch.setattr(extcat, "_end_basis", lambda a: [twice])
     z.scenario._leaves.clear()
     assert decompose(z).flag == extcat.CERTIFIED
-    monkeypatch.setattr(extcat, "hom", lambda a, b: [zero_morphism(a, b)])
+    monkeypatch.setattr(extcat, "_end_basis", lambda a: [zero_morphism(a, a)])
     z.scenario._leaves.clear()
     with pytest.raises(extcat.InternalConsistencyError, match="misses the identity"):
         decompose(z)
 
 
-def count_hom_calls(monkeypatch):
+def count_end_basis_calls(monkeypatch):
     calls = []
-    real = extcat.hom
-    monkeypatch.setattr(extcat, "hom", lambda a, b: calls.append(a) or real(a, b))
+    real = extcat._end_basis
+    monkeypatch.setattr(extcat, "_end_basis", lambda a: calls.append(a) or real(a))
     return calls
 
 
@@ -1848,13 +1875,13 @@ def copy_over(s, z):
 
 def test_decompose_remembers_leaves_not_split_nodes(monkeypatch):
     # a split node adds nothing to its scenario's memo and each distinct leaf
-    # adds its flag; a fresh object with a leaf's parts is answered without hom
+    # adds its flag; a fresh object with a leaf's parts is answered without its End basis
     s = catalog_scenario("c3_surface")
     z = random_object_with(s, {"u": 2, "a1": 1, "a2": 2}, random.Random(8))
     dec = decompose(z)
     assert len(dec.summands) > 1 and z.data_key() not in s._leaves
     assert s._leaves == {sm.object.data_key(): dec.flag for sm in dec.summands}
-    calls = count_hom_calls(monkeypatch)
+    calls = count_end_basis_calls(monkeypatch)
     for sm in dec.summands:
         again = copy_over(s, sm.object)
         want = decomposition_key(extcat.Decomposition(
@@ -1873,7 +1900,7 @@ def test_decompose_remembers_an_uncertified_leaf_with_its_flag(monkeypatch):
     z = quaternion_simple()
     assert decompose(z).flag == extcat.NO_FURTHER
     assert z.scenario._leaves == {z.data_key(): extcat.NO_FURTHER}
-    calls = count_hom_calls(monkeypatch)
+    calls = count_end_basis_calls(monkeypatch)
     assert decompose(copy_over(z.scenario, z)).flag == extcat.NO_FURTHER and calls == []
 
 
