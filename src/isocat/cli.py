@@ -32,8 +32,8 @@ from .fileio import (
     matrix_to_json,
     rational_to_str,
 )
-from .reptype import ConstructionError, build_root_table, classify
-from .species import ScenarioError, cartan_matrix, positive_roots, ring_center, valued_graph
+from .reptype import ConstructionError, build_root_table, classify, indecomposable_vectors
+from .species import ScenarioError, ring_center
 from .wittmod import VModule, WittError, WittPartition, realize_partition, witt_partition
 
 EXIT_OK = 0
@@ -96,7 +96,7 @@ def cmd_roots(args) -> int:
                "verdict": c.verdict}, args.format,
               [f"scenario {s.name} has infinite representation type; no root list"])
         return EXIT_INFINITE
-    roots = positive_roots(cartan_matrix(valued_graph(s)))
+    roots = indecomposable_vectors(s)
     report = {"schema": REPORT_SCHEMA, "command": "roots", "scenario": s.name,
               "vertex_order": s.vertex_order(), "count": len(roots),
               "roots": [list(r) for r in roots]}

@@ -882,24 +882,21 @@ def _first_rational_root(coeffs: list[int], budget: FactorBudget | None = None) 
     ascending.  Only coprime pairs are tried, since (p, q) with gcd g > 1 is
     the number (p/g, q/g), which comes earlier; and only those within
     Cauchy's bounds a0 / (a0 + top) <= |p/q| <= (an + top) / an, top the
-    largest |a_i|.  The budget caps |a0| and |an| first.  Before the divisors
-    are listed, a prime ell not dividing an at which f has no root mod ell
-    proves there is none: q | an makes q invertible mod ell, so a root p/q
-    would give the root p/q mod ell.
+    largest |a_i|.  Before the divisors are listed, a prime ell not dividing
+    an at which f has no root mod ell proves there is none: q | an makes q
+    invertible mod ell, so a root p/q would give the root p/q mod ell.  The
+    budget caps only the divisor enumeration, after that certificate.
     """
     if not coeffs:
         return None
     a0, an = abs(coeffs[0]), abs(coeffs[-1])
     if a0 == 0:
         return 0, 1
-    if budget is not None:
-        budget.check_value(a0)
-        budget.check_value(an)
     if any(an % ell and not _has_root_mod(coeffs, ell) for ell in _NO_ROOT_PRIMES):
         return None
     top = max(map(abs, coeffs))
-    dens = _int_divisors(an)
-    for num in _int_divisors(a0):
+    dens = _int_divisors(an, budget)
+    for num in _int_divisors(a0, budget):
         for den in dens:
             if gcd(num, den) != 1 or a0 * den > num * (a0 + top) or num * an > (an + top) * den:
                 continue

@@ -4,7 +4,7 @@ A scenario is of finite representation type exactly when its valued graph
 is a Dynkin diagram; indecomposables are then indexed by positive roots,
 read as multiplicity vectors over the vertex division algebras.  Objects
 are built by sampling equivariant structure maps with small integer
-coordinates and certifying indecomposability through `decompose`.
+coordinates and certifying indecomposability by rigidity (Ext^1(z, z) = 0).
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ from typing import Optional
 
 from .exactalg import RatMatrix
 from .extcat import (
-    CERTIFIED,
     TripleMorphism,
     TripleObject,
     abelian_ops,
-    decompose,
     direct_sum_many,
+    ext1,
     hom,
     simple_x_object,
     simple_y_object,
@@ -41,6 +40,8 @@ from .species import (
 
 FINITE = "finite"
 INFINITE = "infinite"
+
+_SAMPLES = 32  # samples `construct_indecomposable` draws before it gives up
 
 _CASES = {
     1: {((1, 1),): "A2", ((2, 2),): "C2", ((3, 3),): "G2"},
@@ -106,44 +107,34 @@ def classify(s: SpeciesScenario) -> Classification:
     return Classification(FINITE if finite else INFINITE, name, case, conditions)
 
 
-def indecomposable_vectors(s: SpeciesScenario) -> list[tuple[int, ...]]:
-    """Dimension vectors of the indecomposables: the positive roots."""
-    cls = classify(s)
-    if not cls.finite:
-        raise ScenarioError(f"scenario {s.name!r} has infinite representation type")
-    return positive_roots(cartan_matrix(valued_graph(s)))
+def indecomposable_vectors(s: SpeciesScenario) -> tuple[tuple[int, ...], ...]:
+    """Dimension vectors of the indecomposables: the positive roots, enumerated once and held on s."""
+    if s._roots is None:
+        s._roots = tuple(positive_roots(cartan_matrix(valued_graph(s))))
+    return s._roots
 
 
-def construct_indecomposable(s: SpeciesScenario, root: tuple[int, ...],
-                             seed: int, retries: int = 32) -> TripleObject:
-    """Build a certified-indecomposable object with the given dimension vector.
+def construct_indecomposable(s: SpeciesScenario, root: tuple[int, ...], seed: int) -> TripleObject:
+    """An indecomposable object with the given dimension vector, certified by rigidity.
 
     Structure maps are sampled from the seeded generator with small integer
-    coordinates (widening after repeated failures); certification is by
-    `decompose` returning a single certified summand.
+    coordinates, and the first with Ext^1(z, z) = 0 is returned: in finite
+    type a rigid object whose vector is a positive root is that root's
+    indecomposable.  `ConstructionError` carries each rejection's dim Ext^1.
     """
-    order = s.vertex_order()
-    if len(root) != len(order):
-        raise ScenarioError("root length does not match the vertex count")
-    rd = cartan_matrix(valued_graph(s))
-    if tuple(root) not in set(positive_roots(rd)):
+    if tuple(root) not in indecomposable_vectors(s):
         raise ScenarioError(f"{root} is not a positive root of scenario {s.name!r}")
-    mult = {v: m for v, m in zip(order, root)}
+    mult = dict(zip(s.vertex_order(), root))
     rng = random.Random(seed)
     attempts: list[str] = []
-    for attempt in range(retries):
-        bound = 3 + attempt // 8
-        z = random_object_with(s, mult, rng, eta_bound=bound)
-        dec = decompose(z)
-        if len(dec.summands) == 1 and dec.flag == CERTIFIED:
-            if z.dimension_vector() != tuple(root):
-                raise ScenarioError("constructed object has the wrong dimension vector")
+    for attempt in range(_SAMPLES):
+        z = random_object_with(s, mult, rng, eta_bound=3)
+        dim = ext1(z, z).dim
+        if not dim:
             return z
-        attempts.append(
-            f"attempt {attempt}: split into {[sm.object.dimension_vector() for sm in dec.summands]}"
-            f" (flag={dec.flag})")
+        attempts.append(f"attempt {attempt}: dim Ext^1(z, z) = {dim}")
     raise ConstructionError(
-        f"no indecomposable with vector {root} found in {retries} samples", attempts)
+        f"no rigid object with vector {root} found in {_SAMPLES} samples", attempts)
 
 
 @dataclass
@@ -170,9 +161,6 @@ def build_root_table(s: SpeciesScenario, seed: int) -> RootObjectTable:
         if obj.dimension_vector() != root:
             raise ScenarioError("root table entry has the wrong dimension vector")
         table.entries.append(RootEntry(root, obj, True))
-    vecs = table.dimension_vectors()
-    if len(set(vecs)) != len(vecs):
-        raise ScenarioError("root table dimension vectors are not pairwise distinct")
     return table
 
 
@@ -197,8 +185,9 @@ def highest_root_d4(s: SpeciesScenario) -> TripleObject:
     """The indecomposable at the top root of the three-curve star.
 
     Constructed as the universal extension of the sum of the three y-side
-    simples, divided by a diagonal line in its x component; certified
-    indecomposable of dimension vector (2; 1, 1, 1).
+    simples, divided by a diagonal line in its x component; its vector is
+    the highest root (2; 1, 1, 1), and it is certified indecomposable by
+    rigidity, as in `construct_indecomposable`.
     """
     if len(s.x_vertices) != 1 or s.x_vertices[0][1].dim != 1 or len(s.y_vertices) != 3:
         raise ScenarioError("highest-root construction needs the three-curve star shape")
@@ -217,7 +206,6 @@ def highest_root_d4(s: SpeciesScenario) -> TripleObject:
     expected = tuple(2 if v == x else 1 for v in s.vertex_order())
     if quotient.dimension_vector() != expected:
         raise ScenarioError("diagonal quotient has the wrong dimension vector")
-    dec = decompose(quotient)
-    if len(dec.summands) != 1 or dec.flag != CERTIFIED:
-        raise ScenarioError("diagonal quotient failed indecomposability certification")
+    if ext1(quotient, quotient).dim:
+        raise ScenarioError("diagonal quotient is not rigid")
     return quotient

@@ -10,10 +10,9 @@ field.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
-from .exactalg import RatMatrix, _echelon, commutant_basis
+from .exactalg import RatMatrix, _echelon, _kernel, commutant_basis
 
 
 class WittError(ValueError):
@@ -110,30 +109,41 @@ def hom_dim(p: WittPartition, q: WittPartition) -> int:
 
 def intertwiner_basis(m1: VModule, m2: VModule) -> list[RatMatrix]:
     """Basis of {T : T V1 = V2 T}."""
-    if m1.dim == 0 or m2.dim == 0:
-        return []
     return commutant_basis([m1.v_op], [m2.v_op])
 
 
-def find_invertible_intertwiner(m1: VModule, m2: VModule, seed: int = 0,
-                                attempts: int = 64) -> RatMatrix | None:
-    """An invertible T with T V1 = V2 T, if the modules are isomorphic.
+def _jordan_frame(m: VModule) -> RatMatrix:
+    """A basis P of Jordan chains, with V P = P J for J = `realize_partition` of m's partition.
 
-    Random small combinations of the intertwiner space; None after the
-    attempt budget (equal partitions make success overwhelmingly likely,
-    unequal partitions make it impossible).
+    Chains go longest first, each bottom first.  A top t of a length-k chain,
+    from a basis of ker V^k, is kept when its bottom V^(k-1) t is independent
+    of the bottoms kept so far; those span ker V cap im V^(k-1), of dimension
+    the number of parts >= k.  Chains with independent bottoms are
+    independent (V^s of a relation leaves one among the bottoms alone).
     """
-    if m1.dim != m2.dim:
-        return None
-    if m1.dim == 0:
-        return RatMatrix.zeros(0, 0)
-    basis = intertwiner_basis(m1, m2)
-    if not basis:
-        return None
-    rng = random.Random(seed)
-    for _ in range(attempts):
-        t = RatMatrix.combine(basis, [rng.randrange(-3, 4) for _ in basis], m2.dim, m1.dim)
-        if t.rank() == m1.dim:
-            return t
-    return None
+    n, parts = m.dim, witt_partition(m).parts
+    powers = [RatMatrix.identity(n)]
+    for _ in range(parts[0] if parts else 0):
+        powers.append(powers[-1] * m.v_op)
+    bottoms, chains = RatMatrix.zeros(n, 0), []
+    for k in sorted(set(parts), reverse=True):
+        tops = _kernel(powers[k])
+        ends = bottoms.hstack(powers[k - 1] * tops)
+        basis = ends.column_space_pivots()  # the kept bottoms, then the new ones
+        for c in basis[bottoms.cols:]:
+            top = tops.submatrix(range(n), [c - bottoms.cols])
+            chains += [(powers[j] * top).column(0) for j in range(k - 1, -1, -1)]
+        bottoms = ends.submatrix(range(n), basis)
+    return RatMatrix.from_rows(chains).transpose()
 
+
+def find_invertible_intertwiner(m1: VModule, m2: VModule) -> RatMatrix | None:
+    """An invertible T with T V1 = V2 T; None exactly when the Jordan partitions differ.
+
+    T = P2 P1^-1 for the Jordan frames P_i of `_jordan_frame`: both conjugate
+    their operator to the block realization J of the shared partition, so
+    T V1 = P2 J P1^-1 = V2 T.
+    """
+    if witt_partition(m1) != witt_partition(m2):
+        return None
+    return _jordan_frame(m2) * _jordan_frame(m1).inverse()

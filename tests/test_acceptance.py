@@ -342,7 +342,7 @@ def test_criterion_9_witt_classification():
         q = rng.choice(all_partitions[n])
         m1 = conjugated_realization(p, seed=pairs)
         m2 = conjugated_realization(q, seed=pairs + 7919)
-        t = find_invertible_intertwiner(m1, m2, seed=pairs)
+        t = find_invertible_intertwiner(m1, m2)
         if p == q:
             assert t is not None
             assert t * m1.v_op == m2.v_op * t and t.rank() == m1.dim

@@ -696,19 +696,25 @@ def test_rational_roots_match_fraction_reference_at_large_coefficients(linear, d
     assert found_root(coeffs, FactorBudget()) == first_root(coeffs)
 
 
-@pytest.mark.parametrize("coeffs", [[101, 1, 1], [1, 1, 101], [-101, 0, 0, 1], [0, 101]],
-                         ids=["a0", "an", "a0-root-mod-every-prime", "a0-zero"])
-def test_rational_roots_budget_checks_a0_and_an_first(coeffs):
-    # t^2 + t + 101 and 101 t^2 + t + 1 have no root mod 2, yet their a0 or an
-    # is over the cap; a zero a0 gives the root 0 before any budget check
-    budget = FactorBudget(max_abs_value=100)
-    if coeffs[0] == 0:
-        assert found_root(coeffs, budget) == F(0)
-        return
-    with pytest.raises(FactorBudgetExceeded):
-        _first_rational_root(coeffs, budget)
-    with pytest.raises(FactorBudgetExceeded):
-        factor_rational(Polynomial(coeffs), budget)
+@pytest.mark.parametrize("coeffs, cap, raises", [
+    ([101, 1, 1], 100, False), ([1, 1, 101], 100, False), ([-101, 0, 0, 1], 100, False),
+    ([-36, 0, 36, 0, -11, 0, 1], 35, True), ([0, 101], 100, False)],
+    ids=["a0", "an", "a0-no-root-mod-7", "a0-root-mod-every-prime", "a0-zero"])
+def test_rational_roots_budget_checks_a0_and_an_first(coeffs, cap, raises):
+    # the budget guards the divisor enumeration only, after the no-root-mod-ell
+    # certificate: t^2 + t + 101 and 101 t^2 + t + 1 (no root mod 2) and
+    # t^3 - 101 (none mod 7) are answered with a0 or an over the cap, while
+    # (t^2 - 2)(t^2 - 3)(t^2 - 6) has a root mod every prime and no rational
+    # root, so it reaches the divisors of a0 = -36; a zero a0 gives the root 0
+    budget = FactorBudget(max_abs_value=cap)
+    if raises:
+        with pytest.raises(FactorBudgetExceeded):
+            _first_rational_root(coeffs, budget)
+        with pytest.raises(FactorBudgetExceeded):
+            factor_rational(Polynomial(coeffs), budget)
+    else:
+        assert found_root(coeffs, budget) == first_root(coeffs)
+        assert factor_rational(Polynomial(coeffs), budget) == factor_rational(Polynomial(coeffs))
     assert found_root(coeffs) == first_root(coeffs)
 
 

@@ -5,10 +5,22 @@ import random
 
 import pytest
 
+from isocat import reptype
 from isocat.catalog import FINITE_TYPE_IDS, catalog_scenario
 from isocat.exactalg import AlgebraSpec, radical
-from isocat.extcat import CERTIFIED, decompose, direct_sum_many, end_algebra, ext1, euler_form, hom, hom_ext_dims
+from isocat.extcat import (
+    CERTIFIED,
+    canonical_object,
+    decompose,
+    direct_sum_many,
+    end_algebra,
+    ext1,
+    euler_form,
+    hom,
+    hom_ext_dims,
+)
 from isocat.reptype import (
+    ConstructionError,
     build_root_table,
     classify,
     construct_indecomposable,
@@ -118,13 +130,53 @@ def test_construct_rejects_non_root():
         construct_indecomposable(s, (2, 0), seed=1)
 
 
+def test_construction_rejects_a_sample_that_is_not_rigid(monkeypatch):
+    # the zero-eta object of the root (1, 1) of a2 is X + Y: semisimple, so
+    # Ext^1(z, z) != 0.  Drawn first, it is rejected, and the samples after
+    # it are those of the unpatched construction, which draws no more
+    s = catalog_scenario("a2")
+    semisimple = canonical_object(s, {"u": 1, "a1": 1})
+    dim = ext1(semisimple, semisimple).dim
+    assert dim
+    real, draws = reptype.random_object_with, []
+
+    def counted(scenario, mult, rng, eta_bound=2):
+        draws.append(mult)
+        return real(scenario, mult, rng, eta_bound)
+
+    def semisimple_first(*args, **kwargs):
+        if draws:
+            return counted(*args, **kwargs)
+        draws.append("semisimple")
+        return semisimple
+
+    monkeypatch.setattr(reptype, "random_object_with", counted)
+    want = construct_indecomposable(s, (1, 1), seed=9)
+    plain = len(draws)
+    draws.clear()
+    monkeypatch.setattr(reptype, "random_object_with", semisimple_first)
+    got = construct_indecomposable(s, (1, 1), seed=9)
+    assert len(draws) == plain + 1 and got.data_key() == want.data_key()
+    # every rejected sample's dim Ext^1 is in the attempt log the error carries
+    monkeypatch.setattr(reptype, "random_object_with", lambda *args, **kwargs: semisimple)
+    with pytest.raises(ConstructionError) as info:
+        construct_indecomposable(s, (1, 1), seed=9)
+    assert info.value.attempts == [f"attempt {k}: dim Ext^1(z, z) = {dim}"
+                                   for k in range(reptype._SAMPLES)]
+
+
 def test_root_tables_all_finite_scenarios():
+    # a rigid construction is certified indecomposable by `decompose`, which
+    # shares no code with the Ext^1 rank that selected it
     for name in FINITE_TYPE_IDS:
         s = catalog_scenario(name)
         table = build_root_table(s, seed=11)
         vecs = table.dimension_vectors()
         assert len(vecs) == len(set(vecs)) == len(indecomposable_vectors(s))
         assert all(e.certified for e in table.entries)
+        for e in table.entries:
+            dec = decompose(e.object)
+            assert len(dec.summands) == 1 and dec.flag == CERTIFIED, (name, e.root)
 
 
 def test_reconstruction_is_isomorphic_to_stored():

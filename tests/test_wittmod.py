@@ -11,6 +11,7 @@ from isocat.wittmod import (
     VModule,
     WittError,
     WittPartition,
+    _jordan_frame,
     _rank_sequence,
     find_invertible_intertwiner,
     hom_dim,
@@ -185,7 +186,7 @@ def test_equal_partitions_have_invertible_intertwiner():
         p = WittPartition(tuple(parts))
         m1 = conjugated_realization(p, seed=trial)
         m2 = conjugated_realization(p, seed=trial + 1000)
-        t = find_invertible_intertwiner(m1, m2, seed=trial)
+        t = find_invertible_intertwiner(m1, m2)
         assert t is not None
         assert t * m1.v_op == m2.v_op * t
         assert t.rank() == m1.dim
@@ -200,11 +201,45 @@ def test_distinct_partitions_admit_no_invertible_intertwiner():
         m1 = conjugated_realization(p, seed=trial)
         m2 = conjugated_realization(q, seed=trial + 500)
         # the certificate: rank sequences differ, so no invertible T can
-        # intertwine them; the sampled search agrees
+        # intertwine them; the frame construction agrees
         r1 = [ (m1.v_op if k == 1 else _power(m1.v_op, k)).rank() for k in range(1, n + 1)]
         r2 = [ (m2.v_op if k == 1 else _power(m2.v_op, k)).rank() for k in range(1, n + 1)]
         assert r1 != r2
-        assert find_invertible_intertwiner(m1, m2, seed=trial, attempts=16) is None
+        assert find_invertible_intertwiner(m1, m2) is None
+
+
+def test_jordan_frame_conjugates_to_the_block_realization():
+    # P^-1 V P is the block realization itself, chain by chain in its order,
+    # on conjugated realizations of all 138 partitions of size <= 10
+    count = 0
+    for n in range(1, 11):
+        for parts in partitions_of(n):
+            p = WittPartition(parts)
+            m = conjugated_realization(p, seed=count)
+            frame = _jordan_frame(m)
+            assert frame.rank() == n, parts
+            assert m.v_op * frame == frame * realize_partition(p).v_op, parts
+            count += 1
+    assert count == 138
+    assert _jordan_frame(VModule(0, RatMatrix.zeros(0, 0))) == RatMatrix.zeros(0, 0)
+
+
+def test_intertwiner_exists_exactly_for_equal_partitions():
+    # every ordered pair of partitions of each n <= 7, as conjugated realizations
+    pairs = 0
+    for n in range(1, 8):
+        ps = [WittPartition(t) for t in partitions_of(n)]
+        firsts = [conjugated_realization(p, seed=k) for k, p in enumerate(ps)]
+        seconds = [conjugated_realization(p, seed=k + 500) for k, p in enumerate(ps)]
+        for p, m1 in zip(ps, firsts):
+            for q, m2 in zip(ps, seconds):
+                t = find_invertible_intertwiner(m1, m2)
+                if p == q:
+                    assert t is not None and t.rank() == n and t * m1.v_op == m2.v_op * t, p
+                else:
+                    assert t is None, (p, q)
+                pairs += 1
+    assert pairs == 434  # the squares of 1, 2, 3, 5, 7, 11, 15 partitions
 
 
 def _power(m, k):
