@@ -58,7 +58,6 @@ from .reptype import (
     build_root_table,
     classify,
     construct_indecomposable,
-    highest_root_d4,
     indecomposable_vectors,
 )
 from .wittmod import VModule, WittPartition, hom_dim, realize_partition, witt_partition

@@ -103,16 +103,15 @@ def suite_five_term(s: SpeciesScenario, rng: random.Random, samples: int) -> Sui
                   lambda a, b: {"left": _dump_object(a), "right": _dump_object(b)})
 
 
-def suite_heredity(s: SpeciesScenario, rng: random.Random, samples: int,
-                   probes_per_projective: int = 2) -> SuiteResult:
-    """Length-1 resolutions with projective terms, and ext vanishing off them."""
+def suite_heredity(s: SpeciesScenario, rng: random.Random, samples: int) -> SuiteResult:
+    """Length-1 resolutions with projective terms, and Ext^1 from each term into two random probes zero."""
     def test(z):
         r = projective_resolution(z)
         r.verify()
         for p in (r.p1, r.p0):
             if not is_projective(p):
                 raise InternalConsistencyError("projective term fails the mono criterion")
-            for _ in range(probes_per_projective):
+            for _ in range(2):
                 probe = random_object(s, rng, max_mult=1)
                 if ext1(p, probe).dim != 0:
                     raise InternalConsistencyError("ext out of a projective is nonzero")
@@ -140,7 +139,7 @@ def suite_torsion_pair(s: SpeciesScenario, rng: random.Random, samples: int) -> 
         inc, proj = torsion_pair(z)
         if not verify_short_exact(inc, proj):
             raise InternalConsistencyError("canonical torsion sequence is not exact")
-        a_inc, a_proj = random_short_exact(s, rng, max_mult=1)
+        a_inc, a_proj = random_short_exact(s, rng)
         if not verify_short_exact(a_inc, a_proj):
             raise InternalConsistencyError("random short exact sequence failed")
 

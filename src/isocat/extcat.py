@@ -481,8 +481,7 @@ def identity_morphism(z: TripleObject) -> TripleMorphism:
 # -- convenient constructors -------------------------------------------
 
 def canonical_object(scenario: SpeciesScenario, mult: dict[str, int],
-                     eta: dict[str, RatMatrix] | None = None,
-                     check: bool = True) -> TripleObject:
+                     eta: dict[str, RatMatrix] | None = None) -> TripleObject:
     """Object with canonically presented components of given multiplicities.
 
     With eta omitted, every structure map is zero.  A mult key that is not a
@@ -497,7 +496,7 @@ def canonical_object(scenario: SpeciesScenario, mult: dict[str, int],
     y_parts = {y: canonical_space(scenario.algebra(y), mult.get(y, 0)) for y in scenario.y_ids}
     fsp = _build_fspaces(scenario, y_parts)
     full_eta = {x: eta[x] if x in eta else RatMatrix.zeros(x_parts[x].dim, fsp[x].dim) for x in scenario.x_ids}
-    return TripleObject(scenario, x_parts, y_parts, full_eta, check=check)
+    return TripleObject(scenario, x_parts, y_parts, full_eta)
 
 
 def simple_x_object(scenario: SpeciesScenario, x: str) -> TripleObject:
@@ -527,14 +526,15 @@ def y_only(z: TripleObject) -> TripleObject:
 # ======================================================================
 
 def _same_scenario(z: TripleObject, z2: TripleObject) -> SpeciesScenario:
-    if z.scenario is not z2.scenario and z.scenario.name != z2.scenario.name:
+    """The scenario of a pair, which must be one instance: two scenarios may share a name."""
+    if z.scenario is not z2.scenario:
         raise TripleError("objects live over different scenarios")
     return z.scenario
 
 
 def _bases(z: TripleObject, z2: TripleObject) -> tuple[dict[str, Terms], dict[str, Terms], dict[str, Terms]]:
     """The u, v and Hom(F(Y), X') bases of a pair, as `_hom_terms`."""
-    s = z.scenario
+    s = _same_scenario(z, z2)
     return ({x: _hom_terms(s.algebra(x).spec, z.x[x], z2.x[x]) for x in s.x_ids},
             {y: _hom_terms(s.algebra(y).spec, z.y[y], z2.y[y]) for y in s.y_ids},
             {x: _hom_terms(s.algebra(x).spec, z.f[x].space, z2.x[x]) for x in s.x_ids})
@@ -560,7 +560,7 @@ def _psi_data(z: TripleObject, z2: TripleObject):
     a v column's x blocks are scaled to vden times the lcm of the eta'
     denominators.
     """
-    s = _same_scenario(z, z2)
+    s = z.scenario
     ubases, vbases, fbases = _bases(z, z2)
     images = {x: [] for x in s.x_ids}  # (column, entries)
     dens = []

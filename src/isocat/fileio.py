@@ -159,7 +159,7 @@ def scenario_from_json(doc) -> SpeciesScenario:
         x, y, dim = entry.get("x"), entry.get("y"), entry.get("dim")
         if not (isinstance(x, str) and isinstance(y, str) and x in xmap and y in ymap):
             raise FormatError(f"bimodule ({x!r}, {y!r}) references unknown vertices")
-        if not isinstance(dim, int) or not 0 <= dim <= MAX_DIM:
+        if type(dim) is not int or not 0 <= dim <= MAX_DIM:  # True is an int, not a dim
             raise FormatError(f"bimodule ({x!r}, {y!r}) has a bad dimension (an int from 0 to {MAX_DIM})")
         if (x, y) in bims:
             raise FormatError(f"bimodule ({x!r}, {y!r}) is listed twice")
@@ -215,7 +215,7 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
             if not isinstance(entry, dict) or not isinstance(entry.get("action", []), list):
                 raise FormatError(f"component at vertex {v!r} must be an object with an action list")
             dim = entry.get("dim")
-            if not isinstance(dim, int) or not 0 <= dim <= MAX_DIM:
+            if type(dim) is not int or not 0 <= dim <= MAX_DIM:  # True is an int, not a dim
                 raise FormatError(f"bad dimension at vertex {v!r} (an int from 0 to {MAX_DIM})")
             action = [matrix_from_json(m, dim, dim) for m in entry.get("action", [])]
             n = scenario.algebra(v).dim

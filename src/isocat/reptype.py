@@ -11,22 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
 
-from .exactalg import RatMatrix
-from .extcat import (
-    TripleMorphism,
-    TripleObject,
-    abelian_ops,
-    direct_sum_many,
-    ext1,
-    hom,
-    simple_x_object,
-    simple_y_object,
-    universal_extension_of,
-    _combine_morphisms,
-    _total_matrix,
-)
+from .extcat import TripleObject, ext1
 from .samples import random_object_with
 from .species import (
     ScenarioError,
@@ -162,50 +148,3 @@ def build_root_table(s: SpeciesScenario, seed: int) -> RootObjectTable:
             raise ScenarioError("root table entry has the wrong dimension vector")
         table.entries.append(RootEntry(root, obj, True))
     return table
-
-
-def isomorphic(a: TripleObject, b: TripleObject, rng: Optional[random.Random] = None,
-               attempts: int = 24) -> bool:
-    """Search for mutually inverse morphisms between a and b."""
-    if a.dimension_vector() != b.dimension_vector():
-        return False
-    fwd = hom(a, b)
-    if not fwd:
-        return a.total_dim() == 0
-    rng = rng or random.Random(0)
-    for _ in range(attempts):
-        f = _combine_morphisms(a, b, fwd, [rng.randrange(-2, 3) for _ in fwd])
-        mat = _total_matrix(f)
-        if mat.rows == mat.cols and mat.rank() == mat.rows:
-            return True
-    return False
-
-
-def highest_root_d4(s: SpeciesScenario) -> TripleObject:
-    """The indecomposable at the top root of the three-curve star.
-
-    Constructed as the universal extension of the sum of the three y-side
-    simples, divided by a diagonal line in its x component; its vector is
-    the highest root (2; 1, 1, 1), and it is certified indecomposable by
-    rigidity, as in `construct_indecomposable`.
-    """
-    if len(s.x_vertices) != 1 or s.x_vertices[0][1].dim != 1 or len(s.y_vertices) != 3:
-        raise ScenarioError("highest-root construction needs the three-curve star shape")
-    x = s.x_ids[0]
-    for y in s.y_ids:
-        bm = s.bimodules.get((x, y))
-        if bm is None or bm.dim != 1 or s.algebra(y).dim != 1:
-            raise ScenarioError("highest-root construction needs three (1,1) edges")
-    ys = [simple_y_object(s, y) for y in s.y_ids]
-    total, _, _ = direct_sum_many(ys)
-    ey = universal_extension_of(total)
-    diag = TripleMorphism(simple_x_object(s, x), ey,
-                          {x: RatMatrix.from_rows([[1], [1], [1]])},
-                          {y: RatMatrix.zeros(1, 0) for y in s.y_ids})
-    quotient = abelian_ops(diag).cokernel
-    expected = tuple(2 if v == x else 1 for v in s.vertex_order())
-    if quotient.dimension_vector() != expected:
-        raise ScenarioError("diagonal quotient has the wrong dimension vector")
-    if ext1(quotient, quotient).dim:
-        raise ScenarioError("diagonal quotient is not rigid")
-    return quotient

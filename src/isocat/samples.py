@@ -55,11 +55,10 @@ def random_scenario(rng: random.Random) -> SpeciesScenario:
     return SpeciesScenario(f"random-{rng.randrange(10**6)}", xs, ys, bims)
 
 
-def random_object(scenario: SpeciesScenario, rng: random.Random,
-                  max_mult: int = 2, eta_bound: int = 2) -> TripleObject:
+def random_object(scenario: SpeciesScenario, rng: random.Random, max_mult: int = 2) -> TripleObject:
     """Canonical components with random multiplicities and equivariant eta."""
     mult = {v: rng.randrange(0, max_mult + 1) for v in scenario.vertex_order()}
-    return random_object_with(scenario, mult, rng, eta_bound)
+    return random_object_with(scenario, mult, rng)
 
 
 def random_object_with(scenario: SpeciesScenario, mult: dict[str, int],
@@ -82,18 +81,16 @@ def random_object_with(scenario: SpeciesScenario, mult: dict[str, int],
     return TripleObject._with_fspaces(scenario, x_parts, y_parts, eta, fsp)
 
 
-def random_morphism(a: TripleObject, b: TripleObject, rng: random.Random,
-                    bound: int = 2) -> TripleMorphism:
+def random_morphism(a: TripleObject, b: TripleObject, rng: random.Random) -> TripleMorphism:
     basis = hom(a, b)
-    coeffs = [rng.randrange(-bound, bound + 1) for _ in basis]
+    coeffs = [rng.randrange(-2, 3) for _ in basis]
     return _combine_morphisms(a, b, basis, coeffs)
 
 
-def random_short_exact(scenario: SpeciesScenario, rng: random.Random,
-                       max_mult: int = 2):
-    """0 -> ker f -> B -> im f -> 0 for a random morphism f out of B."""
-    b = random_object(scenario, rng, max_mult=max_mult)
-    c = random_object(scenario, rng, max_mult=max_mult)
+def random_short_exact(scenario: SpeciesScenario, rng: random.Random):
+    """0 -> ker f -> B -> im f -> 0 for a random f: B -> C, with every multiplicity of B and C at most 1."""
+    b = random_object(scenario, rng, max_mult=1)
+    c = random_object(scenario, rng, max_mult=1)
     f = random_morphism(b, c, rng)
     ops = abelian_ops(f)
     return ops.kernel_inclusion, ops.image_projection

@@ -178,10 +178,6 @@ class Bimodule:
                                                 for k in range(len(basis))] for i in range(len(basis))]
         return self._left_coord_table[a_index]
 
-    def key(self) -> tuple:
-        return (self.dim, tuple(m.key() for m in self.left_action),
-                tuple(m.key() for m in self.right_action))
-
 
 def scalar_bimodule(left: DivisionAlgebraHandle, right: DivisionAlgebraHandle, dim: int) -> Bimodule:
     """Q^dim with both algebras acting by scalars (both must be Q)."""

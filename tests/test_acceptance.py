@@ -26,7 +26,7 @@ from isocat.extcat import (
     x_only,
     y_only,
 )
-from isocat.reptype import build_root_table, classify, highest_root_d4, indecomposable_vectors
+from isocat.reptype import build_root_table, classify, construct_indecomposable, indecomposable_vectors
 from isocat.samples import random_object, random_scenario, random_short_exact
 from isocat.species import ValuedGraph, cartan_matrix, positive_roots, ring_center, valued_graph
 from isocat.wittmod import (
@@ -176,7 +176,7 @@ def test_criterion_5_torsion_pair():
             assert hom(x_only(z), y_only(z)) == []
             inc, proj = torsion_pair(z)
             assert verify_short_exact(inc, proj)
-            a_inc, a_proj = random_short_exact(s, rng, max_mult=1)
+            a_inc, a_proj = random_short_exact(s, rng)
             assert verify_short_exact(a_inc, a_proj)
             for side in ("x", "y"):
                 assert _side_exact(a_inc, a_proj, side)
@@ -297,7 +297,7 @@ def test_criterion_8_krull_schmidt():
 
 
 def test_criterion_8b_highest_root_object():
-    z = highest_root_d4(catalog_scenario("d4_elliptic"))
+    z = construct_indecomposable(catalog_scenario("d4_elliptic"), (2, 1, 1, 1), seed=2026)
     assert z.dimension_vector() == (2, 1, 1, 1)
     alg = end_algebra(z)
     assert alg.dim - len(radical(alg)) == 1

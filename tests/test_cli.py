@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from isocat.catalog import CATALOG_IDS, catalog_scenario
 from isocat.cli import _INPUT_ERRORS, main
 from isocat.exactalg import Polynomial
-from isocat.extcat import simple_x_object, simple_y_object, universal_extension_of
+from isocat.extcat import canonical_object, simple_x_object, simple_y_object, universal_extension_of
 from isocat.fileio import (
     MAX_DIM,
     MAX_SAMPLES,
@@ -26,6 +26,7 @@ from isocat.fileio import (
     scenario_from_json,
     scenario_to_json,
 )
+from isocat.reptype import construct_indecomposable
 from isocat.samples import random_object
 from isocat.species import SpeciesScenario, number_field, rationals, scalar_bimodule, tensor_bimodule
 
@@ -237,6 +238,21 @@ def test_cli_rejects_an_over_cap_object_dim(tmp_path, capsys):
     doc["y"]["a1"] = {"dim": MAX_DIM}
     with pytest.raises(FormatError, match="eta"):  # the cap itself is accepted
         object_from_json({**doc, "eta": {}}, catalog_scenario("a2"))
+
+
+def test_cli_rejects_a_boolean_dim(tmp_path, capsys):
+    # JSON true is a Python int; it is no dimension at a bimodule or a vertex
+    doc = scenario_to_json(catalog_scenario("a2"))
+    doc["bimodules"][0]["dim"] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: bimodule ('u', 'a1') has a bad dimension")
+    doc = object_to_json(simple_y_object(catalog_scenario("a2"), "a1"))
+    doc["y"]["a1"] = {"dim": True}
+    path.write_text(json.dumps(doc))
+    assert main(["decompose", "--scenario", "catalog:a2", "--object", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad dimension at vertex 'a1'")
 
 
 @pytest.mark.parametrize("patch", [{"x": {"u": 5}}, {"eta": [1]}],
@@ -469,10 +485,20 @@ def test_cli_indec_infinite_type():
     assert main(["indec", "--scenario", "catalog:two_surfaces", "--seed", "1"]) == 3
 
 
+def test_cli_indec_reports_a_failed_construction(monkeypatch, capsys):
+    # every sample is the zero-eta object of its vector: rigid on the simple
+    # roots of a2, but X + Y on (1, 1), which is never rigid
+    monkeypatch.setattr("isocat.reptype.random_object_with",
+                        lambda s, mult, rng, eta_bound=2: canonical_object(s, mult))
+    assert main(["indec", "--scenario", "catalog:a2", "--seed", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: no rigid object")
+    assert len(err) == 5 and all(line.startswith("  attempt ") for line in err[1:])
+
+
 def test_cli_resolve_and_decompose(tmp_path, capsys):
     s = catalog_scenario("d4_elliptic")
-    from isocat.reptype import highest_root_d4
-    z = highest_root_d4(s)
+    z = construct_indecomposable(s, (2, 1, 1, 1), seed=1)
     path = _write_object(tmp_path, "hr", z)
     assert main(["resolve", "--scenario", "catalog:d4_elliptic", "--object", path,
                  "--format", "json"]) == 0

@@ -132,8 +132,8 @@ def test_validate_eta_equivariance_violation_names_vertex():
 
 
 def test_validate_highest_root_object():
-    from isocat.reptype import highest_root_d4
-    z = highest_root_d4(catalog_scenario("d4_elliptic"))
+    from isocat.reptype import construct_indecomposable
+    z = construct_indecomposable(catalog_scenario("d4_elliptic"), (2, 1, 1, 1), seed=9)
     assert validate(z) is None
 
 
@@ -823,6 +823,20 @@ def test_two_instances_of_a_scenario_share_no_values():
     before = dict(s1._canonical_fspaces)
     assert _build_fspaces(s1, y_parts) is not _build_fspaces(s1, y_parts)
     assert s1._canonical_fspaces == before
+
+
+def test_pairs_over_two_scenarios_that_share_a_name_are_refused():
+    # equal names, different bimodules: u-a of dim 1 in one and dim 2 in the other
+    q = rationals()
+    s1, s2 = (SpeciesScenario("s", [("u", q)], [("a", q)], {("u", "a"): scalar_bimodule(q, q, d)})
+              for d in (1, 2))
+    za, zb = (random_object_with(s, {"u": 1, "a": 1}, random.Random(1)) for s in (s1, s2))
+    for op in (hom, ext1, hom_ext_dims, hom_space_dims, euler_form):
+        for pair in ((za, zb), (zb, za)):
+            with pytest.raises(TripleError, match="different scenarios"):
+                op(*pair)
+    with pytest.raises(TripleError, match="different scenarios"):
+        direct_sum_many([za, zb])
 
 
 def shared_spaces(s):
