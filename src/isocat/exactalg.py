@@ -44,6 +44,7 @@ One helper per recurring construction, shared by the packages built on it:
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import zip_longest
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
@@ -349,9 +350,10 @@ def _echelon(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, int]
     buckets: dict[int, list[dict[int, int]]] = {}  # rows by their first nonzero column
     for r in filter(None, rows):
         buckets.setdefault(next(iter(r)), []).append(r)
+    pending = sorted(buckets)  # the bucket columns, as a heap
     pivots, ech, gained, lost = [], [], 1, 1
-    while buckets:
-        c = min(buckets)
+    while pending:
+        c = heappop(pending)
         cand = buckets.pop(c)
         piv = min(cand, key=len) if len(cand) > 1 else cand[0]
         pivots.append(c)
@@ -378,7 +380,10 @@ def _echelon(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, int]
                     gained *= g
                     for j in r:
                         r[j] //= g
-                buckets.setdefault(min(r), []).append(r)
+                j = min(r)
+                if j not in buckets:  # j > c, so not yet pending
+                    heappush(pending, j)
+                buckets.setdefault(j, []).append(r)
     return pivots, ech, gained, lost
 
 

@@ -405,6 +405,8 @@ class TripleMorphism:
 
     def check(self) -> Optional[str]:
         s = self.source.scenario
+        if self.target.scenario is not s:
+            return "source and target live over different scenarios"
         for ids, maps, src, dst, name in ((s.x_ids, self.u, self.source.x, self.target.x, "u"),
                                           (s.y_ids, self.v, self.source.y, self.target.y, "v")):
             for w in (w for w in ids if s.algebra(w).dim > 1):  # a Q action is scalar: all maps commute
@@ -418,13 +420,17 @@ class TripleMorphism:
 
     def compose(self, other: "TripleMorphism") -> "TripleMorphism":
         """self . other (apply other first)."""
-        if other.target is not self.source and other.target.data_key() != self.source.data_key():
+        _same_scenario(other.source, self.target)
+        if not _same_object(other.target, self.source):
             raise TripleError("composition endpoint mismatch")
         u = {x: self.u[x] * other.u[x] for x in self.u}
         v = {y: self.v[y] * other.v[y] for y in self.v}
         return TripleMorphism(other.source, self.target, u, v)
 
     def __add__(self, other: "TripleMorphism") -> "TripleMorphism":
+        _same_scenario(self.source, self.target)
+        if not (_same_object(self.source, other.source) and _same_object(self.target, other.target)):
+            raise TripleError("sum endpoint mismatch")
         u = {x: self.u[x] + other.u[x] for x in self.u}
         v = {y: self.v[y] + other.v[y] for y in self.v}
         return TripleMorphism(self.source, self.target, u, v)
@@ -532,6 +538,11 @@ def _same_scenario(z: TripleObject, z2: TripleObject) -> SpeciesScenario:
     return z.scenario
 
 
+def _same_object(z: TripleObject, z2: TripleObject) -> bool:
+    """Whether z and z2 are one object: the same instance, or equal data over one scenario."""
+    return z is z2 or (_same_scenario(z, z2) and z.data_key() == z2.data_key())
+
+
 def _bases(z: TripleObject, z2: TripleObject) -> tuple[dict[str, Terms], dict[str, Terms], dict[str, Terms]]:
     """The u, v and Hom(F(Y), X') bases of a pair, as `_hom_terms`."""
     s = _same_scenario(z, z2)
@@ -558,10 +569,18 @@ def _psi_data(z: TripleObject, z2: TripleObject):
     commutant basis (F is never canonical) and its exact recombination
     check proves the image equivariant.  A u column is over uden * eta.den;
     a v column's x blocks are scaled to vden times the lcm of the eta'
-    denominators.
+    denominators.  When psi has no rows (Hom(F(Y), X') = 0) or no columns,
+    every image is 0: the sizes of the bases give nrows and one ([], 1)
+    column per u and v basis element, and no image is built.
     """
     s = z.scenario
     ubases, vbases, fbases = _bases(z, z2)
+    offsets, nrows = {}, 0
+    for x in s.x_ids:
+        offsets[x], nrows = nrows, nrows + len(fbases[x][0])
+    ncols = sum(len(t) for b in (ubases, vbases) for t, _ in b.values())
+    if not (nrows and ncols):  # every image is 0
+        return ubases, vbases, fbases, offsets, (nrows, [([], 1)] * ncols)
     images = {x: [] for x in s.x_ids}  # (column, entries)
     dens = []
     for x in s.x_ids:
@@ -601,22 +620,18 @@ def _psi_data(z: TripleObject, z2: TripleObject):
                         img[base + j] = img.get(base + j, 0) + g * e
                 images[x].append((l, img))
         dens += [big * vden] * len(terms)
-    offsets: dict[str, int] = {}
     columns = [[] for _ in dens]
-    nrows = 0
     for x in s.x_ids:
-        (fterms, fden), imgs = fbases[x], images[x]
-        offsets[x] = nrows
+        (fterms, fden), imgs, at = fbases[x], images[x], offsets[x]
         if s.algebra(x).dim == 1:
             for c, img in imgs:
-                columns[c] += sorted((nrows + p, e) for p, e in img.items() if e)
+                columns[c] += sorted((at + p, e) for p, e in img.items() if e)
         elif imgs:
             coords = _commutant_coords(fterms, fden, z.f[x].dim, [img for _, img in imgs])
             if coords is None:
                 raise InternalConsistencyError("map is not equivariant: no coordinates")
             for (c, _), ents in zip(imgs, coords):
-                columns[c] += [(nrows + k, e) for k, e in ents]
-        nrows += len(fterms)
+                columns[c] += [(at + k, e) for k, e in ents]
     return ubases, vbases, fbases, offsets, (nrows, list(zip(columns, dens)))
 
 
@@ -687,7 +702,8 @@ def _psi_kernel(z: TripleObject, z2: TripleObject, right_to_left: bool) -> list[
     s = z.scenario
     data, _ = _pair_psi(z, z2)
     ubases, vbases, _, _, (nrows, columns) = data
-    ker, _ = _null_space(_psi_rows(nrows, columns[::-1] if right_to_left else columns), len(columns))
+    rows = _psi_rows(nrows, columns[::-1] if right_to_left else columns) if nrows and columns else []
+    ker, _ = _null_space(rows, len(columns))
     if len(columns) - ker.rows == nrows:  # rank psi = rows: psi is onto
         _remember(z, z2, data, True)
     sides = ((0, s.x_ids, ubases, z.x, z2.x), (1, s.y_ids, vbases, z.y, z2.y))
@@ -740,7 +756,8 @@ def hom_ext_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, tuple[int
 
     dim Hom is ncols - rank(psi) by eliminating psi's rows, and dim Ext^1 is
     nrows - rank(psi) by eliminating its columns: two eliminations of two
-    separately built row sets (none when psi has no rows or no columns).
+    separately built row sets; none when psi has no rows or no columns,
+    which `_psi_data` then answers from the basis sizes alone.
     The row elimination takes psi's columns right to left: a rank does not
     depend on the order, and at each x-vertex the u block of psi is
     I (x) eta^T, whose elimination first would leave Schur-complement rows
@@ -760,7 +777,8 @@ def euler_form(z: TripleObject, z2: TripleObject) -> int:
     """dim hom - dim ext1, from one psi; checked against the five-term sequence.
 
     h and e come from `hom_ext_dims`' two eliminations, of psi's rows and of
-    its columns, and h - e must equal su + sv - sf on every call.
+    its columns, and h - e must equal su + sv - sf on every call (by
+    construction when psi has no rows or no columns, and nothing is eliminated).
     """
     h, e, (su, sv, sf) = hom_ext_dims(z, z2)
     if h - e != su + sv - sf:
@@ -964,6 +982,7 @@ def abelian_ops(f: TripleMorphism) -> AbelianOps:
     inclusion's transpose (pi is checked).
     """
     z, z2 = f.source, f.target
+    _same_scenario(z, z2)
     ker, cok = ({}, {}), ({}, {})  # (p, i) by vertex
     for v, m in {**f.u, **f.v}.items():
         null, unit = _null_pair(m)

@@ -412,8 +412,9 @@ def _fraction_det(rows):
             det = -det
         det *= m[c][c]
         for i in range(c + 1, len(m)):
-            f = m[i][c] / m[c][c]
-            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+            if m[i][c]:
+                f = m[i][c] / m[c][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return det
 
 
@@ -458,6 +459,64 @@ def test_echelon_rows_are_primitive_and_within_the_hadamard_bound(grid):
         assert min(row) == p and not any(q in row for q in pivots[:k])
         assert all(x * x <= bound for x in row.values())
         assert row in inputs or gcd(*row.values()) == 1  # every reduced row is primitive
+
+
+def _reference_kernel(rows, ncols):
+    """The null space basis `kernel_basis` lists, from the Fraction Gauss-Jordan reference."""
+    red, pivots = _gauss_jordan(rows, ncols)
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        out.append(v)
+    return len(pivots), out
+
+
+def _sparse_echelon_cases(rng):
+    """(rows, ncols) seeded sparse integer matrices, some square; then 512
+    rows already in echelon form (pivots, and entries in 64 free columns
+    right of them), and 512 x 512 upper triangular rows, in order and shuffled."""
+    cases = []
+    for _ in range(80):
+        nrows, ncols = rng.randint(1, 20), rng.randint(1, 20)
+        if rng.random() < 0.4:
+            ncols = nrows
+        density = rng.choice((0.1, 0.2, 0.35))
+        cases.append(([[rng.choice((-3, -1, 1, 2, 5)) if rng.random() < density else 0 for _ in range(ncols)]
+                       for _ in range(nrows)], ncols))
+    n, ncols = 512, 576
+    free = set(rng.sample(range(ncols), ncols - n))
+    ech = []
+    for p in (c for c in range(ncols) if c not in free):
+        row = [0] * ncols
+        row[p] = rng.choice((1, -2, 3))
+        right = sorted(c for c in free if c > p)
+        for c in rng.sample(right, min(2, len(right))):
+            row[c] = rng.randint(-3, 3)
+        ech.append(row)
+    cases.append((ech, ncols))
+    upper = [[0] * i + [rng.choice((1, -1, 2))] + [rng.choice((-2, 1, 3)) if rng.random() < 0.01 else 0
+                                                  for _ in range(n - i - 1)] for i in range(n)]
+    cases.append((upper, n))
+    cases.append((rng.sample(upper, n), n))
+    return cases
+
+
+def test_echelon_matches_fraction_references_on_sparse_and_echelon_inputs():
+    # `_echelon` takes the pending pivot columns off a heap; rank, kernel
+    # and det stay those of the Fraction references, on rows that need
+    # updates and on long inputs that need none
+    cases = _sparse_echelon_cases(random.Random("sparse-echelon"))
+    for rows, ncols in cases:
+        m = RatMatrix(len(rows), ncols, rows)
+        if len(rows) == ncols:
+            assert m.det() == _fraction_det(rows)
+        if ncols <= 20 or len(rows) != ncols:  # Gauss-Jordan fills a long triangle in
+            rank, kernel = _reference_kernel(rows, ncols)
+            assert m.rank() == rank and m.kernel_basis() == kernel
+    assert sum(len(rows) >= 512 for rows, _ in cases) == 3 and cases[-3][0][0] != [0] * 576
 
 
 def test_echelon_pivots_on_the_sparsest_candidate():

@@ -2,6 +2,7 @@
 abelian structure and decomposition."""
 
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -1308,6 +1309,137 @@ def test_the_psi_slot_keeps_no_object_alive():
     del a, b
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+def _mat_key(m):
+    return m.rows, m.cols, tuple(map(tuple, m.num)), m.den
+
+
+def _pair_answers(a, b):
+    """hom's basis and ext1's (dim, basis, projection) of a pair, as plain tuples."""
+    s = a.scenario
+    homs = [tuple(_mat_key(m.u[x]) for x in s.x_ids) + tuple(_mat_key(m.v[y]) for y in s.y_ids)
+            for m in hom(a, b)]
+    res = ext1(a, b)
+    return homs, res.dim, [tuple(_mat_key(r[x]) for x in s.x_ids) for r in res.basis], _mat_key(res.projection)
+
+
+def empty_psi_pairs():
+    """Seeded pairs whose psi has no rows or no columns, over every catalog
+    scenario and one `random_scenario` with a number field larger than Q.
+
+    Objects draw multiplicities 0-2, so most have some vertex of
+    multiplicity 0; an x-only and a y-only object join each pool.
+    """
+    gen = random.Random("empty-psi")
+    field = next(s for s in (random_scenario(gen) for _ in range(20))
+                 if any(s.algebra(v).dim > 1 for v in s.vertex_order()))
+    pairs = []
+    for s in [catalog_scenario(name) for name in CATALOG_IDS] + [field]:
+        rng = random.Random(f"empty-psi:{s.name}")
+        objs = [random_object(s, rng, max_mult=2) for _ in range(4)]
+        objs += [random_object_with(s, {x: rng.randrange(1, 3) for x in s.x_ids}, rng),
+                 random_object_with(s, {y: rng.randrange(1, 3) for y in s.y_ids}, rng)]
+        dims = [(a, b, hom_space_dims(a, b)) for a in objs for b in objs]
+        pairs += [(a, b) for a, b, (su, sv, sf) in dims if not (su + sv and sf)]
+    return pairs
+
+
+# sha256 of the `_pair_answers` of every `empty_psi_pairs` pair, as the
+# elimination-based builder of psi gave them
+EMPTY_PSI_ANSWERS = "10c29ccf2ee26b4efd4f282e048a900c92408bbc731945b65e5fd23d2d4a43b1"
+
+
+def test_empty_psi_is_answered_from_its_bases(monkeypatch):
+    # a pair whose psi has no rows or no columns builds no image, reads no
+    # commutant coordinates, builds no row set and eliminates nothing
+    pairs = empty_psi_pairs()
+    kinds = {("rows" if not hom_space_dims(a, b)[2] else "columns", a.scenario.name) for a, b in pairs}
+
+    def refuse(*args):
+        raise AssertionError("an empty psi was built")
+
+    refs = [reference_hom_ext_dims(a, b) for a, b in pairs]
+    for name in ("_commutant_coords", "_echelon"):
+        monkeypatch.setattr(exactalg, name, refuse)
+        monkeypatch.setattr(extcat, name, refuse)
+    monkeypatch.setattr(extcat, "_psi_rows", refuse)
+    for (a, b), (h, e) in zip(pairs, refs):
+        monkeypatch.setattr(extcat, "_LAST_PSI", None)
+        cold = ext1(a, b)
+        assert len(hom(a, b)) == h and ext1(a, b).dim == cold.dim == e
+        assert hom_ext_dims(a, b)[:2] == (h, e) and euler_form(a, b) == h - e
+    monkeypatch.undo()
+    digest = hashlib.sha256(repr([_pair_answers(a, b) for a, b in pairs]).encode()).hexdigest()
+    assert digest == EMPTY_PSI_ANSWERS
+    assert len(pairs) >= 100 and {k for k, _ in kinds} == {"rows", "columns"}
+    assert len({n for _, n in kinds}) == len(CATALOG_IDS) + 1
+
+
+def test_euler_form_eliminates_every_nonempty_psi_twice(monkeypatch):
+    # the five-term check runs on every psi with rows and columns: one
+    # elimination of its rows and one of its columns, and none on an empty psi
+    calls = []
+    real = extcat._echelon
+
+    def counted(rows):
+        calls.append(1)
+        return real(rows)
+
+    monkeypatch.setattr(extcat, "_echelon", counted)
+    seen = set()
+    for s in (catalog_scenario("a3"), sqrt2_scenario()):
+        rng = random.Random(f"five-term-guard:{s.name}")
+        pool = [random_object(s, rng, max_mult=2) for _ in range(9)]
+        for a in pool:
+            for b in pool:
+                su, sv, sf = hom_space_dims(a, b)
+                calls.clear()
+                euler_form(a, b)
+                nonempty = bool(su + sv and sf)
+                assert len(calls) == (2 if nonempty else 0)
+                seen.add((s.name, nonempty))
+    assert len(seen) == 4
+
+
+def _mixed_scenario_pair():
+    """z over one a2 instance, w with the same data over another, and the identity of z."""
+    z, w = (random_object_with(catalog_scenario("a2"), {"u": 1, "a1": 1}, random.Random(3)) for _ in range(2))
+    return z, w, identity_morphism(z)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda z, w, ident: identity_morphism(w).compose(ident),
+    lambda z, w, ident: ident + identity_morphism(w),
+    lambda z, w, ident: ident - identity_morphism(w),
+    lambda z, w, ident: abelian_ops(TripleMorphism(z, w, ident.u, ident.v)),
+], ids=["compose", "add", "sub", "abelian_ops"])
+def test_morphism_operations_refuse_two_scenario_instances(entry):
+    z, w, ident = _mixed_scenario_pair()
+    assert z.data_key() == w.data_key() and z.scenario is not w.scenario
+    with pytest.raises(TripleError, match="different scenarios"):
+        entry(z, w, ident)
+
+
+def test_morphism_check_reports_two_scenario_instances():
+    z, w, ident = _mixed_scenario_pair()
+    assert ident.check() is None
+    assert TripleMorphism(z, w, ident.u, ident.v).check() == "source and target live over different scenarios"
+
+
+def test_sum_refuses_morphisms_of_two_hom_sets():
+    s = catalog_scenario("a2")
+    a = random_object_with(s, {"u": 1, "a1": 1}, random.Random(3))
+    c = canonical_object(s, {"u": 1, "a1": 1})
+    assert a.eta["u"].num == [[-1]] and c.eta["u"].num == [[0]]
+    f = identity_morphism(a)
+    g = next(m for m in hom(c, c) if m.u["u"] != m.v["a1"])
+    for mixed in (lambda: f + g, lambda: f - g, lambda: g + f):
+        with pytest.raises(TripleError, match="sum endpoint mismatch"):
+            mixed()
+    twin = random_object_with(s, {"u": 1, "a1": 1}, random.Random(3))  # equal data, another object
+    assert (f + identity_morphism(twin)).check() is None
+    assert (f - f).is_zero()
 
 
 # ----------------------------------------------------------------------
