@@ -91,6 +91,9 @@ class RatMatrix:
         self._normalise(rows, cols, [list(r) for r in num], den)
 
     def _normalise(self, rows: int, cols: int, num: list[list[int]], den: int) -> None:
+        if den == 1:
+            self.rows, self.cols, self.num, self.den = rows, cols, num, den
+            return
         if den < 0:
             num = [[-x for x in r] for r in num]
             den = -den

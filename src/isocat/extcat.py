@@ -27,6 +27,7 @@ long as their algebra or scenario; only their hom-term memo is written.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -38,6 +39,7 @@ from .exactalg import (
     FactorBudget,
     FactorBudgetExceeded,
     RatMatrix,
+    _back_solve,
     _block_copies,
     _combine_terms,
     _commutant_coords,
@@ -409,8 +411,14 @@ class TripleMorphism:
             return "source and target live over different scenarios"
         for ids, maps, src, dst, name in ((s.x_ids, self.u, self.source.x, self.target.x, "u"),
                                           (s.y_ids, self.v, self.source.y, self.target.y, "v")):
-            for w in (w for w in ids if s.algebra(w).dim > 1):  # a Q action is scalar: all maps commute
-                if any(maps[w] * m != n * maps[w] for m, n in zip(src[w].action, dst[w].action)):
+            for w in ids:  # the map's presence and shape, before any product with it
+                f = maps.get(w)
+                if f is None:
+                    return f"missing {name} map at {w!r}"
+                if f.rows != dst[w].dim or f.cols != src[w].dim:
+                    return f"{name} at {w!r} has shape {f.rows}x{f.cols}, expected {dst[w].dim}x{src[w].dim}"
+                # a Q action is scalar: all maps commute
+                if s.algebra(w).dim > 1 and any(f * m != n * f for m, n in zip(src[w].action, dst[w].action)):
                     return f"{name} at {w!r} not equivariant"
         for xv in s.x_ids:
             fv = _f_map(s, self.v, self.source.f, self.target.f, xv)
@@ -669,14 +677,18 @@ def _pair_psi(z: TripleObject, z2: TripleObject) -> tuple[tuple, bool]:
 
 
 def hom(z: TripleObject, z2: TripleObject) -> list[TripleMorphism]:
-    """Basis of the space of morphisms z -> z2: the kernel of psi, from its rows.
+    """Basis of the space of morphisms z -> z2: the kernel of psi, from its Y-side blocks.
 
     psi's columns are taken right to left, the v (Y-side) columns first, as
     in `hom_ext_dims`: at each x-vertex the u block of psi is I (x) eta^T,
     and eliminating it first would build Schur-complement rows from minors
-    of eta.  The basis is the identity on the free columns of that order,
-    one element per free column, in column order.  `decompose` reads End(z)
-    through `_end_basis` instead.
+    of eta.  Since F(v) = I_r (x) v, psi's v block falls apart into
+    components, and the copies of one are one matrix: `_y_side_kernel`
+    eliminates each distinct component once and solves the u columns
+    against it.  The basis is the identity on the free columns of that
+    order, one element per free column, in column order, as one
+    elimination of all of psi's rows would give it.  `decompose` reads
+    End(z) through `_end_basis` instead.
     """
     return _psi_kernel(z, z2, True)
 
@@ -692,30 +704,119 @@ def _end_basis(z: TripleObject) -> list[TripleMorphism]:
 
 
 def _psi_kernel(z: TripleObject, z2: TripleObject, right_to_left: bool) -> list[TripleMorphism]:
-    """The kernel of psi, eliminating its rows with the columns in the given order.
+    """The kernel of psi: the identity on its free columns in the given order, in column order.
 
-    Each kernel vector accumulates into one integer grid per vertex from the
-    nonzero entries of that vertex's basis.  When the elimination finds a
-    pivot in every row, psi is onto, and `_LAST_PSI` records it for `ext1`
-    of the same pair.
+    Right to left it comes from `_y_side_kernel`; left to right from one
+    elimination of psi's rows.  Each kernel vector accumulates into one
+    integer grid per vertex from the nonzero entries of that vertex's
+    basis.  When rank psi is its number of rows, psi is onto, and
+    `_LAST_PSI` records it for `ext1` of the same pair.
     """
     s = z.scenario
     data, _ = _pair_psi(z, z2)
     ubases, vbases, _, _, (nrows, columns) = data
-    rows = _psi_rows(nrows, columns[::-1] if right_to_left else columns) if nrows and columns else []
-    ker, _ = _null_space(rows, len(columns))
-    if len(columns) - ker.rows == nrows:  # rank psi = rows: psi is onto
+    if right_to_left and nrows and columns:
+        rank, vecs = _y_side_kernel(columns, sum([len(t) for t, _ in ubases.values()]))
+    else:  # with no rows or no columns, `_null_space` gives the identity with no elimination
+        ker, _ = _null_space(_psi_rows(nrows, columns) if nrows and columns else [], len(columns))
+        rank, vecs = len(columns) - ker.rows, [(vec, ker.den) for vec in ker.num]
+    if rank == nrows:  # psi is onto
         _remember(z, z2, data, True)
     sides = ((0, s.x_ids, ubases, z.x, z2.x), (1, s.y_ids, vbases, z.y, z2.y))
     sparse = [(side, w, *bases[w], dst[w].dim, src[w].dim)
               for side, ids, bases, src, dst in sides for w in ids]
     out = []
-    for vec in ([vec[::-1] for vec in reversed(ker.num)] if right_to_left else ker.num):
+    for vec, vden in vecs:
         coeffs, parts = iter(vec), ({}, {})
         for side, w, terms, den, rows, cols in sparse:  # each takes the next len(terms) coefficients
-            parts[side][w] = _combine_terms(terms, coeffs, ker.den * den, rows, cols)
+            parts[side][w] = _combine_terms(terms, coeffs, vden * den, rows, cols)
         out.append(TripleMorphism(z, z2, *parts))
     return out
+
+
+def _y_side_kernel(columns: list, nu: int) -> tuple[int, list[tuple[list[int], int]]]:
+    """(rank psi, kernel basis as (integers, den)) for psi's columns taken right to left.
+
+    The v columns (from nu on) join psi's rows into components W; copies of
+    one W share its work.  [W | I] is eliminated once, columns right to
+    left: its pivots P, its free v columns, G = W_P^-1 on its pivot rows
+    and its left-null rows N.  Each u column is solved against G of every
+    component it meets, never carried through an elimination, and the u
+    part of a kernel vector lies in the kernel of the u-only system S: the
+    rows no v column meets and N . U.  S is eliminated with the u columns
+    right to left; rank psi is the components' ranks plus rank S.
+    """
+    den, ncols = lcm(*(d for _, d in columns)), len(columns)
+    cols = [ents if d == den else [(r, e * (den // d)) for r, e in ents] for ents, d in columns]
+    root = {}  # rows joined by the v columns, as a union-find forest
+
+    def find(r: int) -> int:
+        while root[r] != r:
+            r = root[r]
+        return r
+
+    vfree = [(c, [int(k == c) for k in range(ncols)], 1) for c in range(nu, ncols) if not cols[c]]
+    for ents in cols[nu:]:
+        top = find(root.setdefault(ents[0][0], ents[0][0])) if ents else None
+        for r, _ in ents:
+            q = root.setdefault(r, top)
+            if q != top:
+                root[find(q)] = top
+    comps, urow = {}, {}  # urow: psi's u rows, column c keyed nu - 1 - c
+    for c in range(ncols - 1, -1, -1):
+        if c < nu:
+            for r, e in cols[c]:
+                urow.setdefault(r, {})[nu - 1 - c] = e
+        elif cols[c]:
+            comps.setdefault(find(cols[c][0][0]), []).append(c)
+    sys_rows, solved, blocks = [urow[r] for r in sorted(urow) if r not in root], {}, []
+    for ccols in comps.values():
+        at = {}  # local rows in order of appearance
+        wkey = tuple([(k, at.setdefault(r, len(at)), e) for k, c in enumerate(ccols) for r, e in cols[c]])
+        if wkey not in solved:
+            n, w = len(ccols), [{} for _ in at]
+            for k, j, e in wkey:
+                w[j][k] = e
+            for j, row in enumerate(w):
+                row[n + j] = 1
+            pivots, ech, _, _ = _echelon(w)
+            r = bisect_left(pivots, n)
+            free = sorted(set(range(n)).difference(pivots))
+            d, zs = _back_solve(pivots[:r], ech[:r], free + list(range(n, n + len(w))))
+            solved[wkey] = (pivots[:r], free, d, zs, [{j - n: e for j, e in row.items()} for row in ech[r:]])
+        blocks.append((ccols, list(at), solved[wkey]))
+    big = lcm(*(d for _, _, d, _, _ in solved.values()))
+    rank, gat = 0, {}  # gat[r]: row r's column of big . G, as (v column, entry)
+    for ccols, crows, (pivots, free, d, zs, nulls) in blocks:
+        rank, pcols = rank + len(pivots), [ccols[p] for p in pivots]
+        for f, zf in zip(free, zs):
+            vec = [0] * ncols
+            for p, x in zip([ccols[f], *pcols], [d, *(-x for x in zf)]):
+                vec[p] = x
+            vfree.append((ccols[f], vec, d))
+        for r, g in zip(crows, zs[len(free):]):
+            gat[r] = [(p, x * (big // d)) for p, x in zip(pcols, g) if x]
+        for nrow in nulls:
+            acc = {}
+            for j, a in nrow.items():
+                for k, e in urow.get(crows[j], {}).items():
+                    acc[k] = acc.get(k, 0) + a * e
+            sys_rows.append({k: acc[k] for k in sorted(acc) if acc[k]})
+    pivots, ech, _, _ = _echelon(sys_rows) if any(sys_rows) else ([], [], 1, 1)
+    free = sorted(set(range(nu)).difference(pivots))
+    d, zs = _back_solve(pivots, ech, free) if pivots else (1, [[]] * len(free))
+    out = []
+    for f, zf in zip(reversed(free), reversed(zs)):  # u column nu - 1 - f, with the v part that cancels it
+        vec = [0] * ncols
+        for k, x in zip([f, *pivots], [d, *(-x for x in zf)]):
+            if x:
+                vec[nu - 1 - k] = x * big
+                for r, e in cols[nu - 1 - k]:
+                    for p, g in gat.get(r, ()):
+                        vec[p] -= x * e * g
+        out.append((vec, d * big))
+    vfree.sort()
+    return rank + len(pivots), out + [(vec, d) for _, vec, d in vfree]
 
 
 @dataclass
@@ -762,7 +863,7 @@ def hom_ext_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, tuple[int
     depend on the order, and at each x-vertex the u block of psi is
     I (x) eta^T, whose elimination first would leave Schur-complement rows
     built from minors of eta; the v columns first avoid that growth.  `hom`
-    eliminates psi's rows in this same order.
+    takes psi's columns in this same order.
     """
     ubases, vbases, _, _, (nrows, columns) = _psi_data(z, z2)
     su, sv = (sum(len(t) for t, _ in b.values()) for b in (ubases, vbases))

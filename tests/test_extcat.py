@@ -23,6 +23,7 @@ from isocat.exactalg import (
     _echelon,
     _nonzero_entries,
     _null_rows,
+    _null_space,
     _sparse_rows,
     algebra_center,
     commutant_basis,
@@ -36,6 +37,7 @@ from isocat.extcat import (
     _f_map,
     _hom_terms,
     _psi_data,
+    _psi_rows,
     abelian_ops,
     canonical_object,
     canonical_space,
@@ -197,6 +199,27 @@ def test_hom_basis_entries_stay_small_at_multiplicity_eight():
     bits = max(max(abs(e.numerator).bit_length(), e.denominator.bit_length())
                for m in basis for e in m.flatten())
     assert bits < 100
+
+
+def test_hom_eliminates_its_one_distinct_component_once_at_multiplicity_eight(monkeypatch):
+    # at g2 m = 8 psi's v block is 8 copies of one 24 x 24 component of full
+    # rank, so the u system has no rows: hom eliminates 24 rows once, where
+    # the whole-psi elimination took all 192
+    s = catalog_scenario("g2_threefold")
+    z = random_object_with(s, {v: 8 for v in s.vertex_order()}, random.Random(1))
+    assert hom_space_dims(z, z)[2] == 192
+    sizes, real = [], exactalg._echelon
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(exactalg, "_echelon", counted)
+    monkeypatch.setattr(extcat, "_echelon", counted)
+    monkeypatch.setattr(extcat, "_LAST_PSI", None)
+    assert len(hom(z, z)) == 64
+    assert sizes == [24]
+    assert extcat._LAST_PSI[3]  # 8 components of rank 24: psi is onto
 
 
 # ----------------------------------------------------------------------
@@ -649,6 +672,87 @@ def test_sparse_hom_matches_dense_reference_on_conjugated_spaces():
                 dens.update(m.den for m in equivariant_hom_basis(s.algebra(y).spec, a.y[y], b.y[y]))
                 assert_hom_matches_dense(a, b)
     assert max(dens) > 1 and 1 in dens
+
+
+def whole_psi_hom(a, b):
+    """(hom basis as (u, v) dicts, rank psi) by one elimination of all of psi's rows, columns right to left.
+
+    The kernel is `_null_space` of `_psi_rows` with the columns reversed,
+    read back reversed: the basis that is the identity on the right-to-left
+    free columns, in column order.
+    """
+    s = a.scenario
+    ubases, vbases, _, _, (nrows, columns) = _psi_data(a, b)
+    ker, _ = _null_space(_psi_rows(nrows, columns[::-1]) if nrows and columns else [], len(columns))
+    homs = []
+    for vec in reversed(ker.num):
+        coeffs, parts = iter(vec[::-1]), []
+        for ids, bases, src, dst in ((s.x_ids, ubases, a.x, b.x), (s.y_ids, vbases, a.y, b.y)):
+            parts.append({w: _combine_terms(bases[w][0], coeffs, ker.den * bases[w][1], dst[w].dim, src[w].dim)
+                          for w in ids})
+        homs.append(tuple(parts))
+    return homs, len(columns) - ker.rows
+
+
+def squeezed(z, y, e):
+    """z with each eta_x replaced by eta_x . F(E (x) I) at y, for an integer matrix E.
+
+    E (x) I is equivariant on the canonical Y_y, so this is an object; a zero
+    or repeated column of E repeats or kills eta's columns, which makes
+    psi's components into it singular, and E = 0 makes its v columns zero.
+    """
+    s = z.scenario
+    v = {w: RatMatrix.from_rows(e).kron(RatMatrix.identity(s.algebra(y).dim)) if w == y
+         else RatMatrix.identity(z.y[w].dim) for w in s.y_ids}
+    return TripleObject(s, z.x, z.y, {x: z.eta[x] * _f_map(s, v, z.f, z.f, x) for x in s.x_ids})
+
+
+def assert_hom_is_the_whole_psi_kernel(a, b, monkeypatch):
+    """hom(a, b), its onto record and ext1(a, b).dim against `whole_psi_hom`, element for element."""
+    ref, rank = whole_psi_hom(a, b)
+    nrows = hom_space_dims(a, b)[2]
+    monkeypatch.setattr(extcat, "_LAST_PSI", None)
+    assert [(m.u, m.v) for m in hom(a, b)] == ref
+    assert extcat._LAST_PSI[3] == (rank == nrows)
+    assert ext1(a, b).dim == nrows - rank
+
+
+def test_hom_is_the_whole_psi_kernel_element_for_element(monkeypatch):
+    # hom eliminates each distinct component of psi's v block once and
+    # solves the u columns against it; the basis must be the one that one
+    # elimination of all of psi's rows gives
+    gen = random.Random("whole-psi")
+    sweep = [catalog_scenario(name) for name in CATALOG_IDS] + [random_scenario(gen) for _ in range(4)]
+    seen = {"null rows": 0, "zero v column": 0, "no v column": 0}
+    for k, s in enumerate(sweep):
+        rng = random.Random(f"whole-psi:{k}")
+        pool = [random_object(s, rng, max_mult=2) for _ in range(3)]
+        pool += [random_object_with(s, {v: m for v in s.vertex_order()}, rng) for m in (1, 2)]
+        pool += [x_only(pool[0]), y_only(pool[1]), universal_extension_of(pool[2])]
+        y = next((y for y in s.y_ids if pool[4].y[y].dim), None)
+        if y is not None:  # a zero, a repeated and an all-zero E on Y_y = 2 copies
+            pool += [squeezed(pool[4], y, e) for e in ([[1, 0], [0, 0]], [[1, 1], [1, 1]], [[0, 0], [0, 0]])]
+        ops = abelian_ops(random_morphism(pool[0], pool[1], rng))
+        pool += [ops.kernel, ops.image, ops.cokernel] + [sm.object for sm in decompose(pool[3]).summands]
+        for a in pool:
+            for b in pool:
+                assert_hom_is_the_whole_psi_kernel(a, b, monkeypatch)
+                _, vbases, _, _, (nrows, columns) = _psi_data(a, b)
+                nu = len(columns) - sum(len(t) for t, _ in vbases.values())
+                seen["no v column"] += nrows > 0 and nu == len(columns) > 0
+                seen["zero v column"] += nrows > 0 and any(not ents for ents, _ in columns[nu:])
+                vrows = sorted({r for ents, _ in columns[nu:] for r, _ in ents})
+                vblock = [[dict(ents).get(r, 0) for ents, _ in columns[nu:]] for r in vrows]
+                seen["null rows"] += bool(vrows) and RatMatrix.from_rows(vblock).rank() < len(vrows)
+    # equal multiplicities repeat components; conjugated Y spaces are not canonical
+    for name, y in (("g2_threefold", "a1"), ("c3_surface", "a1"), ("d4_elliptic", "a2"), ("b2_dual", "a1")):
+        s = catalog_scenario(name)
+        rng = random.Random(f"whole-psi:{name}")
+        for m in (1, 2, 3, 4):
+            z, w = (random_object_with(s, {v: m for v in s.vertex_order()}, rng) for _ in range(2))
+            for a, b in ((z, z), (z, w), (conjugated(z, y), w), (w, conjugated(z, y))):
+                assert_hom_is_the_whole_psi_kernel(a, b, monkeypatch)
+    assert all(seen.values()), seen
 
 
 def test_canonical_spaces_and_their_f_spaces_match_the_generic_path():
@@ -1425,6 +1529,26 @@ def test_morphism_check_reports_two_scenario_instances():
     z, w, ident = _mixed_scenario_pair()
     assert ident.check() is None
     assert TripleMorphism(z, w, ident.u, ident.v).check() == "source and target live over different scenarios"
+
+
+def test_morphism_check_reports_a_missing_map():
+    s = catalog_scenario("a2")
+    z = random_object_with(s, {"u": 2, "a1": 1}, random.Random(5))
+    ident = identity_morphism(z)
+    assert TripleMorphism(z, z, {}, ident.v).check() == "missing u map at 'u'"
+    assert TripleMorphism(z, z, ident.u, {}).check() == "missing v map at 'a1'"
+
+
+def test_morphism_check_reports_a_map_of_the_wrong_shape():
+    # a 1x1 u into an x part of dim 2 used to read as a square that does not commute
+    s = catalog_scenario("a2")
+    one, two = canonical_object(s, {"u": 1}), canonical_object(s, {"u": 2})
+    v = {"a1": RatMatrix.zeros(0, 0)}
+    assert TripleMorphism(one, two, {"u": RatMatrix.identity(1)}, v).check() == "u at 'u' has shape 1x1, expected 2x1"
+    assert TripleMorphism(one, two, {"u": RatMatrix.zeros(2, 1)}, v).check() is None
+    z = canonical_object(s, {"a1": 1})
+    assert (TripleMorphism(z, z, {"u": RatMatrix.zeros(0, 0)}, {"a1": RatMatrix.zeros(1, 2)}).check()
+            == "v at 'a1' has shape 1x2, expected 1x1")
 
 
 def test_sum_refuses_morphisms_of_two_hom_sets():
