@@ -30,7 +30,7 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, starmap
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -466,6 +466,14 @@ def _flat_morphism(m: TripleMorphism) -> tuple[list[int], int]:
     return _flat_matrices([m.u[x] for x in s.x_ids] + [m.v[y] for y in s.y_ids])
 
 
+def _unflatten(z: TripleObject, flat: Sequence[int], den: int) -> TripleMorphism:
+    """The endomorphism of z whose `_flat_morphism` is (flat, den)."""
+    it, spaces = iter(flat), {**z.x, **z.y}
+    dims = [(w, spaces[w].dim) for w in z.scenario.vertex_order()]  # `_flat_morphism`'s order
+    return _morphism(z, z, {w: RatMatrix._fresh(n, n, [[next(it) for _ in range(n)] for _ in range(n)], den)
+                            for w, n in dims})
+
+
 def _morphism(src: TripleObject, dst: TripleObject, maps: dict[str, RatMatrix]) -> TripleMorphism:
     """The morphism src -> dst with maps[w] at every vertex w."""
     s = src.scenario
@@ -687,51 +695,76 @@ def hom(z: TripleObject, z2: TripleObject) -> list[TripleMorphism]:
     eliminates each distinct component once and solves the u columns
     against it.  The basis is the identity on the free columns of that
     order, one element per free column, in column order, as one
-    elimination of all of psi's rows would give it.  `decompose` reads
-    End(z) through `_end_basis` instead.
+    elimination of all of psi's rows would give it.  When rank psi is its
+    number of rows, `_LAST_PSI` records psi as onto for `ext1` of the same
+    pair.  `decompose` reads End(z) through `_end_basis` instead.
     """
-    return _psi_kernel(z, z2, True)
-
-
-def _end_basis(z: TripleObject) -> list[TripleMorphism]:
-    """decompose's basis of End(z): the identity on psi's left-to-right free columns.
-
-    `decompose` tries candidates in basis order, so its answers depend on the
-    basis, and this is the basis they are pinned to.  It goes once they no
-    longer depend on it.
-    """
-    return _psi_kernel(z, z, False)
-
-
-def _psi_kernel(z: TripleObject, z2: TripleObject, right_to_left: bool) -> list[TripleMorphism]:
-    """The kernel of psi: the identity on its free columns in the given order, in column order.
-
-    Right to left it comes from `_y_side_kernel`; left to right from one
-    elimination of psi's rows.  Each kernel vector accumulates into one
-    integer grid per vertex from the nonzero entries of that vertex's
-    basis.  When rank psi is its number of rows, psi is onto, and
-    `_LAST_PSI` records it for `ext1` of the same pair.
-    """
-    s = z.scenario
     data, _ = _pair_psi(z, z2)
-    ubases, vbases, _, _, (nrows, columns) = data
-    if right_to_left and nrows and columns:
+    ubases, _, _, _, (nrows, columns) = data
+    if nrows and columns:
         rank, vecs = _y_side_kernel(columns, sum([len(t) for t, _ in ubases.values()]))
-    else:  # with no rows or no columns, `_null_space` gives the identity with no elimination
-        ker, _ = _null_space(_psi_rows(nrows, columns) if nrows and columns else [], len(columns))
-        rank, vecs = len(columns) - ker.rows, [(vec, ker.den) for vec in ker.num]
+    else:  # every column is free: the identity, with no elimination
+        rank, vecs = 0, [([int(c == k) for c in range(len(columns))], 1) for k in range(len(columns))]
     if rank == nrows:  # psi is onto
         _remember(z, z2, data, True)
-    sides = ((0, s.x_ids, ubases, z.x, z2.x), (1, s.y_ids, vbases, z.y, z2.y))
+    return list(starmap(_kernel_morphism(z, z2, data), vecs))
+
+
+def _end_basis(z: TripleObject) -> Sequence[TripleMorphism]:
+    """decompose's basis of End(z): the identity on psi's left-to-right free columns, built as read.
+
+    `decompose` tries candidates in basis order, so its answers depend on the
+    basis, and this is the basis they are pinned to; it goes once they no
+    longer do.  psi's rows are eliminated once, left to right; element k is
+    back-solved for its own free column on its first read, then kept.
+    """
+    data, _ = _pair_psi(z, z)
+    _, _, _, _, (nrows, columns) = data
+    pivots, ech, _, _ = _echelon(_psi_rows(nrows, columns) if nrows and columns else [])
+    if len(pivots) == nrows:  # psi is onto
+        _remember(z, z, data, True)
+    free, morphism = sorted(set(range(len(columns))).difference(pivots)), _kernel_morphism(z, z, data)
+
+    def element(k: int) -> TripleMorphism:
+        d, (zf,) = _back_solve(pivots, ech, [free[k]])
+        vec = [0] * len(columns)
+        for p, x in zip([free[k], *pivots], [d, *(-x for x in zf)]):
+            vec[p] = x
+        return morphism(vec, d)
+    return _OnDemand(len(free), element)
+
+
+class _OnDemand(Sequence):
+    """A read-only sequence of n items: item k is make(k), built on its first read, then kept."""
+
+    def __init__(self, n: int, make) -> None:
+        self._items, self._make = [None] * n, make
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, k: int):
+        if self._items[k] is None:
+            self._items[k] = self._make(k)
+        return self._items[k]
+
+
+def _kernel_morphism(z: TripleObject, z2: TripleObject, data: tuple):
+    """(vec, den) -> the morphism z -> z2 of psi's kernel vector vec / den, psi from `_psi_data(z, z2)`.
+
+    Each vertex map is one integer grid, from the nonzero entries of its basis.
+    """
+    s = z.scenario
+    sides = ((0, s.x_ids, data[0], z.x, z2.x), (1, s.y_ids, data[1], z.y, z2.y))
     sparse = [(side, w, *bases[w], dst[w].dim, src[w].dim)
               for side, ids, bases, src, dst in sides for w in ids]
-    out = []
-    for vec, vden in vecs:
+
+    def morphism(vec: list[int], vden: int) -> TripleMorphism:
         coeffs, parts = iter(vec), ({}, {})
         for side, w, terms, den, rows, cols in sparse:  # each takes the next len(terms) coefficients
             parts[side][w] = _combine_terms(terms, coeffs, vden * den, rows, cols)
-        out.append(TripleMorphism(z, z2, *parts))
-    return out
+        return TripleMorphism(z, z2, *parts)
+    return morphism
 
 
 def _y_side_kernel(columns: list, nu: int) -> tuple[int, list[tuple[list[int], int]]]:
@@ -1126,12 +1159,12 @@ def torsion_pair(z: TripleObject) -> tuple[TripleMorphism, TripleMorphism]:
 # Endomorphism algebras and universality
 # ======================================================================
 
-def end_algebra(z: TripleObject, basis: list[TripleMorphism] | None = None) -> AlgebraSpec:
+def end_algebra(z: TripleObject, basis: Sequence[TripleMorphism] | None = None) -> AlgebraSpec:
     """Structure constants of End(z) in the given basis, by default `hom(z, z)`'s.
 
     That is the identity on psi's free columns taken right to left.
-    `decompose` passes its left-to-right `_end_basis`, since its answers
-    depend on the basis order, until they no longer do.
+    `decompose` passes its left-to-right `_end_basis` (its answers depend
+    on the basis order), and this reads, so builds, every element of it.
     """
     if basis is None:
         basis = hom(z, z)
@@ -1230,14 +1263,16 @@ def _total_matrix(m: TripleMorphism) -> RatMatrix:
 
 
 def _image_split(z: TripleObject, e: TripleMorphism):
-    """Split z along an idempotent e; returns ((obj, inc, proj), same for 1-e)."""
+    """Split z along an idempotent e; returns ((obj, inc, proj), same for 1-e), both nonzero."""
     pieces = [_image(idem) for idem in (e, identity_morphism(z) - e)]
     if sum(p[0].total_dim() for p in pieces) != z.total_dim():
         raise InternalConsistencyError("idempotent split lost dimensions")
+    if not all(p[0].total_dim() for p in pieces):
+        raise InternalConsistencyError("idempotent split produced a zero piece")
     return pieces
 
 
-def _combinations(end_basis: list[TripleMorphism]):
+def _combinations(end_basis: Sequence[TripleMorphism]):
     """The pairwise sums, then the pairwise products, of the basis candidates."""
     n = len(end_basis)
     yield from (end_basis[i] + end_basis[j] for i in range(n) for j in range(i + 1, n))
@@ -1332,7 +1367,7 @@ def _is_field(alg: AlgebraSpec) -> bool:
     return False
 
 
-def _leaf_certified(z: TripleObject, end_basis: list[TripleMorphism]) -> bool:
+def _leaf_certified(z: TripleObject, end_basis: Sequence[TripleMorphism]) -> bool:
     alg = end_algebra(z, end_basis)
     rad = _radical(alg)
     quo = _quotient_algebra(alg, rad) if rad.rows else alg
@@ -1348,7 +1383,7 @@ def _is_scalar_identity(a: TripleMorphism) -> bool:
 
 
 def _split_or_leaf(z: TripleObject,
-                   end_basis: list[TripleMorphism]) -> tuple[TripleMorphism | None, str]:
+                   end_basis: Sequence[TripleMorphism]) -> tuple[TripleMorphism | None, str]:
     """(a splitting idempotent, _) or (None, the flag of z as a leaf)."""
     if len(end_basis) == 1:  # End(z) = Q, a field
         if not _is_scalar_identity(end_basis[0]):
@@ -1375,25 +1410,30 @@ def decompose(z: TripleObject) -> Decomposition:
     "certified" when every leaf is certified, else "no-further-splitting-found".
 
     The answer depends only on z's data and its scenario, so the scenario
-    remembers the flag of every leaf decided, by `data_key()`: an object
-    whose data is a known leaf is (z, id, id) with that flag, without psi.
-    Split nodes and errors are not remembered; only keys and flags are, so
-    no object is kept alive.
+    remembers every node it decides, by `data_key()`: a leaf by its flag,
+    and a split node by its idempotent's matrices, flattened, once
+    `_image_split` has split along it.  A known leaf is (z, id, id) with
+    its flag, and a known split node is split again along its idempotent,
+    without psi, an End basis or a candidate search.  A failed split and
+    errors are not remembered; only keys, flags and integers are, so no
+    object is kept alive.
     """
     if z.total_dim() == 0:
         return Decomposition([], CERTIFIED)
-    leaves, key, e = z.scenario._leaves, z.data_key(), None
-    if key not in leaves:
+    nodes, key = z.scenario._nodes, z.data_key()
+    known = nodes.get(key)
+    if known is None:
         e, flag = _split_or_leaf(z, _end_basis(z))
-        if e is None:
-            leaves[key] = flag
+    else:
+        e, flag = (None, known) if isinstance(known, str) else (_unflatten(z, *known), None)
     if e is None:
-        return Decomposition([Summand(z, identity_morphism(z), identity_morphism(z))], leaves[key])
+        nodes[key] = flag
+        return Decomposition([Summand(z, identity_morphism(z), identity_morphism(z))], flag)
+    pieces = _image_split(z, e)
+    nodes[key] = _flat_morphism(e)
     summands: list[Summand] = []
     flag = CERTIFIED
-    for piece, inc, proj in _image_split(z, e):
-        if piece.total_dim() == 0:
-            raise InternalConsistencyError("idempotent split produced a zero piece")
+    for piece, inc, proj in pieces:
         subdec = decompose(piece)
         if subdec.flag != CERTIFIED:
             flag = NO_FURTHER

@@ -1343,6 +1343,42 @@ def test_empty_and_zero_eliminations_match_the_general_path(monkeypatch):
     assert any(sol is None for _, sols, _ in expected for sol in sols)
 
 
+@st.composite
+def _sparse_augmented(draw):
+    """(rows, n, k): sparse integer rows over n coefficient and k augmented
+    columns, maybe with a combination of two rows or a zero row appended."""
+    n, k = draw(st.integers(1, 7)), draw(st.integers(0, 3))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-5, 5))
+    rows = draw(st.lists(st.lists(entry, min_size=n + k, max_size=n + k), max_size=6))
+    if len(rows) >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    if draw(st.booleans()):
+        rows.append([0] * (n + k))
+    return rows, n, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_augmented())
+@example(([[1, 2, 3], [2, 4, 6]], 2, 1))
+@example(([[2, 3, 0, 1], [0, 4, 5, 0]], 3, 1))
+def test_back_solve_of_each_target_alone_matches_one_call(system):
+    # End bases back-solve one free column at a time: each target solved
+    # alone must give the rational solution that one call for all gives
+    rows, n, k = system
+    pivots, ech, _, _ = exactalg._echelon(exactalg._sparse_rows(rows))
+    r = sum(p < n for p in pivots)  # the pivots among the coefficient columns
+    pivots, ech = pivots[:r], ech[:r]
+    targets = sorted(set(range(n)).difference(pivots)) + list(range(n, n + k))
+    d, zs = exactalg._back_solve(pivots, ech, targets)
+    assert len(zs) == len(targets)
+    for t, z in zip(targets, zs):
+        d1, (z1,) = exactalg._back_solve(pivots, ech, [t])
+        assert [F(x, d1) for x in z1] == [F(x, d) for x in z]
+        for row in ech:  # U . z_t = D . column t of the echelon rows
+            assert sum(row.get(p, 0) * x for p, x in zip(pivots, z1)) == d1 * row.get(t, 0)
+
+
 def test_right_terms_are_the_right_multiplications():
     # M_2(Q) in the basis (swap, E_11, E_12, E_22) and Q(sqrt 2) in the basis
     # (2 + sqrt 2, 1): e_0 is not the unit, and the first is not commutative

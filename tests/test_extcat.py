@@ -2107,7 +2107,7 @@ def test_decompose_stops_searching_at_a_proved_local_end(monkeypatch):
             n = len(hom(z, z))
             for key in counts:
                 counts[key] = 0
-            z.scenario._leaves.clear()  # observe a fresh decomposition, not the leaf memo
+            z.scenario._nodes.clear()  # observe a fresh decomposition, not the node memo
             dec = decompose(z)
             if len(dec.summands) != 1 or dec.flag != extcat.CERTIFIED:
                 continue
@@ -2120,15 +2120,15 @@ def test_decompose_stops_searching_at_a_proved_local_end(monkeypatch):
 
 
 def test_decompose_checks_a_one_dimensional_end_is_the_scalars(monkeypatch):
-    # each decompose starts from an empty leaf memo, so that it reads its End basis
+    # each decompose starts from an empty node memo, so that it reads its End basis
     z = simple_y_object(catalog_scenario("a2"), "a1")
     assert decompose(z).flag == extcat.CERTIFIED
     twice = hom(z, z)[0].scale(2)
     monkeypatch.setattr(extcat, "_end_basis", lambda a: [twice])
-    z.scenario._leaves.clear()
+    z.scenario._nodes.clear()
     assert decompose(z).flag == extcat.CERTIFIED
     monkeypatch.setattr(extcat, "_end_basis", lambda a: [zero_morphism(a, a)])
-    z.scenario._leaves.clear()
+    z.scenario._nodes.clear()
     with pytest.raises(extcat.InternalConsistencyError, match="misses the identity"):
         decompose(z)
 
@@ -2145,15 +2145,22 @@ def copy_over(s, z):
     return TripleObject(s, z.x, z.y, z.eta)
 
 
-def test_decompose_remembers_leaves_not_split_nodes(monkeypatch):
-    # a split node adds nothing to its scenario's memo and each distinct leaf
-    # adds its flag; a fresh object with a leaf's parts is answered without its End basis
+def test_decompose_remembers_split_nodes_and_leaves(monkeypatch):
+    # a split node is remembered by its idempotent's flattened matrices and
+    # each distinct leaf by its flag; a fresh object with the data of either
+    # is answered without its End basis, with the same decomposition
     s = catalog_scenario("c3_surface")
     z = random_object_with(s, {"u": 2, "a1": 1, "a2": 2}, random.Random(8))
     dec = decompose(z)
-    assert len(dec.summands) > 1 and z.data_key() not in s._leaves
-    assert s._leaves == {sm.object.data_key(): dec.flag for sm in dec.summands}
+    assert len(dec.summands) > 1
+    flat, den = s._nodes[z.data_key()]
+    assert all(type(x) is int for x in (*flat, den))
+    e = dec.summands[0].inclusion.compose(dec.summands[0].projection)  # both pieces are leaves
+    assert (flat, den) == extcat._flat_morphism(e)
+    assert {k: v for k, v in s._nodes.items() if isinstance(v, str)} == {
+        sm.object.data_key(): dec.flag for sm in dec.summands}
     calls = count_end_basis_calls(monkeypatch)
+    assert decomposition_key(decompose(copy_over(s, z))) == decomposition_key(dec)
     for sm in dec.summands:
         again = copy_over(s, sm.object)
         want = decomposition_key(extcat.Decomposition(
@@ -2162,41 +2169,95 @@ def test_decompose_remembers_leaves_not_split_nodes(monkeypatch):
     assert calls == []
     # the same data over a second instance of the scenario is decomposed afresh
     s2 = catalog_scenario("c3_surface")
-    assert s2._leaves == {}
+    assert s2._nodes == {}
     fresh = decompose(copy_over(s2, z))
     assert calls and decomposition_key(fresh) == decomposition_key(dec)
-    assert s2._leaves == s._leaves
+    assert s2._nodes == s._nodes
+
+
+def test_decompose_does_not_remember_a_failed_split(monkeypatch):
+    s = catalog_scenario("c3_surface")
+    z, _, _ = direct_sum(simple_x_object(s, "u"), simple_y_object(s, "a2"))
+    real = extcat._image_split
+
+    def failing(a, e):
+        raise extcat.InternalConsistencyError("idempotent split lost dimensions")
+
+    monkeypatch.setattr(extcat, "_image_split", failing)
+    with pytest.raises(extcat.InternalConsistencyError, match="lost dimensions"):
+        decompose(z)
+    assert z.data_key() not in s._nodes
+    monkeypatch.setattr(extcat, "_image_split", real)
+    calls = count_end_basis_calls(monkeypatch)
+    assert len(decompose(z).summands) == 2 and calls[0] is z
+    assert isinstance(s._nodes[z.data_key()], tuple)
 
 
 def test_decompose_remembers_an_uncertified_leaf_with_its_flag(monkeypatch):
     z = quaternion_simple()
     assert decompose(z).flag == extcat.NO_FURTHER
-    assert z.scenario._leaves == {z.data_key(): extcat.NO_FURTHER}
+    assert z.scenario._nodes == {z.data_key(): extcat.NO_FURTHER}
     calls = count_end_basis_calls(monkeypatch)
     assert decompose(copy_over(z.scenario, z)).flag == extcat.NO_FURTHER and calls == []
 
 
 def test_decompose_leaf_memo_keeps_no_object_alive():
+    # neither a leaf's flag nor a split node's integers hold an object
     s = catalog_scenario("g2_threefold")
     z = random_object_with(s, {"u": 1, "a1": 1}, random.Random(3))
-    dec = decompose(z)
-    assert s._leaves
-    ref = weakref.ref(z)
-    del z, dec
+    a = direct_sum(z, simple_y_object(s, "a1"))[0]
+    dec, split = decompose(z), decompose(a)
+    assert len(split.summands) == 2 and type(s._nodes[a.data_key()]) is tuple
+    refs = [weakref.ref(x) for x in (z, a, *(sm.object for sm in split.summands))]
+    del z, a, dec, split
     gc.collect()
-    assert ref() is None
+    assert all(ref() is None for ref in refs)
 
 
 def test_decompose_rejects_a_projector_that_is_not_idempotent(monkeypatch):
-    # twice the Bezout multiplier gives 2e: not zero, not the identity, and 4e != 2e
+    # twice the Bezout multiplier gives 2e: not zero, not the identity, and
+    # 4e != 2e.  The first decompose remembers its split, so the patched one
+    # runs over a second instance of the scenario
     s = catalog_scenario("c3_surface")
     z, _, _ = direct_sum(simple_x_object(s, "u"), simple_y_object(s, "a2"))
     assert len(decompose(z).summands) == 2
+    s2 = catalog_scenario("c3_surface")
+    z2, _, _ = direct_sum(simple_x_object(s2, "u"), simple_y_object(s2, "a2"))
     bezout = extcat._int_poly_bezout
     monkeypatch.setattr(extcat, "_int_poly_bezout",
                         lambda a, b: ([2 * c for c in bezout(a, b)[0]], bezout(a, b)[1]))
     with pytest.raises(extcat.InternalConsistencyError, match="constructed projector is not idempotent"):
-        decompose(z)
+        decompose(z2)
+
+
+def test_decompose_builds_only_the_end_basis_elements_it_reads(monkeypatch):
+    # each element is back-solved for its own free column on its first read:
+    # [End basis size, the free columns solved] per node, in decompose order
+    nodes = []
+    end_basis, back_solve = extcat._end_basis, extcat._back_solve
+
+    def counted_end_basis(a):
+        basis = end_basis(a)
+        nodes.append([len(basis), []])
+        return basis
+
+    def counted_back_solve(pivots, ech, targets):
+        nodes[-1][1].extend(targets)
+        return back_solve(pivots, ech, targets)
+
+    monkeypatch.setattr(extcat, "_end_basis", counted_end_basis)
+    monkeypatch.setattr(extcat, "_back_solve", counted_back_solve)
+    # a split node whose first candidate splits, then two leaves with End = Q
+    s = catalog_scenario("c3_surface")
+    dec = decompose(random_object_with(s, {"u": 2, "a1": 1, "a2": 2}, random.Random(8)))
+    assert len(dec.summands) == 2 and dec.flag == extcat.CERTIFIED
+    assert [(n, len(cols)) for n, cols in nodes] == [(3, 1), (1, 1), (1, 1)]
+    # a leaf with no splitting found reads every element, each built once
+    nodes.clear()
+    z = quaternion_simple()
+    assert decompose(z).flag == extcat.NO_FURTHER
+    [(n, cols)] = nodes
+    assert n == len(hom(z, z)) > 1 and len(cols) == len(set(cols)) == n
 
 
 def test_abelian_ops_rejects_a_map_that_is_not_a_morphism():
