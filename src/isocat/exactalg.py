@@ -12,8 +12,9 @@ coefficient lists.  `Polynomial` is a value with no arithmetic, and
 
 One helper per recurring construction, shared by the packages built on it:
 
-- `_echelon` and `_back_solve`: the one elimination kernel and the one
-  integer back-substitution over it; rank, kernels, quotients, commutant
+- `_echelon` and `_back_solver`: the one elimination kernel and the one
+  integer back-substitution over it, prepared once and run per target
+  (`_back_solve` runs it over a list); rank, kernels, quotients, commutant
   bases, solve, inverse, rref, det and column_space_pivots all use them;
 - `RatMatrix.combine`: a linear combination of matrices over one common
   denominator (vertex and bimodule actions, left/right multiplication,
@@ -390,20 +391,17 @@ def _echelon(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, int]
     return pivots, ech, gained, lost
 
 
-def _back_solve(pivots: list[int], ech: list[dict[int, int]],
-                targets: Sequence[int]) -> tuple[int, list[list[int]]]:
-    """(D, [z_t for t in targets]) with U . z_t = D . column t of ech, in integers.
+def _back_solver(pivots: list[int], ech: list[dict[int, int]]):
+    """solve(t) -> (d, z_t) with U . z_t = d . column t of ech, in integers; the step table is built here, once.
 
     U is the triangular pivot block of the `_echelon` rows.  Each target runs
     bottom-up from denominator 1, raised only by the factor a pivot forces.
     """
-    if not targets:
-        return 1, []
     at = {p: k for k, p in enumerate(pivots)}
     steps = [(k, row[p], row, [(at[j], x) for j, x in row.items() if j in at and j != p])
              for k, (p, row) in enumerate(zip(pivots, ech))][::-1]
-    sols = []
-    for t in targets:
+
+    def solve(t: int) -> tuple[int, list[int]]:
         d, z = 1, [0] * len(pivots)
         for k, p, row, later in steps:
             s = d * row.get(t, 0)
@@ -415,7 +413,16 @@ def _back_solve(pivots: list[int], ech: list[dict[int, int]],
                 f = abs(p) // gcd(s, p)
                 d, q, z = d * f, s * f // p, [f * v for v in z]
             z[k] = q
-        sols.append((d, z))
+        return d, z
+    return solve
+
+
+def _back_solve(pivots: list[int], ech: list[dict[int, int]],
+                targets: Sequence[int]) -> tuple[int, list[list[int]]]:
+    """(D, [z_t for t in targets]) with U . z_t = D . column t of ech: `_back_solver`'s solutions over their lcm."""
+    if not targets:
+        return 1, []
+    sols = list(map(_back_solver(pivots, ech), targets))
     den = lcm(*(d for d, _ in sols))
     return den, [z if d == den else [(den // d) * v for v in z] for d, z in sols]
 

@@ -30,9 +30,10 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, starmap
+from functools import cache
+from itertools import accumulate
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .exactalg import (
     AlgebraSpec,
@@ -40,6 +41,7 @@ from .exactalg import (
     FactorBudgetExceeded,
     RatMatrix,
     _back_solve,
+    _back_solver,
     _block_copies,
     _combine_terms,
     _commutant_coords,
@@ -684,8 +686,8 @@ def _pair_psi(z: TripleObject, z2: TripleObject) -> tuple[tuple, bool]:
     return data, False
 
 
-def hom(z: TripleObject, z2: TripleObject) -> list[TripleMorphism]:
-    """Basis of the space of morphisms z -> z2: the kernel of psi, from its Y-side blocks.
+def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
+    """Basis of the space of morphisms z -> z2: the kernel of psi, from its Y-side blocks, built as read.
 
     psi's columns are taken right to left, the v (Y-side) columns first, as
     in `hom_ext_dims`: at each x-vertex the u block of psi is I (x) eta^T,
@@ -695,19 +697,23 @@ def hom(z: TripleObject, z2: TripleObject) -> list[TripleMorphism]:
     eliminates each distinct component once and solves the u columns
     against it.  The basis is the identity on the free columns of that
     order, one element per free column, in column order, as one
-    elimination of all of psi's rows would give it.  When rank psi is its
-    number of rows, `_LAST_PSI` records psi as onto for `ext1` of the same
-    pair.  `decompose` reads End(z) through `_end_basis` instead.
+    elimination of all of psi's rows would give it.  The call runs only
+    the eliminations, which give rank psi and so the length: `len` and
+    truth cost no back-solve, and element k is back-solved and assembled
+    on its first read, then kept.  When rank psi is its number of rows,
+    `_LAST_PSI` records psi as onto for `ext1` of the same pair.
+    `decompose` reads End(z) through `_end_basis` instead.
     """
     data, _ = _pair_psi(z, z2)
     ubases, _, _, _, (nrows, columns) = data
     if nrows and columns:
-        rank, vecs = _y_side_kernel(columns, sum([len(t) for t, _ in ubases.values()]))
+        rank, count, vector = _y_side_kernel(columns, sum([len(t) for t, _ in ubases.values()]))
     else:  # every column is free: the identity, with no elimination
-        rank, vecs = 0, [([int(c == k) for c in range(len(columns))], 1) for k in range(len(columns))]
+        rank, count, vector = 0, len(columns), lambda k: ([int(c == k) for c in range(len(columns))], 1)
     if rank == nrows:  # psi is onto
         _remember(z, z2, data, True)
-    return list(starmap(_kernel_morphism(z, z2, data), vecs))
+    morphism = _kernel_morphism(z, z2, data)
+    return _OnDemand(count, lambda k: morphism(*vector(k)))
 
 
 def _end_basis(z: TripleObject) -> Sequence[TripleMorphism]:
@@ -716,7 +722,8 @@ def _end_basis(z: TripleObject) -> Sequence[TripleMorphism]:
     `decompose` tries candidates in basis order, so its answers depend on the
     basis, and this is the basis they are pinned to; it goes once they no
     longer do.  psi's rows are eliminated once, left to right; element k is
-    back-solved for its own free column on its first read, then kept.
+    back-solved for its own free column on its first read, by one
+    `_back_solver` for all of them, then kept.
     """
     data, _ = _pair_psi(z, z)
     _, _, _, _, (nrows, columns) = data
@@ -724,9 +731,10 @@ def _end_basis(z: TripleObject) -> Sequence[TripleMorphism]:
     if len(pivots) == nrows:  # psi is onto
         _remember(z, z, data, True)
     free, morphism = sorted(set(range(len(columns))).difference(pivots)), _kernel_morphism(z, z, data)
+    solve = _back_solver(pivots, ech)
 
     def element(k: int) -> TripleMorphism:
-        d, (zf,) = _back_solve(pivots, ech, [free[k]])
+        d, zf = solve(free[k])
         vec = [0] * len(columns)
         for p, x in zip([free[k], *pivots], [d, *(-x for x in zf)]):
             vec[p] = x
@@ -735,7 +743,7 @@ def _end_basis(z: TripleObject) -> Sequence[TripleMorphism]:
 
 
 class _OnDemand(Sequence):
-    """A read-only sequence of n items: item k is make(k), built on its first read, then kept."""
+    """A read-only sequence of n items, equal to their list: item k is make(k), built on first read, then kept."""
 
     def __init__(self, n: int, make) -> None:
         self._items, self._make = [None] * n, make
@@ -743,10 +751,21 @@ class _OnDemand(Sequence):
     def __len__(self) -> int:
         return len(self._items)
 
-    def __getitem__(self, k: int):
-        if self._items[k] is None:
-            self._items[k] = self._make(k)
-        return self._items[k]
+    def __getitem__(self, k: int | slice):
+        at = range(len(self._items))[k]  # a negative index counts from the end; IndexError past it
+        if isinstance(at, range):  # a slice: the list of its items
+            return [self[i] for i in at]
+        if self._items[at] is None:
+            self._items[at] = self._make(at)
+        return self._items[at]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._items)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, _OnDemand)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
 
 
 def _kernel_morphism(z: TripleObject, z2: TripleObject, data: tuple):
@@ -767,17 +786,22 @@ def _kernel_morphism(z: TripleObject, z2: TripleObject, data: tuple):
     return morphism
 
 
-def _y_side_kernel(columns: list, nu: int) -> tuple[int, list[tuple[list[int], int]]]:
-    """(rank psi, kernel basis as (integers, den)) for psi's columns taken right to left.
+def _y_side_kernel(columns: list, nu: int) -> tuple[int, int, Callable[[int], tuple[list[int], int]]]:
+    """(rank psi, dim ker psi, k -> kernel basis vector k as (integers, den)), psi's columns taken right to left.
 
     The v columns (from nu on) join psi's rows into components W; copies of
-    one W share its work.  [W | I] is eliminated once, columns right to
-    left: its pivots P, its free v columns, G = W_P^-1 on its pivot rows
-    and its left-null rows N.  Each u column is solved against G of every
-    component it meets, never carried through an elimination, and the u
-    part of a kernel vector lies in the kernel of the u-only system S: the
-    rows no v column meets and N . U.  S is eliminated with the u columns
-    right to left; rank psi is the components' ranks plus rank S.
+    one W share its work.  The call is the rank phase: [W | I] is
+    eliminated once per distinct W, columns right to left, for its pivots
+    P, its free v columns and its left-null rows N.  The u part of a kernel
+    vector lies in the kernel of the u-only system S: the rows no v column
+    meets and N . U.  S is eliminated with the u columns right to left, and
+    rank psi is the components' ranks plus rank S.  The first read of any
+    vector is the basis phase: each distinct W is back-solved once, for its
+    free v columns and G = W_P^-1 on its pivot rows, and S's solver is
+    prepared.  The vectors are S's free u columns right to left, each
+    solved on its read, against S and then against G of every component it
+    meets, never carried through an elimination; then the free v columns,
+    in column order.
     """
     den, ncols = lcm(*(d for _, d in columns)), len(columns)
     cols = [ents if d == den else [(r, e * (den // d)) for r, e in ents] for ents, d in columns]
@@ -788,7 +812,6 @@ def _y_side_kernel(columns: list, nu: int) -> tuple[int, list[tuple[list[int], i
             r = root[r]
         return r
 
-    vfree = [(c, [int(k == c) for k in range(ncols)], 1) for c in range(nu, ncols) if not cols[c]]
     for ents in cols[nu:]:
         top = find(root.setdefault(ents[0][0], ents[0][0])) if ents else None
         for r, _ in ents:
@@ -802,11 +825,11 @@ def _y_side_kernel(columns: list, nu: int) -> tuple[int, list[tuple[list[int], i
                 urow.setdefault(r, {})[nu - 1 - c] = e
         elif cols[c]:
             comps.setdefault(find(cols[c][0][0]), []).append(c)
-    sys_rows, solved, blocks = [urow[r] for r in sorted(urow) if r not in root], {}, []
+    sys_rows, echs, blocks, rank = [urow[r] for r in sorted(urow) if r not in root], {}, [], 0
     for ccols in comps.values():
         at = {}  # local rows in order of appearance
         wkey = tuple([(k, at.setdefault(r, len(at)), e) for k, c in enumerate(ccols) for r, e in cols[c]])
-        if wkey not in solved:
+        if wkey not in echs:
             n, w = len(ccols), [{} for _ in at]
             for k, j, e in wkey:
                 w[j][k] = e
@@ -814,42 +837,55 @@ def _y_side_kernel(columns: list, nu: int) -> tuple[int, list[tuple[list[int], i
                 row[n + j] = 1
             pivots, ech, _, _ = _echelon(w)
             r = bisect_left(pivots, n)
-            free = sorted(set(range(n)).difference(pivots))
-            d, zs = _back_solve(pivots[:r], ech[:r], free + list(range(n, n + len(w))))
-            solved[wkey] = (pivots[:r], free, d, zs, [{j - n: e for j, e in row.items()} for row in ech[r:]])
-        blocks.append((ccols, list(at), solved[wkey]))
-    big = lcm(*(d for _, _, d, _, _ in solved.values()))
-    rank, gat = 0, {}  # gat[r]: row r's column of big . G, as (v column, entry)
-    for ccols, crows, (pivots, free, d, zs, nulls) in blocks:
-        rank, pcols = rank + len(pivots), [ccols[p] for p in pivots]
-        for f, zf in zip(free, zs):
-            vec = [0] * ncols
-            for p, x in zip([ccols[f], *pcols], [d, *(-x for x in zf)]):
-                vec[p] = x
-            vfree.append((ccols[f], vec, d))
-        for r, g in zip(crows, zs[len(free):]):
-            gat[r] = [(p, x * (big // d)) for p, x in zip(pcols, g) if x]
+            echs[wkey] = (n, len(w), pivots[:r], ech[:r], [{j - n: e for j, e in row.items()} for row in ech[r:]])
+        crows, (_, _, pivots, _, nulls) = list(at), echs[wkey]
+        blocks.append((ccols, crows, wkey))
+        rank += len(pivots)
         for nrow in nulls:
             acc = {}
             for j, a in nrow.items():
                 for k, e in urow.get(crows[j], {}).items():
                     acc[k] = acc.get(k, 0) + a * e
             sys_rows.append({k: acc[k] for k in sorted(acc) if acc[k]})
-    pivots, ech, _, _ = _echelon(sys_rows) if any(sys_rows) else ([], [], 1, 1)
-    free = sorted(set(range(nu)).difference(pivots))
-    d, zs = _back_solve(pivots, ech, free) if pivots else (1, [[]] * len(free))
-    out = []
-    for f, zf in zip(reversed(free), reversed(zs)):  # u column nu - 1 - f, with the v part that cancels it
+    spivots, sech, _, _ = _echelon(sys_rows) if any(sys_rows) else ([], [], 1, 1)
+    ufree = sorted(set(range(nu)).difference(spivots), reverse=True)  # u column nu - 1 - f for f in ufree
+
+    @cache
+    def basis() -> tuple:
+        solved = {}
+        for key, (n, m, pivots, ech, _) in echs.items():
+            free = sorted(set(range(n)).difference(pivots))
+            solved[key] = (pivots, free, *_back_solve(pivots, ech, free + list(range(n, n + m))))
+        big = lcm(*(d for _, _, d, _ in solved.values()))
+        gat = {}  # gat[r]: row r's column of big . G, as (v column, entry)
+        vfree = [(c, [int(k == c) for k in range(ncols)], 1) for c in range(nu, ncols) if not cols[c]]
+        for ccols, crows, key in blocks:
+            pivots, free, d, zs = solved[key]
+            pcols = [ccols[p] for p in pivots]
+            for f, zf in zip(free, zs):
+                vec = [0] * ncols
+                for p, x in zip([ccols[f], *pcols], [d, *(-x for x in zf)]):
+                    vec[p] = x
+                vfree.append((ccols[f], vec, d))
+            for r, g in zip(crows, zs[len(free):]):
+                gat[r] = [(p, x * (big // d)) for p, x in zip(pcols, g) if x]
+        vfree.sort()
+        return big, gat, [(vec, d) for _, vec, d in vfree], _back_solver(spivots, sech)
+
+    def vector(k: int) -> tuple[list[int], int]:
+        big, gat, vfree, solve = basis()
+        if k >= len(ufree):
+            return vfree[k - len(ufree)]
+        d, zf = solve(ufree[k])  # u column nu - 1 - f, with the v part that cancels it
         vec = [0] * ncols
-        for k, x in zip([f, *pivots], [d, *(-x for x in zf)]):
+        for f, x in zip([ufree[k], *spivots], [d, *(-x for x in zf)]):
             if x:
-                vec[nu - 1 - k] = x * big
-                for r, e in cols[nu - 1 - k]:
+                vec[nu - 1 - f] = x * big
+                for r, e in cols[nu - 1 - f]:
                     for p, g in gat.get(r, ()):
                         vec[p] -= x * e * g
-        out.append((vec, d * big))
-    vfree.sort()
-    return rank + len(pivots), out + [(vec, d) for _, vec, d in vfree]
+        return vec, d * big
+    return rank + len(spivots), ncols - rank - len(spivots), vector
 
 
 @dataclass
@@ -1164,7 +1200,8 @@ def end_algebra(z: TripleObject, basis: Sequence[TripleMorphism] | None = None) 
 
     That is the identity on psi's free columns taken right to left.
     `decompose` passes its left-to-right `_end_basis` (its answers depend
-    on the basis order), and this reads, so builds, every element of it.
+    on the basis order).  Both bases are built as read, and this reads,
+    so builds, every element, each back-solved by the basis's one solver.
     """
     if basis is None:
         basis = hom(z, z)

@@ -222,6 +222,72 @@ def test_hom_eliminates_its_one_distinct_component_once_at_multiplicity_eight(mo
     assert extcat._LAST_PSI[3]  # 8 components of rank 24: psi is onto
 
 
+def test_hom_builds_only_the_elements_it_reads(monkeypatch):
+    # len and truth come from the eliminations alone; element k is
+    # back-solved and assembled on its first read, and no other element is
+    s = catalog_scenario("d4_elliptic")
+    z = random_object_with(s, {v: 2 for v in s.vertex_order()}, random.Random(1))
+    reference = [(m.u, m.v) for m in hom(z, z)]
+    solved, built, w_solves = [], [], []
+    back_solver, back_solve, kernel_morphism = extcat._back_solver, extcat._back_solve, extcat._kernel_morphism
+
+    def counted_back_solver(pivots, ech):
+        solve = back_solver(pivots, ech)
+        return lambda t: solved.append(t) or solve(t)
+
+    def counted_kernel_morphism(a, b, data):
+        morphism = kernel_morphism(a, b, data)
+        return lambda vec, den: built.append(den) or morphism(vec, den)
+
+    monkeypatch.setattr(extcat, "_back_solver", counted_back_solver)
+    monkeypatch.setattr(extcat, "_back_solve", lambda *args: w_solves.append(args) or back_solve(*args))
+    monkeypatch.setattr(extcat, "_kernel_morphism", counted_kernel_morphism)
+    assert len(hom(z, z)) == len(reference) == 5 and hom(z, z)
+    assert solved == built == w_solves == []
+    kinds = []
+    for k in range(5):
+        basis = hom(z, z)
+        m = basis[k]
+        assert (m.u, m.v) == reference[k] and len(built) == 1 and w_solves
+        assert basis[k] is m and len(built) == 1
+        kinds.append(len(solved))
+        del solved[:], built[:], w_solves[:]
+    assert kinds == [1, 1, 1, 0, 0]  # the free u columns, each solved alone, then the free v columns
+    order = list(range(5))
+    random.Random(2).shuffle(order)
+    basis = hom(z, z)
+    read = {k: basis[k] for k in order}
+    assert [(read[k].u, read[k].v) for k in range(5)] == reference
+    assert len(built) == 5 and len(solved) == len(set(solved)) == 3
+    assert list(basis) == [read[k] for k in range(5)] and len(built) == 5
+
+
+def test_on_demand_bases_read_as_lists():
+    # a negative index counts from the end, a slice is the list of its
+    # elements, an index past the end raises, and a basis equals its list
+    s = catalog_scenario("g2_threefold")
+    z = random_object_with(s, {v: 2 for v in s.vertex_order()}, random.Random(1))
+
+    def pairs(ms):
+        return [(m.u, m.v) for m in ms]
+
+    for make in (lambda: hom(z, z), lambda: extcat._end_basis(z)):
+        full = list(make())
+        n = len(full)
+        assert n == 4
+        assert pairs(make()[0:2]) == pairs(full[:2])
+        assert pairs(make()[::-2]) == pairs(full[::-2]) and make()[n:] == []
+        basis = make()
+        assert pairs([basis[-1], basis[-n]]) == pairs([full[-1], full[0]])
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                basis[k]
+        assert pairs(reversed(make())) == pairs(reversed(full)) and pairs(iter(make())) == pairs(full)
+        basis = make()
+        assert basis == list(basis) and list(basis) == basis and basis == make()
+        assert basis != basis[:-1] and basis != [] and basis != tuple(basis)
+
+
 # ----------------------------------------------------------------------
 # ext1 and the Euler form
 # ----------------------------------------------------------------------
@@ -2231,22 +2297,23 @@ def test_decompose_rejects_a_projector_that_is_not_idempotent(monkeypatch):
 
 
 def test_decompose_builds_only_the_end_basis_elements_it_reads(monkeypatch):
-    # each element is back-solved for its own free column on its first read:
-    # [End basis size, the free columns solved] per node, in decompose order
+    # each element is back-solved for its own free column on its first read,
+    # by one prepared solver per End basis: [End basis size, the free
+    # columns solved] per node, in decompose order
     nodes = []
-    end_basis, back_solve = extcat._end_basis, extcat._back_solve
+    end_basis, back_solver = extcat._end_basis, extcat._back_solver
 
     def counted_end_basis(a):
         basis = end_basis(a)
         nodes.append([len(basis), []])
         return basis
 
-    def counted_back_solve(pivots, ech, targets):
-        nodes[-1][1].extend(targets)
-        return back_solve(pivots, ech, targets)
+    def counted_back_solver(pivots, ech):
+        solve = back_solver(pivots, ech)
+        return lambda t: nodes[-1][1].append(t) or solve(t)
 
     monkeypatch.setattr(extcat, "_end_basis", counted_end_basis)
-    monkeypatch.setattr(extcat, "_back_solve", counted_back_solve)
+    monkeypatch.setattr(extcat, "_back_solver", counted_back_solver)
     # a split node whose first candidate splits, then two leaves with End = Q
     s = catalog_scenario("c3_surface")
     dec = decompose(random_object_with(s, {"u": 2, "a1": 1, "a2": 2}, random.Random(8)))
