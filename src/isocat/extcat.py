@@ -30,7 +30,6 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import accumulate
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
@@ -142,7 +141,7 @@ def _hom_terms(alg: AlgebraSpec, src: VertexSpace, dst: VertexSpace) -> Terms:
     the order (s, t, b)) it is written in closed form; other pairs read their
     commutant basis through `_HOM_CACHE`.  Beyond Q (cheap to rebuild), terms
     between shared values (dst alg's shared space, src too or a shared F
-    space) are kept in src's `_memo`.
+    space) are kept in src's `_memo`, for euler-small's canonical pairs above all.
     """
     if src.dim == 0 or dst.dim == 0:
         return [], 1
@@ -664,10 +663,11 @@ def _psi_rows(nrows: int, columns: list) -> list[dict[int, int]]:
     return rows
 
 
-# The last pair hom or ext1 asked for: (weak z, weak z2, `_psi_data(z, z2)`,
-# whether hom proved psi onto).  The references are weak so that the slot
-# keeps no object, and through it no scenario, alive; a dead one never
-# matches.  The data is read-only: its readers build their own rows.
+# The last pair hom or ext1 asked for, read and written by those two alone
+# (`_end_basis` builds its own psi): (weak z, weak z2, `_psi_data(z, z2)`,
+# whether hom proved psi onto).  It is for hom-wide, whose ext1 follows hom of
+# its pair.  The weak references keep no object, so no scenario, alive, and a
+# dead one never matches.  The data is read-only: its readers build their rows.
 _LAST_PSI: tuple | None = None
 
 
@@ -701,8 +701,8 @@ def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
     the eliminations, which give rank psi and so the length: `len` and
     truth cost no back-solve, and element k is back-solved and assembled
     on its first read, then kept.  When rank psi is its number of rows,
-    `_LAST_PSI` records psi as onto for `ext1` of the same pair.
-    `decompose` reads End(z) through `_end_basis` instead.
+    `_LAST_PSI` records psi as onto for `ext1` of the same pair.  An empty
+    psi, as in most of check-suite's calls, is the identity with no kernel built.
     """
     data, _ = _pair_psi(z, z2)
     ubases, _, _, _, (nrows, columns) = data
@@ -710,8 +710,7 @@ def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
         rank, count, vector = _y_side_kernel(columns, sum([len(t) for t, _ in ubases.values()]))
     else:  # every column is free: the identity, with no elimination
         rank, count, vector = 0, len(columns), lambda k: ([int(c == k) for c in range(len(columns))], 1)
-    if rank == nrows:  # psi is onto
-        _remember(z, z2, data, True)
+    _remember(z, z2, data, rank == nrows)  # whether psi is onto
     morphism = _kernel_morphism(z, z2, data)
     return _OnDemand(count, lambda k: morphism(*vector(k)))
 
@@ -721,15 +720,13 @@ def _end_basis(z: TripleObject) -> Sequence[TripleMorphism]:
 
     `decompose` tries candidates in basis order, so its answers depend on the
     basis, and this is the basis they are pinned to; it goes once they no
-    longer do.  psi's rows are eliminated once, left to right; element k is
-    back-solved for its own free column on its first read, by one
-    `_back_solver` for all of them, then kept.
+    longer do.  It builds its own psi and keeps no pair state.  psi's rows
+    are eliminated once, left to right; element k is back-solved for its own
+    free column on its first read, by one `_back_solver` for all of them.
     """
-    data, _ = _pair_psi(z, z)
+    data = _psi_data(z, z)
     _, _, _, _, (nrows, columns) = data
     pivots, ech, _, _ = _echelon(_psi_rows(nrows, columns) if nrows and columns else [])
-    if len(pivots) == nrows:  # psi is onto
-        _remember(z, z, data, True)
     free, morphism = sorted(set(range(len(columns))).difference(pivots)), _kernel_morphism(z, z, data)
     solve = _back_solver(pivots, ech)
 
@@ -849,8 +846,8 @@ def _y_side_kernel(columns: list, nu: int) -> tuple[int, int, Callable[[int], tu
             sys_rows.append({k: acc[k] for k in sorted(acc) if acc[k]})
     spivots, sech, _, _ = _echelon(sys_rows) if any(sys_rows) else ([], [], 1, 1)
     ufree = sorted(set(range(nu)).difference(spivots), reverse=True)  # u column nu - 1 - f for f in ufree
+    phase = []  # the basis phase's result, from its one run on the first read of any vector
 
-    @cache
     def basis() -> tuple:
         solved = {}
         for key, (n, m, pivots, ech, _) in echs.items():
@@ -870,10 +867,11 @@ def _y_side_kernel(columns: list, nu: int) -> tuple[int, int, Callable[[int], tu
             for r, g in zip(crows, zs[len(free):]):
                 gat[r] = [(p, x * (big // d)) for p, x in zip(pcols, g) if x]
         vfree.sort()
-        return big, gat, [(vec, d) for _, vec, d in vfree], _back_solver(spivots, sech)
+        phase.append((big, gat, [(vec, d) for _, vec, d in vfree], _back_solver(spivots, sech)))
+        return phase[0]
 
     def vector(k: int) -> tuple[list[int], int]:
-        big, gat, vfree, solve = basis()
+        big, gat, vfree, solve = phase[0] if phase else basis()
         if k >= len(ufree):
             return vfree[k - len(ufree)]
         d, zf = solve(ufree[k])  # u column nu - 1 - f, with the v part that cancels it
@@ -932,7 +930,8 @@ def hom_ext_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, tuple[int
     depend on the order, and at each x-vertex the u block of psi is
     I (x) eta^T, whose elimination first would leave Schur-complement rows
     built from minors of eta; the v columns first avoid that growth.  `hom`
-    takes psi's columns in this same order.
+    takes psi's columns in this same order, but euler-small's tiny psi rank
+    faster in this one elimination than in `_y_side_kernel`.
     """
     ubases, vbases, _, _, (nrows, columns) = _psi_data(z, z2)
     su, sv = (sum(len(t) for t, _ in b.values()) for b in (ubases, vbases))
@@ -1451,9 +1450,9 @@ def decompose(z: TripleObject) -> Decomposition:
     and a split node by its idempotent's matrices, flattened, once
     `_image_split` has split along it.  A known leaf is (z, id, id) with
     its flag, and a known split node is split again along its idempotent,
-    without psi, an End basis or a candidate search.  A failed split and
-    errors are not remembered; only keys, flags and integers are, so no
-    object is kept alive.
+    without psi, an End basis or a candidate search (decompose-ks's sums of
+    root objects meet nodes again).  A failed split and errors are not
+    remembered; only keys, flags and integers are, so no object is kept alive.
     """
     if z.total_dim() == 0:
         return Decomposition([], CERTIFIED)

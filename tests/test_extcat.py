@@ -260,6 +260,11 @@ def test_hom_builds_only_the_elements_it_reads(monkeypatch):
     assert [(read[k].u, read[k].v) for k in range(5)] == reference
     assert len(built) == 5 and len(solved) == len(set(solved)) == 3
     assert list(basis) == [read[k] for k in range(5)] and len(built) == 5
+    del w_solves[:]
+    basis = hom(z, z)
+    last_first = [basis[4], *(basis[k] for k in range(4))]
+    assert [(m.u, m.v) for m in last_first] == [reference[4], *reference[:4]]
+    assert len(w_solves) == 3  # the basis phase ran once: one `_back_solve` per distinct component W
 
 
 def test_on_demand_bases_read_as_lists():
@@ -1441,7 +1446,8 @@ def test_ext1_and_hom_answers_do_not_depend_on_the_psi_slot(monkeypatch):
     assert dims[0] == 1 == hom_ext_dims(*cases[0][0])[1] and 0 in dims
 
 
-def test_ext1_after_hom_of_an_onto_pair_builds_and_eliminates_nothing(monkeypatch):
+def count_psi_builds_and_eliminations(monkeypatch):
+    """{"psi": `_psi_data` calls, "elim": `_echelon` calls}, counted from here on."""
     counts = {"psi": 0, "elim": 0}
     real_psi, real_echelon = extcat._psi_data, exactalg._echelon
 
@@ -1456,6 +1462,11 @@ def test_ext1_after_hom_of_an_onto_pair_builds_and_eliminates_nothing(monkeypatc
     monkeypatch.setattr(extcat, "_psi_data", counted_psi)
     monkeypatch.setattr(exactalg, "_echelon", counted_echelon)
     monkeypatch.setattr(extcat, "_echelon", counted_echelon)
+    return counts
+
+
+def test_ext1_after_hom_of_an_onto_pair_builds_and_eliminates_nothing(monkeypatch):
+    counts = count_psi_builds_and_eliminations(monkeypatch)
     wide, small, b2, b2_diag, _, _ = (p for p, _ in shared_psi_pairs())
     for pair, ext_dim in ((small, 0), (b2, 0), (wide, 1)):
         hom(*pair)
@@ -1466,6 +1477,21 @@ def test_ext1_after_hom_of_an_onto_pair_builds_and_eliminates_nothing(monkeypatc
     counts.update(psi=0, elim=0)
     ext1(*b2_diag)
     assert counts["psi"] == 1
+
+
+def test_decompose_between_hom_and_ext1_keeps_the_pair_psi(monkeypatch):
+    # decompose's End basis builds its own psi and leaves the pair slot alone,
+    # so ext1 still reads Ext^1 = 0 off hom's proof that psi is onto
+    counts = count_psi_builds_and_eliminations(monkeypatch)
+    _, (a, b), _, _, _, _ = (p for p, _ in shared_psi_pairs())
+    s = a.scenario
+    hom(a, b)
+    s._nodes.clear()
+    counts.update(psi=0, elim=0)
+    assert decompose(random_object_with(s, {v: 1 for v in s.vertex_order()}, random.Random(5))).summands
+    assert counts["psi"] and counts["elim"]
+    counts.update(psi=0, elim=0)
+    assert ext1(a, b).dim == 0 and counts == {"psi": 0, "elim": 0}
 
 
 def test_the_psi_slot_keeps_no_object_alive():
