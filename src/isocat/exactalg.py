@@ -281,17 +281,8 @@ class RatMatrix:
         return _null_rows(self)[0].to_fractions()
 
     def rref(self) -> tuple["RatMatrix", list[int]]:
-        """Reduced row echelon form (zero rows dropped) and pivot columns.
-
-        Row i is 1 at pivot i, 0 at the other pivots, and at each free
-        column f the negated pivot-i entry of the `_null_rows` vector for f.
-        """
-        null, free = _null_rows(self)
-        at_free = dict(zip(free, null.num))
-        pivots = [c for c in range(self.cols) if c not in at_free]
-        num = [[-at_free[c][p] if c in at_free else null.den * (c == p) for c in range(self.cols)]
-               for p in pivots]
-        return RatMatrix._fresh(len(pivots), self.cols, num, null.den), pivots
+        """Reduced row echelon form (zero rows dropped) and pivot columns: `_eliminated`'s first two."""
+        return _eliminated(self)[:2]
 
     def solve(self, rhs: "RatMatrix") -> "RatMatrix | None":
         """Some X with self @ X = rhs (free unknowns zero), or None if inconsistent."""
@@ -434,6 +425,18 @@ def _null_rows(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     the row span of m.
     """
     return _null_space([] if m.is_zero() else _sparse_rows(m.num), m.cols)
+
+
+def _eliminated(m: RatMatrix) -> tuple[RatMatrix, list[int], RatMatrix, list[int]]:
+    """(R, pivots, N, free) from one elimination: (N, free) = `_null_rows(m)` and R = rref(m).
+
+    R's row i is 1 at pivot i, 0 at the other pivots, and minus N's pivot-i entry at each free column.
+    """
+    null, free = _null_rows(m)
+    at_free = dict(zip(free, null.num))
+    pivots = [c for c in range(m.cols) if c not in at_free]
+    num = [[-at_free[c][p] if c in at_free else null.den * (c == p) for c in range(m.cols)] for p in pivots]
+    return RatMatrix._fresh(len(pivots), m.cols, num, null.den), pivots, null, free
 
 
 def _null_space(rows: list[dict[int, int]], ncols: int) -> tuple[RatMatrix, list[int]]:
@@ -1160,25 +1163,28 @@ def min_poly_matrix(op: RatMatrix, start: Sequence | None = None) -> Polynomial:
     return Polynomial(_vector_min_poly(op, RatMatrix.from_rows([[x] for x in start]))).monic()
 
 
-def _int_min_poly_matrix(op: RatMatrix) -> list[int]:
-    """The minimal polynomial of a square matrix, primitive in integers.
+def _int_min_poly_matrix(*blocks: RatMatrix) -> list[int]:
+    """The minimal polynomial, primitive in integers, of the block-diagonal matrix of these square blocks.
 
-    The e_i's minimal polynomials are lcm-ed, skipping an e_i the running
-    lcm q kills: den^d q(op) e_i = 0 by Horner.  The kill tests and the
-    Krylov chases share one build of op's sparse columns.
+    The e_i's minimal polynomials are lcm-ed in order, skipping an e_i the
+    running lcm q kills: den^d q(op) e_i = 0 by Horner.  An e_i stays in its
+    block, so both run on that block alone, with the lcm carried across
+    blocks; they share one build of the block's sparse columns.
     """
-    n = op.rows
-    cols = _sparse_rows(zip(*op.num))  # N = den op
-    acc = horner = [1]  # the running lcm, primitive; its c_k den^(d - k)
-    for i in range(n):
-        v = [horner[-1] * (r == i) for r in range(n)]
-        for c in reversed(horner[:-1]):
-            v = _int_mat_vec(cols, v)
-            v[i] += c
-        if any(v):
-            p = _vector_min_poly(op, RatMatrix._of(n, 1, [[int(r == i)] for r in range(n)]), cols)
-            acc = _int_poly_exact_div(_int_poly_mul(acc, p), _int_poly_gcd(acc, p))
-            horner = [c * op.den ** (len(acc) - 1 - k) for k, c in enumerate(acc)]
+    acc = [1]  # the running lcm, primitive
+    for op in blocks:
+        n = op.rows
+        cols = _sparse_rows(zip(*op.num))  # N = den op
+        horner = [c * op.den ** (len(acc) - 1 - k) for k, c in enumerate(acc)]  # q's c_k den^(d - k)
+        for i in range(n):
+            v = [horner[-1] * (r == i) for r in range(n)]
+            for c in reversed(horner[:-1]):
+                v = _int_mat_vec(cols, v)
+                v[i] += c
+            if any(v):
+                p = _vector_min_poly(op, RatMatrix._of(n, 1, [[int(r == i)] for r in range(n)]), cols)
+                acc = _int_poly_exact_div(_int_poly_mul(acc, p), _int_poly_gcd(acc, p))
+                horner = [c * op.den ** (len(acc) - 1 - k) for k, c in enumerate(acc)]
     return acc
 
 

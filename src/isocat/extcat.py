@@ -45,6 +45,7 @@ from .exactalg import (
     _combine_terms,
     _commutant_coords,
     _echelon,
+    _eliminated,
     _flat_columns,
     _flat_matrices,
     _int_factor,
@@ -445,7 +446,8 @@ class TripleMorphism:
         return TripleMorphism(self.source, self.target, u, v)
 
     def __sub__(self, other: "TripleMorphism") -> "TripleMorphism":
-        return self + other.scale(-1)
+        negated = {w: -m for w, m in {**other.u, **other.v}.items()}
+        return self + _morphism(other.source, other.target, negated)
 
     def scale(self, c) -> "TripleMorphism":
         u = {x: m.scale(c) for x, m in self.u.items()}
@@ -1110,12 +1112,6 @@ def _unit_columns(n: int, cols: Sequence[int]) -> RatMatrix:
     return RatMatrix._of(n, len(cols), [[int(r == c) for c in cols] for r in range(n)])
 
 
-def _null_pair(m: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
-    """(N, S) with N = `_null_rows(m)` and S the identity's columns at N's free columns, so N . S = I."""
-    null, free = _null_rows(m)
-    return null, _unit_columns(m.cols, free)
-
-
 @dataclass
 class AbelianOps:
     kernel: TripleObject
@@ -1127,41 +1123,39 @@ class AbelianOps:
     cokernel_projection: TripleMorphism  # target -> cokernel
 
 
-def _image(f: TripleMorphism) -> tuple[TripleObject, TripleMorphism, TripleMorphism]:
-    """(image, inclusion C, f onto the image R) with f = C . R at each vertex.
+def _frames(f: TripleMorphism):
+    """(im, ker, C, F) by vertex: f's source frames of its image and kernel, one `_eliminated` per block.
 
-    R = rref(f) is the identity at f's pivot columns P and C = f[:, P], so
-    the image is f's source retracted along p = R and i = the identity's
-    columns P; C is the one map checked.  One elimination per block.
+    With R = rref(f) at pivot columns P and N = `_null_rows(f)` at free columns
+    F, the image is the retract along im = (p, i) = (R, I[:, P]), included by
+    C = f[:, P] (f = C . R), and the kernel along ker = (I[F, :], K = N^T),
+    included by K (the identity at F).
     """
-    r, i, c = {}, {}, {}
+    im, ker, c, free = ({}, {}), ({}, {}), {}, {}
     for v, m in {**f.u, **f.v}.items():
-        r[v], piv = m.rref()
-        i[v], c[v] = _unit_columns(m.cols, piv), m.submatrix(range(m.rows), piv)
-    image = _retract(f.source, r, i)
-    return image, _checked(_morphism(image, f.target, c)), _morphism(f.source, image, r)
+        im[0][v], piv, null, free[v] = _eliminated(m)
+        im[1][v], c[v] = _unit_columns(m.cols, piv), m.submatrix(range(m.rows), piv)
+        ker[0][v], ker[1][v] = _unit_columns(m.cols, free[v]).transpose(), null.transpose()
+    return im, ker, c, free
 
 
 def abelian_ops(f: TripleMorphism) -> AbelianOps:
     """Kernel, image and cokernel of a morphism, each a `_retract` with its one map checked.
 
-    With (N, S) = `_null_pair`: the kernel is f's source on p = S^T, i = K =
-    N^T for N of f (K is the identity at N's free columns, and is checked);
-    the cokernel is f's target on p = pi = N, i = S for N of the image
-    inclusion's transpose (pi is checked).
+    The kernel and image are f's source on `_frames(f)`; the cokernel is f's
+    target on p = pi = N, i = the identity at N's free columns, for N =
+    `_null_rows` of C^T (pi is checked): one more elimination per block.
     """
     z, z2 = f.source, f.target
     _same_scenario(z, z2)
-    ker, cok = ({}, {}), ({}, {})  # (p, i) by vertex
-    for v, m in {**f.u, **f.v}.items():
-        null, unit = _null_pair(m)
-        ker[0][v], ker[1][v] = unit.transpose(), null.transpose()
-    kernel = _retract(z, *ker)
-    image, i_inc, i_proj = _image(f)
-    for v, c in {**i_inc.u, **i_inc.v}.items():
-        cok[0][v], cok[1][v] = _null_pair(c.transpose())
-    cokernel = _retract(z2, *cok)
-    return AbelianOps(kernel, _checked(_morphism(kernel, z, ker[1])), image, i_inc, i_proj,
+    im, ker, c, _ = _frames(f)
+    cok = ({}, {})  # (p, i) by vertex
+    for v, m in c.items():
+        null, free = _null_rows(m.transpose())
+        cok[0][v], cok[1][v] = null, _unit_columns(m.rows, free)
+    kernel, image, cokernel = _retract(z, *ker), _retract(z, *im), _retract(z2, *cok)
+    return AbelianOps(kernel, _checked(_morphism(kernel, z, ker[1])),
+                      image, _checked(_morphism(image, z2, c)), _morphism(z, image, im[0]),
                       cokernel, _checked(_morphism(z2, cokernel, cok[0])))
 
 
@@ -1236,8 +1230,8 @@ def is_universal(z: TripleObject) -> UniversalityReport:
     of the three as implemented is a fatal inconsistency.
     """
     s = z.scenario
-    crit1 = all(z.eta[x].rows == z.eta[x].cols and z.eta[x].rank() == z.eta[x].rows
-                for x in s.x_ids)
+    rank = {x: z.eta[x].rank() for x in s.x_ids}
+    crit1 = all(z.eta[x].rows == z.eta[x].cols == rank[x] for x in s.x_ids)
 
     end_basis = hom(z, z)
     sv = sum(len(_hom_terms(s.algebra(y).spec, z.y[y], z.y[y])[0]) for y in s.y_ids)
@@ -1248,8 +1242,7 @@ def is_universal(z: TripleObject) -> UniversalityReport:
     self_ext = ext1(z, z).dim == 0
     # at one vertex all nonzero modules are isotypic, so ker(eta) is seen by
     # the x component iff the component is nonzero wherever the kernel is
-    detected = all(z.eta[x].rank() == z.eta[x].cols or z.x[x].dim > 0
-                   for x in s.x_ids)
+    detected = all(rank[x] == z.eta[x].cols or z.x[x].dim > 0 for x in s.x_ids)
     crit2 = transport and self_ext and detected
 
     hom_x = True
@@ -1299,10 +1292,22 @@ def _total_matrix(m: TripleMorphism) -> RatMatrix:
 
 
 def _image_split(z: TripleObject, e: TripleMorphism):
-    """Split z along an idempotent e; returns ((obj, inc, proj), same for 1-e), both nonzero."""
-    pieces = [_image(idem) for idem in (e, identity_morphism(z) - e)]
-    if sum(p[0].total_dim() for p in pieces) != z.total_dim():
-        raise InternalConsistencyError("idempotent split lost dimensions")
+    """z = im e (+) ker e for an idempotent e: ((piece, inclusion, projection), same for ker e), both nonzero.
+
+    Both pieces are retracts on `_frames(e)`, one elimination per block, and
+    each inclusion is checked.  im e is included by C and projected by R
+    (R . C = 1 as e = C . R is idempotent); ker e = im(1 - e) is included by
+    K and projected by (1 - e)[F, :], the coordinates of 1 - e in K's columns.
+    """
+    im, ker, c, free = _frames(e)
+    comp = {}  # (1 - e)[F, :]
+    for v, m in {**e.u, **e.v}.items():
+        rows = [[m.den * (j == r) - x for j, x in enumerate(m.num[r])] for r in free[v]]
+        comp[v] = RatMatrix._fresh(len(rows), m.cols, rows, m.den)
+    pieces = []
+    for (p, i), inc, proj in ((im, c, im[0]), (ker, ker[1], comp)):
+        w = _retract(z, p, i)
+        pieces.append((w, _checked(_morphism(w, z, inc)), _morphism(z, w, proj)))
     if not all(p[0].total_dim() for p in pieces):
         raise InternalConsistencyError("idempotent split produced a zero piece")
     return pieces
@@ -1357,8 +1362,9 @@ def _splitting_idempotent(z: TripleObject,
         k = gcd(*flat)
         if not k:
             continue
-        blocks = [m.scale(Fraction(den, k)) for m in (*raw.u.values(), *raw.v.values())]
-        split = _coprime_parts(_int_min_poly_matrix(_block_diag(blocks)))
+        blocks = [RatMatrix._of(m.rows, m.cols, [[x * (den // m.den) // k for x in r] for r in m.num])
+                  for m in (*raw.u.values(), *raw.v.values())]
+        split = _coprime_parts(_int_min_poly_matrix(*blocks))
         if split is None:
             continue
         t, g = _int_poly_bezout(*split)
@@ -1442,37 +1448,40 @@ def decompose(z: TripleObject) -> Decomposition:
     the `_end_basis` elements are tried, then the End/rad field certificate
     (a commutative End/rad with a primitive element of irreducible minimal
     polynomial), then the pairwise sums and products.  The first candidate
-    whose minimal polynomial has coprime parts splits z.  The flag is
-    "certified" when every leaf is certified, else "no-further-splitting-found".
+    whose minimal polynomial has coprime parts splits z by `_image_split`,
+    and a node's maps to and from z pass down to its pieces, composed once
+    per level.  The flag is "certified" when every leaf is certified, else
+    "no-further-splitting-found".
 
     The answer depends only on z's data and its scenario, so the scenario
     remembers every node it decides, by `data_key()`: a leaf by its flag,
     and a split node by its idempotent's matrices, flattened, once
-    `_image_split` has split along it.  A known leaf is (z, id, id) with
-    its flag, and a known split node is split again along its idempotent,
+    `_image_split` has split along it.  A known leaf is a summand with its
+    flag, and a known split node is split again along its idempotent,
     without psi, an End basis or a candidate search (decompose-ks's sums of
     root objects meet nodes again).  A failed split and errors are not
     remembered; only keys, flags and integers are, so no object is kept alive.
     """
-    if z.total_dim() == 0:
-        return Decomposition([], CERTIFIED)
-    nodes, key = z.scenario._nodes, z.data_key()
-    known = nodes.get(key)
-    if known is None:
-        e, flag = _split_or_leaf(z, _end_basis(z))
-    else:
-        e, flag = (None, known) if isinstance(known, str) else (_unflatten(z, *known), None)
-    if e is None:
-        nodes[key] = flag
-        return Decomposition([Summand(z, identity_morphism(z), identity_morphism(z))], flag)
-    pieces = _image_split(z, e)
-    nodes[key] = _flat_morphism(e)
     summands: list[Summand] = []
-    flag = CERTIFIED
-    for piece, inc, proj in pieces:
-        subdec = decompose(piece)
-        if subdec.flag != CERTIFIED:
-            flag = NO_FURTHER
-        summands += [Summand(sm.object, inc.compose(sm.inclusion), sm.projection.compose(proj))
-                     for sm in subdec.summands]
-    return Decomposition(summands, flag)
+
+    def split(w: TripleObject, maps: tuple | None) -> str:  # appends w's summands; maps = (w -> z, z -> w)
+        nodes, key = w.scenario._nodes, w.data_key()
+        known = nodes.get(key)
+        if known is None:
+            e, flag = _split_or_leaf(w, _end_basis(w))
+        else:
+            e, flag = (None, known) if isinstance(known, str) else (_unflatten(w, *known), None)
+        if e is None:
+            nodes[key] = flag
+            summands.append(Summand(w, *(maps or (identity_morphism(w), identity_morphism(w)))))
+            return flag
+        pieces = _image_split(w, e)
+        nodes[key] = _flat_morphism(e)
+        flag = CERTIFIED
+        for piece, inc, proj in pieces:
+            if maps is not None:  # w is a piece: compose once on the way down
+                inc, proj = maps[0].compose(inc), proj.compose(maps[1])
+            if split(piece, (inc, proj)) != CERTIFIED:
+                flag = NO_FURTHER
+        return flag
+    return Decomposition(summands, split(z, None) if z.total_dim() else CERTIFIED)

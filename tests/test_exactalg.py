@@ -1017,21 +1017,22 @@ def _nilpotent(rng, n):
             return g * j * g.inverse()
 
 
-def _min_poly_cases(kind):
+def _min_poly_cases(kind, as_blocks=False):
+    """Square matrices of one kind; with as_blocks, each as the list of its diagonal blocks."""
     rng = random.Random(kind)
-    cases = [RatMatrix.zeros(0, 0), RatMatrix(1, 1, [[rng.randrange(-9, 10)]], rng.randrange(1, 7))]
+    cases = [[RatMatrix.zeros(0, 0)], [RatMatrix(1, 1, [[rng.randrange(-9, 10)]], rng.randrange(1, 7))]]
     for _ in range(30):
         n = rng.randrange(1, 6)
         if kind == "random":
             num = [[rng.choice([0, 0, 1, -1, 2, -3, 5]) for _ in range(n)] for _ in range(n)]
-            cases.append(RatMatrix(n, n, num, rng.randrange(1, 7)))
+            cases.append([RatMatrix(n, n, num, rng.randrange(1, 7))])
         elif kind == "nilpotent":
-            cases.append(_nilpotent(rng, n))
+            cases.append([_nilpotent(rng, n)])
         else:
             # like a morphism's total matrix: u/v blocks, some repeated, some nilpotent
             pool = [_random_grid(rng, k, k) for k in (1, 2, 2)] + [_nilpotent(rng, 3)]
-            cases.append(_block_diagonal([rng.choice(pool) for _ in range(rng.randrange(1, 4))]))
-    return cases
+            cases.append([rng.choice(pool) for _ in range(rng.randrange(1, 4))])
+    return cases if as_blocks else [_block_diagonal(blocks) for blocks in cases]
 
 
 @pytest.mark.parametrize("kind", ["random", "nilpotent", "block-diagonal"])
@@ -1059,6 +1060,15 @@ def test_min_poly_matrix_chases_only_unkilled_vectors(kind, monkeypatch):
                 p = _power_dependency(m, e)
                 acc = (acc * p) // _fraction_gcd(acc, p)
         assert chased == expect
+
+
+def test_int_min_poly_of_blocks_is_that_of_their_block_diagonal():
+    # block by block, with the running lcm carried across blocks over their
+    # own denominators, the polynomial is the whole matrix's
+    cases = _min_poly_cases("block-diagonal", as_blocks=True)
+    for blocks in cases:
+        assert exactalg._int_min_poly_matrix(*blocks) == exactalg._int_min_poly_matrix(_block_diagonal(blocks))
+    assert any(len({b.den for b in blocks}) > 1 for blocks in cases)
 
 
 def test_min_poly_matrix_builds_the_columns_once(monkeypatch):

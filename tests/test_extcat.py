@@ -2174,7 +2174,12 @@ def test_decompose_matches_the_full_candidate_sweep():
     # the quaternion simple is one of them.  Two g2 objects whose End is a
     # cubic field are certified, since the factor budget no longer refuses
     # their cubics before the no-root-mod-ell certificate
-    assert flags.count(extcat.NO_FURTHER) == 8 and flags[-1] == extcat.NO_FURTHER
+    assert flags.count(extcat.NO_FURTHER) == 7 and flags[-1] == extcat.NO_FURTHER
+    # the ker e frame of a split piece lets the rigid g2 (3,3) object split
+    # all the way, z = I^3 for the (1,1) indecomposable I
+    dec = decompose(sweep_objects(catalog_scenario("g2_threefold"), 3)[30])
+    assert dec.flag == extcat.CERTIFIED
+    assert [sm.object.dimension_vector() for sm in dec.summands] == [(1, 1)] * 3
 
 
 def test_decompose_stops_searching_at_a_proved_local_end(monkeypatch):
@@ -2478,21 +2483,37 @@ def test_abelian_ops_match_the_fraction_reference_on_every_catalog_scenario():
 
 
 def test_abelian_ops_and_image_split_solve_nothing(monkeypatch):
-    calls = []
-    solve = RatMatrix.solve
+    # no solve, and one elimination per block: _image_split reads both pieces
+    # off one per block of e, abelian_ops the kernel and image off one per
+    # block of f, then one per cokernel block
+    calls, eliminated = [], []
+    solve, null_rows = RatMatrix.solve, exactalg._null_rows
     monkeypatch.setattr(RatMatrix, "solve", lambda m, rhs: calls.append(1) or solve(m, rhs))
+    for module in (exactalg, extcat):
+        monkeypatch.setattr(module, "_null_rows", lambda m: eliminated.append(1) or null_rows(m))
     rng = random.Random(5)
     splits = 0
     for name in ("c3_surface", "g2_threefold", "d4_elliptic", "c2"):
         s = catalog_scenario(name)
+        blocks = len(s.vertex_order())
         for _ in range(5):
             a, b = random_object(s, rng), random_object(s, rng)
             f, dec = random_morphism(a, b, rng), decompose(a)
             calls.clear()
+            eliminated.clear()
             abelian_ops(f)
+            assert len(eliminated) == 2 * blocks
             for e in dec.idempotents()[:-1]:
-                extcat._image_split(a, e)
+                eliminated.clear()
+                pieces = extcat._image_split(a, e)
+                assert len(eliminated) == blocks
                 splits += 1
+                for i, (piece, _, proj) in enumerate(pieces):  # pi_i iota_j = delta_ij
+                    for j, (_, inc, _) in enumerate(pieces):
+                        prod = proj.compose(inc)
+                        assert prod == identity_morphism(piece) if i == j else prod.is_zero()
+                (_, i1, p1), (_, i2, p2) = pieces
+                assert i1.compose(p1) + i2.compose(p2) == identity_morphism(a)
             assert calls == [], name
     assert splits >= 5
 
