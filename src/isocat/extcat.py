@@ -30,6 +30,7 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
@@ -56,8 +57,8 @@ from .exactalg import (
     _int_squarefree,
     _quotient_algebra,
     _nonzero_entries,
+    _null_basis,
     _null_rows,
-    _null_space,
     _radical,
     _vector_min_poly,
     action_error,
@@ -133,6 +134,12 @@ def _shared(alg: AlgebraSpec, vs: VertexSpace) -> bool:
 Terms = tuple[list[list[tuple[int, int, int]]], int]  # a basis as `_nonzero_entries` gives it
 
 _HOM_CACHE: dict[tuple, Terms] = {}  # commutant bases, as their terms
+
+
+def _hom_dim(alg: AlgebraSpec, src, dst) -> int:
+    """The length of `_hom_terms(alg, src, dst)`: over a division algebra D every module is free,
+    so dim Hom_D(V, W) = dim V . dim W / dim D (Dlab-Ringel).  src may be an `FSpace`."""
+    return src.dim * dst.dim // alg.dim
 
 
 def _hom_terms(alg: AlgebraSpec, src: VertexSpace, dst: VertexSpace) -> Terms:
@@ -270,17 +277,18 @@ def _block_diag(blocks: list[RatMatrix]) -> RatMatrix:
     return _assemble(r, c, placed)
 
 
-def _f_map(scenario: SpeciesScenario, v: dict[str, RatMatrix],
-           src_f: dict[str, FSpace], dst_f: dict[str, FSpace], x: str) -> RatMatrix:
-    """Matrix of F(v) at the x-vertex: I_r (x) v_y on the block of each y."""
-    sf, df = src_f[x], dst_f[x]
-    ys = [y for y in scenario.y_ids if y in sf.offsets or y in df.offsets]
-    blocks: list[RatMatrix] = []
-    for y in ys:
-        blocks += [v[y]] * scenario.bimodules[(x, y)].rank_over_right
-    if not blocks:
-        return RatMatrix.zeros(df.dim, sf.dim)
-    return _block_diag(blocks)
+def _eta_f(z2: "TripleObject", x: str, v: dict, src_f: dict[str, FSpace]) -> RatMatrix:
+    """eta'_x . F(v) for v: Y -> z2.y, with no F(v) = I_r (x) v_y built: slot i of y's columns is eta'
+    at its own slot i of y times v_y (a v_y given as a list of indices is the unit columns there)."""
+    eta, sf, df, blocks = z2.eta[x], src_f[x], z2.f[x], []
+    for y in sf.offsets.keys() & df.offsets.keys():  # a y block in one F space alone meets only zeros
+        m, n2 = v[y], z2.y[y].dim
+        for i in range(z2.scenario.bimodules[(x, y)].rank_over_right):
+            at = range(df.offsets[y] + i * n2, df.offsets[y] + (i + 1) * n2)
+            b = eta.submatrix(range(eta.rows), [at[j] for j in m] if isinstance(m, list) else at)
+            b = b if isinstance(m, list) else b * m
+            blocks.append((0, sf.offsets[y] + i * b.cols, b))
+    return _assemble(eta.rows, sf.dim, blocks)
 
 
 # ======================================================================
@@ -423,8 +431,7 @@ class TripleMorphism:
                 if s.algebra(w).dim > 1 and any(f * m != n * f for m, n in zip(src[w].action, dst[w].action)):
                     return f"{name} at {w!r} not equivariant"
         for xv in s.x_ids:
-            fv = _f_map(s, self.v, self.source.f, self.target.f, xv)
-            if self.u[xv] * self.source.eta[xv] != self.target.eta[xv] * fv:
+            if self.u[xv] * self.source.eta[xv] != _eta_f(self.target, xv, self.v, self.source.f):
                 return f"eta square does not commute at {xv!r}"
         return None
 
@@ -571,11 +578,13 @@ def _bases(z: TripleObject, z2: TripleObject) -> tuple[dict[str, Terms], dict[st
 
 
 def hom_space_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, int]:
-    """(dim Hom on x parts, dim Hom on y parts, dim Hom(F(Y), X'))."""
-    return tuple(sum(len(t) for t, _ in b.values()) for b in _bases(z, z2))
+    """(dim Hom on x parts, dim Hom on y parts, dim Hom(F(Y), X')), sums of `_hom_dim`s: no basis is built."""
+    s = _same_scenario(z, z2)
+    return tuple(sum(_hom_dim(s.algebra(w).spec, src[w], dst[w]) for w in ids)
+                 for ids, src, dst in ((s.x_ids, z.x, z2.x), (s.y_ids, z.y, z2.y), (s.x_ids, z.f, z2.x)))
 
 
-def _psi_data(z: TripleObject, z2: TripleObject):
+def _psi_data(z: TripleObject, z2: TripleObject, dims: Optional[tuple[int, int, int]] = None):
     """Bases and the sparse integer columns of psi(u, v) = u . eta - eta' . F(v) for a pair.
 
     Returns (ubases, vbases, fbases, offsets, (nrows, columns)), bases as
@@ -588,18 +597,19 @@ def _psi_data(z: TripleObject, z2: TripleObject):
     commutant basis (F is never canonical) and its exact recombination
     check proves the image equivariant.  A u column is over uden * eta.den;
     a v column's x blocks are scaled to vden times the lcm of the eta'
-    denominators.  When psi has no rows (Hom(F(Y), X') = 0) or no columns,
-    every image is 0: the sizes of the bases give nrows and one ([], 1)
-    column per u and v basis element, and no image is built.
+    denominators.  nrows, the offsets and the number of columns are
+    `_hom_dim` sums, with dims = `hom_space_dims(z, z2)` when the caller has
+    it.  When psi has no rows (Hom(F(Y), X') = 0) or no columns, every image
+    is 0: the bases are None, there is one ([], 1) column per u and v basis
+    element, and no basis or image is built.
     """
-    s = z.scenario
-    ubases, vbases, fbases = _bases(z, z2)
-    offsets, nrows = {}, 0
+    su, sv, _ = dims or hom_space_dims(z, z2)
+    s, offsets, nrows = z.scenario, {}, 0
     for x in s.x_ids:
-        offsets[x], nrows = nrows, nrows + len(fbases[x][0])
-    ncols = sum(len(t) for b in (ubases, vbases) for t, _ in b.values())
-    if not (nrows and ncols):  # every image is 0
-        return ubases, vbases, fbases, offsets, (nrows, [([], 1)] * ncols)
+        offsets[x], nrows = nrows, nrows + _hom_dim(s.algebra(x).spec, z.f[x], z2.x[x])
+    if not (nrows and su + sv):  # every image is 0
+        return None, None, None, offsets, (nrows, [([], 1)] * (su + sv))
+    ubases, vbases, fbases = _bases(z, z2)
     images = {x: [] for x in s.x_ids}  # (column, entries)
     dens = []
     for x in s.x_ids:
@@ -704,12 +714,13 @@ def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
     truth cost no back-solve, and element k is back-solved and assembled
     on its first read, then kept.  When rank psi is its number of rows,
     `_LAST_PSI` records psi as onto for `ext1` of the same pair.  An empty
-    psi, as in most of check-suite's calls, is the identity with no kernel built.
+    psi, as in most of check-suite's calls, is the identity, and no basis is
+    built until an element is read.
     """
     data, _ = _pair_psi(z, z2)
-    ubases, _, _, _, (nrows, columns) = data
+    _, _, _, _, (nrows, columns) = data
     if nrows and columns:
-        rank, count, vector = _y_side_kernel(columns, sum([len(t) for t, _ in ubases.values()]))
+        rank, count, vector = _y_side_kernel(columns, hom_space_dims(z, z2)[0])
     else:  # every column is free: the identity, with no elimination
         rank, count, vector = 0, len(columns), lambda k: ([int(c == k) for c in range(len(columns))], 1)
     _remember(z, z2, data, rank == nrows)  # whether psi is onto
@@ -770,14 +781,16 @@ class _OnDemand(Sequence):
 def _kernel_morphism(z: TripleObject, z2: TripleObject, data: tuple):
     """(vec, den) -> the morphism z -> z2 of psi's kernel vector vec / den, psi from `_psi_data(z, z2)`.
 
-    Each vertex map is one integer grid, from the nonzero entries of its basis.
+    Each vertex map is one integer grid, from the nonzero entries of its
+    basis, tabled on the first call (an empty psi's data holds no bases).
     """
-    s = z.scenario
-    sides = ((0, s.x_ids, data[0], z.x, z2.x), (1, s.y_ids, data[1], z.y, z2.y))
-    sparse = [(side, w, *bases[w], dst[w].dim, src[w].dim)
-              for side, ids, bases, src, dst in sides for w in ids]
+    s, sparse = z.scenario, []
 
     def morphism(vec: list[int], vden: int) -> TripleMorphism:
+        if not sparse:
+            ubases, vbases, _ = data[:3] if data[0] is not None else _bases(z, z2)
+            sparse.extend((side, w, *bases[w], dst[w].dim, src[w].dim) for side, ids, bases, src, dst in
+                          ((0, s.x_ids, ubases, z.x, z2.x), (1, s.y_ids, vbases, z.y, z2.y)) for w in ids)
         coeffs, parts = iter(vec), ({}, {})
         for side, w, terms, den, rows, cols in sparse:  # each takes the next len(terms) coefficients
             parts[side][w] = _combine_terms(terms, coeffs, vden * den, rows, cols)
@@ -888,37 +901,46 @@ def _y_side_kernel(columns: list, nu: int) -> tuple[int, int, Callable[[int], tu
     return rank + len(spivots), ncols - rank - len(spivots), vector
 
 
-@dataclass
 class ExtResult:
     """dim, coset representatives in Hom(F(Y), X'), and the projection.
 
     The projection maps Hom(F(Y), X') coordinates (concatenated over
-    x-vertices in scenario order) onto cokernel coordinates.
+    x-vertices in scenario order) onto cokernel coordinates.  basis and
+    projection are each made by its function on its first read, then kept.
     """
 
-    dim: int
-    basis: list[dict[str, RatMatrix]]
-    projection: RatMatrix
+    def __init__(self, dim: int, basis: Callable[[], list[dict[str, RatMatrix]]],
+                 projection: Callable[[], RatMatrix]):
+        self.dim, self._basis, self._projection = dim, basis, projection
+
+    basis = cached_property(lambda self: self._basis())
+    projection = cached_property(lambda self: self._projection())
 
 
 def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
     """Cokernel of psi(u, v) = u . eta - eta' . F(v), from psi's columns read as rows.
 
-    Right after `hom` of the same pair proved psi onto, the cokernel is 0 and
-    nothing is eliminated: the answer is the one `_null_space` gives with no
-    free column.
+    The call runs only the elimination, which gives dim; the projection
+    (`_null_space` of those rows) and the representatives are built on their
+    first read.  With no rows, or right after `hom` of the same pair proved
+    psi onto, the cokernel is 0 and nothing is eliminated.
     """
     s = z.scenario
     (_, _, fbases, offsets, (nrows, columns)), onto = _pair_psi(z, z2)
-    if onto:
-        return ExtResult(0, [], RatMatrix.zeros(0, nrows))
-    proj, free = _null_space([dict(ents) for ents, _ in columns], nrows)
+    if onto or not nrows:
+        return ExtResult(0, list, lambda: RatMatrix.zeros(0, nrows))
+    rows = [dict(ents) for ents, _ in columns]
+    pivots, ech, _, _ = _echelon(rows) if any(rows) else ([], [], 1, 1)
+    free = sorted(set(range(nrows)).difference(pivots))
 
-    def rep(x: str, k: int) -> RatMatrix:  # Hom(F(Y)_x, X'_x) basis element k; zero off its range
-        terms, den = fbases[x]
-        return _combine_terms(terms[k:k + 1] if k >= 0 else [], [1], den, z2.x[x].dim, z.f[x].dim)
+    def basis() -> list[dict[str, RatMatrix]]:
+        terms = fbases or _bases(z, z2)[2]
 
-    return ExtResult(len(free), [{x: rep(x, c - offsets[x]) for x in s.x_ids} for c in free], proj)
+        def rep(x: str, k: int) -> RatMatrix:  # Hom(F(Y)_x, X'_x) basis element k; zero off its range
+            ents, den = terms[x]
+            return _combine_terms(ents[k:k + 1] if k >= 0 else [], [1], den, z2.x[x].dim, z.f[x].dim)
+        return [{x: rep(x, c - offsets[x]) for x in s.x_ids} for c in free]
+    return ExtResult(len(free), basis, lambda: _null_basis(pivots, ech, free, nrows))
 
 
 def hom_ext_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, tuple[int, int, int]]:
@@ -927,7 +949,7 @@ def hom_ext_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, tuple[int
     dim Hom is ncols - rank(psi) by eliminating psi's rows, and dim Ext^1 is
     nrows - rank(psi) by eliminating its columns: two eliminations of two
     separately built row sets; none when psi has no rows or no columns,
-    which `_psi_data` then answers from the basis sizes alone.
+    which `hom_space_dims`' sizes then answer, with no psi or basis built.
     The row elimination takes psi's columns right to left: a rank does not
     depend on the order, and at each x-vertex the u block of psi is
     I (x) eta^T, whose elimination first would leave Schur-complement rows
@@ -935,13 +957,13 @@ def hom_ext_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, tuple[int
     takes psi's columns in this same order, but euler-small's tiny psi rank
     faster in this one elimination than in `_y_side_kernel`.
     """
-    ubases, vbases, _, _, (nrows, columns) = _psi_data(z, z2)
-    su, sv = (sum(len(t) for t, _ in b.values()) for b in (ubases, vbases))
-    h, e = len(columns), nrows
-    if nrows and columns:
+    su, sv, sf = dims = hom_space_dims(z, z2)
+    h, e = su + sv, sf
+    if h and e:
+        _, _, _, _, (nrows, columns) = _psi_data(z, z2, dims)
         h -= len(_echelon(_psi_rows(nrows, columns[::-1]))[0])
         e -= len(_echelon([dict(ents) for ents, _ in columns])[0])
-    return h, e, (su, sv, nrows)
+    return h, e, dims
 
 
 def euler_form(z: TripleObject, z2: TripleObject) -> int:
@@ -1080,24 +1102,33 @@ def direct_sum_many(objs: Sequence[TripleObject]):
 # inclusion or projection proves it, and nothing is solved.
 # ======================================================================
 
-def _retract(z: TripleObject, p: dict[str, RatMatrix], i: dict[str, RatMatrix]) -> TripleObject:
+def _retract(z: TripleObject, p: dict, i: dict) -> TripleObject:
     """The object w on vertex maps p: z -> w and i: w -> z with p . i = id at every vertex.
 
     w acts by p . m . i and has eta p_x . eta_x . F(i).  That is z's own
     structure exactly when i is a morphism w -> z (a subobject) or p is one
     z -> w (a quotient), so a caller checks one inclusion or projection.  A
     vertex over Q acts by c . I, so it is the shared `canonical_space`.
+    A p (an i) given as a list of indices is the unit rows (columns) there.
     """
     s = z.scenario
     amb, parts = {**z.x, **z.y}, {}
     for v in s.vertex_order():
-        h = s.algebra(v)
-        action = [p[v] * m * i[v] for m in amb[v].action] if h.spec.dim > 1 else []
-        parts[v] = VertexSpace(p[v].rows, action) if action else canonical_space(h, p[v].rows)
+        h, dim = s.algebra(v), len(p[v]) if isinstance(p[v], list) else p[v].rows
+        action = [_sandwich(p[v], m, i[v]) for m in amb[v].action] if h.spec.dim > 1 else []
+        parts[v] = VertexSpace(dim, action) if action else canonical_space(h, dim)
     y_parts = {y: parts[y] for y in s.y_ids}
     fsp = _build_fspaces(s, y_parts)
-    eta = {x: p[x] * z.eta[x] * _f_map(s, i, fsp, z.f, x) for x in s.x_ids}
+    eta = {x: _sandwich(p[x], _eta_f(z, x, i, fsp)) for x in s.x_ids}
     return TripleObject._with_fspaces(s, {x: parts[x] for x in s.x_ids}, y_parts, eta, fsp)
+
+
+def _sandwich(p, m: RatMatrix, i=None) -> RatMatrix:
+    """p . m . i (p . m with no i), where a p (an i) given as a list of indices selects rows (columns) first."""
+    if isinstance(i, list):
+        m, i = m.submatrix(range(m.rows), i), None
+    m = m.submatrix(p, range(m.cols)) if isinstance(p, list) else p * m
+    return m if i is None else m * i
 
 
 def _checked(m: TripleMorphism) -> TripleMorphism:
@@ -1105,11 +1136,6 @@ def _checked(m: TripleMorphism) -> TripleMorphism:
     if err is not None:
         raise InternalConsistencyError(f"retract map is not a morphism: {err}")
     return m
-
-
-def _unit_columns(n: int, cols: Sequence[int]) -> RatMatrix:
-    """The columns cols of the n x n identity."""
-    return RatMatrix._of(n, len(cols), [[int(r == c) for c in cols] for r in range(n)])
 
 
 @dataclass
@@ -1124,35 +1150,34 @@ class AbelianOps:
 
 
 def _frames(f: TripleMorphism):
-    """(im, ker, C, F) by vertex: f's source frames of its image and kernel, one `_eliminated` per block.
+    """(im, ker, C) by vertex: f's source frames of its image and kernel, one `_eliminated` per block.
 
     With R = rref(f) at pivot columns P and N = `_null_rows(f)` at free columns
     F, the image is the retract along im = (p, i) = (R, I[:, P]), included by
     C = f[:, P] (f = C . R), and the kernel along ker = (I[F, :], K = N^T),
-    included by K (the identity at F).
+    included by K (the identity at F); I[:, P] and I[F, :] are given as P and F.
     """
-    im, ker, c, free = ({}, {}), ({}, {}), {}, {}
+    im, ker, c = ({}, {}), ({}, {}), {}
     for v, m in {**f.u, **f.v}.items():
-        im[0][v], piv, null, free[v] = _eliminated(m)
-        im[1][v], c[v] = _unit_columns(m.cols, piv), m.submatrix(range(m.rows), piv)
-        ker[0][v], ker[1][v] = _unit_columns(m.cols, free[v]).transpose(), null.transpose()
-    return im, ker, c, free
+        im[0][v], im[1][v], null, ker[0][v] = _eliminated(m)
+        c[v], ker[1][v] = m.submatrix(range(m.rows), im[1][v]), null.transpose()
+    return im, ker, c
 
 
 def abelian_ops(f: TripleMorphism) -> AbelianOps:
     """Kernel, image and cokernel of a morphism, each a `_retract` with its one map checked.
 
     The kernel and image are f's source on `_frames(f)`; the cokernel is f's
-    target on p = pi = N, i = the identity at N's free columns, for N =
-    `_null_rows` of C^T (pi is checked): one more elimination per block.
+    target on p = pi = N, i = the identity at N's free columns (their index
+    list), for N = `_null_rows` of C^T (pi is checked): one more elimination
+    per block.
     """
     z, z2 = f.source, f.target
     _same_scenario(z, z2)
-    im, ker, c, _ = _frames(f)
+    im, ker, c = _frames(f)
     cok = ({}, {})  # (p, i) by vertex
     for v, m in c.items():
-        null, free = _null_rows(m.transpose())
-        cok[0][v], cok[1][v] = null, _unit_columns(m.rows, free)
+        cok[0][v], cok[1][v] = _null_rows(m.transpose())
     kernel, image, cokernel = _retract(z, *ker), _retract(z, *im), _retract(z2, *cok)
     return AbelianOps(kernel, _checked(_morphism(kernel, z, ker[1])),
                       image, _checked(_morphism(image, z2, c)), _morphism(z, image, im[0]),
@@ -1234,7 +1259,7 @@ def is_universal(z: TripleObject) -> UniversalityReport:
     crit1 = all(z.eta[x].rows == z.eta[x].cols == rank[x] for x in s.x_ids)
 
     end_basis = hom(z, z)
-    sv = sum(len(_hom_terms(s.algebra(y).spec, z.y[y], z.y[y])[0]) for y in s.y_ids)
+    sv = hom_space_dims(z, z)[1]
     vflat_len = sum(z.y[y].dim ** 2 for y in s.y_ids)
     vflats = [_flat_matrices([m.v[y] for y in s.y_ids]) for m in end_basis]
     vrank = _flat_columns(vflats, vflat_len).rank() if vflats else 0
@@ -1299,10 +1324,10 @@ def _image_split(z: TripleObject, e: TripleMorphism):
     (R . C = 1 as e = C . R is idempotent); ker e = im(1 - e) is included by
     K and projected by (1 - e)[F, :], the coordinates of 1 - e in K's columns.
     """
-    im, ker, c, free = _frames(e)
+    im, ker, c = _frames(e)
     comp = {}  # (1 - e)[F, :]
     for v, m in {**e.u, **e.v}.items():
-        rows = [[m.den * (j == r) - x for j, x in enumerate(m.num[r])] for r in free[v]]
+        rows = [[m.den * (j == r) - x for j, x in enumerate(m.num[r])] for r in ker[0][v]]
         comp[v] = RatMatrix._fresh(len(rows), m.cols, rows, m.den)
     pieces = []
     for (p, i), inc, proj in ((im, c, im[0]), (ker, ker[1], comp)):

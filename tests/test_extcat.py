@@ -34,7 +34,6 @@ from isocat.extcat import (
     TripleObject,
     VertexSpace,
     _build_fspaces,
-    _f_map,
     _hom_terms,
     _psi_data,
     _psi_rows,
@@ -387,13 +386,19 @@ def test_extension_splits_iff_class_zero():
 
 
 def reference_hom_ext_dims(a, b):
-    """Slow reference for (dim hom, dim ext1) straight from the definitions.
+    """(dim hom, dim ext1) of `reference_dims`."""
+    return reference_dims(a, b)[:2]
+
+
+def reference_dims(a, b):
+    """Slow reference for (dim hom, dim ext1, (su, sv, sf)) straight from the definitions.
 
     Every matrix entry of (u, v) is an unknown; equivariance enters as
     explicit constraint rows and the square constraint reads F(v) = I_r (x) v
     entry by entry.  No equivariant bases, no psi assembly, so
     this path shares nothing with the production implementation beyond the
-    kernel routine.
+    kernel routine.  su, sv and sf, the dims of the x, y and Hom(F(Y), X')
+    spaces, are each the nullity of its commutation constraints.
     """
     s = a.scenario
     u_dims = {x: (b.x[x].dim, a.x[x].dim) for x in s.x_ids}
@@ -499,7 +504,7 @@ def reference_hom_ext_dims(a, b):
     sf = sum(equivariant_dim(a.f[x].space.action, b.x[x].action,
                              b.x[x].dim, a.f[x].dim) for x in s.x_ids)
     ext_dim = hom_dim - (su + sv - sf)
-    return hom_dim, ext_dim
+    return hom_dim, ext_dim, (su, sv, sf)
 
 
 def test_hom_ext_against_reference_implementation():
@@ -626,7 +631,7 @@ def dense_psi_and_hom(a, b):
     """(psi, hom basis as (u, v) dicts) by dense products and `_combine`.
 
     Each psi column is the image u_k . eta or -(eta' . F(v_l)) as a full
-    matrix product, with F(v_l) = I_r (x) v_l from `_f_map`,
+    matrix product, with F(v_l) = I_r (x) v_l from `f_map`,
     coordinatised by a solve against the stacked Hom(F(Y), X') basis; each
     kernel vector of psi becomes one matrix per vertex through `_combine`.
     """
@@ -638,7 +643,7 @@ def dense_psi_and_hom(a, b):
     for y in s.y_ids:
         for vl in vb[y]:
             v = {w: vl if w == y else RatMatrix.zeros(b.y[w].dim, a.y[w].dim) for w in s.y_ids}
-            images.append({x: -(b.eta[x] * _f_map(s, v, a.f, b.f, x)) for x in s.x_ids})
+            images.append({x: -(b.eta[x] * f_map(s, v, a.f, b.f, x)) for x in s.x_ids})
     flat = lambda m: [e for row in m.to_fractions() for e in row]  # noqa: E731
     rows = []
     for x in s.x_ids:
@@ -667,6 +672,20 @@ def dense_psi_and_hom(a, b):
     return psi, homs
 
 
+def f_map(s, v, src_f, dst_f, x):
+    """F(v) at the x-vertex as one dense matrix: I_r (x) v_y on the block of each y, entry by entry."""
+    sf, df = src_f[x], dst_f[x]
+    num = [[0] * sf.dim for _ in range(df.dim)]
+    for y in s.y_ids:
+        if y in sf.offsets and y in df.offsets:
+            m = v[y].to_fractions()
+            for i in range(s.bimodules[(x, y)].rank_over_right):
+                for k, row in enumerate(m):
+                    for j, e in enumerate(row):
+                        num[df.offsets[y] + i * len(m) + k][sf.offsets[y] + i * len(row) + j] = e
+    return RatMatrix.from_rows(num) if num else RatMatrix.zeros(0, sf.dim)
+
+
 def conjugator(n):
     """2I + (cyclic shift); 2 + (a root of unity) is never zero, so it is invertible."""
     return RatMatrix(n, n, [[2 * (i == j) + (j == (i + 1) % n) for j in range(n)] for i in range(n)])
@@ -687,7 +706,7 @@ def conjugated(z, y):
     yc = {**z.y, y: conjugated_space(z.y[y])}
     v = {w: conjugator(z.y[w].dim).inverse() if w == y else RatMatrix.identity(z.y[w].dim) for w in s.y_ids}
     fc = _build_fspaces(s, yc)
-    return TripleObject(s, z.x, yc, {x: z.eta[x] * _f_map(s, v, fc, z.f, x) for x in s.x_ids})
+    return TripleObject(s, z.x, yc, {x: z.eta[x] * f_map(s, v, fc, z.f, x) for x in s.x_ids})
 
 
 def assert_hom_matches_dense(a, b):
@@ -753,7 +772,7 @@ def whole_psi_hom(a, b):
     free columns, in column order.
     """
     s = a.scenario
-    ubases, vbases, _, _, (nrows, columns) = _psi_data(a, b)
+    (_, _, _, _, (nrows, columns)), (ubases, vbases, _) = _psi_data(a, b), extcat._bases(a, b)
     ker, _ = _null_space(_psi_rows(nrows, columns[::-1]) if nrows and columns else [], len(columns))
     homs = []
     for vec in reversed(ker.num):
@@ -775,7 +794,7 @@ def squeezed(z, y, e):
     s = z.scenario
     v = {w: RatMatrix.from_rows(e).kron(RatMatrix.identity(s.algebra(y).dim)) if w == y
          else RatMatrix.identity(z.y[w].dim) for w in s.y_ids}
-    return TripleObject(s, z.x, z.y, {x: z.eta[x] * _f_map(s, v, z.f, z.f, x) for x in s.x_ids})
+    return TripleObject(s, z.x, z.y, {x: z.eta[x] * f_map(s, v, z.f, z.f, x) for x in s.x_ids})
 
 
 def assert_hom_is_the_whole_psi_kernel(a, b, monkeypatch):
@@ -808,8 +827,8 @@ def test_hom_is_the_whole_psi_kernel_element_for_element(monkeypatch):
         for a in pool:
             for b in pool:
                 assert_hom_is_the_whole_psi_kernel(a, b, monkeypatch)
-                _, vbases, _, _, (nrows, columns) = _psi_data(a, b)
-                nu = len(columns) - sum(len(t) for t, _ in vbases.values())
+                _, _, _, _, (nrows, columns) = _psi_data(a, b)
+                nu = len(columns) - sum(len(t) for t, _ in extcat._bases(a, b)[1].values())
                 seen["no v column"] += nrows > 0 and nu == len(columns) > 0
                 seen["zero v column"] += nrows > 0 and any(not ents for ents, _ in columns[nu:])
                 vrows = sorted({r for ents, _ in columns[nu:] for r, _ in ents})
@@ -1446,6 +1465,41 @@ def test_ext1_and_hom_answers_do_not_depend_on_the_psi_slot(monkeypatch):
     assert dims[0] == 1 == hom_ext_dims(*cases[0][0])[1] and 0 in dims
 
 
+def test_ext1_builds_its_projection_and_representatives_as_read(monkeypatch):
+    # the call eliminates psi's columns, which gives dim; the projection is
+    # back-solved, and the representatives are assembled, on their first
+    # read, once, and they are the ones the eager `_null_space` gives
+    built = {"projection": 0, "representative": 0}
+    null_basis, combine_terms = extcat._null_basis, extcat._combine_terms
+
+    def counted(kind, real):
+        return lambda *args: built.update({kind: built[kind] + 1}) or real(*args)
+
+    monkeypatch.setattr(extcat, "_null_basis", counted("projection", null_basis))
+    monkeypatch.setattr(extcat, "_combine_terms", counted("representative", combine_terms))
+    dims = []
+    for s in (catalog_scenario("b2_dual"), catalog_scenario("g2_threefold"), sqrt2_scenario()):
+        rng = random.Random(f"lazy-ext1:{s.name}")
+        objs = [random_object(s, rng, max_mult=2) for _ in range(4)]
+        for a, b in itertools.product(objs, objs):
+            _, _, fbases, offsets, (nrows, columns) = _psi_data(a, b)
+            if not (nrows and columns):
+                continue
+            fb = [(x, m) for x in s.x_ids for m in equivariant_hom_basis(s.algebra(x).spec, a.f[x].space, b.x[x])]
+            monkeypatch.setattr(extcat, "_LAST_PSI", None)
+            built.update(projection=0, representative=0)
+            res = ext1(a, b)
+            assert built == {"projection": 0, "representative": 0}
+            proj, free = _null_space([dict(ents) for ents, _ in columns], nrows)
+            assert res.dim == len(free) and res.projection == proj and res.projection is res.projection
+            assert built == {"projection": 1, "representative": 0}
+            reps = [{x: m for x, m in rep.items() if not m.is_zero()} for rep in res.basis]
+            assert reps == [dict([fb[c]]) for c in free] and res.basis is res.basis
+            assert built == {"projection": 1, "representative": len(free) * len(s.x_ids)}
+            dims.append(res.dim)
+    assert len(dims) >= 15 and 0 in dims and max(dims) > 1
+
+
 def count_psi_builds_and_eliminations(monkeypatch):
     """{"psi": `_psi_data` calls, "elim": `_echelon` calls}, counted from here on."""
     counts = {"psi": 0, "elim": 0}
@@ -1596,6 +1650,124 @@ def test_euler_form_eliminates_every_nonempty_psi_twice(monkeypatch):
                 assert len(calls) == (2 if nonempty else 0)
                 seen.add((s.name, nonempty))
     assert len(seen) == 4
+
+
+def test_hom_dim_is_the_number_of_basis_terms():
+    # every module over a division algebra D is free, so dim Hom_D(V, W) is
+    # dim V . dim W / dim D; each basis must have exactly that many elements,
+    # between vertex spaces and from each F(Y)_x to X'_x
+    gen = random.Random("closed-form")
+    sweep = [catalog_scenario(name) for name in CATALOG_IDS] + [random_scenario(gen) for _ in range(4)]
+    q, quat = rationals(), quaternions_from_i()
+    sweep.append(SpeciesScenario("quat", [("u", q)], [("a", quat)], {("u", "a"): tensor_bimodule(q, quat)}))
+    seen = set()
+    for k, s in enumerate(sweep):
+        rng = random.Random(f"closed-form:{k}")
+        pool = [random_object(s, rng, max_mult=2) for _ in range(3)]
+        pool.append(random_object_with(s, {v: 2 for v in s.vertex_order()}, rng))
+        pool.append(conjugated(pool[3], s.y_ids[0]))  # a vertex space that is not canonical
+        for a in pool:
+            for b in pool:
+                spaces = [(s.algebra(w).spec, {**a.x, **a.y}[w], {**b.x, **b.y}[w], w in s.y_ids)
+                          for w in s.vertex_order()]
+                spaces += [(s.algebra(x).spec, a.f[x].space, b.x[x], 2) for x in s.x_ids]
+                sums = [0, 0, 0]
+                for alg, src, dst, side in spaces:
+                    n = len(_hom_terms(alg, src, dst)[0])
+                    assert extcat._hom_dim(alg, src, dst) == n
+                    sums[side] += n
+                    seen.add((alg.dim > 1 and n > 0, src.canonical is None))
+                assert hom_space_dims(a, b) == tuple(sums)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def x_and_y_only_pairs():
+    """Every pair of the x-only and y-only parts of two seeded objects, over
+    every catalog scenario and one `random_scenario` with a number field
+    larger than Q: psi has no rows (into or out of an x-only part's zero
+    F(Y), or into a y-only part) or no columns (y-only into x-only)."""
+    gen = random.Random("x-and-y-only")
+    field = next(s for s in (random_scenario(gen) for _ in range(20))
+                 if any(s.algebra(v).dim > 1 for v in s.vertex_order()))
+    pairs = []
+    for s in [catalog_scenario(name) for name in CATALOG_IDS] + [field]:
+        rng = random.Random(f"x-and-y-only:{s.name}")
+        z, w = (random_object_with(s, {v: rng.randrange(1, 3) for v in s.vertex_order()}, rng) for _ in range(2))
+        pairs += [(a, b) for a in (x_only(z), y_only(z)) for b in (x_only(w), y_only(w))]
+    return pairs
+
+
+# sha256 of the `_pair_answers` of every `x_and_y_only_pairs` pair, as the
+# builder that read every basis to count it gave them
+X_AND_Y_ONLY_ANSWERS = "f69d4e72e552587cfb90296b914a2a5e8c49e3024cab1333876ebc20b4b1d29b"
+
+
+def test_an_empty_psi_builds_no_basis(monkeypatch):
+    # the sizes of an empty psi are `_hom_dim`s, so its dims, the length and
+    # truth of hom and the dim of ext1 build no basis; reading a hom element,
+    # an ext1 representative or the projection builds what it reads, and the
+    # answers are those the bases give: hom is the identity on the u and v
+    # bases, and ext1 with no columns is the identity on the rows' bases
+    pairs, calls = x_and_y_only_pairs(), []
+    real = extcat._hom_terms
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(extcat, "_hom_terms", counted)
+    kinds = set()
+    for a, b in pairs:
+        monkeypatch.setattr(extcat, "_LAST_PSI", None)
+        su, sv, sf = hom_space_dims(a, b)
+        assert not (su + sv and sf)
+        h, e, _ = hom_ext_dims(a, b)
+        homs = hom(a, b)
+        assert (len(homs), bool(homs), ext1(a, b).dim) == (su + sv, su + sv > 0, sf) == (h, h > 0, e)
+        monkeypatch.setattr(extcat, "_LAST_PSI", None)
+        assert ext1(a, b).dim == e
+        kinds.add("rows" if not sf else "columns")
+    assert not calls and kinds == {"rows", "columns"}
+    for a, b in pairs:
+        s = a.scenario
+        monkeypatch.setattr(extcat, "_LAST_PSI", None)
+        res = ext1(a, b)
+        assert res.projection == RatMatrix.identity(res.dim)
+        fb = [(x, m) for x in s.x_ids for m in equivariant_hom_basis(s.algebra(x).spec, a.f[x].space, b.x[x])]
+        assert [{x: m for x, m in rep.items() if not m.is_zero()} for rep in res.basis] == [{x: m} for x, m in fb]
+        ub = [(w, m) for w in s.vertex_order() for m in equivariant_hom_basis(
+            s.algebra(w).spec, {**a.x, **a.y}[w], {**b.x, **b.y}[w])]
+        got = [{w: f for w, f in {**m.u, **m.v}.items() if not f.is_zero()} for m in hom(a, b)]
+        assert got == [{w: m} for w, m in ub]
+    monkeypatch.undo()
+    digest = hashlib.sha256(repr([_pair_answers(a, b) for a, b in pairs]).encode()).hexdigest()
+    assert digest == X_AND_Y_ONLY_ANSWERS
+
+
+def balanced_pool(s, rng):
+    """Nine objects whose multiplicities at every vertex are 0, 1 and 2,
+    three times each in a shuffled order: euler-small's balanced design."""
+    columns = {v: rng.sample([0, 1, 2] * 3, 9) for v in s.vertex_order()}
+    return [random_object_with(s, {v: c[i] for v, c in columns.items()}, rng) for i in range(9)]
+
+
+def test_hom_ext_dims_match_the_reference_dimension_by_dimension():
+    # euler_form's check h - e = su + sv - sf holds for any psi, so each of
+    # the five numbers is judged on its own, over euler-small's scenario mix:
+    # the criterion-3 catalog and the gate's four random scenarios
+    gen = random.Random("acc3-scenarios")
+    names = ("d4_elliptic", "c3_surface", "g2_threefold", "c2", "b2_dual", "a3", "two_surfaces",
+             "product_no_coupling")
+    sweep = [catalog_scenario(name) for name in names] + [random_scenario(gen) for _ in range(4)]
+    seen = set()
+    for k, s in enumerate(sweep):
+        pool = balanced_pool(s, random.Random(f"dimension-by-dimension:{k}"))
+        for a in pool:
+            for b in pool:
+                h, e, dims = hom_ext_dims(a, b)
+                assert (h, e, dims) == reference_dims(a, b)
+                seen.add(bool(dims[0] + dims[1] and dims[2]) + (h != dims[0] + dims[1]))
+    assert seen == {0, 1, 2}
 
 
 def _mixed_scenario_pair():
@@ -2570,8 +2742,8 @@ def reference_direct_sum(a, b):
     ib_v = {y: inclusion(a.y[y].dim, b.y[y].dim, True) for y in s.y_ids}
     eta = {}
     for x in s.x_ids:
-        fa = _f_map(s, ia_v, a.f, fsp, x)
-        fb = _f_map(s, ib_v, b.f, fsp, x)
+        fa = f_map(s, ia_v, a.f, fsp, x)
+        fb = f_map(s, ib_v, b.f, fsp, x)
         lhs = (ia_u[x] * a.eta[x]).hstack(ib_u[x] * b.eta[x])
         eta[x] = lhs * fa.hstack(fb).transpose()
     total = TripleObject._with_fspaces(s, x_parts, y_parts, eta, fsp)
