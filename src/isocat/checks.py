@@ -224,9 +224,7 @@ def suite_center_action(s: SpeciesScenario, rng: random.Random, samples: int) ->
     def test(z):
         endos = hom(z, z)
         for el in center.elements:
-            u = {x: z.x[x].act(el[x]) for x in s.x_ids}
-            v = {y: z.y[y].act(el[y]) for y in s.y_ids}
-            zf = TripleMorphism(z, z, u, v)
+            zf = TripleMorphism(z, z, {w: vs.act(el[w]) for w, vs in {**z.x, **z.y}.items()})
             err = zf.check()
             if err is not None:
                 raise InternalConsistencyError(f"center element is not an endomorphism: {err}")

@@ -341,6 +341,9 @@ def _echelon(rows: list[dict[int, int]]) -> tuple[list[int], list[dict[int, int]
     over their content, the pivot being the sparsest of them: a reduced row is the
     Bareiss minor vector over its content (one line holds both).  The pivots
     are the greedy column basis whatever the pick; det is scaled by lost / gained.
+    The echelon rows keep their keys in insertion order, not increasing: a
+    row's pivot is its least key, which need not be its first.  They are not
+    valid input again until each row's keys are sorted.
     """
     buckets: dict[int, list[dict[int, int]]] = {}  # rows by their first nonzero column
     for r in filter(None, rows):
@@ -866,10 +869,9 @@ def _int_squarefree(f: list[int]) -> list[tuple[list[int], int]]:
     return out
 
 
-def _int_divisors(n: int, budget: FactorBudget | None = None) -> list[int]:
+def _int_divisors(n: int, budget: FactorBudget) -> list[int]:
     n = abs(n)
-    if budget is not None:
-        budget.check_value(n)
+    budget.check_value(n)
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -908,8 +910,10 @@ def _first_rational_root(coeffs: list[int], budget: FactorBudget | None = None) 
     largest |a_i|.  Before the divisors are listed, a prime ell not dividing
     an at which f has no root mod ell proves there is none: q | an makes q
     invertible mod ell, so a root p/q would give the root p/q mod ell.  The
-    budget caps only the divisor enumeration, after that certificate.
+    budget (a fresh `FactorBudget()` when none is given) caps only the
+    divisor enumeration, after that certificate.
     """
+    budget = budget or FactorBudget()
     if not coeffs:
         return None
     a0, an = abs(coeffs[0]), abs(coeffs[-1])
@@ -929,8 +933,7 @@ def _first_rational_root(coeffs: list[int], budget: FactorBudget | None = None) 
     return None
 
 
-def _kronecker_factor(coeffs: list[int],
-                      budget: FactorBudget | None = None) -> tuple[list[int], list[int]] | None:
+def _kronecker_factor(coeffs: list[int], budget: FactorBudget) -> tuple[list[int], list[int]] | None:
     """Two primitive factors of a primitive square-free integer polynomial, or None if irreducible.
 
     Classic Kronecker interpolation: a degree-d factor is pinned by its
@@ -960,8 +963,7 @@ def _kronecker_factor(coeffs: list[int],
         while stack:
             i, picked = stack.pop()
             if i == len(pts):
-                if budget is not None:
-                    budget.spend_combo()
+                budget.spend_combo()
                 f = _interpolate(pts, picked)
                 if f is not None and len(f) == d + 1:
                     _, q, r = _int_poly_divmod(coeffs, f)
@@ -998,8 +1000,9 @@ def factor_rational(p: Polynomial,
     """Irreducible monic factors of p over Q, with multiplicities.
 
     The product of the factors equals p up to its leading coefficient.
-    With a budget, hostile inputs raise FactorBudgetExceeded instead of
-    grinding through huge divisor lists.
+    The work is capped by budget, a fresh `FactorBudget()` when none is
+    given: hostile inputs raise FactorBudgetExceeded instead of grinding
+    through huge divisor lists.
     """
     return [(Polynomial(f).monic(), m) for f, m in _int_factor(_to_primitive_int(p), budget)]
 
@@ -1008,9 +1011,11 @@ def _int_factor(f: list[int], budget: FactorBudget | None = None) -> list[tuple[
     """The primitive irreducible factors of a primitive f, with multiplicities.
 
     Square-free decomposition first, then Kronecker interpolation on each
-    square-free part.  The factors are sorted by degree, then by their monic
+    square-free part, all under one budget (a fresh `FactorBudget()` when
+    none is given).  The factors are sorted by degree, then by their monic
     coefficients.
     """
+    budget = budget or FactorBudget()
     if len(f) < 2:
         raise ValueError("factorization needs degree >= 1")
     if len(f) > 13:
@@ -1029,6 +1034,7 @@ def _int_factor(f: list[int], budget: FactorBudget | None = None) -> list[tuple[
 
 
 def is_irreducible(p: Polynomial, budget: FactorBudget | None = None) -> bool:
+    """Whether p is irreducible over Q, by `factor_rational`'s budgeted factorization."""
     if p.degree < 1:
         return False
     facs = _int_factor(_to_primitive_int(p), budget)

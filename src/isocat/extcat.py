@@ -1,21 +1,22 @@
 """The category of triples (X, Y, eta) over a species scenario.
 
 An object assigns a module to every vertex and, per x-vertex, a structure
-map eta from the induced tensor space F(Y) into the x-component.  Morphisms
-are pairs of equivariant block maps (u, v) with u . eta = eta' . F(v).  Hom
-and Ext^1 are the kernel and cokernel of psi(u, v) = u . eta - eta' . F(v),
-built as sparse integer columns from the nonzero entries of the equivariant
-bases; hom and ext1 of one pair share one build of psi.  Also here:
-universal extensions, length-1 projective resolutions,
-kernels/cokernels/images, torsion pairs, endomorphism algebras and an exact
-Krull-Schmidt-style decomposition.
+map eta from the induced tensor space F(Y) into the x-component.  A
+morphism is one equivariant map per vertex, u on the x-vertices and v on
+the y-vertices, with u . eta = eta' . F(v).  Hom and Ext^1 are the kernel
+and cokernel of psi(u, v) = u . eta - eta' . F(v), built as sparse integer
+columns from the nonzero entries of the equivariant bases; hom and ext1 of
+one pair share one build of psi.  Also here: universal extensions,
+length-1 projective resolutions, kernels/cokernels/images, torsion pairs,
+endomorphism algebras and an exact Krull-Schmidt-style decomposition.
 
-Tensor spaces use the slot basis m_i (x) f_c ordered (i, c): for the
-bimodule at (x, y), m_0..m_{r-1} is the greedy right basis of M over the y
-algebra and f_c is the basis the y component already has.  So F(v) is
-I_r (x) v, and block (k, i) of e_a's action on F(Y) is the action of
-d = left_coords(a)[i][k] on Y.  The slot layout is part of every object's
-identity, so serialized objects round-trip exactly.
+Each tensor space F(Y)_x is a `VertexSpace` of the x algebra like any
+other, with its y block offsets.  It uses the slot basis m_i (x) f_c
+ordered (i, c): for the bimodule at (x, y), m_0..m_{r-1} is the greedy
+right basis of M over the y algebra and f_c is the basis the y component
+already has.  So F(v) is I_r (x) v, and block (k, i) of e_a's action on
+F(Y) is the action of d = left_coords(a)[i][k] on Y.  The slot layout is
+part of every object's identity, so serialized objects round-trip exactly.
 
 Canonical components are shared values: `canonical_space` returns one
 space per (algebra instance, multiplicity), held by the algebra, and the F
@@ -84,16 +85,18 @@ class VertexSpace:
     """A Q-space with a unital action of one vertex algebra.
 
     `canonical` is (algebra key, multiplicity) for a `canonical_space`.  A
-    shared value has `_memo`, its `_hom_terms` by target.
+    tensor space F(Y)_x has `offsets`, where each y block starts; other
+    spaces have None.  A shared value has `_memo`, its `_hom_terms` by target.
     """
 
-    __slots__ = ("dim", "action", "_key", "canonical", "_memo")
+    __slots__ = ("dim", "action", "_key", "canonical", "offsets", "_memo")
 
     def __init__(self, dim: int, action: Sequence[RatMatrix],
-                 canonical: Optional[tuple] = None):
+                 canonical: Optional[tuple] = None, offsets: Optional[dict[str, int]] = None):
         self.dim = dim
         self.action = list(action)
         self.canonical = canonical
+        self.offsets = offsets
         self._key = self._memo = None
 
     def key(self) -> tuple:
@@ -138,7 +141,7 @@ _HOM_CACHE: dict[tuple, Terms] = {}  # commutant bases, as their terms
 
 def _hom_dim(alg: AlgebraSpec, src, dst) -> int:
     """The length of `_hom_terms(alg, src, dst)`: over a division algebra D every module is free,
-    so dim Hom_D(V, W) = dim V . dim W / dim D (Dlab-Ringel).  src may be an `FSpace`."""
+    so dim Hom_D(V, W) = dim V . dim W / dim D (Dlab-Ringel)."""
     return src.dim * dst.dim // alg.dim
 
 
@@ -183,20 +186,22 @@ def equivariant_hom_basis(alg: AlgebraSpec, src: VertexSpace, dst: VertexSpace) 
 # Tensor structure
 # ======================================================================
 
-class FSpace:
-    """The tensor space F(Y) at one x-vertex: y block offsets and (not from `_f_layout`) action."""
+def _build_fspaces(scenario: SpeciesScenario,
+                   y_parts: dict[str, VertexSpace]) -> dict[str, VertexSpace]:
+    """The tensor spaces F(Y)_x, each with its y block offsets and the action of the x algebra.
 
-    __slots__ = ("dim", "offsets", "space")
-
-    def __init__(self, dim: int, offsets: dict[str, int], space: Optional[VertexSpace]):
-        self.dim = dim
-        self.offsets = offsets
-        self.space = space
-
-
-def _f_layout(scenario: SpeciesScenario, y_parts: dict[str, VertexSpace]) -> dict[str, FSpace]:
-    """The tensor spaces' dims and y block offsets, without their actions."""
-    out: dict[str, FSpace] = {}
+    Cell (k, i) of the r x r grid at y, for e_a, is the m_k part of e_a . m_i: the
+    action of d = left_coords(a)[i][k] on Y_y.  When every y part is the
+    shared `canonical_space` of its own vertex's algebra, the result is one
+    shared value per (scenario instance, y multiplicities), held by the
+    scenario for its lifetime; nothing may write to it.  Every other input
+    is built afresh.
+    """
+    shared = all(_shared(scenario.algebra(y).spec, y_parts[y]) for y in scenario.y_ids)
+    key = tuple(y_parts[y].canonical[1] for y in scenario.y_ids) if shared else None
+    if key in scenario._canonical_fspaces:
+        return scenario._canonical_fspaces[key]
+    out = {}
     for x in scenario.x_ids:
         offsets: dict[str, int] = {}
         total = 0
@@ -206,50 +211,18 @@ def _f_layout(scenario: SpeciesScenario, y_parts: dict[str, VertexSpace]) -> dic
             if width:
                 offsets[y] = total
                 total += width
-        out[x] = FSpace(total, offsets, None)
-    return out
-
-
-def _build_fspaces(scenario: SpeciesScenario,
-                   y_parts: dict[str, VertexSpace]) -> dict[str, FSpace]:
-    """`_f_layout` with the action of the x algebra on each tensor space.
-
-    When every y part is the shared `canonical_space` of its own vertex's
-    algebra, the result is one shared value per (scenario instance, y
-    multiplicities), held by the scenario for its lifetime; nothing may
-    write to it.  Every other input is built afresh.
-    """
-    mults = []
-    for y in scenario.y_ids:
-        if not _shared(scenario.algebra(y).spec, y_parts[y]):
-            return _fspaces(scenario, y_parts)
-        mults.append(y_parts[y].canonical[1])
-    key = tuple(mults)
-    shared = scenario._canonical_fspaces.get(key)
-    if shared is None:
-        shared = scenario._canonical_fspaces[key] = _fspaces(scenario, y_parts)
-        for fsp in shared.values():
-            fsp.space._memo = {}
-    return shared
-
-
-def _fspaces(scenario: SpeciesScenario, y_parts: dict[str, VertexSpace]) -> dict[str, FSpace]:
-    """The tensor spaces with their actions, built afresh.
-
-    Cell (k, i) of the r x r grid at y, for e_a, is the m_k part of e_a . m_i: the
-    action of d = left_coords(a)[i][k] on Y_y.
-    """
-    out = _f_layout(scenario, y_parts)
-    for x, fsp in out.items():
         action = []
         for a in range(scenario.algebra(x).dim):
             cells = []
-            for y, off in fsp.offsets.items():
+            for y, off in offsets.items():
                 vs, d = y_parts[y], y_parts[y].dim
                 for i, row in enumerate(scenario.bimodules[(x, y)].left_coords(a)):
                     cells += [(off + k * d, off + i * d, vs.act(c)) for k, c in enumerate(row) if any(c)]
-            action.append(_assemble(fsp.dim, fsp.dim, cells))
-        fsp.space = VertexSpace(fsp.dim, action)
+            action.append(_assemble(total, total, cells))
+        out[x] = VertexSpace(total, action, offsets=offsets)
+        out[x]._memo = {} if shared else None
+    if shared:
+        scenario._canonical_fspaces[key] = out
     return out
 
 
@@ -277,7 +250,7 @@ def _block_diag(blocks: list[RatMatrix]) -> RatMatrix:
     return _assemble(r, c, placed)
 
 
-def _eta_f(z2: "TripleObject", x: str, v: dict, src_f: dict[str, FSpace]) -> RatMatrix:
+def _eta_f(z2: "TripleObject", x: str, v: dict, src_f: dict[str, VertexSpace]) -> RatMatrix:
     """eta'_x . F(v) for v: Y -> z2.y, with no F(v) = I_r (x) v_y built: slot i of y's columns is eta'
     at its own slot i of y times v_y (a v_y given as a list of indices is the unit columns there)."""
     eta, sf, df, blocks = z2.eta[x], src_f[x], z2.f[x], []
@@ -296,39 +269,36 @@ def _eta_f(z2: "TripleObject", x: str, v: dict, src_f: dict[str, FSpace]) -> Rat
 # ======================================================================
 
 class TripleObject:
-    """An object (X, Y, eta) over a fixed scenario."""
+    """An object (X, Y, eta) over a fixed scenario; the constructor checks every invariant (`validate`)."""
 
     def __init__(self, scenario: SpeciesScenario, x_parts: dict[str, VertexSpace],
-                 y_parts: dict[str, VertexSpace], eta: dict[str, RatMatrix],
-                 check: bool = True):
-        self._setup(scenario, x_parts, y_parts, eta, None, check)
+                 y_parts: dict[str, VertexSpace], eta: dict[str, RatMatrix]):
+        err = _components_error(scenario, x_parts, y_parts)  # before F(Y) is built on y_parts
+        if err is not None:
+            raise TripleError(err)
+        self._setup(scenario, x_parts, y_parts, eta, _build_fspaces(scenario, y_parts))
+        err = _eta_error(self)
+        if err is not None:
+            raise TripleError(err)
 
     @classmethod
     def _with_fspaces(cls, scenario: SpeciesScenario, x_parts: dict[str, VertexSpace],
                       y_parts: dict[str, VertexSpace], eta: dict[str, RatMatrix],
-                      fspaces: dict[str, FSpace]) -> "TripleObject":
-        """The unchecked object over y_parts, with `_build_fspaces(scenario, y_parts)` built already."""
+                      fspaces: dict[str, VertexSpace]) -> "TripleObject":
+        """The object over y_parts with `_build_fspaces(scenario, y_parts)` built already, for parts
+        and an eta its caller vouches for: only eta's presence and shapes are checked."""
         z = cls.__new__(cls)
-        z._setup(scenario, x_parts, y_parts, eta, fspaces, check=False)
+        z._setup(scenario, x_parts, y_parts, eta, fspaces)
         return z
 
     def _setup(self, scenario: SpeciesScenario, x_parts: dict[str, VertexSpace],
                y_parts: dict[str, VertexSpace], eta: dict[str, RatMatrix],
-               fspaces: Optional[dict[str, FSpace]], check: bool) -> None:
+               fspaces: dict[str, VertexSpace]) -> None:
         self.scenario = scenario
         self.x = dict(x_parts)
         self.y = dict(y_parts)
         self.eta = dict(eta)
-        for xv in scenario.x_ids:
-            if xv not in self.x:
-                raise TripleError(f"missing x component at {xv!r}")
-        for yv in scenario.y_ids:
-            if yv not in self.y:
-                raise TripleError(f"missing y component at {yv!r}")
-        err = _components_error(scenario, self.x, self.y) if check else None
-        if err is not None:
-            raise TripleError(err)
-        self.f = fspaces if fspaces is not None else _build_fspaces(scenario, self.y)
+        self.f = fspaces
         for xv in scenario.x_ids:
             m = self.eta.get(xv)
             if m is None:
@@ -336,9 +306,6 @@ class TripleObject:
             if (m.rows, m.cols) != (self.x[xv].dim, self.f[xv].dim):
                 raise TripleError(f"eta at {xv!r} has shape {m.rows}x{m.cols}, "
                                   f"expected {self.x[xv].dim}x{self.f[xv].dim}")
-        err = _eta_error(self) if check else None
-        if err is not None:
-            raise TripleError(err)
 
     def total_dim(self) -> int:
         return (sum(v.dim for v in self.x.values())
@@ -372,13 +339,15 @@ def _space_error(alg: AlgebraSpec, vs: VertexSpace) -> Optional[str]:
 
 def _components_error(s: SpeciesScenario, x_parts: dict[str, VertexSpace],
                       y_parts: dict[str, VertexSpace]) -> Optional[str]:
-    """None if every component is a unital representation, else the first violation.
+    """None if every component is present and a unital representation, else the first violation.
 
     A shared canonical space at a vertex of its own algebra instance is
     skipped: it acts by I_m (x) L_b, and `AlgebraSpec` checked L's laws.
     """
     for ids, parts, side in ((s.x_ids, x_parts, "x"), (s.y_ids, y_parts, "y")):
         for v in ids:
+            if v not in parts:
+                return f"missing {side} component at {v!r}"
             spec, vs = s.algebra(v).spec, parts[v]
             if _shared(spec, vs):
                 continue
@@ -396,7 +365,7 @@ def _eta_error(z: TripleObject) -> Optional[str]:
         eta = z.eta[xv]
         fsp = z.f[xv]
         for a in range(alg.dim):
-            if eta * fsp.space.action[a] != z.x[xv].action[a] * eta:
+            if eta * fsp.action[a] != z.x[xv].action[a] * eta:
                 return f"eta at {xv!r} is not equivariant for algebra basis element {a}"
     return None
 
@@ -408,21 +377,28 @@ def validate(z: TripleObject) -> Optional[str]:
 
 @dataclass
 class TripleMorphism:
-    """A pair of equivariant component maps with a commuting eta square."""
+    """One equivariant map per vertex, maps[w]: source_w -> target_w, with a commuting eta square.
+
+    maps runs in vertex order, x-vertices then y-vertices.  `u` and `v`, its
+    x part and its y part, are read-only views for outside callers; each
+    builds a dict.
+    """
 
     source: TripleObject
     target: TripleObject
-    u: dict[str, RatMatrix]
-    v: dict[str, RatMatrix]
+    maps: dict[str, RatMatrix]
+
+    u = property(lambda self: {x: self.maps[x] for x in self.source.scenario.x_ids})
+    v = property(lambda self: {y: self.maps[y] for y in self.source.scenario.y_ids})
 
     def check(self) -> Optional[str]:
         s = self.source.scenario
         if self.target.scenario is not s:
             return "source and target live over different scenarios"
-        for ids, maps, src, dst, name in ((s.x_ids, self.u, self.source.x, self.target.x, "u"),
-                                          (s.y_ids, self.v, self.source.y, self.target.y, "v")):
+        for ids, src, dst, name in ((s.x_ids, self.source.x, self.target.x, "u"),
+                                    (s.y_ids, self.source.y, self.target.y, "v")):
             for w in ids:  # the map's presence and shape, before any product with it
-                f = maps.get(w)
+                f = self.maps.get(w)
                 if f is None:
                     return f"missing {name} map at {w!r}"
                 if f.rows != dst[w].dim or f.cols != src[w].dim:
@@ -431,7 +407,7 @@ class TripleMorphism:
                 if s.algebra(w).dim > 1 and any(f * m != n * f for m, n in zip(src[w].action, dst[w].action)):
                     return f"{name} at {w!r} not equivariant"
         for xv in s.x_ids:
-            if self.u[xv] * self.source.eta[xv] != _eta_f(self.target, xv, self.v, self.source.f):
+            if self.maps[xv] * self.source.eta[xv] != _eta_f(self.target, xv, self.maps, self.source.f):
                 return f"eta square does not commute at {xv!r}"
         return None
 
@@ -440,30 +416,22 @@ class TripleMorphism:
         _same_scenario(other.source, self.target)
         if not _same_object(other.target, self.source):
             raise TripleError("composition endpoint mismatch")
-        u = {x: self.u[x] * other.u[x] for x in self.u}
-        v = {y: self.v[y] * other.v[y] for y in self.v}
-        return TripleMorphism(other.source, self.target, u, v)
+        return TripleMorphism(other.source, self.target, {w: m * other.maps[w] for w, m in self.maps.items()})
 
     def __add__(self, other: "TripleMorphism") -> "TripleMorphism":
         _same_scenario(self.source, self.target)
         if not (_same_object(self.source, other.source) and _same_object(self.target, other.target)):
             raise TripleError("sum endpoint mismatch")
-        u = {x: self.u[x] + other.u[x] for x in self.u}
-        v = {y: self.v[y] + other.v[y] for y in self.v}
-        return TripleMorphism(self.source, self.target, u, v)
+        return TripleMorphism(self.source, self.target, {w: m + other.maps[w] for w, m in self.maps.items()})
 
     def __sub__(self, other: "TripleMorphism") -> "TripleMorphism":
-        negated = {w: -m for w, m in {**other.u, **other.v}.items()}
-        return self + _morphism(other.source, other.target, negated)
+        return self + TripleMorphism(other.source, other.target, {w: -m for w, m in other.maps.items()})
 
     def scale(self, c) -> "TripleMorphism":
-        u = {x: m.scale(c) for x, m in self.u.items()}
-        v = {y: m.scale(c) for y, m in self.v.items()}
-        return TripleMorphism(self.source, self.target, u, v)
+        return TripleMorphism(self.source, self.target, {w: m.scale(c) for w, m in self.maps.items()})
 
     def is_zero(self) -> bool:
-        return (all(m.is_zero() for m in self.u.values())
-                and all(m.is_zero() for m in self.v.values()))
+        return all(m.is_zero() for m in self.maps.values())
 
     def flatten(self) -> list[Fraction]:
         flat, den = _flat_morphism(self)
@@ -471,43 +439,34 @@ class TripleMorphism:
 
 
 def _flat_morphism(m: TripleMorphism) -> tuple[list[int], int]:
-    """The entries `TripleMorphism.flatten` lists, as integers over one denominator."""
-    s = m.source.scenario
-    return _flat_matrices([m.u[x] for x in s.x_ids] + [m.v[y] for y in s.y_ids])
+    """The entries `TripleMorphism.flatten` lists, as integers over one denominator, in vertex order."""
+    return _flat_matrices([m.maps[w] for w in m.source.scenario.vertex_order()])
 
 
 def _unflatten(z: TripleObject, flat: Sequence[int], den: int) -> TripleMorphism:
     """The endomorphism of z whose `_flat_morphism` is (flat, den)."""
     it, spaces = iter(flat), {**z.x, **z.y}
     dims = [(w, spaces[w].dim) for w in z.scenario.vertex_order()]  # `_flat_morphism`'s order
-    return _morphism(z, z, {w: RatMatrix._fresh(n, n, [[next(it) for _ in range(n)] for _ in range(n)], den)
-                            for w, n in dims})
-
-
-def _morphism(src: TripleObject, dst: TripleObject, maps: dict[str, RatMatrix]) -> TripleMorphism:
-    """The morphism src -> dst with maps[w] at every vertex w."""
-    s = src.scenario
-    return TripleMorphism(src, dst, {x: maps[x] for x in s.x_ids}, {y: maps[y] for y in s.y_ids})
+    return TripleMorphism(z, z, {w: RatMatrix._fresh(n, n, [[next(it) for _ in range(n)] for _ in range(n)], den)
+                                 for w, n in dims})
 
 
 def zero_morphism(src: TripleObject, dst: TripleObject) -> TripleMorphism:
-    at = {**dst.x, **dst.y}
-    return _morphism(src, dst, {w: RatMatrix.zeros(at[w].dim, vs.dim) for w, vs in {**src.x, **src.y}.items()})
+    at, to = {**src.x, **src.y}, {**dst.x, **dst.y}
+    return TripleMorphism(src, dst, {w: RatMatrix.zeros(to[w].dim, at[w].dim) for w in src.scenario.vertex_order()})
 
 
 def _combine_morphisms(src: TripleObject, dst: TripleObject, basis: Sequence[TripleMorphism],
                        coeffs: Sequence) -> TripleMorphism:
     """sum_k coeffs[k] * basis[k] for morphisms src -> dst, one matrix per vertex."""
-    s = src.scenario
-    u = {x: RatMatrix.combine([m.u[x] for m in basis], coeffs, dst.x[x].dim, src.x[x].dim)
-         for x in s.x_ids}
-    v = {y: RatMatrix.combine([m.v[y] for m in basis], coeffs, dst.y[y].dim, src.y[y].dim)
-         for y in s.y_ids}
-    return TripleMorphism(src, dst, u, v)
+    at, to = {**src.x, **src.y}, {**dst.x, **dst.y}
+    return TripleMorphism(src, dst, {w: RatMatrix.combine([m.maps[w] for m in basis], coeffs, to[w].dim, at[w].dim)
+                                     for w in src.scenario.vertex_order()})
 
 
 def identity_morphism(z: TripleObject) -> TripleMorphism:
-    return _morphism(z, z, {w: RatMatrix.identity(vs.dim) for w, vs in {**z.x, **z.y}.items()})
+    at = {**z.x, **z.y}
+    return TripleMorphism(z, z, {w: RatMatrix.identity(at[w].dim) for w in z.scenario.vertex_order()})
 
 
 # -- convenient constructors -------------------------------------------
@@ -543,7 +502,7 @@ def x_only(z: TripleObject) -> TripleObject:
     s = z.scenario
     y_parts = {y: canonical_space(s.algebra(y), 0) for y in s.y_ids}
     eta = {x: RatMatrix.zeros(z.x[x].dim, 0) for x in s.x_ids}
-    return TripleObject(s, dict(z.x), y_parts, eta, check=False)
+    return TripleObject._with_fspaces(s, dict(z.x), y_parts, eta, _build_fspaces(s, y_parts))
 
 
 def y_only(z: TripleObject) -> TripleObject:
@@ -574,7 +533,7 @@ def _bases(z: TripleObject, z2: TripleObject) -> tuple[dict[str, Terms], dict[st
     s = _same_scenario(z, z2)
     return ({x: _hom_terms(s.algebra(x).spec, z.x[x], z2.x[x]) for x in s.x_ids},
             {y: _hom_terms(s.algebra(y).spec, z.y[y], z2.y[y]) for y in s.y_ids},
-            {x: _hom_terms(s.algebra(x).spec, z.f[x].space, z2.x[x]) for x in s.x_ids})
+            {x: _hom_terms(s.algebra(x).spec, z.f[x], z2.x[x]) for x in s.x_ids})
 
 
 def hom_space_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, int]:
@@ -688,12 +647,12 @@ def _remember(z: TripleObject, z2: TripleObject, data: tuple, onto: bool) -> Non
     _LAST_PSI = (weakref.ref(z), weakref.ref(z2), data, onto)
 
 
-def _pair_psi(z: TripleObject, z2: TripleObject) -> tuple[tuple, bool]:
-    """(`_psi_data(z, z2)`, whether psi is proved onto), from `_LAST_PSI` when it holds this pair."""
+def _pair_psi(z: TripleObject, z2: TripleObject, dims: Optional[tuple[int, int, int]] = None) -> tuple[tuple, bool]:
+    """(`_psi_data(z, z2, dims)`, whether psi is proved onto), from `_LAST_PSI` when it holds this pair."""
     slot = _LAST_PSI
     if slot is not None and slot[0]() is z and slot[1]() is z2:
         return slot[2], slot[3]
-    data = _psi_data(z, z2)
+    data = _psi_data(z, z2, dims)
     _remember(z, z2, data, False)
     return data, False
 
@@ -717,10 +676,11 @@ def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
     psi, as in most of check-suite's calls, is the identity, and no basis is
     built until an element is read.
     """
-    data, _ = _pair_psi(z, z2)
+    dims = hom_space_dims(z, z2)
+    data, _ = _pair_psi(z, z2, dims)
     _, _, _, _, (nrows, columns) = data
     if nrows and columns:
-        rank, count, vector = _y_side_kernel(columns, hom_space_dims(z, z2)[0])
+        rank, count, vector = _y_side_kernel(columns, dims[0])
     else:  # every column is free: the identity, with no elimination
         rank, count, vector = 0, len(columns), lambda k: ([int(c == k) for c in range(len(columns))], 1)
     _remember(z, z2, data, rank == nrows)  # whether psi is onto
@@ -789,12 +749,11 @@ def _kernel_morphism(z: TripleObject, z2: TripleObject, data: tuple):
     def morphism(vec: list[int], vden: int) -> TripleMorphism:
         if not sparse:
             ubases, vbases, _ = data[:3] if data[0] is not None else _bases(z, z2)
-            sparse.extend((side, w, *bases[w], dst[w].dim, src[w].dim) for side, ids, bases, src, dst in
-                          ((0, s.x_ids, ubases, z.x, z2.x), (1, s.y_ids, vbases, z.y, z2.y)) for w in ids)
-        coeffs, parts = iter(vec), ({}, {})
-        for side, w, terms, den, rows, cols in sparse:  # each takes the next len(terms) coefficients
-            parts[side][w] = _combine_terms(terms, coeffs, vden * den, rows, cols)
-        return TripleMorphism(z, z2, *parts)
+            sparse.extend((w, *bases[w], dst[w].dim, src[w].dim) for ids, bases, src, dst in
+                          ((s.x_ids, ubases, z.x, z2.x), (s.y_ids, vbases, z.y, z2.y)) for w in ids)
+        coeffs = iter(vec)  # each vertex takes the next len(terms) coefficients
+        return TripleMorphism(z, z2, {w: _combine_terms(terms, coeffs, vden * den, rows, cols)
+                                      for w, terms, den, rows, cols in sparse})
     return morphism
 
 
@@ -849,6 +808,8 @@ def _y_side_kernel(columns: list, nu: int) -> tuple[int, int, Callable[[int], tu
                 row[n + j] = 1
             pivots, ech, _, _ = _echelon(w)
             r = bisect_left(pivots, n)
+            # the left-null rows N keep `_echelon`'s key order, not increasing: they are read
+            # only through the sums below, whose keys are sorted, never eliminated again
             echs[wkey] = (n, len(w), pivots[:r], ech[:r], [{j - n: e for j, e in row.items()} for row in ech[r:]])
         crows, (_, _, pivots, _, nulls) = list(at), echs[wkey]
         blocks.append((ccols, crows, wkey))
@@ -988,7 +949,7 @@ def universal_extension(scenario: SpeciesScenario,
                         y_parts: dict[str, VertexSpace]) -> TripleObject:
     """E(Y) = (F(Y), Y, identity)."""
     fsp = _build_fspaces(scenario, y_parts)
-    x_parts = {x: fsp[x].space for x in scenario.x_ids}
+    x_parts = {x: fsp[x] for x in scenario.x_ids}
     eta = {x: RatMatrix.identity(fsp[x].dim) for x in scenario.x_ids}
     return TripleObject._with_fspaces(scenario, x_parts, dict(y_parts), eta, fsp)
 
@@ -1028,12 +989,11 @@ def projective_resolution(z: TripleObject) -> Resolution:
     p1 = x_only(ey)  # (F(Y), 0, 0)
     p0, (i_x, i_e), _ = direct_sum(x_only(z), ey)
     # d1 = (eta, iota): w |-> (eta w, w)
-    u1 = {x: i_x.u[x] * z.eta[x] + i_e.u[x] for x in s.x_ids}
-    d1 = TripleMorphism(p1, p0, u1, {y: RatMatrix.zeros(p0.y[y].dim, 0) for y in s.y_ids})
+    d1 = TripleMorphism(p1, p0, {w: i_x.maps[w] * z.eta[w] + i_e.maps[w] if w in z.x
+                                 else RatMatrix.zeros(p0.y[w].dim, 0) for w in s.vertex_order()})
     # d0 = f - mu: (x, w, y) |-> x - eta w on the x side, -y on the y side
-    u0 = {x: RatMatrix.identity(z.x[x].dim).hstack(z.eta[x].scale(-1)) for x in s.x_ids}
-    v0 = {y: RatMatrix.identity(z.y[y].dim).scale(-1) for y in s.y_ids}
-    d0 = TripleMorphism(p0, z, u0, v0)
+    d0 = TripleMorphism(p0, z, {w: RatMatrix.identity(z.x[w].dim).hstack(z.eta[w].scale(-1)) if w in z.x
+                                else RatMatrix.identity(z.y[w].dim).scale(-1) for w in s.vertex_order()})
     return Resolution(z, p1, p0, d1, d0)
 
 
@@ -1089,8 +1049,8 @@ def direct_sum_many(objs: Sequence[TripleObject]):
     for k, (z, comp) in enumerate(zip(objs, comps)):
         inc = {v: _assemble(parts[v].dim, comp[v].dim, [(at[v][k], 0, RatMatrix.identity(comp[v].dim))])
                for v in parts}
-        incs.append(_morphism(z, total, inc))
-        projs.append(_morphism(total, z, {v: m.transpose() for v, m in inc.items()}))
+        incs.append(TripleMorphism(z, total, inc))
+        projs.append(TripleMorphism(total, z, {v: m.transpose() for v, m in inc.items()}))
     return total, incs, projs
 
 
@@ -1158,7 +1118,7 @@ def _frames(f: TripleMorphism):
     included by K (the identity at F); I[:, P] and I[F, :] are given as P and F.
     """
     im, ker, c = ({}, {}), ({}, {}), {}
-    for v, m in {**f.u, **f.v}.items():
+    for v, m in f.maps.items():
         im[0][v], im[1][v], null, ker[0][v] = _eliminated(m)
         c[v], ker[1][v] = m.submatrix(range(m.rows), im[1][v]), null.transpose()
     return im, ker, c
@@ -1179,9 +1139,9 @@ def abelian_ops(f: TripleMorphism) -> AbelianOps:
     for v, m in c.items():
         cok[0][v], cok[1][v] = _null_rows(m.transpose())
     kernel, image, cokernel = _retract(z, *ker), _retract(z, *im), _retract(z2, *cok)
-    return AbelianOps(kernel, _checked(_morphism(kernel, z, ker[1])),
-                      image, _checked(_morphism(image, z2, c)), _morphism(z, image, im[0]),
-                      cokernel, _checked(_morphism(z2, cokernel, cok[0])))
+    return AbelianOps(kernel, _checked(TripleMorphism(kernel, z, ker[1])),
+                      image, _checked(TripleMorphism(image, z2, c)), TripleMorphism(z, image, im[0]),
+                      cokernel, _checked(TripleMorphism(z2, cokernel, cok[0])))
 
 
 def verify_short_exact(inc: TripleMorphism, proj: TripleMorphism) -> bool:
@@ -1191,21 +1151,19 @@ def verify_short_exact(inc: TripleMorphism, proj: TripleMorphism) -> bool:
 
 def _exact_by_ranks(inc: TripleMorphism, proj: TripleMorphism) -> bool:
     """Given proj . inc = 0: inc injective, proj surjective and dim B = dim A + dim C everywhere."""
-    s = inc.source.scenario
-    for ids, f, g, sa, sb, sc in ((s.x_ids, inc.u, proj.u, inc.source.x, inc.target.x, proj.target.x),
-                                  (s.y_ids, inc.v, proj.v, inc.source.y, inc.target.y, proj.target.y)):
-        for vtx in ids:
-            a, b, c = sa[vtx].dim, sb[vtx].dim, sc[vtx].dim
-            if f[vtx].rank() != a or g[vtx].rank() != c or a + c != b:
-                return False
+    sa, sb, sc = ({**z.x, **z.y} for z in (inc.source, inc.target, proj.target))
+    for vtx in inc.source.scenario.vertex_order():
+        a, b, c = sa[vtx].dim, sb[vtx].dim, sc[vtx].dim
+        if inc.maps[vtx].rank() != a or proj.maps[vtx].rank() != c or a + c != b:
+            return False
     return True
 
 
 def torsion_pair(z: TripleObject) -> tuple[TripleMorphism, TripleMorphism]:
     """The canonical sequence 0 -> (X,0,0) -> z -> (0,Y,0) -> 0."""
-    s, unit = z.scenario, identity_morphism(z)
-    inc = TripleMorphism(x_only(z), z, unit.u, {y: RatMatrix.zeros(z.y[y].dim, 0) for y in s.y_ids})
-    proj = TripleMorphism(z, y_only(z), {x: RatMatrix.zeros(0, z.x[x].dim) for x in s.x_ids}, unit.v)
+    unit = identity_morphism(z).maps
+    inc = TripleMorphism(x_only(z), z, {w: unit[w] if w in z.x else RatMatrix.zeros(z.y[w].dim, 0) for w in unit})
+    proj = TripleMorphism(z, y_only(z), {w: RatMatrix.zeros(0, z.x[w].dim) if w in z.x else unit[w] for w in unit})
     return inc, proj
 
 
@@ -1261,7 +1219,7 @@ def is_universal(z: TripleObject) -> UniversalityReport:
     end_basis = hom(z, z)
     sv = hom_space_dims(z, z)[1]
     vflat_len = sum(z.y[y].dim ** 2 for y in s.y_ids)
-    vflats = [_flat_matrices([m.v[y] for y in s.y_ids]) for m in end_basis]
+    vflats = [_flat_matrices([m.maps[y] for y in s.y_ids]) for m in end_basis]
     vrank = _flat_columns(vflats, vflat_len).rank() if vflats else 0
     transport = (len(end_basis) == sv == vrank)
     self_ext = ext1(z, z).dim == 0
@@ -1312,8 +1270,7 @@ class Decomposition:
 
 
 def _total_matrix(m: TripleMorphism) -> RatMatrix:
-    s = m.source.scenario
-    return _block_diag([m.u[x] for x in s.x_ids] + [m.v[y] for y in s.y_ids])
+    return _block_diag(list(m.maps.values()))
 
 
 def _image_split(z: TripleObject, e: TripleMorphism):
@@ -1326,13 +1283,13 @@ def _image_split(z: TripleObject, e: TripleMorphism):
     """
     im, ker, c = _frames(e)
     comp = {}  # (1 - e)[F, :]
-    for v, m in {**e.u, **e.v}.items():
+    for v, m in e.maps.items():
         rows = [[m.den * (j == r) - x for j, x in enumerate(m.num[r])] for r in ker[0][v]]
         comp[v] = RatMatrix._fresh(len(rows), m.cols, rows, m.den)
     pieces = []
     for (p, i), inc, proj in ((im, c, im[0]), (ker, ker[1], comp)):
         w = _retract(z, p, i)
-        pieces.append((w, _checked(_morphism(w, z, inc)), _morphism(z, w, proj)))
+        pieces.append((w, _checked(TripleMorphism(w, z, inc)), TripleMorphism(z, w, proj)))
     if not all(p[0].total_dim() for p in pieces):
         raise InternalConsistencyError("idempotent split produced a zero piece")
     return pieces
@@ -1388,7 +1345,7 @@ def _splitting_idempotent(z: TripleObject,
         if not k:
             continue
         blocks = [RatMatrix._of(m.rows, m.cols, [[x * (den // m.den) // k for x in r] for r in m.num])
-                  for m in (*raw.u.values(), *raw.v.values())]
+                  for m in raw.maps.values()]
         split = _coprime_parts(_int_min_poly_matrix(*blocks))
         if split is None:
             continue
@@ -1407,8 +1364,7 @@ def _splitting_idempotent(z: TripleObject,
             continue
         if any(a * a != a.scale(d) for a in accs):
             raise InternalConsistencyError("constructed projector is not idempotent")
-        es = (RatMatrix._fresh(a.rows, a.rows, a.num, d) for a in accs)  # u, then v
-        return TripleMorphism(z, z, dict(zip(raw.u, es)), dict(zip(raw.v, es)))
+        return TripleMorphism(z, z, {w: RatMatrix._fresh(a.rows, a.rows, a.num, d) for w, a in zip(raw.maps, accs)})
     return None
 
 

@@ -20,7 +20,7 @@ import json
 from fractions import Fraction
 from .catalog import CATALOG_IDS, catalog_scenario
 from .exactalg import Polynomial, RatMatrix
-from .extcat import TripleError, TripleObject, VertexSpace, _eta_error, _space_error
+from .extcat import TripleError, TripleObject, VertexSpace, _build_fspaces, _eta_error, _space_error
 from .species import (
     Bimodule,
     DivisionAlgebraHandle,
@@ -234,8 +234,7 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
 
     x_parts = side(scenario.x_ids, doc.get("x", {}))
     y_parts = side(scenario.y_ids, doc.get("y", {}))
-    from .extcat import _f_layout
-    fdims = {x: f.dim for x, f in _f_layout(scenario, y_parts).items()}
+    fsp = _build_fspaces(scenario, y_parts)
     eta = {}
     for v in scenario.x_ids:
         grid = doc.get("eta", {}).get(v)
@@ -244,8 +243,8 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
         # an empty grid cannot carry its column count; rebuild it at the
         # tensor dimension the scenario dictates
         eta[v] = matrix_from_json(grid, rows=x_parts[v].dim,
-                                  cols=fdims[v] if not grid else None)
-    z = TripleObject(scenario, x_parts, y_parts, eta, check=False)  # components checked in side()
+                                  cols=fsp[v].dim if not grid else None)
+    z = TripleObject._with_fspaces(scenario, x_parts, y_parts, eta, fsp)  # components checked in side()
     err = _eta_error(z)
     if err is not None:
         raise TripleError(err)

@@ -75,7 +75,7 @@ def random_object_with(scenario: SpeciesScenario, mult: dict[str, int],
     fsp = _build_fspaces(scenario, y_parts)
     eta = {}
     for x in scenario.x_ids:
-        terms, den = _hom_terms(scenario.algebra(x).spec, fsp[x].space, x_parts[x])
+        terms, den = _hom_terms(scenario.algebra(x).spec, fsp[x], x_parts[x])
         coeffs = [rng.randrange(-eta_bound, eta_bound + 1) for _ in terms]
         eta[x] = _combine_terms(terms, coeffs, den, x_parts[x].dim, fsp[x].dim)
     return TripleObject._with_fspaces(scenario, x_parts, y_parts, eta, fsp)

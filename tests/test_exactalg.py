@@ -777,6 +777,17 @@ def test_rational_roots_budget_checks_a0_and_an_first(coeffs, cap, raises):
     assert found_root(coeffs) == first_root(coeffs)
 
 
+def test_factoring_without_a_budget_argument_is_budgeted():
+    # (t^2 - 288)(t^2 - 432)(t^2 - 124416) has a root mod every prime and no
+    # rational root, so its rational-root search reaches the divisors of
+    # a0 = -288 . 432 . 124416, about -1.55 . 10^10: over the default cap
+    coeffs = [int(c) for c in (FPoly([-288, 0, 1]) * FPoly([-432, 0, 1]) * FPoly([-124416, 0, 1])).coeffs]
+    for call in (lambda: factor_rational(Polynomial(coeffs)), lambda: is_irreducible(Polynomial(coeffs)),
+                 lambda: _first_rational_root(coeffs)):
+        with pytest.raises(FactorBudgetExceeded):
+            call()
+
+
 def _fraction_gcd(a, b):
     """Euclid over Fraction coefficients, the reference for `_int_poly_gcd`."""
     while not b.is_zero():

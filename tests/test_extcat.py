@@ -146,7 +146,7 @@ def test_objects_built_with_their_tensor_spaces_keep_the_eta_shape_check():
     z = random_object_with(s, {"u": 1, "a1": 2}, random.Random(4))
     for obj in (z, universal_extension_of(z), y_only(z)):
         again = TripleObject(s, obj.x, obj.y, obj.eta)
-        assert [obj.f[x].space.key() for x in s.x_ids] == [again.f[x].space.key() for x in s.x_ids]
+        assert [obj.f[x].key() for x in s.x_ids] == [again.f[x].key() for x in s.x_ids]
     with pytest.raises(TripleError, match="has shape"):
         TripleObject._with_fspaces(s, z.x, z.y, {"u": RatMatrix.zeros(2, 3)}, z.f)
 
@@ -219,6 +219,20 @@ def test_hom_eliminates_its_one_distinct_component_once_at_multiplicity_eight(mo
     assert len(hom(z, z)) == 64
     assert sizes == [24]
     assert extcat._LAST_PSI[3]  # 8 components of rank 24: psi is onto
+
+
+def test_hom_sizes_its_pair_once(monkeypatch):
+    # psi's sizes and the u column count are one `hom_space_dims`
+    s = catalog_scenario("d4_elliptic")
+    rng = random.Random(2)
+    a, b = (random_object_with(s, {v: 1 for v in s.vertex_order()}, rng) for _ in range(2))
+    su, sv, sf = hom_space_dims(a, b)
+    assert su + sv and sf  # psi has columns and rows
+    calls = []
+    monkeypatch.setattr(extcat, "hom_space_dims", lambda z, z2: calls.append(1) or hom_space_dims(z, z2))
+    monkeypatch.setattr(extcat, "_LAST_PSI", None)
+    hom(a, b)
+    assert len(calls) == 1
 
 
 def test_hom_builds_only_the_elements_it_reads(monkeypatch):
@@ -501,7 +515,7 @@ def reference_dims(a, b):
 
     su = sum(equivariant_dim(a.x[x].action, b.x[x].action, *u_dims[x]) for x in s.x_ids)
     sv = sum(equivariant_dim(a.y[y].action, b.y[y].action, *v_dims[y]) for y in s.y_ids)
-    sf = sum(equivariant_dim(a.f[x].space.action, b.x[x].action,
+    sf = sum(equivariant_dim(a.f[x].action, b.x[x].action,
                              b.x[x].dim, a.f[x].dim) for x in s.x_ids)
     ext_dim = hom_dim - (su + sv - sf)
     return hom_dim, ext_dim, (su, sv, sf)
@@ -612,7 +626,7 @@ def test_hom_ext1_euler_agree_and_projection_kills_psi():
             assert (len(homs), res.dim) == reference_hom_ext_dims(a, b)
             assert all(m.check() is None for m in homs)
             psi, offsets = psi_matrix(a, b)
-            fbases = {x: equivariant_hom_basis(s.algebra(x).spec, a.f[x].space, b.x[x]) for x in s.x_ids}
+            fbases = {x: equivariant_hom_basis(s.algebra(x).spec, a.f[x], b.x[x]) for x in s.x_ids}
             assert (psi.rows, psi.cols) == (sf, su + sv)
             assert (res.projection * psi).is_zero()
             assert res.projection.rows == res.dim == sf - psi.rank()
@@ -638,7 +652,7 @@ def dense_psi_and_hom(a, b):
     s = a.scenario
     ub = {x: equivariant_hom_basis(s.algebra(x).spec, a.x[x], b.x[x]) for x in s.x_ids}
     vb = {y: equivariant_hom_basis(s.algebra(y).spec, a.y[y], b.y[y]) for y in s.y_ids}
-    fb = {x: equivariant_hom_basis(s.algebra(x).spec, a.f[x].space, b.x[x]) for x in s.x_ids}
+    fb = {x: equivariant_hom_basis(s.algebra(x).spec, a.f[x], b.x[x]) for x in s.x_ids}
     images = [{x: uk * a.eta[x]} for x in s.x_ids for uk in ub[x]]
     for y in s.y_ids:
         for vl in vb[y]:
@@ -723,7 +737,7 @@ def assert_hom_matches_dense(a, b):
     assert len(basis) == len(ref) and all(m.check() is None for m in basis)
     if basis:
         ours = [m.flatten() for m in basis]
-        stacked = ours + [TripleMorphism(a, b, u, v).flatten() for u, v in ref]
+        stacked = ours + [TripleMorphism(a, b, {**u, **v}).flatten() for u, v in ref]
         assert RatMatrix.from_rows(ours).rank() == len(ours) == RatMatrix.from_rows(stacked).rank()
     if a is b:
         assert [(m.u, m.v) for m in extcat._end_basis(a)] == ref
@@ -868,7 +882,7 @@ def test_canonical_spaces_and_their_f_spaces_match_the_generic_path():
                 closed = _build_fspaces(s, y_parts)
                 generic = _build_fspaces(s, {y: untagged(vs) for y, vs in y_parts.items()})
                 for x in s.x_ids:
-                    assert closed[x].space.action == generic[x].space.action
+                    assert closed[x].action == generic[x].action
 
 
 # ----------------------------------------------------------------------
@@ -885,10 +899,10 @@ def random_object_over_fresh_spaces(s, mult, rng, eta_bound=2):
     """`random_object_with` over unshared canonical components and F spaces built afresh."""
     x_parts = {x: fresh_canonical(s.algebra(x), mult.get(x, 0)) for x in s.x_ids}
     y_parts = {y: fresh_canonical(s.algebra(y), mult.get(y, 0)) for y in s.y_ids}
-    fsp = extcat._fspaces(s, y_parts)
+    fsp = _build_fspaces(s, y_parts)
     eta = {}
     for x in s.x_ids:
-        terms, den = _hom_terms(s.algebra(x).spec, fsp[x].space, x_parts[x])
+        terms, den = _hom_terms(s.algebra(x).spec, fsp[x], x_parts[x])
         coeffs = [rng.randrange(-eta_bound, eta_bound + 1) for _ in terms]
         eta[x] = _combine_terms(terms, coeffs, den, x_parts[x].dim, fsp[x].dim)
     z = TripleObject(s, x_parts, y_parts, eta)
@@ -942,11 +956,11 @@ def test_memoised_spaces_match_fresh_rebuilds_after_the_check_suites():
                 seen += 1
         assert s._canonical_fspaces
         for mults, fsp in s._canonical_fspaces.items():
-            fresh = extcat._fspaces(s, {y: fresh_canonical(s.algebra(y), m) for y, m in zip(s.y_ids, mults)})
+            fresh = _build_fspaces(s, {y: fresh_canonical(s.algebra(y), m) for y, m in zip(s.y_ids, mults)})
             for x in s.x_ids:
                 assert (fsp[x].dim, fsp[x].offsets) == (fresh[x].dim, fresh[x].offsets)
-                space = fsp[x].space
-                assert space.key() == VertexSpace(space.dim, space.action).key() == fresh[x].space.key()
+                space = fsp[x]
+                assert space.key() == VertexSpace(space.dim, space.action).key() == fresh[x].key()
                 seen += 1
         assert seen > 2 * len(specs)
 
@@ -1038,7 +1052,7 @@ def shared_spaces(s):
     """(algebra, space) for every shared canonical space and shared F space of s."""
     out = [(s.algebra(v).spec, space) for v in s.vertex_order()
            for space in s.algebra(v).spec._canonical_spaces.values()]
-    return out + [(s.algebra(x).spec, fsp.space) for fsps in s._canonical_fspaces.values()
+    return out + [(s.algebra(x).spec, fsp) for fsps in s._canonical_fspaces.values()
                   for x, fsp in fsps.items()]
 
 
@@ -1073,7 +1087,7 @@ def test_hom_terms_between_shared_values_are_memoised_on_the_source():
                 assert_hom_ext_match_references(a, b)
         assert assert_memos_hold_only_shared_pairs(s) > 0
         for x in s.x_ids:
-            alg, fsp, xp = s.algebra(x).spec, objs[1].f[x].space, objs[1].x[x]
+            alg, fsp, xp = s.algebra(x).spec, objs[1].f[x], objs[1].x[x]
             if alg.dim == 1:  # Q terms are rebuilt, never kept
                 assert xp not in fsp._memo and not xp._memo
                 continue
@@ -1099,7 +1113,7 @@ def test_fresh_spaces_get_no_memo_entries():
         assert_memos_hold_only_shared_pairs(s)
         ids = {id(vs) for _, vs in shared_spaces(s)}
         for z in fresh:
-            parts = [*z.x.values(), *z.y.values(), *(f.space for f in z.f.values())]
+            parts = [*z.x.values(), *z.y.values(), *z.f.values()]
             assert all(vs._memo is None for vs in parts if id(vs) not in ids)
         # the file object rebuilt its spaces; conjugation keeps the shared x parts
         assert not ids & {id(vs) for vs in fresh[-1].x.values()}
@@ -1302,8 +1316,8 @@ def test_hom_terms_are_the_sparse_form_of_the_matrix_construction():
             for b in objs:
                 for x in s.x_ids:
                     alg = s.algebra(x).spec
-                    assert_terms_match_matrices(alg, a.f[x].space, b.x[x])
-                    assert_terms_match_matrices(alg, a.x[x], b.f[x].space)
+                    assert_terms_match_matrices(alg, a.f[x], b.x[x])
+                    assert_terms_match_matrices(alg, a.x[x], b.f[x])
 
 
 def test_psi_over_quaternions_with_a_non_unit_e0_matches_dense_reference():
@@ -1382,7 +1396,7 @@ def test_hom_and_ext1_bases_do_not_depend_on_call_history(monkeypatch):
     s = catalog_scenario("b2_dual")
     z = random_object_with(s, {"u": 1, "a1": 0}, random.Random(7))
     w = simple_y_object(s, "a1")
-    assert w.f["u"].space.key() == z.x["u"].key()
+    assert w.f["u"].key() == z.x["u"].key()
 
     def answers(warm_up):
         monkeypatch.setattr(extcat, "_HOM_CACHE", {})
@@ -1485,7 +1499,7 @@ def test_ext1_builds_its_projection_and_representatives_as_read(monkeypatch):
             _, _, fbases, offsets, (nrows, columns) = _psi_data(a, b)
             if not (nrows and columns):
                 continue
-            fb = [(x, m) for x in s.x_ids for m in equivariant_hom_basis(s.algebra(x).spec, a.f[x].space, b.x[x])]
+            fb = [(x, m) for x in s.x_ids for m in equivariant_hom_basis(s.algebra(x).spec, a.f[x], b.x[x])]
             monkeypatch.setattr(extcat, "_LAST_PSI", None)
             built.update(projection=0, representative=0)
             res = ext1(a, b)
@@ -1670,7 +1684,7 @@ def test_hom_dim_is_the_number_of_basis_terms():
             for b in pool:
                 spaces = [(s.algebra(w).spec, {**a.x, **a.y}[w], {**b.x, **b.y}[w], w in s.y_ids)
                           for w in s.vertex_order()]
-                spaces += [(s.algebra(x).spec, a.f[x].space, b.x[x], 2) for x in s.x_ids]
+                spaces += [(s.algebra(x).spec, a.f[x], b.x[x], 2) for x in s.x_ids]
                 sums = [0, 0, 0]
                 for alg, src, dst, side in spaces:
                     n = len(_hom_terms(alg, src, dst)[0])
@@ -1733,7 +1747,7 @@ def test_an_empty_psi_builds_no_basis(monkeypatch):
         monkeypatch.setattr(extcat, "_LAST_PSI", None)
         res = ext1(a, b)
         assert res.projection == RatMatrix.identity(res.dim)
-        fb = [(x, m) for x in s.x_ids for m in equivariant_hom_basis(s.algebra(x).spec, a.f[x].space, b.x[x])]
+        fb = [(x, m) for x in s.x_ids for m in equivariant_hom_basis(s.algebra(x).spec, a.f[x], b.x[x])]
         assert [{x: m for x, m in rep.items() if not m.is_zero()} for rep in res.basis] == [{x: m} for x, m in fb]
         ub = [(w, m) for w in s.vertex_order() for m in equivariant_hom_basis(
             s.algebra(w).spec, {**a.x, **a.y}[w], {**b.x, **b.y}[w])]
@@ -1780,7 +1794,7 @@ def _mixed_scenario_pair():
     lambda z, w, ident: identity_morphism(w).compose(ident),
     lambda z, w, ident: ident + identity_morphism(w),
     lambda z, w, ident: ident - identity_morphism(w),
-    lambda z, w, ident: abelian_ops(TripleMorphism(z, w, ident.u, ident.v)),
+    lambda z, w, ident: abelian_ops(TripleMorphism(z, w, {**ident.u, **ident.v})),
 ], ids=["compose", "add", "sub", "abelian_ops"])
 def test_morphism_operations_refuse_two_scenario_instances(entry):
     z, w, ident = _mixed_scenario_pair()
@@ -1792,15 +1806,15 @@ def test_morphism_operations_refuse_two_scenario_instances(entry):
 def test_morphism_check_reports_two_scenario_instances():
     z, w, ident = _mixed_scenario_pair()
     assert ident.check() is None
-    assert TripleMorphism(z, w, ident.u, ident.v).check() == "source and target live over different scenarios"
+    assert TripleMorphism(z, w, {**ident.u, **ident.v}).check() == "source and target live over different scenarios"
 
 
 def test_morphism_check_reports_a_missing_map():
     s = catalog_scenario("a2")
     z = random_object_with(s, {"u": 2, "a1": 1}, random.Random(5))
     ident = identity_morphism(z)
-    assert TripleMorphism(z, z, {}, ident.v).check() == "missing u map at 'u'"
-    assert TripleMorphism(z, z, ident.u, {}).check() == "missing v map at 'a1'"
+    assert TripleMorphism(z, z, ident.v).check() == "missing u map at 'u'"
+    assert TripleMorphism(z, z, ident.u).check() == "missing v map at 'a1'"
 
 
 def test_morphism_check_reports_a_map_of_the_wrong_shape():
@@ -1808,10 +1822,10 @@ def test_morphism_check_reports_a_map_of_the_wrong_shape():
     s = catalog_scenario("a2")
     one, two = canonical_object(s, {"u": 1}), canonical_object(s, {"u": 2})
     v = {"a1": RatMatrix.zeros(0, 0)}
-    assert TripleMorphism(one, two, {"u": RatMatrix.identity(1)}, v).check() == "u at 'u' has shape 1x1, expected 2x1"
-    assert TripleMorphism(one, two, {"u": RatMatrix.zeros(2, 1)}, v).check() is None
+    assert TripleMorphism(one, two, {"u": RatMatrix.identity(1), **v}).check() == "u at 'u' has shape 1x1, expected 2x1"
+    assert TripleMorphism(one, two, {"u": RatMatrix.zeros(2, 1), **v}).check() is None
     z = canonical_object(s, {"a1": 1})
-    assert (TripleMorphism(z, z, {"u": RatMatrix.zeros(0, 0)}, {"a1": RatMatrix.zeros(1, 2)}).check()
+    assert (TripleMorphism(z, z, {"u": RatMatrix.zeros(0, 0), "a1": RatMatrix.zeros(1, 2)}).check()
             == "v at 'a1' has shape 1x2, expected 1x1")
 
 
@@ -1933,7 +1947,7 @@ def test_resolution_verify_composes_once_and_names_each_failure(monkeypatch):
     res.verify()
     assert len(composed) == 1
     # x - eta w becomes x + eta w, which does not kill d1's image (eta w, w)
-    plus = TripleMorphism(res.p0, z, {"u": RatMatrix.identity(1).hstack(z.eta["u"])}, res.d0.v)
+    plus = TripleMorphism(res.p0, z, {"u": RatMatrix.identity(1).hstack(z.eta["u"]), **res.d0.v})
     with pytest.raises(extcat.InternalConsistencyError, match="do not compose to zero"):
         extcat.Resolution(z, res.p1, res.p0, res.d1, plus).verify()
     with pytest.raises(extcat.InternalConsistencyError, match="not a short exact sequence"):
@@ -2044,9 +2058,9 @@ def test_conjugated_vertex_space_gives_an_isomorphic_object():
         z = random_object_with(s, {v: 1 for v in s.vertex_order()}, rng)
         zc = conjugated(z, y)
         assert z.y[y].canonical is not None and zc.y[y].canonical is None
-        iso = TripleMorphism(z, zc, {x: RatMatrix.identity(z.x[x].dim) for x in s.x_ids},
-                             {w: conjugator(z.y[w].dim) if w == y else RatMatrix.identity(z.y[w].dim)
-                              for w in s.y_ids})
+        iso = TripleMorphism(z, zc, {**{x: RatMatrix.identity(z.x[x].dim) for x in s.x_ids},
+                                     **{w: conjugator(z.y[w].dim) if w == y else RatMatrix.identity(z.y[w].dim)
+                                        for w in s.y_ids}})
         assert iso.check() is None
         for a, b in ((zc, z), (z, zc), (zc, zc)):
             assert (len(hom(a, b)), ext1(a, b).dim) == (len(hom(z, z)), ext1(z, z).dim)
@@ -2536,13 +2550,13 @@ def test_abelian_ops_rejects_a_map_that_is_not_a_morphism():
     s = catalog_scenario("c2")
     assert s.algebra("a1").spec.dim == 2
     z = canonical_object(s, {"a1": 1})
-    f = TripleMorphism(z, z, {"u": RatMatrix.zeros(0, 0)}, {"a1": RatMatrix(2, 2, [[1, 0], [0, 0]])})
+    f = TripleMorphism(z, z, {"u": RatMatrix.zeros(0, 0), "a1": RatMatrix(2, 2, [[1, 0], [0, 0]])})
     with pytest.raises(extcat.InternalConsistencyError, match="not a morphism: v at 'a1' not equivariant"):
         abelian_ops(f)
     a2 = catalog_scenario("a2")
     z = random_object_with(a2, {v: 1 for v in a2.vertex_order()}, random.Random(1))
     assert not z.eta["u"].is_zero()
-    f = TripleMorphism(z, z, {"u": RatMatrix.zeros(1, 1)}, {y: RatMatrix.identity(1) for y in a2.y_ids})
+    f = TripleMorphism(z, z, {"u": RatMatrix.zeros(1, 1), **{y: RatMatrix.identity(1) for y in a2.y_ids}})
     with pytest.raises(extcat.InternalConsistencyError, match="not a morphism: eta square does not commute"):
         abelian_ops(f)
 
@@ -2747,9 +2761,9 @@ def reference_direct_sum(a, b):
         lhs = (ia_u[x] * a.eta[x]).hstack(ib_u[x] * b.eta[x])
         eta[x] = lhs * fa.hstack(fb).transpose()
     total = TripleObject._with_fspaces(s, x_parts, y_parts, eta, fsp)
-    incs = (TripleMorphism(a, total, ia_u, ia_v), TripleMorphism(b, total, ib_u, ib_v))
-    projs = tuple(TripleMorphism(total, m.source, {x: u.transpose() for x, u in m.u.items()},
-                                 {y: v.transpose() for y, v in m.v.items()}) for m in incs)
+    incs = (TripleMorphism(a, total, {**ia_u, **ia_v}), TripleMorphism(b, total, {**ib_u, **ib_v}))
+    projs = tuple(TripleMorphism(total, m.source, {**{x: u.transpose() for x, u in m.u.items()},
+                                                   **{y: v.transpose() for y, v in m.v.items()}}) for m in incs)
     return total, incs, projs
 
 
