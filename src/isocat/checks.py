@@ -224,7 +224,7 @@ def suite_center_action(s: SpeciesScenario, rng: random.Random, samples: int) ->
     def test(z):
         endos = hom(z, z)
         for el in center.elements:
-            zf = TripleMorphism(z, z, {w: vs.act(el[w]) for w, vs in {**z.x, **z.y}.items()})
+            zf = TripleMorphism(z, z, {w: vs.act(el[w]) for w, vs in z.parts.items()})
             err = zf.check()
             if err is not None:
                 raise InternalConsistencyError(f"center element is not an endomorphism: {err}")

@@ -1,12 +1,14 @@
 """The category of triples (X, Y, eta) over a species scenario.
 
-An object assigns a module to every vertex and, per x-vertex, a structure
-map eta from the induced tensor space F(Y) into the x-component.  A
-morphism is one equivariant map per vertex, u on the x-vertices and v on
-the y-vertices, with u . eta = eta' . F(v).  Hom and Ext^1 are the kernel
-and cokernel of psi(u, v) = u . eta - eta' . F(v), built as sparse integer
-columns from the nonzero entries of the equivariant bases; hom and ext1 of
-one pair share one build of psi.  Also here: universal extensions,
+An object assigns a module to every vertex (its `parts`, one space per
+vertex) and, per x-vertex, a structure map eta from the induced tensor
+space F(Y) into the x-component.  A morphism is one equivariant map per
+vertex (its `maps`), u on the x-vertices and v on the y-vertices, with
+u . eta = eta' . F(v); x, y, u and v are per-side views for outside
+callers.  Hom and Ext^1 are the kernel and cokernel of psi(u, v) =
+u . eta - eta' . F(v), built as sparse integer columns from the nonzero
+entries of the equivariant bases; hom and ext1 of one pair share one
+build of psi.  Also here: universal extensions,
 length-1 projective resolutions, kernels/cokernels/images, torsion pairs,
 endomorphism algebras and an exact Krull-Schmidt-style decomposition.
 
@@ -186,9 +188,8 @@ def equivariant_hom_basis(alg: AlgebraSpec, src: VertexSpace, dst: VertexSpace) 
 # Tensor structure
 # ======================================================================
 
-def _build_fspaces(scenario: SpeciesScenario,
-                   y_parts: dict[str, VertexSpace]) -> dict[str, VertexSpace]:
-    """The tensor spaces F(Y)_x, each with its y block offsets and the action of the x algebra.
+def _build_fspaces(scenario: SpeciesScenario, parts: dict[str, VertexSpace]) -> dict[str, VertexSpace]:
+    """The tensor spaces F(Y)_x of parts' y parts, each with its y block offsets and the action of the x algebra.
 
     Cell (k, i) of the r x r grid at y, for e_a, is the m_k part of e_a . m_i: the
     action of d = left_coords(a)[i][k] on Y_y.  When every y part is the
@@ -197,8 +198,8 @@ def _build_fspaces(scenario: SpeciesScenario,
     scenario for its lifetime; nothing may write to it.  Every other input
     is built afresh.
     """
-    shared = all(_shared(scenario.algebra(y).spec, y_parts[y]) for y in scenario.y_ids)
-    key = tuple(y_parts[y].canonical[1] for y in scenario.y_ids) if shared else None
+    shared = all(_shared(scenario.algebra(y).spec, parts[y]) for y in scenario.y_ids)
+    key = tuple(parts[y].canonical[1] for y in scenario.y_ids) if shared else None
     if key in scenario._canonical_fspaces:
         return scenario._canonical_fspaces[key]
     out = {}
@@ -207,7 +208,7 @@ def _build_fspaces(scenario: SpeciesScenario,
         total = 0
         for y in scenario.y_ids:
             bm = scenario.bimodules.get((x, y))
-            width = bm.rank_over_right * y_parts[y].dim if bm is not None else 0
+            width = bm.rank_over_right * parts[y].dim if bm is not None else 0
             if width:
                 offsets[y] = total
                 total += width
@@ -215,7 +216,7 @@ def _build_fspaces(scenario: SpeciesScenario,
         for a in range(scenario.algebra(x).dim):
             cells = []
             for y, off in offsets.items():
-                vs, d = y_parts[y], y_parts[y].dim
+                vs, d = parts[y], parts[y].dim
                 for i, row in enumerate(scenario.bimodules[(x, y)].left_coords(a)):
                     cells += [(off + k * d, off + i * d, vs.act(c)) for k, c in enumerate(row) if any(c)]
             action.append(_assemble(total, total, cells))
@@ -255,7 +256,7 @@ def _eta_f(z2: "TripleObject", x: str, v: dict, src_f: dict[str, VertexSpace]) -
     at its own slot i of y times v_y (a v_y given as a list of indices is the unit columns there)."""
     eta, sf, df, blocks = z2.eta[x], src_f[x], z2.f[x], []
     for y in sf.offsets.keys() & df.offsets.keys():  # a y block in one F space alone meets only zeros
-        m, n2 = v[y], z2.y[y].dim
+        m, n2 = v[y], z2.parts[y].dim
         for i in range(z2.scenario.bimodules[(x, y)].rank_over_right):
             at = range(df.offsets[y] + i * n2, df.offsets[y] + (i + 1) * n2)
             b = eta.submatrix(range(eta.rows), [at[j] for j in m] if isinstance(m, list) else at)
@@ -269,66 +270,78 @@ def _eta_f(z2: "TripleObject", x: str, v: dict, src_f: dict[str, VertexSpace]) -
 # ======================================================================
 
 class TripleObject:
-    """An object (X, Y, eta) over a fixed scenario; the constructor checks every invariant (`validate`)."""
+    """An object (X, Y, eta) over a fixed scenario; the constructor checks every invariant (`validate`).
 
-    def __init__(self, scenario: SpeciesScenario, x_parts: dict[str, VertexSpace],
-                 y_parts: dict[str, VertexSpace], eta: dict[str, RatMatrix]):
-        err = _components_error(scenario, x_parts, y_parts)  # before F(Y) is built on y_parts
+    parts holds one `VertexSpace` per vertex, in vertex order, x-vertices
+    then y-vertices; eta holds one map F(Y)_x -> X_x per x-vertex.  `x` and
+    `y`, the x parts and the y parts, are read-only views for outside
+    callers; each builds a dict.
+    """
+
+    def __init__(self, scenario: SpeciesScenario, parts: dict[str, VertexSpace], eta: dict[str, RatMatrix]):
+        _check_ids(scenario, parts, eta)
+        err = _components_error(scenario, parts)  # before F(Y) is built on the parts
         if err is not None:
             raise TripleError(err)
-        self._setup(scenario, x_parts, y_parts, eta, _build_fspaces(scenario, y_parts))
+        parts = {v: parts[v] for v in scenario.vertex_order()}
+        self._setup(scenario, parts, eta, _build_fspaces(scenario, parts))
         err = _eta_error(self)
         if err is not None:
             raise TripleError(err)
 
+    x = property(lambda self: {x: self.parts[x] for x in self.scenario.x_ids})
+    y = property(lambda self: {y: self.parts[y] for y in self.scenario.y_ids})
+
     @classmethod
-    def _with_fspaces(cls, scenario: SpeciesScenario, x_parts: dict[str, VertexSpace],
-                      y_parts: dict[str, VertexSpace], eta: dict[str, RatMatrix],
-                      fspaces: dict[str, VertexSpace]) -> "TripleObject":
-        """The object over y_parts with `_build_fspaces(scenario, y_parts)` built already, for parts
-        and an eta its caller vouches for: only eta's presence and shapes are checked."""
+    def _with_fspaces(cls, scenario: SpeciesScenario, parts: dict[str, VertexSpace],
+                      eta: dict[str, RatMatrix], fspaces: dict[str, VertexSpace]) -> "TripleObject":
+        """The object over parts, in vertex order, with `_build_fspaces(scenario, parts)` built already, for
+        parts and an eta its caller vouches for: only eta's presence and shapes are checked."""
         z = cls.__new__(cls)
-        z._setup(scenario, x_parts, y_parts, eta, fspaces)
+        z._setup(scenario, parts, eta, fspaces)
         return z
 
-    def _setup(self, scenario: SpeciesScenario, x_parts: dict[str, VertexSpace],
-               y_parts: dict[str, VertexSpace], eta: dict[str, RatMatrix],
-               fspaces: dict[str, VertexSpace]) -> None:
+    def _setup(self, scenario: SpeciesScenario, parts: dict[str, VertexSpace],
+               eta: dict[str, RatMatrix], fspaces: dict[str, VertexSpace]) -> None:
         self.scenario = scenario
-        self.x = dict(x_parts)
-        self.y = dict(y_parts)
+        self.parts = parts
         self.eta = dict(eta)
         self.f = fspaces
         for xv in scenario.x_ids:
             m = self.eta.get(xv)
             if m is None:
                 raise TripleError(f"missing eta component at {xv!r}")
-            if (m.rows, m.cols) != (self.x[xv].dim, self.f[xv].dim):
+            if (m.rows, m.cols) != (parts[xv].dim, fspaces[xv].dim):
                 raise TripleError(f"eta at {xv!r} has shape {m.rows}x{m.cols}, "
-                                  f"expected {self.x[xv].dim}x{self.f[xv].dim}")
+                                  f"expected {parts[xv].dim}x{fspaces[xv].dim}")
 
     def total_dim(self) -> int:
-        return (sum(v.dim for v in self.x.values())
-                + sum(v.dim for v in self.y.values()))
+        return sum(vs.dim for vs in self.parts.values())
 
     def dimension_vector(self) -> tuple[int, ...]:
         """Multiplicities over the vertex division algebras, in vertex order."""
         out = []
-        for v in self.scenario.vertex_order():
+        for v, part in self.parts.items():
             n = self.scenario.algebra(v).dim
-            part = self.x.get(v) or self.y.get(v)
             if part.dim % n:
                 raise TripleError(f"component at {v!r} is not free over its algebra")
             out.append(part.dim // n)
         return tuple(out)
 
     def data_key(self) -> tuple:
-        return (tuple(self.x[v].key() for v in self.scenario.x_ids),
-                tuple(self.y[v].key() for v in self.scenario.y_ids),
+        return (tuple(vs.key() for vs in self.parts.values()),
                 tuple(self.eta[v].key() for v in self.scenario.x_ids))
 
     def __repr__(self) -> str:
         return f"TripleObject({self.scenario.name}, dims={self.dimension_vector()})"
+
+
+def _check_ids(s: SpeciesScenario, vertex_keys: Iterable[str], eta_keys: Iterable[str] = ()) -> None:
+    """Raise `TripleError` naming the first vertex key that is not a vertex of s, or eta key that is not an x-vertex."""
+    for keys, ids, kind in ((vertex_keys, s.vertex_order(), "a vertex"), (eta_keys, s.x_ids, "an x-vertex")):
+        bad = [k for k in keys if k not in ids]
+        if bad:
+            raise TripleError(f"{bad[0]!r} is not {kind} of {s.name!r}")
 
 
 def _space_error(alg: AlgebraSpec, vs: VertexSpace) -> Optional[str]:
@@ -337,14 +350,13 @@ def _space_error(alg: AlgebraSpec, vs: VertexSpace) -> Optional[str]:
     return None if err is None else f"vertex space {err}"
 
 
-def _components_error(s: SpeciesScenario, x_parts: dict[str, VertexSpace],
-                      y_parts: dict[str, VertexSpace]) -> Optional[str]:
+def _components_error(s: SpeciesScenario, parts: dict[str, VertexSpace]) -> Optional[str]:
     """None if every component is present and a unital representation, else the first violation.
 
     A shared canonical space at a vertex of its own algebra instance is
     skipped: it acts by I_m (x) L_b, and `AlgebraSpec` checked L's laws.
     """
-    for ids, parts, side in ((s.x_ids, x_parts, "x"), (s.y_ids, y_parts, "y")):
+    for ids, side in ((s.x_ids, "x"), (s.y_ids, "y")):
         for v in ids:
             if v not in parts:
                 return f"missing {side} component at {v!r}"
@@ -365,14 +377,14 @@ def _eta_error(z: TripleObject) -> Optional[str]:
         eta = z.eta[xv]
         fsp = z.f[xv]
         for a in range(alg.dim):
-            if eta * fsp.action[a] != z.x[xv].action[a] * eta:
+            if eta * fsp.action[a] != z.parts[xv].action[a] * eta:
                 return f"eta at {xv!r} is not equivariant for algebra basis element {a}"
     return None
 
 
 def validate(z: TripleObject) -> Optional[str]:
     """None if every invariant holds, else the first violation."""
-    return _components_error(z.scenario, z.x, z.y) or _eta_error(z)
+    return _components_error(z.scenario, z.parts) or _eta_error(z)
 
 
 @dataclass
@@ -395,17 +407,18 @@ class TripleMorphism:
         s = self.source.scenario
         if self.target.scenario is not s:
             return "source and target live over different scenarios"
-        for ids, src, dst, name in ((s.x_ids, self.source.x, self.target.x, "u"),
-                                    (s.y_ids, self.source.y, self.target.y, "v")):
+        for ids, name in ((s.x_ids, "u"), (s.y_ids, "v")):
             for w in ids:  # the map's presence and shape, before any product with it
-                f = self.maps.get(w)
+                f, src, dst = self.maps.get(w), self.source.parts[w], self.target.parts[w]
                 if f is None:
                     return f"missing {name} map at {w!r}"
-                if f.rows != dst[w].dim or f.cols != src[w].dim:
-                    return f"{name} at {w!r} has shape {f.rows}x{f.cols}, expected {dst[w].dim}x{src[w].dim}"
+                if f.rows != dst.dim or f.cols != src.dim:
+                    return f"{name} at {w!r} has shape {f.rows}x{f.cols}, expected {dst.dim}x{src.dim}"
                 # a Q action is scalar: all maps commute
-                if s.algebra(w).dim > 1 and any(f * m != n * f for m, n in zip(src[w].action, dst[w].action)):
+                if s.algebra(w).dim > 1 and any(f * m != n * f for m, n in zip(src.action, dst.action)):
                     return f"{name} at {w!r} not equivariant"
+        if len(self.maps) > len(self.source.parts):  # every vertex has its map, so some key is not a vertex
+            return f"map at {next(w for w in self.maps if w not in self.source.parts)!r}, which is not a vertex"
         for xv in s.x_ids:
             if self.maps[xv] * self.source.eta[xv] != _eta_f(self.target, xv, self.maps, self.source.f):
                 return f"eta square does not commute at {xv!r}"
@@ -440,33 +453,29 @@ class TripleMorphism:
 
 def _flat_morphism(m: TripleMorphism) -> tuple[list[int], int]:
     """The entries `TripleMorphism.flatten` lists, as integers over one denominator, in vertex order."""
-    return _flat_matrices([m.maps[w] for w in m.source.scenario.vertex_order()])
+    return _flat_matrices([m.maps[w] for w in m.source.parts])
 
 
 def _unflatten(z: TripleObject, flat: Sequence[int], den: int) -> TripleMorphism:
     """The endomorphism of z whose `_flat_morphism` is (flat, den)."""
-    it, spaces = iter(flat), {**z.x, **z.y}
-    dims = [(w, spaces[w].dim) for w in z.scenario.vertex_order()]  # `_flat_morphism`'s order
+    it, dims = iter(flat), [(w, vs.dim) for w, vs in z.parts.items()]  # `_flat_morphism`'s order
     return TripleMorphism(z, z, {w: RatMatrix._fresh(n, n, [[next(it) for _ in range(n)] for _ in range(n)], den)
                                  for w, n in dims})
 
 
 def zero_morphism(src: TripleObject, dst: TripleObject) -> TripleMorphism:
-    at, to = {**src.x, **src.y}, {**dst.x, **dst.y}
-    return TripleMorphism(src, dst, {w: RatMatrix.zeros(to[w].dim, at[w].dim) for w in src.scenario.vertex_order()})
+    return TripleMorphism(src, dst, {w: RatMatrix.zeros(dst.parts[w].dim, vs.dim) for w, vs in src.parts.items()})
 
 
 def _combine_morphisms(src: TripleObject, dst: TripleObject, basis: Sequence[TripleMorphism],
                        coeffs: Sequence) -> TripleMorphism:
     """sum_k coeffs[k] * basis[k] for morphisms src -> dst, one matrix per vertex."""
-    at, to = {**src.x, **src.y}, {**dst.x, **dst.y}
-    return TripleMorphism(src, dst, {w: RatMatrix.combine([m.maps[w] for m in basis], coeffs, to[w].dim, at[w].dim)
-                                     for w in src.scenario.vertex_order()})
+    return TripleMorphism(src, dst, {w: RatMatrix.combine([m.maps[w] for m in basis], coeffs, dst.parts[w].dim, vs.dim)
+                                     for w, vs in src.parts.items()})
 
 
 def identity_morphism(z: TripleObject) -> TripleMorphism:
-    at = {**z.x, **z.y}
-    return TripleMorphism(z, z, {w: RatMatrix.identity(at[w].dim) for w in z.scenario.vertex_order()})
+    return TripleMorphism(z, z, {w: RatMatrix.identity(vs.dim) for w, vs in z.parts.items()})
 
 
 # -- convenient constructors -------------------------------------------
@@ -479,15 +488,11 @@ def canonical_object(scenario: SpeciesScenario, mult: dict[str, int],
     vertex, or an eta key that is not an x-vertex, is an error.
     """
     eta = eta or {}
-    for keys, ids, kind in ((mult, scenario.vertex_order(), "a vertex"), (eta, scenario.x_ids, "an x-vertex")):
-        bad = [k for k in keys if k not in ids]
-        if bad:
-            raise TripleError(f"{bad[0]!r} is not {kind} of {scenario.name!r}")
-    x_parts = {x: canonical_space(scenario.algebra(x), mult.get(x, 0)) for x in scenario.x_ids}
-    y_parts = {y: canonical_space(scenario.algebra(y), mult.get(y, 0)) for y in scenario.y_ids}
-    fsp = _build_fspaces(scenario, y_parts)
-    full_eta = {x: eta[x] if x in eta else RatMatrix.zeros(x_parts[x].dim, fsp[x].dim) for x in scenario.x_ids}
-    return TripleObject(scenario, x_parts, y_parts, full_eta)
+    _check_ids(scenario, mult, eta)
+    parts = {v: canonical_space(scenario.algebra(v), mult.get(v, 0)) for v in scenario.vertex_order()}
+    fsp = _build_fspaces(scenario, parts)
+    full_eta = {x: eta[x] if x in eta else RatMatrix.zeros(parts[x].dim, fsp[x].dim) for x in scenario.x_ids}
+    return TripleObject(scenario, parts, full_eta)
 
 
 def simple_x_object(scenario: SpeciesScenario, x: str) -> TripleObject:
@@ -500,16 +505,16 @@ def simple_y_object(scenario: SpeciesScenario, y: str) -> TripleObject:
 
 def x_only(z: TripleObject) -> TripleObject:
     s = z.scenario
-    y_parts = {y: canonical_space(s.algebra(y), 0) for y in s.y_ids}
-    eta = {x: RatMatrix.zeros(z.x[x].dim, 0) for x in s.x_ids}
-    return TripleObject._with_fspaces(s, dict(z.x), y_parts, eta, _build_fspaces(s, y_parts))
+    parts = {v: vs if v in z.eta else canonical_space(s.algebra(v), 0) for v, vs in z.parts.items()}
+    eta = {x: RatMatrix.zeros(parts[x].dim, 0) for x in s.x_ids}
+    return TripleObject._with_fspaces(s, parts, eta, _build_fspaces(s, parts))
 
 
 def y_only(z: TripleObject) -> TripleObject:
     s = z.scenario
-    x_parts = {x: canonical_space(s.algebra(x), 0) for x in s.x_ids}
+    parts = {v: canonical_space(s.algebra(v), 0) if v in z.eta else vs for v, vs in z.parts.items()}
     eta = {x: RatMatrix.zeros(0, z.f[x].dim) for x in s.x_ids}
-    return TripleObject._with_fspaces(s, x_parts, dict(z.y), eta, z.f)
+    return TripleObject._with_fspaces(s, parts, eta, z.f)
 
 
 # ======================================================================
@@ -528,26 +533,26 @@ def _same_object(z: TripleObject, z2: TripleObject) -> bool:
     return z is z2 or (_same_scenario(z, z2) and z.data_key() == z2.data_key())
 
 
-def _bases(z: TripleObject, z2: TripleObject) -> tuple[dict[str, Terms], dict[str, Terms], dict[str, Terms]]:
-    """The u, v and Hom(F(Y), X') bases of a pair, as `_hom_terms`."""
+def _bases(z: TripleObject, z2: TripleObject) -> tuple[dict[str, Terms], dict[str, Terms]]:
+    """The bases of a pair as `_hom_terms`: Hom(z_w, z2_w) per vertex w, in vertex order (u on the
+    x-vertices, v on the y-vertices), and Hom(F(Y), X') per x-vertex."""
     s = _same_scenario(z, z2)
-    return ({x: _hom_terms(s.algebra(x).spec, z.x[x], z2.x[x]) for x in s.x_ids},
-            {y: _hom_terms(s.algebra(y).spec, z.y[y], z2.y[y]) for y in s.y_ids},
-            {x: _hom_terms(s.algebra(x).spec, z.f[x], z2.x[x]) for x in s.x_ids})
+    return ({w: _hom_terms(s.algebra(w).spec, vs, z2.parts[w]) for w, vs in z.parts.items()},
+            {x: _hom_terms(s.algebra(x).spec, z.f[x], z2.parts[x]) for x in s.x_ids})
 
 
 def hom_space_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, int]:
     """(dim Hom on x parts, dim Hom on y parts, dim Hom(F(Y), X')), sums of `_hom_dim`s: no basis is built."""
     s = _same_scenario(z, z2)
-    return tuple(sum(_hom_dim(s.algebra(w).spec, src[w], dst[w]) for w in ids)
-                 for ids, src, dst in ((s.x_ids, z.x, z2.x), (s.y_ids, z.y, z2.y), (s.x_ids, z.f, z2.x)))
+    return tuple(sum(_hom_dim(s.algebra(w).spec, src[w], z2.parts[w]) for w in ids)
+                 for ids, src in ((s.x_ids, z.parts), (s.y_ids, z.parts), (s.x_ids, z.f)))
 
 
 def _psi_data(z: TripleObject, z2: TripleObject, dims: Optional[tuple[int, int, int]] = None):
     """Bases and the sparse integer columns of psi(u, v) = u . eta - eta' . F(v) for a pair.
 
-    Returns (ubases, vbases, fbases, offsets, (nrows, columns)), bases as
-    `_hom_terms`.  Column c (u basis elements, then v basis elements, in
+    Returns (bases, fbases, offsets, (nrows, columns)), the two `_bases`
+    tables.  Column c (u basis elements, then v basis elements, in
     vertex order) is columns[c] = (its nonzero (row, integer) entries, rows
     increasing, den); the rows are the Hom(F(Y), X') basis, x's block from
     offsets[x].  Each image u_k . eta or -(eta' . F(v_l)) is written as its
@@ -565,16 +570,16 @@ def _psi_data(z: TripleObject, z2: TripleObject, dims: Optional[tuple[int, int, 
     su, sv, _ = dims or hom_space_dims(z, z2)
     s, offsets, nrows = z.scenario, {}, 0
     for x in s.x_ids:
-        offsets[x], nrows = nrows, nrows + _hom_dim(s.algebra(x).spec, z.f[x], z2.x[x])
+        offsets[x], nrows = nrows, nrows + _hom_dim(s.algebra(x).spec, z.f[x], z2.parts[x])
     if not (nrows and su + sv):  # every image is 0
-        return None, None, None, offsets, (nrows, [([], 1)] * (su + sv))
-    ubases, vbases, fbases = _bases(z, z2)
+        return None, None, offsets, (nrows, [([], 1)] * (su + sv))
+    bases, fbases = _bases(z, z2)
     images = {x: [] for x in s.x_ids}  # (column, entries)
     dens = []
     for x in s.x_ids:
         eta, width = z.eta[x], z.f[x].dim
         rows = [[(l, g) for l, g in enumerate(row) if g] for row in eta.num]
-        terms, uden = ubases[x]
+        terms, uden = bases[x]
         for ents in terms:  # row i of u_k . eta is the sum of e * (row j of eta) over u_k's entries
             img = {}
             for i, j, e in ents:
@@ -585,8 +590,8 @@ def _psi_data(z: TripleObject, z2: TripleObject, dims: Optional[tuple[int, int, 
             dens.append(uden * eta.den)
     big = lcm(*(z2.eta[x].den for x in s.x_ids))
     for y in s.y_ids:
-        terms, vden = vbases[y]
-        n1, n2 = z.y[y].dim, z2.y[y].dim
+        terms, vden = bases[y]
+        n1, n2 = z.parts[y].dim, z2.parts[y].dim
         for x in s.x_ids:
             # nonzero v terms mean both F spaces hold a y block
             if not terms or y not in z.f[x].offsets:
@@ -620,7 +625,7 @@ def _psi_data(z: TripleObject, z2: TripleObject, dims: Optional[tuple[int, int, 
                 raise InternalConsistencyError("map is not equivariant: no coordinates")
             for (c, _), ents in zip(imgs, coords):
                 columns[c] += [(at + k, e) for k, e in ents]
-    return ubases, vbases, fbases, offsets, (nrows, list(zip(columns, dens)))
+    return bases, fbases, offsets, (nrows, list(zip(columns, dens)))
 
 
 def _psi_rows(nrows: int, columns: list) -> list[dict[int, int]]:
@@ -678,7 +683,7 @@ def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
     """
     dims = hom_space_dims(z, z2)
     data, _ = _pair_psi(z, z2, dims)
-    _, _, _, _, (nrows, columns) = data
+    _, _, _, (nrows, columns) = data
     if nrows and columns:
         rank, count, vector = _y_side_kernel(columns, dims[0])
     else:  # every column is free: the identity, with no elimination
@@ -698,7 +703,7 @@ def _end_basis(z: TripleObject) -> Sequence[TripleMorphism]:
     free column on its first read, by one `_back_solver` for all of them.
     """
     data = _psi_data(z, z)
-    _, _, _, _, (nrows, columns) = data
+    _, _, _, (nrows, columns) = data
     pivots, ech, _, _ = _echelon(_psi_rows(nrows, columns) if nrows and columns else [])
     free, morphism = sorted(set(range(len(columns))).difference(pivots)), _kernel_morphism(z, z, data)
     solve = _back_solver(pivots, ech)
@@ -744,13 +749,12 @@ def _kernel_morphism(z: TripleObject, z2: TripleObject, data: tuple):
     Each vertex map is one integer grid, from the nonzero entries of its
     basis, tabled on the first call (an empty psi's data holds no bases).
     """
-    s, sparse = z.scenario, []
+    sparse = []
 
     def morphism(vec: list[int], vden: int) -> TripleMorphism:
         if not sparse:
-            ubases, vbases, _ = data[:3] if data[0] is not None else _bases(z, z2)
-            sparse.extend((w, *bases[w], dst[w].dim, src[w].dim) for ids, bases, src, dst in
-                          ((s.x_ids, ubases, z.x, z2.x), (s.y_ids, vbases, z.y, z2.y)) for w in ids)
+            bases = data[0] or _bases(z, z2)[0]
+            sparse.extend((w, *bases[w], z2.parts[w].dim, vs.dim) for w, vs in z.parts.items())
         coeffs = iter(vec)  # each vertex takes the next len(terms) coefficients
         return TripleMorphism(z, z2, {w: _combine_terms(terms, coeffs, vden * den, rows, cols)
                                       for w, terms, den, rows, cols in sparse})
@@ -887,7 +891,7 @@ def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
     psi onto, the cokernel is 0 and nothing is eliminated.
     """
     s = z.scenario
-    (_, _, fbases, offsets, (nrows, columns)), onto = _pair_psi(z, z2)
+    (_, fbases, offsets, (nrows, columns)), onto = _pair_psi(z, z2)
     if onto or not nrows:
         return ExtResult(0, list, lambda: RatMatrix.zeros(0, nrows))
     rows = [dict(ents) for ents, _ in columns]
@@ -895,11 +899,11 @@ def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
     free = sorted(set(range(nrows)).difference(pivots))
 
     def basis() -> list[dict[str, RatMatrix]]:
-        terms = fbases or _bases(z, z2)[2]
+        terms = fbases or _bases(z, z2)[1]
 
         def rep(x: str, k: int) -> RatMatrix:  # Hom(F(Y)_x, X'_x) basis element k; zero off its range
             ents, den = terms[x]
-            return _combine_terms(ents[k:k + 1] if k >= 0 else [], [1], den, z2.x[x].dim, z.f[x].dim)
+            return _combine_terms(ents[k:k + 1] if k >= 0 else [], [1], den, z2.parts[x].dim, z.f[x].dim)
         return [{x: rep(x, c - offsets[x]) for x in s.x_ids} for c in free]
     return ExtResult(len(free), basis, lambda: _null_basis(pivots, ech, free, nrows))
 
@@ -921,7 +925,7 @@ def hom_ext_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, tuple[int
     su, sv, sf = dims = hom_space_dims(z, z2)
     h, e = su + sv, sf
     if h and e:
-        _, _, _, _, (nrows, columns) = _psi_data(z, z2, dims)
+        _, _, _, (nrows, columns) = _psi_data(z, z2, dims)
         h -= len(_echelon(_psi_rows(nrows, columns[::-1]))[0])
         e -= len(_echelon([dict(ents) for ents, _ in columns])[0])
     return h, e, dims
@@ -945,17 +949,16 @@ def euler_form(z: TripleObject, z2: TripleObject) -> int:
 # Universal extensions, projectives, resolutions
 # ======================================================================
 
-def universal_extension(scenario: SpeciesScenario,
-                        y_parts: dict[str, VertexSpace]) -> TripleObject:
-    """E(Y) = (F(Y), Y, identity)."""
-    fsp = _build_fspaces(scenario, y_parts)
-    x_parts = {x: fsp[x] for x in scenario.x_ids}
-    eta = {x: RatMatrix.identity(fsp[x].dim) for x in scenario.x_ids}
-    return TripleObject._with_fspaces(scenario, x_parts, dict(y_parts), eta, fsp)
+def universal_extension(scenario: SpeciesScenario, parts: dict[str, VertexSpace]) -> TripleObject:
+    """E(Y) = (F(Y), Y, identity) for the y parts Y of parts (its x parts, if any, are not read)."""
+    fsp = _build_fspaces(scenario, parts)
+    eta = {x: RatMatrix.identity(vs.dim) for x, vs in fsp.items()}
+    parts = {v: fsp[v] if v in fsp else parts[v] for v in scenario.vertex_order()}
+    return TripleObject._with_fspaces(scenario, parts, eta, fsp)
 
 
 def universal_extension_of(z: TripleObject) -> TripleObject:
-    return universal_extension(z.scenario, z.y)
+    return universal_extension(z.scenario, z.parts)
 
 
 def is_projective(z: TripleObject) -> bool:
@@ -984,16 +987,15 @@ class Resolution:
 
 def projective_resolution(z: TripleObject) -> Resolution:
     """The canonical length-1 resolution through X x E(Y)."""
-    s = z.scenario
     ey = universal_extension_of(z)
     p1 = x_only(ey)  # (F(Y), 0, 0)
     p0, (i_x, i_e), _ = direct_sum(x_only(z), ey)
     # d1 = (eta, iota): w |-> (eta w, w)
-    d1 = TripleMorphism(p1, p0, {w: i_x.maps[w] * z.eta[w] + i_e.maps[w] if w in z.x
-                                 else RatMatrix.zeros(p0.y[w].dim, 0) for w in s.vertex_order()})
+    d1 = TripleMorphism(p1, p0, {w: i_x.maps[w] * z.eta[w] + i_e.maps[w] if w in z.eta
+                                 else RatMatrix.zeros(p0.parts[w].dim, 0) for w in z.parts})
     # d0 = f - mu: (x, w, y) |-> x - eta w on the x side, -y on the y side
-    d0 = TripleMorphism(p0, z, {w: RatMatrix.identity(z.x[w].dim).hstack(z.eta[w].scale(-1)) if w in z.x
-                                else RatMatrix.identity(z.y[w].dim).scale(-1) for w in s.vertex_order()})
+    d0 = TripleMorphism(p0, z, {w: RatMatrix.identity(vs.dim).hstack(z.eta[w].scale(-1)) if w in z.eta
+                                else RatMatrix.identity(vs.dim).scale(-1) for w, vs in z.parts.items()})
     return Resolution(z, p1, p0, d1, d0)
 
 
@@ -1027,28 +1029,26 @@ def direct_sum_many(objs: Sequence[TripleObject]):
         return objs[0], [identity_morphism(objs[0])], [identity_morphism(objs[0])]
     for z in objs:
         s = _same_scenario(objs[0], z)
-    comps = [{**z.x, **z.y} for z in objs]
-    parts = {v: _stack_spaces(s.algebra(v), [c[v] for c in comps]) for v in s.vertex_order()}
-    at = {v: list(accumulate((c[v].dim for c in comps), initial=0)) for v in parts}
-    y_parts = {y: parts[y] for y in s.y_ids}
-    fsp = _build_fspaces(s, y_parts)
+    parts = {v: _stack_spaces(s.algebra(v), [z.parts[v] for z in objs]) for v in s.vertex_order()}
+    at = {v: list(accumulate((z.parts[v].dim for z in objs), initial=0)) for v in parts}
+    fsp = _build_fspaces(s, parts)
     eta = {}
     for x in s.x_ids:
         den = lcm(*(z.eta[x].den for z in objs))
         num = [[0] * fsp[x].dim for _ in range(parts[x].dim)]
         for k, z in enumerate(objs):
             cols = [fsp[x].offsets[y] + i * parts[y].dim + at[y][k] + j for y in z.f[x].offsets
-                    for i in range(s.bimodules[(x, y)].rank_over_right) for j in range(z.y[y].dim)]
+                    for i in range(s.bimodules[(x, y)].rank_over_right) for j in range(z.parts[y].dim)]
             c = den // z.eta[x].den
             for row, out in zip(z.eta[x].num, num[at[x][k]:]):
                 for col, e in zip(cols, row):
                     out[col] = c * e
         eta[x] = RatMatrix._fresh(parts[x].dim, fsp[x].dim, num, den)
-    total = TripleObject._with_fspaces(s, {x: parts[x] for x in s.x_ids}, y_parts, eta, fsp)
+    total = TripleObject._with_fspaces(s, parts, eta, fsp)
     incs, projs = [], []
-    for k, (z, comp) in enumerate(zip(objs, comps)):
-        inc = {v: _assemble(parts[v].dim, comp[v].dim, [(at[v][k], 0, RatMatrix.identity(comp[v].dim))])
-               for v in parts}
+    for k, z in enumerate(objs):
+        inc = {v: _assemble(vs.dim, z.parts[v].dim, [(at[v][k], 0, RatMatrix.identity(z.parts[v].dim))])
+               for v, vs in parts.items()}
         incs.append(TripleMorphism(z, total, inc))
         projs.append(TripleMorphism(total, z, {v: m.transpose() for v, m in inc.items()}))
     return total, incs, projs
@@ -1071,16 +1071,14 @@ def _retract(z: TripleObject, p: dict, i: dict) -> TripleObject:
     vertex over Q acts by c . I, so it is the shared `canonical_space`.
     A p (an i) given as a list of indices is the unit rows (columns) there.
     """
-    s = z.scenario
-    amb, parts = {**z.x, **z.y}, {}
-    for v in s.vertex_order():
+    s, parts = z.scenario, {}
+    for v, vs in z.parts.items():
         h, dim = s.algebra(v), len(p[v]) if isinstance(p[v], list) else p[v].rows
-        action = [_sandwich(p[v], m, i[v]) for m in amb[v].action] if h.spec.dim > 1 else []
+        action = [_sandwich(p[v], m, i[v]) for m in vs.action] if h.spec.dim > 1 else []
         parts[v] = VertexSpace(dim, action) if action else canonical_space(h, dim)
-    y_parts = {y: parts[y] for y in s.y_ids}
-    fsp = _build_fspaces(s, y_parts)
+    fsp = _build_fspaces(s, parts)
     eta = {x: _sandwich(p[x], _eta_f(z, x, i, fsp)) for x in s.x_ids}
-    return TripleObject._with_fspaces(s, {x: parts[x] for x in s.x_ids}, y_parts, eta, fsp)
+    return TripleObject._with_fspaces(s, parts, eta, fsp)
 
 
 def _sandwich(p, m: RatMatrix, i=None) -> RatMatrix:
@@ -1151,9 +1149,8 @@ def verify_short_exact(inc: TripleMorphism, proj: TripleMorphism) -> bool:
 
 def _exact_by_ranks(inc: TripleMorphism, proj: TripleMorphism) -> bool:
     """Given proj . inc = 0: inc injective, proj surjective and dim B = dim A + dim C everywhere."""
-    sa, sb, sc = ({**z.x, **z.y} for z in (inc.source, inc.target, proj.target))
-    for vtx in inc.source.scenario.vertex_order():
-        a, b, c = sa[vtx].dim, sb[vtx].dim, sc[vtx].dim
+    for vtx in inc.source.parts:
+        a, b, c = (z.parts[vtx].dim for z in (inc.source, inc.target, proj.target))
         if inc.maps[vtx].rank() != a or proj.maps[vtx].rank() != c or a + c != b:
             return False
     return True
@@ -1162,8 +1159,8 @@ def _exact_by_ranks(inc: TripleMorphism, proj: TripleMorphism) -> bool:
 def torsion_pair(z: TripleObject) -> tuple[TripleMorphism, TripleMorphism]:
     """The canonical sequence 0 -> (X,0,0) -> z -> (0,Y,0) -> 0."""
     unit = identity_morphism(z).maps
-    inc = TripleMorphism(x_only(z), z, {w: unit[w] if w in z.x else RatMatrix.zeros(z.y[w].dim, 0) for w in unit})
-    proj = TripleMorphism(z, y_only(z), {w: RatMatrix.zeros(0, z.x[w].dim) if w in z.x else unit[w] for w in unit})
+    inc = TripleMorphism(x_only(z), z, {w: m if w in z.eta else RatMatrix.zeros(m.rows, 0) for w, m in unit.items()})
+    proj = TripleMorphism(z, y_only(z), {w: RatMatrix.zeros(0, m.cols) if w in z.eta else m for w, m in unit.items()})
     return inc, proj
 
 
@@ -1218,14 +1215,14 @@ def is_universal(z: TripleObject) -> UniversalityReport:
 
     end_basis = hom(z, z)
     sv = hom_space_dims(z, z)[1]
-    vflat_len = sum(z.y[y].dim ** 2 for y in s.y_ids)
+    vflat_len = sum(z.parts[y].dim ** 2 for y in s.y_ids)
     vflats = [_flat_matrices([m.maps[y] for y in s.y_ids]) for m in end_basis]
     vrank = _flat_columns(vflats, vflat_len).rank() if vflats else 0
     transport = (len(end_basis) == sv == vrank)
     self_ext = ext1(z, z).dim == 0
     # at one vertex all nonzero modules are isotypic, so ker(eta) is seen by
     # the x component iff the component is nonzero wherever the kernel is
-    detected = all(rank[x] == z.eta[x].cols or z.x[x].dim > 0 for x in s.x_ids)
+    detected = all(rank[x] == z.eta[x].cols or z.parts[x].dim > 0 for x in s.x_ids)
     crit2 = transport and self_ext and detected
 
     hom_x = True

@@ -181,16 +181,16 @@ def scenario_from_json(doc) -> SpeciesScenario:
 # ----------------------------------------------------------------------
 
 def object_to_json(z: TripleObject) -> dict:
-    def side(ids, parts):
-        return {v: {"dim": parts[v].dim,
-                    "action": [matrix_to_json(m) for m in parts[v].action]}
+    def side(ids):
+        return {v: {"dim": z.parts[v].dim,
+                    "action": [matrix_to_json(m) for m in z.parts[v].action]}
                 for v in ids}
 
     return {
         "schema": OBJECT_SCHEMA,
         "scenario": z.scenario.name,
-        "x": side(z.scenario.x_ids, z.x),
-        "y": side(z.scenario.y_ids, z.y),
+        "x": side(z.scenario.x_ids),
+        "y": side(z.scenario.y_ids),
         "eta": {x: matrix_to_json(z.eta[x]) for x in z.scenario.x_ids},
     }
 
@@ -202,12 +202,17 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
         raise FormatError(f"object belongs to scenario {doc.get('scenario')!r}, "
                           f"not {scenario.name!r}")
 
-    for name in ("x", "y", "eta"):
+    sides = (("x", scenario.x_ids), ("y", scenario.y_ids), ("eta", scenario.x_ids))
+    for name, ids in sides:
         if not isinstance(doc.get(name, {}), dict):
             raise FormatError(f"{name!r} must be an object keyed by vertex id")
+        bad = [k for k in doc.get(name, {}) if k not in ids]
+        if bad:
+            raise FormatError(f"unknown vertex {bad[0]!r} under {name!r}")
 
-    def side(ids, section):
-        out = {}
+    parts = {}
+    for name, ids in sides[:2]:
+        section = doc.get(name, {})
         for v in ids:
             if v not in section:
                 raise FormatError(f"missing component at vertex {v!r}")
@@ -226,15 +231,12 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
                     action = [RatMatrix.identity(dim)]
                 else:
                     raise FormatError(f"vertex {v!r} needs {n} action matrices")
-            out[v] = VertexSpace(dim, action)
-            err = _space_error(scenario.algebra(v).spec, out[v])  # before F(Y) is built
+            parts[v] = VertexSpace(dim, action)
+            err = _space_error(scenario.algebra(v).spec, parts[v])  # before F(Y) is built
             if err is not None:
                 raise FormatError(f"component at vertex {v!r}: {err}")
-        return out
 
-    x_parts = side(scenario.x_ids, doc.get("x", {}))
-    y_parts = side(scenario.y_ids, doc.get("y", {}))
-    fsp = _build_fspaces(scenario, y_parts)
+    fsp = _build_fspaces(scenario, parts)
     eta = {}
     for v in scenario.x_ids:
         grid = doc.get("eta", {}).get(v)
@@ -242,9 +244,9 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
             raise FormatError(f"missing eta at vertex {v!r}")
         # an empty grid cannot carry its column count; rebuild it at the
         # tensor dimension the scenario dictates
-        eta[v] = matrix_from_json(grid, rows=x_parts[v].dim,
+        eta[v] = matrix_from_json(grid, rows=parts[v].dim,
                                   cols=fsp[v].dim if not grid else None)
-    z = TripleObject._with_fspaces(scenario, x_parts, y_parts, eta, fsp)  # components checked in side()
+    z = TripleObject._with_fspaces(scenario, parts, eta, fsp)  # components checked above
     err = _eta_error(z)
     if err is not None:
         raise TripleError(err)

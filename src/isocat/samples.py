@@ -10,13 +10,13 @@ import random
 
 from .exactalg import Polynomial, _combine_terms
 from .extcat import (
-    TripleError,
     TripleMorphism,
     TripleObject,
     abelian_ops,
     canonical_space,
     hom,
     _build_fspaces,
+    _check_ids,
     _combine_morphisms,
     _hom_terms,
 )
@@ -67,18 +67,15 @@ def random_object_with(scenario: SpeciesScenario, mult: dict[str, int],
 
     A key of mult that is not a vertex is an error.
     """
-    if not mult.keys() <= scenario._handles.keys():
-        bad = next(k for k in mult if k not in scenario._handles)
-        raise TripleError(f"{bad!r} is not a vertex of {scenario.name!r}")
-    x_parts = {x: canonical_space(scenario.algebra(x), mult.get(x, 0)) for x in scenario.x_ids}
-    y_parts = {y: canonical_space(scenario.algebra(y), mult.get(y, 0)) for y in scenario.y_ids}
-    fsp = _build_fspaces(scenario, y_parts)
+    _check_ids(scenario, mult)
+    parts = {v: canonical_space(scenario.algebra(v), mult.get(v, 0)) for v in scenario.vertex_order()}
+    fsp = _build_fspaces(scenario, parts)
     eta = {}
     for x in scenario.x_ids:
-        terms, den = _hom_terms(scenario.algebra(x).spec, fsp[x], x_parts[x])
+        terms, den = _hom_terms(scenario.algebra(x).spec, fsp[x], parts[x])
         coeffs = [rng.randrange(-eta_bound, eta_bound + 1) for _ in terms]
-        eta[x] = _combine_terms(terms, coeffs, den, x_parts[x].dim, fsp[x].dim)
-    return TripleObject._with_fspaces(scenario, x_parts, y_parts, eta, fsp)
+        eta[x] = _combine_terms(terms, coeffs, den, parts[x].dim, fsp[x].dim)
+    return TripleObject._with_fspaces(scenario, parts, eta, fsp)
 
 
 def random_morphism(a: TripleObject, b: TripleObject, rng: random.Random) -> TripleMorphism:

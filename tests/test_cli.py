@@ -265,6 +265,17 @@ def test_cli_rejects_a_malformed_object_file(tmp_path, capsys, patch):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("section, key", [("x", "typo"), ("y", "a9"), ("eta", "typo"), ("x", "a1")])
+def test_cli_rejects_an_object_file_with_a_key_that_is_not_a_vertex_of_its_section(tmp_path, capsys, section, key):
+    # such a key used to be ignored, and the command exited 0
+    doc = object_to_json(random_object(catalog_scenario("c2"), random.Random(3)))
+    doc[section][key] = doc[section]["a1" if section == "y" else "u"]
+    path = tmp_path / "extra-key.json"
+    path.write_text(json.dumps(doc))
+    assert main(["decompose", "--scenario", "catalog:c2", "--object", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: unknown vertex {key!r} under {section!r}\n"
+
+
 def test_object_loader_checks_each_component_once(tmp_path, capsys, monkeypatch):
     # the loader checks every component itself, then builds the object without
     # repeating those checks; eta equivariance is still checked, and exits 2

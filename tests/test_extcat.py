@@ -118,7 +118,7 @@ def test_validate_reports_bad_action():
     bad_action = [RatMatrix.from_rows([[2]])]  # not unital
     from isocat.extcat import VertexSpace
     with pytest.raises(Exception) as err:
-        TripleObject(d4, {**z.x, "u": VertexSpace(1, bad_action)}, z.y, z.eta)
+        TripleObject(d4, {**z.x, "u": VertexSpace(1, bad_action), **z.y}, z.eta)
     assert "u" in str(err.value)
 
 
@@ -129,7 +129,7 @@ def test_validate_eta_equivariance_violation_names_vertex():
     z = canonical_object(b2, {"u": 1, "a1": 1})
     bad_eta = {"u": RatMatrix.from_rows([[1, 0], [0, 2]])}
     with pytest.raises(Exception) as err:
-        TripleObject(b2, z.x, z.y, bad_eta)
+        TripleObject(b2, {**z.x, **z.y}, bad_eta)
     assert "u" in str(err.value)
 
 
@@ -145,10 +145,10 @@ def test_objects_built_with_their_tensor_spaces_keep_the_eta_shape_check():
     s = catalog_scenario("b2_dual")
     z = random_object_with(s, {"u": 1, "a1": 2}, random.Random(4))
     for obj in (z, universal_extension_of(z), y_only(z)):
-        again = TripleObject(s, obj.x, obj.y, obj.eta)
+        again = TripleObject(s, {**obj.x, **obj.y}, obj.eta)
         assert [obj.f[x].key() for x in s.x_ids] == [again.f[x].key() for x in s.x_ids]
     with pytest.raises(TripleError, match="has shape"):
-        TripleObject._with_fspaces(s, z.x, z.y, {"u": RatMatrix.zeros(2, 3)}, z.f)
+        TripleObject._with_fspaces(s, {**z.x, **z.y}, {"u": RatMatrix.zeros(2, 3)}, z.f)
 
 
 # ----------------------------------------------------------------------
@@ -597,7 +597,7 @@ def psi_matrix(a, b):
 
     It also checks the column contract: nonzero entries, rows increasing.
     """
-    _, _, _, offsets, (nrows, columns) = _psi_data(a, b)
+    _, _, offsets, (nrows, columns) = _psi_data(a, b)
     den = math.lcm(*(d for _, d in columns))
     num = [[0] * len(columns) for _ in range(nrows)]
     for c, (ents, d) in enumerate(columns):
@@ -720,7 +720,7 @@ def conjugated(z, y):
     yc = {**z.y, y: conjugated_space(z.y[y])}
     v = {w: conjugator(z.y[w].dim).inverse() if w == y else RatMatrix.identity(z.y[w].dim) for w in s.y_ids}
     fc = _build_fspaces(s, yc)
-    return TripleObject(s, z.x, yc, {x: z.eta[x] * f_map(s, v, fc, z.f, x) for x in s.x_ids})
+    return TripleObject(s, {**z.x, **yc}, {x: z.eta[x] * f_map(s, v, fc, z.f, x) for x in s.x_ids})
 
 
 def assert_hom_matches_dense(a, b):
@@ -786,12 +786,12 @@ def whole_psi_hom(a, b):
     free columns, in column order.
     """
     s = a.scenario
-    (_, _, _, _, (nrows, columns)), (ubases, vbases, _) = _psi_data(a, b), extcat._bases(a, b)
+    (_, _, _, (nrows, columns)), (bases, _) = _psi_data(a, b), extcat._bases(a, b)
     ker, _ = _null_space(_psi_rows(nrows, columns[::-1]) if nrows and columns else [], len(columns))
     homs = []
     for vec in reversed(ker.num):
         coeffs, parts = iter(vec[::-1]), []
-        for ids, bases, src, dst in ((s.x_ids, ubases, a.x, b.x), (s.y_ids, vbases, a.y, b.y)):
+        for ids, src, dst in ((s.x_ids, a.x, b.x), (s.y_ids, a.y, b.y)):
             parts.append({w: _combine_terms(bases[w][0], coeffs, ker.den * bases[w][1], dst[w].dim, src[w].dim)
                           for w in ids})
         homs.append(tuple(parts))
@@ -808,7 +808,7 @@ def squeezed(z, y, e):
     s = z.scenario
     v = {w: RatMatrix.from_rows(e).kron(RatMatrix.identity(s.algebra(y).dim)) if w == y
          else RatMatrix.identity(z.y[w].dim) for w in s.y_ids}
-    return TripleObject(s, z.x, z.y, {x: z.eta[x] * f_map(s, v, z.f, z.f, x) for x in s.x_ids})
+    return TripleObject(s, {**z.x, **z.y}, {x: z.eta[x] * f_map(s, v, z.f, z.f, x) for x in s.x_ids})
 
 
 def assert_hom_is_the_whole_psi_kernel(a, b, monkeypatch):
@@ -841,8 +841,8 @@ def test_hom_is_the_whole_psi_kernel_element_for_element(monkeypatch):
         for a in pool:
             for b in pool:
                 assert_hom_is_the_whole_psi_kernel(a, b, monkeypatch)
-                _, _, _, _, (nrows, columns) = _psi_data(a, b)
-                nu = len(columns) - sum(len(t) for t, _ in extcat._bases(a, b)[1].values())
+                _, _, _, (nrows, columns) = _psi_data(a, b)
+                nu = len(columns) - sum(len(extcat._bases(a, b)[0][y][0]) for y in s.y_ids)
                 seen["no v column"] += nrows > 0 and nu == len(columns) > 0
                 seen["zero v column"] += nrows > 0 and any(not ents for ents, _ in columns[nu:])
                 vrows = sorted({r for ents, _ in columns[nu:] for r, _ in ents})
@@ -905,7 +905,7 @@ def random_object_over_fresh_spaces(s, mult, rng, eta_bound=2):
         terms, den = _hom_terms(s.algebra(x).spec, fsp[x], x_parts[x])
         coeffs = [rng.randrange(-eta_bound, eta_bound + 1) for _ in terms]
         eta[x] = _combine_terms(terms, coeffs, den, x_parts[x].dim, fsp[x].dim)
-    z = TripleObject(s, x_parts, y_parts, eta)
+    z = TripleObject(s, {**x_parts, **y_parts}, eta)
     assert all(z.f[x] is not fsp[x] for x in s.x_ids)  # the object built its own F spaces
     return z
 
@@ -1134,7 +1134,7 @@ def test_equal_algebra_instances_do_not_share_memo_entries():
         for m in (1, 2):
             x_parts, y_parts = {x: canonical_space(hy, m)}, {y: canonical_space(hx, m), **rest}
             fsp = _build_fspaces(s, y_parts)
-            objs.append(TripleObject(s, x_parts, y_parts, {x: RatMatrix.zeros(x_parts[x].dim, fsp[x].dim)}))
+            objs.append(TripleObject(s, {**x_parts, **y_parts}, {x: RatMatrix.zeros(x_parts[x].dim, fsp[x].dim)}))
         objs += [random_object_with(s, {v: m for v in s.vertex_order()}, random.Random(m)) for m in (1, 2)]
         for a in objs:
             for b in objs:
@@ -1193,6 +1193,19 @@ def test_random_object_with_rejects_keys_that_are_not_vertices():
     assert random_object_with(s, {"a1": 2}, rng).dimension_vector() == (0, 2)
 
 
+def test_object_constructor_rejects_ids_that_are_not_vertices():
+    # an extra part used to be kept: total_dim read 7 against 3, with data_key unchanged
+    s = catalog_scenario("c2")
+    z = canonical_object(s, {"u": 1, "a1": 1})
+    with pytest.raises(TripleError, match="'w' is not a vertex of 'c2'"):
+        TripleObject(s, {**z.x, **z.y, "w": canonical_space(s.algebra("a1"), 2)}, z.eta)
+    with pytest.raises(TripleError, match="'w' is not an x-vertex of 'c2'"):
+        TripleObject(s, {**z.x, **z.y}, {**z.eta, "w": z.eta["u"]})
+    with pytest.raises(TripleError, match="'a1' is not an x-vertex of 'c2'"):
+        TripleObject(s, {**z.x, **z.y}, {**z.eta, "a1": z.eta["u"]})
+    assert TripleObject(s, {**z.y, **z.x}, z.eta).total_dim() == 3
+
+
 def test_shared_canonical_spaces_are_proved_once(monkeypatch):
     calls = []
     real = extcat._space_error
@@ -1216,13 +1229,13 @@ def test_shared_canonical_spaces_are_proved_once(monkeypatch):
     fresh = VertexSpace(1, [RatMatrix.identity(1)])
     foreign = canonical_space(s.algebra("a1"), 3)
     for _ in range(2):
-        TripleObject(s, {"u": foreign}, {"a1": fresh, "a2": canonical_space(s.algebra("a2"), 0)},
+        TripleObject(s, {"u": foreign, "a1": fresh, "a2": canonical_space(s.algebra("a2"), 0)},
                      {"u": RatMatrix.zeros(3, 1)})
     assert sum(vs is fresh for vs in calls) == 2
     assert sum(vs is foreign for vs in calls) == 2
     with pytest.raises(TripleError, match="not unital"):
-        TripleObject(s, {"u": foreign}, {"a1": VertexSpace(1, [RatMatrix.zeros(1, 1)]),
-                                         "a2": canonical_space(s.algebra("a2"), 0)},
+        TripleObject(s, {"u": foreign, "a1": VertexSpace(1, [RatMatrix.zeros(1, 1)]),
+                         "a2": canonical_space(s.algebra("a2"), 0)},
                      {"u": RatMatrix.zeros(3, 1)})
 
 
@@ -1233,7 +1246,7 @@ def test_five_term_check_sees_a_wrong_column_rank(monkeypatch):
     rng = random.Random("five-term")
     a = random_object_with(s, {"u": 2, "a1": 1}, rng)
     b = random_object_with(s, {"u": 1, "a1": 2}, rng)
-    _, _, _, _, (nrows, columns) = _psi_data(a, b)
+    _, _, _, (nrows, columns) = _psi_data(a, b)
     col_rows = [dict(ents) for ents, _ in columns]
     assert nrows != len(columns) and any(col_rows)
     expected = euler_form(a, b)
@@ -1434,7 +1447,7 @@ def test_psi_with_cached_bases_runs_no_elimination(monkeypatch):
             _psi_data(a, b)
         monkeypatch.setattr(exactalg, "_echelon", counted)
         for a, b in pairs:
-            read += _psi_data(a, b)[4][0] > 0
+            read += _psi_data(a, b)[3][0] > 0
         monkeypatch.setattr(exactalg, "_echelon", real)
     assert len(fields) >= 2 and read >= 15 and not calls
 
@@ -1496,7 +1509,7 @@ def test_ext1_builds_its_projection_and_representatives_as_read(monkeypatch):
         rng = random.Random(f"lazy-ext1:{s.name}")
         objs = [random_object(s, rng, max_mult=2) for _ in range(4)]
         for a, b in itertools.product(objs, objs):
-            _, _, fbases, offsets, (nrows, columns) = _psi_data(a, b)
+            _, fbases, offsets, (nrows, columns) = _psi_data(a, b)
             if not (nrows and columns):
                 continue
             fb = [(x, m) for x in s.x_ids for m in equivariant_hom_basis(s.algebra(x).spec, a.f[x], b.x[x])]
@@ -1817,6 +1830,16 @@ def test_morphism_check_reports_a_missing_map():
     assert TripleMorphism(z, z, ident.u).check() == "missing v map at 'a1'"
 
 
+def test_morphism_check_reports_a_map_at_an_id_that_is_not_a_vertex():
+    # check() used to pass such a map, and composing with it raised a bare KeyError
+    s = catalog_scenario("c2")
+    z = canonical_object(s, {"u": 1, "a1": 1})
+    ident = identity_morphism(z)
+    extra = TripleMorphism(z, z, {**ident.maps, "w": RatMatrix.identity(1)})
+    assert extra.check() == "map at 'w', which is not a vertex"
+    assert ident.check() is None
+
+
 def test_morphism_check_reports_a_map_of_the_wrong_shape():
     # a 1x1 u into an x part of dim 2 used to read as a square that does not commute
     s = catalog_scenario("a2")
@@ -2107,7 +2130,7 @@ def test_left_coordinates_that_are_not_scalars():
     # F(Y)_u sees the conjugation of Y_a, so eta must be carried through F(g^-1)
     assert not objs[0].eta["u"].is_zero()
     with pytest.raises(TripleError, match="not equivariant"):
-        TripleObject(s, objs[0].x, conjugated(objs[0], "a").y, objs[0].eta)
+        TripleObject(s, {**objs[0].x, **conjugated(objs[0], "a").y}, objs[0].eta)
     objs += [random_object(s, rng, max_mult=2), universal_extension_of(objs[0])]
     objs += [conjugated(objs[0], "a"), conjugated(objs[1], "b")]
     for a in objs:
@@ -2189,7 +2212,7 @@ def test_is_universal_cases():
     assert not is_universal(simple_x_object(s, "u")).verdict
     # eta an isomorphism but not the identity
     ey = universal_extension_of(y)
-    twisted = TripleObject(s, ey.x, ey.y,
+    twisted = TripleObject(s, {**ey.x, **ey.y},
                            {"u": RatMatrix.from_rows([[2, 1], [1, 1]])})
     assert is_universal(twisted).verdict
 
@@ -2425,7 +2448,7 @@ def count_end_basis_calls(monkeypatch):
 
 def copy_over(s, z):
     """A fresh TripleObject over s with z's parts."""
-    return TripleObject(s, z.x, z.y, z.eta)
+    return TripleObject(s, {**z.x, **z.y}, z.eta)
 
 
 def test_decompose_remembers_split_nodes_and_leaves(monkeypatch):
@@ -2760,7 +2783,7 @@ def reference_direct_sum(a, b):
         fb = f_map(s, ib_v, b.f, fsp, x)
         lhs = (ia_u[x] * a.eta[x]).hstack(ib_u[x] * b.eta[x])
         eta[x] = lhs * fa.hstack(fb).transpose()
-    total = TripleObject._with_fspaces(s, x_parts, y_parts, eta, fsp)
+    total = TripleObject._with_fspaces(s, {**x_parts, **y_parts}, eta, fsp)
     incs = (TripleMorphism(a, total, {**ia_u, **ia_v}), TripleMorphism(b, total, {**ib_u, **ib_v}))
     projs = tuple(TripleMorphism(total, m.source, {**{x: u.transpose() for x, u in m.u.items()},
                                                    **{y: v.transpose() for y, v in m.v.items()}}) for m in incs)

@@ -129,7 +129,7 @@ def test_every_law_defect_is_rejected_by_algebras_bimodules_and_vertex_spaces():
         assert predicate in action_error(d2.spec, mats, dim), defect
         assert predicate in _space_error(d2.spec, VertexSpace(dim, mats)), defect
         with pytest.raises(TripleError, match=re.escape(predicate)):
-            TripleObject(c2, z.x, {"a1": VertexSpace(dim, mats)}, z.eta)
+            TripleObject(c2, {**z.x, "a1": VertexSpace(dim, mats)}, z.eta)
         doc = object_to_json(z)
         doc["y"]["a1"] = {"dim": dim, "action": [matrix_to_json(m) for m in mats]}
         with pytest.raises(FormatError):  # the loader's own count and shape checks come first
@@ -639,7 +639,7 @@ def test_non_free_spaces_are_rejected():
     c2 = catalog_scenario("c2")
     z = canonical_object(c2, {"u": 1, "a1": 1})
     with pytest.raises(TripleError, match="not free"):
-        TripleObject(c2, z.x, {"a1": VertexSpace(3, odd)}, z.eta)
+        TripleObject(c2, {**z.x, "a1": VertexSpace(3, odd)}, z.eta)
     with pytest.raises(ScenarioError):
         Bimodule(rationals(), d2, 3, [RatMatrix.identity(3)], odd)
     # past the constructor's checks, the right basis itself reports non-freeness
