@@ -6,9 +6,10 @@ space F(Y) into the x-component.  A morphism is one equivariant map per
 vertex (its `maps`), u on the x-vertices and v on the y-vertices, with
 u . eta = eta' . F(v); x, y, u and v are per-side views for outside
 callers.  Hom and Ext^1 are the kernel and cokernel of psi(u, v) =
-u . eta - eta' . F(v), built as sparse integer columns from the nonzero
-entries of the equivariant bases; hom and ext1 of one pair share one
-build of psi.  Also here: universal extensions,
+u . eta - eta' . F(v), from the nonzero entries of the equivariant bases:
+hom reads psi's v block off the v basis as blocks with disjoint rows and
+builds no v column, and ext1 right after hom of a pair reads psi's image,
+or that psi is onto, off hom's work.  Also here: universal extensions,
 length-1 projective resolutions, kernels/cokernels/images, torsion pairs,
 endomorphism algebras and an exact Krull-Schmidt-style decomposition.
 
@@ -424,17 +425,26 @@ class TripleMorphism:
                 return f"eta square does not commute at {xv!r}"
         return None
 
+    def _keyed(self, other: "TripleMorphism") -> None:
+        """Raise `TripleError` naming a key unless each side's maps have one key per vertex of its source."""
+        for m in (self, other):
+            if m.maps.keys() != (vs := m.source.parts).keys():
+                w = min(m.maps.keys() ^ vs.keys(), key=str)
+                raise TripleError(f"missing map at {w!r}" if w in vs else f"map at {w!r}, which is not a vertex")
+
     def compose(self, other: "TripleMorphism") -> "TripleMorphism":
         """self . other (apply other first)."""
         _same_scenario(other.source, self.target)
         if not _same_object(other.target, self.source):
             raise TripleError("composition endpoint mismatch")
+        self._keyed(other)
         return TripleMorphism(other.source, self.target, {w: m * other.maps[w] for w, m in self.maps.items()})
 
     def __add__(self, other: "TripleMorphism") -> "TripleMorphism":
         _same_scenario(self.source, self.target)
         if not (_same_object(self.source, other.source) and _same_object(self.target, other.target)):
             raise TripleError("sum endpoint mismatch")
+        self._keyed(other)
         return TripleMorphism(self.source, self.target, {w: m + other.maps[w] for w, m in self.maps.items()})
 
     def __sub__(self, other: "TripleMorphism") -> "TripleMorphism":
@@ -535,10 +545,11 @@ def _same_object(z: TripleObject, z2: TripleObject) -> bool:
 
 def _bases(z: TripleObject, z2: TripleObject) -> tuple[dict[str, Terms], dict[str, Terms]]:
     """The bases of a pair as `_hom_terms`: Hom(z_w, z2_w) per vertex w, in vertex order (u on the
-    x-vertices, v on the y-vertices), and Hom(F(Y), X') per x-vertex."""
+    x-vertices, v on the y-vertices), and Hom(F(Y), X') per x-vertex over a field larger than Q, where
+    `_columns` reads coordinates off it (over Q they are the entries)."""
     s = _same_scenario(z, z2)
     return ({w: _hom_terms(s.algebra(w).spec, vs, z2.parts[w]) for w, vs in z.parts.items()},
-            {x: _hom_terms(s.algebra(x).spec, z.f[x], z2.parts[x]) for x in s.x_ids})
+            {x: _hom_terms(s.algebra(x).spec, z.f[x], z2.parts[x]) for x in s.x_ids if s.algebra(x).dim > 1})
 
 
 def hom_space_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, int]:
@@ -548,84 +559,87 @@ def hom_space_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, int]:
                  for ids, src in ((s.x_ids, z.parts), (s.y_ids, z.parts), (s.x_ids, z.f)))
 
 
+def _row_offsets(z: TripleObject, z2: TripleObject) -> dict[str, int]:
+    """Where each x-vertex's block of psi's rows starts: `_hom_dim` sums, with no basis built."""
+    s, offsets, n = z.scenario, {}, 0
+    for x in s.x_ids:
+        offsets[x], n = n, n + _hom_dim(s.algebra(x).spec, z.f[x], z2.parts[x])
+    return offsets
+
+
+def _columns(z: TripleObject, z2: TripleObject, parts: list, fbases: dict[str, Terms],
+             offsets: dict[str, int]) -> list[list[tuple[int, int]]]:
+    """psi's columns for the basis terms of each (vertex w, terms, big) of parts, in that order, each over
+    big times its den, rows increasing: u . eta at an x-vertex (eta.den divides big), -(eta' . F(v)) at
+    a y-vertex (each eta'.den divides big).  F(v) = I_r (x) v on y's block, so entry (k, j) of v meets
+    eta'_x's column dst + i * n2 + k of each slot i and lands in column src + i * n1 + j of F(Y)_x.  An
+    image is {row-major index: integer}: over Q the index is psi's row; else one `_commutant_coords` per
+    x-vertex reads it off the Hom(F(Y)_x, X'_x) commutant basis (F is never canonical), and its exact
+    recombination check proves the image equivariant."""
+    s, cols = z.scenario, [[] for _, terms, _ in parts for _ in terms]
+    for x in s.x_ids:
+        width, at, imgs, c = z.f[x].dim, [], [], 0  # at: the column of each image
+        for w, terms, big in parts:
+            built = len(imgs)
+            if w == x:  # row i of u . eta is the sum of e * (row j of eta) over u's entries (i, j, e)
+                f = big // z.eta[x].den
+                rows = [[(l, f * g) for l, g in enumerate(row) if g] for row in z.eta[x].num]
+                for ents in terms:
+                    img = {}
+                    for i, j, e in ents:
+                        for l, g in rows[j]:
+                            p = i * width + l
+                            img[p] = img.get(p, 0) + e * g
+                    imgs.append(img)
+            elif w not in z.eta and terms and w in z.f[x].offsets:  # nonzero v terms: both F spaces hold w
+                eta2, n1, n2, scale = z2.eta[x], z.parts[w].dim, z2.parts[w].dim, -(big // z2.eta[x].den)
+                src, dst, ecols = z.f[x].offsets[w], z2.f[x].offsets[w], {}  # ecols[k]: (base, scale * entry)
+                for i in range(s.bimodules[(x, w)].rank_over_right):
+                    for a, row in enumerate(eta2.num):
+                        for k, g in enumerate(row[dst + i * n2:dst + (i + 1) * n2]):
+                            if g:
+                                ecols.setdefault(k, []).append((a * width + src + i * n1, scale * g))
+                for ents in terms:
+                    img = {}
+                    for k, j, e in ents:
+                        for base, g in ecols.get(k, ()):
+                            img[base + j] = img.get(base + j, 0) + g * e
+                    imgs.append(img)
+            at += range(c, c + len(imgs) - built)
+            c += len(terms)
+        off = offsets[x]
+        if x not in fbases:  # over Q
+            for c, img in zip(at, imgs):
+                cols[c] += sorted((off + p, e) for p, e in img.items() if e)
+        elif (coords := _commutant_coords(*fbases[x], width, imgs) if imgs else []) is None:
+            raise InternalConsistencyError("map is not equivariant: no coordinates")
+        else:
+            for c, ents in zip(at, coords):
+                cols[c] += [(off + k, e) for k, e in ents]
+    return cols
+
+
 def _psi_data(z: TripleObject, z2: TripleObject, dims: Optional[tuple[int, int, int]] = None):
-    """Bases and the sparse integer columns of psi(u, v) = u . eta - eta' . F(v) for a pair.
+    """Bases and the sparse integer columns of psi(u, v) = u . eta - eta' . F(v) for a pair, all built.
 
     Returns (bases, fbases, offsets, (nrows, columns)), the two `_bases`
-    tables.  Column c (u basis elements, then v basis elements, in
-    vertex order) is columns[c] = (its nonzero (row, integer) entries, rows
-    increasing, den); the rows are the Hom(F(Y), X') basis, x's block from
-    offsets[x].  Each image u_k . eta or -(eta' . F(v_l)) is written as its
-    nonzero {row-major index: integer} at each x-vertex.  Over Q the index is
-    the coordinate; else `_commutant_coords` reads it off the Hom(F(Y), X')
-    commutant basis (F is never canonical) and its exact recombination
-    check proves the image equivariant.  A u column is over uden * eta.den;
-    a v column's x blocks are scaled to vden times the lcm of the eta'
-    denominators.  nrows, the offsets and the number of columns are
-    `_hom_dim` sums, with dims = `hom_space_dims(z, z2)` when the caller has
-    it.  When psi has no rows (Hom(F(Y), X') = 0) or no columns, every image
-    is 0: the bases are None, there is one ([], 1) column per u and v basis
-    element, and no basis or image is built.
+    tables.  columns[c] = (nonzero (row, integer) entries, rows increasing,
+    den), u basis elements then v, in vertex order; the rows are the
+    Hom(F(Y), X') basis, x's block from offsets[x].  dims, when given, is
+    `hom_space_dims(z, z2)`.  When psi has no rows or no columns, the bases
+    are None and each column is ([], 1): nothing is built.  `hom` builds
+    no psi; `ext1` does unless `hom` of the pair came just before.
     """
-    su, sv, _ = dims or hom_space_dims(z, z2)
-    s, offsets, nrows = z.scenario, {}, 0
-    for x in s.x_ids:
-        offsets[x], nrows = nrows, nrows + _hom_dim(s.algebra(x).spec, z.f[x], z2.parts[x])
+    su, sv, nrows = dims or hom_space_dims(z, z2)
+    offsets = _row_offsets(z, z2)
     if not (nrows and su + sv):  # every image is 0
         return None, None, offsets, (nrows, [([], 1)] * (su + sv))
     bases, fbases = _bases(z, z2)
-    images = {x: [] for x in s.x_ids}  # (column, entries)
-    dens = []
-    for x in s.x_ids:
-        eta, width = z.eta[x], z.f[x].dim
-        rows = [[(l, g) for l, g in enumerate(row) if g] for row in eta.num]
-        terms, uden = bases[x]
-        for ents in terms:  # row i of u_k . eta is the sum of e * (row j of eta) over u_k's entries
-            img = {}
-            for i, j, e in ents:
-                for l, g in rows[j]:
-                    p = i * width + l
-                    img[p] = img.get(p, 0) + e * g
-            images[x].append((len(dens), img))
-            dens.append(uden * eta.den)
-    big = lcm(*(z2.eta[x].den for x in s.x_ids))
-    for y in s.y_ids:
-        terms, vden = bases[y]
-        n1, n2 = z.parts[y].dim, z2.parts[y].dim
-        for x in s.x_ids:
-            # nonzero v terms mean both F spaces hold a y block
-            if not terms or y not in z.f[x].offsets:
-                continue
-            eta2, width = z2.eta[x], z.f[x].dim
-            src, dst, scale = z.f[x].offsets[y], z2.f[x].offsets[y], -big // eta2.den
-            # F(v_l) is I_r (x) v_l on the y block: entry (k, j) of v_l meets
-            # eta' column dst + i * n2 + k and lands at column src + i * n1 + j
-            at = [[] for _ in range(n2)]
-            for i in range(s.bimodules[(x, y)].rank_over_right):
-                for a, row in enumerate(eta2.num):
-                    for k, g in enumerate(row[dst + i * n2:dst + (i + 1) * n2]):
-                        if g:
-                            at[k].append((a * width + src + i * n1, scale * g))
-            for l, ents in enumerate(terms, len(dens)):
-                img = {}
-                for k, j, e in ents:
-                    for base, g in at[k]:
-                        img[base + j] = img.get(base + j, 0) + g * e
-                images[x].append((l, img))
-        dens += [big * vden] * len(terms)
-    columns = [[] for _ in dens]
-    for x in s.x_ids:
-        (fterms, fden), imgs, at = fbases[x], images[x], offsets[x]
-        if s.algebra(x).dim == 1:
-            for c, img in imgs:
-                columns[c] += sorted((at + p, e) for p, e in img.items() if e)
-        elif imgs:
-            coords = _commutant_coords(fterms, fden, z.f[x].dim, [img for _, img in imgs])
-            if coords is None:
-                raise InternalConsistencyError("map is not equivariant: no coordinates")
-            for (c, _), ents in zip(imgs, coords):
-                columns[c] += [(at + k, e) for k, e in ents]
-    return bases, fbases, offsets, (nrows, list(zip(columns, dens)))
+    big, parts, dens = lcm(*(z2.eta[x].den for x in z.scenario.x_ids)), [], []
+    for w, (terms, d) in bases.items():  # u . eta over uden * eta.den, v's image over vden * big
+        parts.append((w, terms, z.eta[w].den if w in z.eta else big))
+        dens += [parts[-1][2] * d] * len(terms)
+    return bases, fbases, offsets, (nrows, list(zip(_columns(z, z2, parts, fbases, offsets), dens)))
 
 
 def _psi_rows(nrows: int, columns: list) -> list[dict[int, int]]:
@@ -639,58 +653,149 @@ def _psi_rows(nrows: int, columns: list) -> list[dict[int, int]]:
     return rows
 
 
-# The last pair hom or ext1 asked for, read and written by those two alone
-# (`_end_basis` builds its own psi): (weak z, weak z2, `_psi_data(z, z2)`,
-# whether hom proved psi onto).  It is for hom-wide, whose ext1 follows hom of
-# its pair.  The weak references keep no object, so no scenario, alive, and a
-# dead one never matches.  The data is read-only: its readers build their rows.
+# The last pair hom was asked for, written by hom and read by ext1 alone:
+# (weak z, weak z2, (offsets, nrows, image), whether psi is onto), image()
+# giving fresh `_echelon` rows that span psi's image, its u columns and its
+# blocks' pivot columns.  It is for hom-wide, whose ext1 follows hom of its
+# pair.  Nothing in it keeps an object alive.
 _LAST_PSI: tuple | None = None
 
 
-def _remember(z: TripleObject, z2: TripleObject, data: tuple, onto: bool) -> None:
-    global _LAST_PSI
-    _LAST_PSI = (weakref.ref(z), weakref.ref(z2), data, onto)
+def _v_blocks(z: TripleObject, z2: TripleObject, bases: dict[str, Terms], fbases: dict[str, Terms],
+              offsets: dict[str, int], nu: int, den: int) -> list[tuple[list[int], list[int], tuple]]:
+    """psi's nonzero v columns over den as blocks (columns, rows, W) with disjoint rows.
 
+    W has a tuple of (local row j, integer) per column, columns right to
+    left; local row j is psi's row rows[j].  F(v) = I_r (x) v, so v_l meets
+    only psi's rows (x, a, slot i, j) for the source indices j of its terms:
+    a union-find over those j groups y's columns.  Over Q those rows are
+    psi's, so one W, `_columns` of a term pattern relative to a group's
+    root j0, serves each group of that pattern, rows shifted by j0.  Else,
+    or with one group, `_columns` reads y's columns once, through the
+    commutant basis beyond Q.
+    """
+    s, blocks, c0 = z.scenario, [], nu
 
-def _pair_psi(z: TripleObject, z2: TripleObject, dims: Optional[tuple[int, int, int]] = None) -> tuple[tuple, bool]:
-    """(`_psi_data(z, z2, dims)`, whether psi is proved onto), from `_LAST_PSI` when it holds this pair."""
-    slot = _LAST_PSI
-    if slot is not None and slot[0]() is z and slot[1]() is z2:
-        return slot[2], slot[3]
-    data = _psi_data(z, z2, dims)
-    _remember(z, z2, data, False)
-    return data, False
+    def find(j: int) -> int:
+        while root[j] != j:
+            j = root[j]
+        return j
+    for y in s.y_ids:
+        terms, vden = bases[y]
+        root = list(range(z.parts[y].dim))  # source indices, joined by the terms of one v basis element
+        for ents in terms:
+            for _, j, _ in ents[1:]:
+                root[find(j)] = find(ents[0][1])
+        groups: dict[int, list[int]] = {}
+        for l in range(len(terms) - 1, -1, -1):  # columns right to left
+            groups.setdefault(find(terms[l][0][1]), []).append(l)
+        # a pattern repeats only across groups, and shifts rows only where y meets x-vertices over Q alone
+        share, made = len(groups) > 1 and not any(y in z.f[x].offsets for x in fbases), {}
+        cols = None if share else _columns(z, z2, [(y, terms, den // vden)], fbases, offsets)
+        for j0, ls in groups.items():
+            key = tuple(tuple((k, j - j0, e) for k, j, e in terms[l]) for l in ls) if share else j0
+            if key not in made:  # W, its local rows in order of appearance
+                gcols = _columns(z, z2, [(y, key, den // vden)], fbases, offsets) if share else [cols[l] for l in ls]
+                at = {}
+                w = tuple(tuple((at.setdefault(r, len(at)), e) for r, e in col) for col in gcols)
+                made[key] = list(at), w
+            rows, w = made[key]
+            if rows:  # else the group's columns are 0
+                blocks.append(([c0 + l for l in ls], [r + j0 for r in rows] if share else rows, w))
+        c0 += len(terms)
+    return blocks
 
 
 def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
     """Basis of the space of morphisms z -> z2: the kernel of psi, from its Y-side blocks, built as read.
 
-    psi's columns are taken right to left, the v (Y-side) columns first, as
-    in `hom_ext_dims`: at each x-vertex the u block of psi is I (x) eta^T,
-    and eliminating it first would build Schur-complement rows from minors
-    of eta.  Since F(v) = I_r (x) v, psi's v block falls apart into
-    components, and the copies of one are one matrix: `_y_side_kernel`
-    eliminates each distinct component once and solves the u columns
-    against it.  The basis is the identity on the free columns of that
-    order, one element per free column, in column order, as one
-    elimination of all of psi's rows would give it.  The call runs only
-    the eliminations, which give rank psi and so the length: `len` and
-    truth cost no back-solve, and element k is back-solved and assembled
-    on its first read, then kept.  When rank psi is its number of rows,
-    `_LAST_PSI` records psi as onto for `ext1` of the same pair.  An empty
-    psi, as in most of check-suite's calls, is the identity, and no basis is
-    built until an element is read.
+    psi's columns go right to left, the v columns first: eliminating the u
+    block I (x) eta^T first would build Schur-complement rows from minors of
+    eta.  The rank phase eliminates [W | I] once per distinct block W of
+    `_v_blocks`, for its pivots P and left-null rows N, with no v column of
+    psi built; unless the blocks' ranks fill psi's rows, the u-only system S
+    (the rows no block meets, and N . U) is eliminated too.  The basis
+    phase, on the first read, solves each distinct W once for G = W_P^-1 on
+    its pivot rows.  The basis is the identity on the free columns, in
+    column order, as one elimination of psi's rows gives it: element k is
+    its free column (a u column with the ones S pairs it with), less G of
+    its image on the v pivot columns.  `_LAST_PSI` keeps for `ext1` whether
+    psi is onto and, if not, psi's image.  An empty psi is the identity.
     """
-    dims = hom_space_dims(z, z2)
-    data, _ = _pair_psi(z, z2, dims)
-    _, _, _, (nrows, columns) = data
-    if nrows and columns:
-        rank, count, vector = _y_side_kernel(columns, dims[0])
-    else:  # every column is free: the identity, with no elimination
-        rank, count, vector = 0, len(columns), lambda k: ([int(c == k) for c in range(len(columns))], 1)
-    _remember(z, z2, data, rank == nrows)  # whether psi is onto
-    morphism = _kernel_morphism(z, z2, data)
-    return _OnDemand(count, lambda k: morphism(*vector(k)))
+    global _LAST_PSI
+    su, sv, nrows = hom_space_dims(z, z2)
+    offsets, nu, ncols = _row_offsets(z, z2), su, su + sv
+    if not (nrows and ncols):  # every column is free: the identity, with no elimination
+        _LAST_PSI = (weakref.ref(z), weakref.ref(z2), (offsets, nrows, list), not nrows)
+        unit = _kernel_morphism(z, z2, None)
+        return _OnDemand(ncols, lambda k: unit([0] * k + [1] + [0] * (ncols - 1 - k), 1))
+    s, (bases, fbases) = z.scenario, _bases(z, z2)
+    big = lcm(*(z2.eta[x].den for x in s.x_ids))
+    den = lcm(*[d * (z.eta[w].den if w in z.eta else big) for w, (_, d) in bases.items()])
+    echs, blocks, piv, met, cols, sys_rows = {}, [], set(), set(), [], []  # piv: v pivot columns; cols: u columns
+    uparts = [(x, bases[x][0], den // bases[x][1]) for x in s.x_ids]  # psi's u columns over den, built when needed
+    for ccols, crows, w in _v_blocks(z, z2, bases, fbases, offsets, nu, den):
+        met.update(crows)
+        if (ew := echs.get(w)) is None:  # W's elimination, W hashed once per block
+            n, rows = len(w), {}
+            for k, col in enumerate(w):
+                for j, e in col:
+                    rows.setdefault(j, {})[k] = e
+            for j, row in rows.items():
+                row[n + j] = 1
+            pivots, ech, _, _ = _echelon(list(rows.values()))
+            r = bisect_left(pivots, n)
+            # the left-null rows N (local row j at n + j) keep `_echelon`'s key order, not increasing:
+            # they are read only through the sums below, whose keys are sorted, never eliminated again
+            ew = echs[w] = (n, len(rows), pivots[:r], ech[:r], ech[r:])
+        blocks.append((ccols, crows, w, ew))
+        piv.update([ccols[p] for p in ew[2]])
+    if len(piv) < nrows:  # the v block is not onto: S holds what the u columns must do
+        cols += _columns(z, z2, uparts, fbases, offsets)
+        urow = {}  # psi's u rows, u column c keyed nu - 1 - c
+        for c in range(nu - 1, -1, -1):
+            for r, e in cols[c]:
+                urow.setdefault(r, {})[nu - 1 - c] = e
+        sys_rows += [urow[r] for r in sorted(urow) if r not in met]
+        for _, crows, _, (n, _, _, _, nulls) in blocks:
+            for nrow in nulls:
+                acc = {}
+                for j, a in nrow.items():
+                    for k, e in urow.get(crows[j - n], {}).items():
+                        acc[k] = acc.get(k, 0) + a * e
+                sys_rows.append({k: acc[k] for k in sorted(acc) if acc[k]})
+    spivots, sech, _, _ = _echelon(sys_rows) if any(sys_rows) else ([], [], 1, 1)
+    scols, rank = [nu - 1 - f for f in spivots], len(piv) + len(spivots)
+    _LAST_PSI = (weakref.ref(z), weakref.ref(z2), (offsets, nrows, lambda: [dict(ents) for ents in cols] + [
+        dict(sorted((crows[j], e) for j, e in w[p])) for _, crows, w, ech in blocks for p in ech[2]]), rank == nrows)
+    free, phase = sorted(set(range(ncols)).difference(piv, scols)), []  # phase: the basis phase's one result
+
+    def basis() -> tuple:
+        cols[:] = cols or _columns(z, z2, uparts, fbases, offsets)
+        solved = {w: _back_solve(pivots, ech, range(n, n + m)) for w, (n, m, pivots, ech, _) in echs.items()}
+        gden, ent, gat = lcm(*(d for d, _ in solved.values())), dict(enumerate(cols)), {}
+        for ccols, crows, w, (_, _, pivots, _, _) in blocks:
+            (d, zs), pcols = solved[w], [ccols[p] for p in pivots]
+            for r, g in zip(crows, zs):  # gat[r]: G's column at row r, times gden, as (v column, entry)
+                gat[r] = [(p, x * (gden // d)) for p, x in zip(pcols, g) if x]
+            for c, col in zip(ccols, w):
+                ent[c] = [(crows[j], e) for j, e in col]
+        phase.append((gden, gat, ent, _back_solver(spivots, sech)))
+        return phase[0]
+
+    def vector(k: int) -> tuple[list[int], int]:
+        gden, gat, ent, solve = phase[0] if phase else basis()
+        vec, c = [0] * ncols, free[k]
+        d, zf = solve(nu - 1 - c) if c < nu else (1, [])  # a free u column with the ones S pairs it with
+        for c, x in zip([c, *scols], [-d, *zf]):
+            if x:  # x times column c, less G of it on the v pivot columns
+                vec[c] = -x * gden
+                for r, e in ent.get(c, ()):
+                    for p, g in gat.get(r, ()):
+                        vec[p] += x * e * g
+        return vec, d * gden
+    morphism = _kernel_morphism(z, z2, bases)
+    return _OnDemand(ncols - rank, lambda k: morphism(*vector(k)))
 
 
 def _end_basis(z: TripleObject) -> Sequence[TripleMorphism]:
@@ -702,10 +807,9 @@ def _end_basis(z: TripleObject) -> Sequence[TripleMorphism]:
     are eliminated once, left to right; element k is back-solved for its own
     free column on its first read, by one `_back_solver` for all of them.
     """
-    data = _psi_data(z, z)
-    _, _, _, (nrows, columns) = data
+    bases, _, _, (nrows, columns) = _psi_data(z, z)
     pivots, ech, _, _ = _echelon(_psi_rows(nrows, columns) if nrows and columns else [])
-    free, morphism = sorted(set(range(len(columns))).difference(pivots)), _kernel_morphism(z, z, data)
+    free, morphism = sorted(set(range(len(columns))).difference(pivots)), _kernel_morphism(z, z, bases)
     solve = _back_solver(pivots, ech)
 
     def element(k: int) -> TripleMorphism:
@@ -743,127 +847,22 @@ class _OnDemand(Sequence):
         return len(self) == len(other) and list(self) == list(other)
 
 
-def _kernel_morphism(z: TripleObject, z2: TripleObject, data: tuple):
-    """(vec, den) -> the morphism z -> z2 of psi's kernel vector vec / den, psi from `_psi_data(z, z2)`.
+def _kernel_morphism(z: TripleObject, z2: TripleObject, bases: Optional[dict[str, Terms]]):
+    """(vec, den) -> the morphism z -> z2 of psi's kernel vector vec / den, over `_bases(z, z2)`'s vertex table.
 
-    Each vertex map is one integer grid, from the nonzero entries of its
-    basis, tabled on the first call (an empty psi's data holds no bases).
+    Each vertex map is one integer grid from its basis's entries, tabled on
+    the first call (from `_bases` then, when bases is None).
     """
     sparse = []
 
     def morphism(vec: list[int], vden: int) -> TripleMorphism:
         if not sparse:
-            bases = data[0] or _bases(z, z2)[0]
-            sparse.extend((w, *bases[w], z2.parts[w].dim, vs.dim) for w, vs in z.parts.items())
+            table = bases or _bases(z, z2)[0]
+            sparse.extend((w, *table[w], z2.parts[w].dim, vs.dim) for w, vs in z.parts.items())
         coeffs = iter(vec)  # each vertex takes the next len(terms) coefficients
         return TripleMorphism(z, z2, {w: _combine_terms(terms, coeffs, vden * den, rows, cols)
                                       for w, terms, den, rows, cols in sparse})
     return morphism
-
-
-def _y_side_kernel(columns: list, nu: int) -> tuple[int, int, Callable[[int], tuple[list[int], int]]]:
-    """(rank psi, dim ker psi, k -> kernel basis vector k as (integers, den)), psi's columns taken right to left.
-
-    The v columns (from nu on) join psi's rows into components W; copies of
-    one W share its work.  The call is the rank phase: [W | I] is
-    eliminated once per distinct W, columns right to left, for its pivots
-    P, its free v columns and its left-null rows N.  The u part of a kernel
-    vector lies in the kernel of the u-only system S: the rows no v column
-    meets and N . U.  S is eliminated with the u columns right to left, and
-    rank psi is the components' ranks plus rank S.  The first read of any
-    vector is the basis phase: each distinct W is back-solved once, for its
-    free v columns and G = W_P^-1 on its pivot rows, and S's solver is
-    prepared.  The vectors are S's free u columns right to left, each
-    solved on its read, against S and then against G of every component it
-    meets, never carried through an elimination; then the free v columns,
-    in column order.
-    """
-    den, ncols = lcm(*(d for _, d in columns)), len(columns)
-    cols = [ents if d == den else [(r, e * (den // d)) for r, e in ents] for ents, d in columns]
-    root = {}  # rows joined by the v columns, as a union-find forest
-
-    def find(r: int) -> int:
-        while root[r] != r:
-            r = root[r]
-        return r
-
-    for ents in cols[nu:]:
-        top = find(root.setdefault(ents[0][0], ents[0][0])) if ents else None
-        for r, _ in ents:
-            q = root.setdefault(r, top)
-            if q != top:
-                root[find(q)] = top
-    comps, urow = {}, {}  # urow: psi's u rows, column c keyed nu - 1 - c
-    for c in range(ncols - 1, -1, -1):
-        if c < nu:
-            for r, e in cols[c]:
-                urow.setdefault(r, {})[nu - 1 - c] = e
-        elif cols[c]:
-            comps.setdefault(find(cols[c][0][0]), []).append(c)
-    sys_rows, echs, blocks, rank = [urow[r] for r in sorted(urow) if r not in root], {}, [], 0
-    for ccols in comps.values():
-        at = {}  # local rows in order of appearance
-        wkey = tuple([(k, at.setdefault(r, len(at)), e) for k, c in enumerate(ccols) for r, e in cols[c]])
-        if wkey not in echs:
-            n, w = len(ccols), [{} for _ in at]
-            for k, j, e in wkey:
-                w[j][k] = e
-            for j, row in enumerate(w):
-                row[n + j] = 1
-            pivots, ech, _, _ = _echelon(w)
-            r = bisect_left(pivots, n)
-            # the left-null rows N keep `_echelon`'s key order, not increasing: they are read
-            # only through the sums below, whose keys are sorted, never eliminated again
-            echs[wkey] = (n, len(w), pivots[:r], ech[:r], [{j - n: e for j, e in row.items()} for row in ech[r:]])
-        crows, (_, _, pivots, _, nulls) = list(at), echs[wkey]
-        blocks.append((ccols, crows, wkey))
-        rank += len(pivots)
-        for nrow in nulls:
-            acc = {}
-            for j, a in nrow.items():
-                for k, e in urow.get(crows[j], {}).items():
-                    acc[k] = acc.get(k, 0) + a * e
-            sys_rows.append({k: acc[k] for k in sorted(acc) if acc[k]})
-    spivots, sech, _, _ = _echelon(sys_rows) if any(sys_rows) else ([], [], 1, 1)
-    ufree = sorted(set(range(nu)).difference(spivots), reverse=True)  # u column nu - 1 - f for f in ufree
-    phase = []  # the basis phase's result, from its one run on the first read of any vector
-
-    def basis() -> tuple:
-        solved = {}
-        for key, (n, m, pivots, ech, _) in echs.items():
-            free = sorted(set(range(n)).difference(pivots))
-            solved[key] = (pivots, free, *_back_solve(pivots, ech, free + list(range(n, n + m))))
-        big = lcm(*(d for _, _, d, _ in solved.values()))
-        gat = {}  # gat[r]: row r's column of big . G, as (v column, entry)
-        vfree = [(c, [int(k == c) for k in range(ncols)], 1) for c in range(nu, ncols) if not cols[c]]
-        for ccols, crows, key in blocks:
-            pivots, free, d, zs = solved[key]
-            pcols = [ccols[p] for p in pivots]
-            for f, zf in zip(free, zs):
-                vec = [0] * ncols
-                for p, x in zip([ccols[f], *pcols], [d, *(-x for x in zf)]):
-                    vec[p] = x
-                vfree.append((ccols[f], vec, d))
-            for r, g in zip(crows, zs[len(free):]):
-                gat[r] = [(p, x * (big // d)) for p, x in zip(pcols, g) if x]
-        vfree.sort()
-        phase.append((big, gat, [(vec, d) for _, vec, d in vfree], _back_solver(spivots, sech)))
-        return phase[0]
-
-    def vector(k: int) -> tuple[list[int], int]:
-        big, gat, vfree, solve = phase[0] if phase else basis()
-        if k >= len(ufree):
-            return vfree[k - len(ufree)]
-        d, zf = solve(ufree[k])  # u column nu - 1 - f, with the v part that cancels it
-        vec = [0] * ncols
-        for f, x in zip([ufree[k], *spivots], [d, *(-x for x in zf)]):
-            if x:
-                vec[nu - 1 - f] = x * big
-                for r, e in cols[nu - 1 - f]:
-                    for p, g in gat.get(r, ()):
-                        vec[p] -= x * e * g
-        return vec, d * big
-    return rank + len(spivots), ncols - rank - len(spivots), vector
 
 
 class ExtResult:
@@ -883,23 +882,28 @@ class ExtResult:
 
 
 def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
-    """Cokernel of psi(u, v) = u . eta - eta' . F(v), from psi's columns read as rows.
+    """Cokernel of psi(u, v) = u . eta - eta' . F(v), from vectors spanning psi's image read as rows.
 
-    The call runs only the elimination, which gives dim; the projection
-    (`_null_space` of those rows) and the representatives are built on their
-    first read.  With no rows, or right after `hom` of the same pair proved
-    psi onto, the cokernel is 0 and nothing is eliminated.
+    The call eliminates them, which gives dim; the projection (`_null_space`
+    of those rows) and the representatives are built on their first read.
+    Right after `hom` of the pair, `_LAST_PSI` holds the rows or that psi is
+    onto, and no psi is built; with no rows, nothing is eliminated.  ext1
+    writes no pair state.
     """
-    s = z.scenario
-    (_, fbases, offsets, (nrows, columns)), onto = _pair_psi(z, z2)
+    s, slot = z.scenario, _LAST_PSI
+    if slot is not None and slot[0]() is z and slot[1]() is z2:  # right after hom of the pair
+        (offsets, nrows, image), onto = slot[2], slot[3]
+        rows = [] if onto else image()
+    else:
+        _, _, offsets, (nrows, columns) = _psi_data(z, z2)
+        rows, onto = [dict(ents) for ents, _ in columns], False
     if onto or not nrows:
         return ExtResult(0, list, lambda: RatMatrix.zeros(0, nrows))
-    rows = [dict(ents) for ents, _ in columns]
     pivots, ech, _, _ = _echelon(rows) if any(rows) else ([], [], 1, 1)
     free = sorted(set(range(nrows)).difference(pivots))
 
     def basis() -> list[dict[str, RatMatrix]]:
-        terms = fbases or _bases(z, z2)[1]
+        terms = {x: _hom_terms(s.algebra(x).spec, z.f[x], z2.parts[x]) for x in s.x_ids}
 
         def rep(x: str, k: int) -> RatMatrix:  # Hom(F(Y)_x, X'_x) basis element k; zero off its range
             ents, den = terms[x]
@@ -911,16 +915,10 @@ def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
 def hom_ext_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, tuple[int, int, int]]:
     """(dim Hom, dim Ext^1, hom_space_dims) from one build of psi.
 
-    dim Hom is ncols - rank(psi) by eliminating psi's rows, and dim Ext^1 is
-    nrows - rank(psi) by eliminating its columns: two eliminations of two
-    separately built row sets; none when psi has no rows or no columns,
-    which `hom_space_dims`' sizes then answer, with no psi or basis built.
-    The row elimination takes psi's columns right to left: a rank does not
-    depend on the order, and at each x-vertex the u block of psi is
-    I (x) eta^T, whose elimination first would leave Schur-complement rows
-    built from minors of eta; the v columns first avoid that growth.  `hom`
-    takes psi's columns in this same order, but euler-small's tiny psi rank
-    faster in this one elimination than in `_y_side_kernel`.
+    dim Hom is ncols - rank(psi) by eliminating psi's rows, its columns right
+    to left as in `hom` (the v columns first avoid Schur-complement growth),
+    and dim Ext^1 is nrows - rank(psi) by eliminating its columns; with no
+    rows or no columns, `hom_space_dims`' sizes answer and nothing is built.
     """
     su, sv, sf = dims = hom_space_dims(z, z2)
     h, e = su + sv, sf

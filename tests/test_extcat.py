@@ -859,6 +859,49 @@ def test_hom_is_the_whole_psi_kernel_element_for_element(monkeypatch):
     assert all(seen.values()), seen
 
 
+def test_hom_on_retract_pieces_is_the_whole_psi_kernel(monkeypatch):
+    # decompose summands and the kernels, images and cokernels of random
+    # morphisms have y parts that are not canonical spaces, so their v bases
+    # group, and repeat term patterns, unlike the canonical ones
+    pairs, kinds = 0, set()
+    for name in ("b2_dual", "c2", "c3_surface", "g2_threefold", "d4_elliptic"):
+        s = catalog_scenario(name)
+        rng = random.Random(f"retract-pieces:{name}")
+        objs = [random_object_with(s, {v: m for v in s.vertex_order()}, rng) for m in (2, 2, 3)]
+        pieces = [sm.object for z in objs[::2] for sm in decompose(z).summands]
+        for a, b in itertools.permutations(objs, 2):
+            ops = abelian_ops(random_morphism(a, b, rng))
+            pieces += [ops.kernel, ops.image, ops.cokernel]
+        pieces = [p for p in pieces if p.total_dim()] + objs[:1]
+        kinds.update((name, any(not extcat._shared(s.algebra(y).spec, p.parts[y]) for y in s.y_ids)) for p in pieces)
+        for a, b in itertools.product(pieces, pieces):
+            assert_hom_is_the_whole_psi_kernel(a, b, monkeypatch)
+            pairs += 1
+    assert pairs >= 900 and {name for name, fresh in kinds if fresh} == {"c2", "c3_surface", "g2_threefold"}
+
+
+def test_hom_builds_no_psi_column(monkeypatch):
+    # hom reads psi's v block off the v basis and builds psi's u columns
+    # only when the v block leaves rows; `_psi_data` is not on its path
+    def refuse(*args):
+        raise AssertionError("hom built psi")
+
+    counted = 0
+    for name in ("d4_elliptic", "c3_surface", "g2_threefold"):
+        s = catalog_scenario(name)
+        rng = random.Random(f"no-psi:{name}")
+        objs = [random_object_with(s, {v: 3 for v in s.vertex_order()}, rng) for _ in range(3)]
+        refs = {(i, k): len(whole_psi_hom(a, b)[0]) for i, a in enumerate(objs) for k, b in enumerate(objs)}
+        monkeypatch.setattr(extcat, "_psi_data", refuse)
+        for (i, k), n in refs.items():
+            assert all(hom_space_dims(objs[i], objs[k]))
+            monkeypatch.setattr(extcat, "_LAST_PSI", None)
+            assert len(hom(objs[i], objs[k])) == n
+            counted += 1
+        monkeypatch.undo()
+    assert counted == 27
+
+
 def test_canonical_spaces_and_their_f_spaces_match_the_generic_path():
     # Q(sqrt 2) in the basis (2 + sqrt 2, 1): basis element 0 is not the unit
     odd = asserted_division_algebra(AlgebraSpec([[[4, -2], [1, 0]], [[1, 0], [0, 1]]], [0, 1]))
@@ -1838,6 +1881,24 @@ def test_morphism_check_reports_a_map_at_an_id_that_is_not_a_vertex():
     extra = TripleMorphism(z, z, {**ident.maps, "w": RatMatrix.identity(1)})
     assert extra.check() == "map at 'w', which is not a vertex"
     assert ident.check() is None
+
+
+def test_compose_and_sum_refuse_maps_not_keyed_by_the_vertices():
+    # compose and + indexed the other side's maps by their own keys: a key
+    # that is not a vertex raised a bare KeyError, and a missing map composed
+    # to a morphism without it
+    s = catalog_scenario("c2")
+    z = canonical_object(s, {"u": 1, "a1": 1})
+    ident = identity_morphism(z)
+    extra = TripleMorphism(z, z, {**ident.maps, "w": RatMatrix.identity(1)})
+    missing = TripleMorphism(z, z, {"a1": ident.maps["a1"]})
+    for bad, message in ((extra, "map at 'w', which is not a vertex"), (missing, "missing map at 'u'")):
+        for combine in (lambda: bad.compose(ident), lambda: ident.compose(bad), lambda: bad + ident,
+                        lambda: ident + bad, lambda: ident - bad):
+            with pytest.raises(TripleError, match=message):
+                combine()
+    assert missing.check() == "missing u map at 'u'"
+    assert ident.compose(ident).maps == ident.maps and (ident - ident).is_zero()
 
 
 def test_morphism_check_reports_a_map_of_the_wrong_shape():
