@@ -426,11 +426,10 @@ class TripleMorphism:
         return None
 
     def _keyed(self, other: "TripleMorphism") -> None:
-        """Raise `TripleError` naming a key unless each side's maps have one key per vertex of its source."""
+        """Raise `TripleError` with `check`'s report unless each side has one map per vertex of its source."""
         for m in (self, other):
-            if m.maps.keys() != (vs := m.source.parts).keys():
-                w = min(m.maps.keys() ^ vs.keys(), key=str)
-                raise TripleError(f"missing map at {w!r}" if w in vs else f"map at {w!r}, which is not a vertex")
+            if m.maps.keys() != m.source.parts.keys():  # then check stops at a map before any eta square
+                raise TripleError(m.check())
 
     def compose(self, other: "TripleMorphism") -> "TripleMorphism":
         """self . other (apply other first)."""
@@ -559,24 +558,15 @@ def hom_space_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, int]:
                  for ids, src in ((s.x_ids, z.parts), (s.y_ids, z.parts), (s.x_ids, z.f)))
 
 
-def _row_offsets(z: TripleObject, z2: TripleObject) -> dict[str, int]:
-    """Where each x-vertex's block of psi's rows starts: `_hom_dim` sums, with no basis built."""
-    s, offsets, n = z.scenario, {}, 0
-    for x in s.x_ids:
-        offsets[x], n = n, n + _hom_dim(s.algebra(x).spec, z.f[x], z2.parts[x])
-    return offsets
-
-
-def _columns(z: TripleObject, z2: TripleObject, parts: list, fbases: dict[str, Terms],
-             offsets: dict[str, int]) -> list[list[tuple[int, int]]]:
+def _columns(z: TripleObject, z2: TripleObject, parts: list, fbases: dict[str, Terms]) -> list[list[tuple[int, int]]]:
     """psi's columns for the basis terms of each (vertex w, terms, big) of parts, in that order, each over
     big times its den, rows increasing: u . eta at an x-vertex (eta.den divides big), -(eta' . F(v)) at
     a y-vertex (each eta'.den divides big).  F(v) = I_r (x) v on y's block, so entry (k, j) of v meets
     eta'_x's column dst + i * n2 + k of each slot i and lands in column src + i * n1 + j of F(Y)_x.  An
     image is {row-major index: integer}: over Q the index is psi's row; else one `_commutant_coords` per
     x-vertex reads it off the Hom(F(Y)_x, X'_x) commutant basis (F is never canonical), and its exact
-    recombination check proves the image equivariant."""
-    s, cols = z.scenario, [[] for _, terms, _ in parts for _ in terms]
+    recombination check proves the image equivariant.  x's block of psi's rows starts at off."""
+    s, cols, off = z.scenario, [[] for _, terms, _ in parts for _ in terms], 0
     for x in s.x_ids:
         width, at, imgs, c = z.f[x].dim, [], [], 0  # at: the column of each image
         for w, terms, big in parts:
@@ -607,15 +597,16 @@ def _columns(z: TripleObject, z2: TripleObject, parts: list, fbases: dict[str, T
                     imgs.append(img)
             at += range(c, c + len(imgs) - built)
             c += len(terms)
-        off = offsets[x]
         if x not in fbases:  # over Q
             for c, img in zip(at, imgs):
                 cols[c] += sorted((off + p, e) for p, e in img.items() if e)
-        elif (coords := _commutant_coords(*fbases[x], width, imgs) if imgs else []) is None:
-            raise InternalConsistencyError("map is not equivariant: no coordinates")
-        else:
+        elif imgs:
+            coords = _commutant_coords(*fbases[x], width, imgs)
+            if coords is None:
+                raise InternalConsistencyError("map is not equivariant: no coordinates")
             for c, ents in zip(at, coords):
                 cols[c] += [(off + k, e) for k, e in ents]
+        off += len(fbases[x][0]) if x in fbases else width * z2.parts[x].dim  # x's rows: Hom(F(Y)_x, X'_x)
     return cols
 
 
@@ -631,15 +622,17 @@ def _psi_data(z: TripleObject, z2: TripleObject, dims: Optional[tuple[int, int, 
     no psi; `ext1` does unless `hom` of the pair came just before.
     """
     su, sv, nrows = dims or hom_space_dims(z, z2)
-    offsets = _row_offsets(z, z2)
+    s, offsets, at = z.scenario, {}, 0
+    for x in s.x_ids:
+        offsets[x], at = at, at + _hom_dim(s.algebra(x).spec, z.f[x], z2.parts[x])
     if not (nrows and su + sv):  # every image is 0
         return None, None, offsets, (nrows, [([], 1)] * (su + sv))
     bases, fbases = _bases(z, z2)
-    big, parts, dens = lcm(*(z2.eta[x].den for x in z.scenario.x_ids)), [], []
+    big, parts, dens = lcm(*(z2.eta[x].den for x in s.x_ids)), [], []
     for w, (terms, d) in bases.items():  # u . eta over uden * eta.den, v's image over vden * big
         parts.append((w, terms, z.eta[w].den if w in z.eta else big))
         dens += [parts[-1][2] * d] * len(terms)
-    return bases, fbases, offsets, (nrows, list(zip(_columns(z, z2, parts, fbases, offsets), dens)))
+    return bases, fbases, offsets, (nrows, list(zip(_columns(z, z2, parts, fbases), dens)))
 
 
 def _psi_rows(nrows: int, columns: list) -> list[dict[int, int]]:
@@ -654,7 +647,7 @@ def _psi_rows(nrows: int, columns: list) -> list[dict[int, int]]:
 
 
 # The last pair hom was asked for, written by hom and read by ext1 alone:
-# (weak z, weak z2, (offsets, nrows, image), whether psi is onto), image()
+# (weak z, weak z2, (nrows, image), whether psi is onto), image()
 # giving fresh `_echelon` rows that span psi's image, its u columns and its
 # blocks' pivot columns.  It is for hom-wide, whose ext1 follows hom of its
 # pair.  Nothing in it keeps an object alive.
@@ -662,17 +655,17 @@ _LAST_PSI: tuple | None = None
 
 
 def _v_blocks(z: TripleObject, z2: TripleObject, bases: dict[str, Terms], fbases: dict[str, Terms],
-              offsets: dict[str, int], nu: int, den: int) -> list[tuple[list[int], list[int], tuple]]:
+              nu: int, den: int) -> list[tuple[list[int], list[int], tuple]]:
     """psi's nonzero v columns over den as blocks (columns, rows, W) with disjoint rows.
 
     W has a tuple of (local row j, integer) per column, columns right to
     left; local row j is psi's row rows[j].  F(v) = I_r (x) v, so v_l meets
     only psi's rows (x, a, slot i, j) for the source indices j of its terms:
-    a union-find over those j groups y's columns.  Over Q those rows are
-    psi's, so one W, `_columns` of a term pattern relative to a group's
-    root j0, serves each group of that pattern, rows shifted by j0.  Else,
-    or with one group, `_columns` reads y's columns once, through the
-    commutant basis beyond Q.
+    a union-find over those j groups y's columns.  Where y meets x-vertices
+    over Q alone, those rows are psi's, so a group's terms and rows are
+    taken relative to its root j0 and groups of one term pattern share one
+    W; beyond Q no group shifts.  One `_columns` call per y reads each
+    pattern once, through the commutant basis beyond Q.
     """
     s, blocks, c0 = z.scenario, [], nu
 
@@ -689,19 +682,18 @@ def _v_blocks(z: TripleObject, z2: TripleObject, bases: dict[str, Terms], fbases
         groups: dict[int, list[int]] = {}
         for l in range(len(terms) - 1, -1, -1):  # columns right to left
             groups.setdefault(find(terms[l][0][1]), []).append(l)
-        # a pattern repeats only across groups, and shifts rows only where y meets x-vertices over Q alone
-        share, made = len(groups) > 1 and not any(y in z.f[x].offsets for x in fbases), {}
-        cols = None if share else _columns(z, z2, [(y, terms, den // vden)], fbases, offsets)
+        raw = not any(y in z.f[x].offsets for x in fbases)  # y meets x-vertices over Q alone
+        uses: dict[tuple, list] = {}  # term pattern -> (row shift, columns) per group
         for j0, ls in groups.items():
-            key = tuple(tuple((k, j - j0, e) for k, j, e in terms[l]) for l in ls) if share else j0
-            if key not in made:  # W, its local rows in order of appearance
-                gcols = _columns(z, z2, [(y, key, den // vden)], fbases, offsets) if share else [cols[l] for l in ls]
-                at = {}
-                w = tuple(tuple((at.setdefault(r, len(at)), e) for r, e in col) for col in gcols)
-                made[key] = list(at), w
-            rows, w = made[key]
-            if rows:  # else the group's columns are 0
-                blocks.append(([c0 + l for l in ls], [r + j0 for r in rows] if share else rows, w))
+            shift = j0 if raw else 0
+            key = tuple([tuple([(k, j - shift, e) for k, j, e in terms[l]]) for l in ls])
+            uses.setdefault(key, []).append((shift, [c0 + l for l in ls]))
+        cols = iter(_columns(z, z2, [(y, [ents for key in uses for ents in key], den // vden)], fbases))
+        for key, shifts in uses.items():
+            at = {}  # W's local rows, in order of appearance
+            w = tuple(tuple((at.setdefault(r, len(at)), e) for r, e in next(cols)) for _ in key)
+            if at:  # else the pattern's columns are 0
+                blocks += [(ccols, [r + shift for r in at], w) for shift, ccols in shifts]
         c0 += len(terms)
     return blocks
 
@@ -724,17 +716,19 @@ def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
     """
     global _LAST_PSI
     su, sv, nrows = hom_space_dims(z, z2)
-    offsets, nu, ncols = _row_offsets(z, z2), su, su + sv
+    nu, ncols = su, su + sv
     if not (nrows and ncols):  # every column is free: the identity, with no elimination
-        _LAST_PSI = (weakref.ref(z), weakref.ref(z2), (offsets, nrows, list), not nrows)
+        _LAST_PSI = (weakref.ref(z), weakref.ref(z2), (nrows, list), not nrows)
         unit = _kernel_morphism(z, z2, None)
         return _OnDemand(ncols, lambda k: unit([0] * k + [1] + [0] * (ncols - 1 - k), 1))
     s, (bases, fbases) = z.scenario, _bases(z, z2)
     big = lcm(*(z2.eta[x].den for x in s.x_ids))
     den = lcm(*[d * (z.eta[w].den if w in z.eta else big) for w, (_, d) in bases.items()])
-    echs, blocks, piv, met, cols, sys_rows = {}, [], set(), set(), [], []  # piv: v pivot columns; cols: u columns
     uparts = [(x, bases[x][0], den // bases[x][1]) for x in s.x_ids]  # psi's u columns over den, built when needed
-    for ccols, crows, w in _v_blocks(z, z2, bases, fbases, offsets, nu, den):
+    echs, blocks = {}, []  # W -> its elimination; (columns, rows, W, elimination) per block
+    piv, met = set(), set()  # the v pivot columns; the rows the blocks meet
+    cols, sys_rows = [], []  # psi's u columns, once built; S
+    for ccols, crows, w in _v_blocks(z, z2, bases, fbases, nu, den):
         met.update(crows)
         if (ew := echs.get(w)) is None:  # W's elimination, W hashed once per block
             n, rows = len(w), {}
@@ -751,7 +745,7 @@ def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
         blocks.append((ccols, crows, w, ew))
         piv.update([ccols[p] for p in ew[2]])
     if len(piv) < nrows:  # the v block is not onto: S holds what the u columns must do
-        cols += _columns(z, z2, uparts, fbases, offsets)
+        cols += _columns(z, z2, uparts, fbases)
         urow = {}  # psi's u rows, u column c keyed nu - 1 - c
         for c in range(nu - 1, -1, -1):
             for r, e in cols[c]:
@@ -766,12 +760,15 @@ def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
                 sys_rows.append({k: acc[k] for k in sorted(acc) if acc[k]})
     spivots, sech, _, _ = _echelon(sys_rows) if any(sys_rows) else ([], [], 1, 1)
     scols, rank = [nu - 1 - f for f in spivots], len(piv) + len(spivots)
-    _LAST_PSI = (weakref.ref(z), weakref.ref(z2), (offsets, nrows, lambda: [dict(ents) for ents in cols] + [
-        dict(sorted((crows[j], e) for j, e in w[p])) for _, crows, w, ech in blocks for p in ech[2]]), rank == nrows)
+
+    def image() -> list[dict[int, int]]:  # psi's u columns and its blocks' pivot columns, as rows
+        vcols = [sorted((crows[j], e) for j, e in w[p]) for _, crows, w, ew in blocks for p in ew[2]]
+        return [dict(ents) for ents in cols + vcols]
+    _LAST_PSI = (weakref.ref(z), weakref.ref(z2), (nrows, image), rank == nrows)
     free, phase = sorted(set(range(ncols)).difference(piv, scols)), []  # phase: the basis phase's one result
 
     def basis() -> tuple:
-        cols[:] = cols or _columns(z, z2, uparts, fbases, offsets)
+        cols[:] = cols or _columns(z, z2, uparts, fbases)
         solved = {w: _back_solve(pivots, ech, range(n, n + m)) for w, (n, m, pivots, ech, _) in echs.items()}
         gden, ent, gat = lcm(*(d for d, _ in solved.values())), dict(enumerate(cols)), {}
         for ccols, crows, w, (_, _, pivots, _, _) in blocks:
@@ -892,10 +889,10 @@ def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
     """
     s, slot = z.scenario, _LAST_PSI
     if slot is not None and slot[0]() is z and slot[1]() is z2:  # right after hom of the pair
-        (offsets, nrows, image), onto = slot[2], slot[3]
+        (nrows, image), onto = slot[2], slot[3]
         rows = [] if onto else image()
     else:
-        _, _, offsets, (nrows, columns) = _psi_data(z, z2)
+        _, _, _, (nrows, columns) = _psi_data(z, z2)
         rows, onto = [dict(ents) for ents, _ in columns], False
     if onto or not nrows:
         return ExtResult(0, list, lambda: RatMatrix.zeros(0, nrows))
@@ -903,12 +900,14 @@ def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
     free = sorted(set(range(nrows)).difference(pivots))
 
     def basis() -> list[dict[str, RatMatrix]]:
-        terms = {x: _hom_terms(s.algebra(x).spec, z.f[x], z2.parts[x]) for x in s.x_ids}
-
-        def rep(x: str, k: int) -> RatMatrix:  # Hom(F(Y)_x, X'_x) basis element k; zero off its range
-            ents, den = terms[x]
-            return _combine_terms(ents[k:k + 1] if k >= 0 else [], [1], den, z2.parts[x].dim, z.f[x].dim)
-        return [{x: rep(x, c - offsets[x]) for x in s.x_ids} for c in free]
+        reps, at = [{} for _ in free], 0  # at: where x's block of psi's rows starts
+        for x in s.x_ids:
+            ents, den = _hom_terms(s.algebra(x).spec, z.f[x], z2.parts[x])
+            for rep, c in zip(reps, free):  # Hom(F(Y)_x, X'_x) basis element c - at; zero off its range
+                one = ents[c - at:c - at + 1] if c >= at else []
+                rep[x] = _combine_terms(one, [1], den, z2.parts[x].dim, z.f[x].dim)
+            at += len(ents)
+        return reps
     return ExtResult(len(free), basis, lambda: _null_basis(pivots, ech, free, nrows))
 
 

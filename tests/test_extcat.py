@@ -848,7 +848,9 @@ def test_hom_is_the_whole_psi_kernel_element_for_element(monkeypatch):
                 vrows = sorted({r for ents, _ in columns[nu:] for r, _ in ents})
                 vblock = [[dict(ents).get(r, 0) for ents, _ in columns[nu:]] for r in vrows]
                 seen["null rows"] += bool(vrows) and RatMatrix.from_rows(vblock).rank() < len(vrows)
-    # equal multiplicities repeat components; conjugated Y spaces are not canonical
+    # equal multiplicities repeat components; conjugated Y spaces are not canonical, nor are
+    # the y parts of retract pieces at multiplicity 3, whose groups of v columns repeat patterns
+    fresh = set()
     for name, y in (("g2_threefold", "a1"), ("c3_surface", "a1"), ("d4_elliptic", "a2"), ("b2_dual", "a1")):
         s = catalog_scenario(name)
         rng = random.Random(f"whole-psi:{name}")
@@ -856,28 +858,14 @@ def test_hom_is_the_whole_psi_kernel_element_for_element(monkeypatch):
             z, w = (random_object_with(s, {v: m for v in s.vertex_order()}, rng) for _ in range(2))
             for a, b in ((z, z), (z, w), (conjugated(z, y), w), (w, conjugated(z, y))):
                 assert_hom_is_the_whole_psi_kernel(a, b, monkeypatch)
-    assert all(seen.values()), seen
-
-
-def test_hom_on_retract_pieces_is_the_whole_psi_kernel(monkeypatch):
-    # decompose summands and the kernels, images and cokernels of random
-    # morphisms have y parts that are not canonical spaces, so their v bases
-    # group, and repeat term patterns, unlike the canonical ones
-    pairs, kinds = 0, set()
-    for name in ("b2_dual", "c2", "c3_surface", "g2_threefold", "d4_elliptic"):
-        s = catalog_scenario(name)
-        rng = random.Random(f"retract-pieces:{name}")
-        objs = [random_object_with(s, {v: m for v in s.vertex_order()}, rng) for m in (2, 2, 3)]
-        pieces = [sm.object for z in objs[::2] for sm in decompose(z).summands]
-        for a, b in itertools.permutations(objs, 2):
-            ops = abelian_ops(random_morphism(a, b, rng))
-            pieces += [ops.kernel, ops.image, ops.cokernel]
-        pieces = [p for p in pieces if p.total_dim()] + objs[:1]
-        kinds.update((name, any(not extcat._shared(s.algebra(y).spec, p.parts[y]) for y in s.y_ids)) for p in pieces)
+        z, w = (random_object_with(s, {v: 3 for v in s.vertex_order()}, rng) for _ in range(2))
+        ops = abelian_ops(random_morphism(z, w, rng))
+        pieces = [p for p in (ops.kernel, ops.image, ops.cokernel) if p.total_dim()]
+        pieces += [sm.object for sm in decompose(z).summands]
+        fresh.update(name for p in pieces for v in s.y_ids if not extcat._shared(s.algebra(v).spec, p.parts[v]))
         for a, b in itertools.product(pieces, pieces):
             assert_hom_is_the_whole_psi_kernel(a, b, monkeypatch)
-            pairs += 1
-    assert pairs >= 900 and {name for name, fresh in kinds if fresh} == {"c2", "c3_surface", "g2_threefold"}
+    assert all(seen.values()) and fresh >= {"g2_threefold", "c3_surface"}, (seen, fresh)
 
 
 def test_hom_builds_no_psi_column(monkeypatch):
@@ -1892,7 +1880,7 @@ def test_compose_and_sum_refuse_maps_not_keyed_by_the_vertices():
     ident = identity_morphism(z)
     extra = TripleMorphism(z, z, {**ident.maps, "w": RatMatrix.identity(1)})
     missing = TripleMorphism(z, z, {"a1": ident.maps["a1"]})
-    for bad, message in ((extra, "map at 'w', which is not a vertex"), (missing, "missing map at 'u'")):
+    for bad, message in ((extra, "map at 'w', which is not a vertex"), (missing, "missing u map at 'u'")):
         for combine in (lambda: bad.compose(ident), lambda: ident.compose(bad), lambda: bad + ident,
                         lambda: ident + bad, lambda: ident - bad):
             with pytest.raises(TripleError, match=message):
