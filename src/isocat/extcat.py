@@ -8,8 +8,8 @@ u . eta = eta' . F(v); x, y, u and v are per-side views for outside
 callers.  Hom and Ext^1 are the kernel and cokernel of psi(u, v) =
 u . eta - eta' . F(v), from the nonzero entries of the equivariant bases:
 hom reads psi's v block off the v basis as blocks with disjoint rows and
-builds no v column, and ext1 right after hom of a pair reads psi's image,
-or that psi is onto, off hom's work.  Also here: universal extensions,
+builds no v column, and ext1 eliminates psi's columns, right after hom of a
+pair only when its classes are read.  Also here: universal extensions,
 length-1 projective resolutions, kernels/cokernels/images, torsion pairs,
 endomorphism algebras and an exact Krull-Schmidt-style decomposition.
 
@@ -619,7 +619,8 @@ def _psi_data(z: TripleObject, z2: TripleObject, dims: Optional[tuple[int, int, 
     Hom(F(Y), X') basis, x's block from offsets[x].  dims, when given, is
     `hom_space_dims(z, z2)`.  When psi has no rows or no columns, the bases
     are None and each column is ([], 1): nothing is built.  `hom` builds
-    no psi; `ext1` does unless `hom` of the pair came just before.
+    no psi; `ext1` builds it at the call, or on the first read of its
+    classes when `hom` of the pair came just before.
     """
     su, sv, nrows = dims or hom_space_dims(z, z2)
     s, offsets, at = z.scenario, {}, 0
@@ -647,10 +648,9 @@ def _psi_rows(nrows: int, columns: list) -> list[dict[int, int]]:
 
 
 # The last pair hom was asked for, written by hom and read by ext1 alone:
-# (weak z, weak z2, (nrows, image), whether psi is onto), image()
-# giving fresh `_echelon` rows that span psi's image, its u columns and its
-# blocks' pivot columns.  It is for hom-wide, whose ext1 follows hom of its
-# pair.  Nothing in it keeps an object alive.
+# (weak z, weak z2, dim Ext^1), the rows hom's rank leaves.  It is for
+# hom-wide, whose ext1 follows hom of its pair and reads only the dim.
+# Nothing in it keeps an object alive.
 _LAST_PSI: tuple | None = None
 
 
@@ -711,14 +711,14 @@ def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
     its pivot rows.  The basis is the identity on the free columns, in
     column order, as one elimination of psi's rows gives it: element k is
     its free column (a u column with the ones S pairs it with), less G of
-    its image on the v pivot columns.  `_LAST_PSI` keeps for `ext1` whether
-    psi is onto and, if not, psi's image.  An empty psi is the identity.
+    its image on the v pivot columns.  `_LAST_PSI` keeps nrows - rank, the
+    dim of Ext^1, for `ext1`.  An empty psi is the identity.
     """
     global _LAST_PSI
     su, sv, nrows = hom_space_dims(z, z2)
     nu, ncols = su, su + sv
     if not (nrows and ncols):  # every column is free: the identity, with no elimination
-        _LAST_PSI = (weakref.ref(z), weakref.ref(z2), (nrows, list), not nrows)
+        _LAST_PSI = (weakref.ref(z), weakref.ref(z2), nrows)
         unit = _kernel_morphism(z, z2, None)
         return _OnDemand(ncols, lambda k: unit([0] * k + [1] + [0] * (ncols - 1 - k), 1))
     s, (bases, fbases) = z.scenario, _bases(z, z2)
@@ -760,11 +760,7 @@ def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
                 sys_rows.append({k: acc[k] for k in sorted(acc) if acc[k]})
     spivots, sech, _, _ = _echelon(sys_rows) if any(sys_rows) else ([], [], 1, 1)
     scols, rank = [nu - 1 - f for f in spivots], len(piv) + len(spivots)
-
-    def image() -> list[dict[int, int]]:  # psi's u columns and its blocks' pivot columns, as rows
-        vcols = [sorted((crows[j], e) for j, e in w[p]) for _, crows, w, ew in blocks for p in ew[2]]
-        return [dict(ents) for ents in cols + vcols]
-    _LAST_PSI = (weakref.ref(z), weakref.ref(z2), (nrows, image), rank == nrows)
+    _LAST_PSI = (weakref.ref(z), weakref.ref(z2), nrows - rank)
     free, phase = sorted(set(range(ncols)).difference(piv, scols)), []  # phase: the basis phase's one result
 
     def basis() -> tuple:
@@ -879,28 +875,32 @@ class ExtResult:
 
 
 def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
-    """Cokernel of psi(u, v) = u . eta - eta' . F(v), from vectors spanning psi's image read as rows.
+    """Cokernel of psi(u, v) = u . eta - eta' . F(v), from psi's columns read as rows.
 
-    The call eliminates them, which gives dim; the projection (`_null_space`
-    of those rows) and the representatives are built on their first read.
-    Right after `hom` of the pair, `_LAST_PSI` holds the rows or that psi is
-    onto, and no psi is built; with no rows, nothing is eliminated.  ext1
-    writes no pair state.
+    One routine eliminates them, at most once per result; the projection
+    (`_null_space` of those rows) and the representatives are built on their
+    first read.  Cold, the call runs it, which gives dim.  Right after `hom`
+    of the pair, `_LAST_PSI` gives dim, the call builds no psi, and the first
+    read runs the routine and checks its dim against hom's.  With no rows,
+    nothing is eliminated.  ext1 writes no pair state.
     """
-    s, slot = z.scenario, _LAST_PSI
-    if slot is not None and slot[0]() is z and slot[1]() is z2:  # right after hom of the pair
-        (nrows, image), onto = slot[2], slot[3]
-        rows = [] if onto else image()
-    else:
-        _, _, _, (nrows, columns) = _psi_data(z, z2)
-        rows, onto = [dict(ents) for ents, _ in columns], False
-    if onto or not nrows:
-        return ExtResult(0, list, lambda: RatMatrix.zeros(0, nrows))
-    pivots, ech, _, _ = _echelon(rows) if any(rows) else ([], [], 1, 1)
-    free = sorted(set(range(nrows)).difference(pivots))
+    s, slot, done = z.scenario, _LAST_PSI, []  # done: the elimination's one result
+    warm = slot is not None and slot[0]() is z and slot[1]() is z2  # right after hom of the pair
+
+    def cokernel() -> tuple:  # (pivots, ech, free, nrows): `_null_basis`'s arguments
+        if not done:
+            _, _, _, (nrows, columns) = _psi_data(z, z2)
+            rows = [dict(ents) for ents, _ in columns]
+            pivots, ech, _, _ = _echelon(rows) if any(rows) else ([], [], 1, 1)
+            free = sorted(set(range(nrows)).difference(pivots))
+            if warm and len(free) != slot[2]:
+                raise InternalConsistencyError(f"hom's rank gives dim Ext^1 {slot[2]}, psi's columns {len(free)}")
+            done.append((pivots, ech, free, nrows))
+        return done[0]
 
     def basis() -> list[dict[str, RatMatrix]]:
-        reps, at = [{} for _ in free], 0  # at: where x's block of psi's rows starts
+        free, at = cokernel()[2], 0  # at: where x's block of psi's rows starts
+        reps = [{} for _ in free]
         for x in s.x_ids:
             ents, den = _hom_terms(s.algebra(x).spec, z.f[x], z2.parts[x])
             for rep, c in zip(reps, free):  # Hom(F(Y)_x, X'_x) basis element c - at; zero off its range
@@ -908,7 +908,7 @@ def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
                 rep[x] = _combine_terms(one, [1], den, z2.parts[x].dim, z.f[x].dim)
             at += len(ents)
         return reps
-    return ExtResult(len(free), basis, lambda: _null_basis(pivots, ech, free, nrows))
+    return ExtResult(slot[2] if warm else len(cokernel()[2]), basis, lambda: _null_basis(*cokernel()))
 
 
 def hom_ext_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, tuple[int, int, int]]:

@@ -68,23 +68,25 @@ def matrix_to_json(m: RatMatrix) -> list[list[str]]:
     return [[rational_to_str(e) for e in row] for row in m.to_fractions()]
 
 
-def matrix_from_json(grid, rows: int | None = None, cols: int | None = None) -> RatMatrix:
+def _grid_width(grid, rows: int | None = None, cols: int | None = None) -> int:
+    """The width of a JSON matrix, its shape checked against rows and cols with no entry parsed."""
     if not isinstance(grid, list) or any(not isinstance(r, list) for r in grid):
         raise FormatError("matrix must be a list of rows")
-    parsed = [[rational_from_json(e) for e in row] for row in grid]
-    if rows is not None and len(parsed) != rows:
-        raise FormatError(f"matrix has {len(parsed)} rows, expected {rows}")
-    if parsed:
-        width = len(parsed[0])
-        if any(len(r) != width for r in parsed):
-            raise FormatError("matrix rows have inconsistent lengths")
-    else:
-        width = 0 if cols is None else cols
+    if rows is not None and len(grid) != rows:
+        raise FormatError(f"matrix has {len(grid)} rows, expected {rows}")
+    width = len(grid[0]) if grid else 0 if cols is None else cols
+    if any(len(r) != width for r in grid):
+        raise FormatError("matrix rows have inconsistent lengths")
     if cols is not None and width != cols:
         raise FormatError(f"matrix has {width} columns, expected {cols}")
-    if not parsed:
+    return width
+
+
+def matrix_from_json(grid, rows: int | None = None, cols: int | None = None) -> RatMatrix:
+    width = _grid_width(grid, rows, cols)
+    if not grid:
         return RatMatrix.zeros(0, width)
-    return RatMatrix.from_rows(parsed)
+    return RatMatrix.from_rows([[rational_from_json(e) for e in row] for row in grid])
 
 
 # ----------------------------------------------------------------------
@@ -242,10 +244,7 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
         grid = doc.get("eta", {}).get(v)
         if grid is None:
             raise FormatError(f"missing eta at vertex {v!r}")
-        # an empty grid cannot carry its column count; rebuild it at the
-        # tensor dimension the scenario dictates
-        eta[v] = matrix_from_json(grid, rows=parts[v].dim,
-                                  cols=fsp[v].dim if not grid else None)
+        eta[v] = matrix_from_json(grid, parts[v].dim, fsp[v].dim)  # F(Y)_x fixes the width
     z = TripleObject._with_fspaces(scenario, parts, eta, fsp)  # components checked above
     err = _eta_error(z)
     if err is not None:
@@ -289,7 +288,6 @@ def load_matrix(path: str) -> RatMatrix:
     grid = doc.get("matrix", [])
     if isinstance(grid, list) and len(grid) > MAX_DIM:
         raise FormatError(f"operator matrix has {len(grid)} rows, more than {MAX_DIM}")
-    m = matrix_from_json(grid)
-    if m.rows != m.cols:
+    if _grid_width(grid) != len(grid):
         raise FormatError("operator matrix must be square")
-    return m
+    return matrix_from_json(grid)

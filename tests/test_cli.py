@@ -27,7 +27,7 @@ from isocat.fileio import (
     scenario_to_json,
 )
 from isocat.reptype import construct_indecomposable
-from isocat.samples import random_object
+from isocat.samples import random_object, random_object_with
 from isocat.species import SpeciesScenario, number_field, rationals, scalar_bimodule, tensor_bimodule
 
 
@@ -588,6 +588,29 @@ def test_cli_witt_caps_the_operator_rows_before_parsing_entries(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{MAX_DIM + 1} rows" in err
+
+
+def test_cli_witt_refuses_a_non_square_operator_before_parsing_entries(tmp_path, capsys):
+    # one row within the row cap but MAX_DIM + 1 wide: refused on its shape, no entry read
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"schema": "isocat/matrix-v1", "matrix": [["x"] * (MAX_DIM + 1)]}))
+    assert main(["witt", "--op", str(op)]) == 2
+    assert capsys.readouterr().err == "error: operator matrix must be square\n"
+
+
+@pytest.mark.parametrize("kind", ["action", "eta"])
+def test_cli_refuses_an_object_matrix_of_the_wrong_width_before_parsing_entries(tmp_path, capsys, kind):
+    # every row of one action matrix, or of one eta, gains an entry "x": refused on its width, no entry read
+    s = catalog_scenario("b2_dual")
+    doc = object_to_json(random_object_with(s, {v: 1 for v in s.vertex_order()}, random.Random(7)))
+    grids = ([part["action"][-1] for side in ("y", "x") for part in doc[side].values() if part["dim"]]
+             if kind == "action" else [grid for grid in doc["eta"].values() if grid and grid[0]])
+    width = len(grids[0][0])
+    grids[0][:] = [row + ["x"] for row in grids[0]]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert main(["decompose", "--scenario", "catalog:b2_dual", "--object", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: matrix has {width + 1} columns, expected {width}\n"
 
 
 def test_cli_check_passes(capsys):

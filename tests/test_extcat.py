@@ -218,7 +218,7 @@ def test_hom_eliminates_its_one_distinct_component_once_at_multiplicity_eight(mo
     monkeypatch.setattr(extcat, "_LAST_PSI", None)
     assert len(hom(z, z)) == 64
     assert sizes == [24]
-    assert extcat._LAST_PSI[3]  # 8 components of rank 24: psi is onto
+    assert extcat._LAST_PSI[2] == 0  # 8 components of rank 24: psi is onto, Ext^1 = 0
 
 
 def test_hom_sizes_its_pair_once(monkeypatch):
@@ -812,12 +812,12 @@ def squeezed(z, y, e):
 
 
 def assert_hom_is_the_whole_psi_kernel(a, b, monkeypatch):
-    """hom(a, b), its onto record and ext1(a, b).dim against `whole_psi_hom`, element for element."""
+    """hom(a, b), its dim Ext^1 record and ext1(a, b).dim against `whole_psi_hom`, element for element."""
     ref, rank = whole_psi_hom(a, b)
     nrows = hom_space_dims(a, b)[2]
     monkeypatch.setattr(extcat, "_LAST_PSI", None)
     assert [(m.u, m.v) for m in hom(a, b)] == ref
-    assert extcat._LAST_PSI[3] == (rank == nrows)
+    assert extcat._LAST_PSI[2] == nrows - rank
     assert ext1(a, b).dim == nrows - rank
 
 
@@ -1577,18 +1577,48 @@ def count_psi_builds_and_eliminations(monkeypatch):
     return counts
 
 
-def test_ext1_after_hom_of_an_onto_pair_builds_and_eliminates_nothing(monkeypatch):
+def test_ext1_after_hom_of_a_pair_builds_and_eliminates_nothing(monkeypatch):
+    # onto or not, hom's rank gives dim Ext^1
     counts = count_psi_builds_and_eliminations(monkeypatch)
     wide, small, b2, b2_diag, _, _ = (p for p, _ in shared_psi_pairs())
     for pair, ext_dim in ((small, 0), (b2, 0), (wide, 1)):
         hom(*pair)
         counts.update(psi=0, elim=0)
         assert ext1(*pair).dim == ext_dim
-        # onto: nothing; else the shared psi's columns are eliminated once
-        assert counts == {"psi": 0, "elim": ext_dim}
+        assert counts == {"psi": 0, "elim": 0}
     counts.update(psi=0, elim=0)
     ext1(*b2_diag)
     assert counts["psi"] == 1
+
+
+def test_ext1_after_hom_of_a_non_onto_pair_reads_its_classes_off_psi_as_cold(monkeypatch):
+    # the call reads dim off hom's rank; the first read of the classes builds
+    # psi and eliminates its columns once, and checks that dim against them
+    wide = next(pair for pair, _ in shared_psi_pairs())
+    g2 = catalog_scenario("g2_threefold")
+    z, w = (random_object_with(g2, {v: 6 for v in g2.vertex_order()}, random.Random(6)) for _ in range(2))
+    for (a, b), ext_dim in ((wide, 1), ((z, x_only(w)), 72)):
+        monkeypatch.setattr(extcat, "_LAST_PSI", None)
+        cold = ext1(a, b)
+        cold_answers = (cold.dim, cold.basis, cold.projection)
+        counts = count_psi_builds_and_eliminations(monkeypatch)
+        hom(a, b)
+        assert len(extcat._LAST_PSI) == 3 and type(extcat._LAST_PSI[2]) is int
+        assert [type(r) for r in extcat._LAST_PSI[:2]] == [weakref.ref] * 2
+        counts.update(psi=0, elim=0)
+        res = ext1(a, b)
+        assert res.dim == ext_dim and counts == {"psi": 0, "elim": 0}
+        assert (res.dim, res.basis, res.projection) == cold_answers
+        assert counts == {"psi": 1, "elim": 1}
+        monkeypatch.undo()
+        hom(a, b)
+        slot = extcat._LAST_PSI
+        monkeypatch.setattr(extcat, "_LAST_PSI", (*slot[:2], slot[2] + 1))
+        res = ext1(a, b)
+        assert res.dim == ext_dim + 1
+        with pytest.raises(extcat.InternalConsistencyError):
+            res.basis
+        monkeypatch.undo()
 
 
 def test_decompose_between_hom_and_ext1_keeps_the_pair_psi(monkeypatch):
