@@ -8,8 +8,9 @@ u . eta = eta' . F(v); x, y, u and v are per-side views for outside
 callers.  Hom and Ext^1 are the kernel and cokernel of psi(u, v) =
 u . eta - eta' . F(v), from the nonzero entries of the equivariant bases:
 hom reads psi's v block off the v basis as blocks with disjoint rows and
-builds no v column, and ext1 eliminates psi's columns, right after hom of a
-pair only when its classes are read.  Also here: universal extensions,
+builds no v column, and ranks each distinct block alone unless its
+left-null rows are needed; ext1 eliminates psi's columns, right after hom
+of a pair only when its classes are read.  Also here: universal extensions,
 length-1 projective resolutions, kernels/cokernels/images, torsion pairs,
 endomorphism algebras and an exact Krull-Schmidt-style decomposition.
 
@@ -25,7 +26,8 @@ Canonical components are shared values: `canonical_space` returns one
 space per (algebra instance, multiplicity), held by the algebra, and the F
 spaces of a Y whose parts are all those shared spaces are one value per
 (scenario instance, y multiplicities), held by the scenario.  They live as
-long as their algebra or scenario; only their hom-term memo is written.
+long as their algebra or scenario; only their hom-term memo, and a shared
+canonical space's v-block grouping, are written.
 """
 
 from __future__ import annotations
@@ -89,10 +91,12 @@ class VertexSpace:
 
     `canonical` is (algebra key, multiplicity) for a `canonical_space`.  A
     tensor space F(Y)_x has `offsets`, where each y block starts; other
-    spaces have None.  A shared value has `_memo`, its `_hom_terms` by target.
+    spaces have None.  A shared value has `_memo`, its `_hom_terms` by target;
+    a shared canonical space also has `_groups`, `_v_groups` of its v basis by
+    (target, raw).
     """
 
-    __slots__ = ("dim", "action", "_key", "canonical", "offsets", "_memo")
+    __slots__ = ("dim", "action", "_key", "canonical", "offsets", "_memo", "_groups")
 
     def __init__(self, dim: int, action: Sequence[RatMatrix],
                  canonical: Optional[tuple] = None, offsets: Optional[dict[str, int]] = None):
@@ -100,7 +104,7 @@ class VertexSpace:
         self.action = list(action)
         self.canonical = canonical
         self.offsets = offsets
-        self._key = self._memo = None
+        self._key = self._memo = self._groups = None
 
     def key(self) -> tuple:
         if self._key is None:
@@ -124,7 +128,7 @@ def canonical_space(handle: DivisionAlgebraHandle, mult: int) -> VertexSpace:
     if space is None:
         action = [_block_copies(mult, lm) for lm in spec.left_mats]
         space = spec._canonical_spaces[mult] = VertexSpace(mult * spec.dim, action, canonical=(spec.key(), mult))
-        space._memo = {}
+        space._memo, space._groups = {}, {}
     return space
 
 
@@ -654,48 +658,83 @@ def _psi_rows(nrows: int, columns: list) -> list[dict[int, int]]:
 _LAST_PSI: tuple | None = None
 
 
-def _v_blocks(z: TripleObject, z2: TripleObject, bases: dict[str, Terms], fbases: dict[str, Terms],
-              nu: int, den: int) -> list[tuple[list[int], list[int], tuple]]:
-    """psi's nonzero v columns over den as blocks (columns, rows, W) with disjoint rows.
+def _v_groups(terms: list, dim: int, raw: bool) -> tuple[list[tuple[int, list]], list]:
+    """(uses, patterns): one y's v columns grouped for `_v_blocks`, from its v basis terms alone.
 
-    W has a tuple of (local row j, integer) per column, columns right to
-    left; local row j is psi's row rows[j].  F(v) = I_r (x) v, so v_l meets
-    only psi's rows (x, a, slot i, j) for the source indices j of its terms:
-    a union-find over those j groups y's columns.  Where y meets x-vertices
-    over Q alone, those rows are psi's, so a group's terms and rows are
-    taken relative to its root j0 and groups of one term pattern share one
-    W; beyond Q no group shifts.  One `_columns` call per y reads each
-    pattern once, through the commutant basis beyond Q.
+    F(v) = I_r (x) v, so v_l meets only psi's rows (x, a, slot i, j) for the
+    source indices j < dim of its terms: a union-find over those j groups
+    the columns (local, right to left).  Where y meets x-vertices over Q
+    alone (raw), those rows are psi's, so a group's terms are taken relative
+    to its root j0 and groups of one term pattern share one W; beyond Q no
+    group shifts.  uses is (pattern length, [(row shift, columns)]) per
+    distinct pattern, and patterns their terms, in order.
     """
-    s, blocks, c0 = z.scenario, [], nu
+    root = list(range(dim))
 
     def find(j: int) -> int:
         while root[j] != j:
             j = root[j]
         return j
+    for ents in terms:
+        for _, j, _ in ents[1:]:
+            root[find(j)] = find(ents[0][1])
+    groups: dict[int, list[int]] = {}
+    for l in range(len(terms) - 1, -1, -1):  # columns right to left
+        groups.setdefault(find(terms[l][0][1]), []).append(l)
+    uses: dict[tuple, list] = {}  # term pattern -> (row shift, columns) per group
+    for j0, ls in groups.items():
+        shift = j0 if raw else 0
+        key = tuple([tuple([(k, j - shift, e) for k, j, e in terms[l]]) for l in ls])
+        uses.setdefault(key, []).append((shift, ls))
+    return [(len(key), shifts) for key, shifts in uses.items()], [ents for key in uses for ents in key]
+
+
+def _v_blocks(z: TripleObject, z2: TripleObject, bases: dict[str, Terms], fbases: dict[str, Terms],
+              nu: int, den: int) -> list[tuple[list[int], list[int], tuple]]:
+    """psi's nonzero v columns over den as blocks (columns, rows, W) with disjoint rows.
+
+    W has a tuple of (local row j, integer) per column, columns right to
+    left; local row j is psi's row rows[j].  The groups and term patterns
+    of `_v_groups` depend on the two y spaces and raw alone, so between
+    shared canonical y parts they are built once and kept in the source's
+    `_groups`; other y parts group per call.  One `_columns` call per y
+    reads each pattern once, through the commutant basis beyond Q.
+    """
+    s, blocks, c0 = z.scenario, [], nu
     for y in s.y_ids:
-        terms, vden = bases[y]
-        root = list(range(z.parts[y].dim))  # source indices, joined by the terms of one v basis element
-        for ents in terms:
-            for _, j, _ in ents[1:]:
-                root[find(j)] = find(ents[0][1])
-        groups: dict[int, list[int]] = {}
-        for l in range(len(terms) - 1, -1, -1):  # columns right to left
-            groups.setdefault(find(terms[l][0][1]), []).append(l)
+        (terms, vden), alg, src, dst = bases[y], s.algebra(y).spec, z.parts[y], z2.parts[y]
         raw = not any(y in z.f[x].offsets for x in fbases)  # y meets x-vertices over Q alone
-        uses: dict[tuple, list] = {}  # term pattern -> (row shift, columns) per group
-        for j0, ls in groups.items():
-            shift = j0 if raw else 0
-            key = tuple([tuple([(k, j - shift, e) for k, j, e in terms[l]]) for l in ls])
-            uses.setdefault(key, []).append((shift, [c0 + l for l in ls]))
-        cols = iter(_columns(z, z2, [(y, [ents for key in uses for ents in key], den // vden)], fbases))
-        for key, shifts in uses.items():
+        memo = src._groups if _shared(alg, src) and _shared(alg, dst) else {}
+        if (dst, raw) not in memo:
+            memo[dst, raw] = _v_groups(terms, src.dim, raw)
+        uses, patterns = memo[dst, raw]
+        cols = iter(_columns(z, z2, [(y, patterns, den // vden)], fbases))
+        for n, shifts in uses:
             at = {}  # W's local rows, in order of appearance
-            w = tuple(tuple((at.setdefault(r, len(at)), e) for r, e in next(cols)) for _ in key)
+            w = tuple(tuple((at.setdefault(r, len(at)), e) for r, e in next(cols)) for _ in range(n))
             if at:  # else the pattern's columns are 0
-                blocks += [(ccols, [r + shift for r in at], w) for shift, ccols in shifts]
+                blocks += [([c0 + l for l in ls], [r + shift for r in at], w) for shift, ls in shifts]
         c0 += len(terms)
     return blocks
+
+
+def _w_echelon(w: tuple, ident: bool) -> tuple[list[int], list[dict[int, int]], list[dict[int, int]]]:
+    """(P, ech, N): `_echelon` of a block W's rows, built fresh, or of [W | I]'s when ident.
+
+    P are W's pivots and ech their rows.  With ident, local row j is 1 at
+    column n + j, and N, the rows pivoting there, are W's left-null rows in
+    `_echelon`'s key order: they are only summed, never eliminated again.
+    """
+    n, rows = len(w), {}
+    for k, col in enumerate(w):
+        for j, e in col:
+            rows.setdefault(j, {})[k] = e
+    if ident:
+        for j, row in rows.items():
+            row[n + j] = 1
+    pivots, ech, _, _ = _echelon(list(rows.values()))
+    r = bisect_left(pivots, n)
+    return pivots[:r], ech[:r], ech[r:]
 
 
 def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
@@ -703,16 +742,19 @@ def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
 
     psi's columns go right to left, the v columns first: eliminating the u
     block I (x) eta^T first would build Schur-complement rows from minors of
-    eta.  The rank phase eliminates [W | I] once per distinct block W of
-    `_v_blocks`, for its pivots P and left-null rows N, with no v column of
-    psi built; unless the blocks' ranks fill psi's rows, the u-only system S
-    (the rows no block meets, and N . U) is eliminated too.  The basis
-    phase, on the first read, solves each distinct W once for G = W_P^-1 on
-    its pivot rows.  The basis is the identity on the free columns, in
-    column order, as one elimination of psi's rows gives it: element k is
-    its free column (a u column with the ones S pairs it with), less G of
-    its image on the v pivot columns.  `_LAST_PSI` keeps nrows - rank, the
-    dim of Ext^1, for `ext1`.  An empty psi is the identity.
+    eta.  The rank phase eliminates each distinct block W of `_v_blocks`
+    alone, with no v column of psi built: its pivots P are the v pivot
+    columns.  A W with more rows than columns is eliminated as [W | I] in
+    its place, and a W whose rank is below its rows as [W | I] after it,
+    for the left-null rows N; unless the blocks' ranks fill psi's rows, the
+    u-only system S (the rows no block meets, and N . U) is eliminated too.  The basis phase, on the first
+    read, solves [W | I] once per distinct W for G = W_P^-1 on its pivot
+    rows, eliminating it then if the rank phase did not.  The basis is the
+    identity on the free columns, in column order, as one elimination of
+    psi's rows gives it: element k is its free column (a u column with the
+    ones S pairs it with), less G of its image on the v pivot columns.
+    `_LAST_PSI` keeps nrows - rank, the dim of Ext^1, for `ext1`.  An empty
+    psi is the identity.
     """
     global _LAST_PSI
     su, sv, nrows = hom_space_dims(z, z2)
@@ -731,17 +773,11 @@ def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
     for ccols, crows, w in _v_blocks(z, z2, bases, fbases, nu, den):
         met.update(crows)
         if (ew := echs.get(w)) is None:  # W's elimination, W hashed once per block
-            n, rows = len(w), {}
-            for k, col in enumerate(w):
-                for j, e in col:
-                    rows.setdefault(j, {})[k] = e
-            for j, row in rows.items():
-                row[n + j] = 1
-            pivots, ech, _, _ = _echelon(list(rows.values()))
-            r = bisect_left(pivots, n)
-            # the left-null rows N (local row j at n + j) keep `_echelon`'s key order, not increasing:
-            # they are read only through the sums below, whose keys are sorted, never eliminated again
-            ew = echs[w] = (n, len(rows), pivots[:r], ech[:r], ech[r:])
+            n, m = len(w), len(crows)
+            pivots, ech, nulls = _w_echelon(w, m > n)  # W alone unless it has more rows than columns
+            if len(pivots) < m <= n:  # a rank below its rows: [W | I], for N
+                pivots, ech, nulls = _w_echelon(w, True)
+            ew = echs[w] = (n, m, pivots, ech, nulls)
         blocks.append((ccols, crows, w, ew))
         piv.update([ccols[p] for p in ew[2]])
     if len(piv) < nrows:  # the v block is not onto: S holds what the u columns must do
@@ -765,7 +801,8 @@ def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
 
     def basis() -> tuple:
         cols[:] = cols or _columns(z, z2, uparts, fbases)
-        solved = {w: _back_solve(pivots, ech, range(n, n + m)) for w, (n, m, pivots, ech, _) in echs.items()}
+        solved = {w: _back_solve(pivots, ech if len(pivots) < m else _w_echelon(w, True)[1], range(n, n + m))
+                  for w, (n, m, pivots, ech, _) in echs.items()}  # W of full row rank: [W | I] now
         gden, ent, gat = lcm(*(d for d, _ in solved.values())), dict(enumerate(cols)), {}
         for ccols, crows, w, (_, _, pivots, _, _) in blocks:
             (d, zs), pcols = solved[w], [ccols[p] for p in pivots]

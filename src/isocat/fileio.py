@@ -24,6 +24,7 @@ from .extcat import TripleError, TripleObject, VertexSpace, _build_fspaces, _eta
 from .species import (
     Bimodule,
     DivisionAlgebraHandle,
+    ScenarioError,
     SpeciesScenario,
     number_field,
     rationals,
@@ -166,8 +167,11 @@ def scenario_from_json(doc) -> SpeciesScenario:
         if (x, y) in bims:
             raise FormatError(f"bimodule ({x!r}, {y!r}) is listed twice")
         if "left_action" in entry or "right_action" in entry:
-            left = [matrix_from_json(m, dim, dim) for m in _json_list(entry, "left_action")]
-            right = [matrix_from_json(m, dim, dim) for m in _json_list(entry, "right_action")]
+            left, right = _json_list(entry, "left_action"), _json_list(entry, "right_action")
+            for side, h, grids in (("left", xmap[x], left), ("right", ymap[y], right)):
+                if len(grids) != h.dim:  # `Bimodule`'s count check, before any matrix is parsed
+                    raise ScenarioError(f"{side} action needs one action matrix per algebra basis element")
+            left, right = ([matrix_from_json(m, dim, dim) for m in grids] for grids in (left, right))
         else:
             if xmap[x].dim != 1 or ymap[y].dim != 1:
                 raise FormatError(
@@ -224,15 +228,12 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
             dim = entry.get("dim")
             if type(dim) is not int or not 0 <= dim <= MAX_DIM:  # True is an int, not a dim
                 raise FormatError(f"bad dimension at vertex {v!r} (an int from 0 to {MAX_DIM})")
-            action = [matrix_from_json(m, dim, dim) for m in entry.get("action", [])]
-            n = scenario.algebra(v).dim
-            if len(action) != n:
-                if dim == 0:
-                    action = [RatMatrix.zeros(0, 0)] * n
-                elif n == 1 and not action:
-                    action = [RatMatrix.identity(dim)]
-                else:
-                    raise FormatError(f"vertex {v!r} needs {n} action matrices")
+            grids, n = entry.get("action", []), scenario.algebra(v).dim
+            if len(grids) != n and dim and not (n == 1 and not grids):  # counted before any matrix is parsed
+                raise FormatError(f"vertex {v!r} needs {n} action matrices")
+            action = [matrix_from_json(m, dim, dim) for m in grids]
+            if len(action) != n:  # a zero space needs none, and a Q space may omit its identity
+                action = [RatMatrix.zeros(0, 0)] * n if dim == 0 else [RatMatrix.identity(dim)]
             parts[v] = VertexSpace(dim, action)
             err = _space_error(scenario.algebra(v).spec, parts[v])  # before F(Y) is built
             if err is not None:

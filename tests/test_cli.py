@@ -613,6 +613,28 @@ def test_cli_refuses_an_object_matrix_of_the_wrong_width_before_parsing_entries(
     assert capsys.readouterr().err == f"error: matrix has {width + 1} columns, expected {width}\n"
 
 
+def test_cli_refuses_an_over_long_object_action_list_before_parsing_matrices(tmp_path, capsys):
+    # a Q vertex needs one action matrix; 1000 of them, each entry "x", are refused on their count
+    doc = object_to_json(simple_y_object(catalog_scenario("a2"), "a1"))
+    doc["y"]["a1"]["action"] = [[["x"]] for _ in range(1000)]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert main(["decompose", "--scenario", "catalog:a2", "--object", str(path)]) == 2
+    assert capsys.readouterr().err == "error: vertex 'a1' needs 1 action matrices\n"
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_cli_refuses_an_over_long_bimodule_action_list_before_parsing_matrices(tmp_path, capsys, side):
+    # both sides over Q need one matrix each; 1000 on one side, each entry "x", are refused on their count
+    doc = _q_doc("long", "a", [("a", 1)])
+    doc["bimodules"][0].update(left_action=[[["1"]]], right_action=[[["1"]]])
+    doc["bimodules"][0][f"{side}_action"] = [[["x"]] for _ in range(1000)]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {side} action needs one action matrix per algebra basis element\n"
+
+
 def test_cli_check_passes(capsys):
     assert main(["check", "--scenario", "catalog:c3_surface", "--seed", "1",
                  "--samples", "8", "--format", "json"]) == 0

@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -866,6 +867,135 @@ def test_hom_is_the_whole_psi_kernel_element_for_element(monkeypatch):
         for a, b in itertools.product(pieces, pieces):
             assert_hom_is_the_whole_psi_kernel(a, b, monkeypatch)
     assert all(seen.values()) and fresh >= {"g2_threefold", "c3_surface"}, (seen, fresh)
+
+
+def spy_w_eliminations(monkeypatch):
+    """(W, ident, m, rank) per block elimination from here on, read off the rows `_echelon` is given.
+
+    ident is whether a row reaches W's identity columns n + j; m is W's row
+    count and rank the pivots among its own n columns.
+    """
+    calls, inside = [], []
+    real_w, real_echelon = extcat._w_echelon, extcat._echelon
+
+    def echelon(rows):
+        keys = [max(r) for r in rows if r]
+        out = real_echelon(rows)
+        if inside:
+            n = len(inside[-1])
+            calls.append((inside[-1], max(keys, default=-1) >= n, len(keys), sum(p < n for p in out[0])))
+        return out
+
+    def w_echelon(w, ident):
+        inside.append(w)
+        try:
+            return real_w(w, ident)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(extcat, "_echelon", echelon)
+    monkeypatch.setattr(extcat, "_w_echelon", w_echelon)
+    return calls
+
+
+def test_hom_ranks_a_w_of_full_row_rank_alone_and_reads_its_inverse_once(monkeypatch):
+    # on hom-wide's shapes, len(hom) eliminates a block W whose rank fills its
+    # rows with no identity column: it has no left-null rows.  The first read
+    # of the basis eliminates [W | I] for G = W_P^-1, once per distinct W,
+    # and the basis is the one one elimination of all of psi's rows gives
+    full = 0
+    for name in ("g2_threefold", "c3_surface", "d4_elliptic"):
+        s = catalog_scenario(name)
+        rng = random.Random(f"w-alone:{name}")
+        for m in (3, 4, 5):
+            a, b = (random_object_with(s, {v: m for v in s.vertex_order()}, rng) for _ in range(2))
+            ref = whole_psi_hom(a, b)[0]
+            calls = spy_w_eliminations(monkeypatch)
+            basis = hom(a, b)
+            assert len(basis) == len(ref)
+            ranked = {w: r == k for w, _, k, r in calls}  # W -> whether its rank fills its rows
+            assert not any(ident for w, ident, _, _ in calls if ranked[w])
+            full += sum(ranked.values())
+            calls.clear()
+            assert [(h.u, h.v) for h in basis] == ref
+            assert Counter(w for w, ident, _, _ in calls if ident) == Counter(w for w in ranked if ranked[w])
+            monkeypatch.undo()
+    assert full >= 9
+
+
+def test_hom_eliminates_a_tall_w_once_as_w_and_i(monkeypatch):
+    # g2's psi between objects with u at multiplicity 3 and a1 at 1 has 9
+    # rows and 12 columns; its v block is one 9 x 3 W, which has more rows
+    # than columns, so its left-null rows feed S: [W | I] is eliminated once,
+    # in the rank phase, and the basis read eliminates no W
+    s = catalog_scenario("g2_threefold")
+    a, b = (random_object_with(s, {"u": 3, "a1": 1}, random.Random(k)) for k in range(2))
+    assert hom_space_dims(a, b) == (9, 3, 9)
+    ref, rank = whole_psi_hom(a, b)
+    calls = spy_w_eliminations(monkeypatch)
+    basis = hom(a, b)
+    assert [(len(w), ident, m, r) for w, ident, m, r in calls] == [(3, True, 9, 3)]
+    calls.clear()
+    assert [(h.u, h.v) for h in basis] == ref and not calls
+    assert extcat._LAST_PSI[2] == 9 - rank
+
+
+def test_hom_of_a_square_w_of_deficient_rank_keeps_its_left_null_rows(monkeypatch):
+    # a zero row of E kills eta's columns into the last copy of Y_y, so the
+    # square components of psi into it lose rank: W alone shows the rank is
+    # short of its rows, and [W | I] is eliminated for the left-null rows N,
+    # whose products N . U rows of S must hold
+    seen = 0
+    for name, m, y in (("a3", 3, "a1"), ("c2", 2, "a1"), ("c3_surface", 2, "a2"), ("b2_dual", 2, "a1")):
+        s = catalog_scenario(name)
+        rng = random.Random(f"square-null:{name}")
+        z, w = (random_object_with(s, {v: m for v in s.vertex_order()}, rng) for _ in range(2))
+        e = [[int(i == j < m - 1) for j in range(m)] for i in range(m)]
+        zs = squeezed(z, y, e)
+        for a, b in ((w, zs), (zs, w), (zs, zs)):
+            calls = spy_w_eliminations(monkeypatch)
+            len(hom(a, b))
+            square = [(ident, r) for w_, ident, k, r in calls if k == len(w_) and r < k]
+            monkeypatch.undo()
+            assert_hom_is_the_whole_psi_kernel(a, b, monkeypatch)
+            seen += bool(square)
+            assert [ident for ident, _ in square] == [False, True] * (len(square) // 2)
+    assert seen >= 6
+
+
+def test_v_groups_are_kept_on_shared_y_spaces_by_target_and_raw(monkeypatch):
+    # the grouping of a y's v columns depends on the two y spaces and on raw
+    # alone: a second hom of a pair of shared spaces groups nothing, a
+    # retract piece groups on every call and leaves no entry, and one
+    # shared space at two y-vertices, one meeting an x over Q(sqrt 2), holds
+    # an entry for each value of raw
+    grouped, real = [], extcat._v_groups
+    monkeypatch.setattr(extcat, "_v_groups", lambda *args: grouped.append(args[2]) or real(*args))
+    s = catalog_scenario("g2_threefold")
+    rng = random.Random("v-groups")
+    a, b = (random_object_with(s, {v: 3 for v in s.vertex_order()}, rng) for _ in range(2))
+    len(hom(a, b))
+    assert grouped == [True] and a.y["a1"]._groups.keys() == {(b.y["a1"], True)}
+    grouped.clear()
+    assert len(hom(a, b)) == len(whole_psi_hom(a, b)[0]) and not grouped
+    memos = {id(vs): dict(vs._groups) for _, vs in shared_spaces(s) if vs._groups}
+    ops = abelian_ops(random_morphism(a, b, rng))
+    pieces = [p for p in (ops.kernel, ops.image, ops.cokernel) if p.y["a1"].dim]
+    assert pieces and not any(extcat._shared(s.algebra("a1").spec, p.y["a1"]) for p in pieces)
+    grouped.clear()
+    for p in pieces:
+        for pair in ((p, p), (p, a), (a, p), (p, p)):
+            assert_hom_is_the_whole_psi_kernel(*pair, monkeypatch)
+        assert p.y["a1"]._groups is None
+    assert len(grouped) == 4 * len(pieces)
+    assert memos == {id(vs): vs._groups for _, vs in shared_spaces(s) if vs._groups}
+
+    k, q = number_field(Polynomial([-2, 0, 1])), rationals()
+    mixed = SpeciesScenario("mixed_raw", [("u", k), ("w", q)], [("a", q), ("b", q)],
+                            {("w", "a"): scalar_bimodule(q, q, 1), ("u", "b"): tensor_bimodule(k, q)})
+    z, z2 = (random_object_with(mixed, {v: 2 for v in mixed.vertex_order()}, random.Random(j)) for j in range(2))
+    assert z.y["a"] is z.y["b"] is canonical_space(q, 2)
+    assert_hom_is_the_whole_psi_kernel(z, z2, monkeypatch)
+    assert z.y["a"]._groups.keys() == {(z2.y["a"], False), (z2.y["a"], True)}
 
 
 def test_hom_builds_no_psi_column(monkeypatch):
