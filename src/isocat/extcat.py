@@ -747,14 +747,14 @@ def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
     columns.  A W with more rows than columns is eliminated as [W | I] in
     its place, and a W whose rank is below its rows as [W | I] after it,
     for the left-null rows N; unless the blocks' ranks fill psi's rows, the
-    u-only system S (the rows no block meets, and N . U) is eliminated too.  The basis phase, on the first
-    read, solves [W | I] once per distinct W for G = W_P^-1 on its pivot
-    rows, eliminating it then if the rank phase did not.  The basis is the
-    identity on the free columns, in column order, as one elimination of
-    psi's rows gives it: element k is its free column (a u column with the
-    ones S pairs it with), less G of its image on the v pivot columns.
-    `_LAST_PSI` keeps nrows - rank, the dim of Ext^1, for `ext1`.  An empty
-    psi is the identity.
+    u-only system S (the rows no block meets, and N . U) is eliminated
+    too.  The basis phase, on the first read, solves [W | I] once per
+    distinct W for G = W_P^-1 on its pivot rows, eliminating it then if the
+    rank phase did not.  The basis is the identity on the free columns, in
+    column order, as one elimination of psi's rows gives it: element k is
+    its free column (a u column with the ones S pairs it with), less G of
+    its image on the v pivot columns.  `_LAST_PSI` keeps nrows - rank, the
+    dim of Ext^1, for `ext1`.  An empty psi is the identity.
     """
     global _LAST_PSI
     su, sv, nrows = hom_space_dims(z, z2)

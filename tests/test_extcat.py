@@ -948,13 +948,13 @@ def test_hom_of_a_square_w_of_deficient_rank_keeps_its_left_null_rows(monkeypatc
     for name, m, y in (("a3", 3, "a1"), ("c2", 2, "a1"), ("c3_surface", 2, "a2"), ("b2_dual", 2, "a1")):
         s = catalog_scenario(name)
         rng = random.Random(f"square-null:{name}")
-        z, w = (random_object_with(s, {v: m for v in s.vertex_order()}, rng) for _ in range(2))
+        z, other = (random_object_with(s, {v: m for v in s.vertex_order()}, rng) for _ in range(2))
         e = [[int(i == j < m - 1) for j in range(m)] for i in range(m)]
         zs = squeezed(z, y, e)
-        for a, b in ((w, zs), (zs, w), (zs, zs)):
+        for a, b in ((other, zs), (zs, other), (zs, zs)):
             calls = spy_w_eliminations(monkeypatch)
             len(hom(a, b))
-            square = [(ident, r) for w_, ident, k, r in calls if k == len(w_) and r < k]
+            square = [(ident, r) for w, ident, k, r in calls if k == len(w) and r < k]
             monkeypatch.undo()
             assert_hom_is_the_whole_psi_kernel(a, b, monkeypatch)
             seen += bool(square)
