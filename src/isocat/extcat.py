@@ -556,10 +556,20 @@ def _bases(z: TripleObject, z2: TripleObject) -> tuple[dict[str, Terms], dict[st
 
 
 def hom_space_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, int]:
-    """(dim Hom on x parts, dim Hom on y parts, dim Hom(F(Y), X')), sums of `_hom_dim`s: no basis is built."""
-    s = _same_scenario(z, z2)
-    return tuple(sum(_hom_dim(s.algebra(w).spec, src[w], z2.parts[w]) for w in ids)
-                 for ids, src in ((s.x_ids, z.parts), (s.y_ids, z.parts), (s.x_ids, z.f)))
+    """(dim Hom on x parts, dim Hom on y parts, dim Hom(F(Y), X')), sums of `_hom_dim`s: no basis is built.
+
+    One pass over the vertices sizes a pair; each caller sizes it once and
+    passes the sizes on.
+    """
+    s, parts, f, dst = _same_scenario(z, z2), z.parts, z.f, z2.parts
+    su = sv = sf = 0
+    for x in s.x_ids:
+        alg = s.algebra(x).spec
+        su += _hom_dim(alg, parts[x], dst[x])
+        sf += _hom_dim(alg, f[x], dst[x])
+    for y in s.y_ids:
+        sv += _hom_dim(s.algebra(y).spec, parts[y], dst[y])
+    return su, sv, sf
 
 
 def _columns(z: TripleObject, z2: TripleObject, parts: list, fbases: dict[str, Terms]) -> list[list[tuple[int, int]]]:
@@ -621,10 +631,11 @@ def _psi_data(z: TripleObject, z2: TripleObject, dims: Optional[tuple[int, int, 
     tables.  columns[c] = (nonzero (row, integer) entries, rows increasing,
     den), u basis elements then v, in vertex order; the rows are the
     Hom(F(Y), X') basis, x's block from offsets[x].  dims, when given, is
-    `hom_space_dims(z, z2)`.  When psi has no rows or no columns, the bases
-    are None and each column is ([], 1): nothing is built.  `hom` builds
-    no psi; `ext1` builds it at the call, or on the first read of its
-    classes when `hom` of the pair came just before.
+    `hom_space_dims(z, z2)`: a caller that sized the pair passes its sizes,
+    so the pair is sized once.  When psi has no rows or no columns, the
+    bases are None and each column is ([], 1): nothing is built.  `hom`
+    builds no psi; cold `ext1` builds it at the call unless the sizes
+    answer, and otherwise on the first read of its classes.
     """
     su, sv, nrows = dims or hom_space_dims(z, z2)
     s, offsets, at = z.scenario, {}, 0
@@ -916,22 +927,28 @@ def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
 
     One routine eliminates them, at most once per result; the projection
     (`_null_space` of those rows) and the representatives are built on their
-    first read.  Cold, the call runs it, which gives dim.  Right after `hom`
-    of the pair, `_LAST_PSI` gives dim, the call builds no psi, and the first
-    read runs the routine and checks its dim against hom's.  With no rows,
-    nothing is eliminated.  ext1 writes no pair state.
+    first read.  Cold, the call sizes the pair once: a psi with no rows or
+    no columns has dim = its row count, and the call builds and eliminates
+    nothing; otherwise the call runs the routine on those sizes, which
+    gives dim.  Right after `hom` of the pair, `_LAST_PSI` gives dim, the
+    call builds no psi, and the first read runs the routine and checks its
+    dim against hom's.  ext1 writes no pair state.
     """
-    s, slot, done = z.scenario, _LAST_PSI, []  # done: the elimination's one result
-    warm = slot is not None and slot[0]() is z and slot[1]() is z2  # right after hom of the pair
+    s, slot, done, dims = z.scenario, _LAST_PSI, [], None  # done: the elimination's one result
+    if slot is not None and slot[0]() is z and slot[1]() is z2:  # right after hom of the pair
+        dim = slot[2]
+    else:
+        su, sv, nrows = dims = hom_space_dims(z, z2)
+        dim = None if nrows and su + sv else nrows  # with no rows or no columns every row is a class
 
     def cokernel() -> tuple:  # (pivots, ech, free, nrows): `_null_basis`'s arguments
         if not done:
-            _, _, _, (nrows, columns) = _psi_data(z, z2)
+            _, _, _, (nrows, columns) = _psi_data(z, z2, dims)
             rows = [dict(ents) for ents, _ in columns]
             pivots, ech, _, _ = _echelon(rows) if any(rows) else ([], [], 1, 1)
             free = sorted(set(range(nrows)).difference(pivots))
-            if warm and len(free) != slot[2]:
-                raise InternalConsistencyError(f"hom's rank gives dim Ext^1 {slot[2]}, psi's columns {len(free)}")
+            if dims is None and len(free) != dim:
+                raise InternalConsistencyError(f"hom's rank gives dim Ext^1 {dim}, psi's columns {len(free)}")
             done.append((pivots, ech, free, nrows))
         return done[0]
 
@@ -945,7 +962,7 @@ def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
                 rep[x] = _combine_terms(one, [1], den, z2.parts[x].dim, z.f[x].dim)
             at += len(ents)
         return reps
-    return ExtResult(slot[2] if warm else len(cokernel()[2]), basis, lambda: _null_basis(*cokernel()))
+    return ExtResult(len(cokernel()[2]) if dim is None else dim, basis, lambda: _null_basis(*cokernel()))
 
 
 def hom_ext_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, tuple[int, int, int]]:

@@ -236,6 +236,50 @@ def test_hom_sizes_its_pair_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_cold_ext1_and_hom_ext_dims_size_their_pair_once(monkeypatch):
+    # cold ext1 sizes the pair at the call and hands the sizes to `_psi_data`,
+    # so reading its classes sizes nothing again; hom_ext_dims does the same
+    s = catalog_scenario("d4_elliptic")
+    rng = random.Random(2)
+    a, b = (random_object_with(s, {v: 1 for v in s.vertex_order()}, rng) for _ in range(2))
+    pairs = [(a, b), (y_only(a), x_only(b))]
+    assert [bool(su + sv and sf) for su, sv, sf in (hom_space_dims(*p) for p in pairs)] == [True, False]
+    calls = []
+    monkeypatch.setattr(extcat, "hom_space_dims", lambda z, z2: calls.append(1) or hom_space_dims(z, z2))
+    for pair in pairs:
+        monkeypatch.setattr(extcat, "_LAST_PSI", None)
+        calls.clear()
+        res = ext1(*pair)
+        res.basis, res.projection
+        assert len(calls) == 1
+        calls.clear()
+        hom_ext_dims(*pair)
+        assert len(calls) == 1
+
+
+def test_cold_ext1_of_a_size_only_pair_builds_and_eliminates_nothing_at_the_call(monkeypatch):
+    # psi with no rows or no columns: dim is its row count, from the sizes;
+    # psi's empty columns are built on the first read of the classes, and
+    # the answers are the ones every earlier route gave
+    pairs, cold = x_and_y_only_pairs(), []
+    counts = count_psi_builds_and_eliminations(monkeypatch)
+    for a, b in pairs:
+        monkeypatch.setattr(extcat, "_LAST_PSI", None)
+        res = ext1(a, b)
+        assert res.dim == hom_space_dims(a, b)[2]
+        assert counts == {"psi": 0, "elim": 0}
+        cold.append(res)
+    answers = []
+    for (a, b), res in zip(pairs, cold):
+        s = a.scenario
+        reps, proj = [tuple(_mat_key(r[x]) for x in s.x_ids) for r in res.basis], _mat_key(res.projection)
+        homs = [tuple(_mat_key(m.u[x]) for x in s.x_ids) + tuple(_mat_key(m.v[y]) for y in s.y_ids)
+                for m in hom(a, b)]
+        answers.append((homs, res.dim, reps, proj))
+    assert counts["psi"] == len(pairs)  # once per pair, on its first read
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == X_AND_Y_ONLY_ANSWERS
+
+
 def test_hom_builds_only_the_elements_it_reads(monkeypatch):
     # len and truth come from the eliminations alone; element k is
     # back-solved and assembled on its first read, and no other element is
