@@ -9,10 +9,12 @@ callers.  Hom and Ext^1 are the kernel and cokernel of psi(u, v) =
 u . eta - eta' . F(v), from the nonzero entries of the equivariant bases:
 hom reads psi's v block off the v basis as blocks with disjoint rows and
 builds no v column, and ranks each distinct block alone unless its
-left-null rows are needed; ext1 eliminates psi's columns, right after hom
-of a pair only when its classes are read.  Also here: universal extensions,
-length-1 projective resolutions, kernels/cokernels/images, torsion pairs,
-endomorphism algebras and an exact Krull-Schmidt-style decomposition.
+left-null rows are needed; ext1 takes dim Ext^1 = nrows - rank(psi) from
+hom's rank, which hom keeps on its source object for the last target it
+was asked for, and eliminates psi's columns only when its classes are
+read.  Also here: universal extensions, length-1 projective resolutions,
+kernels/cokernels/images, torsion pairs, endomorphism algebras and an
+exact Krull-Schmidt-style decomposition.
 
 Each tensor space F(Y)_x is a `VertexSpace` of the x algebra like any
 other, with its y block offsets.  It uses the slot basis m_i (x) f_c
@@ -280,7 +282,9 @@ class TripleObject:
     parts holds one `VertexSpace` per vertex, in vertex order, x-vertices
     then y-vertices; eta holds one map F(Y)_x -> X_x per x-vertex.  `x` and
     `y`, the x parts and the y parts, are read-only views for outside
-    callers; each builds a dict.
+    callers; each builds a dict.  `_ext1` is the one attribute written after
+    construction: `hom(self, z2)` memoises (weak z2, dim Ext^1) there for
+    `ext1`, so it keeps no target alive.
     """
 
     def __init__(self, scenario: SpeciesScenario, parts: dict[str, VertexSpace], eta: dict[str, RatMatrix]):
@@ -312,6 +316,7 @@ class TripleObject:
         self.parts = parts
         self.eta = dict(eta)
         self.f = fspaces
+        self._ext1 = None
         for xv in scenario.x_ids:
             m = self.eta.get(xv)
             if m is None:
@@ -558,8 +563,9 @@ def _bases(z: TripleObject, z2: TripleObject) -> tuple[dict[str, Terms], dict[st
 def hom_space_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, int]:
     """(dim Hom on x parts, dim Hom on y parts, dim Hom(F(Y), X')), sums of `_hom_dim`s: no basis is built.
 
-    One pass over the vertices sizes a pair; each caller sizes it once and
-    passes the sizes on.
+    One pass over the vertices sizes a pair.  `hom` and `hom_ext_dims` size
+    it once; cold `ext1` sizes it for its size-only rule before `hom` does,
+    and `_psi_data` sizes it again on the first read of its classes.
     """
     s, parts, f, dst = _same_scenario(z, z2), z.parts, z.f, z2.parts
     su = sv = sf = 0
@@ -627,28 +633,24 @@ def _columns(z: TripleObject, z2: TripleObject, parts: list, fbases: dict[str, T
 def _psi_data(z: TripleObject, z2: TripleObject, dims: Optional[tuple[int, int, int]] = None):
     """Bases and the sparse integer columns of psi(u, v) = u . eta - eta' . F(v) for a pair, all built.
 
-    Returns (bases, fbases, offsets, (nrows, columns)), the two `_bases`
-    tables.  columns[c] = (nonzero (row, integer) entries, rows increasing,
-    den), u basis elements then v, in vertex order; the rows are the
-    Hom(F(Y), X') basis, x's block from offsets[x].  dims, when given, is
-    `hom_space_dims(z, z2)`: a caller that sized the pair passes its sizes,
-    so the pair is sized once.  When psi has no rows or no columns, the
-    bases are None and each column is ([], 1): nothing is built.  `hom`
-    builds no psi; cold `ext1` builds it at the call unless the sizes
-    answer, and otherwise on the first read of its classes.
+    Returns (bases, nrows, columns), bases the vertex table of `_bases`.
+    columns[c] = (nonzero (row, integer) entries, rows increasing, den), u
+    basis elements then v, in vertex order; the rows are the Hom(F(Y), X')
+    basis, x-vertex by x-vertex.  dims, when given, is
+    `hom_space_dims(z, z2)`: `hom_ext_dims` sized the pair, so it is sized
+    once.  When psi has no rows or no columns, bases is None and each column
+    is ([], 1): nothing is built.  `hom` builds no psi, and `ext1` builds it
+    only on the first read of its classes.
     """
     su, sv, nrows = dims or hom_space_dims(z, z2)
-    s, offsets, at = z.scenario, {}, 0
-    for x in s.x_ids:
-        offsets[x], at = at, at + _hom_dim(s.algebra(x).spec, z.f[x], z2.parts[x])
     if not (nrows and su + sv):  # every image is 0
-        return None, None, offsets, (nrows, [([], 1)] * (su + sv))
-    bases, fbases = _bases(z, z2)
+        return None, nrows, [([], 1)] * (su + sv)
+    s, (bases, fbases) = z.scenario, _bases(z, z2)
     big, parts, dens = lcm(*(z2.eta[x].den for x in s.x_ids)), [], []
     for w, (terms, d) in bases.items():  # u . eta over uden * eta.den, v's image over vden * big
         parts.append((w, terms, z.eta[w].den if w in z.eta else big))
         dens += [parts[-1][2] * d] * len(terms)
-    return bases, fbases, offsets, (nrows, list(zip(_columns(z, z2, parts, fbases), dens)))
+    return bases, nrows, list(zip(_columns(z, z2, parts, fbases), dens))
 
 
 def _psi_rows(nrows: int, columns: list) -> list[dict[int, int]]:
@@ -660,13 +662,6 @@ def _psi_rows(nrows: int, columns: list) -> list[dict[int, int]]:
         for r, e in ents:
             rows[r][c] = e * k
     return rows
-
-
-# The last pair hom was asked for, written by hom and read by ext1 alone:
-# (weak z, weak z2, dim Ext^1), the rows hom's rank leaves.  It is for
-# hom-wide, whose ext1 follows hom of its pair and reads only the dim.
-# Nothing in it keeps an object alive.
-_LAST_PSI: tuple | None = None
 
 
 def _v_groups(terms: list, dim: int, raw: bool) -> tuple[list[tuple[int, list]], list]:
@@ -764,14 +759,14 @@ def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
     rank phase did not.  The basis is the identity on the free columns, in
     column order, as one elimination of psi's rows gives it: element k is
     its free column (a u column with the ones S pairs it with), less G of
-    its image on the v pivot columns.  `_LAST_PSI` keeps nrows - rank, the
-    dim of Ext^1, for `ext1`.  An empty psi is the identity.
+    its image on the v pivot columns.  z's `_ext1` keeps (weak z2,
+    nrows - rank), the dim of Ext^1, for `ext1`.  An empty psi is the
+    identity.
     """
-    global _LAST_PSI
     su, sv, nrows = hom_space_dims(z, z2)
     nu, ncols = su, su + sv
     if not (nrows and ncols):  # every column is free: the identity, with no elimination
-        _LAST_PSI = (weakref.ref(z), weakref.ref(z2), nrows)
+        z._ext1 = (weakref.ref(z2), nrows)
         unit = _kernel_morphism(z, z2, None)
         return _OnDemand(ncols, lambda k: unit([0] * k + [1] + [0] * (ncols - 1 - k), 1))
     s, (bases, fbases) = z.scenario, _bases(z, z2)
@@ -807,7 +802,7 @@ def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
                 sys_rows.append({k: acc[k] for k in sorted(acc) if acc[k]})
     spivots, sech, _, _ = _echelon(sys_rows) if any(sys_rows) else ([], [], 1, 1)
     scols, rank = [nu - 1 - f for f in spivots], len(piv) + len(spivots)
-    _LAST_PSI = (weakref.ref(z), weakref.ref(z2), nrows - rank)
+    z._ext1 = (weakref.ref(z2), nrows - rank)
     free, phase = sorted(set(range(ncols)).difference(piv, scols)), []  # phase: the basis phase's one result
 
     def basis() -> tuple:
@@ -848,7 +843,7 @@ def _end_basis(z: TripleObject) -> Sequence[TripleMorphism]:
     are eliminated once, left to right; element k is back-solved for its own
     free column on its first read, by one `_back_solver` for all of them.
     """
-    bases, _, _, (nrows, columns) = _psi_data(z, z)
+    bases, nrows, columns = _psi_data(z, z)
     pivots, ech, _, _ = _echelon(_psi_rows(nrows, columns) if nrows and columns else [])
     free, morphism = sorted(set(range(len(columns))).difference(pivots)), _kernel_morphism(z, z, bases)
     solve = _back_solver(pivots, ech)
@@ -923,31 +918,30 @@ class ExtResult:
 
 
 def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
-    """Cokernel of psi(u, v) = u . eta - eta' . F(v), from psi's columns read as rows.
+    """Cokernel of psi(u, v) = u . eta - eta' . F(v): dim from hom's rank, the classes from psi's columns.
 
-    One routine eliminates them, at most once per result; the projection
-    (`_null_space` of those rows) and the representatives are built on their
-    first read.  Cold, the call sizes the pair once: a psi with no rows or
-    no columns has dim = its row count, and the call builds and eliminates
-    nothing; otherwise the call runs the routine on those sizes, which
-    gives dim.  Right after `hom` of the pair, `_LAST_PSI` gives dim, the
-    call builds no psi, and the first read runs the routine and checks its
-    dim against hom's.  ext1 writes no pair state.
+    By rank-nullity dim Ext^1 = nrows - rank(psi) = nrows - ncols + dim Hom.
+    Right after `hom` of the pair, z's `_ext1` gives dim.  Otherwise a psi
+    with no rows or no columns has dim = its row count, from the sizes, and
+    any other psi takes it from `len(hom(z, z2))`, which builds no psi (and
+    keeps dim on z).  psi is built and its columns are eliminated, as rows,
+    once, on the first read of the projection (`_null_space` of those rows)
+    or of the representatives; that read checks its cokernel against dim.
     """
-    s, slot, done, dims = z.scenario, _LAST_PSI, [], None  # done: the elimination's one result
-    if slot is not None and slot[0]() is z and slot[1]() is z2:  # right after hom of the pair
-        dim = slot[2]
+    s, slot, done = z.scenario, z._ext1, []  # done: the elimination's one result
+    if slot is not None and slot[0]() is z2:  # right after hom of the pair
+        dim = slot[1]
     else:
-        su, sv, nrows = dims = hom_space_dims(z, z2)
-        dim = None if nrows and su + sv else nrows  # with no rows or no columns every row is a class
+        su, sv, nrows = hom_space_dims(z, z2)
+        dim = nrows - (su + sv) + len(hom(z, z2)) if nrows and su + sv else nrows
 
     def cokernel() -> tuple:  # (pivots, ech, free, nrows): `_null_basis`'s arguments
         if not done:
-            _, _, _, (nrows, columns) = _psi_data(z, z2, dims)
+            _, nrows, columns = _psi_data(z, z2)
             rows = [dict(ents) for ents, _ in columns]
             pivots, ech, _, _ = _echelon(rows) if any(rows) else ([], [], 1, 1)
             free = sorted(set(range(nrows)).difference(pivots))
-            if dims is None and len(free) != dim:
+            if len(free) != dim:
                 raise InternalConsistencyError(f"hom's rank gives dim Ext^1 {dim}, psi's columns {len(free)}")
             done.append((pivots, ech, free, nrows))
         return done[0]
@@ -962,7 +956,7 @@ def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
                 rep[x] = _combine_terms(one, [1], den, z2.parts[x].dim, z.f[x].dim)
             at += len(ents)
         return reps
-    return ExtResult(len(cokernel()[2]) if dim is None else dim, basis, lambda: _null_basis(*cokernel()))
+    return ExtResult(dim, basis, lambda: _null_basis(*cokernel()))
 
 
 def hom_ext_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, tuple[int, int, int]]:
@@ -976,7 +970,7 @@ def hom_ext_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, tuple[int
     su, sv, sf = dims = hom_space_dims(z, z2)
     h, e = su + sv, sf
     if h and e:
-        _, _, _, (nrows, columns) = _psi_data(z, z2, dims)
+        _, nrows, columns = _psi_data(z, z2, dims)
         h -= len(_echelon(_psi_rows(nrows, columns[::-1]))[0])
         e -= len(_echelon([dict(ents) for ents, _ in columns])[0])
     return h, e, dims

@@ -216,10 +216,9 @@ def test_hom_eliminates_its_one_distinct_component_once_at_multiplicity_eight(mo
 
     monkeypatch.setattr(exactalg, "_echelon", counted)
     monkeypatch.setattr(extcat, "_echelon", counted)
-    monkeypatch.setattr(extcat, "_LAST_PSI", None)
     assert len(hom(z, z)) == 64
     assert sizes == [24]
-    assert extcat._LAST_PSI[2] == 0  # 8 components of rank 24: psi is onto, Ext^1 = 0
+    assert z._ext1[1] == 0  # 8 components of rank 24: psi is onto, Ext^1 = 0
 
 
 def test_hom_sizes_its_pair_once(monkeypatch):
@@ -231,14 +230,14 @@ def test_hom_sizes_its_pair_once(monkeypatch):
     assert su + sv and sf  # psi has columns and rows
     calls = []
     monkeypatch.setattr(extcat, "hom_space_dims", lambda z, z2: calls.append(1) or hom_space_dims(z, z2))
-    monkeypatch.setattr(extcat, "_LAST_PSI", None)
     hom(a, b)
     assert len(calls) == 1
 
 
-def test_cold_ext1_and_hom_ext_dims_size_their_pair_once(monkeypatch):
-    # cold ext1 sizes the pair at the call and hands the sizes to `_psi_data`,
-    # so reading its classes sizes nothing again; hom_ext_dims does the same
+def test_cold_ext1_and_hom_ext_dims_count_their_size_passes(monkeypatch):
+    # hom_ext_dims sizes its pair once; cold ext1 sizes it for its size-only
+    # rule, `hom` sizes a non-empty pair again for its rank, and `_psi_data`
+    # sizes it once more on the first read of the classes
     s = catalog_scenario("d4_elliptic")
     rng = random.Random(2)
     a, b = (random_object_with(s, {v: 1 for v in s.vertex_order()}, rng) for _ in range(2))
@@ -246,12 +245,12 @@ def test_cold_ext1_and_hom_ext_dims_size_their_pair_once(monkeypatch):
     assert [bool(su + sv and sf) for su, sv, sf in (hom_space_dims(*p) for p in pairs)] == [True, False]
     calls = []
     monkeypatch.setattr(extcat, "hom_space_dims", lambda z, z2: calls.append(1) or hom_space_dims(z, z2))
-    for pair in pairs:
-        monkeypatch.setattr(extcat, "_LAST_PSI", None)
+    for pair, at_call in zip(pairs, (2, 1)):
         calls.clear()
         res = ext1(*pair)
+        assert len(calls) == at_call
         res.basis, res.projection
-        assert len(calls) == 1
+        assert len(calls) == at_call + 1
         calls.clear()
         hom_ext_dims(*pair)
         assert len(calls) == 1
@@ -264,7 +263,6 @@ def test_cold_ext1_of_a_size_only_pair_builds_and_eliminates_nothing_at_the_call
     pairs, cold = x_and_y_only_pairs(), []
     counts = count_psi_builds_and_eliminations(monkeypatch)
     for a, b in pairs:
-        monkeypatch.setattr(extcat, "_LAST_PSI", None)
         res = ext1(a, b)
         assert res.dim == hom_space_dims(a, b)[2]
         assert counts == {"psi": 0, "elim": 0}
@@ -642,7 +640,10 @@ def psi_matrix(a, b):
 
     It also checks the column contract: nonzero entries, rows increasing.
     """
-    _, _, offsets, (nrows, columns) = _psi_data(a, b)
+    _, nrows, columns = _psi_data(a, b)
+    s, offsets, at = a.scenario, {}, 0
+    for x in s.x_ids:  # x's block of psi's rows starts at offsets[x]
+        offsets[x], at = at, at + extcat._hom_dim(s.algebra(x).spec, a.f[x], b.parts[x])
     den = math.lcm(*(d for _, d in columns))
     num = [[0] * len(columns) for _ in range(nrows)]
     for c, (ents, d) in enumerate(columns):
@@ -831,7 +832,7 @@ def whole_psi_hom(a, b):
     free columns, in column order.
     """
     s = a.scenario
-    (_, _, _, (nrows, columns)), (bases, _) = _psi_data(a, b), extcat._bases(a, b)
+    (_, nrows, columns), (bases, _) = _psi_data(a, b), extcat._bases(a, b)
     ker, _ = _null_space(_psi_rows(nrows, columns[::-1]) if nrows and columns else [], len(columns))
     homs = []
     for vec in reversed(ker.num):
@@ -856,17 +857,16 @@ def squeezed(z, y, e):
     return TripleObject(s, {**z.x, **z.y}, {x: z.eta[x] * f_map(s, v, z.f, z.f, x) for x in s.x_ids})
 
 
-def assert_hom_is_the_whole_psi_kernel(a, b, monkeypatch):
+def assert_hom_is_the_whole_psi_kernel(a, b):
     """hom(a, b), its dim Ext^1 record and ext1(a, b).dim against `whole_psi_hom`, element for element."""
     ref, rank = whole_psi_hom(a, b)
     nrows = hom_space_dims(a, b)[2]
-    monkeypatch.setattr(extcat, "_LAST_PSI", None)
     assert [(m.u, m.v) for m in hom(a, b)] == ref
-    assert extcat._LAST_PSI[2] == nrows - rank
+    assert a._ext1[0]() is b and a._ext1[1] == nrows - rank
     assert ext1(a, b).dim == nrows - rank
 
 
-def test_hom_is_the_whole_psi_kernel_element_for_element(monkeypatch):
+def test_hom_is_the_whole_psi_kernel_element_for_element():
     # hom eliminates each distinct component of psi's v block once and
     # solves the u columns against it; the basis must be the one that one
     # elimination of all of psi's rows gives
@@ -885,8 +885,8 @@ def test_hom_is_the_whole_psi_kernel_element_for_element(monkeypatch):
         pool += [ops.kernel, ops.image, ops.cokernel] + [sm.object for sm in decompose(pool[3]).summands]
         for a in pool:
             for b in pool:
-                assert_hom_is_the_whole_psi_kernel(a, b, monkeypatch)
-                _, _, _, (nrows, columns) = _psi_data(a, b)
+                assert_hom_is_the_whole_psi_kernel(a, b)
+                _, nrows, columns = _psi_data(a, b)
                 nu = len(columns) - sum(len(extcat._bases(a, b)[0][y][0]) for y in s.y_ids)
                 seen["no v column"] += nrows > 0 and nu == len(columns) > 0
                 seen["zero v column"] += nrows > 0 and any(not ents for ents, _ in columns[nu:])
@@ -902,14 +902,14 @@ def test_hom_is_the_whole_psi_kernel_element_for_element(monkeypatch):
         for m in (1, 2, 3, 4):
             z, w = (random_object_with(s, {v: m for v in s.vertex_order()}, rng) for _ in range(2))
             for a, b in ((z, z), (z, w), (conjugated(z, y), w), (w, conjugated(z, y))):
-                assert_hom_is_the_whole_psi_kernel(a, b, monkeypatch)
+                assert_hom_is_the_whole_psi_kernel(a, b)
         z, w = (random_object_with(s, {v: 3 for v in s.vertex_order()}, rng) for _ in range(2))
         ops = abelian_ops(random_morphism(z, w, rng))
         pieces = [p for p in (ops.kernel, ops.image, ops.cokernel) if p.total_dim()]
         pieces += [sm.object for sm in decompose(z).summands]
         fresh.update(name for p in pieces for v in s.y_ids if not extcat._shared(s.algebra(v).spec, p.parts[v]))
         for a, b in itertools.product(pieces, pieces):
-            assert_hom_is_the_whole_psi_kernel(a, b, monkeypatch)
+            assert_hom_is_the_whole_psi_kernel(a, b)
     assert all(seen.values()) and fresh >= {"g2_threefold", "c3_surface"}, (seen, fresh)
 
 
@@ -980,7 +980,7 @@ def test_hom_eliminates_a_tall_w_once_as_w_and_i(monkeypatch):
     assert [(len(w), ident, m, r) for w, ident, m, r in calls] == [(3, True, 9, 3)]
     calls.clear()
     assert [(h.u, h.v) for h in basis] == ref and not calls
-    assert extcat._LAST_PSI[2] == 9 - rank
+    assert a._ext1[1] == 9 - rank
 
 
 def test_hom_of_a_square_w_of_deficient_rank_keeps_its_left_null_rows(monkeypatch):
@@ -1000,7 +1000,7 @@ def test_hom_of_a_square_w_of_deficient_rank_keeps_its_left_null_rows(monkeypatc
             len(hom(a, b))
             square = [(ident, r) for w, ident, k, r in calls if k == len(w) and r < k]
             monkeypatch.undo()
-            assert_hom_is_the_whole_psi_kernel(a, b, monkeypatch)
+            assert_hom_is_the_whole_psi_kernel(a, b)
             seen += bool(square)
             assert [ident for ident, _ in square] == [False, True] * (len(square) // 2)
     assert seen >= 6
@@ -1028,7 +1028,7 @@ def test_v_groups_are_kept_on_shared_y_spaces_by_target_and_raw(monkeypatch):
     grouped.clear()
     for p in pieces:
         for pair in ((p, p), (p, a), (a, p), (p, p)):
-            assert_hom_is_the_whole_psi_kernel(*pair, monkeypatch)
+            assert_hom_is_the_whole_psi_kernel(*pair)
         assert p.y["a1"]._groups is None
     assert len(grouped) == 4 * len(pieces)
     assert memos == {id(vs): vs._groups for _, vs in shared_spaces(s) if vs._groups}
@@ -1038,7 +1038,7 @@ def test_v_groups_are_kept_on_shared_y_spaces_by_target_and_raw(monkeypatch):
                             {("w", "a"): scalar_bimodule(q, q, 1), ("u", "b"): tensor_bimodule(k, q)})
     z, z2 = (random_object_with(mixed, {v: 2 for v in mixed.vertex_order()}, random.Random(j)) for j in range(2))
     assert z.y["a"] is z.y["b"] is canonical_space(q, 2)
-    assert_hom_is_the_whole_psi_kernel(z, z2, monkeypatch)
+    assert_hom_is_the_whole_psi_kernel(z, z2)
     assert z.y["a"]._groups.keys() == {(z2.y["a"], False), (z2.y["a"], True)}
 
 
@@ -1057,7 +1057,6 @@ def test_hom_builds_no_psi_column(monkeypatch):
         monkeypatch.setattr(extcat, "_psi_data", refuse)
         for (i, k), n in refs.items():
             assert all(hom_space_dims(objs[i], objs[k]))
-            monkeypatch.setattr(extcat, "_LAST_PSI", None)
             assert len(hom(objs[i], objs[k])) == n
             counted += 1
         monkeypatch.undo()
@@ -1451,7 +1450,7 @@ def test_five_term_check_sees_a_wrong_column_rank(monkeypatch):
     rng = random.Random("five-term")
     a = random_object_with(s, {"u": 2, "a1": 1}, rng)
     b = random_object_with(s, {"u": 1, "a1": 2}, rng)
-    _, _, _, (nrows, columns) = _psi_data(a, b)
+    _, nrows, columns = _psi_data(a, b)
     col_rows = [dict(ents) for ents, _ in columns]
     assert nrows != len(columns) and any(col_rows)
     expected = euler_form(a, b)
@@ -1652,9 +1651,17 @@ def test_psi_with_cached_bases_runs_no_elimination(monkeypatch):
             _psi_data(a, b)
         monkeypatch.setattr(exactalg, "_echelon", counted)
         for a, b in pairs:
-            read += _psi_data(a, b)[3][0] > 0
+            read += _psi_data(a, b)[1] > 0
         monkeypatch.setattr(exactalg, "_echelon", real)
     assert len(fields) >= 2 and read >= 15 and not calls
+
+
+def unseen(a, b):
+    """A pair with a's and b's data that `hom` has not seen: new objects, one object when a is b."""
+    def copy(z):
+        return TripleObject._with_fspaces(z.scenario, z.parts, z.eta, z.f)
+    a2 = copy(a)
+    return a2, a2 if b is a else copy(b)
 
 
 def shared_psi_pairs():
@@ -1677,30 +1684,31 @@ def shared_psi_pairs():
             ((b2_objs[0], b2_objs[0]), (y1, y1)), ((y1, y1), tuple(b2_objs)), (tuple(k2_objs), (k2_objs[1], k2_objs[1]))]
 
 
-def test_ext1_and_hom_answers_do_not_depend_on_the_psi_slot(monkeypatch):
-    # ext1 right after hom of its pair reads psi, or Ext^1 = 0, off hom's
-    # work; after another pair, or cold, it builds and eliminates its own
+def test_ext1_and_hom_answers_do_not_depend_on_the_psi_slot():
+    # ext1 right after hom of its pair reads dim Ext^1 off hom's rank; after
+    # hom of its source into another target, or cold, it ranks psi again
+    # through hom or reads dim off the sizes; each pair is an unseen copy
     cases, dims = shared_psi_pairs(), []
     for (a, b), (c, d) in cases:
         def answers(warm_up):
-            monkeypatch.setattr(extcat, "_LAST_PSI", None)
-            warm_up()
-            res = ext1(a, b)
-            return res.dim, res.basis, res.projection, [(m.u, m.v) for m in hom(a, b)]
+            p, q = unseen(a, b)
+            warm_up(p, q)
+            res = ext1(p, q)
+            return res.dim, res.basis, res.projection, [(m.u, m.v) for m in hom(p, q)]
 
-        cold = answers(lambda: None)
-        assert answers(lambda: hom(a, b)) == cold
-        assert answers(lambda: hom(c, d)) == cold
-        monkeypatch.setattr(extcat, "_LAST_PSI", None)
-        assert [(m.u, m.v) for m in hom(a, b)] == cold[3]
+        cold = answers(lambda p, q: None)
+        assert answers(hom) == cold
+        assert answers(lambda p, q: hom(p, d)) == cold
+        assert [(m.u, m.v) for m in hom(*unseen(a, b))] == cold[3]
         dims.append(cold[0])
     assert dims[0] == 1 == hom_ext_dims(*cases[0][0])[1] and 0 in dims
 
 
 def test_ext1_builds_its_projection_and_representatives_as_read(monkeypatch):
-    # the call eliminates psi's columns, which gives dim; the projection is
-    # back-solved, and the representatives are assembled, on their first
-    # read, once, and they are the ones the eager `_null_space` gives
+    # the call reads dim off hom's rank; psi's columns are eliminated and the
+    # projection back-solved, and the representatives are assembled, on
+    # their first read, once, and they are the ones the eager `_null_space`
+    # gives
     built = {"projection": 0, "representative": 0}
     null_basis, combine_terms = extcat._null_basis, extcat._combine_terms
 
@@ -1714,11 +1722,10 @@ def test_ext1_builds_its_projection_and_representatives_as_read(monkeypatch):
         rng = random.Random(f"lazy-ext1:{s.name}")
         objs = [random_object(s, rng, max_mult=2) for _ in range(4)]
         for a, b in itertools.product(objs, objs):
-            _, fbases, offsets, (nrows, columns) = _psi_data(a, b)
+            _, nrows, columns = _psi_data(a, b)
             if not (nrows and columns):
                 continue
             fb = [(x, m) for x in s.x_ids for m in equivariant_hom_basis(s.algebra(x).spec, a.f[x], b.x[x])]
-            monkeypatch.setattr(extcat, "_LAST_PSI", None)
             built.update(projection=0, representative=0)
             res = ext1(a, b)
             assert built == {"projection": 0, "representative": 0}
@@ -1761,7 +1768,9 @@ def test_ext1_after_hom_of_a_pair_builds_and_eliminates_nothing(monkeypatch):
         assert ext1(*pair).dim == ext_dim
         assert counts == {"psi": 0, "elim": 0}
     counts.update(psi=0, elim=0)
-    ext1(*b2_diag)
+    res = ext1(*b2_diag)  # cold: hom ranks psi, which builds no psi
+    assert counts["psi"] == 0
+    res.basis
     assert counts["psi"] == 1
 
 
@@ -1772,13 +1781,12 @@ def test_ext1_after_hom_of_a_non_onto_pair_reads_its_classes_off_psi_as_cold(mon
     g2 = catalog_scenario("g2_threefold")
     z, w = (random_object_with(g2, {v: 6 for v in g2.vertex_order()}, random.Random(6)) for _ in range(2))
     for (a, b), ext_dim in ((wide, 1), ((z, x_only(w)), 72)):
-        monkeypatch.setattr(extcat, "_LAST_PSI", None)
-        cold = ext1(a, b)
+        cold = ext1(*unseen(a, b))
         cold_answers = (cold.dim, cold.basis, cold.projection)
         counts = count_psi_builds_and_eliminations(monkeypatch)
         hom(a, b)
-        assert len(extcat._LAST_PSI) == 3 and type(extcat._LAST_PSI[2]) is int
-        assert [type(r) for r in extcat._LAST_PSI[:2]] == [weakref.ref] * 2
+        assert len(a._ext1) == 2 and type(a._ext1[1]) is int
+        assert type(a._ext1[0]) is weakref.ref and a._ext1[0]() is b
         counts.update(psi=0, elim=0)
         res = ext1(a, b)
         assert res.dim == ext_dim and counts == {"psi": 0, "elim": 0}
@@ -1786,13 +1794,61 @@ def test_ext1_after_hom_of_a_non_onto_pair_reads_its_classes_off_psi_as_cold(mon
         assert counts == {"psi": 1, "elim": 1}
         monkeypatch.undo()
         hom(a, b)
-        slot = extcat._LAST_PSI
-        monkeypatch.setattr(extcat, "_LAST_PSI", (*slot[:2], slot[2] + 1))
+        monkeypatch.setattr(a, "_ext1", (a._ext1[0], a._ext1[1] + 1))
         res = ext1(a, b)
         assert res.dim == ext_dim + 1
         with pytest.raises(extcat.InternalConsistencyError):
             res.basis
         monkeypatch.undo()
+
+
+def test_ext1_after_hom_of_its_pair_and_of_another_builds_and_eliminates_nothing(monkeypatch):
+    # hom keeps dim Ext^1 on its source, so hom of a pair with another
+    # source leaves ext1's answer in place
+    counts = count_psi_builds_and_eliminations(monkeypatch)
+    for (a, b), (c, d) in shared_psi_pairs():
+        assert c is not a
+        hom(a, b)
+        hom(c, d)
+        counts.update(psi=0, elim=0)
+        res = ext1(a, b)
+        assert counts == {"psi": 0, "elim": 0}
+        assert res.dim == hom_ext_dims(a, b)[1]
+
+
+def test_cold_ext1_ranks_psi_through_hom_and_builds_it_on_the_first_class_read(monkeypatch):
+    # cold, ext1 of a psi with rows and columns takes dim from hom's rank,
+    # which builds no psi; the first read of the classes builds psi once,
+    # and its column elimination gives the same dim
+    g2 = catalog_scenario("g2_threefold")
+    z, w = (random_object_with(g2, {v: 6 for v in g2.vertex_order()}, random.Random(6)) for _ in range(2))
+    pairs = [pair for case in shared_psi_pairs() for pair in case] + [(z, w)]
+    pairs = [pair for pair in pairs if all(hom_space_dims(*pair)[2:]) and sum(hom_space_dims(*pair)[:2])]
+    dims = [hom_ext_dims(a, b)[1] for a, b in pairs]  # psi's columns eliminated
+    counts = count_psi_builds_and_eliminations(monkeypatch)
+    for (a, b), dim in zip(pairs, dims):
+        counts.update(psi=0, elim=0)
+        res = ext1(*unseen(a, b))
+        assert counts["psi"] == 0
+        assert len(res.basis) == res.dim == dim and counts["psi"] == 1
+        assert res.projection.rows == dim and counts["psi"] == 1
+    assert len(pairs) >= 8 and 0 in dims and max(dims) > 1
+
+
+def test_cold_ext1_checks_hom_s_rank_on_the_first_class_read(monkeypatch):
+    # a hom whose rank is one too high (one basis element short) gives cold
+    # ext1 a dim one too low; the first read of the classes eliminates psi's
+    # columns and refuses it
+    wide, small = (pair for pair, _ in list(shared_psi_pairs())[:2])
+    real = extcat.hom
+    monkeypatch.setattr(extcat, "hom", lambda z, z2: range(len(real(z, z2)) - 1))
+    for (a, b), dim in ((wide, 1), (small, 0)):
+        res = ext1(*unseen(a, b))
+        assert res.dim == dim - 1
+        with pytest.raises(extcat.InternalConsistencyError):
+            res.basis
+        with pytest.raises(extcat.InternalConsistencyError):
+            res.projection
 
 
 def test_decompose_between_hom_and_ext1_keeps_the_pair_psi(monkeypatch):
@@ -1811,16 +1867,19 @@ def test_decompose_between_hom_and_ext1_keeps_the_pair_psi(monkeypatch):
 
 
 def test_the_psi_slot_keeps_no_object_alive():
-    import gc
-    import weakref
+    # hom's source holds its target weakly, itself included
     s = catalog_scenario("g2_threefold")
     a, b = (random_object_with(s, {"u": 2, "a1": 1}, random.Random(k)) for k in range(2))
     hom(a, b)
-    assert extcat._LAST_PSI[0]() is a and extcat._LAST_PSI[1]() is b
+    hom(b, b)
+    assert type(a._ext1[0]) is weakref.ref and a._ext1[0]() is b and b._ext1[0]() is b
     refs = [weakref.ref(a), weakref.ref(b)]
-    del a, b
+    del b
     gc.collect()
-    assert [r() for r in refs] == [None, None]
+    assert refs[1]() is None and a._ext1[0]() is None
+    del a
+    gc.collect()
+    assert refs[0]() is None
 
 
 def _mat_key(m):
@@ -1877,7 +1936,6 @@ def test_empty_psi_is_answered_from_its_bases(monkeypatch):
         monkeypatch.setattr(extcat, name, refuse)
     monkeypatch.setattr(extcat, "_psi_rows", refuse)
     for (a, b), (h, e) in zip(pairs, refs):
-        monkeypatch.setattr(extcat, "_LAST_PSI", None)
         cold = ext1(a, b)
         assert len(hom(a, b)) == h and ext1(a, b).dim == cold.dim == e
         assert hom_ext_dims(a, b)[:2] == (h, e) and euler_form(a, b) == h - e
@@ -1980,20 +2038,17 @@ def test_an_empty_psi_builds_no_basis(monkeypatch):
     monkeypatch.setattr(extcat, "_hom_terms", counted)
     kinds = set()
     for a, b in pairs:
-        monkeypatch.setattr(extcat, "_LAST_PSI", None)
         su, sv, sf = hom_space_dims(a, b)
         assert not (su + sv and sf)
         h, e, _ = hom_ext_dims(a, b)
         homs = hom(a, b)
         assert (len(homs), bool(homs), ext1(a, b).dim) == (su + sv, su + sv > 0, sf) == (h, h > 0, e)
-        monkeypatch.setattr(extcat, "_LAST_PSI", None)
-        assert ext1(a, b).dim == e
+        assert ext1(*unseen(a, b)).dim == e
         kinds.add("rows" if not sf else "columns")
     assert not calls and kinds == {"rows", "columns"}
     for a, b in pairs:
         s = a.scenario
-        monkeypatch.setattr(extcat, "_LAST_PSI", None)
-        res = ext1(a, b)
+        res = ext1(*unseen(a, b))
         assert res.projection == RatMatrix.identity(res.dim)
         fb = [(x, m) for x in s.x_ids for m in equivariant_hom_basis(s.algebra(x).spec, a.f[x], b.x[x])]
         assert [{x: m for x, m in rep.items() if not m.is_zero()} for rep in res.basis] == [{x: m} for x, m in fb]

@@ -17,7 +17,6 @@ MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop", "popite
 
 ALLOWED = {
     "extcat._HOM_CACHE: item assignment",
-    "extcat._LAST_PSI: global",
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
