@@ -1823,7 +1823,7 @@ def test_cold_ext1_ranks_psi_through_hom_and_builds_it_on_the_first_class_read(m
     g2 = catalog_scenario("g2_threefold")
     z, w = (random_object_with(g2, {v: 6 for v in g2.vertex_order()}, random.Random(6)) for _ in range(2))
     pairs = [pair for case in shared_psi_pairs() for pair in case] + [(z, w)]
-    pairs = [pair for pair in pairs if all(hom_space_dims(*pair)[2:]) and sum(hom_space_dims(*pair)[:2])]
+    pairs = [pair for pair in pairs if (size := hom_space_dims(*pair))[2] and size[0] + size[1]]
     dims = [hom_ext_dims(a, b)[1] for a, b in pairs]  # psi's columns eliminated
     counts = count_psi_builds_and_eliminations(monkeypatch)
     for (a, b), dim in zip(pairs, dims):
@@ -1839,7 +1839,7 @@ def test_cold_ext1_checks_hom_s_rank_on_the_first_class_read(monkeypatch):
     # a hom whose rank is one too high (one basis element short) gives cold
     # ext1 a dim one too low; the first read of the classes eliminates psi's
     # columns and refuses it
-    wide, small = (pair for pair, _ in list(shared_psi_pairs())[:2])
+    (wide, _), (small, _) = shared_psi_pairs()[:2]
     real = extcat.hom
     monkeypatch.setattr(extcat, "hom", lambda z, z2: range(len(real(z, z2)) - 1))
     for (a, b), dim in ((wide, 1), (small, 0)):
