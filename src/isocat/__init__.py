@@ -32,6 +32,7 @@ from .species import (
     positive_roots,
     rationals,
     ring_center,
+    ringel_form,
     valued_graph,
 )
 from .extcat import (
@@ -45,7 +46,6 @@ from .extcat import (
     ext1,
     euler_form,
     hom,
-    hom_ext_dims,
     is_projective,
     is_universal,
     projective_resolution,

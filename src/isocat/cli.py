@@ -17,7 +17,9 @@ from .extcat import (
     InternalConsistencyError,
     TripleError,
     decompose,
-    hom_ext_dims,
+    ext1,
+    hom,
+    hom_space_dims,
     is_projective,
     projective_resolution,
 )
@@ -33,7 +35,7 @@ from .fileio import (
     rational_to_str,
 )
 from .reptype import ConstructionError, build_root_table, classify, indecomposable_vectors
-from .species import ScenarioError, ring_center
+from .species import ScenarioError, ring_center, ringel_form
 from .wittmod import VModule, WittError, WittPartition, realize_partition, witt_partition
 
 EXIT_OK = 0
@@ -76,8 +78,8 @@ def cmd_ext(args) -> int:
         raise FormatError("ext needs exactly two --object files")
     a = load_object(objs[0], s)
     b = load_object(objs[1], s)
-    h, e, (su, sv, sf) = hom_ext_dims(a, b)
-    euler_ok = (h - e == su + sv - sf)
+    h, e, (su, sv, sf) = len(hom(a, b)), ext1(a, b).dim, hom_space_dims(a, b)
+    euler_ok = h - e == ringel_form(s, a.dimension_vector(), b.dimension_vector())
     report = {"schema": REPORT_SCHEMA, "command": "ext", "scenario": s.name,
               "hom": h, "ext1": e, "euler": h - e,
               "component_dims": {"hom_x": su, "hom_y": sv, "hom_f": sf},

@@ -563,9 +563,9 @@ def _bases(z: TripleObject, z2: TripleObject) -> tuple[dict[str, Terms], dict[st
 def hom_space_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, int]:
     """(dim Hom on x parts, dim Hom on y parts, dim Hom(F(Y), X')), sums of `_hom_dim`s: no basis is built.
 
-    One pass over the vertices sizes a pair.  `hom` and `hom_ext_dims` size
-    it once; cold `ext1` sizes it for its size-only rule before `hom` does,
-    and `_psi_data` sizes it again on the first read of its classes.
+    One pass over the vertices sizes a pair: `hom` and `euler_form` (su + sv
+    - sf) size it once; cold `ext1` sizes it at the call and, with rows and
+    columns, in `hom`, and its first class read reuses the call's sizes.
     """
     s, parts, f, dst = _same_scenario(z, z2), z.parts, z.f, z2.parts
     su = sv = sf = 0
@@ -637,9 +637,10 @@ def _psi_data(z: TripleObject, z2: TripleObject, dims: Optional[tuple[int, int, 
     columns[c] = (nonzero (row, integer) entries, rows increasing, den), u
     basis elements then v, in vertex order; the rows are the Hom(F(Y), X')
     basis, x-vertex by x-vertex.  dims, when given, is
-    `hom_space_dims(z, z2)`: `hom_ext_dims` sized the pair, so it is sized
-    once.  When psi has no rows or no columns, bases is None and each column
-    is ([], 1): nothing is built.  `hom` builds no psi, and `ext1` builds it
+    `hom_space_dims(z, z2)`: cold `ext1` passes the sizes it took at its
+    call, so its class read does not size the pair again.  When psi has no
+    rows or no columns, bases is None and each column is ([], 1): nothing
+    is built.  `hom` and `euler_form` build no psi, and `ext1` builds it
     only on the first read of its classes.
     """
     su, sv, nrows = dims or hom_space_dims(z, z2)
@@ -926,18 +927,19 @@ def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
     any other psi takes it from `len(hom(z, z2))`, which builds no psi (and
     keeps dim on z).  psi is built and its columns are eliminated, as rows,
     once, on the first read of the projection (`_null_space` of those rows)
-    or of the representatives; that read checks its cokernel against dim.
+    or of the representatives, from the call's sizes when cold; that read
+    checks its cokernel against dim.
     """
-    s, slot, done = z.scenario, z._ext1, []  # done: the elimination's one result
+    s, slot, done, dims = z.scenario, z._ext1, [], None  # done: the elimination's one result
     if slot is not None and slot[0]() is z2:  # right after hom of the pair
         dim = slot[1]
     else:
-        su, sv, nrows = hom_space_dims(z, z2)
+        su, sv, nrows = dims = hom_space_dims(z, z2)
         dim = nrows - (su + sv) + len(hom(z, z2)) if nrows and su + sv else nrows
 
     def cokernel() -> tuple:  # (pivots, ech, free, nrows): `_null_basis`'s arguments
         if not done:
-            _, nrows, columns = _psi_data(z, z2)
+            _, nrows, columns = _psi_data(z, z2, dims)
             rows = [dict(ents) for ents, _ in columns]
             pivots, ech, _, _ = _echelon(rows) if any(rows) else ([], [], 1, 1)
             free = sorted(set(range(nrows)).difference(pivots))
@@ -959,35 +961,14 @@ def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
     return ExtResult(dim, basis, lambda: _null_basis(*cokernel()))
 
 
-def hom_ext_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, tuple[int, int, int]]:
-    """(dim Hom, dim Ext^1, hom_space_dims) from one build of psi.
-
-    dim Hom is ncols - rank(psi) by eliminating psi's rows, its columns right
-    to left as in `hom` (the v columns first avoid Schur-complement growth),
-    and dim Ext^1 is nrows - rank(psi) by eliminating its columns; with no
-    rows or no columns, `hom_space_dims`' sizes answer and nothing is built.
-    """
-    su, sv, sf = dims = hom_space_dims(z, z2)
-    h, e = su + sv, sf
-    if h and e:
-        _, nrows, columns = _psi_data(z, z2, dims)
-        h -= len(_echelon(_psi_rows(nrows, columns[::-1]))[0])
-        e -= len(_echelon([dict(ents) for ents, _ in columns])[0])
-    return h, e, dims
-
-
 def euler_form(z: TripleObject, z2: TripleObject) -> int:
-    """dim hom - dim ext1, from one psi; checked against the five-term sequence.
+    """dim Hom - dim Ext^1 = su + sv - sf, by rank-nullity, from `hom_space_dims`: no psi, no elimination.
 
-    h and e come from `hom_ext_dims`' two eliminations, of psi's rows and of
-    its columns, and h - e must equal su + sv - sf on every call (by
-    construction when psi has no rows or no columns, and nothing is eliminated).
+    The category is hereditary, so this depends only on the two dimension
+    vectors; `species.ringel_form` gives it from them without `_hom_dim`.
     """
-    h, e, (su, sv, sf) = hom_ext_dims(z, z2)
-    if h - e != su + sv - sf:
-        raise InternalConsistencyError(
-            f"five-term sequence violated: hom={h}, ext={e}, dims=({su},{sv},{sf})")
-    return h - e
+    su, sv, sf = hom_space_dims(z, z2)
+    return su + sv - sf
 
 
 # ======================================================================

@@ -19,8 +19,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from .catalog import CATALOG_IDS, catalog_scenario
-from .exactalg import Polynomial, RatMatrix
-from .extcat import TripleError, TripleObject, VertexSpace, _build_fspaces, _eta_error, _space_error
+from .exactalg import Polynomial, RatMatrix, _block_copies
+from .extcat import (TripleError, TripleObject, VertexSpace, _build_fspaces, _eta_error, _space_error,
+                     canonical_space)
 from .species import (
     Bimodule,
     DivisionAlgebraHandle,
@@ -234,8 +235,10 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
             action = [matrix_from_json(m, dim, dim) for m in grids]
             if len(action) != n:  # a zero space needs none, and a Q space may omit its identity
                 action = [RatMatrix.zeros(0, 0)] * n if dim == 0 else [RatMatrix.identity(dim)]
-            parts[v] = VertexSpace(dim, action)
-            err = _space_error(scenario.algebra(v).spec, parts[v])  # before F(Y) is built
+            h = scenario.algebra(v)  # a canonical action shares the canonical space and its memos
+            canonical = not dim % n and action == [_block_copies(dim // n, lm) for lm in h.spec.left_mats]
+            parts[v] = canonical_space(h, dim // n) if canonical else VertexSpace(dim, action)
+            err = _space_error(h.spec, parts[v])  # before F(Y) is built
             if err is not None:
                 raise FormatError(f"component at vertex {v!r}: {err}")
 

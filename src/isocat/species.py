@@ -373,6 +373,14 @@ def cartan_matrix(g: ValuedGraph) -> RootDatum:
     return RootDatum(c, list(g.vertices))
 
 
+def ringel_form(s: SpeciesScenario, a: Sequence[int], b: Sequence[int]) -> int:
+    """<a, b> = sum_v [D_v:Q] a_v b_v - sum_(x,y) dim_Q(M_xy) a_y b_x on dimension vectors in vertex order:
+    dim Hom - dim Ext^1, the category being hereditary (Dlab-Ringel), from the vertex degrees and bimodule dims."""
+    da, db = dict(zip(s.vertex_order(), a)), dict(zip(s.vertex_order(), b))
+    return (sum(s.algebra(v).dim * da[v] * db[v] for v in da)
+            - sum(bm.dim * da[y] * db[x] for (x, y), bm in s.bimodules.items()))
+
+
 def is_finite_type(r: RootDatum) -> bool:
     """Finite type, read off the Cartan matrix: every leading principal minor is positive.
 

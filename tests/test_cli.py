@@ -434,6 +434,36 @@ def test_cli_ext_projective_source(tmp_path, capsys):
     assert doc["ext1"] == 0
 
 
+def test_cli_ext_builds_no_psi(tmp_path, capsys, monkeypatch):
+    # dims come from hom's rank and the identity line from the Ringel form,
+    # so `ext` on a g2 pair at multiplicity 6 builds no psi
+    import isocat.extcat as extcat
+    s = catalog_scenario("g2_threefold")
+    a, b = (_write_object(tmp_path, f"m6-{k}", random_object_with(s, {v: 6 for v in s.vertex_order()},
+                                                                   random.Random(k))) for k in (1, 2))
+    calls, real = [], extcat._psi_data
+    monkeypatch.setattr(extcat, "_psi_data", lambda *args: calls.append(1) or real(*args))
+    assert main(["ext", "--scenario", "catalog:g2_threefold", "--object", a, "--object", b,
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert not calls
+    assert list(doc) == ["schema", "command", "scenario", "hom", "ext1", "euler", "component_dims",
+                         "euler_identity_holds"]
+    dims = doc["component_dims"]
+    assert doc["hom"] - doc["ext1"] == doc["euler"] == dims["hom_x"] + dims["hom_y"] - dims["hom_f"]
+    assert doc["euler_identity_holds"]
+
+
+def test_cli_ext_exits_1_when_the_identity_fails(tmp_path, capsys, monkeypatch):
+    import isocat.cli as cli
+    s = catalog_scenario("c2")
+    a = _write_object(tmp_path, "ysimple", simple_y_object(s, "a1"))
+    b = _write_object(tmp_path, "xsimple", simple_x_object(s, "u"))
+    monkeypatch.setattr(cli, "ringel_form", lambda *args: 1)  # the true form is -2
+    assert main(["ext", "--scenario", "catalog:c2", "--object", a, "--object", b]) == 1
+    assert "five-term identity: VIOLATED" in capsys.readouterr().out
+
+
 def test_cli_ext_scenario_mismatch(tmp_path):
     s = catalog_scenario("c2")
     a = _write_object(tmp_path, "obj", simple_x_object(s, "u"))

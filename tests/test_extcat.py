@@ -49,7 +49,6 @@ from isocat.extcat import (
     ext1,
     euler_form,
     hom,
-    hom_ext_dims,
     hom_space_dims,
     identity_morphism,
     is_projective,
@@ -234,10 +233,10 @@ def test_hom_sizes_its_pair_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_cold_ext1_and_hom_ext_dims_count_their_size_passes(monkeypatch):
-    # hom_ext_dims sizes its pair once; cold ext1 sizes it for its size-only
-    # rule, `hom` sizes a non-empty pair again for its rank, and `_psi_data`
-    # sizes it once more on the first read of the classes
+def test_cold_ext1_counts_its_size_passes(monkeypatch):
+    # euler_form sizes its pair once; cold ext1 sizes it for its size-only
+    # rule and `hom` sizes a non-empty pair again for its rank; the first
+    # read of the classes reuses the sizes taken at the call
     s = catalog_scenario("d4_elliptic")
     rng = random.Random(2)
     a, b = (random_object_with(s, {v: 1 for v in s.vertex_order()}, rng) for _ in range(2))
@@ -250,9 +249,9 @@ def test_cold_ext1_and_hom_ext_dims_count_their_size_passes(monkeypatch):
         res = ext1(*pair)
         assert len(calls) == at_call
         res.basis, res.projection
-        assert len(calls) == at_call + 1
+        assert len(calls) == at_call
         calls.clear()
-        hom_ext_dims(*pair)
+        euler_form(*pair)
         assert len(calls) == 1
 
 
@@ -623,16 +622,27 @@ def ringel_form(s, a, b):
     return diag - cross
 
 
-def test_euler_form_matches_ringel_form():
+def test_euler_form_matches_ringel_form(monkeypatch):
+    # euler_form is read off the sizes: it builds no psi and no basis, and
+    # eliminates nothing, on pairs with and without rows and columns
     gen = random.Random("ringel-scenarios")
     sweep = [catalog_scenario(name) for name in EULER_SWEEP]
     sweep += [random_scenario(gen) for _ in range(4)]
+    pairs = []
     for k, s in enumerate(sweep):
         rng = random.Random(f"ringel:{k}")
-        for _ in range(12):
-            a = random_object(s, rng, max_mult=2)
-            b = random_object(s, rng, max_mult=2)
-            assert euler_form(a, b) == ringel_form(s, a, b), (s.name, a, b)
+        pairs += [(s, random_object(s, rng, max_mult=2), random_object(s, rng, max_mult=2)) for _ in range(12)]
+
+    def refuse(*args):
+        raise AssertionError("euler_form built or eliminated psi")
+
+    for name in ("_psi_data", "_bases", "_echelon"):
+        monkeypatch.setattr(extcat, name, refuse)
+    monkeypatch.setattr(exactalg, "_echelon", refuse)
+    for s, a, b in pairs:
+        assert euler_form(a, b) == ringel_form(s, a, b), (s.name, a, b)
+    monkeypatch.undo()
+    assert {bool(su + sv and sf) for su, sv, sf in (hom_space_dims(a, b) for _, a, b in pairs)} == {True, False}
 
 
 def psi_matrix(a, b):
@@ -1244,7 +1254,7 @@ def test_pairs_over_two_scenarios_that_share_a_name_are_refused():
     s1, s2 = (SpeciesScenario("s", [("u", q)], [("a", q)], {("u", "a"): scalar_bimodule(q, q, d)})
               for d in (1, 2))
     za, zb = (random_object_with(s, {"u": 1, "a": 1}, random.Random(1)) for s in (s1, s2))
-    for op in (hom, ext1, hom_ext_dims, hom_space_dims, euler_form):
+    for op in (hom, ext1, hom_space_dims, euler_form):
         for pair in ((za, zb), (zb, za)):
             with pytest.raises(TripleError, match="different scenarios"):
                 op(*pair)
@@ -1309,8 +1319,8 @@ def test_fresh_spaces_get_no_memo_entries():
         shared = [random_object_with(s, {v: 1 + k % 2 for k, v in enumerate(s.vertex_order())}, rng)
                   for _ in range(2)]
         ops = abelian_ops(random_morphism(shared[0], shared[1], rng))
-        fresh = [ops.kernel, ops.image, ops.cokernel, conjugated(shared[0], s.y_ids[0]),
-                 object_from_json(object_to_json(shared[1]), s)]
+        fresh = [ops.kernel, ops.image, ops.cokernel, conjugated(shared[0], s.y_ids[0])]
+        fresh += [object_from_json(object_to_json(z), s) for z in (shared[1], fresh[3])]
         for a in shared + fresh:
             for b in shared + fresh:
                 assert_hom_ext_match_references(a, b)
@@ -1319,8 +1329,12 @@ def test_fresh_spaces_get_no_memo_entries():
         for z in fresh:
             parts = [*z.x.values(), *z.y.values(), *z.f.values()]
             assert all(vs._memo is None for vs in parts if id(vs) not in ids)
-        # the file object rebuilt its spaces; conjugation keeps the shared x parts
-        assert not ids & {id(vs) for vs in fresh[-1].x.values()}
+        # a file object takes the shared space of each canonical action it reads,
+        # and rebuilds the conjugated y part over a field larger than Q
+        y0, (copy, conj) = s.y_ids[0], fresh[-2:]
+        assert all(copy.parts[v] is vs for v, vs in shared[1].parts.items())
+        assert all(conj.parts[v] is vs for v, vs in shared[0].parts.items() if v != y0)
+        assert (id(conj.parts[y0]) in ids) == (s.algebra(y0).dim == 1)
 
 
 def test_equal_algebra_instances_do_not_share_memo_entries():
@@ -1444,8 +1458,9 @@ def test_shared_canonical_spaces_are_proved_once(monkeypatch):
 
 
 def test_five_term_check_sees_a_wrong_column_rank(monkeypatch):
-    # euler_form compares two eliminations; corrupting only the one of
-    # psi's columns must make it fail
+    # the five-term check is ext1's first class read, which compares psi's
+    # column rank with hom's; corrupting only the elimination of psi's
+    # columns must make it fail
     s = catalog_scenario("g2_threefold")
     rng = random.Random("five-term")
     a = random_object_with(s, {"u": 2, "a1": 1}, rng)
@@ -1453,7 +1468,7 @@ def test_five_term_check_sees_a_wrong_column_rank(monkeypatch):
     _, nrows, columns = _psi_data(a, b)
     col_rows = [dict(ents) for ents, _ in columns]
     assert nrows != len(columns) and any(col_rows)
-    expected = euler_form(a, b)
+    expected = ext1(a, b).basis
     real = extcat._echelon
     sides = []
 
@@ -1464,11 +1479,11 @@ def test_five_term_check_sees_a_wrong_column_rank(monkeypatch):
         return (pivots[:-1] if is_col else pivots, *rest)
 
     monkeypatch.setattr(extcat, "_echelon", corrupt_columns)
-    with pytest.raises(extcat.InternalConsistencyError, match="five-term sequence violated"):
-        euler_form(a, b)
-    assert sorted(sides) == [False, True]
+    with pytest.raises(extcat.InternalConsistencyError, match="hom's rank gives dim Ext"):
+        ext1(*unseen(a, b)).basis
+    assert sides.count(True) == 1
     monkeypatch.setattr(extcat, "_echelon", real)
-    assert euler_form(a, b) == expected
+    assert ext1(*unseen(a, b)).basis == expected
 
 
 def matrix_hom_basis(alg, src, dst):
@@ -1582,7 +1597,7 @@ def test_psi_reads_bases_as_terms_without_building_matrices(monkeypatch):
     assert pairs == 72 and len(reads) == len(extcat._HOM_CACHE) > 0
 
 
-def test_hom_ext_dims_skip_no_elimination_they_need():
+def test_hom_and_ext1_skip_no_elimination_they_need():
     # rank is 0 without an elimination on a 0-row or 0-column psi, and psi^T
     # is not eliminated then; the answers are those of the two eliminations
     def eliminated_rank(m):
@@ -1598,10 +1613,9 @@ def test_hom_ext_dims_skip_no_elimination_they_need():
         objs += [x_only(objs[4]), y_only(objs[4])]
         for a in objs:
             for b in objs:
-                psi = psi_matrix(a, b)[0]
-                h, e, _ = hom_ext_dims(a, b)
-                assert h == psi.cols - eliminated_rank(psi)
-                assert e == psi.rows - eliminated_rank(psi.transpose())
+                psi, res = psi_matrix(a, b)[0], ext1(a, b)
+                assert len(hom(a, b)) == psi.cols - eliminated_rank(psi)
+                assert res.dim == len(res.basis) == psi.rows - eliminated_rank(psi.transpose())
                 seen.add("empty" if not (psi.rows and psi.cols) else "zero" if psi.is_zero() else "nonzero")
     assert seen == {"empty", "zero", "nonzero"}
 
@@ -1664,6 +1678,13 @@ def unseen(a, b):
     return a2, a2 if b is a else copy(b)
 
 
+def column_ext_dim(a, b):
+    """dim Ext^1 as psi's row count less the rank of its columns, one elimination of `_psi_data`'s columns."""
+    _, nrows, columns = _psi_data(a, b)
+    rows = [dict(ents) for ents, _ in columns]
+    return nrows - (len(_echelon(rows)[0]) if any(rows) else 0)
+
+
 def shared_psi_pairs():
     """(pair, another pair) cases for the psi slot.
 
@@ -1701,7 +1722,7 @@ def test_ext1_and_hom_answers_do_not_depend_on_the_psi_slot():
         assert answers(lambda p, q: hom(p, d)) == cold
         assert [(m.u, m.v) for m in hom(*unseen(a, b))] == cold[3]
         dims.append(cold[0])
-    assert dims[0] == 1 == hom_ext_dims(*cases[0][0])[1] and 0 in dims
+    assert dims[0] == 1 == column_ext_dim(*cases[0][0]) and 0 in dims
 
 
 def test_ext1_builds_its_projection_and_representatives_as_read(monkeypatch):
@@ -1813,7 +1834,7 @@ def test_ext1_after_hom_of_its_pair_and_of_another_builds_and_eliminates_nothing
         counts.update(psi=0, elim=0)
         res = ext1(a, b)
         assert counts == {"psi": 0, "elim": 0}
-        assert res.dim == hom_ext_dims(a, b)[1]
+        assert res.dim == column_ext_dim(a, b)
 
 
 def test_cold_ext1_ranks_psi_through_hom_and_builds_it_on_the_first_class_read(monkeypatch):
@@ -1824,7 +1845,7 @@ def test_cold_ext1_ranks_psi_through_hom_and_builds_it_on_the_first_class_read(m
     z, w = (random_object_with(g2, {v: 6 for v in g2.vertex_order()}, random.Random(6)) for _ in range(2))
     pairs = [pair for case in shared_psi_pairs() for pair in case] + [(z, w)]
     pairs = [pair for pair in pairs if (size := hom_space_dims(*pair))[2] and size[0] + size[1]]
-    dims = [hom_ext_dims(a, b)[1] for a, b in pairs]  # psi's columns eliminated
+    dims = [column_ext_dim(a, b) for a, b in pairs]
     counts = count_psi_builds_and_eliminations(monkeypatch)
     for (a, b), dim in zip(pairs, dims):
         counts.update(psi=0, elim=0)
@@ -1938,38 +1959,12 @@ def test_empty_psi_is_answered_from_its_bases(monkeypatch):
     for (a, b), (h, e) in zip(pairs, refs):
         cold = ext1(a, b)
         assert len(hom(a, b)) == h and ext1(a, b).dim == cold.dim == e
-        assert hom_ext_dims(a, b)[:2] == (h, e) and euler_form(a, b) == h - e
+        assert euler_form(a, b) == h - e
     monkeypatch.undo()
     digest = hashlib.sha256(repr([_pair_answers(a, b) for a, b in pairs]).encode()).hexdigest()
     assert digest == EMPTY_PSI_ANSWERS
     assert len(pairs) >= 100 and {k for k, _ in kinds} == {"rows", "columns"}
     assert len({n for _, n in kinds}) == len(CATALOG_IDS) + 1
-
-
-def test_euler_form_eliminates_every_nonempty_psi_twice(monkeypatch):
-    # the five-term check runs on every psi with rows and columns: one
-    # elimination of its rows and one of its columns, and none on an empty psi
-    calls = []
-    real = extcat._echelon
-
-    def counted(rows):
-        calls.append(1)
-        return real(rows)
-
-    monkeypatch.setattr(extcat, "_echelon", counted)
-    seen = set()
-    for s in (catalog_scenario("a3"), sqrt2_scenario()):
-        rng = random.Random(f"five-term-guard:{s.name}")
-        pool = [random_object(s, rng, max_mult=2) for _ in range(9)]
-        for a in pool:
-            for b in pool:
-                su, sv, sf = hom_space_dims(a, b)
-                calls.clear()
-                euler_form(a, b)
-                nonempty = bool(su + sv and sf)
-                assert len(calls) == (2 if nonempty else 0)
-                seen.add((s.name, nonempty))
-    assert len(seen) == 4
 
 
 def test_hom_dim_is_the_number_of_basis_terms():
@@ -2040,10 +2035,9 @@ def test_an_empty_psi_builds_no_basis(monkeypatch):
     for a, b in pairs:
         su, sv, sf = hom_space_dims(a, b)
         assert not (su + sv and sf)
-        h, e, _ = hom_ext_dims(a, b)
         homs = hom(a, b)
-        assert (len(homs), bool(homs), ext1(a, b).dim) == (su + sv, su + sv > 0, sf) == (h, h > 0, e)
-        assert ext1(*unseen(a, b)).dim == e
+        assert (len(homs), bool(homs), ext1(a, b).dim) == (su + sv, su + sv > 0, sf)
+        assert ext1(*unseen(a, b)).dim == sf and euler_form(a, b) == su + sv - sf
         kinds.add("rows" if not sf else "columns")
     assert not calls and kinds == {"rows", "columns"}
     for a, b in pairs:
@@ -2068,10 +2062,10 @@ def balanced_pool(s, rng):
     return [random_object_with(s, {v: c[i] for v, c in columns.items()}, rng) for i in range(9)]
 
 
-def test_hom_ext_dims_match_the_reference_dimension_by_dimension():
-    # euler_form's check h - e = su + sv - sf holds for any psi, so each of
-    # the five numbers is judged on its own, over euler-small's scenario mix:
-    # the criterion-3 catalog and the gate's four random scenarios
+def test_hom_and_ext1_match_the_reference_dimension_by_dimension():
+    # h - e = su + sv - sf holds for any psi, so each of the five numbers is
+    # judged on its own, over euler-small's scenario mix: the criterion-3
+    # catalog and the gate's four random scenarios
     gen = random.Random("acc3-scenarios")
     names = ("d4_elliptic", "c3_surface", "g2_threefold", "c2", "b2_dual", "a3", "two_surfaces",
              "product_no_coupling")
@@ -2081,7 +2075,7 @@ def test_hom_ext_dims_match_the_reference_dimension_by_dimension():
         pool = balanced_pool(s, random.Random(f"dimension-by-dimension:{k}"))
         for a in pool:
             for b in pool:
-                h, e, dims = hom_ext_dims(a, b)
+                h, e, dims = len(hom(a, b)), ext1(a, b).dim, hom_space_dims(a, b)
                 assert (h, e, dims) == reference_dims(a, b)
                 seen.add(bool(dims[0] + dims[1] and dims[2]) + (h != dims[0] + dims[1]))
     assert seen == {0, 1, 2}
