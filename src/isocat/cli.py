@@ -90,13 +90,20 @@ def cmd_ext(args) -> int:
     return EXIT_OK if euler_ok else EXIT_CHECK_FAILED
 
 
-def cmd_roots(args) -> int:
+def _finite_scenario(args, note: str = ""):
+    """args' scenario if it is of finite type; else None, with the infinite-type report written."""
     s = load_scenario(args.scenario)
     c = classify(s)
-    if not c.finite:
-        _emit({"schema": REPORT_SCHEMA, "command": "roots", "scenario": s.name,
-               "verdict": c.verdict}, args.format,
-              [f"scenario {s.name} has infinite representation type; no root list"])
+    if c.finite:
+        return s
+    _emit({"schema": REPORT_SCHEMA, "command": args.command, "scenario": s.name, "verdict": c.verdict},
+          args.format, [f"scenario {s.name} has infinite representation type{note}"])
+    return None
+
+
+def cmd_roots(args) -> int:
+    s = _finite_scenario(args, "; no root list")
+    if s is None:
         return EXIT_INFINITE
     roots = indecomposable_vectors(s)
     report = {"schema": REPORT_SCHEMA, "command": "roots", "scenario": s.name,
@@ -111,12 +118,8 @@ def cmd_roots(args) -> int:
 def cmd_indec(args) -> int:
     if args.seed is None:
         raise FormatError("indec requires --seed")
-    s = load_scenario(args.scenario)
-    c = classify(s)
-    if not c.finite:
-        _emit({"schema": REPORT_SCHEMA, "command": "indec", "scenario": s.name,
-               "verdict": c.verdict}, args.format,
-              [f"scenario {s.name} has infinite representation type"])
+    s = _finite_scenario(args)
+    if s is None:
         return EXIT_INFINITE
     table = build_root_table(s, args.seed)
     report = {"schema": REPORT_SCHEMA, "command": "indec", "scenario": s.name,

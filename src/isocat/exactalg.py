@@ -1059,7 +1059,7 @@ class AlgebraSpec:
     R(unit) = I); invalid data is rejected, never normalized.
     """
 
-    __slots__ = ("dim", "unit", "left_mats", "right_mats", "_key", "_right_terms",
+    __slots__ = ("dim", "unit", "left_mats", "right_mats", "_key", "_right_terms", "_pair_terms",
                  "_canonical_spaces", "__weakref__")
 
     def __init__(self, constants: Sequence, unit: Sequence):
@@ -1084,6 +1084,7 @@ class AlgebraSpec:
         self.unit = [Fraction(x, unit[1]) for x in unit[0]]
         self._key = None
         self._right_terms: tuple[list[list[tuple[int, int, int]]], int] | None = None
+        self._pair_terms: dict = {}  # `pair_terms`, by (m, k)
         self._canonical_spaces: dict = {}  # extcat's shared canonical spaces, by multiplicity
         err = action_error(self, self.left_mats, d)
         if err is not None:
@@ -1120,6 +1121,14 @@ class AlgebraSpec:
         if self._right_terms is None:
             self._right_terms = _nonzero_entries(self.right_mats, self.dim, self.dim)
         return self._right_terms
+
+    def pair_terms(self, m: int, k: int) -> tuple[list[list[tuple[int, int, int]]], int]:
+        """Hom(A^m, A^k) of left modules as `_nonzero_entries`: unit(s, t) (x) R_b in the order (s, t, b), kept."""
+        if (m, k) not in self._pair_terms:
+            n, (cells, den) = self.dim, self.right_terms()
+            self._pair_terms[m, k] = [[(s * n + i, t * n + j, e) for i, j, e in cell]
+                                      for s in range(k) for t in range(m) for cell in cells], den
+        return self._pair_terms[m, k]
 
 
 def action_error(alg: AlgebraSpec, mats: Sequence[RatMatrix], dim: int, opposite: bool = False) -> str | None:

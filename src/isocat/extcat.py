@@ -28,8 +28,9 @@ Canonical components are shared values: `canonical_space` returns one
 space per (algebra instance, multiplicity), held by the algebra, and the F
 spaces of a Y whose parts are all those shared spaces are one value per
 (scenario instance, y multiplicities), held by the scenario.  They live as
-long as their algebra or scenario; only their hom-term memo, and a shared
-canonical space's v-block grouping, are written.
+long as their algebra or scenario; only a shared canonical space's v-block
+grouping is written.  Hom terms between canonical spaces are the algebra's
+`pair_terms`, kept by the algebra.
 """
 
 from __future__ import annotations
@@ -93,12 +94,11 @@ class VertexSpace:
 
     `canonical` is (algebra key, multiplicity) for a `canonical_space`.  A
     tensor space F(Y)_x has `offsets`, where each y block starts; other
-    spaces have None.  A shared value has `_memo`, its `_hom_terms` by target;
-    a shared canonical space also has `_groups`, `_v_groups` of its v basis by
-    (target, raw).
+    spaces have None.  A shared canonical space has `_groups`, `_v_groups`
+    of its v basis by (target, raw).
     """
 
-    __slots__ = ("dim", "action", "_key", "canonical", "offsets", "_memo", "_groups")
+    __slots__ = ("dim", "action", "_key", "canonical", "offsets", "_groups")
 
     def __init__(self, dim: int, action: Sequence[RatMatrix],
                  canonical: Optional[tuple] = None, offsets: Optional[dict[str, int]] = None):
@@ -106,7 +106,7 @@ class VertexSpace:
         self.action = list(action)
         self.canonical = canonical
         self.offsets = offsets
-        self._key = self._memo = self._groups = None
+        self._key = self._groups = None
 
     def key(self) -> tuple:
         if self._key is None:
@@ -130,7 +130,7 @@ def canonical_space(handle: DivisionAlgebraHandle, mult: int) -> VertexSpace:
     if space is None:
         action = [_block_copies(mult, lm) for lm in spec.left_mats]
         space = spec._canonical_spaces[mult] = VertexSpace(mult * spec.dim, action, canonical=(spec.key(), mult))
-        space._memo, space._groups = {}, {}
+        space._groups = {}
     return space
 
 
@@ -157,32 +157,20 @@ def _hom_dim(alg: AlgebraSpec, src, dst) -> int:
 def _hom_terms(alg: AlgebraSpec, src: VertexSpace, dst: VertexSpace) -> Terms:
     """Basis of the algebra-equivariant maps src -> dst, as `_nonzero_entries` (terms, den).
 
-    Over zero spaces, over Q and between canonical spaces (unit(s, t) (x) R_b in
-    the order (s, t, b)) it is written in closed form; other pairs read their
-    commutant basis through `_HOM_CACHE`.  Beyond Q (cheap to rebuild), terms
-    between shared values (dst alg's shared space, src too or a shared F
-    space) are kept in src's `_memo`, for euler-small's canonical pairs above all.
+    Over zero spaces and over Q it is written out; between canonical spaces
+    it is the algebra's `pair_terms`; other pairs read their commutant basis
+    through `_HOM_CACHE`.
     """
     if src.dim == 0 or dst.dim == 0:
         return [], 1
     if alg.dim == 1:  # a Q action is scalar, so every map is equivariant
         return [[(k, l, 1)] for k in range(dst.dim) for l in range(src.dim)], 1
-    memo = src._memo if _shared(alg, dst) and (src.canonical is None or _shared(alg, src)) else None
-    if memo is not None and dst in memo:
-        return memo[dst]
     if src.canonical is not None and dst.canonical is not None and src.canonical[0] == dst.canonical[0]:
-        n = alg.dim
-        cells, den = alg.right_terms()
-        terms = [[(s * n + i, t * n + j, e) for i, j, e in cell]
-                 for s in range(dst.canonical[1]) for t in range(src.canonical[1]) for cell in cells], den
-    else:
-        key = (alg.key(), src.key(), dst.key())
-        if key not in _HOM_CACHE:
-            _HOM_CACHE[key] = _nonzero_entries(commutant_basis(src.action, dst.action), dst.dim, src.dim)
-        terms = _HOM_CACHE[key]
-    if memo is not None:
-        memo[dst] = terms
-    return terms
+        return alg.pair_terms(src.canonical[1], dst.canonical[1])
+    key = (alg.key(), src.key(), dst.key())
+    if key not in _HOM_CACHE:
+        _HOM_CACHE[key] = _nonzero_entries(commutant_basis(src.action, dst.action), dst.dim, src.dim)
+    return _HOM_CACHE[key]
 
 
 def equivariant_hom_basis(alg: AlgebraSpec, src: VertexSpace, dst: VertexSpace) -> list[RatMatrix]:
@@ -228,7 +216,6 @@ def _build_fspaces(scenario: SpeciesScenario, parts: dict[str, VertexSpace]) -> 
                     cells += [(off + k * d, off + i * d, vs.act(c)) for k, c in enumerate(row) if any(c)]
             action.append(_assemble(total, total, cells))
         out[x] = VertexSpace(total, action, offsets=offsets)
-        out[x]._memo = {} if shared else None
     if shared:
         scenario._canonical_fspaces[key] = out
     return out
@@ -563,9 +550,9 @@ def _bases(z: TripleObject, z2: TripleObject) -> tuple[dict[str, Terms], dict[st
 def hom_space_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, int]:
     """(dim Hom on x parts, dim Hom on y parts, dim Hom(F(Y), X')), sums of `_hom_dim`s: no basis is built.
 
-    One pass over the vertices sizes a pair: `hom` and `euler_form` (su + sv
-    - sf) size it once; cold `ext1` sizes it at the call and, with rows and
-    columns, in `hom`, and its first class read reuses the call's sizes.
+    One pass over the vertices sizes a pair: `hom`, and so cold `ext1`, and
+    `euler_form` (su + sv - sf) size it once; the first class read of `ext1`
+    sizes it again for psi.
     """
     s, parts, f, dst = _same_scenario(z, z2), z.parts, z.f, z2.parts
     su = sv = sf = 0
@@ -630,20 +617,18 @@ def _columns(z: TripleObject, z2: TripleObject, parts: list, fbases: dict[str, T
     return cols
 
 
-def _psi_data(z: TripleObject, z2: TripleObject, dims: Optional[tuple[int, int, int]] = None):
+def _psi_data(z: TripleObject, z2: TripleObject):
     """Bases and the sparse integer columns of psi(u, v) = u . eta - eta' . F(v) for a pair, all built.
 
     Returns (bases, nrows, columns), bases the vertex table of `_bases`.
     columns[c] = (nonzero (row, integer) entries, rows increasing, den), u
     basis elements then v, in vertex order; the rows are the Hom(F(Y), X')
-    basis, x-vertex by x-vertex.  dims, when given, is
-    `hom_space_dims(z, z2)`: cold `ext1` passes the sizes it took at its
-    call, so its class read does not size the pair again.  When psi has no
-    rows or no columns, bases is None and each column is ([], 1): nothing
-    is built.  `hom` and `euler_form` build no psi, and `ext1` builds it
-    only on the first read of its classes.
+    basis, x-vertex by x-vertex.  When psi has no rows or no columns, bases
+    is None and each column is ([], 1): nothing is built.  `hom` and
+    `euler_form` build no psi, and `ext1` builds it only on the first read
+    of its classes.
     """
-    su, sv, nrows = dims or hom_space_dims(z, z2)
+    su, sv, nrows = hom_space_dims(z, z2)
     if not (nrows and su + sv):  # every image is 0
         return None, nrows, [([], 1)] * (su + sv)
     s, (bases, fbases) = z.scenario, _bases(z, z2)
@@ -921,25 +906,21 @@ class ExtResult:
 def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
     """Cokernel of psi(u, v) = u . eta - eta' . F(v): dim from hom's rank, the classes from psi's columns.
 
-    By rank-nullity dim Ext^1 = nrows - rank(psi) = nrows - ncols + dim Hom.
-    Right after `hom` of the pair, z's `_ext1` gives dim.  Otherwise a psi
-    with no rows or no columns has dim = its row count, from the sizes, and
-    any other psi takes it from `len(hom(z, z2))`, which builds no psi (and
-    keeps dim on z).  psi is built and its columns are eliminated, as rows,
-    once, on the first read of the projection (`_null_space` of those rows)
-    or of the representatives, from the call's sizes when cold; that read
-    checks its cokernel against dim.
+    dim Ext^1 = nrows - rank(psi) is read off z's `_ext1`, which `hom(z, z2)`
+    writes; when the slot names another target, `hom` of the pair runs
+    first, and builds no psi.  psi is built and its columns are eliminated,
+    as rows, once, on the first read of the projection (`_null_space` of
+    those rows) or of the representatives; that read checks its cokernel
+    against dim.
     """
-    s, slot, done, dims = z.scenario, z._ext1, [], None  # done: the elimination's one result
-    if slot is not None and slot[0]() is z2:  # right after hom of the pair
-        dim = slot[1]
-    else:
-        su, sv, nrows = dims = hom_space_dims(z, z2)
-        dim = nrows - (su + sv) + len(hom(z, z2)) if nrows and su + sv else nrows
+    s, done = z.scenario, []  # done: the elimination's one result
+    if z._ext1 is None or z._ext1[0]() is not z2:  # hom of another pair, or none yet
+        hom(z, z2)
+    dim = z._ext1[1]
 
     def cokernel() -> tuple:  # (pivots, ech, free, nrows): `_null_basis`'s arguments
         if not done:
-            _, nrows, columns = _psi_data(z, z2, dims)
+            _, nrows, columns = _psi_data(z, z2)
             rows = [dict(ents) for ents, _ in columns]
             pivots, ech, _, _ = _echelon(rows) if any(rows) else ([], [], 1, 1)
             free = sorted(set(range(nrows)).difference(pivots))

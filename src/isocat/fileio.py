@@ -17,6 +17,7 @@ e_0 is not the unit.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from .catalog import CATALOG_IDS, catalog_scenario
 from .exactalg import Polynomial, RatMatrix, _block_copies
@@ -53,17 +54,20 @@ def rational_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")  # "p" or "p/q"; no exponent, point or underscore
+
+
 def rational_from_json(value) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise FormatError(f"rationals must be strings or integers, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):  # matched before any value is built
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as ex:
             raise FormatError(f"bad rational literal {value!r}: {ex}")
-    raise FormatError(f"bad rational literal {value!r}")
+    raise FormatError(f"bad rational literal {value!r} (expected \"p\" or \"p/q\")")
 
 
 def matrix_to_json(m: RatMatrix) -> list[list[str]]:
@@ -267,7 +271,7 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as ex:
         raise FormatError(f"cannot read {path}: {ex}")
-    except json.JSONDecodeError as ex:
+    except (ValueError, RecursionError) as ex:  # also an int over the digit limit, or nesting too deep
         raise FormatError(f"{path}: not valid JSON: {ex}")
 
 

@@ -29,13 +29,6 @@ INFINITE = "infinite"
 
 _SAMPLES = 32  # samples `construct_indecomposable` draws before it gives up
 
-_CASES = {
-    1: {((1, 1),): "A2", ((2, 2),): "C2", ((3, 3),): "G2"},
-    2: {((1, 1), (1, 1)): "A3", ((1, 1), (2, 2)): "C3"},
-    3: {((1, 1), (1, 1), (1, 1)): "D4"},
-}
-
-
 class ConstructionError(RuntimeError):
     def __init__(self, message: str, attempts: list[str]):
         super().__init__(message)
@@ -58,7 +51,10 @@ def classify(s: SpeciesScenario) -> Classification:
     """Finite-type verdict, diagram name and (when applicable) the special case.
 
     Case reporting applies only to the shape with a single x-vertex carrying
-    Q; it matches on the per-vertex data (g_i, [D_i : Q]).
+    Q that meets every y-vertex, of which there is at least one: the case is
+    then the diagram's name when the type is finite.  M_i is free over D_i,
+    so its label is (g_i, g_i / [D_i : Q]), and finite type leaves A2, C2,
+    G2, A3, C3 and D4.
     """
     g = valued_graph(s)
     rd = cartan_matrix(g)
@@ -72,12 +68,9 @@ def classify(s: SpeciesScenario) -> Classification:
     if base_is_q:
         x = s.x_ids[0]
         n = s.algebra(x).dim
-        shape = []
-        complete = True
         for y in s.y_ids:
             bm = s.bimodules.get((x, y))
             if bm is None:
-                complete = False
                 continue
             g_i = bm.dim // n
             n_i = s.algebra(y).dim
@@ -87,9 +80,8 @@ def classify(s: SpeciesScenario) -> Classification:
                 "vertex": y, "g": g_i, "n_i": n_i, "n": n,
                 "label": label, "label_matches_formula": label == expected,
             })
-            shape.append((g_i, n_i))
-        if complete and finite:
-            case = _CASES.get(len(shape), {}).get(tuple(sorted(shape)), "none")
+        if finite and s.y_ids and len(conditions) == len(s.y_ids):
+            case = name
     return Classification(FINITE if finite else INFINITE, name, case, conditions)
 
 

@@ -121,7 +121,8 @@ def test_criterion_3_five_term_sequence():
             a = random_object(s, rng)
             b = random_object(s, rng)
             h, res = len(hom(a, b)), ext1(a, b)
-            assert h - res.dim == euler_form(a, b) == ringel_form(s, a, b), (s.name, total)
+            form = ringel_form(s, a.dimension_vector(), b.dimension_vector())
+            assert h - res.dim == euler_form(a, b) == form, (s.name, total)
             assert len(res.basis) == res.dim
             total += 1
     assert total >= 2000 and len(sweep) >= 5

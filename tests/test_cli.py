@@ -4,6 +4,8 @@ import copy
 import json
 import random
 import tempfile
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,6 +25,7 @@ from isocat.fileio import (
     load_scenario,
     object_from_json,
     object_to_json,
+    rational_from_json,
     scenario_from_json,
     scenario_to_json,
 )
@@ -65,6 +68,21 @@ def test_rationals_serialized_as_strings():
     doc = scenario_to_json(s)
     blob = json.dumps(doc)
     assert "." not in blob.replace("isocat/scenario-v1", "")  # no floats anywhere
+
+
+@pytest.mark.parametrize("literal, value", [
+    ("3", Fraction(3)), ("-3", Fraction(-3)), ("+3", Fraction(3)), ("1/2", Fraction(1, 2)),
+    ("-14/6", Fraction(-7, 3)), (" 5 ", Fraction(5)), (7, Fraction(7)),
+])
+def test_rational_literals_of_the_grammar_are_read(literal, value):
+    assert rational_from_json(literal) == value
+
+
+@pytest.mark.parametrize("literal", ["1e3", "1E-2", "1.5", ".5", "1_000", "0x10", "", "1/", "/2", "1/-2",
+                                     "nan", "inf", "\u0661", 1.0, True, None, [1]])
+def test_rational_literals_beyond_the_grammar_are_refused(literal):
+    with pytest.raises(FormatError):
+        rational_from_json(literal)
 
 
 def test_object_rejects_wrong_scenario():
@@ -183,6 +201,27 @@ def test_cli_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
     assert main(["classify", "--scenario", str(bad)]) == 2
+
+
+def _c2_exponent_entry():
+    doc = scenario_to_json(catalog_scenario("c2"))
+    doc["bimodules"][0]["left_action"][0][0][0] = "1e100000000"  # Fraction would build 10^(10^8)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text", [
+    _c2_exponent_entry(),
+    '{"schema": "isocat/scenario-v1", "name": ' + "7" * 5000 + "}",  # over the int digit limit
+    "[" * 100_000 + "]" * 100_000,  # deeper than the recursion limit
+], ids=["exponent-literal", "5000-digit-int", "nested-100000-deep"])
+def test_cli_refuses_json_beyond_the_format_at_once(tmp_path, capsys, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main(["classify", "--scenario", str(path)]) == 2
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "internal error" not in err
 
 
 def test_cli_tampered_scenario_fails_validation(tmp_path):
@@ -524,6 +563,19 @@ def test_cli_indec_requires_seed(capsys):
 
 def test_cli_indec_infinite_type():
     assert main(["indec", "--scenario", "catalog:two_surfaces", "--seed", "1"]) == 3
+
+
+def test_cli_roots_and_indec_write_one_infinite_type_report(capsys):
+    lines = {"roots": "scenario two_surfaces has infinite representation type; no root list\n",
+             "indec": "scenario two_surfaces has infinite representation type\n"}
+    for command, line in lines.items():
+        args = [command, "--scenario", "catalog:two_surfaces", "--seed", "1"][:5 if command == "indec" else 3]
+        assert main(args) == 3
+        assert capsys.readouterr().out == line
+        assert main(args + ["--format", "json"]) == 3
+        assert capsys.readouterr().out == json.dumps(
+            {"schema": "isocat/report-v1", "command": command, "scenario": "two_surfaces",
+             "verdict": "infinite"}, indent=2) + "\n"
 
 
 def test_cli_indec_reports_a_failed_construction(monkeypatch, capsys):

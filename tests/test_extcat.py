@@ -234,9 +234,9 @@ def test_hom_sizes_its_pair_once(monkeypatch):
 
 
 def test_cold_ext1_counts_its_size_passes(monkeypatch):
-    # euler_form sizes its pair once; cold ext1 sizes it for its size-only
-    # rule and `hom` sizes a non-empty pair again for its rank; the first
-    # read of the classes reuses the sizes taken at the call
+    # cold ext1 sizes its pair once, inside `hom`, and warm ext1 not at all;
+    # the first read of the classes sizes psi itself, once; euler_form sizes
+    # its pair once
     s = catalog_scenario("d4_elliptic")
     rng = random.Random(2)
     a, b = (random_object_with(s, {v: 1 for v in s.vertex_order()}, rng) for _ in range(2))
@@ -244,12 +244,18 @@ def test_cold_ext1_counts_its_size_passes(monkeypatch):
     assert [bool(su + sv and sf) for su, sv, sf in (hom_space_dims(*p) for p in pairs)] == [True, False]
     calls = []
     monkeypatch.setattr(extcat, "hom_space_dims", lambda z, z2: calls.append(1) or hom_space_dims(z, z2))
-    for pair, at_call in zip(pairs, (2, 1)):
+    for pair in pairs:
         calls.clear()
-        res = ext1(*pair)
-        assert len(calls) == at_call
+        res = ext1(*unseen(*pair))  # cold
+        assert len(calls) == 1
         res.basis, res.projection
-        assert len(calls) == at_call
+        assert len(calls) == 2
+        hom(*pair)
+        calls.clear()
+        res = ext1(*pair)  # warm
+        assert len(calls) == 0
+        res.basis, res.projection
+        assert len(calls) == 1
         calls.clear()
         euler_form(*pair)
         assert len(calls) == 1
@@ -607,19 +613,15 @@ EULER_SWEEP = ["d4_elliptic", "c3_surface", "g2_threefold", "c2", "b2_dual",
 
 
 def ringel_form(s, a, b):
-    """<a, b> = sum_v [D_v:Q] a_v b_v - sum_(x,y) dim_Q(M_xy) a_y b_x.
+    """<a, b> = sum_v [D_v:Q] a_v b_v - sum_(x,y) dim_Q(M_xy) a_y b_x on dimension vectors in vertex order.
 
-    Read off the component dimensions and the scenario's algebra and
-    bimodule dimensions only; it shares no code with psi.
+    Read off the scenario's algebra and bimodule dimensions only; it shares
+    no code with psi or with `species.ringel_form`.
     """
-    def dims(z):
-        parts = {**z.x, **z.y}
-        return {v: parts[v].dim // s.algebra(v).dim for v in s.vertex_order()}
-
-    da, db = dims(a), dims(b)
-    diag = sum(s.algebra(v).dim * da[v] * db[v] for v in s.vertex_order())
-    cross = sum(bm.dim * da[y] * db[x] for (x, y), bm in s.bimodules.items())
-    return diag - cross
+    order = s.vertex_order()
+    da, db = dict(zip(order, a)), dict(zip(order, b))
+    return (sum(s.algebra(v).dim * da[v] * db[v] for v in order)
+            - sum(bm.dim * da[y] * db[x] for (x, y), bm in s.bimodules.items()))
 
 
 def test_euler_form_matches_ringel_form(monkeypatch):
@@ -640,7 +642,7 @@ def test_euler_form_matches_ringel_form(monkeypatch):
         monkeypatch.setattr(extcat, name, refuse)
     monkeypatch.setattr(exactalg, "_echelon", refuse)
     for s, a, b in pairs:
-        assert euler_form(a, b) == ringel_form(s, a, b), (s.name, a, b)
+        assert euler_form(a, b) == ringel_form(s, a.dimension_vector(), b.dimension_vector()), (s.name, a, b)
     monkeypatch.undo()
     assert {bool(su + sv and sf) for su, sv, sf in (hom_space_dims(a, b) for _, a, b in pairs)} == {True, False}
 
@@ -1270,14 +1272,25 @@ def shared_spaces(s):
                   for x, fsp in fsps.items()]
 
 
-def assert_memos_hold_only_shared_pairs(s):
-    """Every memo entry pairs shared values of one algebra instance and equals a fresh build."""
+def pair_terms_closed_form(alg, m, k):
+    """unit(s, t) (x) R_b for s < k, t < m and each b, in that order, as `_nonzero_entries`, built afresh."""
+    n, mats = alg.dim, []
+    for s in range(k):
+        for t in range(m):
+            for right in alg.right_mats:
+                grid = [[Fraction(0)] * (m * n) for _ in range(k * n)]
+                for i, row in enumerate(right.to_fractions()):
+                    grid[s * n + i][t * n:(t + 1) * n] = row
+                mats.append(RatMatrix.from_rows(grid))
+    return _nonzero_entries(mats, k * n, m * n)
+
+
+def assert_pair_terms_are_closed_forms(s):
+    """Every pair-terms entry of s's algebras equals its closed form built afresh; returns their number."""
     seen = 0
-    for alg, src in shared_spaces(s):
-        for dst, terms in src._memo.items():
-            assert extcat._shared(alg, dst) and (src.canonical is None or extcat._shared(alg, src))
-            copies = [VertexSpace(v.dim, v.action, v.canonical) for v in (src, dst)]
-            assert extcat._hom_terms(alg, *copies) == terms
+    for spec in {id(s.algebra(v).spec): s.algebra(v).spec for v in s.vertex_order()}.values():
+        for (m, k), terms in spec._pair_terms.items():
+            assert terms == pair_terms_closed_form(spec, m, k)
             seen += 1
     return seen
 
@@ -1289,9 +1302,10 @@ def assert_hom_ext_match_references(a, b):
     assert euler_form(a, b) == len(hom(a, b)) - res.dim
 
 
-def test_hom_terms_between_shared_values_are_memoised_on_the_source():
-    # b2_dual and sqrt2_mult have an x algebra larger than Q, so their
-    # (shared F space, shared canonical X') terms are memoised too
+def test_pair_terms_are_built_once_and_f_terms_beyond_q_come_from_the_cache(monkeypatch):
+    # between canonical spaces `_hom_terms` is the algebra's `pair_terms`,
+    # built once per (m, k); b2_dual and sqrt2_mult have an x algebra larger
+    # than Q, and their F -> X' terms come from `_HOM_CACHE` alone
     for s in [catalog_scenario(name) for name in ("b2_dual", "c3_surface", "g2_threefold")] + [sqrt2_scenario()]:
         rng = random.Random(f"memo:{s.name}")
         objs = [random_object_with(s, {v: m for v in s.vertex_order()}, rng) for m in (1, 2)]
@@ -1299,16 +1313,27 @@ def test_hom_terms_between_shared_values_are_memoised_on_the_source():
         for a in objs:
             for b in objs:
                 assert_hom_ext_match_references(a, b)
-        assert assert_memos_hold_only_shared_pairs(s) > 0
+        assert assert_pair_terms_are_closed_forms(s) > 0
+        kept = {(v, mk): terms for v in s.vertex_order() for mk, terms in s.algebra(v).spec._pair_terms.items()}
+        for a in objs:
+            for b in objs:
+                hom(a, b)
+                for v in s.vertex_order():
+                    alg, src, dst = s.algebra(v).spec, a.parts[v], b.parts[v]
+                    if alg.dim > 1 and src.canonical and dst.canonical and src.dim and dst.dim:
+                        terms = _hom_terms(alg, src, dst)
+                        assert terms is kept[v, (src.canonical[1], dst.canonical[1])]
+        assert kept == {(v, mk): terms for v in s.vertex_order()
+                        for mk, terms in s.algebra(v).spec._pair_terms.items()}
         for x in s.x_ids:
             alg, fsp, xp = s.algebra(x).spec, objs[1].f[x], objs[1].x[x]
-            if alg.dim == 1:  # Q terms are rebuilt, never kept
-                assert xp not in fsp._memo and not xp._memo
+            if alg.dim == 1:  # Q terms are written out, never kept
+                assert alg._pair_terms == {} and _hom_terms(alg, fsp, xp) is not _hom_terms(alg, fsp, xp)
                 continue
-            assert xp in fsp._memo and xp in xp._memo
-            # a memoised call reaches neither the closed form nor _HOM_CACHE
-            before = len(extcat._HOM_CACHE)
-            assert extcat._hom_terms(alg, fsp, xp) is fsp._memo[xp] and len(extcat._HOM_CACHE) == before
+            marker = ([], 1)
+            monkeypatch.setattr(extcat, "_HOM_CACHE", {(alg.key(), fsp.key(), xp.key()): marker})
+            assert _hom_terms(alg, fsp, xp) is marker
+            monkeypatch.undo()
 
 
 def test_fresh_spaces_get_no_memo_entries():
@@ -1324,11 +1349,20 @@ def test_fresh_spaces_get_no_memo_entries():
         for a in shared + fresh:
             for b in shared + fresh:
                 assert_hom_ext_match_references(a, b)
-        assert_memos_hold_only_shared_pairs(s)
+        assert_pair_terms_are_closed_forms(s)
         ids = {id(vs) for _, vs in shared_spaces(s)}
-        for z in fresh:
-            parts = [*z.x.values(), *z.y.values(), *z.f.values()]
-            assert all(vs._memo is None for vs in parts if id(vs) not in ids)
+        for v in s.vertex_order():  # pair terms are kept by multiplicities of shared spaces alone
+            spec = s.algebra(v).spec
+            assert {mult for mk in spec._pair_terms for mult in mk} <= set(spec._canonical_spaces)
+        cached = 0
+        for z in fresh:  # a fresh space's terms are kept in `_HOM_CACHE`, by its data
+            for v, vs in z.parts.items():
+                alg = s.algebra(v).spec
+                if id(vs) not in ids and alg.dim > 1 and vs.dim:
+                    assert vs.canonical is None
+                    assert _hom_terms(alg, vs, vs) is extcat._HOM_CACHE[alg.key(), vs.key(), vs.key()]
+                    cached += 1
+        assert cached
         # a file object takes the shared space of each canonical action it reads,
         # and rebuilds the conjugated y part over a field larger than Q
         y0, (copy, conj) = s.y_ids[0], fresh[-2:]
@@ -1357,12 +1391,9 @@ def test_equal_algebra_instances_do_not_share_memo_entries():
         for a in objs:
             for b in objs:
                 assert_hom_ext_match_references(a, b)
-        assert_memos_hold_only_shared_pairs(s)
-        for h in (hx, hy):
-            for space in h.spec._canonical_spaces.values():
-                assert all(h.spec._canonical_spaces.get(k.canonical[1]) is k for k in space._memo)
-        memos = [space._memo for h in (hx, hy) for space in h.spec._canonical_spaces.values()]
-        assert any(memos) == (hx.dim > 1)  # Q terms are never kept
+        assert_pair_terms_are_closed_forms(s)
+        assert hx.spec._pair_terms is not hy.spec._pair_terms
+        assert bool(hx.spec._pair_terms and hy.spec._pair_terms) == (hx.dim > 1)  # Q terms are never kept
 
 
 def test_the_hom_term_memo_dies_with_its_scenario():
@@ -1378,13 +1409,13 @@ def test_the_hom_term_memo_dies_with_its_scenario():
         for b in objs:
             euler_form(a, b)
             ext1(a, b)
-    spaces = [vs for _, vs in shared_spaces(s) if vs._memo]
-    assert any(vs.canonical is None for vs in spaces) and any(vs.canonical is not None for vs in spaces)
-    markers = [Marker() for _ in spaces]
-    for vs, mark in zip(spaces, markers):
-        vs._memo[mark] = mark
+    memos = [h.spec._pair_terms for h in (s.algebra("u"), s.algebra("a1")) if h.spec._pair_terms]
+    assert memos
+    markers = [Marker() for _ in memos]
+    for memo, mark in zip(memos, markers):
+        memo[mark] = mark
     refs = [weakref.ref(o) for o in (s, s.algebra("u").spec, s.algebra("a1").spec, *markers)]
-    del s, objs, a, b, spaces, vs, mark, markers
+    del s, objs, a, b, memos, memo, mark, markers
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
 
@@ -1857,12 +1888,18 @@ def test_cold_ext1_ranks_psi_through_hom_and_builds_it_on_the_first_class_read(m
 
 
 def test_cold_ext1_checks_hom_s_rank_on_the_first_class_read(monkeypatch):
-    # a hom whose rank is one too high (one basis element short) gives cold
-    # ext1 a dim one too low; the first read of the classes eliminates psi's
-    # columns and refuses it
+    # a hom whose rank is one too high leaves cold ext1 a dim one too low in
+    # its slot; the first read of the classes eliminates psi's columns and
+    # refuses it
     (wide, _), (small, _) = shared_psi_pairs()[:2]
     real = extcat.hom
-    monkeypatch.setattr(extcat, "hom", lambda z, z2: range(len(real(z, z2)) - 1))
+
+    def high_rank(z, z2):
+        basis = real(z, z2)
+        z._ext1 = (z._ext1[0], z._ext1[1] - 1)
+        return basis
+
+    monkeypatch.setattr(extcat, "hom", high_rank)
     for (a, b), dim in ((wide, 1), (small, 0)):
         res = ext1(*unseen(a, b))
         assert res.dim == dim - 1

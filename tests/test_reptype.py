@@ -6,8 +6,8 @@ import random
 import pytest
 
 from isocat import reptype
-from isocat.catalog import FINITE_TYPE_IDS, catalog_scenario
-from isocat.exactalg import AlgebraSpec, radical
+from isocat.catalog import CATALOG_IDS, FINITE_TYPE_IDS, catalog_scenario
+from isocat.exactalg import AlgebraSpec, Polynomial, radical
 from isocat.extcat import (
     CERTIFIED,
     canonical_object,
@@ -30,12 +30,15 @@ from isocat.species import (
     ScenarioError,
     SpeciesScenario,
     asserted_division_algebra,
+    number_field,
     rationals,
     right_regular_bimodule,
+    tensor_bimodule,
 )
-from isocat.samples import random_object
+from isocat.samples import random_object, random_scenario
 
 from test_exactalg import _gauss_jordan
+from test_extcat import ringel_form
 
 
 def test_classify_catalog_cases():
@@ -87,6 +90,50 @@ def test_classify_invariant_under_isomorphic_presentation():
 
 def Bimodule_for(handle: DivisionAlgebraHandle):
     return right_regular_bimodule(rationals(), handle)
+
+
+# the hand-made table that `classify` once read its case from: for one Q
+# x-vertex meeting every y-vertex, the sorted (dim_Q M_i, [D_i : Q]) per y
+TABLE_CASES = {
+    1: {((1, 1),): "A2", ((2, 2),): "C2", ((3, 3),): "G2"},
+    2: {((1, 1), (1, 1)): "A3", ((1, 1), (2, 2)): "C3"},
+    3: {((1, 1), (1, 1), (1, 1)): "D4"},
+}
+
+
+def table_case(s, finite: bool) -> str:
+    """The case the table gives s, from the scenario data alone."""
+    if len(s.x_ids) != 1 or s.algebra(s.x_ids[0]).dim != 1 or not finite:
+        return "none"
+    x = s.x_ids[0]
+    if any((x, y) not in s.bimodules for y in s.y_ids):
+        return "none"
+    shape = tuple(sorted((s.bimodules[x, y].dim, s.algebra(y).dim) for y in s.y_ids))
+    return TABLE_CASES.get(len(shape), {}).get(shape, "none")
+
+
+def test_classify_cases_match_the_table_they_replace():
+    # the catalog, random draws, and every shape of one Q centre meeting 1-4
+    # y-vertices over Q, Q(sqrt 2), Q(i) and the cubic field, with M = D or D^2
+    q = rationals()
+    fields = [q] + [number_field(Polynomial(c)) for c in ([-2, 0, 1], [1, 0, 1], [-1, -1, 0, 1])]
+    sweep = [catalog_scenario(name) for name in CATALOG_IDS]
+    rng = random.Random("classify-cases")
+    sweep += [random_scenario(rng) for _ in range(3000)]
+    options = [(f, k) for f in fields for k in (1, 2)]
+    for n in range(1, 5):
+        for shape in itertools.combinations_with_replacement(options, n):
+            sweep.append(SpeciesScenario("shape", [("u", q)], [(f"y{j}", f) for j, (f, _) in enumerate(shape)],
+                                         {("u", f"y{j}"): tensor_bimodule(q, f, copies=k)
+                                          for j, (f, k) in enumerate(shape)}))
+    sweep.append(SpeciesScenario("lone", [("u", q)], [], {}))
+    cases = []
+    for s in sweep:
+        c = classify(s)
+        assert c.case == table_case(s, c.finite), s.name
+        cases.append(c.case)
+    assert classify(sweep[-1]).case == "none" and classify(sweep[-1]).finite
+    assert set(cases) == {"none", "A2", "C2", "G2", "A3", "C3", "D4"}
 
 
 def test_indecomposable_vectors_counts():
@@ -223,15 +270,6 @@ def test_krull_schmidt_roundtrip_small():
         assert dec.flag == "certified"
         got = sorted(sm.object.dimension_vector() for sm in dec.summands)
         assert got == sorted(p.dimension_vector() for p in picks)
-
-
-def ringel_form(s, a, b):
-    """<a, b> = sum_v f_v a_v b_v - sum_(x,y) dim_Q(M_xy) a_y b_x with f_v = [D_v:Q],
-    read off the scenario's algebra and bimodule dimensions only."""
-    order = s.vertex_order()
-    da, db = dict(zip(order, a)), dict(zip(order, b))
-    return (sum(s.algebra(v).dim * da[v] * db[v] for v in order)
-            - sum(bm.dim * da[y] * db[x] for (x, y), bm in s.bimodules.items()))
 
 
 def test_root_table_entries_are_real_roots_of_the_tits_form():
