@@ -730,7 +730,12 @@ def _w_echelon(w: tuple, ident: bool) -> tuple[list[int], list[dict[int, int]], 
 
 
 def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
-    """Basis of the space of morphisms z -> z2: the kernel of psi, from its Y-side blocks, built as read.
+    """Basis of the space of morphisms z -> z2, built as read: `_hom`'s, which also keeps dim Ext^1 for `ext1`."""
+    return _hom(z, z2)[0]
+
+
+def _hom(z: TripleObject, z2: TripleObject) -> tuple[Sequence[TripleMorphism], int]:
+    """(basis of Hom(z, z2), dim Ext^1): the kernel of psi, from its Y-side blocks, built as read; nrows - rank.
 
     psi's columns go right to left, the v columns first: eliminating the u
     block I (x) eta^T first would build Schur-complement rows from minors of
@@ -754,7 +759,7 @@ def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
     if not (nrows and ncols):  # every column is free: the identity, with no elimination
         z._ext1 = (weakref.ref(z2), nrows)
         unit = _kernel_morphism(z, z2, None)
-        return _OnDemand(ncols, lambda k: unit([0] * k + [1] + [0] * (ncols - 1 - k), 1))
+        return _OnDemand(ncols, lambda k: unit([0] * k + [1] + [0] * (ncols - 1 - k), 1)), nrows
     s, (bases, fbases) = z.scenario, _bases(z, z2)
     big = lcm(*(z2.eta[x].den for x in s.x_ids))
     den = lcm(*[d * (z.eta[w].den if w in z.eta else big) for w, (_, d) in bases.items()])
@@ -817,7 +822,7 @@ def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
                         vec[p] += x * e * g
         return vec, d * gden
     morphism = _kernel_morphism(z, z2, bases)
-    return _OnDemand(ncols - rank, lambda k: morphism(*vector(k)))
+    return _OnDemand(ncols - rank, lambda k: morphism(*vector(k))), nrows - rank
 
 
 def _end_basis(z: TripleObject) -> Sequence[TripleMorphism]:
@@ -906,17 +911,16 @@ class ExtResult:
 def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
     """Cokernel of psi(u, v) = u . eta - eta' . F(v): dim from hom's rank, the classes from psi's columns.
 
-    dim Ext^1 = nrows - rank(psi) is read off z's `_ext1`, which `hom(z, z2)`
-    writes; when the slot names another target, `hom` of the pair runs
-    first, and builds no psi.  psi is built and its columns are eliminated,
-    as rows, once, on the first read of the projection (`_null_space` of
-    those rows) or of the representatives; that read checks its cokernel
-    against dim.
+    dim Ext^1 = nrows - rank(psi) is read off z's `_ext1` when `hom(z, z2)`
+    wrote it last, and is otherwise the one `_hom` of the pair returns,
+    which builds no psi.  The slot is read once, and never after `_hom`: a
+    hom of another target may write it at any time.  psi is built and its
+    columns are eliminated, as rows, once, on the first read of the
+    projection (`_null_space` of those rows) or of the representatives;
+    that read checks its cokernel against dim.
     """
-    s, done = z.scenario, []  # done: the elimination's one result
-    if z._ext1 is None or z._ext1[0]() is not z2:  # hom of another pair, or none yet
-        hom(z, z2)
-    dim = z._ext1[1]
+    s, slot, done = z.scenario, z._ext1, []  # done: the elimination's one result
+    dim = slot[1] if slot is not None and slot[0]() is z2 else _hom(z, z2)[1]
 
     def cokernel() -> tuple:  # (pivots, ech, free, nrows): `_null_basis`'s arguments
         if not done:

@@ -66,8 +66,8 @@ def rational_from_json(value) -> Fraction:
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as ex:
-            raise FormatError(f"bad rational literal {value!r}: {ex}")
-    raise FormatError(f"bad rational literal {value!r} (expected \"p\" or \"p/q\")")
+            raise FormatError(f"bad rational literal {value!r:.40}: {ex}")
+    raise FormatError(f"bad rational literal {value!r:.40} (expected \"p\" or \"p/q\")")
 
 
 def matrix_to_json(m: RatMatrix) -> list[list[str]]:

@@ -1888,18 +1888,16 @@ def test_cold_ext1_ranks_psi_through_hom_and_builds_it_on_the_first_class_read(m
 
 
 def test_cold_ext1_checks_hom_s_rank_on_the_first_class_read(monkeypatch):
-    # a hom whose rank is one too high leaves cold ext1 a dim one too low in
-    # its slot; the first read of the classes eliminates psi's columns and
-    # refuses it
+    # a hom whose rank is one too high gives cold ext1 a dim one too low; the
+    # first read of the classes eliminates psi's columns and refuses it
     (wide, _), (small, _) = shared_psi_pairs()[:2]
-    real = extcat.hom
+    real = extcat._hom
 
     def high_rank(z, z2):
-        basis = real(z, z2)
-        z._ext1 = (z._ext1[0], z._ext1[1] - 1)
-        return basis
+        basis, dim = real(z, z2)
+        return basis, dim - 1
 
-    monkeypatch.setattr(extcat, "hom", high_rank)
+    monkeypatch.setattr(extcat, "_hom", high_rank)
     for (a, b), dim in ((wide, 1), (small, 0)):
         res = ext1(*unseen(a, b))
         assert res.dim == dim - 1
@@ -1907,6 +1905,42 @@ def test_cold_ext1_checks_hom_s_rank_on_the_first_class_read(monkeypatch):
             res.basis
         with pytest.raises(extcat.InternalConsistencyError):
             res.projection
+
+
+def test_ext1_of_a_pair_ignores_a_hom_of_another_target_that_overwrites_the_slot(monkeypatch):
+    # a hom of the same source and another target, as from a second thread,
+    # may write the slot at any time: cold, ext1 takes dim from `_hom` of its
+    # own pair, and warm it reads the slot once
+    (a, b), _ = shared_psi_pairs()[0]
+    w = x_only(b)
+    want, other = column_ext_dim(a, b), column_ext_dim(a, w)
+    assert (want, other) == (1, 32)
+    real = extcat._hom
+
+    def raced(z, z2):
+        out = real(z, z2)
+        real(z, w)  # hom(z, w) between this call and any later read of the slot
+        return out
+
+    monkeypatch.setattr(extcat, "_hom", raced)
+    a2, b2 = unseen(a, b)
+    res = ext1(a2, b2)  # cold
+    assert a2._ext1[0]() is w
+    assert res.dim == len(res.basis) == want
+    monkeypatch.undo()
+
+    class Overwritten(tuple):
+        """A slot that hom(a, w) overwrites as soon as it is read."""
+
+        def __getitem__(self, k):
+            a._ext1 = (weakref.ref(w), other)
+            return tuple.__getitem__(self, k)
+
+    hom(a, b)
+    a._ext1 = Overwritten(a._ext1)
+    res = ext1(a, b)  # warm
+    assert a._ext1[0]() is w
+    assert res.dim == len(res.basis) == want
 
 
 def test_decompose_between_hom_and_ext1_keeps_the_pair_psi(monkeypatch):
