@@ -497,6 +497,21 @@ def _block_copies(m: int, cell: RatMatrix) -> RatMatrix:
     return RatMatrix._of(m * cell.rows, m * q, num, cell.den if m else 1)
 
 
+def _assemble(rows: int, cols: int, blocks: Sequence[tuple[int, int, RatMatrix]]) -> RatMatrix:
+    """The rows x cols matrix with each (row offset, column offset, block) written in.
+
+    Entries outside the blocks are zero; all blocks go into one integer
+    grid over their common denominator.
+    """
+    den = lcm(*(b.den for _, _, b in blocks))
+    num = [[0] * cols for _ in range(rows)]
+    for r0, c0, b in blocks:
+        k = den // b.den
+        for i, row in enumerate(b.num):
+            num[r0 + i][c0:c0 + b.cols] = [k * e for e in row] if k != 1 else row
+    return RatMatrix._fresh(rows, cols, num, den)
+
+
 def _nonzero_entries(mats: Sequence[RatMatrix], rows: int,
                      cols: int) -> tuple[list[list[tuple[int, int, int]]], int]:
     """Each matrix's nonzero entries (i, j, e), as integers over one common denominator.
@@ -556,6 +571,15 @@ def orbit_basis(mats: Sequence[RatMatrix], dim: int) -> tuple[list[int], RatMatr
     return picked, span
 
 
+def _diagonal_block(mats: Sequence[RatMatrix]) -> list[RatMatrix] | None:
+    """The d x d blocks C_a, d = len(mats), if every matrix is I_k (x) C_a with k > 1; else None."""
+    d, n = len(mats), mats[0].rows
+    if n <= d or n % d:
+        return None
+    block = [m.submatrix(range(d), range(d)) for m in mats]
+    return block if all(m == _block_copies(n // d, c) for m, c in zip(mats, block)) else None
+
+
 def commutant_basis(src: Sequence[RatMatrix], dst: Sequence[RatMatrix]) -> list[RatMatrix]:
     """Basis of {T : T . src[a] = dst[a] . T for every a}, T of shape dst x src.
 
@@ -564,8 +588,26 @@ def commutant_basis(src: Sequence[RatMatrix], dst: Sequence[RatMatrix]) -> list[
     kernel of the stacked rows, in the `_null_rows` reduced form that
     `_commutant_coords` reads: element k is exactly 1 at its last nonzero
     entry in row-major order, and every other element is 0 there.
+
+    A side whose every matrix is I_k (x) C_a, k > 1 equal d x d diagonal
+    blocks for d the number of matrices (a canonical space), splits the
+    system into k equal ones on T's row blocks (dst) or column blocks (src).
+    One block is solved and copied into each, ordered by last nonzero entry;
+    that reduced basis is unique, so it is the whole system's.
     """
     sd, dd = src[0].rows, dst[0].rows
+    block = _diagonal_block(dst)
+    if block is not None:  # row block i of T solves T_i . src_a = C_a . T_i
+        d, one = len(block), commutant_basis(src, block)
+        return [_assemble(dd, sd, [(i * d, 0, t)]) for i in range(dd // d) for t in one]
+    block = _diagonal_block(src)
+    if block is not None:  # column block i of T solves T^i . C_a = dst_a . T^i
+        d = len(block)
+        out = []
+        for t in commutant_basis(block, dst):
+            r, c = max((r, j) for r, row in enumerate(t.num) for j, e in enumerate(row) if e)  # t's last nonzero
+            out += [(r * sd + i * d + c, _assemble(dd, sd, [(0, i * d, t)])) for i in range(sd // d)]
+        return [t for _, t in sorted(out, key=lambda p: p[0])]
     den = lcm(*(m.den for m in (*src, *dst)))
     rows = []
     for s_a, d_a in zip(src, dst):

@@ -26,10 +26,10 @@ part of every object's identity, so serialized objects round-trip exactly.
 
 Canonical components are shared values: `canonical_space` returns one
 space per (algebra instance, multiplicity), held by the algebra, and the F
-spaces of a Y whose parts are all those shared spaces are one value per
-(scenario instance, y multiplicities), held by the scenario.  They live as
-long as their algebra or scenario; only a shared canonical space's v-block
-grouping is written.  Hom terms between canonical spaces are the algebra's
+spaces of a Y whose parts all act exactly as those shared spaces are one
+value per (scenario instance, y multiplicities), held by the scenario.
+They live as long as their algebra or scenario; only a shared canonical
+space's v-block grouping is written.  Hom terms between canonical spaces are the algebra's
 `pair_terms`, kept by the algebra.
 """
 
@@ -49,6 +49,7 @@ from .exactalg import (
     FactorBudget,
     FactorBudgetExceeded,
     RatMatrix,
+    _assemble,
     _back_solve,
     _back_solver,
     _block_copies,
@@ -139,6 +140,19 @@ def _shared(alg: AlgebraSpec, vs: VertexSpace) -> bool:
     return vs.canonical is not None and alg._canonical_spaces.get(vs.canonical[1]) is vs
 
 
+def _acts_canonically(handle: DivisionAlgebraHandle, vs: VertexSpace) -> bool:
+    """Whether vs is, or acts exactly as, `canonical_space` of its multiplicity.
+
+    Compares with the shared space when the algebra holds one, else with
+    temporary block copies, so no space is stored on the algebra.
+    """
+    spec, (m, r) = handle.spec, divmod(vs.dim, handle.dim)
+    if r:
+        return False
+    space = spec._canonical_spaces.get(m)
+    return vs.action == (space.action if space is not None else [_block_copies(m, lm) for lm in spec.left_mats])
+
+
 # ======================================================================
 # Equivariant hom spaces (with cache)
 # ======================================================================
@@ -184,19 +198,28 @@ def equivariant_hom_basis(alg: AlgebraSpec, src: VertexSpace, dst: VertexSpace) 
 # ======================================================================
 
 def _build_fspaces(scenario: SpeciesScenario, parts: dict[str, VertexSpace]) -> dict[str, VertexSpace]:
-    """The tensor spaces F(Y)_x of parts' y parts, each with its y block offsets and the action of the x algebra.
+    """The tensor spaces F(Y)_x of parts' y parts, as `_fresh_fspaces` builds them.
+
+    F(Y) depends only on the y actions, so when every y part acts exactly as the shared `canonical_space`
+    of its own vertex's algebra (is it, or equals it, as a retract piece
+    may), the result is one shared value per (scenario instance, y
+    multiplicities), held by the scenario for its lifetime; nothing may
+    write to it.  Every other input is built afresh by `_fresh_fspaces`.
+    """
+    if not all(_acts_canonically(scenario.algebra(y), parts[y]) for y in scenario.y_ids):
+        return _fresh_fspaces(scenario, parts)
+    key = tuple(parts[y].dim // scenario.algebra(y).dim for y in scenario.y_ids)
+    if key not in scenario._canonical_fspaces:
+        scenario._canonical_fspaces[key] = _fresh_fspaces(scenario, parts)
+    return scenario._canonical_fspaces[key]
+
+
+def _fresh_fspaces(scenario: SpeciesScenario, parts: dict[str, VertexSpace]) -> dict[str, VertexSpace]:
+    """New F spaces F(Y)_x of parts' y parts, each with its y block offsets and the action of the x algebra.
 
     Cell (k, i) of the r x r grid at y, for e_a, is the m_k part of e_a . m_i: the
-    action of d = left_coords(a)[i][k] on Y_y.  When every y part is the
-    shared `canonical_space` of its own vertex's algebra, the result is one
-    shared value per (scenario instance, y multiplicities), held by the
-    scenario for its lifetime; nothing may write to it.  Every other input
-    is built afresh.
+    action of d = left_coords(a)[i][k] on Y_y.  Nothing is looked up or memoised.
     """
-    shared = all(_shared(scenario.algebra(y).spec, parts[y]) for y in scenario.y_ids)
-    key = tuple(parts[y].canonical[1] for y in scenario.y_ids) if shared else None
-    if key in scenario._canonical_fspaces:
-        return scenario._canonical_fspaces[key]
     out = {}
     for x in scenario.x_ids:
         offsets: dict[str, int] = {}
@@ -216,24 +239,7 @@ def _build_fspaces(scenario: SpeciesScenario, parts: dict[str, VertexSpace]) -> 
                     cells += [(off + k * d, off + i * d, vs.act(c)) for k, c in enumerate(row) if any(c)]
             action.append(_assemble(total, total, cells))
         out[x] = VertexSpace(total, action, offsets=offsets)
-    if shared:
-        scenario._canonical_fspaces[key] = out
     return out
-
-
-def _assemble(rows: int, cols: int, blocks: Sequence[tuple[int, int, RatMatrix]]) -> RatMatrix:
-    """The rows x cols matrix with each (row offset, column offset, block) written in.
-
-    Entries outside the blocks are zero; all blocks go into one integer
-    grid over their common denominator.
-    """
-    den = lcm(*(b.den for _, _, b in blocks))
-    num = [[0] * cols for _ in range(rows)]
-    for r0, c0, b in blocks:
-        k = den // b.den
-        for i, row in enumerate(b.num):
-            num[r0 + i][c0:c0 + b.cols] = [k * e for e in row] if k != 1 else row
-    return RatMatrix._fresh(rows, cols, num, den)
 
 
 def _block_diag(blocks: list[RatMatrix]) -> RatMatrix:
@@ -1079,7 +1085,10 @@ def _retract(z: TripleObject, p: dict, i: dict) -> TripleObject:
     w acts by p . m . i and has eta p_x . eta_x . F(i).  That is z's own
     structure exactly when i is a morphism w -> z (a subobject) or p is one
     z -> w (a quotient), so a caller checks one inclusion or projection.  A
-    vertex over Q acts by c . I, so it is the shared `canonical_space`.
+    vertex over Q acts by c . I, so it is the shared `canonical_space`; other
+    parts stay unshared spaces (a shared one would switch w's hom terms from
+    the commutant basis to `pair_terms`, a different basis), while w's F
+    spaces are the shared ones whenever its y parts act canonically.
     A p (an i) given as a list of indices is the unit rows (columns) there.
     """
     s, parts = z.scenario, {}
@@ -1428,6 +1437,30 @@ def _split_or_leaf(z: TripleObject,
     return _splitting_idempotent(z, _combinations(end_basis)), NO_FURTHER
 
 
+def _split(w: TripleObject, maps: tuple | None, summands: list[Summand]) -> str:
+    """`decompose`'s node: appends w's summands, returns their flag; maps = (w -> z, z -> w) for a piece.
+    Not a closure over itself, so a decomposition holds no reference cycle and dies when dropped."""
+    nodes, key = w.scenario._nodes, w.data_key()
+    known = nodes.get(key)
+    if known is None:
+        e, flag = _split_or_leaf(w, _end_basis(w))
+    else:
+        e, flag = (None, known) if isinstance(known, str) else (_unflatten(w, *known), None)
+    if e is None:
+        nodes[key] = flag
+        summands.append(Summand(w, *(maps or (identity_morphism(w), identity_morphism(w)))))
+        return flag
+    pieces = _image_split(w, e)
+    nodes[key] = _flat_morphism(e)
+    flag = CERTIFIED
+    for piece, inc, proj in pieces:
+        if maps is not None:  # w is a piece: compose once on the way down
+            inc, proj = maps[0].compose(inc), proj.compose(maps[1])
+        if _split(piece, (inc, proj), summands) != CERTIFIED:
+            flag = NO_FURTHER
+    return flag
+
+
 def decompose(z: TripleObject) -> Decomposition:
     """Split z into indecomposable summands with explicit idempotents.
 
@@ -1452,25 +1485,4 @@ def decompose(z: TripleObject) -> Decomposition:
     remembered; only keys, flags and integers are, so no object is kept alive.
     """
     summands: list[Summand] = []
-
-    def split(w: TripleObject, maps: tuple | None) -> str:  # appends w's summands; maps = (w -> z, z -> w)
-        nodes, key = w.scenario._nodes, w.data_key()
-        known = nodes.get(key)
-        if known is None:
-            e, flag = _split_or_leaf(w, _end_basis(w))
-        else:
-            e, flag = (None, known) if isinstance(known, str) else (_unflatten(w, *known), None)
-        if e is None:
-            nodes[key] = flag
-            summands.append(Summand(w, *(maps or (identity_morphism(w), identity_morphism(w)))))
-            return flag
-        pieces = _image_split(w, e)
-        nodes[key] = _flat_morphism(e)
-        flag = CERTIFIED
-        for piece, inc, proj in pieces:
-            if maps is not None:  # w is a piece: compose once on the way down
-                inc, proj = maps[0].compose(inc), proj.compose(maps[1])
-            if split(piece, (inc, proj)) != CERTIFIED:
-                flag = NO_FURTHER
-        return flag
-    return Decomposition(summands, split(z, None) if z.total_dim() else CERTIFIED)
+    return Decomposition(summands, _split(z, None, summands) if z.total_dim() else CERTIFIED)

@@ -20,9 +20,9 @@ import json
 import re
 from fractions import Fraction
 from .catalog import CATALOG_IDS, catalog_scenario
-from .exactalg import Polynomial, RatMatrix, _block_copies
-from .extcat import (TripleError, TripleObject, VertexSpace, _build_fspaces, _eta_error, _space_error,
-                     canonical_space)
+from .exactalg import Polynomial, RatMatrix
+from .extcat import (TripleError, TripleObject, VertexSpace, _acts_canonically, _build_fspaces, _eta_error,
+                     _space_error, canonical_space)
 from .species import (
     Bimodule,
     DivisionAlgebraHandle,
@@ -239,9 +239,8 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
             action = [matrix_from_json(m, dim, dim) for m in grids]
             if len(action) != n:  # a zero space needs none, and a Q space may omit its identity
                 action = [RatMatrix.zeros(0, 0)] * n if dim == 0 else [RatMatrix.identity(dim)]
-            h = scenario.algebra(v)  # a canonical action shares the canonical space and its memos
-            canonical = not dim % n and action == [_block_copies(dim // n, lm) for lm in h.spec.left_mats]
-            parts[v] = canonical_space(h, dim // n) if canonical else VertexSpace(dim, action)
+            h, vs = scenario.algebra(v), VertexSpace(dim, action)  # a canonical action shares the canonical space
+            parts[v] = canonical_space(h, dim // n) if _acts_canonically(h, vs) else vs
             err = _space_error(h.spec, parts[v])  # before F(Y) is built
             if err is not None:
                 raise FormatError(f"component at vertex {v!r}: {err}")

@@ -35,6 +35,7 @@ from isocat.extcat import (
     TripleObject,
     VertexSpace,
     _build_fspaces,
+    _fresh_fspaces,
     _hom_terms,
     _psi_data,
     _psi_rows,
@@ -1096,9 +1097,9 @@ def test_canonical_spaces_and_their_f_spaces_match_the_generic_path():
             for mults in ([m] * len(s.y_ids), [(m + k) % 4 for k in range(len(s.y_ids))]):
                 y_parts = {y: canonical_space(s.algebra(y), n) for y, n in zip(s.y_ids, mults)}
                 closed = _build_fspaces(s, y_parts)
-                generic = _build_fspaces(s, {y: untagged(vs) for y, vs in y_parts.items()})
+                generic = _fresh_fspaces(s, {y: untagged(vs) for y, vs in y_parts.items()})
                 for x in s.x_ids:
-                    assert closed[x].action == generic[x].action
+                    assert generic[x] is not closed[x] and closed[x].action == generic[x].action
 
 
 # ----------------------------------------------------------------------
@@ -1112,7 +1113,7 @@ def fresh_canonical(h, m):
 
 
 def random_object_over_fresh_spaces(s, mult, rng, eta_bound=2):
-    """`random_object_with` over unshared canonical components and F spaces built afresh."""
+    """`random_object_with` over unshared canonical components, whose F spaces are the shared ones by value."""
     x_parts = {x: fresh_canonical(s.algebra(x), mult.get(x, 0)) for x in s.x_ids}
     y_parts = {y: fresh_canonical(s.algebra(y), mult.get(y, 0)) for y in s.y_ids}
     fsp = _build_fspaces(s, y_parts)
@@ -1122,7 +1123,8 @@ def random_object_over_fresh_spaces(s, mult, rng, eta_bound=2):
         coeffs = [rng.randrange(-eta_bound, eta_bound + 1) for _ in terms]
         eta[x] = _combine_terms(terms, coeffs, den, x_parts[x].dim, fsp[x].dim)
     z = TripleObject(s, {**x_parts, **y_parts}, eta)
-    assert all(z.f[x] is not fsp[x] for x in s.x_ids)  # the object built its own F spaces
+    # F(Y) depends only on Y's actions, so canonical actions give the scenario's shared F spaces
+    assert z.f is fsp is s._canonical_fspaces[tuple(mult.get(y, 0) for y in s.y_ids)]
     return z
 
 
@@ -1172,8 +1174,9 @@ def test_memoised_spaces_match_fresh_rebuilds_after_the_check_suites():
                 seen += 1
         assert s._canonical_fspaces
         for mults, fsp in s._canonical_fspaces.items():
-            fresh = _build_fspaces(s, {y: fresh_canonical(s.algebra(y), m) for y, m in zip(s.y_ids, mults)})
+            fresh = _fresh_fspaces(s, {y: fresh_canonical(s.algebra(y), m) for y, m in zip(s.y_ids, mults)})
             for x in s.x_ids:
+                assert fresh[x] is not fsp[x]
                 assert (fsp[x].dim, fsp[x].offsets) == (fresh[x].dim, fresh[x].offsets)
                 space = fsp[x]
                 assert space.key() == VertexSpace(space.dim, space.action).key() == fresh[x].key()
@@ -1182,6 +1185,7 @@ def test_memoised_spaces_match_fresh_rebuilds_after_the_check_suites():
 
 
 def test_hom_ext1_and_eta_over_shared_spaces_match_fresh_spaces():
+    conjugated_seen = 0
     for name in CATALOG_IDS:
         s = catalog_scenario(name)
         shared, fresh = [], []
@@ -1197,6 +1201,16 @@ def test_hom_ext1_and_eta_over_shared_spaces_match_fresh_spaces():
             assert [(m.u, m.v) for m in hom(a, b)] == [(m.u, m.v) for m in hom(fa, fb)]
             e, fe = ext1(a, b), ext1(fa, fb)
             assert (e.dim, e.basis, e.projection) == (fe.dim, fe.basis, fe.projection)
+        # a y part that does not act canonically builds its own F spaces; a
+        # conjugated frame gives an isomorphic object, so every dim agrees
+        a, ys = shared[0], [y for y in s.y_ids if shared[0].y[y].dim and s.algebra(y).dim > 1]
+        for zc in (conjugated(a, y) for y in ys):
+            assert all(zc.f[x] is not a.f[x] for x in s.x_ids)
+            for b in shared:
+                for pair, ref in (((zc, b), (a, b)), ((b, zc), (b, a))):
+                    assert (len(hom(*pair)), ext1(*pair).dim) == (len(hom(*ref)), ext1(*ref).dim)
+            conjugated_seen += 1
+    assert conjugated_seen >= 3
 
 
 def test_block_copies_runs_at_most_once_per_algebra_and_multiplicity(monkeypatch):
@@ -1242,12 +1256,12 @@ def test_two_instances_of_a_scenario_share_no_values():
     assert a.data_key() == b.data_key()
     assert a.f["u"] is not b.f["u"] and a.y["a2"] is not b.y["a2"]
     # q at u and e at a1 are equal algebras but not the same instance: a
-    # canonical space of u's algebra at a1 is not a1's own, so its F spaces
-    # are built afresh and never memoised
+    # canonical space of u's algebra at a1 is not a1's own, but it acts as
+    # a1's, so its F spaces are s1's shared value for (1, 1), never s2's
     y_parts = {"a1": canonical_space(s1.algebra("u"), 1), "a2": canonical_space(s1.algebra("a2"), 1)}
-    before = dict(s1._canonical_fspaces)
-    assert _build_fspaces(s1, y_parts) is not _build_fspaces(s1, y_parts)
-    assert s1._canonical_fspaces == before
+    fsp = _build_fspaces(s1, y_parts)
+    assert fsp is _build_fspaces(s1, y_parts) is s1._canonical_fspaces[1, 1]
+    assert fsp is not _build_fspaces(s2, {y: canonical_space(s2.algebra(y), 1) for y in s2.y_ids})
 
 
 def test_pairs_over_two_scenarios_that_share_a_name_are_refused():
@@ -1334,6 +1348,90 @@ def test_pair_terms_are_built_once_and_f_terms_beyond_q_come_from_the_cache(monk
             monkeypatch.setattr(extcat, "_HOM_CACHE", {(alg.key(), fsp.key(), xp.key()): marker})
             assert _hom_terms(alg, fsp, xp) is marker
             monkeypatch.undo()
+
+
+def test_commutant_basis_by_blocks_is_the_whole_system_element_for_element(monkeypatch):
+    """A side of k equal diagonal blocks is solved one block at a time; the reduced basis is unique,
+    so it must equal the elimination of the whole system, element for element and in order."""
+    from isocat.wittmod import WittPartition, realize_partition
+    from test_wittmod import conjugated_realization
+    cases = []
+    algebras = {}
+    for name in CATALOG_IDS:
+        s = catalog_scenario(name)
+        for v in s.vertex_order():
+            if s.algebra(v).dim > 1:
+                algebras.setdefault(s.algebra(v).key(), s.algebra(v))
+    for h in algebras.values():  # canonical on both sides, and against a conjugated frame
+        for ms, md in itertools.product(range(1, 5), repeat=2):
+            src, dst = canonical_space(h, ms), canonical_space(h, md)
+            cases += [(src.action, dst.action)] if ms + md > 2 else []  # one copy on each side: no split
+            if ms + md <= 5:  # a conjugated side leaves the other side to split
+                cases += [(src.action, conjugated_space(dst).action)] if ms > 1 else []
+                cases += [(conjugated_space(src).action, dst.action)] if md > 1 else []
+    for name in CATALOG_IDS:  # F(Y)_x against canonical X', both directions
+        s = catalog_scenario(name)
+        for m in range(1, 5):
+            fsp = _build_fspaces(s, {y: canonical_space(s.algebra(y), m) for y in s.y_ids})
+            for x in (x for x in s.x_ids if fsp[x].dim):
+                xp = canonical_space(s.algebra(x), 2 + m % 3)
+                cases += [(fsp[x].action, xp.action), (xp.action, fsp[x].action)]
+    zero, nil = realize_partition(WittPartition((1, 1, 1))), conjugated_realization(WittPartition((3, 2, 1)), 5)
+    cases += [([zero.v_op], [nil.v_op]), ([nil.v_op], [zero.v_op])]
+    assert all(exactalg._diagonal_block(src) or exactalg._diagonal_block(dst) for src, dst in cases)
+    assert any(exactalg._diagonal_block(dst) is None for _, dst in cases)  # the sorted, src-only split
+    blocked = [commutant_basis(src, dst) for src, dst in cases]
+    monkeypatch.setattr(exactalg, "_diagonal_block", lambda mats: None)
+    for (src, dst), basis in zip(cases, blocked):
+        assert basis == commutant_basis(src, dst)
+    assert len(cases) >= 98
+
+
+def test_pieces_of_canonical_objects_hold_the_shared_fspaces():
+    # F(Y) depends only on Y's actions: a retract part that acts as a
+    # canonical space, though it is not that shared value, takes the shared F
+    for name in ("c3_surface", "g2_threefold", "b2_dual"):
+        s = catalog_scenario(name)
+        rng = random.Random(f"shared-f:{name}")
+        objs = [random_object_with(s, {v: 1 + k % 2 for k, v in enumerate(s.vertex_order())}, rng)
+                for _ in range(3)]
+        pieces = [sm.object for z in (*objs, direct_sum(*objs[:2])[0]) for sm in decompose(z).summands]
+        for a, b in itertools.product(objs, repeat=2):
+            ops = abelian_ops(random_morphism(a, b, rng))
+            pieces += [ops.kernel, ops.image, ops.cokernel]
+        unshared = 0
+        for w in pieces:
+            key = tuple(w.parts[y].dim // s.algebra(y).dim for y in s.y_ids)
+            assert w.f is s._canonical_fspaces[key]
+            unshared += any(w.parts[y] is not canonical_space(s.algebra(y), m) for y, m in zip(s.y_ids, key))
+        assert unshared or name == "b2_dual"  # b2_dual's y vertex is Q, whose parts are always shared
+
+
+def test_a_dropped_decomposition_is_freed_without_the_cycle_collector():
+    s = catalog_scenario("g2_threefold")
+    z, _, _ = direct_sum(*(random_object_with(s, {"u": 1, "a1": 1}, random.Random(k)) for k in range(2)))
+    gc.disable()
+    try:
+        dec = decompose(z)
+        assert len(dec.summands) > 1 and all(sm.object is not z for sm in dec.summands)
+        refs = [weakref.ref(x) for sm in dec.summands for x in (sm.object, sm.inclusion, sm.projection)]
+        del dec
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_asking_whether_a_space_acts_canonically_stores_no_space():
+    s = catalog_scenario("g2_threefold")
+    for v in s.vertex_order():
+        h = s.algebra(v)
+        for built in (False, True):  # compared with temporary block copies, then with the shared space
+            for m in (1, 3):
+                fresh = fresh_canonical(h, m)
+                assert extcat._acts_canonically(h, fresh)
+                assert extcat._acts_canonically(h, conjugated_space(fresh)) == (h.dim == 1)
+            assert set(h.spec._canonical_spaces) == ({3} if built else set())
+            canonical_space(h, 3)
 
 
 def test_fresh_spaces_get_no_memo_entries():
