@@ -467,13 +467,6 @@ def _flat_morphism(m: TripleMorphism) -> tuple[list[int], int]:
     return _flat_matrices([m.maps[w] for w in m.source.parts])
 
 
-def _unflatten(z: TripleObject, flat: Sequence[int], den: int) -> TripleMorphism:
-    """The endomorphism of z whose `_flat_morphism` is (flat, den)."""
-    it, dims = iter(flat), [(w, vs.dim) for w, vs in z.parts.items()]  # `_flat_morphism`'s order
-    return TripleMorphism(z, z, {w: RatMatrix._fresh(n, n, [[next(it) for _ in range(n)] for _ in range(n)], den)
-                                 for w, n in dims})
-
-
 def zero_morphism(src: TripleObject, dst: TripleObject) -> TripleMorphism:
     return TripleMorphism(src, dst, {w: RatMatrix.zeros(dst.parts[w].dim, vs.dim) for w, vs in src.parts.items()})
 
@@ -1312,6 +1305,49 @@ def _image_split(z: TripleObject, e: TripleMorphism):
     return pieces
 
 
+def _support_split(z: TripleObject):
+    """z's pieces, each (piece, inclusion, projection), along the connected components of its support; None for one.
+
+    A node is one D-block of a part that is the shared `canonical_space`;
+    any other nonzero part is one node.  eta_x's nonzero entries join their
+    row's block to the block of Y_y coordinate (column - offsets[y]) mod
+    dim Y_y.  A piece has canonical parts of its block counts and eta's
+    sub-grid at its rows and F columns, on unit frames; its inclusion is checked.
+    """
+    s, node, n = z.scenario, {}, 0  # node[v]: the node of each coordinate of z.parts[v]
+    for v, vs in z.parts.items():
+        size = s.algebra(v).dim if _shared(s.algebra(v).spec, vs) else vs.dim or 1
+        node[v], n = [n + c // size for c in range(vs.dim)], n + -(-vs.dim // size)
+    root = list(range(n))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            a = root[a]
+        return a
+    for x in s.x_ids:
+        cols = [node[y][(c - off) % z.parts[y].dim] for y, off in z.f[x].offsets.items()
+                for c in range(off, off + s.bimodules[(x, y)].rank_over_right * z.parts[y].dim)]
+        for r, row in zip(node[x], z.eta[x].num):
+            for c in (c for c, e in zip(cols, row) if e):
+                root[find(c)] = find(r)
+    comps: dict[int, int] = {}  # component root -> piece index, in order of first node
+    label = [comps.setdefault(find(a), len(comps)) for a in range(n)]
+    if len(comps) < 2:
+        return None
+    pieces = []
+    for k in range(len(comps)):
+        at = {v: [c for c, a in enumerate(nodes) if label[a] == k] for v, nodes in node.items()}
+        parts = {v: vs if not _shared(s.algebra(v).spec, vs) and at[v]
+                 else canonical_space(s.algebra(v), len(at[v]) // s.algebra(v).dim) for v, vs in z.parts.items()}
+        fsp = _build_fspaces(s, parts)
+        eta = {x: _sandwich(at[x], _eta_f(z, x, at, fsp)) for x in s.x_ids}
+        inc = {v: RatMatrix.identity(vs.dim).submatrix(range(vs.dim), at[v]) for v, vs in z.parts.items()}
+        w = TripleObject._with_fspaces(s, parts, eta, fsp)
+        pieces.append((w, _checked(TripleMorphism(w, z, inc)),
+                       TripleMorphism(z, w, {v: m.transpose() for v, m in inc.items()})))
+    return pieces
+
+
 def _combinations(end_basis: Sequence[TripleMorphism]):
     """The pairwise sums, then the pairwise products, of the basis candidates."""
     n = len(end_basis)
@@ -1439,19 +1475,19 @@ def _split_or_leaf(z: TripleObject,
 
 def _split(w: TripleObject, maps: tuple | None, summands: list[Summand]) -> str:
     """`decompose`'s node: appends w's summands, returns their flag; maps = (w -> z, z -> w) for a piece.
-    Not a closure over itself, so a decomposition holds no reference cycle and dies when dropped."""
+    The memo, then the support components, then the End basis.  Not a closure
+    over itself, so a decomposition holds no reference cycle and dies when dropped."""
     nodes, key = w.scenario._nodes, w.data_key()
-    known = nodes.get(key)
-    if known is None:
-        e, flag = _split_or_leaf(w, _end_basis(w))
-    else:
-        e, flag = (None, known) if isinstance(known, str) else (_unflatten(w, *known), None)
-    if e is None:
+    flag, pieces = nodes.get(key), None
+    if flag is None:
+        pieces = _support_split(w)
+        if pieces is None:
+            e, flag = _split_or_leaf(w, _end_basis(w))
+            pieces = None if e is None else _image_split(w, e)
+    if pieces is None:
         nodes[key] = flag
         summands.append(Summand(w, *(maps or (identity_morphism(w), identity_morphism(w)))))
         return flag
-    pieces = _image_split(w, e)
-    nodes[key] = _flat_morphism(e)
     flag = CERTIFIED
     for piece, inc, proj in pieces:
         if maps is not None:  # w is a piece: compose once on the way down
@@ -1466,23 +1502,21 @@ def decompose(z: TripleObject) -> Decomposition:
 
     z is indecomposable exactly when End(z) is local, and then no element
     gives a splitting idempotent (Fitting), so a proved-local End ends the
-    search.  At each node: End = Q . id is a certified leaf at once; else
-    the `_end_basis` elements are tried, then the End/rad field certificate
-    (a commutative End/rad with a primitive element of irreducible minimal
-    polynomial), then the pairwise sums and products.  The first candidate
-    whose minimal polynomial has coprime parts splits z by `_image_split`,
-    and a node's maps to and from z pass down to its pieces, composed once
-    per level.  The flag is "certified" when every leaf is certified, else
-    "no-further-splitting-found".
-
-    The answer depends only on z's data and its scenario, so the scenario
-    remembers every node it decides, by `data_key()`: a leaf by its flag,
-    and a split node by its idempotent's matrices, flattened, once
-    `_image_split` has split along it.  A known leaf is a summand with its
-    flag, and a known split node is split again along its idempotent,
-    without psi, an End basis or a candidate search (decompose-ks's sums of
-    root objects meet nodes again).  A failed split and errors are not
-    remembered; only keys, flags and integers are, so no object is kept alive.
+    search.  Each node is answered by the first that decides it:
+    - the memo: the scenario remembers each leaf it decides by `data_key()`
+      with its flag, and a known leaf is a summand with that flag;
+    - the support components (`_support_split`): a node whose eta joins its
+      blocks into two or more components is their direct sum, read off its
+      data with no elimination, so a sum of decided objects gives known leaves;
+    - the End basis: End = Q . id is a certified leaf; else the `_end_basis`
+      elements are tried, then the End/rad field certificate (a commutative
+      End/rad with a primitive element of irreducible minimal polynomial),
+      then the pairwise sums and products, and the first candidate whose
+      minimal polynomial has coprime parts splits z by `_image_split`.
+    A node's maps to and from z pass down to its pieces, composed once per
+    level.  The flag is "certified" when every leaf is certified, else
+    "no-further-splitting-found".  Split nodes, failed splits and errors are
+    not remembered; only keys and flags are, so no object is kept alive.
     """
     summands: list[Summand] = []
     return Decomposition(summands, _split(z, None, summands) if z.total_dim() else CERTIFIED)

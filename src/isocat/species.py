@@ -239,7 +239,7 @@ class SpeciesScenario:
         self.y_ids = [v for v, _ in self.y_vertices]
         self._handles = dict(self.x_vertices + self.y_vertices)
         self._canonical_fspaces: dict = {}  # extcat's shared F spaces of canonical Y, by y multiplicities
-        self._nodes: dict = {}  # extcat.decompose's nodes: data_key() -> leaf flag or flat idempotent
+        self._nodes: dict = {}  # extcat.decompose's leaves: data_key() -> flag
         self._roots: Optional[tuple] = None  # reptype's positive roots, enumerated on first use
         self._validate()
 

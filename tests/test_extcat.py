@@ -65,6 +65,7 @@ from isocat.extcat import (
     y_only,
     zero_morphism,
 )
+from isocat.reptype import build_root_table
 from isocat.samples import random_morphism, random_object, random_object_with, random_scenario
 from isocat.species import (
     Bimodule,
@@ -2800,19 +2801,25 @@ def _sweep_idempotent(z, end_basis):
     return None
 
 
-def reference_decompose(z):
+def reference_decompose(z, components=True):
     """decompose with the full candidate sweep at every node, and the End/rad
-    field certificate run only on a leaf, after every candidate failed."""
+    field certificate run only on a leaf, after every candidate failed.
+
+    With components, a node first splits along `extcat._support_split`, as
+    decompose does; without, every node takes the End basis path alone."""
     if z.total_dim() == 0:
         return extcat.Decomposition([], extcat.CERTIFIED)
-    end_basis = extcat._end_basis(z)
-    e = _sweep_idempotent(z, end_basis)
-    if e is None:
-        flag = extcat.CERTIFIED if extcat._leaf_certified(z, end_basis) else extcat.NO_FURTHER
-        return extcat.Decomposition([extcat.Summand(z, identity_morphism(z), identity_morphism(z))], flag)
+    pieces = extcat._support_split(z) if components else None
+    if pieces is None:
+        end_basis = extcat._end_basis(z)
+        e = _sweep_idempotent(z, end_basis)
+        if e is None:
+            flag = extcat.CERTIFIED if extcat._leaf_certified(z, end_basis) else extcat.NO_FURTHER
+            return extcat.Decomposition([extcat.Summand(z, identity_morphism(z), identity_morphism(z))], flag)
+        pieces = extcat._image_split(z, e)
     summands, flag = [], extcat.CERTIFIED
-    for piece, inc, proj in extcat._image_split(z, e):
-        sub = reference_decompose(piece)
+    for piece, inc, proj in pieces:
+        sub = reference_decompose(piece, components)
         if sub.flag != extcat.CERTIFIED:
             flag = extcat.NO_FURTHER
         summands += [extcat.Summand(sm.object, inc.compose(sm.inclusion), sm.projection.compose(proj))
@@ -2838,13 +2845,20 @@ def sweep_objects(s, top):
             for mult in itertools.product(range(top + 1), repeat=len(order)) for seed in (0, 1)]
 
 
-def test_decompose_matches_the_full_candidate_sweep():
-    # stopping at a proved-local End changes no answer: the same flag,
-    # summands, inclusions and projections as trying every candidate first
+def all_sweep_objects():
+    """The 709 sweep objects: every finite catalog scenario, Q(sqrt 2), then the quaternion simple."""
     objs = [z for name in FINITE_TYPE_IDS
             for z in sweep_objects(catalog_scenario(name), 2 if name == "d4_elliptic" else 3)]
     assert len(objs) == 546
-    objs += sweep_objects(sqrt2_scenario(), 2) + [quaternion_simple()]
+    return objs + sweep_objects(sqrt2_scenario(), 2) + [quaternion_simple()]
+
+
+def test_decompose_matches_the_full_candidate_sweep():
+    # stopping at a proved-local End changes no answer: the same flag,
+    # summands, inclusions and projections as trying every candidate first.
+    # The reference splits along support components first, as decompose
+    # does, so the End basis path meets the same connected nodes
+    objs = all_sweep_objects()
     flags = []
     for z in objs:
         want = decomposition_key(reference_decompose(z))
@@ -2860,6 +2874,118 @@ def test_decompose_matches_the_full_candidate_sweep():
     dec = decompose(sweep_objects(catalog_scenario("g2_threefold"), 3)[30])
     assert dec.flag == extcat.CERTIFIED
     assert [sm.object.dimension_vector() for sm in dec.summands] == [(1, 1)] * 3
+
+
+def support_components(z):
+    """The dimension vectors of z's support components, by a union-find over eta's Fraction entries.
+
+    A node is one block of dim D coordinates of a part that is the shared
+    canonical space, and any other nonzero part is one node.  The F columns
+    at x are laid out here from the bimodule ranks: per y with a bimodule
+    and a nonzero part, in y order, r slots of dim Y_y columns each.
+    """
+    s, nodes = z.scenario, {}
+    for v, vs in z.parts.items():
+        d = s.algebra(v).dim
+        block = d if vs is canonical_space(s.algebra(v), vs.dim // d) else max(vs.dim, 1)
+        nodes[v] = [(v, c // block) for c in range(vs.dim)]
+    parent = {a: a for v in nodes for a in nodes[v]}
+
+    def root(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+    for x in s.x_ids:
+        col_nodes = []
+        for y in s.y_ids:
+            bm = s.bimodules.get((x, y))
+            if bm is not None:
+                col_nodes += nodes[y] * bm.rank_over_right
+        grid = z.eta[x].to_fractions()
+        assert len(col_nodes) == z.eta[x].cols
+        for r, row in enumerate(grid):
+            for c, e in enumerate(row):
+                if e != 0:
+                    parent[root(nodes[x][r])] = root(col_nodes[c])
+    counts = Counter()
+    for v in nodes:
+        for a in nodes[v]:
+            counts[root(a), v] += 1
+    roots = {a for a, _ in counts}
+    order = list(z.parts)
+    return sorted(tuple(counts[a, v] // s.algebra(v).dim for v in order) for a in roots)
+
+
+def support_split_objects():
+    """Sweep objects, direct sums of root-table objects and a conjugated object."""
+    objs = all_sweep_objects()
+    for name in ("g2_threefold", "c3_surface", "d4_elliptic"):
+        s = catalog_scenario(name)
+        table = [e.object for e in build_root_table(s, seed=2026).entries]
+        rng = random.Random(name)
+        objs += [direct_sum_many([table[rng.randrange(len(table))] for _ in range(k)])[0] for k in (2, 3, 4)]
+    return objs + [conjugated_support_object()]
+
+
+def conjugated_support_object():
+    """S_u (+) I (+) S_a1 over g2_threefold, for the (1,1) indecomposable I, with its a1 part conjugated."""
+    s = catalog_scenario("g2_threefold")
+    z = direct_sum_many([simple_x_object(s, "u"), random_object_with(s, {"u": 1, "a1": 1}, random.Random(3)),
+                         simple_y_object(s, "a1")])[0]
+    return conjugated(z, "a1")
+
+
+def test_support_components_match_an_independent_union_find():
+    split = 0
+    for z in filter(TripleObject.total_dim, support_split_objects()):  # decompose answers 0 alone
+        pieces = extcat._support_split(z)
+        got = [z] if pieces is None else [w for w, _, _ in pieces]
+        assert sorted(w.dimension_vector() for w in got) == support_components(z)
+        if pieces is None:
+            continue
+        split += 1
+        acc = None
+        for w, inc, proj in pieces:
+            assert inc.check() is None and proj.check() is None
+            assert (proj.compose(inc) - identity_morphism(w)).is_zero()
+            e = inc.compose(proj)
+            acc = e if acc is None else acc + e
+        assert (acc - identity_morphism(z)).is_zero()
+    assert split == 289 + 9 + 1  # every sum of table objects and the conjugated object split
+    # the conjugated a1 part is one node: it joins the (1,1) object's block at
+    # u to the simple y object's block, and the simple x object stays alone
+    assert support_components(conjugated_support_object()) == [(1, 0), (1, 2)]
+
+
+def test_decompose_agrees_with_the_generic_path_on_the_sweep():
+    # flags and summand vectors equal those of decompose with no support
+    # step, which splits every node through its End basis
+    flags, split = [], 0
+    for z in all_sweep_objects():
+        dec, want = decompose(z), reference_decompose(z, components=False)
+        assert dec.flag == want.flag
+        assert (sorted(sm.object.dimension_vector() for sm in dec.summands)
+                == sorted(sm.object.dimension_vector() for sm in want.summands))
+        flags.append(dec.flag)
+        split += extcat._support_split(z) is not None
+    assert split == 289 and flags.count(extcat.NO_FURTHER) == 7
+
+
+def test_decompose_reads_no_end_basis_for_a_sum_of_decided_objects(monkeypatch):
+    # a sum's support components carry its summands' exact data, so the
+    # leaf memo answers each of them
+    for name in ("g2_threefold", "c3_surface"):
+        s = catalog_scenario(name)
+        table = [e.object for e in build_root_table(s, seed=2026).entries]
+        for z in table:
+            assert decompose(z).flag == extcat.CERTIFIED
+        picks = [table[i] for i in (len(table) - 1, 0, len(table) // 2, 0)]
+        total, _, _ = direct_sum_many(picks)
+        calls = count_end_basis_calls(monkeypatch)
+        dec = decompose(total)
+        assert calls == [] and dec.flag == extcat.CERTIFIED
+        assert sorted(sm.object.data_key() for sm in dec.summands) == sorted(z.data_key() for z in picks)
+        monkeypatch.undo()
 
 
 def test_decompose_stops_searching_at_a_proved_local_end(monkeypatch):
@@ -2922,39 +3048,41 @@ def copy_over(s, z):
     return TripleObject(s, {**z.x, **z.y}, z.eta)
 
 
-def test_decompose_remembers_split_nodes_and_leaves(monkeypatch):
-    # a split node is remembered by its idempotent's flattened matrices and
-    # each distinct leaf by its flag; a fresh object with the data of either
-    # is answered without its End basis, with the same decomposition
+def one_component_split():
+    """A c3_surface object with one support component that splits in two through its End basis."""
     s = catalog_scenario("c3_surface")
     z = random_object_with(s, {"u": 2, "a1": 1, "a2": 2}, random.Random(8))
+    assert extcat._support_split(z) is None
+    return s, z
+
+
+def test_decompose_remembers_leaves_and_not_split_nodes(monkeypatch):
+    # each distinct leaf is remembered by its flag, and a fresh object with
+    # its data is answered without its End basis; a split node is not
+    # remembered, so a fresh object with its data reads its End basis again
+    s, z = one_component_split()
     dec = decompose(z)
     assert len(dec.summands) > 1
-    flat, den = s._nodes[z.data_key()]
-    assert all(type(x) is int for x in (*flat, den))
-    e = dec.summands[0].inclusion.compose(dec.summands[0].projection)  # both pieces are leaves
-    assert (flat, den) == extcat._flat_morphism(e)
-    assert {k: v for k, v in s._nodes.items() if isinstance(v, str)} == {
-        sm.object.data_key(): dec.flag for sm in dec.summands}
+    assert s._nodes == {sm.object.data_key(): dec.flag for sm in dec.summands}
     calls = count_end_basis_calls(monkeypatch)
-    assert decomposition_key(decompose(copy_over(s, z))) == decomposition_key(dec)
     for sm in dec.summands:
         again = copy_over(s, sm.object)
         want = decomposition_key(extcat.Decomposition(
             [extcat.Summand(again, identity_morphism(again), identity_morphism(again))], dec.flag))
         assert decomposition_key(decompose(again)) == want
     assert calls == []
+    again = copy_over(s, z)
+    assert decomposition_key(decompose(again)) == decomposition_key(dec) and calls == [again]
     # the same data over a second instance of the scenario is decomposed afresh
     s2 = catalog_scenario("c3_surface")
     assert s2._nodes == {}
     fresh = decompose(copy_over(s2, z))
-    assert calls and decomposition_key(fresh) == decomposition_key(dec)
+    assert len(calls) == 1 + 1 + len(dec.summands) and decomposition_key(fresh) == decomposition_key(dec)
     assert s2._nodes == s._nodes
 
 
 def test_decompose_does_not_remember_a_failed_split(monkeypatch):
-    s = catalog_scenario("c3_surface")
-    z, _, _ = direct_sum(simple_x_object(s, "u"), simple_y_object(s, "a2"))
+    s, z = one_component_split()
     real = extcat._image_split
 
     def failing(a, e):
@@ -2963,11 +3091,12 @@ def test_decompose_does_not_remember_a_failed_split(monkeypatch):
     monkeypatch.setattr(extcat, "_image_split", failing)
     with pytest.raises(extcat.InternalConsistencyError, match="lost dimensions"):
         decompose(z)
-    assert z.data_key() not in s._nodes
+    assert s._nodes == {}
     monkeypatch.setattr(extcat, "_image_split", real)
     calls = count_end_basis_calls(monkeypatch)
-    assert len(decompose(z).summands) == 2 and calls[0] is z
-    assert isinstance(s._nodes[z.data_key()], tuple)
+    dec = decompose(z)
+    assert len(dec.summands) == 2 and calls[0] is z
+    assert s._nodes == {sm.object.data_key(): dec.flag for sm in dec.summands}
 
 
 def test_decompose_remembers_an_uncertified_leaf_with_its_flag(monkeypatch):
@@ -2979,12 +3108,12 @@ def test_decompose_remembers_an_uncertified_leaf_with_its_flag(monkeypatch):
 
 
 def test_decompose_leaf_memo_keeps_no_object_alive():
-    # neither a leaf's flag nor a split node's integers hold an object
-    s = catalog_scenario("g2_threefold")
+    # a leaf's flag holds no object
+    s, a = one_component_split()
     z = random_object_with(s, {"u": 1, "a1": 1}, random.Random(3))
-    a = direct_sum(z, simple_y_object(s, "a1"))[0]
     dec, split = decompose(z), decompose(a)
-    assert len(split.summands) == 2 and type(s._nodes[a.data_key()]) is tuple
+    assert len(split.summands) == 2 and a.data_key() not in s._nodes
+    assert all(type(flag) is str for flag in s._nodes.values())
     refs = [weakref.ref(x) for x in (z, a, *(sm.object for sm in split.summands))]
     del z, a, dec, split
     gc.collect()
@@ -2993,18 +3122,15 @@ def test_decompose_leaf_memo_keeps_no_object_alive():
 
 def test_decompose_rejects_a_projector_that_is_not_idempotent(monkeypatch):
     # twice the Bezout multiplier gives 2e: not zero, not the identity, and
-    # 4e != 2e.  The first decompose remembers its split, so the patched one
-    # runs over a second instance of the scenario
-    s = catalog_scenario("c3_surface")
-    z, _, _ = direct_sum(simple_x_object(s, "u"), simple_y_object(s, "a2"))
+    # 4e != 2e.  A split node is not remembered, so the patched decompose
+    # meets the same node's End basis again
+    s, z = one_component_split()
     assert len(decompose(z).summands) == 2
-    s2 = catalog_scenario("c3_surface")
-    z2, _, _ = direct_sum(simple_x_object(s2, "u"), simple_y_object(s2, "a2"))
     bezout = extcat._int_poly_bezout
     monkeypatch.setattr(extcat, "_int_poly_bezout",
                         lambda a, b: ([2 * c for c in bezout(a, b)[0]], bezout(a, b)[1]))
     with pytest.raises(extcat.InternalConsistencyError, match="constructed projector is not idempotent"):
-        decompose(z2)
+        decompose(z)
 
 
 def test_decompose_builds_only_the_end_basis_elements_it_reads(monkeypatch):
