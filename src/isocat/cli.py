@@ -192,9 +192,11 @@ def cmd_witt(args) -> int:
         try:
             parts = tuple(int(p) for p in args.partition.replace(",", " ").split())
         except ValueError:
-            raise FormatError(f"bad partition literal {args.partition!r}")
-        if sum(parts) > MAX_DIM:
-            raise FormatError(f"partition of {sum(parts)} is over the size cap {MAX_DIM}")
+            raise FormatError(f"bad partition literal {args.partition!r:.40}")
+        size = sum(parts)
+        if size > MAX_DIM:  # a sum of 4300-digit parts may have more digits than str() converts
+            size = size if size < 10 ** 40 else "more than 10^40"
+            raise FormatError(f"partition of {size} is over the size cap {MAX_DIM}")
         p = WittPartition(parts)
         m = realize_partition(p)
         back = witt_partition(m)

@@ -1026,42 +1026,55 @@ def direct_sum(a: TripleObject, b: TripleObject):
 
 
 def direct_sum_many(objs: Sequence[TripleObject]):
-    """(total, inclusions, projections) of a nonempty family, built in one pass.
+    """(total, inclusions, projections) of a nonempty family; one object is its own sum.
 
     The parts at each vertex stack in order.  Summand k's eta fills k's rows;
     its F column for slot m_i and basis vector j of Y_y goes to column
-    fsp.offsets[y] + i . dim Y_y + (k's offset in Y_y) + j.  Inclusions are
-    identity blocks, projections their transposes.
+    fsp.offsets[y] + i . dim Y_y + at[y][k] + j.  The maps are `_OnDemand`,
+    as `hom`'s basis: each is written as unit blocks on first read.
     """
     if not objs:
         raise TripleError("direct sum of an empty family is the zero object; build it directly")
-    if len(objs) == 1:
-        return objs[0], [identity_morphism(objs[0])], [identity_morphism(objs[0])]
+    objs = tuple(objs)  # read again when a map is built
     for z in objs:
         s = _same_scenario(objs[0], z)
-    parts = {v: _stack_spaces(s.algebra(v), [z.parts[v] for z in objs]) for v in s.vertex_order()}
-    at = {v: list(accumulate((z.parts[v].dim for z in objs), initial=0)) for v in parts}
-    fsp = _build_fspaces(s, parts)
-    eta = {}
-    for x in s.x_ids:
-        den = lcm(*(z.eta[x].den for z in objs))
-        num = [[0] * fsp[x].dim for _ in range(parts[x].dim)]
-        for k, z in enumerate(objs):
-            cols = [fsp[x].offsets[y] + i * parts[y].dim + at[y][k] + j for y in z.f[x].offsets
-                    for i in range(s.bimodules[(x, y)].rank_over_right) for j in range(z.parts[y].dim)]
-            c = den // z.eta[x].den
-            for row, out in zip(z.eta[x].num, num[at[x][k]:]):
-                for col, e in zip(cols, row):
-                    out[col] = c * e
-        eta[x] = RatMatrix._fresh(parts[x].dim, fsp[x].dim, num, den)
-    total = TripleObject._with_fspaces(s, parts, eta, fsp)
-    incs, projs = [], []
-    for k, z in enumerate(objs):
-        inc = {v: _assemble(vs.dim, z.parts[v].dim, [(at[v][k], 0, RatMatrix.identity(z.parts[v].dim))])
-               for v, vs in parts.items()}
-        incs.append(TripleMorphism(z, total, inc))
-        projs.append(TripleMorphism(total, z, {v: m.transpose() for v, m in inc.items()}))
-    return total, incs, projs
+    at = {v: list(accumulate((z.parts[v].dim for z in objs), initial=0)) for v in s.vertex_order()}
+    if len(objs) == 1:
+        total = objs[0]
+    else:
+        parts = {v: _stack_spaces(s.algebra(v), [z.parts[v] for z in objs]) for v in s.vertex_order()}
+        fsp = _build_fspaces(s, parts)
+        eta = {}
+        for x in s.x_ids:
+            den = lcm(*(z.eta[x].den for z in objs))
+            num = [[0] * fsp[x].dim for _ in range(parts[x].dim)]
+            for k, z in enumerate(objs):
+                cols = [fsp[x].offsets[y] + i * parts[y].dim + at[y][k] + j for y in z.f[x].offsets
+                        for i in range(s.bimodules[(x, y)].rank_over_right) for j in range(z.parts[y].dim)]
+                c = den // z.eta[x].den
+                for row, out in zip(z.eta[x].num, num[at[x][k]:]):
+                    for col, e in zip(cols, row):
+                        out[col] = c * e
+            eta[x] = RatMatrix._fresh(parts[x].dim, fsp[x].dim, num, den)
+        total = TripleObject._with_fspaces(s, parts, eta, fsp)
+
+    def maps(k: int, unit) -> dict[str, RatMatrix]:
+        return {v: unit(vs.dim, range(at[v][k], at[v][k + 1])) for v, vs in total.parts.items()}
+    return (total, _OnDemand(len(objs), lambda k: TripleMorphism(objs[k], total, maps(k, _unit_columns))),
+            _OnDemand(len(objs), lambda k: TripleMorphism(total, objs[k], maps(k, _unit_rows))))
+
+
+def _unit_columns(n: int, at: Sequence[int]) -> RatMatrix:
+    """The n x len(at) matrix whose column j is the unit vector at[j]: it writes coordinates at (an inclusion)."""
+    num = [[0] * len(at) for _ in range(n)]
+    for j, c in enumerate(at):
+        num[c][j] = 1
+    return RatMatrix._of(n, len(at), num)
+
+
+def _unit_rows(n: int, at: Sequence[int]) -> RatMatrix:
+    """The len(at) x n matrix whose row j is the unit vector at[j]: it reads coordinates at (a projection)."""
+    return RatMatrix._of(len(at), n, [[0] * c + [1] + [0] * (n - 1 - c) for c in at])
 
 
 # ======================================================================
@@ -1312,12 +1325,16 @@ def _support_split(z: TripleObject):
     any other nonzero part is one node.  eta_x's nonzero entries join their
     row's block to the block of Y_y coordinate (column - offsets[y]) mod
     dim Y_y.  A piece has canonical parts of its block counts and eta's
-    sub-grid at its rows and F columns, on unit frames; its inclusion is checked.
+    sub-grid at its rows and F columns; its maps are unit columns and unit
+    rows.  Each projection is checked: together they make z -> (+) pieces an
+    isomorphism at every vertex, so each inclusion is a morphism too.
     """
     s, node, n = z.scenario, {}, 0  # node[v]: the node of each coordinate of z.parts[v]
     for v, vs in z.parts.items():
         size = s.algebra(v).dim if _shared(s.algebra(v).spec, vs) else vs.dim or 1
         node[v], n = [n + c // size for c in range(vs.dim)], n + -(-vs.dim // size)
+    col_node = {x: [node[y][(c - off) % z.parts[y].dim] for y, off in z.f[x].offsets.items()  # of each F column
+                    for c in range(off, off + s.bimodules[(x, y)].rank_over_right * z.parts[y].dim)] for x in s.x_ids}
     root = list(range(n))
 
     def find(a: int) -> int:
@@ -1325,10 +1342,8 @@ def _support_split(z: TripleObject):
             a = root[a]
         return a
     for x in s.x_ids:
-        cols = [node[y][(c - off) % z.parts[y].dim] for y, off in z.f[x].offsets.items()
-                for c in range(off, off + s.bimodules[(x, y)].rank_over_right * z.parts[y].dim)]
         for r, row in zip(node[x], z.eta[x].num):
-            for c in (c for c, e in zip(cols, row) if e):
+            for c in (c for c, e in zip(col_node[x], row) if e):
                 root[find(c)] = find(r)
     comps: dict[int, int] = {}  # component root -> piece index, in order of first node
     label = [comps.setdefault(find(a), len(comps)) for a in range(n)]
@@ -1339,12 +1354,10 @@ def _support_split(z: TripleObject):
         at = {v: [c for c, a in enumerate(nodes) if label[a] == k] for v, nodes in node.items()}
         parts = {v: vs if not _shared(s.algebra(v).spec, vs) and at[v]
                  else canonical_space(s.algebra(v), len(at[v]) // s.algebra(v).dim) for v, vs in z.parts.items()}
-        fsp = _build_fspaces(s, parts)
-        eta = {x: _sandwich(at[x], _eta_f(z, x, at, fsp)) for x in s.x_ids}
-        inc = {v: RatMatrix.identity(vs.dim).submatrix(range(vs.dim), at[v]) for v, vs in z.parts.items()}
-        w = TripleObject._with_fspaces(s, parts, eta, fsp)
-        pieces.append((w, _checked(TripleMorphism(w, z, inc)),
-                       TripleMorphism(z, w, {v: m.transpose() for v, m in inc.items()})))
+        eta = {x: z.eta[x].submatrix(at[x], [c for c, a in enumerate(col_node[x]) if label[a] == k]) for x in s.x_ids}
+        w = TripleObject._with_fspaces(s, parts, eta, _build_fspaces(s, parts))
+        pieces.append((w, TripleMorphism(w, z, {v: _unit_columns(vs.dim, at[v]) for v, vs in z.parts.items()}),
+                       _checked(TripleMorphism(z, w, {v: _unit_rows(vs.dim, at[v]) for v, vs in z.parts.items()}))))
     return pieces
 
 
@@ -1507,7 +1520,8 @@ def decompose(z: TripleObject) -> Decomposition:
       with its flag, and a known leaf is a summand with that flag;
     - the support components (`_support_split`): a node whose eta joins its
       blocks into two or more components is their direct sum, read off its
-      data with no elimination, so a sum of decided objects gives known leaves;
+      data with no elimination and each piece proved by one check of its
+      projection, so a sum of decided objects gives known leaves;
     - the End basis: End = Q . id is a certified leaf; else the `_end_basis`
       elements are tried, then the End/rad field certificate (a commutative
       End/rad with a primitive element of irreducible minimal polynomial),

@@ -126,7 +126,7 @@ def _algebra_from_json(doc) -> DivisionAlgebraHandle:
         if len(coeffs) < 2:
             raise FormatError("number_field needs a minpoly of degree >= 1")
         return number_field(Polynomial(coeffs))
-    raise FormatError(f"unknown algebra kind {doc['kind']!r}")
+    raise FormatError(f"unknown algebra kind {doc['kind']!r:.40}")
 
 
 def scenario_to_json(s: SpeciesScenario) -> dict:
@@ -157,20 +157,20 @@ def scenario_from_json(doc) -> SpeciesScenario:
         raise FormatError(f"scenario has {len(xv) + len(yv)} vertices (at most {MAX_VERTICES})")
     for v in xv + yv:
         if not isinstance(v, dict) or not isinstance(v.get("id"), str):
-            raise FormatError(f"bad vertex entry {v!r}: an object with a string 'id'")
+            raise FormatError(f"bad vertex entry {v!r:.40}: an object with a string 'id'")
     xs, ys = ([(v["id"], _algebra_from_json(v.get("algebra"))) for v in side] for side in (xv, yv))
     xmap, ymap = dict(xs), dict(ys)
     bims = {}
     for entry in _json_list(doc, "bimodules", []):
         if not isinstance(entry, dict):
-            raise FormatError(f"bad bimodule entry {entry!r}: not an object")
+            raise FormatError(f"bad bimodule entry {entry!r:.40}: not an object")
         x, y, dim = entry.get("x"), entry.get("y"), entry.get("dim")
         if not (isinstance(x, str) and isinstance(y, str) and x in xmap and y in ymap):
-            raise FormatError(f"bimodule ({x!r}, {y!r}) references unknown vertices")
+            raise FormatError(f"bimodule ({x!r:.40}, {y!r:.40}) references unknown vertices")
         if type(dim) is not int or not 0 <= dim <= MAX_DIM:  # True is an int, not a dim
-            raise FormatError(f"bimodule ({x!r}, {y!r}) has a bad dimension (an int from 0 to {MAX_DIM})")
+            raise FormatError(f"bimodule ({x!r:.40}, {y!r:.40}) has a bad dimension (an int from 0 to {MAX_DIM})")
         if (x, y) in bims:
-            raise FormatError(f"bimodule ({x!r}, {y!r}) is listed twice")
+            raise FormatError(f"bimodule ({x!r:.40}, {y!r:.40}) is listed twice")
         if "left_action" in entry or "right_action" in entry:
             left, right = _json_list(entry, "left_action"), _json_list(entry, "right_action")
             for side, h, grids in (("left", xmap[x], left), ("right", ymap[y], right)):
@@ -180,7 +180,7 @@ def scenario_from_json(doc) -> SpeciesScenario:
         else:
             if xmap[x].dim != 1 or ymap[y].dim != 1:
                 raise FormatError(
-                    f"bimodule ({x!r}, {y!r}): actions may only be omitted over Q on both sides")
+                    f"bimodule ({x!r:.40}, {y!r:.40}): actions may only be omitted over Q on both sides")
             left = [RatMatrix.identity(dim)]
             right = [RatMatrix.identity(dim)]
         bims[(x, y)] = Bimodule(xmap[x], ymap[y], dim, left, right)
@@ -210,8 +210,8 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
     if not isinstance(doc, dict) or doc.get("schema") != OBJECT_SCHEMA:
         raise FormatError(f"expected a {OBJECT_SCHEMA} document")
     if doc.get("scenario") not in (None, scenario.name):
-        raise FormatError(f"object belongs to scenario {doc.get('scenario')!r}, "
-                          f"not {scenario.name!r}")
+        raise FormatError(f"object belongs to scenario {doc.get('scenario')!r:.40}, "
+                          f"not {scenario.name!r:.40}")
 
     sides = (("x", scenario.x_ids), ("y", scenario.y_ids), ("eta", scenario.x_ids))
     for name, ids in sides:
@@ -219,23 +219,23 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
             raise FormatError(f"{name!r} must be an object keyed by vertex id")
         bad = [k for k in doc.get(name, {}) if k not in ids]
         if bad:
-            raise FormatError(f"unknown vertex {bad[0]!r} under {name!r}")
+            raise FormatError(f"unknown vertex {bad[0]!r:.40} under {name!r}")
 
     parts = {}
     for name, ids in sides[:2]:
         section = doc.get(name, {})
         for v in ids:
             if v not in section:
-                raise FormatError(f"missing component at vertex {v!r}")
+                raise FormatError(f"missing component at vertex {v!r:.40}")
             entry = section[v]
             if not isinstance(entry, dict) or not isinstance(entry.get("action", []), list):
-                raise FormatError(f"component at vertex {v!r} must be an object with an action list")
+                raise FormatError(f"component at vertex {v!r:.40} must be an object with an action list")
             dim = entry.get("dim")
             if type(dim) is not int or not 0 <= dim <= MAX_DIM:  # True is an int, not a dim
-                raise FormatError(f"bad dimension at vertex {v!r} (an int from 0 to {MAX_DIM})")
+                raise FormatError(f"bad dimension at vertex {v!r:.40} (an int from 0 to {MAX_DIM})")
             grids, n = entry.get("action", []), scenario.algebra(v).dim
             if len(grids) != n and dim and not (n == 1 and not grids):  # counted before any matrix is parsed
-                raise FormatError(f"vertex {v!r} needs {n} action matrices")
+                raise FormatError(f"vertex {v!r:.40} needs {n} action matrices")
             action = [matrix_from_json(m, dim, dim) for m in grids]
             if len(action) != n:  # a zero space needs none, and a Q space may omit its identity
                 action = [RatMatrix.zeros(0, 0)] * n if dim == 0 else [RatMatrix.identity(dim)]
@@ -243,14 +243,14 @@ def object_from_json(doc, scenario: SpeciesScenario) -> TripleObject:
             parts[v] = canonical_space(h, dim // n) if _acts_canonically(h, vs) else vs
             err = _space_error(h.spec, parts[v])  # before F(Y) is built
             if err is not None:
-                raise FormatError(f"component at vertex {v!r}: {err}")
+                raise FormatError(f"component at vertex {v!r:.40}: {err}")
 
     fsp = _build_fspaces(scenario, parts)
     eta = {}
     for v in scenario.x_ids:
         grid = doc.get("eta", {}).get(v)
         if grid is None:
-            raise FormatError(f"missing eta at vertex {v!r}")
+            raise FormatError(f"missing eta at vertex {v!r:.40}")
         eta[v] = matrix_from_json(grid, parts[v].dim, fsp[v].dim)  # F(Y)_x fixes the width
     z = TripleObject._with_fspaces(scenario, parts, eta, fsp)  # components checked above
     err = _eta_error(z)
@@ -269,9 +269,9 @@ def _read_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except OSError as ex:
-        raise FormatError(f"cannot read {path}: {ex}")
+        raise FormatError(f"cannot read {path!r:.40}: {ex.strerror}")
     except (ValueError, RecursionError) as ex:  # also an int over the digit limit, or nesting too deep
-        raise FormatError(f"{path}: not valid JSON: {ex}")
+        raise FormatError(f"{path!r:.40}: not valid JSON: {ex}")
 
 
 def load_scenario(ref: str) -> SpeciesScenario:
@@ -279,7 +279,7 @@ def load_scenario(ref: str) -> SpeciesScenario:
     if ref.startswith("catalog:"):
         name = ref.split(":", 1)[1]
         if name not in CATALOG_IDS:
-            raise FormatError(f"unknown catalog scenario {name!r}; known: {', '.join(CATALOG_IDS)}")
+            raise FormatError(f"unknown catalog scenario {name!r:.40}; known: {', '.join(CATALOG_IDS)}")
         return catalog_scenario(name)
     return scenario_from_json(_read_json(ref))
 

@@ -93,6 +93,35 @@ def test_a_refused_rational_literal_is_quoted_only_in_part():
         assert len(str(err.value)) < 300
 
 
+def long_input_refusals(tmp_path):
+    """The argv of each refusal of an input over 100000 characters, its files written under tmp_path."""
+    long = "x" * 100_000
+    a2 = scenario_to_json(catalog_scenario("a2"))
+    docs = {"vertex": {**a2, "x_vertices": [[long]]},
+            "bimodule": {**a2, "bimodules": [[long]]},
+            "bimodule-ids": {**a2, "bimodules": [{"x": long, "y": "a1", "dim": 1}]},
+            "algebra": {**a2, "x_vertices": [{"id": "u", "algebra": {"kind": long}}]},
+            "object-scenario": {**object_to_json(simple_y_object(catalog_scenario("a2"), "a1")), "scenario": long}}
+    docs["object-vertex"] = {**docs["object-scenario"], "scenario": "a2", "x": {long: {"dim": 0}}}
+    argv = []
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        argv.append(["decompose", "--scenario", "catalog:a2", "--object", str(path)] if name.startswith("object")
+                    else ["classify", "--scenario", str(path)])
+    return argv + [["witt", "--partition", long], ["witt", "--partition", " ".join(["9" * 4300] * 3)],
+                   ["classify", "--scenario", "catalog:" + long], ["classify", "--scenario", "/" + long]]
+
+
+def test_a_refused_cli_input_is_quoted_only_in_part(tmp_path, capsys):
+    # each refusal is one short line with exit code 2, however long the input
+    for argv in long_input_refusals(tmp_path):
+        assert main(argv) == 2, argv[:3]
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert len(captured.err) < 300, captured.err[:80]
+
+
 def test_object_rejects_wrong_scenario():
     s = catalog_scenario("c2")
     z = simple_x_object(s, "u")

@@ -2876,13 +2876,14 @@ def test_decompose_matches_the_full_candidate_sweep():
     assert [sm.object.dimension_vector() for sm in dec.summands] == [(1, 1)] * 3
 
 
-def support_components(z):
-    """The dimension vectors of z's support components, by a union-find over eta's Fraction entries.
+def support_labels(z):
+    """The support component of each coordinate of z, by a union-find over eta's Fraction entries.
 
     A node is one block of dim D coordinates of a part that is the shared
     canonical space, and any other nonzero part is one node.  The F columns
     at x are laid out here from the bimodule ranks: per y with a bimodule
     and a nonzero part, in y order, r slots of dim Y_y columns each.
+    Components are numbered in order of their first coordinate, vertex by vertex.
     """
     s, nodes = z.scenario, {}
     for v, vs in z.parts.items():
@@ -2907,13 +2908,31 @@ def support_components(z):
             for c, e in enumerate(row):
                 if e != 0:
                     parent[root(nodes[x][r])] = root(col_nodes[c])
-    counts = Counter()
-    for v in nodes:
-        for a in nodes[v]:
-            counts[root(a), v] += 1
-    roots = {a for a, _ in counts}
-    order = list(z.parts)
-    return sorted(tuple(counts[a, v] // s.algebra(v).dim for v in order) for a in roots)
+    first = {}
+    return {v: [first.setdefault(root(a), len(first)) for a in nodes[v]] for v in nodes}
+
+
+def support_components(z):
+    """The dimension vectors of z's support components, from `support_labels`."""
+    labels = support_labels(z)
+    count = 1 + max((k for ks in labels.values() for k in ks), default=-1)
+    return sorted(tuple(labels[v].count(k) // z.scenario.algebra(v).dim for v in z.parts) for k in range(count))
+
+
+def identity_frame_pieces(z, labels):
+    """z's support pieces built as `_support_split` first built them: eta through `_eta_f`,
+    inclusions the identity's columns, projections their transposes."""
+    s, pieces = z.scenario, []
+    for k in range(1 + max(k for ks in labels.values() for k in ks)):
+        at = {v: [c for c, label in enumerate(labels[v]) if label == k] for v in z.parts}
+        parts = {v: vs if not extcat._shared(s.algebra(v).spec, vs) and at[v]
+                 else canonical_space(s.algebra(v), len(at[v]) // s.algebra(v).dim) for v, vs in z.parts.items()}
+        fsp = _build_fspaces(s, parts)
+        eta = {x: extcat._sandwich(at[x], extcat._eta_f(z, x, at, fsp)) for x in s.x_ids}
+        inc = {v: RatMatrix.identity(vs.dim).submatrix(range(vs.dim), at[v]) for v, vs in z.parts.items()}
+        w = TripleObject._with_fspaces(s, parts, eta, fsp)
+        pieces.append((w, TripleMorphism(w, z, inc), TripleMorphism(z, w, {v: m.transpose() for v, m in inc.items()})))
+    return pieces
 
 
 def support_split_objects():
@@ -2957,6 +2976,22 @@ def test_support_components_match_an_independent_union_find():
     assert support_components(conjugated_support_object()) == [(1, 0), (1, 2)]
 
 
+def test_support_split_pieces_equal_the_identity_frame_construction():
+    # each piece's eta is one selection of z's eta and its maps are written
+    # as unit blocks, with no identity matrix or transpose: every entry of
+    # every piece and map is the same as the construction's through them
+    split = 0
+    for z in filter(TripleObject.total_dim, support_split_objects()):
+        pieces = extcat._support_split(z)
+        if pieces is None:
+            continue
+        split += 1
+        want = identity_frame_pieces(z, support_labels(z))
+        assert ([(w.data_key(), morphism_key(inc), morphism_key(proj)) for w, inc, proj in pieces]
+                == [(w.data_key(), morphism_key(inc), morphism_key(proj)) for w, inc, proj in want])
+    assert split == 289 + 9 + 1
+
+
 def test_decompose_agrees_with_the_generic_path_on_the_sweep():
     # flags and summand vectors equal those of decompose with no support
     # step, which splits every node through its End basis
@@ -2980,10 +3015,15 @@ def test_decompose_reads_no_end_basis_for_a_sum_of_decided_objects(monkeypatch):
         for z in table:
             assert decompose(z).flag == extcat.CERTIFIED
         picks = [table[i] for i in (len(table) - 1, 0, len(table) // 2, 0)]
-        total, _, _ = direct_sum_many(picks)
-        calls = count_end_basis_calls(monkeypatch)
+        total, incs, projs = direct_sum_many(picks)
+        calls, checked, check = count_end_basis_calls(monkeypatch), [], TripleMorphism.check
+        monkeypatch.setattr(TripleMorphism, "check", lambda m: checked.append(m) or check(m))
         dec = decompose(total)
         assert calls == [] and dec.flag == extcat.CERTIFIED
+        # one check per piece, of its projection out of the sum; none of the
+        # sum's own inclusions or projections is built
+        assert len(checked) == len(picks) and all(m.source is total for m in checked)
+        assert incs._items == projs._items == [None] * len(picks)
         assert sorted(sm.object.data_key() for sm in dec.summands) == sorted(z.data_key() for z in picks)
         monkeypatch.undo()
 
@@ -3433,8 +3473,11 @@ def test_direct_sum_many_matches_the_binary_fold():
         for n in (1, 2, 3, 4):
             for _ in range(4 if n > 1 else 2):
                 objs = [rng.choice(pool) for _ in range(n)]
-                got = direct_sum_many(objs)
-                assert direct_sum_key(*got) == direct_sum_key(*reference_direct_sum_many(objs))
+                got, want = direct_sum_many(objs), reference_direct_sum_many(objs)
+                # the maps are built on read, in any order
+                assert all(type(maps) is extcat._OnDemand and maps._items == [None] * n for maps in got[1:])
+                assert [morphism_key(m) for m in got[2][::-1]] == [morphism_key(m) for m in want[2][::-1]]
+                assert direct_sum_key(*got) == direct_sum_key(*want)
                 canon = [[z.x.get(v) or z.y.get(v) for z in objs] for v in s.vertex_order()]
                 mixed += any(len({p.canonical is None for p in parts}) == 2 for parts in canon)
                 if n == 1:
