@@ -453,18 +453,13 @@ def _null_space(rows: list[dict[int, int]], ncols: int) -> tuple[RatMatrix, list
         return RatMatrix.identity(ncols), list(range(ncols))
     pivots, ech, _, _ = _echelon(rows)
     free = sorted(set(range(ncols)).difference(pivots))
-    return _null_basis(pivots, ech, free, ncols), free
-
-
-def _null_basis(pivots: list[int], ech: list[dict[int, int]], free: list[int], ncols: int) -> RatMatrix:
-    """`_null_space`'s rows from an `_echelon` result (pivots, ech) and its free columns."""
     d, zs = _back_solve(pivots, ech, free)
     out = [[0] * ncols for _ in free]
     for row, f, z in zip(out, free, zs):
         row[f] = d
         for p, zi in zip(pivots, z):
             row[p] = -zi
-    return RatMatrix._fresh(len(free), ncols, out, d)
+    return RatMatrix._fresh(len(free), ncols, out, d), free
 
 
 def _kernel(m: RatMatrix) -> RatMatrix:
@@ -751,7 +746,7 @@ class FactorBudget:
 
     def check_value(self, n: int) -> None:
         if abs(n) > self.max_abs_value:
-            raise FactorBudgetExceeded(f"divisor enumeration on |{n}| is over budget")
+            raise FactorBudgetExceeded(f"divisor enumeration on a {abs(n).bit_length()}-bit value is over budget")
 
 
 # -- primitive integer polynomials ------------------------------------

@@ -11,10 +11,10 @@ hom reads psi's v block off the v basis as blocks with disjoint rows and
 builds no v column, and ranks each distinct block alone unless its
 left-null rows are needed; ext1 takes dim Ext^1 = nrows - rank(psi) from
 hom's rank, which hom keeps on its source object for the last target it
-was asked for, and eliminates psi's columns only when its classes are
-read.  Also here: universal extensions, length-1 projective resolutions,
-kernels/cokernels/images, torsion pairs, endomorphism algebras and an
-exact Krull-Schmidt-style decomposition.
+was asked for, and reads its classes off hom's blocks and u-only system
+when they are read.  Also here: universal extensions, length-1 projective
+resolutions, kernels/cokernels/images, torsion pairs, endomorphism
+algebras and an exact Krull-Schmidt-style decomposition.
 
 Each tensor space F(Y)_x is a `VertexSpace` of the x algebra like any
 other, with its y block offsets.  It uses the slot basis m_i (x) f_c
@@ -67,8 +67,8 @@ from .exactalg import (
     _int_squarefree,
     _quotient_algebra,
     _nonzero_entries,
-    _null_basis,
     _null_rows,
+    _null_space,
     _radical,
     _vector_min_poly,
     action_error,
@@ -550,8 +550,7 @@ def hom_space_dims(z: TripleObject, z2: TripleObject) -> tuple[int, int, int]:
     """(dim Hom on x parts, dim Hom on y parts, dim Hom(F(Y), X')), sums of `_hom_dim`s: no basis is built.
 
     One pass over the vertices sizes a pair: `hom`, and so cold `ext1`, and
-    `euler_form` (su + sv - sf) size it once; the first class read of `ext1`
-    sizes it again for psi.
+    `euler_form` (su + sv - sf) size it once.
     """
     s, parts, f, dst = _same_scenario(z, z2), z.parts, z.f, z2.parts
     su = sv = sf = 0
@@ -614,39 +613,6 @@ def _columns(z: TripleObject, z2: TripleObject, parts: list, fbases: dict[str, T
                 cols[c] += [(off + k, e) for k, e in ents]
         off += len(fbases[x][0]) if x in fbases else width * z2.parts[x].dim  # x's rows: Hom(F(Y)_x, X'_x)
     return cols
-
-
-def _psi_data(z: TripleObject, z2: TripleObject):
-    """Bases and the sparse integer columns of psi(u, v) = u . eta - eta' . F(v) for a pair, all built.
-
-    Returns (bases, nrows, columns), bases the vertex table of `_bases`.
-    columns[c] = (nonzero (row, integer) entries, rows increasing, den), u
-    basis elements then v, in vertex order; the rows are the Hom(F(Y), X')
-    basis, x-vertex by x-vertex.  When psi has no rows or no columns, bases
-    is None and each column is ([], 1): nothing is built.  `hom` and
-    `euler_form` build no psi, and `ext1` builds it only on the first read
-    of its classes.
-    """
-    su, sv, nrows = hom_space_dims(z, z2)
-    if not (nrows and su + sv):  # every image is 0
-        return None, nrows, [([], 1)] * (su + sv)
-    s, (bases, fbases) = z.scenario, _bases(z, z2)
-    big, parts, dens = lcm(*(z2.eta[x].den for x in s.x_ids)), [], []
-    for w, (terms, d) in bases.items():  # u . eta over uden * eta.den, v's image over vden * big
-        parts.append((w, terms, z.eta[w].den if w in z.eta else big))
-        dens += [parts[-1][2] * d] * len(terms)
-    return bases, nrows, list(zip(_columns(z, z2, parts, fbases), dens))
-
-
-def _psi_rows(nrows: int, columns: list) -> list[dict[int, int]]:
-    """psi's rows as `_echelon` input, over the lcm of the columns' denominators."""
-    den = lcm(*(d for _, d in columns))
-    rows = [{} for _ in range(nrows)]
-    for c, (ents, d) in enumerate(columns):
-        k = den // d
-        for r, e in ents:
-            rows[r][c] = e * k
-    return rows
 
 
 def _v_groups(terms: list, dim: int, raw: bool) -> tuple[list[tuple[int, list]], list]:
@@ -733,8 +699,14 @@ def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
     return _hom(z, z2)[0]
 
 
-def _hom(z: TripleObject, z2: TripleObject) -> tuple[Sequence[TripleMorphism], int]:
-    """(basis of Hom(z, z2), dim Ext^1): the kernel of psi, from its Y-side blocks, built as read; nrows - rank.
+def _column_den(z: TripleObject, z2: TripleObject, bases: dict[str, Terms]) -> int:
+    """The one denominator over which `_columns` gives psi's columns as integers, for `_bases`'s vertex table."""
+    big = lcm(*(z2.eta[x].den for x in z.scenario.x_ids))
+    return lcm(*[d * (z.eta[w].den if w in z.eta else big) for w, (_, d) in bases.items()])
+
+
+def _hom(z: TripleObject, z2: TripleObject) -> tuple[Sequence[TripleMorphism], int, Callable[[], tuple]]:
+    """(basis of Hom(z, z2), dim Ext^1, classes): psi's kernel from its Y-side blocks, built as read; nrows - rank.
 
     psi's columns go right to left, the v columns first: eliminating the u
     block I (x) eta^T first would build Schur-complement rows from minors of
@@ -743,29 +715,33 @@ def _hom(z: TripleObject, z2: TripleObject) -> tuple[Sequence[TripleMorphism], i
     columns.  A W with more rows than columns is eliminated as [W | I] in
     its place, and a W whose rank is below its rows as [W | I] after it,
     for the left-null rows N; unless the blocks' ranks fill psi's rows, the
-    u-only system S (the rows no block meets, and N . U) is eliminated
-    too.  The basis phase, on the first read, solves [W | I] once per
-    distinct W for G = W_P^-1 on its pivot rows, eliminating it then if the
-    rank phase did not.  The basis is the identity on the free columns, in
-    column order, as one elimination of psi's rows gives it: element k is
-    its free column (a u column with the ones S pairs it with), less G of
-    its image on the v pivot columns.  z's `_ext1` keeps (weak z2,
-    nrows - rank), the dim of Ext^1, for `ext1`.  An empty psi is the
-    identity.
+    u-only system S = Pi . U is eliminated too, where Pi holds the unit
+    rows at the rows no block meets and each block's N on its rows.  The
+    basis phase, on the first read, solves [W | I] once per distinct W for
+    G = W_P^-1 on its pivot rows, eliminating it then if the rank phase did
+    not.  The basis is the identity on the free columns, in column order,
+    as one elimination of psi's rows gives it: element k is its free column
+    (a u column with the ones S pairs it with), less G of its image on the
+    v pivot columns.  z's `_ext1` keeps (weak z2, nrows - rank), the dim of
+    Ext^1, for `ext1`.  classes() gives (F, P) for coker psi on call: K =
+    L . Pi spans psi's left null space, L from one `_null_space` of S's
+    columns; F, where K's reduced rows end, from one `_echelon` of K with
+    its keys reversed; P = K_F^-1 . K.  It raises `InternalConsistencyError`
+    unless P . psi = 0.  An empty psi is the identity, and so is P.
     """
     su, sv, nrows = hom_space_dims(z, z2)
     nu, ncols = su, su + sv
     if not (nrows and ncols):  # every column is free: the identity, with no elimination
         z._ext1 = (weakref.ref(z2), nrows)
         unit = _kernel_morphism(z, z2, None)
-        return _OnDemand(ncols, lambda k: unit([0] * k + [1] + [0] * (ncols - 1 - k), 1)), nrows
+        return (_OnDemand(ncols, lambda k: unit([0] * k + [1] + [0] * (ncols - 1 - k), 1)), nrows,
+                lambda: (list(range(nrows)), RatMatrix.identity(nrows)))
     s, (bases, fbases) = z.scenario, _bases(z, z2)
-    big = lcm(*(z2.eta[x].den for x in s.x_ids))
-    den = lcm(*[d * (z.eta[w].den if w in z.eta else big) for w, (_, d) in bases.items()])
+    den = _column_den(z, z2, bases)
     uparts = [(x, bases[x][0], den // bases[x][1]) for x in s.x_ids]  # psi's u columns over den, built when needed
     echs, blocks = {}, []  # W -> its elimination; (columns, rows, W, elimination) per block
     piv, met = set(), set()  # the v pivot columns; the rows the blocks meet
-    cols, sys_rows = [], []  # psi's u columns, once built; S
+    cols, sys_rows, placed = [], [], []  # psi's u columns, once built; S; each block's N on its rows, in block order
     for ccols, crows, w in _v_blocks(z, z2, bases, fbases, nu, den):
         met.update(crows)
         if (ew := echs.get(w)) is None:  # W's elimination, W hashed once per block
@@ -778,18 +754,10 @@ def _hom(z: TripleObject, z2: TripleObject) -> tuple[Sequence[TripleMorphism], i
         piv.update([ccols[p] for p in ew[2]])
     if len(piv) < nrows:  # the v block is not onto: S holds what the u columns must do
         cols += _columns(z, z2, uparts, fbases)
-        urow = {}  # psi's u rows, u column c keyed nu - 1 - c
-        for c in range(nu - 1, -1, -1):
-            for r, e in cols[c]:
-                urow.setdefault(r, {})[nu - 1 - c] = e
+        urow = _by_row(cols[::-1])  # psi's u rows, u column c keyed nu - 1 - c
         sys_rows += [urow[r] for r in sorted(urow) if r not in met]
-        for _, crows, _, (n, _, _, _, nulls) in blocks:
-            for nrow in nulls:
-                acc = {}
-                for j, a in nrow.items():
-                    for k, e in urow.get(crows[j - n], {}).items():
-                        acc[k] = acc.get(k, 0) + a * e
-                sys_rows.append({k: acc[k] for k in sorted(acc) if acc[k]})
+        placed += [{crows[j - n]: a for j, a in nrow.items()} for _, crows, _, (n, *_, ns) in blocks for nrow in ns]
+        sys_rows += [_row_sum(prow.items(), urow) for prow in placed]
     spivots, sech, _, _ = _echelon(sys_rows) if any(sys_rows) else ([], [], 1, 1)
     scols, rank = [nu - 1 - f for f in spivots], len(piv) + len(spivots)
     z._ext1 = (weakref.ref(z2), nrows - rank)
@@ -820,8 +788,40 @@ def _hom(z: TripleObject, z2: TripleObject) -> tuple[Sequence[TripleMorphism], i
                     for p, g in gat.get(r, ()):
                         vec[p] += x * e * g
         return vec, d * gden
+
+    def classes() -> tuple[list[int], RatMatrix]:
+        pi = dict(enumerate([{r: 1} for r in range(nrows) if r not in met] + placed))  # Pi's rows
+        cols[:] = cols or (_columns(z, z2, uparts, fbases) if pi else [])
+        pit = _by_row(prow.items() for prow in pi.values())  # Pi's columns
+        lrows = _null_space([_row_sum(col, pit) for col in cols], len(pi))[0].num  # L, from S's columns
+        k = [_row_sum(((i, x) for i, x in enumerate(lrow) if x), pi) for lrow in lrows]  # K = L . Pi
+        pivots, ech, _, _ = _echelon([{nrows - 1 - r: e for r, e in reversed(row.items())} for row in k])
+        d, zs = _back_solve(pivots, ech, range(nrows - 1, -1, -1))  # K_F^-1 . K, at psi's rows in order
+        proj = RatMatrix._fresh(len(k), nrows, [list(row) for row in zip(*zs)][::-1], d)
+        psi = _by_row(cols + [[(crows[j], e) for j, e in col] for _, crows, w, _ in blocks for col in w] if k else [])
+        if any(_row_sum(((r, x) for r, x in enumerate(row) if x), psi) for row in proj.num):  # P . psi, row by row
+            raise InternalConsistencyError("Ext^1's projection does not kill psi")
+        return sorted(nrows - 1 - p for p in pivots), proj
     morphism = _kernel_morphism(z, z2, bases)
-    return _OnDemand(ncols - rank, lambda k: morphism(*vector(k))), nrows - rank
+    return _OnDemand(ncols - rank, lambda k: morphism(*vector(k))), nrows - rank, classes
+
+
+def _by_row(cols: Iterable[Iterable[tuple[int, int]]]) -> dict[int, dict[int, int]]:
+    """Sparse columns, each of (row, entry) pairs, as {row: {column: entry}}, the columns numbered in order."""
+    rows: dict[int, dict[int, int]] = {}
+    for c, col in enumerate(cols):
+        for r, e in col:
+            rows.setdefault(r, {})[c] = e
+    return rows
+
+
+def _row_sum(terms: Iterable[tuple[int, int]], rows: dict[int, dict[int, int]]) -> dict[int, int]:
+    """sum of a . rows[k] over the terms (k, a), keys increasing, zeros dropped; a missing row is 0."""
+    acc = {}
+    for k, a in terms:
+        for j, e in rows.get(k, {}).items():
+            acc[j] = acc.get(j, 0) + a * e
+    return {j: acc[j] for j in sorted(acc) if acc[j]}
 
 
 def _end_basis(z: TripleObject) -> Sequence[TripleMorphism]:
@@ -829,18 +829,24 @@ def _end_basis(z: TripleObject) -> Sequence[TripleMorphism]:
 
     `decompose` tries candidates in basis order, so its answers depend on the
     basis, and this is the basis they are pinned to; it goes once they no
-    longer do.  It builds its own psi and keeps no pair state.  psi's rows
-    are eliminated once, left to right; element k is back-solved for its own
+    longer do.  It keeps no pair state.  psi's rows come from one `_columns`
+    call over `_column_den`, as `_hom` builds its u columns, and are
+    eliminated once, left to right; element k is back-solved for its own
     free column on its first read, by one `_back_solver` for all of them.
     """
-    bases, nrows, columns = _psi_data(z, z)
-    pivots, ech, _, _ = _echelon(_psi_rows(nrows, columns) if nrows and columns else [])
-    free, morphism = sorted(set(range(len(columns))).difference(pivots)), _kernel_morphism(z, z, bases)
+    su, sv, nrows = hom_space_dims(z, z)
+    bases, rows = None, {}
+    if nrows and su + sv:
+        bases, fbases = _bases(z, z)
+        den = _column_den(z, z, bases)
+        rows = _by_row(_columns(z, z, [(w, terms, den // d) for w, (terms, d) in bases.items()], fbases))
+    pivots, ech, _, _ = _echelon([rows[r] for r in sorted(rows)])
+    free, morphism = sorted(set(range(su + sv)).difference(pivots)), _kernel_morphism(z, z, bases)
     solve = _back_solver(pivots, ech)
 
     def element(k: int) -> TripleMorphism:
         d, zf = solve(free[k])
-        vec = [0] * len(columns)
+        vec = [0] * (su + sv)
         for p, x in zip([free[k], *pivots], [d, *(-x for x in zf)]):
             vec[p] = x
         return morphism(vec, d)
@@ -908,32 +914,29 @@ class ExtResult:
 
 
 def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
-    """Cokernel of psi(u, v) = u . eta - eta' . F(v): dim from hom's rank, the classes from psi's columns.
+    """Cokernel of psi(u, v) = u . eta - eta' . F(v): dim from hom's rank, the classes from hom's blocks.
 
     dim Ext^1 = nrows - rank(psi) is read off z's `_ext1` when `hom(z, z2)`
     wrote it last, and is otherwise the one `_hom` of the pair returns,
     which builds no psi.  The slot is read once, and never after `_hom`: a
-    hom of another target may write it at any time.  psi is built and its
-    columns are eliminated, as rows, once, on the first read of the
-    projection (`_null_space` of those rows) or of the representatives;
-    that read checks its cokernel against dim.
+    hom of another target may write it at any time.  The classes are that
+    `_hom`'s `classes()`, or a new `_hom`'s after a slot read, solved on the
+    first class read, which raises `InternalConsistencyError` unless they
+    number dim; representative k is the Hom(F(Y), X') basis element F[k].
     """
-    s, slot, done = z.scenario, z._ext1, []  # done: the elimination's one result
-    dim = slot[1] if slot is not None and slot[0]() is z2 else _hom(z, z2)[1]
+    s, slot, done = z.scenario, z._ext1, []  # done: the classes' one result
+    _, dim, classes = (None, slot[1], None) if slot is not None and slot[0]() is z2 else _hom(z, z2)
 
-    def cokernel() -> tuple:  # (pivots, ech, free, nrows): `_null_basis`'s arguments
+    def solved() -> tuple[list[int], RatMatrix]:  # (F, P)
         if not done:
-            _, nrows, columns = _psi_data(z, z2)
-            rows = [dict(ents) for ents, _ in columns]
-            pivots, ech, _, _ = _echelon(rows) if any(rows) else ([], [], 1, 1)
-            free = sorted(set(range(nrows)).difference(pivots))
+            free, proj = (classes or _hom(z, z2)[2])()
             if len(free) != dim:
-                raise InternalConsistencyError(f"hom's rank gives dim Ext^1 {dim}, psi's columns {len(free)}")
-            done.append((pivots, ech, free, nrows))
+                raise InternalConsistencyError(f"hom's rank gives dim Ext^1 {dim}, psi's left null space {len(free)}")
+            done.append((free, proj))
         return done[0]
 
     def basis() -> list[dict[str, RatMatrix]]:
-        free, at = cokernel()[2], 0  # at: where x's block of psi's rows starts
+        free, at = solved()[0], 0  # at: where x's block of psi's rows starts
         reps = [{} for _ in free]
         for x in s.x_ids:
             ents, den = _hom_terms(s.algebra(x).spec, z.f[x], z2.parts[x])
@@ -942,7 +945,7 @@ def ext1(z: TripleObject, z2: TripleObject) -> ExtResult:
                 rep[x] = _combine_terms(one, [1], den, z2.parts[x].dim, z.f[x].dim)
             at += len(ents)
         return reps
-    return ExtResult(dim, basis, lambda: _null_basis(*cokernel()))
+    return ExtResult(dim, basis, lambda: solved()[1])
 
 
 def euler_form(z: TripleObject, z2: TripleObject) -> int:

@@ -82,9 +82,9 @@ def number_field(minpoly: Polynomial) -> DivisionAlgebraHandle:
     try:
         irreducible = is_irreducible(minpoly, FactorBudget())
     except (FactorBudgetExceeded, ValueError) as ex:
-        raise ScenarioError(f"irreducibility of {minpoly!r} could not be certified: {ex}") from ex
+        raise ScenarioError(f"irreducibility of {minpoly!r:.40} could not be certified: {ex}") from ex
     if not irreducible:
-        raise ScenarioError(f"{minpoly!r} is reducible over Q; not a field")
+        raise ScenarioError(f"{minpoly!r:.40} is reducible over Q; not a field")
     alg = regular_algebra_from_min_poly(minpoly)
     return DivisionAlgebraHandle(alg, CERTIFIED_FIELD, minpoly.monic())
 

@@ -94,14 +94,22 @@ def test_a_refused_rational_literal_is_quoted_only_in_part():
 
 
 def long_input_refusals(tmp_path):
-    """The argv of each refusal of an input over 100000 characters, its files written under tmp_path."""
+    """The argv of each refusal of a long input, its files written under tmp_path.
+
+    Most inputs are over 100000 characters; the two number fields are a
+    minimal polynomial of 300 coefficients and one with a 4000-digit
+    coefficient, whose irreducibility is not certified.
+    """
     long = "x" * 100_000
     a2 = scenario_to_json(catalog_scenario("a2"))
-    docs = {"vertex": {**a2, "x_vertices": [[long]]},
-            "bimodule": {**a2, "bimodules": [[long]]},
-            "bimodule-ids": {**a2, "bimodules": [{"x": long, "y": "a1", "dim": 1}]},
-            "algebra": {**a2, "x_vertices": [{"id": "u", "algebra": {"kind": long}}]},
-            "object-scenario": {**object_to_json(simple_y_object(catalog_scenario("a2"), "a1")), "scenario": long}}
+    fields = ([1] * 300, ["7" * 4000, 0, 0, 0, 1])
+    docs = {f"field-{k}": {**a2, "x_vertices": [{"id": "u", "algebra": {"kind": "number_field", "minpoly": cs}}]}
+            for k, cs in enumerate(fields)}
+    docs |= {"vertex": {**a2, "x_vertices": [[long]]},
+             "bimodule": {**a2, "bimodules": [[long]]},
+             "bimodule-ids": {**a2, "bimodules": [{"x": long, "y": "a1", "dim": 1}]},
+             "algebra": {**a2, "x_vertices": [{"id": "u", "algebra": {"kind": long}}]},
+             "object-scenario": {**object_to_json(simple_y_object(catalog_scenario("a2"), "a1")), "scenario": long}}
     docs["object-vertex"] = {**docs["object-scenario"], "scenario": "a2", "x": {long: {"dim": 0}}}
     argv = []
     for name, doc in docs.items():
@@ -515,17 +523,23 @@ def test_cli_ext_projective_source(tmp_path, capsys):
 
 def test_cli_ext_builds_no_psi(tmp_path, capsys, monkeypatch):
     # dims come from hom's rank and the identity line from the Ringel form,
-    # so `ext` on a g2 pair at multiplicity 6 builds no psi
+    # so `ext` on a g2 pair at multiplicity 6 reads no Ext^1 class
     import isocat.extcat as extcat
     s = catalog_scenario("g2_threefold")
     a, b = (_write_object(tmp_path, f"m6-{k}", random_object_with(s, {v: 6 for v in s.vertex_order()},
                                                                    random.Random(k))) for k in (1, 2))
-    calls, real = [], extcat._psi_data
-    monkeypatch.setattr(extcat, "_psi_data", lambda *args: calls.append(1) or real(*args))
+    homs, classes, real = [], [], extcat._hom
+
+    def counted_hom(z, z2):
+        basis, dim, solve = real(z, z2)
+        homs.append(1)
+        return basis, dim, lambda: classes.append(1) or solve()
+
+    monkeypatch.setattr(extcat, "_hom", counted_hom)
     assert main(["ext", "--scenario", "catalog:g2_threefold", "--object", a, "--object", b,
                  "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert not calls
+    assert homs and not classes
     assert list(doc) == ["schema", "command", "scenario", "hom", "ext1", "euler", "component_dims",
                          "euler_identity_holds"]
     dims = doc["component_dims"]

@@ -37,8 +37,6 @@ from isocat.extcat import (
     _build_fspaces,
     _fresh_fspaces,
     _hom_terms,
-    _psi_data,
-    _psi_rows,
     abelian_ops,
     canonical_object,
     canonical_space,
@@ -237,8 +235,8 @@ def test_hom_sizes_its_pair_once(monkeypatch):
 
 def test_cold_ext1_counts_its_size_passes(monkeypatch):
     # cold ext1 sizes its pair once, inside `hom`, and warm ext1 not at all;
-    # the first read of the classes sizes psi itself, once; euler_form sizes
-    # its pair once
+    # the first read of the classes sizes nothing more when cold, and the
+    # pair once, in a new `_hom`, when warm; euler_form sizes its pair once
     s = catalog_scenario("d4_elliptic")
     rng = random.Random(2)
     a, b = (random_object_with(s, {v: 1 for v in s.vertex_order()}, rng) for _ in range(2))
@@ -251,7 +249,7 @@ def test_cold_ext1_counts_its_size_passes(monkeypatch):
         res = ext1(*unseen(*pair))  # cold
         assert len(calls) == 1
         res.basis, res.projection
-        assert len(calls) == 2
+        assert len(calls) == 1
         hom(*pair)
         calls.clear()
         res = ext1(*pair)  # warm
@@ -265,14 +263,14 @@ def test_cold_ext1_counts_its_size_passes(monkeypatch):
 
 def test_cold_ext1_of_a_size_only_pair_builds_and_eliminates_nothing_at_the_call(monkeypatch):
     # psi with no rows or no columns: dim is its row count, from the sizes;
-    # psi's empty columns are built on the first read of the classes, and
-    # the answers are the ones every earlier route gave
+    # the classes, the identity, are made on their first read, and the
+    # answers are the ones every earlier route gave
     pairs, cold = x_and_y_only_pairs(), []
-    counts = count_psi_builds_and_eliminations(monkeypatch)
+    counts = count_class_solves_and_eliminations(monkeypatch)
     for a, b in pairs:
         res = ext1(a, b)
         assert res.dim == hom_space_dims(a, b)[2]
-        assert counts == {"psi": 0, "elim": 0}
+        assert counts == {"classes": 0, "elim": 0}
         cold.append(res)
     answers = []
     for (a, b), res in zip(pairs, cold):
@@ -281,7 +279,7 @@ def test_cold_ext1_of_a_size_only_pair_builds_and_eliminates_nothing_at_the_call
         homs = [tuple(_mat_key(m.u[x]) for x in s.x_ids) + tuple(_mat_key(m.v[y]) for y in s.y_ids)
                 for m in hom(a, b)]
         answers.append((homs, res.dim, reps, proj))
-    assert counts["psi"] == len(pairs)  # once per pair, on its first read
+    assert counts["classes"] == len(pairs)  # once per pair, on its first read
     assert hashlib.sha256(repr(answers).encode()).hexdigest() == X_AND_Y_ONLY_ANSWERS
 
 
@@ -640,7 +638,7 @@ def test_euler_form_matches_ringel_form(monkeypatch):
     def refuse(*args):
         raise AssertionError("euler_form built or eliminated psi")
 
-    for name in ("_psi_data", "_bases", "_echelon"):
+    for name in ("_columns", "_bases", "_echelon"):
         monkeypatch.setattr(extcat, name, refuse)
     monkeypatch.setattr(exactalg, "_echelon", refuse)
     for s, a, b in pairs:
@@ -649,25 +647,69 @@ def test_euler_form_matches_ringel_form(monkeypatch):
     assert {bool(su + sv and sf) for su, sv, sf in (hom_space_dims(a, b) for _, a, b in pairs)} == {True, False}
 
 
-def psi_matrix(a, b):
-    """(psi, offsets) of a pair, psi as one `RatMatrix` built from the sparse columns of `_psi_data`.
+def engine_psi(a, b):
+    """psi as one `RatMatrix` from one `extcat._columns` call over `_column_den`, every u and v column.
 
-    It also checks the column contract: nonzero entries, rows increasing.
+    No engine path builds all of psi's columns; this checks `_columns`
+    against `dense_psi`, and its column contract: nonzero entries, rows
+    increasing.
     """
-    _, nrows, columns = _psi_data(a, b)
-    s, offsets, at = a.scenario, {}, 0
-    for x in s.x_ids:  # x's block of psi's rows starts at offsets[x]
-        offsets[x], at = at, at + extcat._hom_dim(s.algebra(x).spec, a.f[x], b.parts[x])
-    den = math.lcm(*(d for _, d in columns))
-    num = [[0] * len(columns) for _ in range(nrows)]
-    for c, (ents, d) in enumerate(columns):
-        assert all(e for _, e in ents) and [r for r, _ in ents] == sorted({r for r, _ in ents})
-        for r, e in ents:
-            num[r][c] = e * (den // d)
-    return RatMatrix(nrows, len(columns), num, den), offsets
+    su, sv, nrows = hom_space_dims(a, b)
+    if not (nrows and su + sv):
+        return RatMatrix.zeros(nrows, su + sv)
+    bases, fbases = extcat._bases(a, b)
+    den = extcat._column_den(a, b, bases)
+    cols = extcat._columns(a, b, [(w, terms, den // d) for w, (terms, d) in bases.items()], fbases)
+    num = [[0] * len(cols) for _ in range(nrows)]
+    for c, col in enumerate(cols):
+        assert all(e for _, e in col) and [r for r, _ in col] == sorted({r for r, _ in col})
+        for r, e in col:
+            num[r][c] = e
+    return RatMatrix(nrows, len(cols), num, den)
+
+
+def reference_rank(rows):
+    """The rank of rows of ints or Fractions, by a fraction-free elimination over dicts of its own.
+
+    It shares no code with the engine's eliminations: each pivot row is
+    any remaining row, at any of its nonzero columns, and clears that column
+    from the others.
+    """
+    todo = []
+    for row in rows:
+        den = math.lcm(*(e.denominator for e in row))
+        todo.append({j: int(e * den) for j, e in enumerate(row) if e})
+    todo, rank = [r for r in todo if r], 0
+    while todo:
+        piv, rest = todo.pop(), []
+        c, p = next(iter(piv.items()))
+        for r in todo:
+            if c in r:  # p . r - r[c] . piv, over its content
+                f = r[c]
+                r = {j: e for j in r.keys() | piv.keys() if (e := p * r.get(j, 0) - f * piv.get(j, 0))}
+                g = math.gcd(*r.values()) if r else 1
+                r = {j: e // g for j, e in r.items()}
+            if r:
+                rest.append(r)
+        todo, rank = rest, rank + 1
+    return rank
+
+
+def reference_ext_dim(a, b):
+    """dim Ext^1 as dim Hom(F(Y), X') less the rank of psi's `dense_psi_images`, by `reference_rank`.
+
+    Ranks the images' entries, not their coordinates, so it needs no solve.
+    """
+    images, fb = dense_psi_images(a, b)
+    flat = []
+    for img in images:  # one integer row per column; a row's scale does not change the rank
+        den = math.lcm(*(m.den for m in img.values()))
+        flat.append([e * (den // m.den) for m in img.values() for row in m.num for e in row])
+    return sum(map(len, fb.values())) - reference_rank(flat)
 
 
 def test_hom_ext1_euler_agree_and_projection_kills_psi():
+    # hom's rank and ext1's dim against `reference_rank` of a psi built in the test
     gen = random.Random("one-psi")
     sweep = [catalog_scenario("g2_threefold"), catalog_scenario("b2_dual")]
     sweep += [random_scenario(gen) for _ in range(6)]
@@ -685,11 +727,12 @@ def test_hom_ext1_euler_agree_and_projection_kills_psi():
             # Euler is su + sv - sf for any psi; a wrong psi shows in hom
             assert (len(homs), res.dim) == reference_hom_ext_dims(a, b)
             assert all(m.check() is None for m in homs)
-            psi, offsets = psi_matrix(a, b)
+            psi, offsets = dense_psi(a, b)
             fbases = {x: equivariant_hom_basis(s.algebra(x).spec, a.f[x], b.x[x]) for x in s.x_ids}
             assert (psi.rows, psi.cols) == (sf, su + sv)
             assert (res.projection * psi).is_zero()
-            assert res.projection.rows == res.dim == sf - psi.rank()
+            rank = reference_rank(psi.num)
+            assert res.projection.rows == res.dim == sf - rank and len(homs) == su + sv - rank
             # each representative is one basis vector of Hom(F(Y), X'), and
             # the projection is the identity on those coordinates
             free = []
@@ -701,36 +744,55 @@ def test_hom_ext1_euler_agree_and_projection_kills_psi():
             assert res.projection.submatrix(range(res.dim), free) == RatMatrix.identity(res.dim)
 
 
-def dense_psi_and_hom(a, b):
-    """(psi, hom basis as (u, v) dicts) by dense products and `_combine`.
+def dense_psi_images(a, b):
+    """(images, fb): psi's columns as dense products, and the Hom(F(Y), X') bases by x-vertex.
 
-    Each psi column is the image u_k . eta or -(eta' . F(v_l)) as a full
-    matrix product, with F(v_l) = I_r (x) v_l from `f_map`,
-    coordinatised by a solve against the stacked Hom(F(Y), X') basis; each
-    kernel vector of psi becomes one matrix per vertex through `_combine`.
+    images holds one {x: matrix} per column, u basis elements then v, in
+    vertex order: u_k . eta at u_k's x-vertex, and -(eta' . F(v_l)) with
+    F(v_l) = I_r (x) v_l from `f_map`, zero elsewhere.  It shares no
+    assembly code with `extcat._columns`.
     """
     s = a.scenario
     ub = {x: equivariant_hom_basis(s.algebra(x).spec, a.x[x], b.x[x]) for x in s.x_ids}
     vb = {y: equivariant_hom_basis(s.algebra(y).spec, a.y[y], b.y[y]) for y in s.y_ids}
     fb = {x: equivariant_hom_basis(s.algebra(x).spec, a.f[x], b.x[x]) for x in s.x_ids}
-    images = [{x: uk * a.eta[x]} for x in s.x_ids for uk in ub[x]]
+    zero = {x: RatMatrix.zeros(b.x[x].dim, a.f[x].dim) for x in s.x_ids}
+    images = [{**zero, x: uk * a.eta[x]} for x in s.x_ids for uk in ub[x]]
     for y in s.y_ids:
         for vl in vb[y]:
             v = {w: vl if w == y else RatMatrix.zeros(b.y[w].dim, a.y[w].dim) for w in s.y_ids}
             images.append({x: -(b.eta[x] * f_map(s, v, a.f, b.f, x)) for x in s.x_ids})
-    flat = lambda m: [e for row in m.to_fractions() for e in row]  # noqa: E731
-    rows = []
+    return images, fb
+
+
+def dense_psi(a, b):
+    """(psi, offsets) of a pair: `dense_psi_images` coordinatised by a solve against the stacked
+    Hom(F(Y)_x, X'_x) basis, x by x; x's block of psi's rows starts at offsets[x]."""
+    s, (images, fb) = a.scenario, dense_psi_images(a, b)
+    psi, offsets = RatMatrix.zeros(0, len(images)), {}
     for x in s.x_ids:
-        if not fb[x]:
-            continue
-        stacked = from_cols([flat(m) for m in fb[x]])
-        zero = RatMatrix.zeros(b.x[x].dim, a.f[x].dim)
-        rhs = from_cols([flat(img.get(x, zero)) for img in images], stacked.rows)
-        coords = stacked.solve(rhs)
-        assert coords is not None
-        rows += coords.to_fractions()
-    psi = (RatMatrix.from_rows(rows) if rows and images
-           else RatMatrix.zeros(sum(map(len, fb.values())), len(images)))
+        offsets[x], size = psi.rows, b.x[x].dim * a.f[x].dim
+        if fb[x]:
+            coords = flat_columns(fb[x], size).solve(flat_columns([img[x] for img in images], size))
+            assert coords is not None
+            psi = psi.vstack(coords)
+    return psi, offsets
+
+
+def flat_columns(mats, size):
+    """The size x len(mats) matrix whose column k is mats[k] read row by row, over one denominator."""
+    den = math.lcm(*(m.den for m in mats))
+    cols = [[e * (den // m.den) for row in m.num for e in row] for m in mats]
+    return RatMatrix(size, len(cols), [list(r) for r in zip(*cols)], den) if cols else RatMatrix.zeros(size, 0)
+
+
+def dense_psi_and_hom(a, b):
+    """(psi, hom basis as (u, v) dicts): `dense_psi`, and each of its kernel vectors as one matrix per
+    vertex through `_combine`."""
+    s = a.scenario
+    psi = dense_psi(a, b)[0]
+    ub = {x: equivariant_hom_basis(s.algebra(x).spec, a.x[x], b.x[x]) for x in s.x_ids}
+    vb = {y: equivariant_hom_basis(s.algebra(y).spec, a.y[y], b.y[y]) for y in s.y_ids}
     ker, _ = _null_rows(psi)
     homs = []
     for vec in ker.num:
@@ -749,15 +811,16 @@ def dense_psi_and_hom(a, b):
 def f_map(s, v, src_f, dst_f, x):
     """F(v) at the x-vertex as one dense matrix: I_r (x) v_y on the block of each y, entry by entry."""
     sf, df = src_f[x], dst_f[x]
+    den = math.lcm(*(v[y].den for y in s.y_ids))
     num = [[0] * sf.dim for _ in range(df.dim)]
     for y in s.y_ids:
         if y in sf.offsets and y in df.offsets:
-            m = v[y].to_fractions()
+            m, k = v[y].num, den // v[y].den
             for i in range(s.bimodules[(x, y)].rank_over_right):
-                for k, row in enumerate(m):
+                for r, row in enumerate(m):
                     for j, e in enumerate(row):
-                        num[df.offsets[y] + i * len(m) + k][sf.offsets[y] + i * len(row) + j] = e
-    return RatMatrix.from_rows(num) if num else RatMatrix.zeros(0, sf.dim)
+                        num[df.offsets[y] + i * len(m) + r][sf.offsets[y] + i * len(row) + j] = k * e
+    return RatMatrix(df.dim, sf.dim, num, den)
 
 
 def conjugator(n):
@@ -792,7 +855,7 @@ def assert_hom_matches_dense(a, b):
     left-to-right basis, element for element.
     """
     psi, ref = dense_psi_and_hom(a, b)
-    assert psi_matrix(a, b)[0] == psi
+    assert engine_psi(a, b) == psi
     basis = hom(a, b)
     assert len(basis) == len(ref) and all(m.check() is None for m in basis)
     if basis:
@@ -839,15 +902,16 @@ def test_sparse_hom_matches_dense_reference_on_conjugated_spaces():
 
 
 def whole_psi_hom(a, b):
-    """(hom basis as (u, v) dicts, rank psi) by one elimination of all of psi's rows, columns right to left.
+    """(hom basis as (u, v) dicts, rank psi, psi) by one elimination of `dense_psi`'s rows, columns right to left.
 
-    The kernel is `_null_space` of `_psi_rows` with the columns reversed,
+    The kernel is `_null_space` of psi's rows with the columns reversed,
     read back reversed: the basis that is the identity on the right-to-left
     free columns, in column order.
     """
-    s = a.scenario
-    (_, nrows, columns), (bases, _) = _psi_data(a, b), extcat._bases(a, b)
-    ker, _ = _null_space(_psi_rows(nrows, columns[::-1]) if nrows and columns else [], len(columns))
+    s, psi = a.scenario, dense_psi(a, b)[0]
+    bases = extcat._bases(a, b)[0]
+    rows = [{psi.cols - 1 - c: e for c, e in reversed(list(enumerate(row))) if e} for row in psi.num]
+    ker, _ = _null_space(rows, psi.cols)
     homs = []
     for vec in reversed(ker.num):
         coeffs, parts = iter(vec[::-1]), []
@@ -855,7 +919,7 @@ def whole_psi_hom(a, b):
             parts.append({w: _combine_terms(bases[w][0], coeffs, ker.den * bases[w][1], dst[w].dim, src[w].dim)
                           for w in ids})
         homs.append(tuple(parts))
-    return homs, len(columns) - ker.rows
+    return homs, psi.cols - ker.rows, psi
 
 
 def squeezed(z, y, e):
@@ -873,11 +937,11 @@ def squeezed(z, y, e):
 
 def assert_hom_is_the_whole_psi_kernel(a, b):
     """hom(a, b), its dim Ext^1 record and ext1(a, b).dim against `whole_psi_hom`, element for element."""
-    ref, rank = whole_psi_hom(a, b)
-    nrows = hom_space_dims(a, b)[2]
+    ref, rank, psi = whole_psi_hom(a, b)
     assert [(m.u, m.v) for m in hom(a, b)] == ref
-    assert a._ext1[0]() is b and a._ext1[1] == nrows - rank
-    assert ext1(a, b).dim == nrows - rank
+    assert a._ext1[0]() is b and a._ext1[1] == psi.rows - rank
+    assert ext1(a, b).dim == psi.rows - rank
+    return psi
 
 
 def test_hom_is_the_whole_psi_kernel_element_for_element():
@@ -899,14 +963,13 @@ def test_hom_is_the_whole_psi_kernel_element_for_element():
         pool += [ops.kernel, ops.image, ops.cokernel] + [sm.object for sm in decompose(pool[3]).summands]
         for a in pool:
             for b in pool:
-                assert_hom_is_the_whole_psi_kernel(a, b)
-                _, nrows, columns = _psi_data(a, b)
-                nu = len(columns) - sum(len(extcat._bases(a, b)[0][y][0]) for y in s.y_ids)
-                seen["no v column"] += nrows > 0 and nu == len(columns) > 0
-                seen["zero v column"] += nrows > 0 and any(not ents for ents, _ in columns[nu:])
-                vrows = sorted({r for ents, _ in columns[nu:] for r, _ in ents})
-                vblock = [[dict(ents).get(r, 0) for ents, _ in columns[nu:]] for r in vrows]
-                seen["null rows"] += bool(vrows) and RatMatrix.from_rows(vblock).rank() < len(vrows)
+                psi = assert_hom_is_the_whole_psi_kernel(a, b)
+                nu = hom_space_dims(a, b)[0]
+                vcols = range(nu, psi.cols)
+                seen["no v column"] += psi.rows > 0 and nu == psi.cols > 0
+                seen["zero v column"] += psi.rows > 0 and any(not any(psi.column(c)) for c in vcols)
+                vrows = [r for r, row in enumerate(psi.num) if any(row[c] for c in vcols)]
+                seen["null rows"] += bool(vrows) and psi.submatrix(vrows, vcols).rank() < len(vrows)
     # equal multiplicities repeat components; conjugated Y spaces are not canonical, nor are
     # the y parts of retract pieces at multiplicity 3, whose groups of v columns repeat patterns
     fresh = set()
@@ -988,7 +1051,7 @@ def test_hom_eliminates_a_tall_w_once_as_w_and_i(monkeypatch):
     s = catalog_scenario("g2_threefold")
     a, b = (random_object_with(s, {"u": 3, "a1": 1}, random.Random(k)) for k in range(2))
     assert hom_space_dims(a, b) == (9, 3, 9)
-    ref, rank = whole_psi_hom(a, b)
+    ref, rank, _ = whole_psi_hom(a, b)
     calls = spy_w_eliminations(monkeypatch)
     basis = hom(a, b)
     assert [(len(w), ident, m, r) for w, ident, m, r in calls] == [(3, True, 9, 3)]
@@ -1057,24 +1120,37 @@ def test_v_groups_are_kept_on_shared_y_spaces_by_target_and_raw(monkeypatch):
 
 
 def test_hom_builds_no_psi_column(monkeypatch):
-    # hom reads psi's v block off the v basis and builds psi's u columns
-    # only when the v block leaves rows; `_psi_data` is not on its path
-    def refuse(*args):
-        raise AssertionError("hom built psi")
+    # hom reads psi's v block off the v basis, one `_columns` call per y over
+    # its term patterns, and builds psi's u columns, in one call, only when
+    # the v block leaves rows; no call builds u and v columns together, as
+    # building psi whole would
+    calls, real = [], extcat._columns
 
-    counted = 0
+    def spied(z, z2, parts, fbases):
+        calls.append([w for w, _, _ in parts])
+        return real(z, z2, parts, fbases)
+
+    counted, leaves = 0, set()
     for name in ("d4_elliptic", "c3_surface", "g2_threefold"):
         s = catalog_scenario(name)
         rng = random.Random(f"no-psi:{name}")
         objs = [random_object_with(s, {v: 3 for v in s.vertex_order()}, rng) for _ in range(3)]
-        refs = {(i, k): len(whole_psi_hom(a, b)[0]) for i, a in enumerate(objs) for k, b in enumerate(objs)}
-        monkeypatch.setattr(extcat, "_psi_data", refuse)
-        for (i, k), n in refs.items():
+        refs = {}
+        for i, a in enumerate(objs):
+            for k, b in enumerate(objs):
+                ref, _, psi = whole_psi_hom(a, b)
+                vblock = psi.submatrix(range(psi.rows), range(hom_space_dims(a, b)[0], psi.cols))
+                refs[i, k] = len(ref), reference_rank(vblock.num) < psi.rows
+        monkeypatch.setattr(extcat, "_columns", spied)
+        for (i, k), (n, left) in refs.items():
             assert all(hom_space_dims(objs[i], objs[k]))
+            calls.clear()
             assert len(hom(objs[i], objs[k])) == n
-            counted += 1
+            assert all(ws == list(s.x_ids) or ws in ([y] for y in s.y_ids) for ws in calls)
+            assert calls.count(list(s.x_ids)) == left
+            counted, leaves = counted + 1, leaves | {left}
         monkeypatch.undo()
-    assert counted == 27
+    assert counted == 27 and leaves == {True, False}
 
 
 def test_canonical_spaces_and_their_f_spaces_match_the_generic_path():
@@ -1588,31 +1664,31 @@ def test_shared_canonical_spaces_are_proved_once(monkeypatch):
 
 
 def test_five_term_check_sees_a_wrong_column_rank(monkeypatch):
-    # the five-term check is ext1's first class read, which compares psi's
-    # column rank with hom's; corrupting only the elimination of psi's
-    # columns must make it fail
+    # the five-term check is ext1's first class read, which checks
+    # P . psi = 0 and counts the classes against hom's dim Ext^1; corrupting
+    # only the class read's first elimination, of S's columns, gives L a row
+    # that is not left-null, which P . psi shows.  psi is 9 x 12 and its v
+    # block one 9 x 3 W, so S has 6 rows
     s = catalog_scenario("g2_threefold")
-    rng = random.Random("five-term")
-    a = random_object_with(s, {"u": 2, "a1": 1}, rng)
-    b = random_object_with(s, {"u": 1, "a1": 2}, rng)
-    _, nrows, columns = _psi_data(a, b)
-    col_rows = [dict(ents) for ents, _ in columns]
-    assert nrows != len(columns) and any(col_rows)
+    a, b = (random_object_with(s, {"u": 3, "a1": 1}, random.Random(k)) for k in range(2))
+    su, sv, nrows = hom_space_dims(a, b)
+    assert (su, sv, nrows) == (9, 3, 9) and not dense_psi(a, b)[0].is_zero()
     expected = ext1(a, b).basis
-    real = extcat._echelon
+    real = exactalg._echelon
     sides = []
 
-    def corrupt_columns(rows):
-        is_col = rows == col_rows
-        sides.append(is_col)
+    def corrupt_first(rows):
+        sides.append(len(rows))
         pivots, *rest = real(rows)
-        return (pivots[:-1] if is_col else pivots, *rest)
+        return (pivots[:-1] if len(sides) == 1 else pivots, *rest)
 
-    monkeypatch.setattr(extcat, "_echelon", corrupt_columns)
-    with pytest.raises(extcat.InternalConsistencyError, match="hom's rank gives dim Ext"):
-        ext1(*unseen(a, b)).basis
-    assert sides.count(True) == 1
-    monkeypatch.setattr(extcat, "_echelon", real)
+    res = ext1(*unseen(a, b))
+    monkeypatch.setattr(exactalg, "_echelon", corrupt_first)
+    monkeypatch.setattr(extcat, "_echelon", corrupt_first)
+    with pytest.raises(extcat.InternalConsistencyError, match="projection does not kill psi"):
+        res.basis
+    assert sides[0] == su
+    monkeypatch.undo()
     assert ext1(*unseen(a, b)).basis == expected
 
 
@@ -1743,7 +1819,7 @@ def test_hom_and_ext1_skip_no_elimination_they_need():
         objs += [x_only(objs[4]), y_only(objs[4])]
         for a in objs:
             for b in objs:
-                psi, res = psi_matrix(a, b)[0], ext1(a, b)
+                psi, res = dense_psi(a, b)[0], ext1(a, b)
                 assert len(hom(a, b)) == psi.cols - eliminated_rank(psi)
                 assert res.dim == len(res.basis) == psi.rows - eliminated_rank(psi.transpose())
                 seen.add("empty" if not (psi.rows and psi.cols) else "zero" if psi.is_zero() else "nonzero")
@@ -1792,10 +1868,10 @@ def test_psi_with_cached_bases_runs_no_elimination(monkeypatch):
         objs += [random_object(s, rng, max_mult=2), universal_extension_of(objs[0])]
         pairs = [(a, b) for a in objs for b in objs]
         for a, b in pairs:
-            _psi_data(a, b)
+            engine_psi(a, b)
         monkeypatch.setattr(exactalg, "_echelon", counted)
         for a, b in pairs:
-            read += _psi_data(a, b)[1] > 0
+            read += engine_psi(a, b).rows > 0
         monkeypatch.setattr(exactalg, "_echelon", real)
     assert len(fields) >= 2 and read >= 15 and not calls
 
@@ -1806,13 +1882,6 @@ def unseen(a, b):
         return TripleObject._with_fspaces(z.scenario, z.parts, z.eta, z.f)
     a2 = copy(a)
     return a2, a2 if b is a else copy(b)
-
-
-def column_ext_dim(a, b):
-    """dim Ext^1 as psi's row count less the rank of its columns, one elimination of `_psi_data`'s columns."""
-    _, nrows, columns = _psi_data(a, b)
-    rows = [dict(ents) for ents, _ in columns]
-    return nrows - (len(_echelon(rows)[0]) if any(rows) else 0)
 
 
 def shared_psi_pairs():
@@ -1852,35 +1921,36 @@ def test_ext1_and_hom_answers_do_not_depend_on_the_psi_slot():
         assert answers(lambda p, q: hom(p, d)) == cold
         assert [(m.u, m.v) for m in hom(*unseen(a, b))] == cold[3]
         dims.append(cold[0])
-    assert dims[0] == 1 == column_ext_dim(*cases[0][0]) and 0 in dims
+    assert dims[0] == 1 == reference_ext_dim(*cases[0][0]) and 0 in dims
 
 
 def test_ext1_builds_its_projection_and_representatives_as_read(monkeypatch):
-    # the call reads dim off hom's rank; psi's columns are eliminated and the
-    # projection back-solved, and the representatives are assembled, on
-    # their first read, once, and they are the ones the eager `_null_space`
-    # gives
+    # the call reads dim off hom's rank; the classes are solved on the first
+    # read of the projection, once, and the representatives are assembled on
+    # their first read, once; they are the ones the eager `_null_space` of a
+    # psi built in the test gives
     built = {"projection": 0, "representative": 0}
-    null_basis, combine_terms = extcat._null_basis, extcat._combine_terms
+    combine_terms = extcat._combine_terms
 
     def counted(kind, real):
         return lambda *args: built.update({kind: built[kind] + 1}) or real(*args)
 
-    monkeypatch.setattr(extcat, "_null_basis", counted("projection", null_basis))
+    count_class_solves(monkeypatch, lambda: built.update(projection=built["projection"] + 1))
     monkeypatch.setattr(extcat, "_combine_terms", counted("representative", combine_terms))
     dims = []
     for s in (catalog_scenario("b2_dual"), catalog_scenario("g2_threefold"), sqrt2_scenario()):
         rng = random.Random(f"lazy-ext1:{s.name}")
         objs = [random_object(s, rng, max_mult=2) for _ in range(4)]
         for a, b in itertools.product(objs, objs):
-            _, nrows, columns = _psi_data(a, b)
-            if not (nrows and columns):
+            su, sv, nrows = hom_space_dims(a, b)
+            if not (nrows and su + sv):
                 continue
+            psi = dense_psi(a, b)[0]
             fb = [(x, m) for x in s.x_ids for m in equivariant_hom_basis(s.algebra(x).spec, a.f[x], b.x[x])]
             built.update(projection=0, representative=0)
             res = ext1(a, b)
             assert built == {"projection": 0, "representative": 0}
-            proj, free = _null_space([dict(ents) for ents, _ in columns], nrows)
+            proj, free = _null_rows(psi.transpose())
             assert res.dim == len(free) and res.projection == proj and res.projection is res.projection
             assert built == {"projection": 1, "representative": 0}
             reps = [{x: m for x, m in rep.items() if not m.is_zero()} for rep in res.basis]
@@ -1890,20 +1960,27 @@ def test_ext1_builds_its_projection_and_representatives_as_read(monkeypatch):
     assert len(dims) >= 15 and 0 in dims and max(dims) > 1
 
 
-def count_psi_builds_and_eliminations(monkeypatch):
-    """{"psi": `_psi_data` calls, "elim": `_echelon` calls}, counted from here on."""
-    counts = {"psi": 0, "elim": 0}
-    real_psi, real_echelon = extcat._psi_data, exactalg._echelon
+def count_class_solves(monkeypatch, solved):
+    """Make every `_hom`'s `classes` call solved() first, from here on."""
+    real = extcat._hom
 
-    def counted_psi(*args):
-        counts["psi"] += 1
-        return real_psi(*args)
+    def counted_hom(z, z2):
+        basis, dim, classes = real(z, z2)
+        return basis, dim, lambda: solved() or classes()
+
+    monkeypatch.setattr(extcat, "_hom", counted_hom)
+
+
+def count_class_solves_and_eliminations(monkeypatch):
+    """{"classes": `_hom`'s `classes` calls, "elim": `_echelon` calls}, counted from here on."""
+    counts = {"classes": 0, "elim": 0}
+    real_echelon = exactalg._echelon
 
     def counted_echelon(rows):
         counts["elim"] += 1
         return real_echelon(rows)
 
-    monkeypatch.setattr(extcat, "_psi_data", counted_psi)
+    count_class_solves(monkeypatch, lambda: counts.update(classes=counts["classes"] + 1))
     monkeypatch.setattr(exactalg, "_echelon", counted_echelon)
     monkeypatch.setattr(extcat, "_echelon", counted_echelon)
     return counts
@@ -1911,38 +1988,39 @@ def count_psi_builds_and_eliminations(monkeypatch):
 
 def test_ext1_after_hom_of_a_pair_builds_and_eliminates_nothing(monkeypatch):
     # onto or not, hom's rank gives dim Ext^1
-    counts = count_psi_builds_and_eliminations(monkeypatch)
+    counts = count_class_solves_and_eliminations(monkeypatch)
     wide, small, b2, b2_diag, _, _ = (p for p, _ in shared_psi_pairs())
     for pair, ext_dim in ((small, 0), (b2, 0), (wide, 1)):
         hom(*pair)
-        counts.update(psi=0, elim=0)
+        counts.update(classes=0, elim=0)
         assert ext1(*pair).dim == ext_dim
-        assert counts == {"psi": 0, "elim": 0}
-    counts.update(psi=0, elim=0)
+        assert counts == {"classes": 0, "elim": 0}
+    counts.update(classes=0, elim=0)
     res = ext1(*b2_diag)  # cold: hom ranks psi, which builds no psi
-    assert counts["psi"] == 0
+    assert counts["classes"] == 0
     res.basis
-    assert counts["psi"] == 1
+    assert counts["classes"] == 1
 
 
 def test_ext1_after_hom_of_a_non_onto_pair_reads_its_classes_off_psi_as_cold(monkeypatch):
-    # the call reads dim off hom's rank; the first read of the classes builds
-    # psi and eliminates its columns once, and checks that dim against them
+    # the call reads dim off hom's rank; the first read of the classes solves
+    # them once, off a new `_hom` of the pair, and checks that dim against
+    # them
     wide = next(pair for pair, _ in shared_psi_pairs())
     g2 = catalog_scenario("g2_threefold")
     z, w = (random_object_with(g2, {v: 6 for v in g2.vertex_order()}, random.Random(6)) for _ in range(2))
     for (a, b), ext_dim in ((wide, 1), ((z, x_only(w)), 72)):
         cold = ext1(*unseen(a, b))
         cold_answers = (cold.dim, cold.basis, cold.projection)
-        counts = count_psi_builds_and_eliminations(monkeypatch)
+        counts = count_class_solves_and_eliminations(monkeypatch)
         hom(a, b)
         assert len(a._ext1) == 2 and type(a._ext1[1]) is int
         assert type(a._ext1[0]) is weakref.ref and a._ext1[0]() is b
-        counts.update(psi=0, elim=0)
+        counts.update(classes=0, elim=0)
         res = ext1(a, b)
-        assert res.dim == ext_dim and counts == {"psi": 0, "elim": 0}
+        assert res.dim == ext_dim and counts == {"classes": 0, "elim": 0}
         assert (res.dim, res.basis, res.projection) == cold_answers
-        assert counts == {"psi": 1, "elim": 1}
+        assert counts["classes"] == 1 and counts["elim"]
         monkeypatch.undo()
         hom(a, b)
         monkeypatch.setattr(a, "_ext1", (a._ext1[0], a._ext1[1] + 1))
@@ -1956,45 +2034,69 @@ def test_ext1_after_hom_of_a_non_onto_pair_reads_its_classes_off_psi_as_cold(mon
 def test_ext1_after_hom_of_its_pair_and_of_another_builds_and_eliminates_nothing(monkeypatch):
     # hom keeps dim Ext^1 on its source, so hom of a pair with another
     # source leaves ext1's answer in place
-    counts = count_psi_builds_and_eliminations(monkeypatch)
+    counts = count_class_solves_and_eliminations(monkeypatch)
     for (a, b), (c, d) in shared_psi_pairs():
         assert c is not a
         hom(a, b)
         hom(c, d)
-        counts.update(psi=0, elim=0)
+        counts.update(classes=0, elim=0)
         res = ext1(a, b)
-        assert counts == {"psi": 0, "elim": 0}
-        assert res.dim == column_ext_dim(a, b)
+        assert counts == {"classes": 0, "elim": 0}
+        assert res.dim == reference_ext_dim(a, b)
 
 
 def test_cold_ext1_ranks_psi_through_hom_and_builds_it_on_the_first_class_read(monkeypatch):
     # cold, ext1 of a psi with rows and columns takes dim from hom's rank,
-    # which builds no psi; the first read of the classes builds psi once,
-    # and its column elimination gives the same dim
+    # which builds no psi; the first read of the classes solves them once,
+    # and they number the dim that a psi built in the test gives
     g2 = catalog_scenario("g2_threefold")
     z, w = (random_object_with(g2, {v: 6 for v in g2.vertex_order()}, random.Random(6)) for _ in range(2))
     pairs = [pair for case in shared_psi_pairs() for pair in case] + [(z, w)]
     pairs = [pair for pair in pairs if (size := hom_space_dims(*pair))[2] and size[0] + size[1]]
-    dims = [column_ext_dim(a, b) for a, b in pairs]
-    counts = count_psi_builds_and_eliminations(monkeypatch)
+    dims = [reference_ext_dim(a, b) for a, b in pairs]
+    counts = count_class_solves_and_eliminations(monkeypatch)
     for (a, b), dim in zip(pairs, dims):
-        counts.update(psi=0, elim=0)
+        counts.update(classes=0, elim=0)
         res = ext1(*unseen(a, b))
-        assert counts["psi"] == 0
-        assert len(res.basis) == res.dim == dim and counts["psi"] == 1
-        assert res.projection.rows == dim and counts["psi"] == 1
+        assert counts["classes"] == 0
+        assert len(res.basis) == res.dim == dim and counts["classes"] == 1
+        assert res.projection.rows == dim and counts["classes"] == 1
     assert len(pairs) >= 8 and 0 in dims and max(dims) > 1
+
+
+def test_the_first_class_read_at_multiplicity_twelve_eliminates_nothing_larger_than_hom(monkeypatch):
+    # at g2 m = 12 psi is 432 x 576, and hom's rank phase eliminates one
+    # 36 x 36 block; the classes are read off hom's blocks, so the first
+    # class read hands `_echelon` nothing larger, where eliminating psi's
+    # columns whole took all 576 of them
+    s = catalog_scenario("g2_threefold")
+    a, b = (random_object_with(s, {v: 12 for v in s.vertex_order()}, random.Random(k)) for k in (1, 2))
+    su, sv, nrows = hom_space_dims(a, b)
+    assert (nrows, su + sv) == (432, 576)
+    sizes, real = [], exactalg._echelon
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(exactalg, "_echelon", counted)
+    monkeypatch.setattr(extcat, "_echelon", counted)
+    res = ext1(a, b)  # cold: dim from hom's rank phase
+    assert res.dim == 0 and sizes == [36]
+    sizes.clear()
+    assert res.basis == [] and res.projection == RatMatrix.zeros(0, nrows)
+    assert sizes and max(sizes) <= 36
 
 
 def test_cold_ext1_checks_hom_s_rank_on_the_first_class_read(monkeypatch):
     # a hom whose rank is one too high gives cold ext1 a dim one too low; the
-    # first read of the classes eliminates psi's columns and refuses it
+    # first read of the classes finds one more and refuses it
     (wide, _), (small, _) = shared_psi_pairs()[:2]
     real = extcat._hom
 
     def high_rank(z, z2):
-        basis, dim = real(z, z2)
-        return basis, dim - 1
+        basis, dim, classes = real(z, z2)
+        return basis, dim - 1, classes
 
     monkeypatch.setattr(extcat, "_hom", high_rank)
     for (a, b), dim in ((wide, 1), (small, 0)):
@@ -2012,7 +2114,7 @@ def test_ext1_of_a_pair_ignores_a_hom_of_another_target_that_overwrites_the_slot
     # own pair, and warm it reads the slot once
     (a, b), _ = shared_psi_pairs()[0]
     w = x_only(b)
-    want, other = column_ext_dim(a, b), column_ext_dim(a, w)
+    want, other = reference_ext_dim(a, b), reference_ext_dim(a, w)
     assert (want, other) == (1, 32)
     real = extcat._hom
 
@@ -2045,16 +2147,16 @@ def test_ext1_of_a_pair_ignores_a_hom_of_another_target_that_overwrites_the_slot
 def test_decompose_between_hom_and_ext1_keeps_the_pair_psi(monkeypatch):
     # decompose's End basis builds its own psi and leaves the pair slot alone,
     # so ext1 still reads Ext^1 = 0 off hom's proof that psi is onto
-    counts = count_psi_builds_and_eliminations(monkeypatch)
+    counts, end_bases = count_class_solves_and_eliminations(monkeypatch), count_end_basis_calls(monkeypatch)
     _, (a, b), _, _, _, _ = (p for p, _ in shared_psi_pairs())
     s = a.scenario
     hom(a, b)
     s._nodes.clear()
-    counts.update(psi=0, elim=0)
+    counts.update(classes=0, elim=0)
     assert decompose(random_object_with(s, {v: 1 for v in s.vertex_order()}, random.Random(5))).summands
-    assert counts["psi"] and counts["elim"]
-    counts.update(psi=0, elim=0)
-    assert ext1(a, b).dim == 0 and counts == {"psi": 0, "elim": 0}
+    assert end_bases and counts["elim"]
+    counts.update(classes=0, elim=0)
+    assert ext1(a, b).dim == 0 and counts == {"classes": 0, "elim": 0}
 
 
 def test_the_psi_slot_keeps_no_object_alive():
@@ -2125,7 +2227,7 @@ def test_empty_psi_is_answered_from_its_bases(monkeypatch):
     for name in ("_commutant_coords", "_echelon"):
         monkeypatch.setattr(exactalg, name, refuse)
         monkeypatch.setattr(extcat, name, refuse)
-    monkeypatch.setattr(extcat, "_psi_rows", refuse)
+    monkeypatch.setattr(extcat, "_columns", refuse)
     for (a, b), (h, e) in zip(pairs, refs):
         cold = ext1(a, b)
         assert len(hom(a, b)) == h and ext1(a, b).dim == cold.dim == e
