@@ -726,8 +726,11 @@ def _hom(z: TripleObject, z2: TripleObject) -> tuple[Sequence[TripleMorphism], i
     Ext^1, for `ext1`.  classes() gives (F, P) for coker psi on call: K =
     L . Pi spans psi's left null space, L from one `_null_space` of S's
     columns; F, where K's reduced rows end, from one `_echelon` of K with
-    its keys reversed; P = K_F^-1 . K.  It raises `InternalConsistencyError`
-    unless P . psi = 0.  An empty psi is the identity, and so is P.
+    its keys reversed; P = K_F^-1 . K.  With no N rows, Pi keeps the row
+    order and P = K, F at L's free columns, with no more elimination: by
+    matroid duality the columns left free left to right are the ones K's
+    rows end at.  It raises `InternalConsistencyError` unless P . psi = 0.
+    An empty psi is the identity, and so is P.
     """
     su, sv, nrows = hom_space_dims(z, z2)
     nu, ncols = su, su + sv
@@ -790,18 +793,23 @@ def _hom(z: TripleObject, z2: TripleObject) -> tuple[Sequence[TripleMorphism], i
         return vec, d * gden
 
     def classes() -> tuple[list[int], RatMatrix]:
-        pi = dict(enumerate([{r: 1} for r in range(nrows) if r not in met] + placed))  # Pi's rows
+        unmet = [r for r in range(nrows) if r not in met]
+        pi = dict(enumerate([{r: 1} for r in unmet] + placed))  # Pi's rows
         cols[:] = cols or (_columns(z, z2, uparts, fbases) if pi else [])
         pit = _by_row(prow.items() for prow in pi.values())  # Pi's columns
-        lrows = _null_space([_row_sum(col, pit) for col in cols], len(pi))[0].num  # L, from S's columns
-        k = [_row_sum(((i, x) for i, x in enumerate(lrow) if x), pi) for lrow in lrows]  # K = L . Pi
-        pivots, ech, _, _ = _echelon([{nrows - 1 - r: e for r, e in reversed(row.items())} for row in k])
-        d, zs = _back_solve(pivots, ech, range(nrows - 1, -1, -1))  # K_F^-1 . K, at psi's rows in order
-        proj = RatMatrix._fresh(len(k), nrows, [list(row) for row in zip(*zs)][::-1], d)
+        lmat, lfree = _null_space([_row_sum(col, pit) for col in cols], len(pi))  # L, from S's columns
+        k = [_row_sum(((i, x) for i, x in enumerate(lrow) if x), pi) for lrow in lmat.num]  # K = L . Pi
+        if placed:
+            pivots, ech, _, _ = _echelon([{nrows - 1 - r: e for r, e in reversed(row.items())} for row in k])
+            d, zs = _back_solve(pivots, ech, range(nrows - 1, -1, -1))  # K_F^-1 . K, at psi's rows in order
+            free, rows = sorted(nrows - 1 - p for p in pivots), [list(row) for row in zip(*zs)][::-1]
+        else:  # Pi keeps the row order: K is already reduced, the identity at F, L's free columns
+            free, rows, d = [unmet[f] for f in lfree], [[row.get(r, 0) for r in range(nrows)] for row in k], lmat.den
+        proj = RatMatrix._fresh(len(k), nrows, rows, d)
         psi = _by_row(cols + [[(crows[j], e) for j, e in col] for _, crows, w, _ in blocks for col in w] if k else [])
         if any(_row_sum(((r, x) for r, x in enumerate(row) if x), psi) for row in proj.num):  # P . psi, row by row
             raise InternalConsistencyError("Ext^1's projection does not kill psi")
-        return sorted(nrows - 1 - p for p in pivots), proj
+        return free, proj
     morphism = _kernel_morphism(z, z2, bases)
     return _OnDemand(ncols - rank, lambda k: morphism(*vector(k))), nrows - rank, classes
 
@@ -1489,15 +1497,33 @@ def _split_or_leaf(z: TripleObject,
     return _splitting_idempotent(z, _combinations(end_basis)), NO_FURTHER
 
 
+def certified_by_rigidity(z: TripleObject) -> bool:
+    """Whether rigidity proves z indecomposable: finite type, a positive root vector and Ext^1(z, z) = 0.
+
+    Over a Dynkin species every indecomposable is exceptional, and a rigid
+    object is fixed by its vector (Dlab-Ringel), so a rigid object whose
+    vector is a root is that root's indecomposable.  It costs one hom rank
+    phase, with no basis and no End algebra; infinite type is one verdict
+    held by the scenario.  A proved z is remembered in the node memo.
+    """
+    s = z.scenario
+    if s.roots is None or z.dimension_vector() not in s.roots or ext1(z, z).dim:
+        return False
+    s._nodes[z.data_key()] = CERTIFIED
+    return True
+
+
 def _split(w: TripleObject, maps: tuple | None, summands: list[Summand]) -> str:
     """`decompose`'s node: appends w's summands, returns their flag; maps = (w -> z, z -> w) for a piece.
-    The memo, then the support components, then the End basis.  Not a closure
-    over itself, so a decomposition holds no reference cycle and dies when dropped."""
+    The memo, then the support components, then the rigidity certificate, then the End basis.  Not a
+    closure over itself, so a decomposition holds no reference cycle and dies when dropped."""
     nodes, key = w.scenario._nodes, w.data_key()
     flag, pieces = nodes.get(key), None
     if flag is None:
         pieces = _support_split(w)
-        if pieces is None:
+        if pieces is None and certified_by_rigidity(w):
+            flag = CERTIFIED
+        elif pieces is None:
             e, flag = _split_or_leaf(w, _end_basis(w))
             pieces = None if e is None else _image_split(w, e)
     if pieces is None:
@@ -1519,17 +1545,23 @@ def decompose(z: TripleObject) -> Decomposition:
     z is indecomposable exactly when End(z) is local, and then no element
     gives a splitting idempotent (Fitting), so a proved-local End ends the
     search.  Each node is answered by the first that decides it:
-    - the memo: the scenario remembers each leaf it decides by `data_key()`
-      with its flag, and a known leaf is a summand with that flag;
+    - the memo: the scenario remembers by `data_key()` each leaf decided
+      here or proved by `certified_by_rigidity` (the root table's entries
+      included), with its flag, and a known leaf is a summand with that flag;
     - the support components (`_support_split`): a node whose eta joins its
       blocks into two or more components is their direct sum, read off its
       data with no elimination and each piece proved by one check of its
       projection, so a sum of decided objects gives known leaves;
-    - the End basis: End = Q . id is a certified leaf; else the `_end_basis`
-      elements are tried, then the End/rad field certificate (a commutative
-      End/rad with a primitive element of irreducible minimal polynomial),
-      then the pairwise sums and products, and the first candidate whose
-      minimal polynomial has coprime parts splits z by `_image_split`.
+    - the rigidity certificate (`certified_by_rigidity`): in finite type a
+      node with a positive root vector and Ext^1 = 0 is a certified leaf,
+      at the cost of one hom rank phase;
+    - the End basis, left to connected nodes that are not rigid roots and
+      to infinite type: End = Q . id is a certified leaf; else the
+      `_end_basis` elements are tried, then the End/rad field certificate (a
+      commutative End/rad with a primitive element of irreducible minimal
+      polynomial), then the pairwise sums and products, and the first
+      candidate whose minimal polynomial has coprime parts splits z by
+      `_image_split`.
     A node's maps to and from z pass down to its pieces, composed once per
     level.  The flag is "certified" when every leaf is certified, else
     "no-further-splitting-found".  Split nodes, failed splits and errors are

@@ -2,9 +2,11 @@
 
 A scenario is of finite representation type exactly when its valued graph
 is a Dynkin diagram; indecomposables are then indexed by positive roots,
-read as multiplicity vectors over the vertex division algebras.  Objects
-are built by sampling equivariant structure maps with small integer
-coordinates and certifying indecomposability by rigidity (Ext^1(z, z) = 0).
+read as multiplicity vectors over the vertex division algebras.  The roots
+are the scenario's own (`SpeciesScenario.roots`, enumerated once and held
+there).  Objects are built by sampling equivariant structure maps with small
+integer coordinates and certified by `extcat.certified_by_rigidity`, the
+rigidity certificate `decompose` also uses.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .extcat import TripleObject, ext1
+from .extcat import TripleObject, certified_by_rigidity, ext1
 from .samples import random_object_with
 from .species import (
     ScenarioError,
@@ -20,7 +22,6 @@ from .species import (
     cartan_matrix,
     dynkin_name,
     is_finite_type,
-    positive_roots,
     valued_graph,
 )
 
@@ -86,19 +87,22 @@ def classify(s: SpeciesScenario) -> Classification:
 
 
 def indecomposable_vectors(s: SpeciesScenario) -> tuple[tuple[int, ...], ...]:
-    """Dimension vectors of the indecomposables: the positive roots, enumerated once and held on s."""
-    if s._roots is None:
-        s._roots = tuple(positive_roots(cartan_matrix(valued_graph(s))))
-    return s._roots
+    """Dimension vectors of the indecomposables: the positive roots s holds; `ScenarioError` in infinite type."""
+    if s.roots is None:
+        raise ScenarioError("positive root enumeration requires finite type")
+    return s.roots
 
 
 def construct_indecomposable(s: SpeciesScenario, root: tuple[int, ...], seed: int) -> TripleObject:
     """An indecomposable object with the given dimension vector, certified by rigidity.
 
     Structure maps are sampled from the seeded generator with small integer
-    coordinates, and the first with Ext^1(z, z) = 0 is returned: in finite
-    type a rigid object whose vector is a positive root is that root's
-    indecomposable.  `ConstructionError` carries each rejection's dim Ext^1.
+    coordinates, and the first that `certified_by_rigidity` proves is
+    returned: in finite type a rigid object whose vector is a positive root
+    is that root's indecomposable.  The certificate remembers it in the
+    scenario's node memo, so `decompose` answers it, or a sum's piece with
+    its data, with no elimination.  `ConstructionError` carries each
+    rejection's dim Ext^1.
     """
     if tuple(root) not in indecomposable_vectors(s):
         raise ScenarioError(f"{root} is not a positive root of scenario {s.name!r}")
@@ -107,10 +111,9 @@ def construct_indecomposable(s: SpeciesScenario, root: tuple[int, ...], seed: in
     attempts: list[str] = []
     for attempt in range(_SAMPLES):
         z = random_object_with(s, mult, rng, eta_bound=3)
-        dim = ext1(z, z).dim
-        if not dim:
+        if certified_by_rigidity(z):
             return z
-        attempts.append(f"attempt {attempt}: dim Ext^1(z, z) = {dim}")
+        attempts.append(f"attempt {attempt}: dim Ext^1(z, z) = {ext1(z, z).dim}")  # the slot the certificate left
     raise ConstructionError(
         f"no rigid object with vector {root} found in {_SAMPLES} samples", attempts)
 

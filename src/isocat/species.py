@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -239,8 +240,7 @@ class SpeciesScenario:
         self.y_ids = [v for v, _ in self.y_vertices]
         self._handles = dict(self.x_vertices + self.y_vertices)
         self._canonical_fspaces: dict = {}  # extcat's shared F spaces of canonical Y, by y multiplicities
-        self._nodes: dict = {}  # extcat.decompose's leaves: data_key() -> flag
-        self._roots: Optional[tuple] = None  # reptype's positive roots, enumerated on first use
+        self._nodes: dict = {}  # leaves proved by extcat's decompose or rigidity certificate: data_key() -> flag
         self._validate()
 
     def _validate(self) -> None:
@@ -258,6 +258,12 @@ class SpeciesScenario:
 
     def vertex_order(self) -> list[str]:
         return self.x_ids + self.y_ids
+
+    @cached_property
+    def roots(self) -> Optional[tuple[tuple[int, ...], ...]]:
+        """The positive roots in vertex order, enumerated on first read and kept; None in infinite type."""
+        r = cartan_matrix(valued_graph(self))
+        return tuple(positive_roots(r)) if is_finite_type(r) else None
 
 
 # ======================================================================

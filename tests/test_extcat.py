@@ -2085,7 +2085,7 @@ def test_the_first_class_read_at_multiplicity_twelve_eliminates_nothing_larger_t
     assert res.dim == 0 and sizes == [36]
     sizes.clear()
     assert res.basis == [] and res.projection == RatMatrix.zeros(0, nrows)
-    assert sizes and max(sizes) <= 36
+    assert sizes == []  # no block has left-null rows, so P is read off L, and L has no rows to eliminate
 
 
 def test_cold_ext1_checks_hom_s_rank_on_the_first_class_read(monkeypatch):
@@ -2146,14 +2146,16 @@ def test_ext1_of_a_pair_ignores_a_hom_of_another_target_that_overwrites_the_slot
 
 def test_decompose_between_hom_and_ext1_keeps_the_pair_psi(monkeypatch):
     # decompose's End basis builds its own psi and leaves the pair slot alone,
-    # so ext1 still reads Ext^1 = 0 off hom's proof that psi is onto
+    # so ext1 still reads Ext^1 = 0 off hom's proof that psi is onto.  The
+    # object's vector (2, 2, 2, 2) is not a root, so its End basis is read;
+    # its (1, 1, 1, 1) pieces are rigid roots, each ranked by its own ext1
     counts, end_bases = count_class_solves_and_eliminations(monkeypatch), count_end_basis_calls(monkeypatch)
     _, (a, b), _, _, _, _ = (p for p, _ in shared_psi_pairs())
     s = a.scenario
     hom(a, b)
     s._nodes.clear()
     counts.update(classes=0, elim=0)
-    assert decompose(random_object_with(s, {v: 1 for v in s.vertex_order()}, random.Random(5))).summands
+    assert decompose(random_object_with(s, {v: 2 for v in s.vertex_order()}, random.Random(5))).summands
     assert end_bases and counts["elim"]
     counts.update(classes=0, elim=0)
     assert ext1(a, b).dim == 0 and counts == {"classes": 0, "elim": 0}
@@ -3132,7 +3134,9 @@ def test_decompose_reads_no_end_basis_for_a_sum_of_decided_objects(monkeypatch):
 
 def test_decompose_stops_searching_at_a_proved_local_end(monkeypatch):
     # End = Q needs no candidate and no End algebra; a certified leaf with
-    # dim End = n tries at most its n basis elements before the certificate
+    # dim End = n tries at most its n basis elements before the certificate.
+    # In finite type decompose certifies these leaves by rigidity, so the End
+    # path is called on each object directly
     counts = {"_int_min_poly_matrix": 0, "end_algebra": 0}
 
     def counted(name):
@@ -3152,9 +3156,8 @@ def test_decompose_stops_searching_at_a_proved_local_end(monkeypatch):
             n = len(hom(z, z))
             for key in counts:
                 counts[key] = 0
-            z.scenario._nodes.clear()  # observe a fresh decomposition, not the node memo
-            dec = decompose(z)
-            if len(dec.summands) != 1 or dec.flag != extcat.CERTIFIED:
+            e, flag = extcat._split_or_leaf(z, extcat._end_basis(z))
+            if e is not None or flag != extcat.CERTIFIED:
                 continue
             if n == 1:
                 assert counts == {"_int_min_poly_matrix": 0, "end_algebra": 0}
@@ -3165,8 +3168,10 @@ def test_decompose_stops_searching_at_a_proved_local_end(monkeypatch):
 
 
 def test_decompose_checks_a_one_dimensional_end_is_the_scalars(monkeypatch):
-    # each decompose starts from an empty node memo, so that it reads its End basis
-    z = simple_y_object(catalog_scenario("a2"), "a1")
+    # each decompose starts from an empty node memo, so that it reads its End
+    # basis; the scenario is of infinite type, so no rigidity certificate decides z
+    z = simple_y_object(catalog_scenario("two_surfaces"), "a1")
+    assert z.scenario.roots is None
     assert decompose(z).flag == extcat.CERTIFIED
     twice = hom(z, z)[0].scale(2)
     monkeypatch.setattr(extcat, "_end_basis", lambda a: [twice])
@@ -3215,11 +3220,12 @@ def test_decompose_remembers_leaves_and_not_split_nodes(monkeypatch):
     assert calls == []
     again = copy_over(s, z)
     assert decomposition_key(decompose(again)) == decomposition_key(dec) and calls == [again]
-    # the same data over a second instance of the scenario is decomposed afresh
+    # the same data over a second instance of the scenario is decomposed
+    # afresh: z through its End basis, and its pieces, rigid roots, by rigidity
     s2 = catalog_scenario("c3_surface")
     assert s2._nodes == {}
     fresh = decompose(copy_over(s2, z))
-    assert len(calls) == 1 + 1 + len(dec.summands) and decomposition_key(fresh) == decomposition_key(dec)
+    assert len(calls) == 1 + 1 and decomposition_key(fresh) == decomposition_key(dec)
     assert s2._nodes == s._nodes
 
 
@@ -3293,17 +3299,70 @@ def test_decompose_builds_only_the_end_basis_elements_it_reads(monkeypatch):
 
     monkeypatch.setattr(extcat, "_end_basis", counted_end_basis)
     monkeypatch.setattr(extcat, "_back_solver", counted_back_solver)
-    # a split node whose first candidate splits, then two leaves with End = Q
+    # a split node whose first candidate splits; its two leaves are rigid
+    # roots, certified with no End basis
     s = catalog_scenario("c3_surface")
     dec = decompose(random_object_with(s, {"u": 2, "a1": 1, "a2": 2}, random.Random(8)))
     assert len(dec.summands) == 2 and dec.flag == extcat.CERTIFIED
-    assert [(n, len(cols)) for n, cols in nodes] == [(3, 1), (1, 1), (1, 1)]
+    assert [(n, len(cols)) for n, cols in nodes] == [(3, 1)]
     # a leaf with no splitting found reads every element, each built once
     nodes.clear()
     z = quaternion_simple()
     assert decompose(z).flag == extcat.NO_FURTHER
     [(n, cols)] = nodes
     assert n == len(hom(z, z)) > 1 and len(cols) == len(set(cols)) == n
+
+
+def test_the_rigidity_certificate_changes_no_decomposition_on_the_finite_sweep(monkeypatch):
+    # a leaf certified by rigidity is the leaf the End path proves: the same
+    # flag, summands, inclusions and projections on every finite-type sweep
+    # object as with the certificate off and a fresh node memo
+    objs, verdicts = all_sweep_objects()[:546], []
+    real = extcat.certified_by_rigidity
+
+    def counted(z):
+        verdicts.append(real(z))
+        return verdicts[-1]
+
+    monkeypatch.setattr(extcat, "certified_by_rigidity", counted)
+    got = [decomposition_key(decompose(z)) for z in objs]
+    assert (sum(verdicts), len(verdicts)) == (328, 733)  # leaves proved, of the connected nodes offered
+    for s in {z.scenario for z in objs}:
+        s._nodes.clear()
+    monkeypatch.setattr(extcat, "certified_by_rigidity", lambda z: False)
+    assert [decomposition_key(decompose(z)) for z in objs] == got
+
+
+def test_a_connected_root_vector_object_with_self_extensions_splits_through_its_end_basis(monkeypatch):
+    # (2, 1, 1, 1) is a root of D4 but this object has Ext^1(z, z) = 1, so the
+    # certificate refuses it and the End path splits it
+    s = catalog_scenario("d4_elliptic")
+    z = canonical_object(s, {"u": 2, "a1": 1, "a2": 1, "a3": 1},
+                         {"u": RatMatrix.from_rows([[1, 1, 1], [1, 1, 0]])})
+    assert z.dimension_vector() == (2, 1, 1, 1) and z.dimension_vector() in s.roots
+    assert extcat._support_split(z) is None and ext1(z, z).dim == 1
+    assert not extcat.certified_by_rigidity(z) and s._nodes == {}
+    calls = count_end_basis_calls(monkeypatch)
+    dec = decompose(z)
+    assert calls[0] is z and dec.flag == extcat.CERTIFIED
+    assert sorted(sm.object.dimension_vector() for sm in dec.summands) == [(1, 0, 0, 1), (1, 1, 1, 0)]
+
+
+def test_a_quaternion_simple_in_finite_type_is_certified_by_rigidity(monkeypatch):
+    # End = H is a division algebra, so the simple is indecomposable; the End
+    # path cannot prove it (H is not commutative), but in finite type its
+    # root vector and Ext^1 = 0 do.  Over the affine graph it stays unproved
+    quat, q = quaternions_from_i(), rationals()
+    s = SpeciesScenario("quat_points", [("u", quat)], [("a", q)], {})
+    z = simple_x_object(s, "u")
+    assert s.roots == ((0, 1), (1, 0))
+    assert extcat._split_or_leaf(z, extcat._end_basis(z)) == (None, extcat.NO_FURTHER)
+    calls = count_end_basis_calls(monkeypatch)
+    assert decompose(z).flag == extcat.CERTIFIED and calls == []
+    assert s._nodes == {z.data_key(): extcat.CERTIFIED}
+    affine = quaternion_simple()
+    assert affine.scenario.roots is None
+    assert decompose(affine).flag == extcat.NO_FURTHER and calls == [affine]
 
 
 def test_abelian_ops_rejects_a_map_that_is_not_a_morphism():

@@ -1,10 +1,13 @@
 """Tests for classification and construction of indecomposables."""
 
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
+import isocat.extcat as extcat
 from isocat import reptype
 from isocat.catalog import CATALOG_IDS, FINITE_TYPE_IDS, catalog_scenario
 from isocat.exactalg import AlgebraSpec, Polynomial, radical
@@ -221,8 +224,9 @@ def test_construction_rejects_a_sample_that_is_not_rigid(monkeypatch):
 
 
 def test_root_tables_all_finite_scenarios():
-    # a rigid construction is certified indecomposable by `decompose`, which
-    # shares no code with the Ext^1 rank that selected it
+    # a rigid construction is certified indecomposable by decompose's End
+    # path, which shares no code with the Ext^1 rank that selected it;
+    # decompose itself answers each entry from the leaf the construction left
     for name in FINITE_TYPE_IDS:
         s = catalog_scenario(name)
         table = build_root_table(s, seed=11)
@@ -230,6 +234,8 @@ def test_root_tables_all_finite_scenarios():
         assert len(vecs) == len(set(vecs)) == len(indecomposable_vectors(s))
         assert all(e.certified for e in table.entries)
         for e in table.entries:
+            assert s._nodes[e.object.data_key()] == CERTIFIED
+            assert extcat._split_or_leaf(e.object, extcat._end_basis(e.object)) == (None, CERTIFIED), (name, e.root)
             dec = decompose(e.object)
             assert len(dec.summands) == 1 and dec.flag == CERTIFIED, (name, e.root)
 
@@ -358,3 +364,84 @@ def test_certified_decompositions_match_the_form_only_oracles():
                 assert sorted(sm.object.dimension_vector() for sm in dec.summands) == predicted, name
                 compared += 1
     assert rigid == 130 and compared >= 138  # of 140 objects
+
+
+# Coxeter number h and Weyl group order |W| of each Dynkin type of rank n; B stands for B and C
+COXETER = {
+    "A": lambda n: (n + 1, math.factorial(n + 1)),
+    "B": lambda n: (2 * n, 2 ** n * math.factorial(n)),
+    "D": lambda n: (2 * n - 2, 2 ** (n - 1) * math.factorial(n)),
+    "G": lambda n: (6, 12),
+}
+
+
+def dynkin_letter(s):
+    """The type letter of a connected Dynkin scenario, read off its bimodule and algebra dimensions.
+
+    An edge (x, y) has weight d_xy . d_yx = (dim M / dim D_x)(dim M / dim D_y):
+    1 single, 2 double, 3 triple.  The graph must be a tree, and only the
+    shapes A, B/C, D and G2 are named.
+    """
+    verts = s.vertex_order()
+    edges = [(x, y, (bm.dim // s.algebra(x).dim) * (bm.dim // s.algebra(y).dim)) for (x, y), bm in s.bimodules.items()]
+    reached, todo = {verts[0]}, [verts[0]]
+    while todo:
+        v = todo.pop()
+        for x, y, _ in edges:
+            for a, b in ((x, y), (y, x)):
+                if a == v and b not in reached:
+                    reached.add(b)
+                    todo.append(b)
+    assert len(edges) == len(verts) - 1 and reached == set(verts), s.name  # a tree
+    degree, heavy = Counter(v for x, y, _ in edges for v in (x, y)), [e for e in edges if e[2] > 1]
+    if not heavy:
+        branch = [v for v in verts if degree[v] > 2]
+        if not branch:
+            return "A"
+        [b] = branch
+        legs = [y if x == b else x for x, y, _ in edges if b in (x, y)]
+        assert degree[b] == 3 and sum(degree[v] == 1 for v in legs) >= 2, s.name
+        return "D"
+    [(x, y, w)] = heavy
+    assert max(degree.values()) <= 2, s.name
+    if w == 3:
+        assert len(verts) == 2, s.name
+        return "G"
+    assert w == 2 and min(degree[x], degree[y]) == 1, s.name  # the double edge ends the path: not F4
+    return "B"
+
+
+def complete_exceptional_sequences(dims, n):
+    """The number of exceptional sequences of length n among exceptional objects E_0..E_N-1, from
+    dims[i][j] = (dim Hom(E_i, E_j), dim Ext^1(E_i, E_j)): each E_j has Hom = Ext^1 = 0 into every E_i before it."""
+    def extend(seq):
+        if len(seq) == n:
+            return 1
+        return sum(extend(seq + [j]) for j in range(len(dims)) if not any(any(dims[j][i]) for i in seq))
+    return extend([])
+
+
+def test_complete_exceptional_sequences_number_n_factorial_h_to_the_n_over_the_weyl_group():
+    # over a Dynkin species every indecomposable is exceptional, and the
+    # complete exceptional sequences number n! h^n / |W| (Obaid, Nauman, Al
+    # Shammakh, Fakieh and Ringel, Colloq. Math. 133, 2013): the type alone
+    # gives it, and the count reads only the engine's hom and ext1 dims.  In a
+    # hereditary category an exceptional pair (E, F) has Hom(E, F) = 0 or
+    # Ext^1(E, F) = 0 (Ringel 1994)
+    counts, pairs = {}, 0
+    for name in FINITE_TYPE_IDS:
+        s = catalog_scenario(name)
+        objs = [e.object for e in build_root_table(s, 2026).entries]
+        dims = [[(len(hom(a, b)), ext1(a, b).dim) for b in objs] for a in objs]
+        assert all(h and not e for h, e in (dims[i][i] for i in range(len(objs)))), name
+        n = len(s.vertex_order())
+        counts[name] = complete_exceptional_sequences(dims, n)
+        h, w = COXETER[dynkin_letter(s)](n)
+        assert counts[name] == math.factorial(n) * h ** n // w, name
+        for i, j in itertools.permutations(range(len(objs)), 2):
+            if not any(dims[j][i]):  # (E_i, E_j) is an exceptional pair
+                assert not all(dims[i][j]), (name, i, j)
+                pairs += 1
+    assert counts == {"a2": 3, "a3": 16, "b2_dual": 4, "c2": 4, "c3_surface": 27, "d4_elliptic": 162,
+                      "g2_threefold": 6}
+    assert pairs == 123
