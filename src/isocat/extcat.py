@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -401,7 +402,7 @@ class TripleMorphism:
 
     source: TripleObject
     target: TripleObject
-    maps: dict[str, RatMatrix]
+    maps: Mapping[str, RatMatrix]
 
     u = property(lambda self: {x: self.maps[x] for x in self.source.scenario.x_ids})
     v = property(lambda self: {y: self.maps[y] for y in self.source.scenario.y_ids})
@@ -696,7 +697,7 @@ def _w_echelon(w: tuple, ident: bool) -> tuple[list[int], list[dict[int, int]], 
 
 def hom(z: TripleObject, z2: TripleObject) -> Sequence[TripleMorphism]:
     """Basis of the space of morphisms z -> z2, built as read: `_hom`'s, which also keeps dim Ext^1 for `ext1`."""
-    return _hom(z, z2)[0]
+    return _hom(z, z2)[0]()
 
 
 def _column_den(z: TripleObject, z2: TripleObject, bases: dict[str, Terms]) -> int:
@@ -705,8 +706,9 @@ def _column_den(z: TripleObject, z2: TripleObject, bases: dict[str, Terms]) -> i
     return lcm(*[d * (z.eta[w].den if w in z.eta else big) for w, (_, d) in bases.items()])
 
 
-def _hom(z: TripleObject, z2: TripleObject) -> tuple[Sequence[TripleMorphism], int, Callable[[], tuple]]:
-    """(basis of Hom(z, z2), dim Ext^1, classes): psi's kernel from its Y-side blocks, built as read; nrows - rank.
+def _hom(z: TripleObject, z2: TripleObject) -> tuple[Callable[[], Sequence[TripleMorphism]], int,
+                                                      Callable[[], tuple]]:
+    """(basis of Hom(z, z2) on call, dim Ext^1, classes): psi's kernel from its Y-side blocks; nrows - rank.
 
     psi's columns go right to left, the v columns first: eliminating the u
     block I (x) eta^T first would build Schur-complement rows from minors of
@@ -730,15 +732,15 @@ def _hom(z: TripleObject, z2: TripleObject) -> tuple[Sequence[TripleMorphism], i
     order and P = K, F at L's free columns, with no more elimination: by
     matroid duality the columns left free left to right are the ones K's
     rows end at.  It raises `InternalConsistencyError` unless P . psi = 0.
-    An empty psi is the identity, and so is P.
+    An empty psi is the identity, and so is P.  The basis comes as a maker
+    that `hom` calls, so a cold `ext1`, which reads the dim and the classes
+    alone, builds no basis sequence and no morphism table.
     """
     su, sv, nrows = hom_space_dims(z, z2)
     nu, ncols = su, su + sv
     if not (nrows and ncols):  # every column is free: the identity, with no elimination
         z._ext1 = (weakref.ref(z2), nrows)
-        unit = _kernel_morphism(z, z2, None)
-        return (_OnDemand(ncols, lambda k: unit([0] * k + [1] + [0] * (ncols - 1 - k), 1)), nrows,
-                lambda: (list(range(nrows)), RatMatrix.identity(nrows)))
+        return lambda: _unit_basis(z, z2, ncols), nrows, lambda: (list(range(nrows)), RatMatrix.identity(nrows))
     s, (bases, fbases) = z.scenario, _bases(z, z2)
     den = _column_den(z, z2, bases)
     uparts = [(x, bases[x][0], den // bases[x][1]) for x in s.x_ids]  # psi's u columns over den, built when needed
@@ -810,8 +812,17 @@ def _hom(z: TripleObject, z2: TripleObject) -> tuple[Sequence[TripleMorphism], i
         if any(_row_sum(((r, x) for r, x in enumerate(row) if x), psi) for row in proj.num):  # P . psi, row by row
             raise InternalConsistencyError("Ext^1's projection does not kill psi")
         return free, proj
-    morphism = _kernel_morphism(z, z2, bases)
-    return _OnDemand(ncols - rank, lambda k: morphism(*vector(k))), nrows - rank, classes
+
+    def basis_of_hom() -> _OnDemand:
+        morphism = _kernel_morphism(z, z2, bases)
+        return _OnDemand(ncols - rank, lambda k: morphism(*vector(k)))
+    return basis_of_hom, nrows - rank, classes
+
+
+def _unit_basis(z: TripleObject, z2: TripleObject, n: int) -> _OnDemand:
+    """Hom(z, z2) for an empty psi: the identity on its n columns, each element built as read."""
+    unit = _kernel_morphism(z, z2, None)
+    return _OnDemand(n, lambda k: unit([0] * k + [1] + [0] * (n - 1 - k), 1))
 
 
 def _by_row(cols: Iterable[Iterable[tuple[int, int]]]) -> dict[int, dict[int, int]]:
@@ -1289,6 +1300,13 @@ NO_FURTHER = "no-further-splitting-found"
 
 @dataclass
 class Summand:
+    """One indecomposable summand with its inclusion into and projection out of the decomposed object.
+
+    A summand split off by support alone has unit maps, each vertex's
+    matrix written when it is first read (`_UnitMaps`); a summand below an
+    End split has its maps composed on the way down.
+    """
+
     object: TripleObject
     inclusion: TripleMorphism
     projection: TripleMorphism
@@ -1336,9 +1354,11 @@ def _support_split(z: TripleObject):
     any other nonzero part is one node.  eta_x's nonzero entries join their
     row's block to the block of Y_y coordinate (column - offsets[y]) mod
     dim Y_y.  A piece has canonical parts of its block counts and eta's
-    sub-grid at its rows and F columns; its maps are unit columns and unit
-    rows.  Each projection is checked: together they make z -> (+) pieces an
-    isomorphism at every vertex, so each inclusion is a morphism too.
+    sub-grid at its rows and F columns.  Each piece is proved by one
+    `_prove_projection` of its unit rows, by selection on z's integer rows
+    with no matrix built: together the projections make z -> (+) pieces an
+    isomorphism at every vertex, so each inclusion is a morphism too.  The
+    maps are `_UnitMaps`, unit columns and unit rows written on first read.
     """
     s, node, n = z.scenario, {}, 0  # node[v]: the node of each coordinate of z.parts[v]
     for v, vs in z.parts.items():
@@ -1360,16 +1380,91 @@ def _support_split(z: TripleObject):
     label = [comps.setdefault(find(a), len(comps)) for a in range(n)]
     if len(comps) < 2:
         return None
+    ats, fcols = [{v: [] for v in node} for _ in comps], [{x: [] for x in s.x_ids} for _ in comps]
+    for groups, by in ((ats, node), (fcols, col_node)):  # each coordinate, each F column, to its piece
+        for v, nodes in by.items():
+            for c, a in enumerate(nodes):
+                groups[label[a]][v].append(c)
     pieces = []
-    for k in range(len(comps)):
-        at = {v: [c for c, a in enumerate(nodes) if label[a] == k] for v, nodes in node.items()}
+    for at, cols in zip(ats, fcols):
         parts = {v: vs if not _shared(s.algebra(v).spec, vs) and at[v]
                  else canonical_space(s.algebra(v), len(at[v]) // s.algebra(v).dim) for v, vs in z.parts.items()}
-        eta = {x: z.eta[x].submatrix(at[x], [c for c, a in enumerate(col_node[x]) if label[a] == k]) for x in s.x_ids}
+        eta = {x: z.eta[x].submatrix(at[x], cols[x]) for x in s.x_ids}
         w = TripleObject._with_fspaces(s, parts, eta, _build_fspaces(s, parts))
-        pieces.append((w, TripleMorphism(w, z, {v: _unit_columns(vs.dim, at[v]) for v, vs in z.parts.items()}),
-                       _checked(TripleMorphism(z, w, {v: _unit_rows(vs.dim, at[v]) for v, vs in z.parts.items()}))))
+        _prove_projection(z, w, at)
+        pieces.append((w, TripleMorphism(w, z, _UnitMaps(z.parts, at, _unit_columns)),
+                       TripleMorphism(z, w, _UnitMaps(z.parts, at, _unit_rows))))
     return pieces
+
+
+def _prove_projection(z: TripleObject, w: TripleObject, at: dict[str, list[int]]) -> None:
+    """Raise `InternalConsistencyError` unless p, the unit rows at at[v] at every vertex v, is a morphism z -> w.
+
+    As strong as `TripleMorphism.check` of p, with no matrix built: whole
+    integer rows are compared over a common denominator.  Over a field
+    larger than Q, p . m_z is m_z's rows at at[v] and m_w . p is m_w placed
+    at columns at[v], for every algebra basis element.  At each x, p . eta_z
+    is eta_z's rows at at[x], and eta_w . F(p) is eta_w with the column of
+    its slot i and Y_y coordinate j placed at z's F column
+    offsets[y] + i . dim Y_y + at[y][j], as F(p) = I_r (x) p_y.
+    """
+    s = z.scenario
+    for v, vs in z.parts.items():
+        if len(at[v]) != w.parts[v].dim:
+            raise InternalConsistencyError(f"retract map is not a morphism: p at {v!r} has the wrong shape")
+        if s.algebra(v).dim > 1:
+            src = [len(at[v])] * vs.dim  # z's column c holds w's column src[c]; past w's last column, 0
+            for j, c in enumerate(at[v]):
+                src[c] = j
+            if not all(_placed_rows_agree(mz, at[v], mw, src) for mz, mw in zip(vs.action, w.parts[v].action)):
+                raise InternalConsistencyError(f"retract map is not a morphism: p at {v!r} not equivariant")
+    for x in s.x_ids:
+        zf, wf = z.f[x], w.f[x]
+        src = [wf.dim] * zf.dim
+        for y, off in wf.offsets.items():
+            zoff, n1, n2 = zf.offsets[y], z.parts[y].dim, w.parts[y].dim
+            for i in range(s.bimodules[(x, y)].rank_over_right):
+                for j, c in enumerate(at[y]):
+                    src[zoff + i * n1 + c] = off + i * n2 + j
+        if not _placed_rows_agree(z.eta[x], at[x], w.eta[x], src):
+            raise InternalConsistencyError(f"retract map is not a morphism: eta square does not commute at {x!r}")
+
+
+def _placed_rows_agree(zm: RatMatrix, rows: list[int], wm: RatMatrix, src: list[int]) -> bool:
+    """Whether row rows[k] of zm equals row k of wm placed by src: src[c] is the wm column placed at zm's
+    column c, or wm.cols where that column is 0.  Whole integer rows over lcm(zm.den, wm.den), by `==`."""
+    d = lcm(zm.den, wm.den)
+    a, b = d // zm.den, d // wm.den
+    for r, wrow in zip(rows, wm.num):
+        placed, zrow = list(map((wrow + [0]).__getitem__, src)), zm.num[r]
+        if placed != zrow if a == b == 1 else [a * e for e in zrow] != [b * e for e in placed]:
+            return False
+    return True
+
+
+class _UnitMaps(Mapping):
+    """A unit inclusion's or projection's maps: unit(dim of parts[v], at[v]) at each vertex v, written on first read.
+
+    It holds parts and at, and no object, so a decomposition that holds it has no reference cycle.
+    """
+
+    __slots__ = ("_parts", "_at", "_unit", "_built")
+
+    def __init__(self, parts: dict[str, VertexSpace], at: dict[str, list[int]],
+                 unit: Callable[[int, Sequence[int]], RatMatrix]) -> None:
+        self._parts, self._at, self._unit, self._built = parts, at, unit, {}
+
+    def __getitem__(self, v: str) -> RatMatrix:
+        m = self._built.get(v)
+        if m is None:
+            m = self._built[v] = self._unit(self._parts[v].dim, self._at[v])
+        return m
+
+    def __iter__(self):
+        return iter(self._parts)
+
+    def __len__(self) -> int:
+        return len(self._parts)
 
 
 def _combinations(end_basis: Sequence[TripleMorphism]):
@@ -1550,8 +1645,10 @@ def decompose(z: TripleObject) -> Decomposition:
       included), with its flag, and a known leaf is a summand with that flag;
     - the support components (`_support_split`): a node whose eta joins its
       blocks into two or more components is their direct sum, read off its
-      data with no elimination and each piece proved by one check of its
-      projection, so a sum of decided objects gives known leaves;
+      data with no elimination, each piece proved by one selection on the
+      integer rows of its unit projection (`_prove_projection`), so a sum of
+      decided objects gives known leaves, and its unit maps written per
+      vertex when first read;
     - the rigidity certificate (`certified_by_rigidity`): in finite type a
       node with a positive root vector and Ext^1 = 0 is a certified leaf,
       at the cost of one hom rank phase;

@@ -3023,20 +3023,57 @@ def support_components(z):
     return sorted(tuple(labels[v].count(k) // z.scenario.algebra(v).dim for v in z.parts) for k in range(count))
 
 
+def label_at(labels, k):
+    """The coordinates of component k at each vertex, from `support_labels`."""
+    return {v: [c for c, label in enumerate(ks) if label == k] for v, ks in labels.items()}
+
+
+def selected_piece(z, at):
+    """The object on z's coordinates at[v], as `_support_split` first built its pieces: the shared canonical
+    space of each part's block count (a part that is not shared kept whole), and eta through `_eta_f`."""
+    s = z.scenario
+    parts = {v: vs if not extcat._shared(s.algebra(v).spec, vs) and at[v]
+             else canonical_space(s.algebra(v), len(at[v]) // s.algebra(v).dim) for v, vs in z.parts.items()}
+    fsp = _build_fspaces(s, parts)
+    eta = {x: extcat._sandwich(at[x], extcat._eta_f(z, x, at, fsp)) for x in s.x_ids}
+    return TripleObject._with_fspaces(s, parts, eta, fsp)
+
+
 def identity_frame_pieces(z, labels):
     """z's support pieces built as `_support_split` first built them: eta through `_eta_f`,
     inclusions the identity's columns, projections their transposes."""
-    s, pieces = z.scenario, []
+    pieces = []
     for k in range(1 + max(k for ks in labels.values() for k in ks)):
-        at = {v: [c for c, label in enumerate(labels[v]) if label == k] for v in z.parts}
-        parts = {v: vs if not extcat._shared(s.algebra(v).spec, vs) and at[v]
-                 else canonical_space(s.algebra(v), len(at[v]) // s.algebra(v).dim) for v, vs in z.parts.items()}
-        fsp = _build_fspaces(s, parts)
-        eta = {x: extcat._sandwich(at[x], extcat._eta_f(z, x, at, fsp)) for x in s.x_ids}
+        at = label_at(labels, k)
         inc = {v: RatMatrix.identity(vs.dim).submatrix(range(vs.dim), at[v]) for v, vs in z.parts.items()}
-        w = TripleObject._with_fspaces(s, parts, eta, fsp)
+        w = selected_piece(z, at)
         pieces.append((w, TripleMorphism(w, z, inc), TripleMorphism(z, w, {v: m.transpose() for v, m in inc.items()})))
     return pieces
+
+
+def row_proof_error(z, w, at):
+    """`_prove_projection`'s refusal of the unit rows at at as a map z -> w, or None."""
+    try:
+        extcat._prove_projection(z, w, at)
+    except extcat.InternalConsistencyError as err:
+        return str(err)
+    return None
+
+
+def unit_projection(z, w, at):
+    """The unit rows at at as a `TripleMorphism` z -> w, built from identity matrices."""
+    return TripleMorphism(z, w, {v: RatMatrix.identity(vs.dim).submatrix(at[v], range(vs.dim))
+                                 for v, vs in z.parts.items()})
+
+
+def sweep_support_pieces():
+    """(z, piece, at) for every support piece of every split sweep object, at from `support_labels`."""
+    out = []
+    for z in filter(TripleObject.total_dim, all_sweep_objects()):
+        pieces = extcat._support_split(z)
+        labels = support_labels(z)
+        out += [(z, w, label_at(labels, k)) for k, (w, _, _) in enumerate(pieces or ())]
+    return out
 
 
 def support_split_objects():
@@ -3096,6 +3133,48 @@ def test_support_split_pieces_equal_the_identity_frame_construction():
     assert split == 289 + 9 + 1
 
 
+def test_the_row_proof_agrees_with_check_on_every_support_piece_of_the_sweep():
+    # each piece's projection, the unit rows at its coordinates, is accepted
+    # by the row proof and by `TripleMorphism.check` of its matrices alike
+    found = sweep_support_pieces()
+    for z, w, at in found:
+        assert row_proof_error(z, w, at) is None
+        assert unit_projection(z, w, at).check() is None
+    assert len(found) == 804 and len({id(z) for z, _, _ in found}) == 289
+
+
+def test_the_row_proof_refuses_a_changed_entry_a_cut_component_and_a_changed_action():
+    # one eta entry of a piece changed, a component cut into its x half (its
+    # y coordinates left out), or a part over a field larger than Q acting
+    # in another frame: the unit rows are then no morphism, and the row
+    # proof and `check` both say so
+    seen = Counter()
+    for z, w, at in sweep_support_pieces():
+        s = z.scenario
+        for x in s.x_ids:
+            if w.eta[x].rows and w.eta[x].cols:
+                num = [list(row) for row in w.eta[x].num]
+                num[0][0] += 1
+                bad = TripleObject._with_fspaces(s, w.parts, {**w.eta, x: RatMatrix(len(num), len(num[0]), num,
+                                                                                     w.eta[x].den)}, w.f)
+                assert "eta square" in row_proof_error(z, bad, at)
+                assert "eta square" in unit_projection(z, bad, at).check()
+                seen["entry"] += 1
+        if not all(w.eta[x].is_zero() for x in s.x_ids):  # the piece joins x and y coordinates
+            half = {v: at[v] if v in s.x_ids else [] for v in z.parts}
+            cut = selected_piece(z, half)
+            assert "eta square" in row_proof_error(z, cut, half)
+            assert "eta square" in unit_projection(z, cut, half).check()
+            seen["cut"] += 1
+        v = next((v for v, vs in w.parts.items() if vs.dim and s.algebra(v).dim > 1), None)
+        if v is not None:
+            other = TripleObject._with_fspaces(s, {**w.parts, v: conjugated_space(w.parts[v])}, w.eta, w.f)
+            assert "not equivariant" in row_proof_error(z, other, at)
+            assert "not equivariant" in unit_projection(z, other, at).check()
+            seen["action"] += 1
+    assert seen == {"entry": 118, "cut": 117, "action": 209}
+
+
 def test_decompose_agrees_with_the_generic_path_on_the_sweep():
     # flags and summand vectors equal those of decompose with no support
     # step, which splits every node through its End basis
@@ -3120,15 +3199,32 @@ def test_decompose_reads_no_end_basis_for_a_sum_of_decided_objects(monkeypatch):
             assert decompose(z).flag == extcat.CERTIFIED
         picks = [table[i] for i in (len(table) - 1, 0, len(table) // 2, 0)]
         total, incs, projs = direct_sum_many(picks)
-        calls, checked, check = count_end_basis_calls(monkeypatch), [], TripleMorphism.check
-        monkeypatch.setattr(TripleMorphism, "check", lambda m: checked.append(m) or check(m))
+        calls, checked, proved, units = count_end_basis_calls(monkeypatch), [], [], []
+        monkeypatch.setattr(TripleMorphism, "check", lambda m: checked.append(m))
+        prove, unit_rows, unit_columns = extcat._prove_projection, extcat._unit_rows, extcat._unit_columns
+        monkeypatch.setattr(extcat, "_prove_projection", lambda z, w, at: proved.append(z) or prove(z, w, at))
+        for fn, unit in (("_unit_rows", unit_rows), ("_unit_columns", unit_columns)):
+            monkeypatch.setattr(extcat, fn, lambda n, at, unit=unit: units.append(n) or unit(n, at))
         dec = decompose(total)
         assert calls == [] and dec.flag == extcat.CERTIFIED
-        # one check per piece, of its projection out of the sum; none of the
-        # sum's own inclusions or projections is built
-        assert len(checked) == len(picks) and all(m.source is total for m in checked)
+        # one row proof per piece, of its projection out of the sum, and no
+        # check; none of the sum's own inclusions or projections is built,
+        # and no unit matrix of a summand's maps until it is read
+        assert proved == [total] * len(picks) and checked == []
         assert incs._items == projs._items == [None] * len(picks)
+        assert units == []
         assert sorted(sm.object.data_key() for sm in dec.summands) == sorted(z.data_key() for z in picks)
+        # reading a map writes its unit matrix at that vertex alone, and it is
+        # the unit columns (rows) at the summand's coordinates in the sum
+        sm = dec.summands[0]
+        v = next(v for v, vs in sm.object.parts.items() if vs.dim)
+        n = total.parts[v].dim
+        inc, proj = sm.inclusion.maps[v], sm.projection.maps[v]
+        assert units == [n, n]
+        at = [r for r, row in enumerate(inc.num) if any(row)]
+        assert len(at) == sm.object.parts[v].dim
+        assert inc == unit_columns(n, at) and proj == unit_rows(n, at)
+        assert any(inc == i.maps[v] and proj == p.maps[v] for i, p in zip(incs, projs))
         monkeypatch.undo()
 
 

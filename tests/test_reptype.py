@@ -375,24 +375,34 @@ COXETER = {
 }
 
 
-def dynkin_letter(s):
-    """The type letter of a connected Dynkin scenario, read off its bimodule and algebra dimensions.
+def valued_edges(s):
+    """(x, y, weight) per bimodule: weight d_xy . d_yx = (dim M / dim D_x)(dim M / dim D_y)."""
+    return [(x, y, (bm.dim // s.algebra(x).dim) * (bm.dim // s.algebra(y).dim)) for (x, y), bm in s.bimodules.items()]
 
-    An edge (x, y) has weight d_xy . d_yx = (dim M / dim D_x)(dim M / dim D_y):
-    1 single, 2 double, 3 triple.  The graph must be a tree, and only the
-    shapes A, B/C, D and G2 are named.
-    """
+
+def connected(s):
+    """Whether the valued graph of s, its vertices joined by its bimodules, is connected."""
     verts = s.vertex_order()
-    edges = [(x, y, (bm.dim // s.algebra(x).dim) * (bm.dim // s.algebra(y).dim)) for (x, y), bm in s.bimodules.items()]
     reached, todo = {verts[0]}, [verts[0]]
     while todo:
         v = todo.pop()
-        for x, y, _ in edges:
+        for x, y in s.bimodules:
             for a, b in ((x, y), (y, x)):
                 if a == v and b not in reached:
                     reached.add(b)
                     todo.append(b)
-    assert len(edges) == len(verts) - 1 and reached == set(verts), s.name  # a tree
+    return reached == set(verts)
+
+
+def dynkin_letter(s):
+    """The type letter of a connected Dynkin scenario, read off its bimodule and algebra dimensions.
+
+    An edge (x, y) has weight d_xy . d_yx (`valued_edges`): 1 single, 2
+    double, 3 triple.  The graph must be a tree, and only the shapes A,
+    B/C, D and G2 are named.
+    """
+    verts, edges = s.vertex_order(), valued_edges(s)
+    assert len(edges) == len(verts) - 1 and connected(s), s.name  # a tree
     degree, heavy = Counter(v for x, y, _ in edges for v in (x, y)), [e for e in edges if e[2] > 1]
     if not heavy:
         branch = [v for v in verts if degree[v] > 2]
@@ -421,27 +431,52 @@ def complete_exceptional_sequences(dims, n):
     return extend([])
 
 
+def exceptional_count(s):
+    """(complete exceptional sequences of s's root table, its exceptional pairs), from the engine's hom and
+    ext1 dims; asserts that every entry is exceptional, the count is n! h^n / |W| for the type read by
+    `dynkin_letter`, and no exceptional pair has both Hom and Ext^1 in the other direction."""
+    objs = [e.object for e in build_root_table(s, 2026).entries]
+    dims = [[(len(hom(a, b)), ext1(a, b).dim) for b in objs] for a in objs]
+    assert all(h and not e for h, e in (dims[i][i] for i in range(len(objs)))), s.name
+    n = len(s.vertex_order())
+    count, pairs = complete_exceptional_sequences(dims, n), 0
+    h, w = COXETER[dynkin_letter(s)](n)
+    assert count == math.factorial(n) * h ** n // w, s.name
+    for i, j in itertools.permutations(range(len(objs)), 2):
+        if not any(dims[j][i]):  # (E_i, E_j) is an exceptional pair
+            assert not all(dims[i][j]), (s.name, i, j)
+            pairs += 1
+    return count, pairs
+
+
 def test_complete_exceptional_sequences_number_n_factorial_h_to_the_n_over_the_weyl_group():
     # over a Dynkin species every indecomposable is exceptional, and the
     # complete exceptional sequences number n! h^n / |W| (Obaid, Nauman, Al
     # Shammakh, Fakieh and Ringel, Colloq. Math. 133, 2013): the type alone
     # gives it, and the count reads only the engine's hom and ext1 dims.  In a
     # hereditary category an exceptional pair (E, F) has Hom(E, F) = 0 or
-    # Ext^1(E, F) = 0 (Ringel 1994)
+    # Ext^1(E, F) = 0 (Ringel 1994).  The catalog's finite scenarios first,
+    # then the connected Dynkin draws of one seeded `random_scenario`
+    # generator.  Its fields are Q and quadratic, so its edges weigh 1, 2 or
+    # 4, and a 4-vertex path cannot carry a double edge in its middle (F4):
+    # a connected draw is Dynkin exactly when it is a tree with at most one
+    # edge of weight 2 and none heavier, and the engine's finite-type verdict
+    # must say the same
     counts, pairs = {}, 0
     for name in FINITE_TYPE_IDS:
-        s = catalog_scenario(name)
-        objs = [e.object for e in build_root_table(s, 2026).entries]
-        dims = [[(len(hom(a, b)), ext1(a, b).dim) for b in objs] for a in objs]
-        assert all(h and not e for h, e in (dims[i][i] for i in range(len(objs)))), name
-        n = len(s.vertex_order())
-        counts[name] = complete_exceptional_sequences(dims, n)
-        h, w = COXETER[dynkin_letter(s)](n)
-        assert counts[name] == math.factorial(n) * h ** n // w, name
-        for i, j in itertools.permutations(range(len(objs)), 2):
-            if not any(dims[j][i]):  # (E_i, E_j) is an exceptional pair
-                assert not all(dims[i][j]), (name, i, j)
-                pairs += 1
+        counts[name], found = exceptional_count(catalog_scenario(name))
+        pairs += found
     assert counts == {"a2": 3, "a3": 16, "b2_dual": 4, "c2": 4, "c3_surface": 27, "d4_elliptic": 162,
                       "g2_threefold": 6}
     assert pairs == 123
+    rng, drawn = random.Random("exceptional-sequences"), Counter()
+    for s in [random_scenario(rng) for _ in range(200)]:  # 200 draws: about 0.15 s
+        if not connected(s):
+            continue
+        weights = Counter(w for _, _, w in valued_edges(s))
+        dynkin = sum(weights.values()) == len(s.vertex_order()) - 1 and set(weights) <= {1, 2} and weights[2] <= 1
+        assert (s.roots is not None) == dynkin, s.name
+        if dynkin:
+            exceptional_count(s)
+            drawn[f"{dynkin_letter(s)}{len(s.vertex_order())}"] += 1
+    assert drawn == {"B2": 13, "B3": 2, "A2": 3}
