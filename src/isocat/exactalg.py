@@ -15,18 +15,20 @@ One helper per recurring construction, shared by the packages built on it:
 - `_echelon` and `_back_solver`: the one elimination kernel and the one
   integer back-substitution over it, prepared once and run per target
   (`_back_solve` runs it over a list); rank, kernels, quotients, commutant
-  bases, solve, inverse, rref, det and column_space_pivots all use them;
+  bases, orbit bases, solve, inverse, rref, det and column_space_pivots all
+  use them;
 - `RatMatrix.combine`: a linear combination of matrices over one common
   denominator (vertex and bimodule actions, left/right multiplication,
   seeded samples), with `_combine` taking integer coefficients over one
   denominator; `_nonzero_entries` is the sparse form of a basis that psi,
   Hom and seeded objects are built from (`_combine_terms`), read once per
-  cached commutant basis and per algebra's right multiplications;
+  cached commutant basis and per `pair_terms` entry an algebra keeps;
 - `_block_copies`: I_m (x) c written into one grid in closed form
   (canonical vertex spaces);
-- `orbit_basis`: the greedy basis of a free module, trying standard
-  vectors in index order (bimodule right bases, which fix the tensor
-  slots m_i (x) f_c);
+- `orbit_basis`: the greedy basis of a free module, read off the pivots
+  of one `_echelon` of every standard vector's orbit in index order
+  (bimodule right bases, taken when the bimodule is built, which fix the
+  tensor slots m_i (x) f_c);
 - `commutant_basis`: the maps T with T . S_a = D_a . T for all a
   (equivariant hom spaces, nilpotent intertwiners);
 - `structure_constants`: an algebra on a spanning set from its n^2
@@ -543,27 +545,24 @@ def _flat_columns(columns: Sequence[tuple[list[int], int]], nrows: int) -> RatMa
 
 
 def orbit_basis(mats: Sequence[RatMatrix], dim: int) -> tuple[list[int], RatMatrix]:
-    """Greedy basis of Q^dim as a module over the algebra acting by `mats`.
+    """Greedy basis of Q^dim as a module over the algebra acting by `mats`, from one `_echelon`.
 
-    Standard vectors e_i are tried in index order and skipped when already
-    in the span.  Returns the picked indices and the matrix whose column
-    (k, b) is mats[b] . e_{picked[k]}; the module is free over the algebra
-    iff len(picked) * len(mats) == dim.
+    The orbit columns (i, b) = mats[b] . e_i are laid out in candidate order,
+    and e_i is picked when its block of columns holds a pivot, the greedy
+    column basis.  That is the greedy choice of standard vectors: the span of
+    the orbits taken so far is a submodule, and e_i, in the span of its own
+    orbit since the action is unital, lies in it exactly when its whole orbit
+    does; so the picked orbits span every earlier one.  Returns the picked
+    indices and the matrix whose column (k, b) is mats[b] . e_{picked[k]};
+    the module is free over the algebra iff len(picked) * len(mats) == dim.
     """
-    picked: list[int] = []
-    cols: list[tuple[list[int], int]] = []
-    span = RatMatrix.zeros(dim, 0)
-    for cand in range(dim):
-        if len(picked) * len(mats) == dim:
-            break
-        e = RatMatrix.zeros(dim, 1)
-        e.num[cand][0] = 1
-        if picked and span.solve(e) is not None:
-            continue
-        picked.append(cand)
-        cols += [([r[cand] for r in m.num], m.den) for m in mats]
-        span = _flat_columns(cols, dim)
-    return picked, span
+    nb, den = len(mats), lcm(*(m.den for m in mats))
+    nums = [m.num if m.den == den else [[e * (den // m.den) for e in r] for r in m.num] for m in mats]
+    rows = [{i * nb + b: e for i, es in enumerate(zip(*(num[r] for num in nums)))
+             for b, e in enumerate(es) if e} for r in range(dim)]
+    picked = sorted({p // nb for p in _echelon(rows)[0]})
+    span = [[num[r][i] for i in picked for num in nums] for r in range(dim)]
+    return picked, RatMatrix._fresh(dim, len(picked) * nb, span, den)
 
 
 def _diagonal_block(mats: Sequence[RatMatrix]) -> list[RatMatrix] | None:
@@ -1096,8 +1095,8 @@ class AlgebraSpec:
     R(unit) = I); invalid data is rejected, never normalized.
     """
 
-    __slots__ = ("dim", "unit", "left_mats", "right_mats", "_key", "_right_terms", "_pair_terms",
-                 "_canonical_spaces", "__weakref__")
+    __slots__ = ("dim", "unit", "left_mats", "right_mats", "_key", "_pair_terms", "_canonical_spaces",
+                 "__weakref__")
 
     def __init__(self, constants: Sequence, unit: Sequence):
         dim = len(constants)
@@ -1120,7 +1119,6 @@ class AlgebraSpec:
         self.right_mats = [_flat_columns(products[j::d], d) for j in range(d)]
         self.unit = [Fraction(x, unit[1]) for x in unit[0]]
         self._key = None
-        self._right_terms: tuple[list[list[tuple[int, int, int]]], int] | None = None
         self._pair_terms: dict = {}  # `pair_terms`, by (m, k)
         self._canonical_spaces: dict = {}  # extcat's shared canonical spaces, by multiplicity
         err = action_error(self, self.left_mats, d)
@@ -1153,16 +1151,13 @@ class AlgebraSpec:
             self._key = tuple(m.key() for m in self.left_mats) + (tuple(self.unit),)
         return self._key
 
-    def right_terms(self) -> tuple[list[list[tuple[int, int, int]]], int]:
-        """`_nonzero_entries` of right_mats: the cells of canonical-pair hom bases."""
-        if self._right_terms is None:
-            self._right_terms = _nonzero_entries(self.right_mats, self.dim, self.dim)
-        return self._right_terms
-
     def pair_terms(self, m: int, k: int) -> tuple[list[list[tuple[int, int, int]]], int]:
-        """Hom(A^m, A^k) of left modules as `_nonzero_entries`: unit(s, t) (x) R_b in the order (s, t, b), kept."""
+        """Hom(A^m, A^k) of left modules as `_nonzero_entries`: unit(s, t) (x) R_b in the order (s, t, b), kept.
+
+        The cells R_b are the right multiplications' nonzero entries, read on each miss.
+        """
         if (m, k) not in self._pair_terms:
-            n, (cells, den) = self.dim, self.right_terms()
+            n, (cells, den) = self.dim, _nonzero_entries(self.right_mats, self.dim, self.dim)
             self._pair_terms[m, k] = [[(s * n + i, t * n + j, e) for i, j, e in cell]
                                       for s in range(k) for t in range(m) for cell in cells], den
         return self._pair_terms[m, k]

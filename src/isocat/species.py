@@ -110,9 +110,10 @@ class Bimodule:
 
     Left action matrices are a unital representation of the x-side algebra;
     right action matrices represent right multiplication (so they compose
-    contravariantly).  A right basis over the y-side division algebra is
-    computed greedily over the standard basis and cached; it fixes the slot
-    layout of every tensor space built from this bimodule.
+    contravariantly).  The greedy right basis over the y-side division
+    algebra (`orbit_basis`) is taken at construction, which refuses a
+    bimodule that is not free on the right; it fixes the slot layout of
+    every tensor space built from this bimodule.
     """
 
     def __init__(self, left_alg: DivisionAlgebraHandle, right_alg: DivisionAlgebraHandle,
@@ -123,8 +124,9 @@ class Bimodule:
         self.left_action = list(left_action)
         self.right_action = list(right_action)
         self._validate()
-        self._right_basis: list[int] | None = None
-        self._orbit_matrix: RatMatrix | None = None
+        self._right_basis, self._orbit_matrix = orbit_basis(self.right_action, dim)
+        if len(self._right_basis) * right_alg.dim != dim:
+            raise ScenarioError("bimodule is not free over the right algebra")
         self._left_coord_table: dict[int, list[list[list[Fraction]]]] = {}
 
     def _validate(self) -> None:
@@ -143,23 +145,12 @@ class Bimodule:
         return self.dim // self.right_alg.dim
 
     def right_basis(self) -> list[int]:
-        """Indices of a greedy right basis of M over the y-side algebra."""
-        if self._right_basis is None:
-            self._compute_right_basis()
+        """Indices of the greedy right basis of M over the y-side algebra, taken at construction."""
         return self._right_basis
 
     def orbit_matrix(self) -> RatMatrix:
         """Columns (i, b) = (basis element m_i) * e_b; a Q-basis of M."""
-        if self._orbit_matrix is None:
-            self._compute_right_basis()
         return self._orbit_matrix
-
-    def _compute_right_basis(self) -> None:
-        picked, span = orbit_basis(self.right_action, self.dim)
-        if len(picked) * self.right_alg.dim != self.dim:
-            raise ScenarioError("bimodule is not free over the right algebra")
-        self._right_basis = picked
-        self._orbit_matrix = span
 
     def left_coords(self, a_index: int) -> list[list[list[Fraction]]]:
         """D-coordinates of e_a * m_i over the right basis.

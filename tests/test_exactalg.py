@@ -1415,7 +1415,7 @@ def test_right_terms_are_the_right_multiplications():
     odd = AlgebraSpec([[[4, -2], [1, 0]], [[1, 0], [0, 1]]], [0, 1])
     for alg in (swap, sq2, odd):
         n = alg.dim
-        plain = alg.right_terms()
+        plain = alg.pair_terms(1, 1)
         assert plain == exactalg._nonzero_entries(alg.right_mats, n, n)
-        assert alg.right_terms() is plain
+        assert alg.pair_terms(1, 1) is plain
     assert odd.right_mats[0] != RatMatrix.identity(2)

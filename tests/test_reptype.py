@@ -20,6 +20,7 @@ from isocat.extcat import (
     ext1,
     euler_form,
     hom,
+    is_projective,
 )
 from isocat.reptype import (
     ConstructionError,
@@ -457,11 +458,7 @@ def test_complete_exceptional_sequences_number_n_factorial_h_to_the_n_over_the_w
     # hereditary category an exceptional pair (E, F) has Hom(E, F) = 0 or
     # Ext^1(E, F) = 0 (Ringel 1994).  The catalog's finite scenarios first,
     # then the connected Dynkin draws of one seeded `random_scenario`
-    # generator.  Its fields are Q and quadratic, so its edges weigh 1, 2 or
-    # 4, and a 4-vertex path cannot carry a double edge in its middle (F4):
-    # a connected draw is Dynkin exactly when it is a tree with at most one
-    # edge of weight 2 and none heavier, and the engine's finite-type verdict
-    # must say the same
+    # generator (`dynkin_draws`)
     counts, pairs = {}, 0
     for name in FINITE_TYPE_IDS:
         counts[name], found = exceptional_count(catalog_scenario(name))
@@ -469,14 +466,77 @@ def test_complete_exceptional_sequences_number_n_factorial_h_to_the_n_over_the_w
     assert counts == {"a2": 3, "a3": 16, "b2_dual": 4, "c2": 4, "c3_surface": 27, "d4_elliptic": 162,
                       "g2_threefold": 6}
     assert pairs == 123
-    rng, drawn = random.Random("exceptional-sequences"), Counter()
-    for s in [random_scenario(rng) for _ in range(200)]:  # 200 draws: about 0.15 s
+    drawn = Counter()
+    for s in dynkin_draws():
+        exceptional_count(s)
+        drawn[f"{dynkin_letter(s)}{len(s.vertex_order())}"] += 1
+    assert drawn == {"B2": 13, "B3": 2, "A2": 3}
+
+
+def dynkin_draws():
+    """The connected Dynkin scenarios among 200 draws of `random_scenario(random.Random("exceptional-sequences"))`.
+
+    Its fields are Q and quadratic, so its edges weigh 1, 2 or 4, and a
+    4-vertex path cannot carry a double edge in its middle (F4): a connected
+    draw is Dynkin exactly when it is a tree with at most one edge of weight
+    2 and none heavier.  Asserts that the engine's finite-type verdict says
+    the same on every connected draw.  200 draws take about 0.15 s.
+    """
+    rng = random.Random("exceptional-sequences")
+    for s in [random_scenario(rng) for _ in range(200)]:
         if not connected(s):
             continue
         weights = Counter(w for _, _, w in valued_edges(s))
         dynkin = sum(weights.values()) == len(s.vertex_order()) - 1 and set(weights) <= {1, 2} and weights[2] <= 1
         assert (s.roots is not None) == dynkin, s.name
         if dynkin:
-            exceptional_count(s)
-            drawn[f"{dynkin_letter(s)}{len(s.vertex_order())}"] += 1
-    assert drawn == {"B2": 13, "B3": 2, "A2": 3}
+            yield s
+
+
+# the W-Catalan number of each Dynkin type of rank n; B stands for B and C
+W_CATALAN = {
+    "A": lambda n: math.comb(2 * n + 2, n + 1) // (n + 2),
+    "B": lambda n: math.comb(2 * n, n),
+    "D": lambda n: (3 * n - 2) * math.comb(2 * n - 2, n - 1) // n,
+    "G": lambda n: 8,
+}
+
+
+def support_tilting_count(s):
+    """(support tau-tilting pairs of s, of them tilting), from the root table and the engine's hom, ext1 and
+    `is_projective`; asserts that exactly n entries are projective and the count is the type's W-Catalan number.
+
+    A pair (M, P) has M a sum of distinct entries, pairwise without Ext^1 (rigid, and tau-rigid since the
+    category is hereditary), P a sum of distinct projective entries with Hom(P, M) = 0, and |M| + |P| = n;
+    it is tilting when P = 0."""
+    objs = [e.object for e in build_root_table(s, 2026).entries]
+    n, k = len(s.vertex_order()), len(objs)
+    ext = [[ext1(a, b).dim for b in objs] for a in objs]
+    proj = [i for i, z in enumerate(objs) if is_projective(z)]
+    assert len(proj) == n, s.name
+    homs = {(p, j): len(hom(objs[p], objs[j])) for p in proj for j in range(k)}
+    total = tilting = 0
+    for size in range(n + 1):
+        for m in itertools.combinations(range(k), size):
+            if any(ext[i][j] for i in m for j in m):
+                continue
+            free = [p for p in proj if not any(homs[p, j] for j in m)]
+            total += math.comb(len(free), n - size)
+            tilting += size == n
+    assert total == W_CATALAN[dynkin_letter(s)](n), s.name
+    return total, tilting
+
+
+def test_support_tau_tilting_pairs_number_the_w_catalan_number():
+    # over a Dynkin species the support tau-tilting pairs, which are the
+    # support tilting pairs on a hereditary category, correspond to the
+    # clusters of the type and number its W-Catalan number (Adachi, Iyama and
+    # Reiten, Compos. Math. 150, 2014; Ingalls and Thomas, Compos. Math.
+    # 145, 2009): the type alone gives it, and the count reads only the
+    # engine's hom and ext1 dims and `is_projective`.  The catalog's finite
+    # scenarios, then the Dynkin draws of the exceptional-sequence test
+    counts = {name: support_tilting_count(catalog_scenario(name)) for name in FINITE_TYPE_IDS}
+    assert counts == {"a2": (5, 2), "a3": (14, 5), "b2_dual": (6, 3), "c2": (6, 3), "c3_surface": (20, 10),
+                      "d4_elliptic": (50, 20), "g2_threefold": (8, 5)}
+    drawn = Counter((dynkin_letter(s), len(s.vertex_order()), support_tilting_count(s)) for s in dynkin_draws())
+    assert drawn == {("B", 2, (6, 3)): 13, ("B", 3, (20, 10)): 2, ("A", 2, (5, 2)): 3}

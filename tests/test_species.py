@@ -21,7 +21,9 @@ from isocat.extcat import (
     universal_extension_of,
 )
 from isocat.species import (
+    ASSERTED_DIVISION,
     Bimodule,
+    DivisionAlgebraHandle,
     RootDatum,
     ScenarioError,
     SpeciesScenario,
@@ -576,11 +578,98 @@ def greedy_orbit_reference(mats, dim):
 
 
 def test_orbit_basis_reproduces_every_catalog_right_basis():
+    # then the actions whose greedy bases skip candidates between picks,
+    # each also built into a bimodule with that right basis
     for name in CATALOG_IDS:
         for bm in catalog_scenario(name).bimodules.values():
             picked, span = greedy_orbit_reference(bm.right_action, bm.dim)
             assert orbit_basis(bm.right_action, bm.dim) == (picked, span)
             assert (bm.right_basis(), bm.orbit_matrix()) == (picked, span)
+    mid_range = 0
+    for label, alg, dim, mats in orbit_skip_cases():
+        picked, span = greedy_orbit_reference(mats, dim)
+        assert orbit_basis(mats, dim) == (picked, span), label
+        bm = Bimodule(rationals(), alg, dim, [RatMatrix.identity(dim)], mats)
+        assert (bm.right_basis(), bm.orbit_matrix()) == (picked, span), label
+        mid_range += picked != list(range(0, dim, alg.dim)) and len(picked) > 1
+    assert mid_range >= 12
+
+
+def split_pair():
+    """Q x Q, e_0 and e_1 its two idempotents: labelled a division algebra, which it is not."""
+    return DivisionAlgebraHandle(AlgebraSpec([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1]), ASSERTED_DIVISION)
+
+
+def conjugated(mats, nb, rng):
+    """P^-1 . m . P for each m, P = B . S: B block diagonal with seeded invertible integer nb x nb blocks,
+    S a seeded permutation of the coordinates.  Each copy of the algebra in m's frame becomes a submodule
+    on scattered coordinates."""
+    n = mats[0].rows
+    grid = [[0] * n for _ in range(n)]
+    for k in range(0, n, nb):
+        while True:
+            block = [[rng.randrange(-3, 4) for _ in range(nb)] for _ in range(nb)]
+            if RatMatrix.from_rows(block).rank() == nb:
+                break
+        for i, row in enumerate(block):
+            grid[k + i][k:k + nb] = row
+    perm = list(range(n))
+    rng.shuffle(perm)
+    p = RatMatrix.from_rows(grid) * RatMatrix.from_rows([[int(perm[j] == i) for j in range(n)] for i in range(n)])
+    inv = p.inverse()
+    return [inv * m * p for m in mats]
+
+
+def orbit_skip_cases():
+    """(label, right algebra, dim, right action) whose greedy bases skip candidates between picks:
+    Q(sqrt 2) from an e_0 that is not the unit, H from i and the cubic field, as tensor bimodule copies
+    over Q, each in its own frame and in three conjugated ones."""
+    odd = asserted_division_algebra(AlgebraSpec([[[4, -2], [1, 0]], [[1, 0], [0, 1]]], [0, 1]))
+    cubic = number_field(Polynomial([-2, 0, 0, 1]))
+    rng = random.Random("orbit-skips")
+    for label, alg in (("odd", odd), ("quaternions", quaternions_from_i()), ("cubic", cubic)):
+        for copies in (1, 2, 3):
+            bm = tensor_bimodule(rationals(), alg, copies)
+            yield f"{label}^{copies}", alg, bm.dim, bm.right_action
+            for k in range(3):
+                yield f"{label}^{copies} conjugated {k}", alg, bm.dim, conjugated(bm.right_action, alg.dim, rng)
+
+
+def test_right_bases_take_one_elimination_and_no_solve(monkeypatch):
+    # a bimodule's right basis is taken at construction from one `_echelon`
+    # per `orbit_basis`; no candidate is solved for
+    import isocat.exactalg as exactalg
+    import isocat.species as species
+
+    real_orbit, real_echelon, runs, inside = exactalg.orbit_basis, exactalg._echelon, [], []
+
+    def counted_orbit(mats, dim):
+        inside.append(0)
+        try:
+            return real_orbit(mats, dim)
+        finally:
+            runs.append(inside.pop())
+
+    def counted_echelon(rows):
+        if inside:
+            inside[-1] += 1
+        return real_echelon(rows)
+
+    def no_solve(*args):
+        raise AssertionError("RatMatrix.solve ran")
+
+    monkeypatch.setattr(species, "orbit_basis", counted_orbit)
+    monkeypatch.setattr(exactalg, "_echelon", counted_echelon)
+    monkeypatch.setattr(RatMatrix, "solve", no_solve)
+    q = rationals()
+    big = scalar_bimodule(q, q, 256)
+    assert runs == [1]
+    assert big.right_basis() == list(range(256)) and big.orbit_matrix() == RatMatrix.identity(256)
+    built = [bm for name in CATALOG_IDS for bm in catalog_scenario(name).bimodules.values()]
+    assert len(runs) == 1 + len(built) and set(runs) == {1}
+    for bm in built:
+        assert len(bm.right_basis()) * bm.right_alg.dim == bm.dim == bm.orbit_matrix().cols
+    assert len(runs) == 1 + len(built)  # reading a right basis runs nothing
 
 
 def quaternion_table():
@@ -618,9 +707,6 @@ def test_canonical_spaces_never_run_orbit_basis(monkeypatch):
     quat_s = SpeciesScenario("quat", [("u", q), ("w", odd)], [("a", quat), ("b", odd)],
                              {("u", "a"): tensor_bimodule(q, quat), ("w", "b"): tensor_bimodule(odd, odd)})
     sweep = (catalog_scenario("g2_threefold"), quat_s)
-    for s in sweep:
-        for bm in s.bimodules.values():
-            bm.right_basis()
     monkeypatch.setattr(exactalg, "orbit_basis", no_orbit_basis)
     monkeypatch.setattr(species, "orbit_basis", no_orbit_basis)
     for s in sweep:
@@ -642,9 +728,15 @@ def test_non_free_spaces_are_rejected():
         TripleObject(c2, {**z.x, "a1": VertexSpace(3, odd)}, z.eta)
     with pytest.raises(ScenarioError):
         Bimodule(rationals(), d2, 3, [RatMatrix.identity(3)], odd)
-    # past the constructor's checks, the right basis itself reports non-freeness
-    bm = right_regular_bimodule(rationals(), d2)
-    bm.dim, bm.left_action, bm.right_action = 3, [RatMatrix.identity(3)], odd
-    bm._right_basis = bm._orbit_matrix = None
-    with pytest.raises(ScenarioError, match="not free"):
-        bm.right_basis()
+    # Q x Q acting on Q^2 with its second factor as zero passes every
+    # representation check, dim 2 included.  The candidate loop of
+    # `greedy_orbit_reference` stops once len(picked) * len(mats) reaches dim
+    # and reads e_0's orbit, of rank 1, as a basis; `orbit_basis` weighs every
+    # candidate and picks both, so the bimodule is refused at construction
+    mats = [RatMatrix.identity(2), RatMatrix.zeros(2, 2)]
+    picked, span = greedy_orbit_reference(mats, 2)
+    assert picked == [0] and span.rank() == 1
+    picked, span = orbit_basis(mats, 2)
+    assert picked == [0, 1] and span.rank() == 2
+    with pytest.raises(ScenarioError, match="not free over the right algebra"):
+        Bimodule(rationals(), split_pair(), 2, [RatMatrix.identity(2)], mats)
