@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .exactalg import RatMatrix
 from .extcat import (
     InternalConsistencyError,
     TripleMorphism,
@@ -228,7 +229,7 @@ def suite_center_action(s: SpeciesScenario, rng: random.Random, samples: int) ->
     def test(z):
         endos = hom(z, z)
         for el in center.elements:
-            zf = TripleMorphism(z, z, {w: vs.act(el[w]) for w, vs in z.parts.items()})
+            zf = TripleMorphism(z, z, {w: RatMatrix.combine(p.action, el[w], p.dim, p.dim) for w, p in z.parts.items()})
             err = zf.check()
             if err is not None:
                 raise InternalConsistencyError(f"center element is not an endomorphism: {err}")

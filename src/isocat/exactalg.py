@@ -25,10 +25,10 @@ One helper per recurring construction, shared by the packages built on it:
   cached commutant basis and per `pair_terms` entry an algebra keeps;
 - `_block_copies`: I_m (x) c written into one grid in closed form
   (canonical vertex spaces);
-- `orbit_basis`: the greedy basis of a free module, read off the pivots
-  of one `_echelon` of every standard vector's orbit in index order
-  (bimodule right bases, taken when the bimodule is built, which fix the
-  tensor slots m_i (x) f_c);
+- `orbit_basis`: the greedy basis of a free module and integer coordinates
+  of images over it, from one `_echelon` of every standard vector's orbit
+  in index order, then the images (a bimodule's right basis, which fixes
+  the tensor slots m_i (x) f_c, and its left coordinates, when it is built);
 - `commutant_basis`: the maps T with T . S_a = D_a . T for all a
   (equivariant hom spaces, nilpotent intertwiners);
 - `structure_constants`: an algebra on a spanning set from its n^2
@@ -544,25 +544,38 @@ def _flat_columns(columns: Sequence[tuple[list[int], int]], nrows: int) -> RatMa
     return RatMatrix._fresh(nrows, len(scaled), [list(r) for r in zip(*scaled)], den)
 
 
-def orbit_basis(mats: Sequence[RatMatrix], dim: int) -> tuple[list[int], RatMatrix]:
-    """Greedy basis of Q^dim as a module over the algebra acting by `mats`, from one `_echelon`.
+def orbit_basis(mats: Sequence[RatMatrix], dim: int, images: Sequence[RatMatrix]
+                ) -> tuple[list[int], RatMatrix, list[list[tuple[int, int, list[int]]]], int]:
+    """Greedy basis of Q^dim as a module over the algebra acting by `mats`, and images over it, from one `_echelon`.
 
     The orbit columns (i, b) = mats[b] . e_i are laid out in candidate order,
     and e_i is picked when its block of columns holds a pivot, the greedy
     column basis.  That is the greedy choice of standard vectors: the span of
     the orbits taken so far is a submodule, and e_i, in the span of its own
     orbit since the action is unital, lies in it exactly when its whole orbit
-    does; so the picked orbits span every earlier one.  Returns the picked
-    indices and the matrix whose column (k, b) is mats[b] . e_{picked[k]};
-    the module is free over the algebra iff len(picked) * len(mats) == dim.
+    does; so the picked orbits span every earlier one, and Q^dim.  So the
+    image columns images[a] . e_i, which follow in the same integer rows, are
+    never pivots.  Returns the picks, P with column (k, b) mats[b] . e_{picked[k]},
+    and (terms, den): terms[a] has the nonzero blocks (k, i, d) of P^-1 .
+    images[a] . e_{picked[i]} over den, from one `_back_solve` when the module
+    is free (len(picked) * len(mats) == dim: P's columns are the pivots).
     """
-    nb, den = len(mats), lcm(*(m.den for m in mats))
-    nums = [m.num if m.den == den else [[e * (den // m.den) for e in r] for r in m.num] for m in mats]
-    rows = [{i * nb + b: e for i, es in enumerate(zip(*(num[r] for num in nums)))
-             for b, e in enumerate(es) if e} for r in range(dim)]
-    picked = sorted({p // nb for p in _echelon(rows)[0]})
-    span = [[num[r][i] for i in picked for num in nums] for r in range(dim)]
-    return picked, RatMatrix._fresh(dim, len(picked) * nb, span, den)
+    nb, den = len(mats), lcm(*(m.den for m in (*mats, *images)))
+    nums = [m.num if m.den == den else [[e * (den // m.den) for e in r] for r in m.num] for m in (*mats, *images)]
+    flat = [[num[r][i] for i in range(dim) for num in nums[:nb]] + [e for num in nums[nb:] for e in num[r]]
+            for r in range(dim)]
+    pivots, ech, _, _ = _echelon(_sparse_rows(flat))
+    picked = sorted({p // nb for p in pivots})
+    cols = [i * nb + b for i in picked for b in range(nb)]
+    span = RatMatrix._fresh(dim, len(cols), [[row[c] for c in cols] for row in flat], den)
+    if len(cols) != dim:  # not free
+        return picked, span, [], 1
+    zden, zs = _back_solve(pivots, ech, [dim * nb + a * dim + i for a in range(len(images)) for i in picked])
+    terms: list[list[tuple[int, int, list[int]]]] = [[] for _ in images]
+    for t, z in enumerate(zs):  # t = (a, i), z the blocks k of column i of P^-1 . images[a] at the picks
+        a, i = divmod(t, len(picked))
+        terms[a] += [(k, i, z[k * nb:(k + 1) * nb]) for k in dict.fromkeys(j // nb for j, e in enumerate(z) if e)]
+    return picked, span, terms, zden
 
 
 def _diagonal_block(mats: Sequence[RatMatrix]) -> list[RatMatrix] | None:
@@ -1169,7 +1182,8 @@ def action_error(alg: AlgebraSpec, mats: Sequence[RatMatrix], dim: int, opposite
     The violation is a predicate for the caller to put its subject before.
     The law is mats[i] . mats[j] = the combination of mats by e_i * e_j,
     column j of L_i; with opposite, mats are right multiplications and the
-    product is mats[j] . mats[i].
+    product is mats[j] . mats[i].  Over Q no product is formed: a unital
+    action is u_0^-1 . I, and e_0 e_0 = u_0^-1 e_0.
     """
     if len(mats) != alg.dim:
         return "needs one action matrix per algebra basis element"
@@ -1183,6 +1197,8 @@ def action_error(alg: AlgebraSpec, mats: Sequence[RatMatrix], dim: int, opposite
     nums, uden = _int_vector(alg.unit)
     if _combine_terms(terms, nums, den * uden, dim, dim) != RatMatrix.identity(dim):
         return "is not unital"
+    if alg.dim == 1:
+        return None
     for i, li in enumerate(alg.left_mats):
         for j in range(alg.dim):
             prod = mats[j] * mats[i] if opposite else mats[i] * mats[j]

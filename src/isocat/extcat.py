@@ -21,7 +21,8 @@ other, with its y block offsets.  It uses the slot basis m_i (x) f_c
 ordered (i, c): for the bimodule at (x, y), m_0..m_{r-1} is the greedy
 right basis of M over the y algebra and f_c is the basis the y component
 already has.  So F(v) is I_r (x) v, and block (k, i) of e_a's action on
-F(Y) is the action of d = left_coords(a)[i][k] on Y.  The slot layout is
+F(Y) is the action on Y of the y coordinates of the m_k part of e_a . m_i,
+which the bimodule keeps in integers from construction.  The slot layout is
 part of every object's identity, so serialized objects round-trip exactly.
 
 Canonical components are shared values: `canonical_space` returns one
@@ -54,6 +55,7 @@ from .exactalg import (
     _back_solve,
     _back_solver,
     _block_copies,
+    _combine,
     _combine_terms,
     _commutant_coords,
     _echelon,
@@ -114,9 +116,6 @@ class VertexSpace:
         if self._key is None:
             self._key = (self.dim, tuple(m.key() for m in self.action))
         return self._key
-
-    def act(self, coords: Sequence[Fraction]) -> RatMatrix:
-        return RatMatrix.combine(self.action, coords, self.dim, self.dim)
 
 
 def canonical_space(handle: DivisionAlgebraHandle, mult: int) -> VertexSpace:
@@ -219,7 +218,8 @@ def _fresh_fspaces(scenario: SpeciesScenario, parts: dict[str, VertexSpace]) -> 
     """New F spaces F(Y)_x of parts' y parts, each with its y block offsets and the action of the x algebra.
 
     Cell (k, i) of the r x r grid at y, for e_a, is the m_k part of e_a . m_i: the
-    action of d = left_coords(a)[i][k] on Y_y.  Nothing is looked up or memoised.
+    action of d / den on Y_y for each nonzero cell (k, i, d) of the bimodule's
+    integer `left_terms[a]` over its `left_den`.  Nothing is looked up or memoised.
     """
     out = {}
     for x in scenario.x_ids:
@@ -235,9 +235,9 @@ def _fresh_fspaces(scenario: SpeciesScenario, parts: dict[str, VertexSpace]) -> 
         for a in range(scenario.algebra(x).dim):
             cells = []
             for y, off in offsets.items():
-                vs, d = parts[y], parts[y].dim
-                for i, row in enumerate(scenario.bimodules[(x, y)].left_coords(a)):
-                    cells += [(off + k * d, off + i * d, vs.act(c)) for k, c in enumerate(row) if any(c)]
+                vs, n, bm = parts[y], parts[y].dim, scenario.bimodules[(x, y)]
+                cells += [(off + k * n, off + i * n, _combine(vs.action, d, bm.left_den, n, n))
+                          for k, i, d in bm.left_terms[a]]
             action.append(_assemble(total, total, cells))
         out[x] = VertexSpace(total, action, offsets=offsets)
     return out

@@ -181,8 +181,7 @@ def scenario_from_json(doc) -> SpeciesScenario:
             if xmap[x].dim != 1 or ymap[y].dim != 1:
                 raise FormatError(
                     f"bimodule ({x!r:.40}, {y!r:.40}): actions may only be omitted over Q on both sides")
-            left = [RatMatrix.identity(dim)]
-            right = [RatMatrix.identity(dim)]
+            left = right = [RatMatrix.identity(dim)]
         bims[(x, y)] = Bimodule(xmap[x], ymap[y], dim, left, right)
     return SpeciesScenario(doc.get("name", "unnamed"), xs, ys, bims)
 

@@ -110,10 +110,12 @@ class Bimodule:
 
     Left action matrices are a unital representation of the x-side algebra;
     right action matrices represent right multiplication (so they compose
-    contravariantly).  The greedy right basis over the y-side division
-    algebra (`orbit_basis`) is taken at construction, which refuses a
-    bimodule that is not free on the right; it fixes the slot layout of
-    every tensor space built from this bimodule.
+    contravariantly).  One `orbit_basis` at construction takes the greedy
+    right basis m_0..m_{r-1} over the y-side division algebra, which fixes
+    the slot layout of every tensor space built from this bimodule, and the
+    left coordinates over it: `left_terms[a]` has the nonzero cells (k, i, d),
+    d / `left_den` the y coordinates of the m_k part of e_a . m_i.  It
+    refuses a bimodule that is not free on the right.
     """
 
     def __init__(self, left_alg: DivisionAlgebraHandle, right_alg: DivisionAlgebraHandle,
@@ -124,10 +126,10 @@ class Bimodule:
         self.left_action = list(left_action)
         self.right_action = list(right_action)
         self._validate()
-        self._right_basis, self._orbit_matrix = orbit_basis(self.right_action, dim)
+        self._right_basis, self._orbit_matrix, self.left_terms, self.left_den = orbit_basis(
+            self.right_action, dim, self.left_action)
         if len(self._right_basis) * right_alg.dim != dim:
             raise ScenarioError("bimodule is not free over the right algebra")
-        self._left_coord_table: dict[int, list[list[list[Fraction]]]] = {}
 
     def _validate(self) -> None:
         A, D = self.left_alg.spec, self.right_alg.spec
@@ -135,10 +137,10 @@ class Bimodule:
             err = action_error(alg, mats, self.dim, opposite=side == "right")
             if err is not None:
                 raise ScenarioError(f"{side} action {err}")
-        for i in range(A.dim):
-            for j in range(D.dim):
-                if self.left_action[i] * self.right_action[j] != self.right_action[j] * self.left_action[i]:
-                    raise ScenarioError(f"left/right actions fail to commute at ({i},{j})")
+        scalar = A.dim == 1 or D.dim == 1  # a unital Q action is a scalar, which commutes with everything
+        for i, j in [] if scalar else [(i, j) for i in range(A.dim) for j in range(D.dim)]:
+            if self.left_action[i] * self.right_action[j] != self.right_action[j] * self.left_action[i]:
+                raise ScenarioError(f"left/right actions fail to commute at ({i},{j})")
 
     @property
     def rank_over_right(self) -> int:
@@ -151,24 +153,6 @@ class Bimodule:
     def orbit_matrix(self) -> RatMatrix:
         """Columns (i, b) = (basis element m_i) * e_b; a Q-basis of M."""
         return self._orbit_matrix
-
-    def left_coords(self, a_index: int) -> list[list[list[Fraction]]]:
-        """D-coordinates of e_a * m_i over the right basis.
-
-        Entry [i][k] is the y-algebra coordinate vector d with
-        e_a * m_i = sum_k m_k * d_k.
-        """
-        if a_index not in self._left_coord_table:
-            basis = self.right_basis()
-            nd = self.right_alg.dim
-            # the images e_a * m_i are the basis columns of the left action
-            coords = self.orbit_matrix().solve(self.left_action[a_index].submatrix(range(self.dim), basis))
-            if coords is None:
-                raise ScenarioError("left action does not preserve the module")  # unreachable
-            grid = coords.to_fractions()
-            self._left_coord_table[a_index] = [[[grid[k * nd + b][i] for b in range(nd)]
-                                                for k in range(len(basis))] for i in range(len(basis))]
-        return self._left_coord_table[a_index]
 
 
 def scalar_bimodule(left: DivisionAlgebraHandle, right: DivisionAlgebraHandle, dim: int) -> Bimodule:

@@ -1179,6 +1179,51 @@ def test_canonical_spaces_and_their_f_spaces_match_the_generic_path():
                     assert generic[x] is not closed[x] and closed[x].action == generic[x].action
 
 
+def reference_left_coords(bm, a):
+    """[i][k] = the y coordinates of the m_k part of e_a . m_i, one Fraction solve against the orbit matrix."""
+    orbit, act, picked, nb = bm.orbit_matrix(), bm.left_action[a], bm.right_basis(), bm.right_alg.dim
+    rows = [[F(x, orbit.den) for x in r] + [F(act.num[j][i], act.den) for i in picked]
+            for j, r in enumerate(orbit.num)]
+    rref, pivots = _gauss_jordan(rows, bm.dim)
+    assert pivots == list(range(bm.dim))
+    return [[[rref[k * nb + b][bm.dim + i] for b in range(nb)] for k in range(len(picked))]
+             for i in range(len(picked))]
+
+
+def reference_f_actions(s, parts):
+    """{x: (offsets, [e_a's action on F(Y)_x as Fraction rows])}, cell (k, i) at y summing d_b . Y_y's e_b."""
+    out = {}
+    for x in s.x_ids:
+        offsets, total = {}, 0
+        for y in s.y_ids:
+            if (x, y) in s.bimodules and parts[y].dim:
+                offsets[y], total = total, total + s.bimodules[(x, y)].rank_over_right * parts[y].dim
+        actions = []
+        for a in range(s.algebra(x).dim):
+            grid = [[F(0)] * total for _ in range(total)]
+            for y, off in offsets.items():
+                n, ys = parts[y].dim, [m.to_fractions() for m in parts[y].action]
+                for i, row in enumerate(reference_left_coords(s.bimodules[(x, y)], a)):
+                    for k, d in enumerate(row):
+                        for r, c in itertools.product(range(n), repeat=2):
+                            grid[off + k * n + r][off + i * n + c] += sum(db * yb[r][c] for db, yb in zip(d, ys))
+            actions.append(grid)
+        out[x] = offsets, actions
+    return out
+
+
+def test_f_actions_match_a_fraction_solve_of_the_left_action():
+    # every catalog scenario and the sqrt 2 one, at y multiplicities 0..2,
+    # with canonical y parts and with each y part conjugated
+    for s in [catalog_scenario(name) for name in CATALOG_IDS] + [sqrt2_scenario()]:
+        for m in range(3):
+            canonical = {y: canonical_space(s.algebra(y), m) for y in s.y_ids}
+            for parts in (canonical, {y: conjugated_space(vs) for y, vs in canonical.items()}):
+                fsp, ref = _fresh_fspaces(s, parts), reference_f_actions(s, parts)
+                for x in s.x_ids:
+                    assert (fsp[x].offsets, [a.to_fractions() for a in fsp[x].action]) == ref[x], (s.name, m, x)
+
+
 # ----------------------------------------------------------------------
 # shared canonical values
 # ----------------------------------------------------------------------
@@ -2700,7 +2745,7 @@ def sqrt2_scenario():
 def test_left_coordinates_that_are_not_scalars():
     s = sqrt2_scenario()
     bm, unit = s.bimodules[("u", "a")], s.algebra("a").spec.unit
-    assert bm.left_coords(1) == [[[0, 1]]] and unit == [1, 0]
+    assert (bm.left_terms[1], bm.left_den) == ([(0, 0, [0, 1])], 1) and unit == [1, 0]
     rng = random.Random("sqrt2")
     objs = [random_object_with(s, {v: m for v in s.vertex_order()}, rng) for m in (1, 2)]
     # F(Y)_u sees the conjugation of Y_a, so eta must be carried through F(g^-1)

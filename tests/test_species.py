@@ -583,12 +583,12 @@ def test_orbit_basis_reproduces_every_catalog_right_basis():
     for name in CATALOG_IDS:
         for bm in catalog_scenario(name).bimodules.values():
             picked, span = greedy_orbit_reference(bm.right_action, bm.dim)
-            assert orbit_basis(bm.right_action, bm.dim) == (picked, span)
+            assert orbit_basis(bm.right_action, bm.dim, [])[:2] == (picked, span)
             assert (bm.right_basis(), bm.orbit_matrix()) == (picked, span)
     mid_range = 0
     for label, alg, dim, mats in orbit_skip_cases():
         picked, span = greedy_orbit_reference(mats, dim)
-        assert orbit_basis(mats, dim) == (picked, span), label
+        assert orbit_basis(mats, dim, [])[:2] == (picked, span), label
         bm = Bimodule(rationals(), alg, dim, [RatMatrix.identity(dim)], mats)
         assert (bm.right_basis(), bm.orbit_matrix()) == (picked, span), label
         mid_range += picked != list(range(0, dim, alg.dim)) and len(picked) > 1
@@ -643,10 +643,10 @@ def test_right_bases_take_one_elimination_and_no_solve(monkeypatch):
 
     real_orbit, real_echelon, runs, inside = exactalg.orbit_basis, exactalg._echelon, [], []
 
-    def counted_orbit(mats, dim):
+    def counted_orbit(mats, dim, images):
         inside.append(0)
         try:
-            return real_orbit(mats, dim)
+            return real_orbit(mats, dim, images)
         finally:
             runs.append(inside.pop())
 
@@ -670,6 +670,92 @@ def test_right_bases_take_one_elimination_and_no_solve(monkeypatch):
     for bm in built:
         assert len(bm.right_basis()) * bm.right_alg.dim == bm.dim == bm.orbit_matrix().cols
     assert len(runs) == 1 + len(built)  # reading a right basis runs nothing
+
+
+def left_coordinate_cases():
+    """(label, bimodule): every catalog bimodule, then tensor bimodule copies (1, 2) from Q, Q(sqrt 2), the
+    cubic field and the `odd` algebra to Q(sqrt 2), the cubic field, `odd` and H from i, each in its own
+    frame and with both actions conjugated by one seeded matrix."""
+    for name in CATALOG_IDS:
+        for key, bm in catalog_scenario(name).bimodules.items():
+            yield f"{name} {key}", bm
+    sqrt2, cubic = number_field(Polynomial([-2, 0, 1])), number_field(Polynomial([-2, 0, 0, 1]))
+    odd = asserted_division_algebra(AlgebraSpec([[[4, -2], [1, 0]], [[1, 0], [0, 1]]], [0, 1]))
+    named = {"sqrt2": sqrt2, "cubic": cubic, "odd": odd, "quaternions": quaternions_from_i()}
+    rng = random.Random("left-coordinates")
+    for lname, left in (("Q", rationals()), ("sqrt2", sqrt2), ("cubic", cubic), ("odd", odd)):
+        for rname, right in named.items():
+            for copies in (1, 2):
+                bm = tensor_bimodule(left, right, copies)
+                yield f"{lname} x {rname}^{copies}", bm
+                both = conjugated(bm.left_action + bm.right_action, right.dim, rng)
+                yield (f"{lname} x {rname}^{copies} conjugated",
+                       Bimodule(left, right, bm.dim, both[:left.dim], both[left.dim:]))
+
+
+def test_left_coordinates_reproduce_the_left_action():
+    # C_a, column i holding d / left_den at rows k * nb .. (k + 1) * nb - 1 for
+    # each cell (k, i, d), gives orbit_matrix() . C_a = left_action[a] at the
+    # picked columns, checked in Fractions
+    off_diagonal = mixed = moved = 0
+    for label, bm in left_coordinate_cases():
+        picked, nb, r = bm.right_basis(), bm.right_alg.dim, bm.rank_over_right
+        orbit = bm.orbit_matrix().to_fractions()
+        assert len(bm.left_terms) == bm.left_alg.dim, label
+        for a, act in enumerate(bm.left_action):
+            coords = [[Fraction(0)] * r for _ in range(r * nb)]
+            for k, i, d in bm.left_terms[a]:
+                assert len(d) == nb and any(d), label
+                for b, e in enumerate(d):
+                    coords[k * nb + b][i] = Fraction(e, bm.left_den)
+                off_diagonal += k != i
+                mixed += sum(map(bool, d)) > 1
+            product = [[sum(x * coords[j][i] for j, x in enumerate(row)) for i in range(r)] for row in orbit]
+            assert product == [[row[i] for i in picked] for row in act.to_fractions()], (label, a)
+        moved += picked != list(range(0, bm.dim, nb))
+    assert off_diagonal and mixed and moved >= 10
+
+
+def test_wide_scalar_bimodule_to_its_f_space_takes_one_elimination(monkeypatch):
+    # a Q side forms no dense product, since over Q the unit law is the whole
+    # law and a scalar commutes; from construction to F(Y) the only
+    # elimination is the one `_echelon` of `orbit_basis`, with no solve and no
+    # Fraction grid
+    import isocat.exactalg as exactalg
+    import isocat.species as species
+
+    real_orbit, real_echelon, real_mul = exactalg.orbit_basis, exactalg._echelon, RatMatrix.__mul__
+    runs, products = [], []
+
+    def counted_orbit(mats, dim, images):
+        runs.append("orbit_basis")
+        return real_orbit(mats, dim, images)
+
+    def counted_echelon(rows):
+        runs.append("_echelon")
+        return real_echelon(rows)
+
+    def counted_mul(a, b):
+        products.append((a.rows, b.cols))
+        return real_mul(a, b)
+
+    def refuse(*args):
+        raise AssertionError("a Fraction solve or grid ran")
+
+    monkeypatch.setattr(species, "orbit_basis", counted_orbit)
+    monkeypatch.setattr(exactalg, "_echelon", counted_echelon)
+    monkeypatch.setattr(RatMatrix, "__mul__", counted_mul)
+    monkeypatch.setattr(RatMatrix, "solve", refuse)
+    monkeypatch.setattr(RatMatrix, "to_fractions", refuse)
+    q = rationals()
+    bm = scalar_bimodule(q, q, 256)
+    assert products == [] and runs == ["orbit_basis", "_echelon"]
+    assert bm.left_terms == [[(k, k, [1]) for k in range(256)]] and bm.left_den == 1
+    s = SpeciesScenario("wide", [("u", q)], [("a", q)], {("u", "a"): bm})
+    parts = canonical_object(s, {"u": 1, "a": 1})
+    z = TripleObject(s, {**parts.x, **parts.y}, {"u": RatMatrix(1, 256, [[1] + [0] * 255])})
+    assert z.f["u"].dim == 256 and z.f["u"].action == [RatMatrix.identity(256)]
+    assert runs == ["orbit_basis", "_echelon"]
 
 
 def quaternion_table():
@@ -736,7 +822,7 @@ def test_non_free_spaces_are_rejected():
     mats = [RatMatrix.identity(2), RatMatrix.zeros(2, 2)]
     picked, span = greedy_orbit_reference(mats, 2)
     assert picked == [0] and span.rank() == 1
-    picked, span = orbit_basis(mats, 2)
+    picked, span, _, _ = orbit_basis(mats, 2, [])
     assert picked == [0, 1] and span.rank() == 2
     with pytest.raises(ScenarioError, match="not free over the right algebra"):
         Bimodule(rationals(), split_pair(), 2, [RatMatrix.identity(2)], mats)
